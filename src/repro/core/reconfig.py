@@ -67,7 +67,7 @@ from repro.core.state_transfer import (
     TransferTask,
 )
 from repro.core.statemachine import DedupStateMachine, StateMachine
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RecoveryError
 from repro.metrics.registry import SPAN_RECONFIG, SPAN_RECOVERY, metrics_of
 from repro.sim.node import Process
 from repro.types import (
@@ -248,6 +248,9 @@ class ReconfigurableReplica(Process):
         self.boundary_snapshots: dict[EpochId, tuple[Any, int]] = {}
         self._transfer: TransferTask | None = None
         self._transfer_timer_armed = False
+        #: set by :meth:`on_start`; nothing may be sent before it (the
+        #: constructor runs recovery before the transport is up).
+        self._started = False
 
         self._pending: dict[CommandId, _PendingReply] = {}
         self._replies: dict[CommandId, tuple[Any, EpochId, int]] = {}
@@ -280,10 +283,9 @@ class ReconfigurableReplica(Process):
             initial_config.epoch if initial_config is not None else None
         )
 
-        recovered = False
         if storage is not None and storage.recovered.has_state:
-            recovered = self._recover_from_storage()
-        if not recovered and initial_config is not None:
+            self._recover_from_storage()
+        elif initial_config is not None:
             if node not in initial_config.members:
                 raise ProtocolError(
                     f"{node} bootstrapped with a configuration it is not in"
@@ -342,7 +344,7 @@ class ReconfigurableReplica(Process):
     # Crash recovery
     # ------------------------------------------------------------------
 
-    def _recover_from_storage(self) -> bool:
+    def _recover_from_storage(self) -> None:
         """Rebuild the epoch chain from the durable store at boot.
 
         The checkpoint pins the execution frontier (state machine, virtual
@@ -356,18 +358,19 @@ class ReconfigurableReplica(Process):
         healed afterwards by the normal catch-up and announce protocols:
         we *rejoin* the cluster, we do not cold-join it.
 
-        Returns False (cold boot proceeds) when the store holds nothing a
-        chain can be built from.
+        Raises :class:`RecoveryError` when the store holds state but
+        nothing a chain can be built from.
         """
         rec = self.storage.recovered
         ckpt = rec.checkpoint
         epoch_opens = {eo.config.epoch: eo for eo in rec.epochs}
-        if not epoch_opens:
-            return False
         base = ckpt.exec_epoch if ckpt is not None else min(epoch_opens)
         base_open = epoch_opens.get(base)
         if base_open is None:
-            return False
+            raise RecoveryError(
+                f"{self.node}: the durable store has no epoch-open record for "
+                f"its execution epoch {base} (it knows {sorted(epoch_opens)})"
+            )
         self.metrics.span_event(SPAN_RECOVERY, self.node, "begin", self.now)
 
         self.exec_epoch = base
@@ -414,7 +417,6 @@ class ReconfigurableReplica(Process):
             wal_records=rec.records,
             torn_bytes=rec.torn_bytes,
         )
-        return True
 
     def _replay_dirty_overlaps(self, records: list[Any]) -> None:
         """Re-propose recovered dirty hand-off tails (satellite of the
@@ -855,7 +857,8 @@ class ReconfigurableReplica(Process):
             raise ProtocolError(f"no snapshot sources for epoch {epoch}")
         self._transfer = TransferTask(epoch=epoch, sources=others)
         self.trace("transfer-begin", epoch=epoch, sources=len(others))
-        self._transfer_tick()
+        if self._started:
+            self._transfer_tick()
 
     def _transfer_tick(self) -> None:
         task = self._transfer
@@ -1103,13 +1106,20 @@ class ReconfigurableReplica(Process):
     # ------------------------------------------------------------------
 
     def on_start(self) -> None:
+        self._started = True
+        if self._transfer is not None:
+            self._transfer_tick()  # a transfer that recovery left pending
         if self._observe_targets:
             self._observer_subscribe_tick()
-        if self.storage is not None and self.params.checkpoint_interval > 0:
+        interval = self.params.checkpoint_interval
+        if self.storage is not None and interval > 0:
+            # Stagger the members' timers across one interval, so the
+            # snapshot encode + fsync never stops a quorum at once.
+            config = self.newest_config
+            members = config.members.sorted_nodes() if config is not None else []
+            phase = members.index(self.node) / len(members) if self.node in members else 0.0
             self.set_timer(
-                self.params.checkpoint_interval,
-                self._checkpoint_tick,
-                label="checkpoint",
+                interval * (1.0 + phase), self._checkpoint_tick, label="checkpoint"
             )
 
     def _checkpoint_tick(self) -> None:

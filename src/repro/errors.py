@@ -40,6 +40,14 @@ class StateTransferError(ReproError):
     """State transfer could not complete (no live source, bad snapshot)."""
 
 
+class RecoveryError(ReproError):
+    """A non-empty durable store holds nothing an epoch chain can be rebuilt from.
+
+    Raised at boot instead of cold-booting: starting fresh over durable
+    acceptor state is the amnesia the store exists to prevent.
+    """
+
+
 class VerificationError(ReproError):
     """A correctness oracle (invariant or linearizability check) failed."""
 

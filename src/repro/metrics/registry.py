@@ -44,7 +44,7 @@ from repro.types import Time
 #: span kind for the reconfiguration seam (epoch hand-off).
 SPAN_RECONFIG = "reconfig"
 
-#: span kind for durable checkpoints (begin → written → compacted).
+#: span kind for durable checkpoints (begin → written → retired).
 SPAN_CHECKPOINT = "checkpoint"
 
 #: span kind for boot-time crash recovery (begin → replayed → rejoined).

@@ -5,7 +5,7 @@ promises across restarts. This package supplies that guarantee for the
 live runtime: a CRC-framed write-ahead log records acceptor state
 (promises, accepts), decided entries and epoch transitions *before* the
 corresponding protocol message leaves the process, and periodic
-state-machine checkpoints bound replay work and let the WAL be compacted.
+state-machine checkpoints bound replay work and retire whole WAL segments.
 
 Layering:
 

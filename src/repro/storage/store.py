@@ -14,17 +14,24 @@ store. Handles are idempotent — re-recording state that is already
 durable is a no-op — which is what makes recovery replay (and the
 re-decide traffic it triggers) safe.
 
-Compaction: every checkpoint rewrites the WAL into a fresh segment
-carrying only records still needed — the acceptor/learner state of
-instances at or above the checkpoint's execution epoch — and deletes the
-older segments. Instances of fully-executed earlier epochs are dropped
-entirely: a recovered replica simply does not rebuild those engines, and
-an engine that never answers cannot violate a promise. Silence is always
-safe in Paxos; only *amnesia* is dangerous.
+Garbage collection follows the paper's unit, the epoch: a checkpoint
+never reads or rewrites the log. It rolls the active segment and unlinks
+every older segment whose records all belong to epochs below the
+execution floor of the oldest checkpoint still kept on disk (each
+segment's highest epoch is tracked as records are appended). Instances of
+fully-executed earlier epochs vanish with their segments: a recovered
+replica simply does not rebuild those engines, and an engine that never
+answers cannot violate a promise. Silence is always safe in Paxos; only
+*amnesia* is dangerous. A segment that mixes epochs ``e`` and ``e + 1``
+outlives the floor ``e + 1``; :meth:`ReplicaStore._load` filters what it
+reads at the floor, so the survivor changes nothing a recovery sees.
+Inside one epoch the log only grows: cutting it is what a
+reconfiguration is for.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,15 +49,27 @@ from repro.storage.records import (
     WalEpochOpen,
     WalPromise,
 )
-from repro.storage.wal import WalWriter, frame_record, read_wal_bytes, read_wal_file
+from repro.storage.wal import (
+    WalWriter,
+    frame_record,
+    fsync_dir,
+    read_wal_bytes,
+    read_wal_file,
+)
 from repro.types import Configuration, Membership, Slot
 
 _SEGMENT_PREFIX = "wal-"
 _CKPT_PREFIX = "ckpt-"
 
-#: checkpoints retained on disk. Two, not one: a crash between writing a
-#: new checkpoint and compacting the WAL must leave a loadable fallback.
+#: checkpoints retained on disk. Two, not one: a torn or corrupt newest
+#: checkpoint must leave a loadable fallback, so segments are retired
+#: against the floor of the *oldest* of them.
 _CKPT_KEEP = 2
+
+#: a segment holding a record of no parseable epoch is never retired;
+#: an empty one, or one of records the fold skips, falls to any floor.
+_PINNED = float("inf")
+_UNPINNED = -1
 
 
 @dataclass(slots=True)
@@ -103,6 +122,7 @@ class RecoveredState:
         return 0
 
 
+@functools.lru_cache(maxsize=64)  # asked once per appended and per loaded record
 def _instance_epoch(instance: str) -> int | None:
     """Epoch number of a reconfigurable instance id, None if unparseable."""
     if instance.startswith("e"):
@@ -113,12 +133,26 @@ def _instance_epoch(instance: str) -> int | None:
     return None
 
 
+def _record_epoch(record: Any) -> float:
+    """The highest execution floor at which recovery still needs ``record``."""
+    instance = getattr(record, "instance", None)
+    if instance is not None:
+        epoch = _instance_epoch(instance)
+        return _PINNED if epoch is None else epoch
+    if isinstance(record, WalEpochOpen):
+        return record.config.epoch
+    if isinstance(record, WalDirtyOverlap):
+        # The tail of sealed epoch e feeds re-proposals into e + 1.
+        return record.epoch + 1
+    return _UNPINNED  # not a record the fold reads
+
+
 def fold_records(records: list[Any]) -> tuple[dict[int, WalEpochOpen], dict[str, InstanceState]]:
     """Fold a record stream into per-epoch and per-instance state.
 
-    Order-tolerant and duplicate-tolerant on purpose: a crash during
-    compaction can leave both the old and the new segment on disk, so the
-    fold must be a pure max/union over whatever it reads. Promises keep
+    Order-tolerant and duplicate-tolerant on purpose: a crash while
+    segments are being retired leaves an arbitrary subset of them on disk,
+    so the fold must be a pure max/union over whatever it reads. Promises keep
     the highest ballot (accepts imply promises); accepts keep the highest
     ballot per slot; decides are first-wins (agreement makes any
     duplicate identical).
@@ -157,7 +191,7 @@ def fold_dirty_overlaps(records: list[Any]) -> dict[int, WalDirtyOverlap]:
     """Fold dirty hand-off tail records, one per sealed epoch.
 
     First-wins per epoch for the same reason decides are: an epoch seals
-    once, so any duplicate (compaction crash) is identical.
+    once, so any duplicate is identical.
     """
     overlaps: dict[int, WalDirtyOverlap] = {}
     for record in records:
@@ -257,11 +291,17 @@ class ReplicaStore:
         self._m_fsyncs = self.metrics.counter("wal.fsyncs")
         self._m_bytes = self.metrics.counter("wal.bytes")
         self._m_checkpoints = self.metrics.counter("wal.checkpoints")
+        self._m_checkpoint_duration = self.metrics.histogram("wal.checkpoint_duration")
+        self._m_retired = self.metrics.counter("wal.segments_retired")
+        self._m_segments = self.metrics.gauge("wal.segments")
         self._m_group_size = self.metrics.histogram("wal.group_commit_size")
         self._m_recovery = self.metrics.histogram("recovery.duration")
         #: reentrant group-commit window depth (see :meth:`group`).
         self._group_depth = 0
 
+        #: closed segment -> highest epoch recovery needs it for, oldest
+        #: first (rebuilt by :meth:`_load`, extended by every roll).
+        self._sealed: dict[Path, float] = {}
         started = time.perf_counter()
         self.recovered = self._load()
         self.recovered.duration = time.perf_counter() - started
@@ -275,40 +315,47 @@ class ReplicaStore:
             eo.config.epoch: eo for eo in self.recovered.epochs
         }
         self._handles: dict[str, InstanceDurability] = {}
-        self._ckpt_seq = (
-            self.recovered.checkpoint.seq if self.recovered.checkpoint else 0
+        ckpt = self.recovered.checkpoint
+        self._ckpt_seq = ckpt.seq if ckpt else 0
+        #: execution floors of the checkpoints kept on disk, oldest first.
+        #: Only the loaded one is known after a boot, which errs low.
+        self._ckpt_floors: list[int] = [ckpt.exec_epoch] if ckpt else []
+        self._segment_index = max(
+            (int(path.stem[len(_SEGMENT_PREFIX):]) for path in self._sealed),
+            default=0,
         )
-        self._writer = WalWriter(
-            self._segment_path(self._next_segment_index()),
-            fsync=fsync,
-            on_append=self._on_append,
-            on_sync=self._on_sync,
-        )
+        self._open_segment()
+        self._m_segments.set(len(self._sealed) + 1)
+        if fsync:
+            fsync_dir(self.data_dir)
         self.closed = False
 
     # -- loading ------------------------------------------------------------
 
-    def _segments(self) -> list[Path]:
-        return sorted(self.data_dir.glob(f"{_SEGMENT_PREFIX}*.log"))
-
     def _checkpoints(self) -> list[Path]:
         return sorted(self.data_dir.glob(f"{_CKPT_PREFIX}*.bin"))
 
-    def _segment_path(self, index: int) -> Path:
-        return self.data_dir / f"{_SEGMENT_PREFIX}{index:06d}.log"
-
-    def _next_segment_index(self) -> int:
-        segments = self._segments()
-        if not segments:
-            return 1
-        return int(segments[-1].stem[len(_SEGMENT_PREFIX):]) + 1
+    def _open_segment(self) -> None:
+        """Start the next segment; it becomes the active one."""
+        self._segment_index += 1
+        #: highest :func:`_record_epoch` appended to the active segment.
+        self._active_epoch: float = _UNPINNED
+        self._writer = WalWriter(
+            self.data_dir / f"{_SEGMENT_PREFIX}{self._segment_index:06d}.log",
+            fsync=self.fsync,
+            on_append=self._on_append,
+            on_sync=self._on_sync,
+        )
 
     def _load(self) -> RecoveredState:
         checkpoint = self._load_checkpoint()
         records: list[Any] = []
         torn = 0
-        for segment in self._segments():
-            segment_records, segment_torn = read_wal_file(segment, truncate=True)
+        for segment in sorted(self.data_dir.glob(f"{_SEGMENT_PREFIX}*.log")):
+            segment_records, segment_torn = read_wal_file(segment)
+            self._sealed[segment] = max(
+                map(_record_epoch, segment_records), default=_UNPINNED
+            )
             records.extend(segment_records)
             torn += segment_torn
         epoch_opens, instances = fold_records(records)
@@ -377,6 +424,9 @@ class ReplicaStore:
         :meth:`WalWriter.append`) — reserved for records that are a cache
         of state recoverable from a quorum.
         """
+        epoch = _record_epoch(record)
+        if epoch > self._active_epoch:
+            self._active_epoch = epoch
         self._writer.append(record, defer_sync=self._group_depth > 0, lazy=lazy)
 
     # -- group commit ---------------------------------------------------------
@@ -402,9 +452,8 @@ class ReplicaStore:
     def end_group(self) -> None:
         self._group_depth -= 1
         if self._group_depth == 0 and not self.closed:
-            # Checkpoint compaction may have swapped the active writer
-            # mid-window; any deferred frames in the retired segment were
-            # folded into the compaction segment and fsynced there, so
+            # A mid-window checkpoint may have rolled the active segment;
+            # the roll fsynced every frame deferred into the old one, so
             # syncing the current writer alone is sufficient.
             self._writer.sync_deferred()
 
@@ -448,14 +497,18 @@ class ReplicaStore:
         app_state: Any,
         now: float = 0.0,
     ) -> int:
-        """Write a checkpoint, then compact the WAL behind it.
+        """Write a checkpoint, then retire the WAL segments behind it.
 
-        Returns the checkpoint sequence number. Crash-safe at every step:
-        the checkpoint lands via write-new-then-delete-old (never rename
-        over the live one), and compaction writes the fresh segment
-        completely before removing its predecessors — a crash in between
-        leaves duplicates, which :func:`fold_records` absorbs.
+        Returns the checkpoint sequence number. The WAL work is O(1) in
+        the log's length: nothing is read back or rewritten. Crash-safe
+        after every step: the checkpoint lands by write-then-rename and
+        the rename is made durable before anything is deleted; a sealed
+        segment is only ever unlinked whole, and only when every record
+        in it is below the floor of the oldest checkpoint kept — state
+        :meth:`_load` would drop anyway, whichever kept checkpoint it
+        ends up loading.
         """
+        started = time.perf_counter()
         self._ckpt_seq += 1
         seq = self._ckpt_seq
         self.metrics.span_event(SPAN_CHECKPOINT, seq, "begin", now)
@@ -477,75 +530,32 @@ class ReplicaStore:
         tmp.replace(path)
         self.metrics.span_event(SPAN_CHECKPOINT, seq, "written", now)
         self._m_checkpoints.inc()
-        self._compact(exec_epoch)
-        self.metrics.span_event(SPAN_CHECKPOINT, seq, "compacted", now)
+
+        # Roll: the old segment is never written or fsynced again, so the
+        # frames an open group window deferred into it (durable before
+        # send) and its lazy tail go to media now.
+        full = self._writer
+        if self.fsync:
+            full.sync()
+        full.close()
+        self._sealed[full.path] = self._active_epoch
+        self._open_segment()
+        if self.fsync:
+            # The rename and the new segment's entry, before any unlink.
+            fsync_dir(self.data_dir)
+
+        self._ckpt_floors = [*self._ckpt_floors, exec_epoch][-_CKPT_KEEP:]
         for stale in self._checkpoints()[:-_CKPT_KEEP]:
             stale.unlink(missing_ok=True)
-        return seq
-
-    def _compact(self, floor_epoch: int) -> None:
-        """Rewrite the WAL keeping only state for epochs >= ``floor_epoch``.
-
-        Promise safety across the drop: an instance below the floor is
-        fully executed and sealed everywhere this replica's state
-        matters, and recovery will not rebuild its engine — a missing
-        engine never answers a Prepare or Accept, which is always safe.
-        """
-        old_segments = self._segments()
-        records: list[Any] = []
-        for segment in old_segments:
-            segment_records, _ = read_wal_file(segment, truncate=False)
-            records.extend(segment_records)
-        epoch_opens, instances = fold_records(records)
-        overlap_folds = fold_dirty_overlaps(records)
-
-        keep: list[Any] = []
-        for epoch in sorted(epoch_opens):
-            if epoch >= floor_epoch:
-                keep.append(epoch_opens[epoch])
-        for epoch in sorted(overlap_folds):
-            if epoch + 1 >= floor_epoch:
-                keep.append(overlap_folds[epoch])
-        for instance in sorted(instances):
-            epoch = _instance_epoch(instance)
-            if epoch is not None and epoch < floor_epoch:
-                continue
-            state = instances[instance]
-            if state.promised > Ballot.ZERO:
-                keep.append(WalPromise(instance, state.promised))
-            for slot in sorted(state.accepted):
-                ballot, value = state.accepted[slot]
-                keep.append(WalAccept(instance, slot, ballot, value))
-            for slot in sorted(state.decided):
-                keep.append(WalDecide(instance, slot, state.decided[slot]))
-
-        new_index = self._next_segment_index()
-        writer = WalWriter(
-            self._segment_path(new_index),
-            fsync=self.fsync,
-            on_append=self._on_append,
-            on_sync=self._on_sync,
-        )
-        try:
-            # One write + one fsync for the whole surviving state: the
-            # compaction segment is durable atomically or not at all
-            # (either way the old segments are still on disk).
-            writer.append_many(keep)
-            if not self.fsync:
-                writer.sync()
-        finally:
-            writer.close()
-
-        old_writer = self._writer
-        self._writer = WalWriter(
-            self._segment_path(new_index + 1),
-            fsync=self.fsync,
-            on_append=self._on_append,
-            on_sync=self._on_sync,
-        )
-        old_writer.close()
-        for segment in old_segments:
+        floor = min(self._ckpt_floors)
+        for segment in [s for s, epoch in self._sealed.items() if epoch < floor]:
             segment.unlink(missing_ok=True)
+            del self._sealed[segment]
+            self._m_retired.inc()
+        self._m_segments.set(len(self._sealed) + 1)
+        self.metrics.span_event(SPAN_CHECKPOINT, seq, "retired", now)
+        self._m_checkpoint_duration.record(time.perf_counter() - started)
+        return seq
 
     # -- introspection -------------------------------------------------------
 
@@ -561,6 +571,7 @@ class ReplicaStore:
             "epochs": len(rec.epochs),
             "instances": len(rec.instances),
             "checkpoint_seq": rec.checkpoint.seq if rec.checkpoint else 0,
+            "segments": len(self._sealed) + 1,
             "recovery_seconds": round(rec.duration, 6),
         }
 

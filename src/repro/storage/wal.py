@@ -91,7 +91,7 @@ def _iter_frames(data: bytes):
         offset = end
 
 
-def read_wal_file(path: Path, truncate: bool = True) -> tuple[list[Any], int]:
+def read_wal_file(path: Path) -> tuple[list[Any], int]:
     """Read one WAL segment, truncating any torn tail in place.
 
     Returns ``(records, torn_bytes)``; ``torn_bytes`` is how much trailing
@@ -103,10 +103,19 @@ def read_wal_file(path: Path, truncate: bool = True) -> tuple[list[Any], int]:
         return [], 0
     records, valid = read_wal_bytes(data)
     torn = len(data) - valid
-    if torn and truncate:
+    if torn:
         with open(path, "r+b") as handle:
             handle.truncate(valid)
     return records, torn
+
+
+def fsync_dir(directory: Path) -> None:
+    """Force ``directory``'s entries (creations, renames) to stable media."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class WalWriter:
@@ -178,32 +187,6 @@ class WalWriter:
         if self.on_append is not None:
             self.on_append(len(frame), synced)
         return len(frame)
-
-    def append_many(self, records: list[Any] | tuple[Any, ...]) -> int:
-        """Append a batch of records with one write, one flush, one fsync.
-
-        Returns the total bytes written. The batch becomes durable
-        atomically from the caller's point of view: either the tail tear
-        hits inside it (recovery truncates there) or the whole suffix that
-        the single fsync covered survives.
-        """
-        if not records:
-            return 0
-        frames = [
-            frame_record(codec.encode_payload(record, "binary"))
-            for record in records
-        ]
-        blob = b"".join(frames)
-        self._file.write(blob)
-        self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
-            if self.on_sync is not None:
-                self.on_sync(len(frames))
-        if self.on_append is not None:
-            for frame in frames:
-                self.on_append(len(frame), self.fsync)
-        return len(blob)
 
     def sync_deferred(self) -> int:
         """Close a group-commit window: one fsync for every deferred frame.

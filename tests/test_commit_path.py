@@ -92,14 +92,6 @@ class TestGroupCommit:
         records, torn = read_wal_file(tmp_path / "wal.log")
         assert torn == 0 and [r.cid.seq for r in records] == [1, 2]
 
-    def test_append_many_is_one_write_one_sync(self, tmp_path, monkeypatch):
-        writer, fsyncs, syncs = self._writer(tmp_path, monkeypatch)
-        writer.append_many([cmd(i + 1) for i in range(5)])
-        assert len(fsyncs) == 1 and syncs == [5]
-        writer.close()
-        records, _ = read_wal_file(tmp_path / "wal.log")
-        assert [r.cid.seq for r in records] == [1, 2, 3, 4, 5]
-
     def test_store_group_window_is_reentrant(self, tmp_path):
         store = ReplicaStore(tmp_path / "d")
         handle = store.instance("i")

@@ -8,6 +8,8 @@ directory, exactly what a SIGKILLed process leaves behind.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.apps.kvstore import KvStateMachine
 from repro.consensus import messages as m
 from repro.consensus.ballot import Ballot
@@ -15,14 +17,18 @@ from repro.consensus.interface import StaticSmrHost
 from repro.consensus.multipaxos import MultiPaxosEngine
 from repro.consensus.synod import SynodAccept, SynodAccepted, SynodNack, SynodPrepare, SynodAcceptor
 from repro.core.client import ClientParams
-from repro.core.reconfig import ReconfigurableReplica
+from repro.core.reconfig import ReconfigParams, ReconfigurableReplica
 from repro.core.service import ReplicatedService
+from repro.core.statemachine import DedupStateMachine
+from repro.errors import RecoveryError
 from repro.net import codec
+from repro.net.runtime import LiveRuntime
+from repro.net.transport import TcpTransport
 from repro.sim.runner import Simulator
 from repro.storage import ReplicaStore
 from repro.storage.records import WalPromise
 from repro.storage.wal import WalWriter, read_wal_file
-from repro.types import Command, CommandId, Membership, client_id, node_id
+from repro.types import Command, CommandId, Configuration, Membership, client_id, node_id
 
 
 def cmd(seq, client="c", op="set", args=("k", 1)):
@@ -295,6 +301,85 @@ class TestReplicaRecovery:
         store2 = ReplicaStore(tmp_path / "n1", fsync=False)
         assert store2.recovered.checkpoint is not None
         assert store2.recovered.checkpoint.virtual_index == 1
+
+    @staticmethod
+    def revive(runtime, node, tmp_path, initial_config=None):
+        """Boot ``node`` on ``runtime`` from its data directory."""
+        return ReconfigurableReplica(
+            runtime, node_id(node), KvStateMachine,
+            ReconfigParams(engine_factory=MultiPaxosEngine.factory()),
+            initial_config=initial_config,
+            storage=ReplicaStore(tmp_path / node, fsync=False),
+        )
+
+    def cross_epoch_store(self, tmp_path):
+        """A replica that checkpointed in epoch 0, then at the 0 -> 1
+        boundary: the two kept checkpoints sit one epoch apart."""
+        members = Membership.from_iter(["n1", "n2", "n3"])
+        store = ReplicaStore(tmp_path / "n1", fsync=False)
+        store.log_epoch_open(Configuration(0, members), None)
+        ballot = Ballot(1, node_id("n1"))
+        store.instance("e0").record_accept(0, ballot, cmd(1))
+        store.instance("e0").record_decide(0, cmd(1))
+        snapshot = DedupStateMachine(KvStateMachine()).snapshot()
+        store.checkpoint(exec_epoch=0, executed=0, virtual_index=0, app_state=snapshot)
+        store.log_epoch_open(Configuration(1, members), members)
+        store.instance("e1").record_promise(ballot)
+        store.checkpoint(exec_epoch=1, executed=0, virtual_index=1, app_state=snapshot)
+        store.close()
+        return sorted((tmp_path / "n1").glob("ckpt-*.bin"))
+
+    def test_corrupt_newest_checkpoint_falls_back_across_an_epoch(self, tmp_path):
+        """The fallback checkpoint must still find its epoch's open record
+        and acceptor state: segments are retired against the floor of the
+        oldest checkpoint kept, not the newest."""
+        _, newest = self.cross_epoch_store(tmp_path)
+        newest.write_bytes(b"\xff corrupted mid-write")
+
+        store2 = ReplicaStore(tmp_path / "n1", fsync=False)
+        assert store2.recovered.checkpoint.exec_epoch == 0
+        assert [eo.config.epoch for eo in store2.recovered.epochs] == [0, 1]
+        assert store2.recovered.instances["e0"].decided == {0: cmd(1)}
+        store2.close()
+        revived = self.revive(Simulator(seed=1), "n1", tmp_path)
+        assert revived.newest_epoch == 1
+        assert revived.virtual_index == 1  # replayed epoch 0's decided slot
+
+    def test_a_store_no_chain_can_be_built_from_refuses_to_boot(self, tmp_path):
+        """Both kept checkpoints unreadable is not an empty directory: a
+        cold boot over durable acceptor state would be amnesia."""
+        store = ReplicaStore(tmp_path / "n1", fsync=False)
+        store.checkpoint(exec_epoch=3, executed=0, virtual_index=9, app_state={})
+        store.close()
+        members = Membership.from_iter(["n1", "n2", "n3"])
+        with pytest.raises(RecoveryError, match="epoch 3"):
+            self.revive(Simulator(seed=1), "n1", tmp_path, Configuration(0, members))
+
+    def test_recovery_with_a_pending_transfer_waits_for_the_transport(self, tmp_path):
+        """The known boot crash: a replica that joined epoch 1 and died
+        before its boundary snapshot landed recovers with a transfer to
+        resume. The first request used to leave from the constructor,
+        before the live transport had an event loop to send on."""
+        store = ReplicaStore(tmp_path / "n4", fsync=False)
+        store.log_epoch_open(
+            Configuration(1, Membership.from_iter(["n2", "n3", "n4"])),
+            Membership.from_iter(["n1", "n2", "n3"]),
+        )
+        store.close()
+        book = {node_id(n): ("127.0.0.1", 1) for n in ("n1", "n2", "n3", "n4")}
+        runtime = LiveRuntime(TcpTransport(book), uvloop="off")
+        try:
+            revived = self.revive(runtime, "n4", tmp_path)
+            assert revived._transfer is not None and revived._transfer.attempts == 0
+        finally:
+            runtime._loop.close()
+
+        # In the simulator the resumed transfer leaves with on_start.
+        sim = Simulator(seed=2)
+        revived = self.revive(sim, "n4", tmp_path)
+        assert revived._transfer.attempts == 0
+        sim.run(until=0.01)
+        assert revived._transfer.attempts == 1
 
     def test_empty_data_dir_falls_back_to_cold_boot(self, tmp_path):
         sim = Simulator(seed=3)
