@@ -15,7 +15,7 @@ from repro.bench.shardbench import _render, bench_scale, bench_split
 
 def test_t13_shard_scale(benchmark):
     scale = benchmark.pedantic(
-        lambda: bench_scale(seed=42, smoke=True, wire=None, group_counts=(1, 2)),
+        lambda: bench_scale(seed=42, smoke=True, group_counts=(1, 2)),
         rounds=1, iterations=1,
     )
     _render(scale, None)
@@ -29,7 +29,7 @@ def test_t13_shard_scale(benchmark):
 
 def test_t13_shard_split_linearizable(benchmark):
     split = benchmark.pedantic(
-        lambda: bench_split(seed=42, smoke=True, wire=None),
+        lambda: bench_split(seed=42, smoke=True),
         rounds=1, iterations=1,
     )
     assert not split["errors"], split["errors"]

@@ -40,10 +40,7 @@ MIN_CPUS_PER_GROUP = 2
 
 
 def bench_scale(
-    seed: int,
-    smoke: bool,
-    wire: str | None,
-    group_counts: tuple[int, ...],
+    seed: int, smoke: bool, group_counts: tuple[int, ...]
 ) -> dict[str, Any]:
     """Aggregate pipelined throughput through N groups, for each N."""
     from repro.shard.cluster import ShardedCluster
@@ -53,9 +50,7 @@ def bench_scale(
     window = 32
     results: dict[str, Any] = {"ops": ops, "window": window, "by_groups": {}}
     for count in group_counts:
-        with ShardedCluster(
-            count, replicas_per_group=3, seed=seed, wire=wire
-        ) as cluster:
+        with ShardedCluster(count, replicas_per_group=3, seed=seed) as cluster:
             cluster.start()
             with cluster.client(f"bench-{count}") as client:
                 client.submit_pipelined(
@@ -89,7 +84,7 @@ def bench_scale(
     return results
 
 
-def bench_split(seed: int, smoke: bool, wire: str | None) -> dict[str, Any]:
+def bench_split(seed: int, smoke: bool) -> dict[str, Any]:
     """Split-under-load linearizability cell (the T13 scenario)."""
     from repro.shard.scenario import run_split_scenario
 
@@ -99,7 +94,6 @@ def bench_split(seed: int, smoke: bool, wire: str | None) -> dict[str, Any]:
         clients=2 if smoke else 3,
         keys=12 if smoke else 24,
         seed=seed,
-        wire=wire,
         settle=0.6,
     )
     for line in report.lines():
@@ -150,7 +144,6 @@ def run_shard_bench(
     smoke: bool = False,
     out: str = "BENCH_shard.json",
     seed: int = 42,
-    wire: str | None = None,
     group_counts: tuple[int, ...] | None = None,
 ) -> int:
     """Run the shard benchmark; returns a regression-gate exit code.
@@ -171,8 +164,8 @@ def run_shard_bench(
     mode = "smoke" if smoke else "full"
     print(f"T13 shard benchmark ({mode}, seed={seed}, cpus={cpus}, "
           f"groups={','.join(map(str, group_counts))})")
-    scale = bench_scale(seed, smoke, wire, group_counts)
-    split = bench_split(seed, smoke, wire)
+    scale = bench_scale(seed, smoke, group_counts)
+    split = bench_split(seed, smoke)
     _render(scale, split)
 
     top = max(group_counts)

@@ -84,7 +84,6 @@ def _run_cell(
     handoff: str,
     *,
     seed: int,
-    wire: str | None,
     repeats: int,
     timeline_dir: str | None,
 ) -> dict[str, Any]:
@@ -94,9 +93,7 @@ def _run_cell(
     runs: list[dict[str, Any]] = []
     best = None
     for attempt in range(max(1, repeats)):
-        report = run_storm_scenario(
-            scenario, seed=seed, handoff=handoff, wire=wire
-        )
+        report = run_storm_scenario(scenario, seed=seed, handoff=handoff)
         dirty_overlaps = sum(
             node.get("smr.dirty_overlaps", 0) for node in report.counters.values()
         )
@@ -175,7 +172,6 @@ def run_storm_bench(
     smoke: bool = False,
     out: str = "BENCH_storm.json",
     seed: int = 42,
-    wire: str | None = None,
     repeats: int | None = None,
     timeline_dir: str | None = None,
 ) -> int:
@@ -196,7 +192,7 @@ def run_storm_bench(
             print(f"  cell {scenario}/{handoff}: best of {repeats} ...",
                   flush=True)
             cells.append(_run_cell(
-                scenario, handoff, seed=seed, wire=wire, repeats=repeats,
+                scenario, handoff, seed=seed, repeats=repeats,
                 timeline_dir=timeline_dir,
             ))
     _render(cells)
@@ -226,7 +222,6 @@ def run_storm_bench(
         "cpus": cpus,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "wire": wire or "binary",
         "repeats": repeats,
         "gate_tolerance_s": GATE_TOLERANCE_S,
         "cells": {f"{c['scenario']}/{c['handoff']}": c for c in cells},

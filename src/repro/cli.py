@@ -187,13 +187,10 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
 
     transport = TcpTransport(
         addresses,
-        wire_format=args.wire,
         # Seeded per replica so injected link loss draws are reproducible.
         link_policy=LinkPolicy(seed=args.seed),
     )
-    runtime = LiveRuntime(
-        transport, seed=args.seed, echo_trace=args.verbose, uvloop=args.uvloop
-    )
+    runtime = LiveRuntime(transport, seed=args.seed, echo_trace=args.verbose)
     storage = None
     if args.data_dir:
         from repro.storage import ReplicaStore
@@ -288,7 +285,6 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
                 args.node,
                 replica,
                 addresses,
-                wire_format=args.wire,
                 poll=args.metadir_poll / 1000.0,
                 hold=args.metadir_hold / 1000.0,
                 takeover=args.metadir_takeover / 1000.0,
@@ -321,8 +317,7 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
         read_note = f", reads={args.read_mode} ({bound})"
     print(f"[{args.node}] serving on {host}:{port} "
           f"(app={args.app}, member={'yes' if initial_config else 'standby'}"
-          f", loop={runtime.loop_impl}{commit_note}{read_note}"
-          f"{handoff_note}{shard_note})",
+          f"{commit_note}{read_note}{handoff_note}{shard_note})",
           flush=True)
     runtime.run(host, port)
     return 0
@@ -338,7 +333,6 @@ def _cmd_cluster(args: "argparse.Namespace") -> int:
         base_port=args.base_port,
         app=args.app,
         seed=args.seed,
-        wire=args.wire,
         verbose=args.verbose,
     )
     print(f"starting {args.replicas} replicas: {', '.join(cluster.initial)} "
@@ -347,7 +341,6 @@ def _cmd_cluster(args: "argparse.Namespace") -> int:
         cluster.start()
         client = LiveClient(
             "cli", cluster.addresses, view=cluster.initial,
-            wire_format=args.wire,
         )
         with client:
             print(f"cluster up; submitting {args.ops} commands ...")
@@ -397,7 +390,6 @@ def _cmd_shard_cluster(args: "argparse.Namespace") -> int:
         replicas_per_group=args.replicas_per_group,
         spare_groups=args.spare_groups,
         seed=args.seed,
-        wire=args.wire,
         verbose=args.verbose,
         director_replicas=args.director_replicas,
     )
@@ -456,9 +448,7 @@ def _cmd_shard_cluster(args: "argparse.Namespace") -> int:
         if not args.no_metrics:
             from repro.net.observe import group_summary_table, poll_groups
 
-            fetched, errors = poll_groups(
-                cluster.group_endpoints(), wire_format=args.wire
-            )
+            fetched, errors = poll_groups(cluster.group_endpoints())
             print(group_summary_table(fetched).render())
             for error in errors:
                 print(f"note: {error}", file=sys.stderr)
@@ -477,9 +467,7 @@ def _cmd_shard_route(args: "argparse.Namespace") -> int:
     except ValueError:
         raise SystemExit(f"bad --director {args.director!r} (want host:port)")
     try:
-        shard_map = fetch_shard_map(
-            address, timeout=args.timeout, wire_format=args.wire
-        )
+        shard_map = fetch_shard_map(address, timeout=args.timeout)
     except ShardClientError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
@@ -524,8 +512,7 @@ def _cmd_metrics(args: "argparse.Namespace") -> int:
     if args.demo:
         from repro.net.observe import run_metrics_demo
 
-        report = run_metrics_demo(seed=args.seed, wire=args.wire,
-                                  verbose=args.verbose)
+        report = run_metrics_demo(seed=args.seed, verbose=args.verbose)
         for line in report.lines():
             print(line)
         if report.snapshots:
@@ -544,7 +531,7 @@ def _cmd_metrics(args: "argparse.Namespace") -> int:
         # Single unlabelled cluster: the original one-cluster behaviour.
         from repro.net.observe import poll_cluster
 
-        fetched, errors = poll_cluster(groups[""], wire_format=args.wire)
+        fetched, errors = poll_cluster(groups[""])
         snapshots = {node: f.snapshot for node, f in fetched.items()}
         if args.json:
             print(snapshot_json(snapshots))
@@ -559,7 +546,7 @@ def _cmd_metrics(args: "argparse.Namespace") -> int:
     # Labelled groups: one call polls every shard and aggregates.
     from repro.net.observe import poll_groups, render_group_snapshots
 
-    grouped, errors = poll_groups(groups, wire_format=args.wire)
+    grouped, errors = poll_groups(groups)
     got_any = any(grouped.values())
 
     def grouped_json() -> str:
@@ -608,12 +595,12 @@ def _cmd_top(args: "argparse.Namespace") -> int:
             time.sleep(args.interval)
         print(f"--- poll {iteration + 1}/{args.iterations} ---")
         if sharded:
-            grouped, errors = poll_groups(groups, wire_format=args.wire)
+            grouped, errors = poll_groups(groups)
             got_any = any(grouped.values())
             if got_any:
                 print(render_group_snapshots(grouped))
         else:
-            fetched, errors = poll_cluster(groups[""], wire_format=args.wire)
+            fetched, errors = poll_cluster(groups[""])
             snapshots = {node: f.snapshot for node, f in fetched.items()}
             got_any = bool(snapshots)
             if got_any:
@@ -639,7 +626,6 @@ def _cmd_chaos(args: "argparse.Namespace") -> int:
     report = run_chaos_scenario(
         replicas=args.replicas,
         seed=args.seed,
-        wire=args.wire,
         scale=args.scale,
         verbose=args.verbose,
         durable=args.durable,
@@ -696,7 +682,6 @@ def _cmd_storm(args: "argparse.Namespace") -> int:
         scale=args.scale,
         handoff=args.handoff,
         read_mode=args.read_mode,
-        wire=args.wire,
         durable=args.durable,
         verbose=args.verbose,
     )
@@ -747,9 +732,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--initial", default="",
                        help="comma-separated epoch-0 members (omit for standby)")
     serve.add_argument("--seed", type=int, default=42)
-    serve.add_argument("--wire", default=None, choices=["json", "binary"],
-                       help="outbound wire format (default: binary; inbound "
-                       "always auto-detects both)")
     serve.add_argument("--verbose", action="store_true",
                        help="stream the trace log to stderr")
     serve.add_argument("--chaos", action="store_true",
@@ -812,11 +794,6 @@ def main(argv: list[str] | None = None) -> int:
                        "tail with the incoming one (seal-time re-proposal "
                        "of the sealed engine's queue + dirty boundary "
                        "serving to joiners)")
-    serve.add_argument("--uvloop", default="auto",
-                       choices=["auto", "on", "off"],
-                       help="event loop: auto uses uvloop when installed "
-                       "and silently falls back to asyncio (default), on "
-                       "requires it, off never uses it")
     serve.add_argument("--shard-group", default="",
                        help="serve as one group of a sharded service: the "
                        "group's name (requires --app kv; wraps the store "
@@ -857,8 +834,6 @@ def main(argv: list[str] | None = None) -> int:
     cluster.add_argument("--no-reconfigure", action="store_true",
                          help="skip the live membership change")
     cluster.add_argument("--seed", type=int, default=42)
-    cluster.add_argument("--wire", default=None, choices=["json", "binary"],
-                         help="wire format for replicas and the driver client")
     cluster.add_argument("--verbose", action="store_true")
 
     shard_cluster = sub.add_parser(
@@ -884,8 +859,6 @@ def main(argv: list[str] | None = None) -> int:
                                "metadir group of this many replicas "
                                "(0 = classic in-process director); try 3")
     shard_cluster.add_argument("--seed", type=int, default=42)
-    shard_cluster.add_argument("--wire", default=None,
-                               choices=["json", "binary"])
     shard_cluster.add_argument("--verbose", action="store_true")
 
     shard_route = sub.add_parser(
@@ -897,8 +870,6 @@ def main(argv: list[str] | None = None) -> int:
     shard_route.add_argument("keys", nargs="*", default=[],
                              help="keys to resolve (may be empty)")
     shard_route.add_argument("--timeout", type=float, default=2.0)
-    shard_route.add_argument("--wire", default=None,
-                             choices=["json", "binary"])
 
     chaos = sub.add_parser(
         "chaos",
@@ -911,7 +882,6 @@ def main(argv: list[str] | None = None) -> int:
                        "draws; same seed = same injection order")
     chaos.add_argument("--scale", type=float, default=1.0,
                        help="stretch factor for the schedule's offsets")
-    chaos.add_argument("--wire", default=None, choices=["json", "binary"])
     chaos.add_argument("--smoke", action="store_true",
                        help="CI gate: also fail if the run takes >= 60s")
     chaos.add_argument("--history", default=None, metavar="PATH",
@@ -967,7 +937,6 @@ def main(argv: list[str] | None = None) -> int:
                        choices=["log", "lease", "follower"],
                        help="run every replica with this read path during "
                        "the storm (default: serve default, ordered reads)")
-    storm.add_argument("--wire", default=None, choices=["json", "binary"])
     storm.add_argument("--smoke", action="store_true",
                        help="CI gate: also fail if the run takes >= 60s")
     storm.add_argument("--plan-only", action="store_true",
@@ -1001,7 +970,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="also write the snapshot JSON to PATH "
                          "(the CI artifact)")
     metrics.add_argument("--seed", type=int, default=7)
-    metrics.add_argument("--wire", default=None, choices=["json", "binary"])
     metrics.add_argument("--verbose", action="store_true")
 
     top = sub.add_parser(
@@ -1015,58 +983,11 @@ def main(argv: list[str] | None = None) -> int:
                      help="seconds between polls")
     top.add_argument("--iterations", type=int, default=5,
                      help="how many polls before exiting")
-    top.add_argument("--wire", default=None, choices=["json", "binary"])
 
     bench = sub.add_parser(
         "bench", help="reproducible micro/macro benchmarks"
     )
     bench_sub = bench.add_subparsers(dest="bench_target")
-    wire = bench_sub.add_parser(
-        "wire", help="codec ops/s + live 3-replica commit throughput, "
-        "binary vs json; writes BENCH_wire.json"
-    )
-    wire.add_argument("--smoke", action="store_true",
-                      help="small sizes for CI (<60s); still runs both codecs")
-    wire.add_argument("--out", default="BENCH_wire.json",
-                      help="output path (default: BENCH_wire.json)")
-    wire.add_argument("--seed", type=int, default=42)
-    wire.add_argument("--skip-live", action="store_true",
-                      help="codec micro-benchmark only (no subprocesses)")
-    wire.add_argument("--window", type=int, default=32,
-                      help="client pipelining window for the live phase")
-    commit = bench_sub.add_parser(
-        "commit", help="live 3-replica durable commit-path sweep over "
-        "{batching, fsync, window}; writes BENCH_commit.json"
-    )
-    commit.add_argument("--smoke", action="store_true",
-                        help="CI gate: two cells only (<60s), checked "
-                        "against the committed baseline's batching ratio")
-    commit.add_argument("--out", default="BENCH_commit.json",
-                        help="output path (default: BENCH_commit.json)")
-    commit.add_argument("--baseline", default="BENCH_commit.json",
-                        metavar="PATH",
-                        help="committed baseline for the --smoke "
-                        "regression gate")
-    commit.add_argument("--seed", type=int, default=42)
-    commit.add_argument("--window", type=int, default=None,
-                        help="client pipelining window override for every "
-                        "cell (default: per-cell values)")
-    commit.add_argument("--wire", default=None, choices=["json", "binary"])
-    read_bench = bench_sub.add_parser(
-        "read", help="live 3-replica read-path sweep at a 95/5 mix: "
-        "ordered vs lease vs follower reads, fsync on; "
-        "writes BENCH_read.json"
-    )
-    read_bench.add_argument("--smoke", action="store_true",
-                            help="CI gate: fewer ops (<60s), lease "
-                            "throughput must stay >= 3x ordered")
-    read_bench.add_argument("--out", default="BENCH_read.json",
-                            help="output path (default: BENCH_read.json)")
-    read_bench.add_argument("--seed", type=int, default=42)
-    read_bench.add_argument("--window", type=int, default=None,
-                            help="client pipelining window override")
-    read_bench.add_argument("--wire", default=None,
-                            choices=["json", "binary"])
     storm_bench = bench_sub.add_parser(
         "storm", help="reconfiguration storms, clean vs dirty hand-off: "
         "unavailability window + hand-off latency per cell; "
@@ -1085,8 +1006,6 @@ def main(argv: list[str] | None = None) -> int:
     storm_bench.add_argument("--timeline-dir", default=None, metavar="DIR",
                              help="also write each run's fault-aligned "
                              "timeline JSON into DIR (the CI artifact)")
-    storm_bench.add_argument("--wire", default=None,
-                             choices=["json", "binary"])
     shard_bench = bench_sub.add_parser(
         "shard", help="aggregate throughput vs group count + "
         "split-under-load verdict; writes BENCH_shard.json"
@@ -1100,8 +1019,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="comma-separated group counts to sweep "
                              "(default: 1,2,4,8 or 1,3 with --smoke)")
     shard_bench.add_argument("--seed", type=int, default=42)
-    shard_bench.add_argument("--wire", default=None,
-                             choices=["json", "binary"])
 
     args = parser.parse_args(argv)
     if args.command == "list":
@@ -1127,35 +1044,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "shard-route":
         return _cmd_shard_route(args)
     if args.command == "bench":
-        if args.bench_target == "wire":
-            from repro.bench.wirebench import run_wire_bench
-
-            return run_wire_bench(
-                smoke=args.smoke, out=args.out, seed=args.seed,
-                skip_live=args.skip_live, window=args.window,
-            )
-        if args.bench_target == "commit":
-            from repro.bench.commitbench import run_commit_bench
-
-            return run_commit_bench(
-                smoke=args.smoke, out=args.out, seed=args.seed,
-                baseline=args.baseline, wire=args.wire,
-                window=args.window,
-            )
-        if args.bench_target == "read":
-            from repro.bench.readbench import run_read_bench
-
-            return run_read_bench(
-                smoke=args.smoke, out=args.out, seed=args.seed,
-                wire=args.wire, window=args.window,
-            )
         if args.bench_target == "storm":
             from repro.bench.stormbench import run_storm_bench
 
             return run_storm_bench(
                 smoke=args.smoke, out=args.out, seed=args.seed,
-                wire=args.wire, repeats=args.repeats,
-                timeline_dir=args.timeline_dir,
+                repeats=args.repeats, timeline_dir=args.timeline_dir,
             )
         if args.bench_target == "shard":
             from repro.bench.shardbench import run_shard_bench
@@ -1167,7 +1061,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             return run_shard_bench(
                 smoke=args.smoke, out=args.out, seed=args.seed,
-                wire=args.wire, group_counts=group_counts,
+                group_counts=group_counts,
             )
         bench.print_help()
         return 1

@@ -2,7 +2,7 @@
 
 The :mod:`repro.sim` package runs the whole system inside one process on a
 virtual clock; this package runs the *same* replica implementation as real
-operating-system processes talking length-prefixed JSON over TCP:
+operating-system processes talking length-prefixed binary frames over TCP:
 
 * :mod:`repro.net.codec` — wire encoding for every protocol dataclass,
   plus the payload-size estimator the simulator's byte accounting shares;

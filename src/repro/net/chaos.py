@@ -229,7 +229,6 @@ class ChaosController:
         name: str = "chaos-ctl",
         ack_timeout: float = 2.0,
         restart_timeout: float = 15.0,
-        wire_format: str | None = None,
     ):
         self.cluster = cluster
         self.schedule = schedule
@@ -237,9 +236,6 @@ class ChaosController:
         self.client = ClientId(name)
         self.ack_timeout = ack_timeout
         self.restart_timeout = restart_timeout
-        self.wire_format = (
-            codec.DEFAULT_WIRE_FORMAT if wire_format is None else wire_format
-        )
         self.plan: list[FailureAction] = schedule.sorted_actions()
         self.log: list[Injection] = []
         self.errors: list[str] = []
@@ -381,8 +377,7 @@ class ChaosController:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.sendall(
                     codec.encode_frame(
-                        self.node, chaos_endpoint(replica), command,
-                        self.wire_format,
+                        self.node, chaos_endpoint(replica), command
                     )
                 )
                 buffer = b""
@@ -469,7 +464,7 @@ class HistoryRecorder:
 
 
 def collect_aligned_spans(
-    addresses: dict, live: list[str], wire: str | None, controller_t0: float
+    addresses: dict, live: list[str], _retired: None, controller_t0: float
 ):
     """Poll live replicas' #metrics and align reconfig spans to ``t0``.
 
@@ -478,8 +473,12 @@ def collect_aligned_spans(
     timebase (node -> epoch -> phase -> seconds from controller start),
     and any fetch errors. Shared by the chaos and storm drivers so both
     produce the same fault-aligned timeline shape.
+
+    ``_retired`` is the slot of the deleted wire-format selector and is
+    ignored: ``perf/workloads.py`` passes ``None`` there positionally and
+    ``perf/`` only changes in a ``[benchmark]`` PR, which drops both.
     """
-    fetched, errors = poll_cluster(addresses, live, wire_format=wire)
+    fetched, errors = poll_cluster(addresses, live)
     aligned: dict[str, dict[str, dict[str, float]]] = {}
     for node, snap in fetched.items():
         node_spans = reconfig_spans(snap.snapshot)
@@ -591,7 +590,7 @@ class ChaosReport:
         return events
 
     def write_timeline(self, path: Any) -> None:
-        """Write the fault-aligned timeline as JSON (next to BENCH_wire.json)."""
+        """Write the fault-aligned timeline as JSON (a CI artifact)."""
         payload = {
             "seed": self.seed,
             "elapsed": round(self.elapsed, 3),
@@ -658,7 +657,6 @@ def run_chaos_scenario(
     *,
     replicas: int = 3,
     seed: int = 42,
-    wire: str | None = None,
     log_dir: Any = None,
     keys: int = 8,
     op_interval: float = 0.02,
@@ -702,7 +700,7 @@ def run_chaos_scenario(
 
     started = time.monotonic()
     cluster = LocalCluster(
-        replicas=replicas, reserve=2, seed=seed, wire=wire,
+        replicas=replicas, reserve=2, seed=seed,
         log_dir=log_dir, chaos=True, verbose=verbose, durable=durable,
         batch_delay_ms=2.0 if batching else 0.0,
         window=16 if batching else 0,
@@ -730,12 +728,10 @@ def run_chaos_scenario(
         else:
             reconfigure_at = end_of_schedule / 2
 
-        controller = ChaosController(
-            cluster, schedule, wire_format=wire
-        ).start()
+        controller = ChaosController(cluster, schedule).start()
         client = LiveClient(
             "chaos-cli", cluster.addresses, view=cluster.initial,
-            request_timeout=request_timeout, wire_format=wire,
+            request_timeout=request_timeout,
         )
         recorder = HistoryRecorder(client)
         workload_rng = random.Random(seed)
@@ -774,7 +770,7 @@ def run_chaos_scenario(
         controller_t0 = controller.t0 if controller.t0 is not None else started
         live = [name for name, proc in cluster.procs.items() if proc.poll() is None]
         fetched, aligned_spans, fetch_errors = collect_aligned_spans(
-            cluster.addresses, live, wire, controller_t0
+            cluster.addresses, live, None, controller_t0
         )
         recovery: dict[str, dict[str, Any]] = {}
         if durable:

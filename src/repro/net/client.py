@@ -65,7 +65,6 @@ class LiveClient:
         addresses: dict[str, Address] | dict[NodeId, Address],
         view: Iterable[str] | None = None,
         request_timeout: float = 1.0,
-        wire_format: str | None = None,
     ):
         self.node = NodeId(str(name))
         self.client = ClientId(str(name))
@@ -74,12 +73,6 @@ class LiveClient:
         members = list(view) if view is not None else sorted(self.addresses)
         self.view: list[NodeId] = sorted(NodeId(str(n)) for n in members)
         self.request_timeout = request_timeout
-        #: outbound encoding; replicas mirror it on replies, so this picks
-        #: the wire format for the whole conversation.
-        self.wire_format = (
-            codec.DEFAULT_WIRE_FORMAT if wire_format is None else wire_format
-        )
-        codec.frame_overhead(self.wire_format)  # validates the name eagerly
         self.seq = 0
         self._target_index = 0
         self._sock: socket.socket | None = None
@@ -120,7 +113,7 @@ class LiveClient:
 
         Keeps up to ``window`` requests in flight on one connection and
         returns the per-command latency (seconds, submission order). Used
-        by the wire benchmark: the one-at-a-time :meth:`submit` loop
+        by the shard benchmark: the one-at-a-time :meth:`submit` loop
         measures client round-trips, not replica throughput. Outgoing
         commands coalesce into :class:`RequestBatch` frames (up to
         :data:`PIPELINE_COALESCE` per frame) so frame overhead amortizes;
@@ -228,7 +221,7 @@ class LiveClient:
             if len(group) == 1
             else RequestBatch(tuple(group), self.node)
         )
-        return codec.encode_frame(self.node, target, payload, self.wire_format)
+        return codec.encode_frame(self.node, target, payload)
 
     @staticmethod
     def _first_unacked(
@@ -266,11 +259,7 @@ class LiveClient:
             try:
                 sock = self._connect(target)
                 # Frames carry their destination; rewrite it per target.
-                sock.sendall(
-                    codec.encode_frame(
-                        self.node, target, payload, self.wire_format
-                    )
-                )
+                sock.sendall(codec.encode_frame(self.node, target, payload))
                 reply = self._read_reply(sock, cid, budget)
             except (OSError, codec.CodecError) as exc:
                 last_error = f"{target}: {exc}"

@@ -66,7 +66,6 @@ class LocalCluster:
         reserve: int = 2,
         app: str = "kv",
         seed: int = 42,
-        wire: str | None = None,
         log_dir: str | Path | None = None,
         python: str = sys.executable,
         verbose: bool = False,
@@ -78,7 +77,6 @@ class LocalCluster:
         batch_delay_ms: float = 0.0,
         batch_max: int = 32,
         window: int = 0,
-        uvloop: str | None = None,
         read_mode: str | None = None,
         lease_ms: float | None = None,
         suspect_ms: float | None = None,
@@ -91,9 +89,6 @@ class LocalCluster:
         self.host = host
         self.app = app
         self.seed = seed
-        #: wire format replicas use between themselves (None = serve default;
-        #: client traffic negotiates per connection either way).
-        self.wire = wire
         self.python = python
         self.verbose = verbose
         #: expose the chaos admin endpoint on every replica (fault
@@ -102,11 +97,10 @@ class LocalCluster:
         #: respawn budget per replica for bind-time port races.
         self.spawn_retries = spawn_retries
         #: commit-path tuning forwarded to every replica (see
-        #: ``repro serve --batch-delay/--batch-max/--window/--uvloop``).
+        #: ``repro serve --batch-delay/--batch-max/--window``).
         self.batch_delay_ms = batch_delay_ms
         self.batch_max = batch_max
         self.window = window
-        self.uvloop = uvloop
         #: read-path tuning forwarded to every replica (see ``repro serve
         #: --read-mode/--lease-duration/--staleness-bound``). None keeps
         #: the serve defaults (ordered reads).
@@ -183,8 +177,6 @@ class LocalCluster:
             "--app", self.app,
             "--seed", str(self.seed),
         ]
-        if self.wire is not None:
-            argv += ["--wire", self.wire]
         if self.chaos:
             argv += ["--chaos"]
         if self.data_root is not None:
@@ -196,8 +188,6 @@ class LocalCluster:
                      "--batch-max", str(self.batch_max)]
         if self.window > 0:
             argv += ["--window", str(self.window)]
-        if self.uvloop is not None:
-            argv += ["--uvloop", self.uvloop]
         if self.read_mode is not None:
             argv += ["--read-mode", self.read_mode]
         if self.lease_ms is not None:

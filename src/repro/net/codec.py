@@ -2,49 +2,34 @@
 
 The simulator passes payload dataclasses between processes by reference;
 the live runtime cannot, so this module gives each protocol dataclass a
-registered wire name and two loss-free encodings that share one registry.
+registered wire name and one loss-free binary encoding.
 
-**JSON format** (compatibility / debugging): recursive tagged JSON —
+**Payload**: one tag byte per value, varint lengths, zigzag-varint
+integers, struct-packed doubles. Registered dataclasses are encoded as a
+varint *type id* followed by the field values in declaration order — no
+names on the wire. The type-id and field tables are interned
+deterministically from the registry (sorted wire names), so every process
+that bootstraps the same protocol derives the same tables; see
+:func:`wire_tables`.
 
-* registered dataclasses  -> ``{"~d": <name>, "~f": {field: value, ...}}``
-* tuples                  -> ``{"~t": [...]}`` (decoded back to tuples)
-* frozensets / sets       -> ``{"~fs": [...]}`` / ``{"~set": [...]}``
-  (elements sorted by encoding, so output bytes are deterministic)
-* dicts                   -> ``{"~m": [[key, value], ...]}`` (preserves
-  non-string keys and insertion order)
-* ``None``/bool/int/float/str pass through natively.
-
-Because *every* container is tagged, tag dictionaries are the only JSON
-objects the format produces — there is no collision with application data.
-
-**Binary format** (the fast path, and the default): one tag byte per
-value, varint lengths, zigzag-varint integers, struct-packed doubles.
-Registered dataclasses are encoded as a varint *type id* followed by the
-field values in declaration order — no names on the wire. The type-id and
-field tables are interned deterministically from the registry (sorted
-wire names), so every process that bootstraps the same protocol derives
-the same tables; see :func:`wire_tables`.
-
-A frame is a 4-byte big-endian length followed by the body. A JSON body
-is the UTF-8 object ``{"s": sender, "d": dest, "p": payload}``; a binary
-body starts with the magic byte ``0xB5`` followed by varint-length sender
-and dest ids and the encoded payload. The first body byte therefore
-identifies the format (``{`` vs ``0xB5``), which is what lets the live
-transport negotiate per connection: every receiver decodes both formats,
-senders pick one, and replies mirror the format the requester spoke.
+**Frame**: a 4-byte big-endian length followed by the body; the body is
+the magic byte ``0xB5``, varint-length sender and dest ids, and the
+encoded payload. This module is the only one that knows the format: a
+body that does not start with the magic byte, or a payload whose first
+byte is not a tag, raises :class:`CodecError`, which the live transport
+drops as a poison frame while keeping the stream.
 
 The codec doubles as the **payload-size estimator** for the simulator:
 :func:`estimate_size` returns the byte count the live transport would put
-on the wire for a payload (under the active format), so simulated byte
-accounting (the T4 message-cost experiment) reflects real frame sizes
-instead of a hardcoded 256-byte default. Unencodable payloads (bare test
-objects, baseline-only messages) fall back to that legacy default rather
-than failing.
+on the wire for a payload, so simulated byte accounting (the T4
+message-cost experiment) reflects real frame sizes instead of a hardcoded
+256-byte default. Unencodable payloads (bare test objects, baseline-only
+messages) fall back to that legacy default rather than failing.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import struct
 import threading
 from dataclasses import fields, is_dataclass
@@ -65,16 +50,8 @@ DEFAULT_ESTIMATE = 256
 #: refuse frames larger than this (corrupt length prefix / abuse guard).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: the wire formats every receiver understands.
-WIRE_FORMATS = ("json", "binary")
-
-#: first byte of a binary frame body (a JSON body always starts with
-#: ``{`` = 0x7B, so one byte disambiguates the two formats).
+#: first byte of every frame body; anything else is not a frame.
 BINARY_MAGIC = 0xB5
-
-#: format used when an encode call does not name one; the live transport
-#: and the simulator's byte accounting both follow this default.
-DEFAULT_WIRE_FORMAT = "binary"
 
 _REGISTRY: dict[str, type] = {}
 _BY_TYPE: dict[type, str] = {}
@@ -239,66 +216,10 @@ def _register_protocol() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Recursive value encoding
+# Value encoding
 # ---------------------------------------------------------------------------
 
-
-def _encode(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    wire_name = _BY_TYPE.get(type(value))
-    if wire_name is not None:
-        return {
-            "~d": wire_name,
-            "~f": {f.name: _encode(getattr(value, f.name)) for f in fields(value)},
-        }
-    if isinstance(value, tuple):
-        return {"~t": [_encode(item) for item in value]}
-    if isinstance(value, list):
-        return [_encode(item) for item in value]
-    if isinstance(value, frozenset):
-        return {"~fs": _encode_sorted(value)}
-    if isinstance(value, set):
-        return {"~set": _encode_sorted(value)}
-    if isinstance(value, dict):
-        return {"~m": [[_encode(k), _encode(v)] for k, v in value.items()]}
-    raise CodecError(f"unencodable payload of type {type(value).__name__}: {value!r}")
-
-
-def _encode_sorted(items: Iterable[Any]) -> list[Any]:
-    encoded = [_encode(item) for item in items]
-    encoded.sort(key=lambda e: json.dumps(e, separators=(",", ":"), sort_keys=True))
-    return encoded
-
-
-def _decode(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [_decode(item) for item in value]
-    if isinstance(value, dict):
-        if "~d" in value:
-            cls = registered_type(value["~d"])
-            kwargs = {name: _decode(item) for name, item in value["~f"].items()}
-            return cls(**kwargs)
-        if "~t" in value:
-            return tuple(_decode(item) for item in value["~t"])
-        if "~fs" in value:
-            return frozenset(_decode(item) for item in value["~fs"])
-        if "~set" in value:
-            return {_decode(item) for item in value["~set"]}
-        if "~m" in value:
-            return {_decode(k): _decode(v) for k, v in value["~m"]}
-        raise CodecError(f"untagged JSON object in wire payload: {value!r}")
-    raise CodecError(f"unexpected JSON value: {value!r}")
-
-
-# ---------------------------------------------------------------------------
-# Binary value encoding (the fast path)
-# ---------------------------------------------------------------------------
-
-# One tag byte per value. All tags are < 0x20, so a binary payload can
-# never be mistaken for UTF-8 JSON (which starts with a printable char).
+# One tag byte per value.
 _T_NONE = 0x00
 _T_TRUE = 0x01
 _T_FALSE = 0x02
@@ -470,8 +391,8 @@ def _bencode(
         for chunk in encoded:
             out += chunk
     elif isinstance(value, (str, bool, int, float, tuple, list, dict, set, frozenset)):
-        # subclasses (NewType aliases are plain str/int at runtime, but be
-        # permissive the same way the JSON encoder's isinstance checks are)
+        # subclasses of the builtin value types encode as their base type
+        # (NewType aliases are already plain str/int at runtime)
         _bencode(
             str(value) if isinstance(value, str) else
             bool(value) if isinstance(value, bool) else
@@ -657,144 +578,95 @@ def _bdecode(
 # ---------------------------------------------------------------------------
 
 
-def _check_format(fmt: str | None) -> str:
-    if fmt is None:
-        return DEFAULT_WIRE_FORMAT
-    if fmt not in WIRE_FORMATS:
-        raise CodecError(f"unknown wire format {fmt!r}; choose from {WIRE_FORMATS}")
-    return fmt
+#: what decoding raises on bytes that are not a well-formed encoding:
+#: truncation, bad struct / utf-8 data, wrong field arity, and a registered
+#: type's own ``__post_init__`` rejecting its decoded fields. All of it
+#: surfaces as :class:`CodecError` so the transport can drop the frame.
+_MALFORMED = (IndexError, struct.error, ValueError, TypeError, ReproError)
 
 
-def encode_payload(payload: Any, fmt: str | None = None) -> bytes:
+def encode_payload(payload: Any) -> bytes:
     """Encode one payload to canonical bytes (no frame header)."""
-    _bootstrap()
-    if _check_format(fmt) == "binary":
-        _, _, ids, field_table, _ = wire_tables()
-        out = bytearray()
-        _bencode(payload, out, ids, field_table)
-        return bytes(out)
-    return json.dumps(_encode(payload), separators=(",", ":")).encode("utf-8")
+    _, _, ids, field_table, _ = wire_tables()
+    out = bytearray()
+    _bencode(payload, out, ids, field_table)
+    return bytes(out)
 
 
 def decode_payload(data: bytes) -> Any:
-    """Decode one payload; the format is detected from the first byte."""
-    _bootstrap()
+    """Decode one payload (the inverse of :func:`encode_payload`)."""
+    _, types, _, field_table, builders = wire_tables()
     if not data:
         raise CodecError("empty payload")
-    if data[0] < 0x20:  # a binary tag; JSON starts with a printable char
-        _, types, _, field_table, builders = wire_tables()
-        try:
-            value, end = _bdecode(data, 0, types, field_table, builders)
-        except (IndexError, struct.error, UnicodeDecodeError, TypeError) as exc:
-            raise CodecError(f"malformed binary payload: {exc}") from exc
-        if end != len(data):
-            raise CodecError(f"{len(data) - end} trailing bytes after binary payload")
-        return value
     try:
-        return _decode(json.loads(data.decode("utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"malformed json payload: {exc}") from exc
+        value, end = _bdecode(data, 0, types, field_table, builders)
+    except _MALFORMED as exc:
+        raise CodecError(f"malformed payload: {exc}") from exc
+    if end != len(data):
+        raise CodecError(f"{len(data) - end} trailing bytes after payload")
+    return value
 
 
-def frame_format(body: bytes) -> str:
-    """Which wire format a frame body is in (``"json"`` or ``"binary"``)."""
-    return "binary" if body[:1] == bytes((BINARY_MAGIC,)) else "json"
-
-
-def encode_frame(
-    sender: NodeId, dest: NodeId, payload: Any, fmt: str | None = None
-) -> bytes:
+def encode_frame(sender: NodeId, dest: NodeId, payload: Any) -> bytes:
     """One wire frame: 4-byte big-endian length + envelope body."""
-    _bootstrap()
-    if _check_format(fmt) == "binary":
-        _, _, ids, field_table, _ = wire_tables()
-        out = bytearray(4)  # length prefix patched in below
-        out.append(BINARY_MAGIC)
-        for node in (sender, dest):
-            raw = str(node).encode("utf-8")
-            _write_varint(out, len(raw))
-            out += raw
-        _bencode(payload, out, ids, field_table)
-        body_len = len(out) - 4
-        if body_len > MAX_FRAME_BYTES:
-            raise CodecError(f"frame body of {body_len} bytes exceeds MAX_FRAME_BYTES")
-        out[0:4] = body_len.to_bytes(4, "big")
-        return bytes(out)
-    body = json.dumps(
-        {"s": str(sender), "d": str(dest), "p": _encode(payload)},
-        separators=(",", ":"),
-    ).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise CodecError(f"frame body of {len(body)} bytes exceeds MAX_FRAME_BYTES")
-    return len(body).to_bytes(4, "big") + body
+    _, _, ids, field_table, _ = wire_tables()
+    out = bytearray(4)  # length prefix patched in below
+    out.append(BINARY_MAGIC)
+    for node in (sender, dest):
+        raw = str(node).encode("utf-8")
+        _write_varint(out, len(raw))
+        out += raw
+    _bencode(payload, out, ids, field_table)
+    body_len = len(out) - 4
+    if body_len > MAX_FRAME_BYTES:
+        raise CodecError(f"frame body of {body_len} bytes exceeds MAX_FRAME_BYTES")
+    out[0:4] = body_len.to_bytes(4, "big")
+    return bytes(out)
 
 
 def encode_frame_precoded(
-    sender: NodeId, dest: NodeId, payload_bytes: bytes, fmt: str | None = None
+    sender: NodeId, dest: NodeId, payload_bytes: bytes
 ) -> bytes:
     """Frame an already-encoded payload (from :func:`encode_payload`).
 
     Broadcast fast path: a payload fanned out to N destinations is
     encoded once and framed N times, skipping the recursive encode for
     all but the first copy. Byte-identical to :func:`encode_frame` for
-    the same payload (pinned by a codec parity test).
+    the same payload (pinned by a codec test).
     """
-    _bootstrap()
-    if _check_format(fmt) == "binary":
-        out = bytearray(4)  # length prefix patched in below
-        out.append(BINARY_MAGIC)
-        for node in (sender, dest):
-            raw = str(node).encode("utf-8")
-            _write_varint(out, len(raw))
-            out += raw
-        out += payload_bytes
-        body_len = len(out) - 4
-        if body_len > MAX_FRAME_BYTES:
-            raise CodecError(f"frame body of {body_len} bytes exceeds MAX_FRAME_BYTES")
-        out[0:4] = body_len.to_bytes(4, "big")
-        return bytes(out)
-    prefix = json.dumps(
-        {"s": str(sender), "d": str(dest)}, separators=(",", ":")
-    ).encode("utf-8")
-    body = prefix[:-1] + b',"p":' + payload_bytes + b"}"
-    if len(body) > MAX_FRAME_BYTES:
-        raise CodecError(f"frame body of {len(body)} bytes exceeds MAX_FRAME_BYTES")
-    return len(body).to_bytes(4, "big") + body
+    out = bytearray(4)  # length prefix patched in below
+    out.append(BINARY_MAGIC)
+    for node in (sender, dest):
+        raw = str(node).encode("utf-8")
+        _write_varint(out, len(raw))
+        out += raw
+    out += payload_bytes
+    body_len = len(out) - 4
+    if body_len > MAX_FRAME_BYTES:
+        raise CodecError(f"frame body of {body_len} bytes exceeds MAX_FRAME_BYTES")
+    out[0:4] = body_len.to_bytes(4, "big")
+    return bytes(out)
 
 
 def decode_frame_body(body: bytes) -> tuple[NodeId, NodeId, Any]:
-    """Decode a frame body (the bytes after the length prefix).
-
-    Accepts both wire formats; the first byte says which one was used.
-    """
-    _bootstrap()
-    if not body:
-        raise CodecError("empty frame body")
-    if body[0] == BINARY_MAGIC:
-        _, types, _, field_table, builders = wire_tables()
-        try:
-            pos = 1
-            n, pos = _read_varint(body, pos)
-            sender = body[pos : pos + n].decode("utf-8")
-            pos += n
-            n, pos = _read_varint(body, pos)
-            dest = body[pos : pos + n].decode("utf-8")
-            pos += n
-            payload, end = _bdecode(body, pos, types, field_table, builders)
-        except (IndexError, struct.error, UnicodeDecodeError, TypeError) as exc:
-            raise CodecError(f"malformed binary frame: {exc}") from exc
-        if end != len(body):
-            raise CodecError(f"{len(body) - end} trailing bytes after binary frame")
-        return NodeId(sender), NodeId(dest), payload
+    """Decode a frame body (the bytes after the length prefix)."""
+    _, types, _, field_table, builders = wire_tables()
+    if not body or body[0] != BINARY_MAGIC:
+        raise CodecError("frame body does not start with the magic byte")
     try:
-        envelope = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CodecError(f"malformed JSON frame: {exc}") from exc
-    return (
-        NodeId(envelope["s"]),
-        NodeId(envelope["d"]),
-        _decode(envelope["p"]),
-    )
+        pos = 1
+        n, pos = _read_varint(body, pos)
+        sender = body[pos : pos + n].decode("utf-8")
+        pos += n
+        n, pos = _read_varint(body, pos)
+        dest = body[pos : pos + n].decode("utf-8")
+        pos += n
+        payload, end = _bdecode(body, pos, types, field_table, builders)
+    except _MALFORMED as exc:
+        raise CodecError(f"malformed frame: {exc}") from exc
+    if end != len(body):
+        raise CodecError(f"{len(body) - end} trailing bytes after frame")
+    return NodeId(sender), NodeId(dest), payload
 
 
 def frame_length(header: bytes) -> int:
@@ -805,29 +677,21 @@ def frame_length(header: bytes) -> int:
     return length
 
 
-_OVERHEAD: dict[str, int] = {}
+@functools.cache
+def frame_overhead() -> int:
+    """Per-frame overhead, measured not guessed.
 
-
-def frame_overhead(fmt: str | None = None) -> int:
-    """Per-frame overhead of the given format, measured not guessed.
-
-    Computed from an actual encoded envelope (length prefix + sender/dest
-    ids of a typical ``n1`` -> ``n2`` frame), so size accounting stays
-    honest whichever codec is active instead of assuming the historical
-    hardcoded 36 bytes of the JSON envelope.
+    Computed from an actual encoded envelope (length prefix + magic +
+    sender/dest ids of a typical ``n1`` -> ``n2`` frame), so size
+    accounting follows the codec instead of a hardcoded constant.
     """
-    fmt = _check_format(fmt)
-    cached = _OVERHEAD.get(fmt)
-    if cached is None:
-        frame = encode_frame(NodeId("n1"), NodeId("n2"), None, fmt)
-        cached = len(frame) - len(encode_payload(None, fmt))
-        _OVERHEAD[fmt] = cached
-    return cached
+    frame = encode_frame(NodeId("n1"), NodeId("n2"), None)
+    return len(frame) - len(encode_payload(None))
 
 
-def wire_size(payload: Any, fmt: str | None = None) -> int:
+def wire_size(payload: Any) -> int:
     """Exact bytes this payload would occupy on the wire, frame included."""
-    return frame_overhead(fmt) + len(encode_payload(payload, fmt))
+    return frame_overhead() + len(encode_payload(payload))
 
 
 def estimate_size(payload: Any, fallback: int = DEFAULT_ESTIMATE) -> int:
@@ -899,16 +763,13 @@ __all__ = [
     "BINARY_MAGIC",
     "CodecError",
     "DEFAULT_ESTIMATE",
-    "DEFAULT_WIRE_FORMAT",
     "MAX_FRAME_BYTES",
-    "WIRE_FORMATS",
     "decode_frame_body",
     "decode_payload",
     "encode_frame",
     "encode_frame_precoded",
     "encode_payload",
     "estimate_size",
-    "frame_format",
     "frame_length",
     "frame_overhead",
     "payload_shape",

@@ -168,7 +168,6 @@ def fetch_metrics(
     sender: str = "metrics-cli",
     seq: int = 1,
     timeout: float = 2.0,
-    wire_format: str | None = None,
 ) -> FetchedSnapshot:
     """Fetch one replica's snapshot over a raw socket; blocking.
 
@@ -177,13 +176,12 @@ def fetch_metrics(
     """
     cid = CommandId(ClientId(sender), seq)
     request = MetricsRequest(cid)
-    fmt = codec.DEFAULT_WIRE_FORMAT if wire_format is None else wire_format
     try:
         with socket.create_connection(address, timeout=timeout) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(
                 codec.encode_frame(
-                    NodeId(sender), metrics_endpoint(replica), request, fmt
+                    NodeId(sender), metrics_endpoint(replica), request
                 )
             )
             buffer = b""
@@ -222,7 +220,6 @@ def poll_cluster(
     replicas: Iterable[str] | None = None,
     *,
     timeout: float = 2.0,
-    wire_format: str | None = None,
 ) -> tuple[dict[str, FetchedSnapshot], list[str]]:
     """Fetch snapshots from every named replica; tolerate the unreachable.
 
@@ -236,8 +233,7 @@ def poll_cluster(
     for i, name in enumerate(targets):
         try:
             snapshots[name] = fetch_metrics(
-                addresses[name], name, seq=i + 1,
-                timeout=timeout, wire_format=wire_format,
+                addresses[name], name, seq=i + 1, timeout=timeout
             )
         except MetricsFetchError as exc:
             errors.append(str(exc))
@@ -248,7 +244,6 @@ def poll_groups(
     groups: dict[str, dict[str, "Address"]],
     *,
     timeout: float = 2.0,
-    wire_format: str | None = None,
 ) -> tuple[dict[str, dict[str, FetchedSnapshot]], list[str]]:
     """Poll several clusters' endpoints in one call (per-shard snapshots).
 
@@ -265,9 +260,7 @@ def poll_groups(
     lock = threading.Lock()
 
     def poll_one(label: str, addresses: dict[str, "Address"]) -> None:
-        snapshots, group_errors = poll_cluster(
-            addresses, timeout=timeout, wire_format=wire_format
-        )
+        snapshots, group_errors = poll_cluster(addresses, timeout=timeout)
         with lock:
             fetched[label] = snapshots
             errors.extend(f"{label}: {error}" for error in group_errors)
@@ -499,7 +492,6 @@ def run_metrics_demo(
     *,
     replicas: int = 3,
     seed: int = 7,
-    wire: str | None = None,
     log_dir: Any = None,
     ops_per_phase: int = 40,
     verbose: bool = False,
@@ -520,7 +512,7 @@ def run_metrics_demo(
     started = time.monotonic()
     errors: list[str] = []
     cluster = LocalCluster(
-        replicas=replicas, reserve=1, seed=seed, wire=wire,
+        replicas=replicas, reserve=1, seed=seed,
         log_dir=log_dir, verbose=verbose,
     )
     with cluster:
@@ -534,7 +526,7 @@ def run_metrics_demo(
         rng = random.Random(seed)
         with LiveClient(
             "metrics-demo", cluster.addresses, view=cluster.initial,
-            request_timeout=1.0, wire_format=wire,
+            request_timeout=1.0,
         ) as client:
             for i in range(ops_per_phase):
                 client.submit("set", (f"k{rng.randrange(8)}", i), deadline=10.0)
@@ -548,9 +540,7 @@ def run_metrics_demo(
                     deadline=10.0,
                 )
 
-        fetched, fetch_errors = poll_cluster(
-            cluster.addresses, target_members, wire_format=wire
-        )
+        fetched, fetch_errors = poll_cluster(cluster.addresses, target_members)
         errors.extend(fetch_errors)
 
     snapshots = {node: f.snapshot for node, f in fetched.items()}

@@ -27,29 +27,6 @@ from repro.sim.trace import TraceLog, TraceRecord
 from repro.types import NodeId, Time
 
 
-def make_event_loop(uvloop_mode: str = "auto") -> tuple[asyncio.AbstractEventLoop, str]:
-    """Build an event loop, preferring uvloop when asked and available.
-
-    ``uvloop_mode`` is ``"auto"`` (use uvloop if importable, silently fall
-    back to stock asyncio — the same fallback style as wire-format
-    negotiation), ``"on"`` (require uvloop, raise if missing) or ``"off"``.
-    Returns ``(loop, implementation_name)``.
-    """
-    if uvloop_mode not in ("auto", "on", "off"):
-        raise SimulationError(f"unknown uvloop mode {uvloop_mode!r}")
-    if uvloop_mode in ("auto", "on"):
-        try:
-            import uvloop  # type: ignore[import-not-found]
-        except ImportError:
-            if uvloop_mode == "on":
-                raise SimulationError(
-                    "uvloop requested with --uvloop on but is not installed"
-                ) from None
-        else:
-            return uvloop.new_event_loop(), "uvloop"
-    return asyncio.new_event_loop(), "asyncio"
-
-
 class LiveCall:
     """Handle to one ``call_later`` callback (``ScheduledCall`` protocol).
 
@@ -91,13 +68,12 @@ class LiveRuntime:
         trace_enabled: bool = True,
         trace_capacity: int | None = 200_000,
         echo_trace: bool = False,
-        uvloop: str = "auto",
     ):
         self.rng = SeededRng(seed)
         self.network = transport
         trace_cls = EchoTraceLog if echo_trace else TraceLog
         self.trace = trace_cls(enabled=trace_enabled, capacity=trace_capacity)
-        self._loop, self.loop_impl = make_event_loop(uvloop)
+        self._loop = asyncio.new_event_loop()
         self._t0 = self._loop.time()
         self._processes: dict[NodeId, Any] = {}
         self._started = False

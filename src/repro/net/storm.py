@@ -444,7 +444,6 @@ class _ReconfigDriver(threading.Thread):
         plan: StormPlan,
         addresses: dict,
         view: list[str],
-        wire: str | None,
         t0: float,
         deadline: float = 20.0,
     ):
@@ -455,7 +454,7 @@ class _ReconfigDriver(threading.Thread):
         self.results: list[dict] = []
         self.client = LiveClient(
             "storm-admin", addresses, view=list(view),
-            request_timeout=1.0, wire_format=wire,
+            request_timeout=1.0,
         )
 
     def run(self) -> None:
@@ -487,7 +486,6 @@ def run_storm_scenario(
     seed: int = 42,
     handoff: str = "clean",
     replicas: int = 3,
-    wire: str | None = None,
     log_dir: Any = None,
     keys: int = 8,
     op_interval: float = 0.015,
@@ -518,7 +516,6 @@ def run_storm_scenario(
             seed=seed,
             handoff=handoff,
             replicas=replicas,
-            wire=wire,
             log_dir=log_dir,
             keys=keys,
             op_interval=op_interval,
@@ -536,7 +533,6 @@ def run_storm_scenario(
         replicas=replicas,
         reserve=len(plan.joiners),
         seed=seed,
-        wire=wire,
         log_dir=log_dir,
         chaos=True,
         verbose=verbose,
@@ -550,21 +546,19 @@ def run_storm_scenario(
             cluster.spawn(joiner)
         cluster.wait_ready(list(plan.joiners), timeout=15.0)
 
-        controller = ChaosController(
-            cluster, plan.schedule, wire_format=wire
-        ).start()
+        controller = ChaosController(cluster, plan.schedule).start()
         # One timebase for everything: the controller's t0 anchors the
         # injection log, the reconfigure driver and the recorded history.
         while controller.t0 is None:
             time.sleep(0.001)
         t0 = controller.t0
         driver = _ReconfigDriver(
-            plan, cluster.addresses, list(cluster.addresses), wire, t0
+            plan, cluster.addresses, list(cluster.addresses), t0
         )
         driver.start()
         client = LiveClient(
             "storm-cli", cluster.addresses, view=list(plan.contacts),
-            request_timeout=request_timeout, wire_format=wire,
+            request_timeout=request_timeout,
         )
         recorder = HistoryRecorder(client, t0=t0)
         workload_rng = random.Random(seed)
@@ -591,7 +585,7 @@ def run_storm_scenario(
             name for name, proc in cluster.procs.items() if proc.poll() is None
         ]
         fetched, aligned_spans, fetch_errors = collect_aligned_spans(
-            cluster.addresses, live, wire, t0
+            cluster.addresses, live, None, t0
         )
         counters = {
             node: {

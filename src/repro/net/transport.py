@@ -5,10 +5,9 @@ protocol — the same ``send`` / ``register`` / ``unregister`` / ``knows``
 surface as :class:`repro.sim.network.Network` — over real sockets:
 
 * every process runs one TCP server; peers exchange length-prefixed
-  frames (see :mod:`repro.net.codec`) in either the compact binary format
-  (the default) or tagged JSON — the wire format is negotiated per
-  connection: each side encodes outbound frames in its configured format,
-  decodes both on inbound, and mirrors a requester's format on replies;
+  frames (see :mod:`repro.net.codec`, the only module that knows the
+  wire format); a frame the codec rejects is dropped as a poison frame
+  and the stream carries on;
 * **outbound** traffic to each configured peer goes through a dedicated
   :class:`PeerConnection` with a bounded queue and its own writer task, so
   a slow or dead peer can never block the event loop or other peers —
@@ -26,8 +25,7 @@ surface as :class:`repro.sim.network.Network` — over real sockets:
   decoded without per-frame read syscalls;
 * inbound connections from nodes outside the address book (clients,
   admin tools) are remembered as reply routes: a send to such a node goes
-  back over the connection it last spoke on, encoded in whatever wire
-  format that node used.
+  back over the connection it last spoke on.
 
 Delivery semantics match the simulator's fail-stop network: unknown or
 unreachable destinations drop messages silently, and per-run statistics
@@ -294,7 +292,6 @@ class TcpTransport:
         queue_limit: int = 4096,
         reconnect_min: float = 0.05,
         reconnect_max: float = 2.0,
-        wire_format: str | None = None,
         coalesce_max_bytes: int = 256 * 1024,
         coalesce_delay: float = 0.0,
         read_chunk: int = 64 * 1024,
@@ -307,12 +304,10 @@ class TcpTransport:
         self.queue_limit = queue_limit
         self.reconnect_min = reconnect_min
         self.reconnect_max = reconnect_max
-        #: outbound encoding for configured peers; inbound always
-        #: auto-detects, and reply routes mirror the requester's format.
-        self.wire_format = (
-            codec.DEFAULT_WIRE_FORMAT if wire_format is None else wire_format
-        )
-        codec.frame_overhead(self.wire_format)  # validates the name eagerly
+        # Build the codec's tables now (protocol imports + builder codegen,
+        # ~50-100 ms): left lazy, a standby replica pays it inside the event
+        # loop on the first frame it receives — the EpochAnnounce of its join.
+        codec.wire_tables()
         self.coalesce_max_bytes = coalesce_max_bytes
         self.coalesce_delay = coalesce_delay
         self.read_chunk = read_chunk
@@ -332,16 +327,15 @@ class TcpTransport:
         self._endpoints: dict[NodeId, Callable[[Message], None]] = {}
         self._peers: dict[NodeId, PeerConnection] = {}
         #: reply routes for unconfigured senders (clients/admin tools):
-        #: node -> (StreamWriter of the connection it last spoke on, the
-        #: wire format it spoke — replies are encoded to match).
-        self._reply_routes: dict[NodeId, tuple[asyncio.StreamWriter, str]] = {}
+        #: node -> StreamWriter of the connection it last spoke on.
+        self._reply_routes: dict[NodeId, asyncio.StreamWriter] = {}
         self._server: asyncio.base_events.Server | None = None
         self._clock: Callable[[], float] = lambda: 0.0
         #: context-manager factories wrapped around each inbound chunk's
         #: dispatch loop (see :meth:`add_dispatch_group`).
         self._dispatch_groups: list[Callable[[], ContextManager[Any]]] = []
-        #: one-entry broadcast memo: (payload object, fmt, encoded bytes).
-        self._encoded_payload: tuple[Any, str, bytes] | None = None
+        #: one-entry broadcast memo: (payload object, encoded bytes).
+        self._encoded_payload: tuple[Any, bytes] | None = None
 
     def add_dispatch_group(self, factory: Callable[[], ContextManager[Any]]) -> None:
         """Wrap every inbound chunk's dispatch loop in ``factory()``.
@@ -447,9 +441,7 @@ class TcpTransport:
         ):
             pass
         finally:
-            stale = [
-                n for n, (w, _) in self._reply_routes.items() if w is writer
-            ]
+            stale = [n for n, w in self._reply_routes.items() if w is writer]
             for node in stale:
                 del self._reply_routes[node]
             writer.close()
@@ -469,10 +461,7 @@ class TcpTransport:
             except codec.CodecError:
                 continue  # poison frame: drop it, keep the stream
             if sender not in self.addresses:
-                self._reply_routes[sender] = (
-                    writer,
-                    codec.frame_format(body),
-                )
+                self._reply_routes[sender] = writer
             try:
                 self._dispatch_local(sender, dest, payload, length + 4)
             except Exception:  # noqa: BLE001
@@ -518,14 +507,9 @@ class TcpTransport:
         Never blocks: local destinations are delivered via the event loop,
         remote ones are queued on the peer's writer task.
         """
-        fmt = self.wire_format
         route = None
         if dest not in self._endpoints and dest not in self.addresses:
-            entry = self._reply_routes.get(dest)
-            if entry is not None:
-                # Mirror the requester's wire format on the reply, so a
-                # JSON-only client of a binary cluster still gets JSON.
-                route, fmt = entry
+            route = self._reply_routes.get(dest)
         try:
             # Broadcast fast path: consecutive sends of the *same* payload
             # object (an Accept/Decide fanned out to every peer) reuse one
@@ -533,12 +517,12 @@ class TcpTransport:
             # payloads are frozen dataclasses, so identity implies equal
             # bytes. The memo holds exactly one strong reference.
             cached = self._encoded_payload
-            if cached is not None and cached[0] is payload and cached[1] == fmt:
-                payload_bytes = cached[2]
+            if cached is not None and cached[0] is payload:
+                payload_bytes = cached[1]
             else:
-                payload_bytes = codec.encode_payload(payload, fmt)
-                self._encoded_payload = (payload, fmt, payload_bytes)
-            frame = codec.encode_frame_precoded(sender, dest, payload_bytes, fmt)
+                payload_bytes = codec.encode_payload(payload)
+                self._encoded_payload = (payload, payload_bytes)
+            frame = codec.encode_frame_precoded(sender, dest, payload_bytes)
         except codec.CodecError:
             self.stats.messages_dropped += 1
             self._m_frames_dropped.inc()
@@ -601,6 +585,6 @@ class TcpTransport:
             await self._server.wait_closed()
         for peer in self._peers.values():
             await peer.close()
-        for writer in {w for w, _ in self._reply_routes.values()}:
+        for writer in set(self._reply_routes.values()):
             writer.close()
         self._reply_routes.clear()

@@ -56,7 +56,6 @@ def fetch_shard_map(
     sender: str = "shard-cli",
     seq: int = 1,
     timeout: float = 2.0,
-    wire_format: str | None = None,
     attempts: int = 3,
     rng: random.Random | None = None,
 ) -> ShardMap:
@@ -79,7 +78,6 @@ def fetch_shard_map(
             return _fetch_map(
                 address, sender=sender, seq=seq,
                 timeout=min(per_attempt, remaining),
-                wire_format=wire_format,
             )
         except ShardClientError as exc:
             last = exc
@@ -99,18 +97,15 @@ def _fetch_map(
     sender: str = "shard-cli",
     seq: int = 1,
     timeout: float = 2.0,
-    wire_format: str | None = None,
 ) -> ShardMap:
     """One raw-socket map fetch from one director endpoint (no retry)."""
     cid = CommandId(ClientId(sender), seq)
-    fmt = codec.DEFAULT_WIRE_FORMAT if wire_format is None else wire_format
     try:
         with socket.create_connection(address, timeout=timeout) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(
                 codec.encode_frame(
-                    NodeId(sender), NodeId("shard-director"),
-                    ShardMapRequest(cid), fmt,
+                    NodeId(sender), NodeId("shard-director"), ShardMapRequest(cid)
                 )
             )
             buffer = b""
@@ -154,7 +149,6 @@ class ShardClient:
         director: tuple[str, int] | list[tuple[str, int]] | None = None,
         shard_map: ShardMap | None = None,
         request_timeout: float = 1.0,
-        wire_format: str | None = None,
         max_redirects: int = 12,
         client_factory: Callable[[GroupInfo], Any] | None = None,
         seed: int | None = None,
@@ -181,7 +175,6 @@ class ShardClient:
             seed if seed is not None else hash(self.name) & 0xFFFFFFFF
         )
         self.request_timeout = request_timeout
-        self.wire_format = wire_format
         self.max_redirects = max_redirects
         self._factory = client_factory or self._default_factory
         self._lock = threading.RLock()
@@ -203,7 +196,6 @@ class ShardClient:
             info.addresses,
             view=info.members,
             request_timeout=self.request_timeout,
-            wire_format=self.wire_format,
         )
 
     # -- map cache ----------------------------------------------------------
@@ -249,7 +241,6 @@ class ShardClient:
                     fetched = _fetch_map(
                         address, sender=f"{self.name}-map", seq=seq,
                         timeout=max(0.1, min(remaining, timeout / 2)),
-                        wire_format=self.wire_format,
                     )
                 except ShardClientError as exc:
                     last = exc

@@ -55,7 +55,6 @@ class ShardedCluster:
         spare_groups: int = 0,
         host: str = "127.0.0.1",
         seed: int = 42,
-        wire: str | None = None,
         log_dir: str | Path | None = None,
         python: str = sys.executable,
         verbose: bool = False,
@@ -75,7 +74,6 @@ class ShardedCluster:
             raise ShardError("director_replicas cannot be negative")
         self.host = host
         self.seed = seed
-        self.wire = wire
         self.verbose = verbose
         self.handoff = handoff
         self.director_replicas = director_replicas
@@ -100,7 +98,6 @@ class ShardedCluster:
                 app="kv",
                 # Distinct seeds keep per-group election jitter decorrelated.
                 seed=seed + index,
-                wire=wire,
                 log_dir=self.log_dir / name,
                 python=python,
                 verbose=verbose,
@@ -138,7 +135,6 @@ class ShardedCluster:
                 host=host,
                 app="metadir",
                 seed=seed + 1000,
-                wire=wire,
                 log_dir=self.log_dir / "dir",
                 python=python,
                 verbose=verbose,
@@ -165,9 +161,7 @@ class ShardedCluster:
                 remaining = max(1.0, give_up_at - time.monotonic())
                 cluster.wait_ready(cluster.initial, timeout=remaining)
         if self.director_cluster is None:
-            self.director = ShardDirector(
-                self.initial_map, host=self.host, wire_format=self.wire
-            )
+            self.director = ShardDirector(self.initial_map, host=self.host)
             return
         remaining = max(1.0, give_up_at - time.monotonic())
         self.director_cluster.wait_ready(
@@ -176,7 +170,6 @@ class ShardedCluster:
         handle = ReplicatedShardDirector(
             self.director_addresses(),
             view=list(self.director_cluster.initial),
-            wire_format=self.wire,
         )
         handle.init_map(self.initial_map)
         self.director = handle
@@ -232,7 +225,6 @@ class ShardedCluster:
     def client(self, name: str = "shard-cli", **kwargs) -> "ShardClient":
         from repro.shard.client import ShardClient
 
-        kwargs.setdefault("wire_format", self.wire)
         return ShardClient(
             name,
             director=list(self.director_addresses().values()),
@@ -246,7 +238,6 @@ class ShardedCluster:
             f"{name}@{group}",
             cluster.addresses,
             view=self.members[group],
-            wire_format=self.wire,
         )
 
     def group_endpoints(self) -> dict[str, dict[str, tuple[str, int]]]:

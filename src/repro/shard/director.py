@@ -74,7 +74,6 @@ class _Handler(socketserver.BaseRequestHandler):
                 body = buffer[4 : 4 + length]
                 buffer = buffer[4 + length :]
                 try:
-                    fmt = codec.frame_format(body)
                     sender, _, payload = codec.decode_frame_body(body)
                     reply = director.dispatch(payload)
                 except codec.CodecError:
@@ -83,7 +82,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     try:
                         sock.sendall(
                             codec.encode_frame(
-                                NodeId(DIRECTOR_NODE), sender, reply, fmt
+                                NodeId(DIRECTOR_NODE), sender, reply
                             )
                         )
                     except OSError:
@@ -106,12 +105,10 @@ class ShardDirector:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        wire_format: str | None = None,
         request_timeout: float = 2.0,
     ):
         shard_map.validate()
         self._map = shard_map
-        self.wire_format = wire_format
         self.request_timeout = request_timeout
         #: serializes split/move cutovers (the version chain is linear).
         self._admin_lock = threading.Lock()
@@ -262,7 +259,6 @@ class ShardDirector:
             source_info.addresses,
             view=source_info.members,
             request_timeout=self.request_timeout,
-            wire_format=self.wire_format,
         ) as retire_client:
             reply = retire_client.submit(
                 "shard_retire", (lo, hi, version, target), deadline=deadline
@@ -278,7 +274,6 @@ class ShardDirector:
             target_info.addresses,
             view=target_info.members,
             request_timeout=self.request_timeout,
-            wire_format=self.wire_format,
         ) as install_client:
             installed = install_client.submit(
                 "shard_install",

@@ -423,7 +423,6 @@ class IntentDriver(threading.Thread):
         replica: Any,
         addresses: dict[str, tuple[str, int]],
         *,
-        wire_format: str | None = None,
         poll: float = 0.05,
         hold: float = 0.0,
         takeover: float = 1.5,
@@ -433,7 +432,6 @@ class IntentDriver(threading.Thread):
         self.node = str(node)
         self.replica = replica
         self.addresses = dict(addresses)
-        self.wire_format = wire_format
         self.poll = poll
         self.hold = hold
         self.takeover = takeover
@@ -511,7 +509,6 @@ class IntentDriver(threading.Thread):
             source.addresses,
             view=source.members,
             request_timeout=self.request_timeout,
-            wire_format=self.wire_format,
         ) as retire_client:
             reply = retire_client.submit(
                 "shard_retire", (lo, hi, version, target.name), deadline=15.0
@@ -538,7 +535,6 @@ class IntentDriver(threading.Thread):
             target.addresses,
             view=target.members,
             request_timeout=self.request_timeout,
-            wire_format=self.wire_format,
         ) as install_client:
             installed = install_client.submit(
                 "shard_install",
@@ -571,7 +567,6 @@ class IntentDriver(threading.Thread):
                 self.addresses,
                 view=list(self.addresses),
                 request_timeout=self.request_timeout,
-                wire_format=self.wire_format,
             )
         return self._self_client.submit(op, args, deadline=10.0).value
 
@@ -598,19 +593,16 @@ class ReplicatedShardDirector:
         *,
         name: str = "metadir-admin",
         view: list[str] | None = None,
-        wire_format: str | None = None,
         request_timeout: float = 2.0,
     ):
         from repro.net.client import LiveClient
 
         self.addresses = dict(addresses)
-        self.wire_format = wire_format
         self._client = LiveClient(
             f"{name}-{os.getpid()}",
             self.addresses,
             view=view if view is not None else list(self.addresses),
             request_timeout=request_timeout,
-            wire_format=wire_format,
         )
 
     # -- map access ---------------------------------------------------------

@@ -95,7 +95,6 @@ def run_split_scenario(
     clients: int = 2,
     keys: int = 24,
     seed: int = 42,
-    wire: str | None = None,
     settle: float = 0.5,
     verbose: bool = False,
 ) -> ShardScenarioReport:
@@ -108,7 +107,6 @@ def run_split_scenario(
         replicas_per_group=replicas_per_group,
         spare_groups=1,
         seed=seed,
-        wire=wire,
         verbose=verbose,
     ) as cluster:
         cluster.start()

@@ -147,7 +147,6 @@ def run_shard_storm_scenario(
     seed: int = 42,
     handoff: str = "clean",
     replicas: int = 3,
-    wire: str | None = None,
     log_dir: Any = None,
     keys: int = 12,
     op_interval: float = 0.015,
@@ -181,7 +180,6 @@ def run_shard_storm_scenario(
         replicas_per_group=replicas,
         spare_groups=1,
         seed=seed,
-        wire=wire,
         log_dir=log_dir,
         verbose=verbose,
         durable=durable,
@@ -279,7 +277,7 @@ def run_shard_storm_scenario(
             if not live:
                 continue
             fetched, spans, errs = collect_aligned_spans(
-                sub.addresses, live, wire, t0
+                sub.addresses, live, None, t0
             )
             for node, snap in fetched.items():
                 counters[f"{label}/{node}"] = {

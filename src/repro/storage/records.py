@@ -2,9 +2,9 @@
 
 Each record is an ordinary codec-registered dataclass (see
 :func:`repro.net.codec._bootstrap`), so the WAL reuses the wire codec's
-binary encoding — one serialisation surface, one set of parity tests —
-and a WAL written by a binary-wire replica can be read back by any other
-build of the code.
+encoding — one serialisation surface, one set of round-trip tests — and
+a WAL written by one replica can be read back by any other build of the
+code.
 
 Records are keyed by the engine's *instance id* (the same string used in
 :class:`repro.consensus.interface.InstanceMessage`: ``"e<epoch>"`` for a

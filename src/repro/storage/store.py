@@ -521,7 +521,7 @@ class ReplicaStore:
         )
         path = self.data_dir / f"{_CKPT_PREFIX}{seq:06d}.bin"
         tmp = path.with_suffix(".tmp")
-        frame = frame_record(codec.encode_payload(record, "binary"))
+        frame = frame_record(codec.encode_payload(record))
         with open(tmp, "wb") as handle:
             handle.write(frame)
             handle.flush()

@@ -172,7 +172,7 @@ class WalWriter:
         cache of a quorum-durable outcome, so a torn-off lazy tail merely
         forces a catch-up, never loses an acknowledged command.
         """
-        frame = frame_record(codec.encode_payload(record, "binary"))
+        frame = frame_record(codec.encode_payload(record))
         self._file.write(frame)
         self._file.flush()
         synced = False

@@ -224,12 +224,11 @@ class TestChaosProtocol:
     def test_command_round_trips_and_applies_after_decode(self):
         # The full path a rule travels: encode, decode, apply.
         command = ChaosCommand(cid(), "partition", "cut", (N1,), (N2, N3))
-        for fmt in codec.WIRE_FORMATS:
-            decoded = codec.decode_payload(codec.encode_payload(command, fmt))
-            assert decoded == command
-            policy = LinkPolicy()
-            assert apply_chaos_command(policy, decoded)
-            assert policy.blocks(N1, N3)
+        decoded = codec.decode_payload(codec.encode_payload(command))
+        assert decoded == command
+        policy = LinkPolicy()
+        assert apply_chaos_command(policy, decoded)
+        assert policy.blocks(N1, N3)
 
     def test_chaos_endpoint_name(self):
         assert chaos_endpoint("n1") == NodeId("n1#chaos")
@@ -394,9 +393,7 @@ class TestTransportEnforcement:
         try:
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
-                codec.encode_frame(
-                    NodeId("ctl"), chaos_endpoint("n1"), command, "binary"
-                )
+                codec.encode_frame(NodeId("ctl"), chaos_endpoint("n1"), command)
             )
             await writer.drain()
             header = await asyncio.wait_for(reader.readexactly(4), timeout=5.0)

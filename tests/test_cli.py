@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pytest
+
 from repro.cli import ALL_EXPERIMENTS, QUICK_ARGS, main
 
 
@@ -36,15 +38,15 @@ class TestCli:
 
     def test_bench_without_target_prints_help(self, capsys):
         assert main(["bench"]) == 1
-        assert "wire" in capsys.readouterr().out
+        # perf/run.py is the one live benchmark; only the two benches it
+        # has no successor for remain as subcommands.
+        assert "{storm,shard}" in capsys.readouterr().out
 
-    def test_bench_wire_codec_micro(self, capsys, tmp_path):
-        # --skip-live keeps tier-1 free of subprocesses; CI runs the live
-        # smoke separately via `repro bench wire --smoke`.
-        out = tmp_path / "bench.json"
-        assert main(
-            ["bench", "wire", "--smoke", "--skip-live", "--out", str(out)]
-        ) == 0
-        report = capsys.readouterr().out
-        assert "codec micro-benchmark" in report
-        assert out.exists()
+    def test_retired_bench_target_and_wire_flag_are_usage_errors(self):
+        for argv in (
+            ["bench", "wire"],
+            ["serve", "--node", "n1", "--peers", "n1=127.0.0.1:1", "--wire", "json"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2

@@ -5,8 +5,6 @@ test pins the strategy table to the registry, so adding a protocol message
 without a round-trip strategy fails loudly here.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -417,37 +415,46 @@ class TestContainers:
         assert a == b
 
     def test_untagged_object_rejected(self):
+        # "{" is not a value tag: text is refused, not guessed at.
         with pytest.raises(codec.CodecError):
-            codec.decode_payload(json.dumps({"plain": "object"}).encode())
+            codec.decode_payload(b'{"plain": "object"}')
 
 
 @pytest.mark.parametrize(
     "cls", sorted(STRATEGIES, key=lambda c: c.__name__), ids=lambda c: c.__name__
 )
 class TestFormatParity:
-    """Binary and JSON are interchangeable encodings of the same values."""
+    """The one wire format agrees with itself, per registered type.
+
+    The oracle is the original value. The tier-1 floor list pins these
+    test ids, so two method names predate the deletion of the JSON format.
+    """
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_binary_json_parity(self, cls, data):
+        """Decoding restores the value, and re-encoding what was decoded
+        restores the bytes: WAL records and the batch memo splice decoded
+        values into new envelopes and rely on both."""
         payload = data.draw(STRATEGIES[cls])
-        via_binary = codec.decode_payload(codec.encode_payload(payload, "binary"))
-        via_json = codec.decode_payload(codec.encode_payload(payload, "json"))
-        assert type(via_binary) is cls
-        assert type(via_json) is cls
-        assert via_binary == payload
-        assert via_json == payload
+        encoded = codec.encode_payload(payload)
+        decoded = codec.decode_payload(encoded)
+        assert type(decoded) is cls
+        assert decoded == payload
+        assert codec.encode_payload(decoded) == encoded
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_frame_parity_and_detection(self, cls, data):
+        """A frame body is recognised by its magic byte and by nothing
+        else: the same bytes behind any other first byte are refused."""
         payload = data.draw(STRATEGIES[cls])
-        for fmt in codec.WIRE_FORMATS:
-            frame = codec.encode_frame(NodeId("a"), NodeId("b"), payload, fmt)
-            body = frame[4:]
-            assert codec.frame_format(body) == fmt
-            sender, dest, decoded = codec.decode_frame_body(body)
-            assert (sender, dest, decoded) == (NodeId("a"), NodeId("b"), payload)
+        body = codec.encode_frame(NodeId("a"), NodeId("b"), payload)[4:]
+        assert body[0] == codec.BINARY_MAGIC
+        sender, dest, decoded = codec.decode_frame_body(body)
+        assert (sender, dest, decoded) == (NodeId("a"), NodeId("b"), payload)
+        with pytest.raises(codec.CodecError):
+            codec.decode_frame_body(b"{" + body[1:])
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
@@ -455,12 +462,11 @@ class TestFormatParity:
         """The broadcast fast path (encode once, frame per destination)
         must produce exactly the bytes encode_frame would."""
         payload = data.draw(STRATEGIES[cls])
-        for fmt in codec.WIRE_FORMATS:
-            payload_bytes = codec.encode_payload(payload, fmt)
-            for dest in ("b", "other-node"):
-                assert codec.encode_frame_precoded(
-                    NodeId("a"), NodeId(dest), payload_bytes, fmt
-                ) == codec.encode_frame(NodeId("a"), NodeId(dest), payload, fmt)
+        payload_bytes = codec.encode_payload(payload)
+        for dest in ("b", "other-node"):
+            assert codec.encode_frame_precoded(
+                NodeId("a"), NodeId(dest), payload_bytes
+            ) == codec.encode_frame(NodeId("a"), NodeId(dest), payload)
 
 
 class TestPayloadMemo:
@@ -475,9 +481,9 @@ class TestPayloadMemo:
             )
         )
 
-    def _cold(self, payload, fmt="binary"):
+    def _cold(self, payload):
         codec._PAYLOAD_MEMO.clear()
-        encoded = codec.encode_payload(payload, fmt)
+        encoded = codec.encode_payload(payload)
         codec._PAYLOAD_MEMO.clear()
         return encoded
 
@@ -494,7 +500,7 @@ class TestPayloadMemo:
         ]
         cold = [self._cold(e) for e in envelopes]
         codec._PAYLOAD_MEMO.clear()
-        warm = [codec.encode_payload(e, "binary") for e in envelopes]
+        warm = [codec.encode_payload(e) for e in envelopes]
         assert warm == cold
         # The memo really was active for the later encodes.
         assert Batch in codec._PAYLOAD_MEMO
@@ -511,7 +517,7 @@ class TestPayloadMemo:
         # that follows on a real acceptor must splice, not diverge.
         assert Batch in codec._PAYLOAD_MEMO
         warm = codec.encode_payload(
-            WalAccept("i", 5, decoded.ballot, decoded.value), "binary"
+            WalAccept("i", 5, decoded.ballot, decoded.value)
         )
         assert warm == self._cold(WalAccept("i", 5, ballot, batch))
 
@@ -519,50 +525,49 @@ class TestPayloadMemo:
         batch_a, batch_b = self._batch(key="a"), self._batch(key="b")
         cold_b = self._cold(m.Decide(5, batch_b))
         codec._PAYLOAD_MEMO.clear()
-        codec.encode_payload(m.Decide(5, batch_a), "binary")  # memoizes a
-        assert codec.encode_payload(m.Decide(5, batch_b), "binary") == cold_b
-
-    def test_json_format_unaffected(self):
-        batch = self._batch()
-        codec._PAYLOAD_MEMO.clear()
-        one = codec.encode_payload(m.Decide(5, batch), "json")
-        codec.encode_payload(m.Decide(5, batch), "binary")  # populate memo
-        assert codec.encode_payload(m.Decide(5, batch), "json") == one
+        codec.encode_payload(m.Decide(5, batch_a))  # memoizes a
+        assert codec.encode_payload(m.Decide(5, batch_b)) == cold_b
 
 
 class TestWireFormats:
-    def test_binary_frames_are_smaller(self):
-        payload = m.Accept(
-            Ballot(3, NodeId("n1")), 7,
-            Batch((Command(CommandId(ClientId("c"), 1), "set", ("k", 1), 64),)),
-        )
-        binary = codec.encode_frame(NodeId("n1"), NodeId("n2"), payload, "binary")
-        as_json = codec.encode_frame(NodeId("n1"), NodeId("n2"), payload, "json")
-        assert len(binary) < len(as_json)
-
     def test_unknown_format_rejected(self):
+        # Bytes in any other format (here: the retired tagged-JSON payload
+        # and envelope, and JSON that never was a frame) raise CodecError,
+        # the one exception the transport treats as a poison frame.
         with pytest.raises(codec.CodecError):
-            codec.encode_payload(1, "protobuf")
+            codec.decode_payload(b'{"~t":[1]}')
+        for body in (
+            b'{"s":"a","d":"b","p":{"~t":[1]}}', b"{}", b'{"~t":5}', b"[1]", b"",
+        ):
+            with pytest.raises(codec.CodecError):
+                codec.decode_frame_body(body)
+
+    def test_type_validation_failure_is_codec_error(self):
+        # A registered type whose __post_init__ refuses its decoded fields
+        # is malformed input like any other, not a ShardError in the reader.
+        bad = object.__new__(KeyRange)  # lo > hi: the constructor would raise
+        object.__setattr__(bad, "lo", 5)
+        object.__setattr__(bad, "hi", 1)
         with pytest.raises(codec.CodecError):
-            codec.frame_overhead("protobuf")
+            codec.decode_payload(codec.encode_payload(bad))
+        frame = codec.encode_frame(NodeId("n1"), NodeId("n2"), bad)
+        with pytest.raises(codec.CodecError):
+            codec.decode_frame_body(frame[4:])
 
     def test_frame_overhead_matches_real_envelope(self):
-        # The overhead constant is derived from an actual encoded frame,
-        # not hardcoded: envelope bytes == frame - payload for each format.
-        for fmt in codec.WIRE_FORMATS:
-            frame = codec.encode_frame(NodeId("n1"), NodeId("n2"), None, fmt)
-            payload = codec.encode_payload(None, fmt)
-            assert codec.frame_overhead(fmt) == len(frame) - len(payload)
+        # The overhead is derived from an actual encoded frame, not
+        # hardcoded: envelope bytes == frame - payload.
+        frame = codec.encode_frame(NodeId("n1"), NodeId("n2"), None)
+        assert codec.frame_overhead() == len(frame) - len(codec.encode_payload(None))
 
     def test_wire_size_matches_frame_bytes(self):
         payload = Command(CommandId(ClientId("c"), 1), "set", ("k", 1), 64)
-        for fmt in codec.WIRE_FORMATS:
-            frame = codec.encode_frame(NodeId("n1"), NodeId("n2"), payload, fmt)
-            assert codec.wire_size(payload, fmt) == len(frame)
+        frame = codec.encode_frame(NodeId("n1"), NodeId("n2"), payload)
+        assert codec.wire_size(payload) == len(frame)
 
     def test_truncated_binary_rejected(self):
         blob = codec.encode_payload(
-            Command(CommandId(ClientId("c"), 1), "set", ("k", 1), 64), "binary"
+            Command(CommandId(ClientId("c"), 1), "set", ("k", 1), 64)
         )
         with pytest.raises(codec.CodecError):
             codec.decode_payload(blob[:-1])

@@ -1,6 +1,5 @@
 """Commit-path campaign tests: WAL group commit, lazy appends, batching
-latency bounds, the pipelined client's coalescing and stall reporting,
-and the optional uvloop runtime.
+latency bounds, and the pipelined client's coalescing and stall reporting.
 
 The engine-level batching semantics (size cap, ordering, epoch-cut
 interaction, linearizability through reconfig) live in
@@ -16,9 +15,7 @@ import pytest
 from repro.consensus.ballot import Ballot
 from repro.consensus.interface import Batch, StaticSmrHost
 from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
-from repro.errors import SimulationError
 from repro.net.client import LiveClient, LiveClientError
-from repro.net.runtime import make_event_loop
 from repro.sim.runner import Simulator
 from repro.storage.store import ReplicaStore
 from repro.storage.wal import WalWriter, read_wal_file
@@ -228,49 +225,6 @@ class TestPipelinedStallReport:
                 deadline=0.5,
             )
         assert "... (5 more)" in str(err.value)
-
-
-# ---------------------------------------------------------------------------
-# Optional uvloop runtime
-# ---------------------------------------------------------------------------
-
-
-class TestEventLoopSelection:
-    def _uvloop_installed(self):
-        try:
-            import uvloop  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def test_auto_mode_always_yields_a_loop(self):
-        loop, impl = make_event_loop("auto")
-        try:
-            assert impl in ("uvloop", "asyncio")
-            if not self._uvloop_installed():
-                assert impl == "asyncio"
-            assert loop.run_until_complete(_probe()) == 42
-        finally:
-            loop.close()
-
-    def test_off_mode_uses_asyncio(self):
-        loop, impl = make_event_loop("off")
-        loop.close()
-        assert impl == "asyncio"
-
-    def test_on_mode_requires_uvloop(self):
-        if self._uvloop_installed():
-            pytest.skip("uvloop present; the failure path needs it absent")
-        with pytest.raises(SimulationError, match="uvloop"):
-            make_event_loop("on")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError):
-            make_event_loop("sometimes")
-
-
-async def _probe():
-    return 42
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,7 @@ from repro.types import NodeId
 class StubReplica:
     """A thread that acks every ClientRequest it reads, frame for frame.
 
-    Replies mirror the request's wire format, same as a real replica's
-    reply route. ``reply_delay`` holds each ack briefly so tests can place
+    ``reply_delay`` holds each ack briefly so tests can place
     the reply inside or outside a client's listening window.
     """
 
@@ -74,7 +73,6 @@ class StubReplica:
                         break
                     body = buffer[4 : 4 + length]
                     buffer = buffer[4 + length :]
-                    fmt = codec.frame_format(body)
                     sender, dest, payload = codec.decode_frame_body(body)
                     if isinstance(payload, ClientRequest):
                         commands = (payload.command,)
@@ -91,7 +89,7 @@ class StubReplica:
                         acks[0] if len(acks) == 1 else ReplyBatch(acks)
                     )
                     try:
-                        conn.sendall(codec.encode_frame(dest, sender, out, fmt))
+                        conn.sendall(codec.encode_frame(dest, sender, out))
                     except OSError:
                         return
                     self.replied += len(acks)

@@ -212,7 +212,7 @@ class TestReplicaRecovery:
         service, _ = run_durable_service(tmp_path, sim, n_ops=40)
         survivor = service.replicas[node_id("n1")]
         assert survivor.state is not None
-        reference = codec.encode_payload(survivor.state.snapshot(), "binary")
+        reference = codec.encode_payload(survivor.state.snapshot())
         ref_vindex = survivor.virtual_index
         assert ref_vindex > 0
 
@@ -228,7 +228,7 @@ class TestReplicaRecovery:
         )
         assert revived.state is not None
         assert revived.virtual_index == ref_vindex
-        assert codec.encode_payload(revived.state.snapshot(), "binary") == reference
+        assert codec.encode_payload(revived.state.snapshot()) == reference
 
     def test_recovery_across_reconfigurations(self, tmp_path):
         """Epoch-open records rebuild the chain across reconfigs; the
@@ -239,7 +239,7 @@ class TestReplicaRecovery:
         )
         survivor = service.replicas[node_id("n1")]
         assert survivor.exec_epoch >= 1
-        reference = codec.encode_payload(survivor.state.snapshot(), "binary")
+        reference = codec.encode_payload(survivor.state.snapshot())
 
         sim2 = Simulator(seed=5)
         store2 = ReplicaStore(tmp_path / "n1", fsync=False)
@@ -254,7 +254,7 @@ class TestReplicaRecovery:
         assert revived.exec_epoch == survivor.exec_epoch
         assert revived.newest_epoch == survivor.newest_epoch
         assert revived.virtual_index == survivor.virtual_index
-        assert codec.encode_payload(revived.state.snapshot(), "binary") == reference
+        assert codec.encode_payload(revived.state.snapshot()) == reference
         # the recovery span recorded all three phases
         from repro.metrics.registry import SPAN_RECOVERY, metrics_of
 
@@ -367,7 +367,7 @@ class TestReplicaRecovery:
         )
         store.close()
         book = {node_id(n): ("127.0.0.1", 1) for n in ("n1", "n2", "n3", "n4")}
-        runtime = LiveRuntime(TcpTransport(book), uvloop="off")
+        runtime = LiveRuntime(TcpTransport(book))
         try:
             revived = self.revive(runtime, "n4", tmp_path)
             assert revived._transfer is not None and revived._transfer.attempts == 0

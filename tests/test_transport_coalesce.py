@@ -1,4 +1,4 @@
-"""Transport-level tests: frame coalescing, loss accounting, negotiation.
+"""Transport-level tests: frame coalescing, loss accounting, poison frames.
 
 All tests drive real :class:`TcpTransport` instances over loopback
 sockets inside ``asyncio.run`` (the tier-1 suite has no async plugin).
@@ -139,35 +139,72 @@ class TestLossAccounting:
         await conn.close()
 
 
-class TestNegotiation:
-    @pytest.mark.parametrize("fmt", codec.WIRE_FORMATS)
-    def test_reply_mirrors_requester_format(self, fmt):
-        asyncio.run(self._mirror(fmt))
+def _frame(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
 
-    async def _mirror(self, fmt: str):
-        # Server speaks binary between peers; an unconfigured client that
-        # writes `fmt` frames must get its replies back in `fmt`.
-        server = TcpTransport({}, wire_format="binary")
-        server.register(
-            NodeId("n1"),
-            lambda msg: server.send(NodeId("n1"), msg.sender, ["echo", msg.payload]),
-        )
+
+async def _read_frame(reader: asyncio.StreamReader) -> tuple:
+    header = await asyncio.wait_for(reader.readexactly(4), timeout=5.0)
+    body = await asyncio.wait_for(
+        reader.readexactly(codec.frame_length(header)), timeout=5.0
+    )
+    return codec.decode_frame_body(body)
+
+
+def _rejected_key_range_frame() -> bytes:
+    """A well-formed frame whose payload ``KeyRange.__post_init__`` refuses."""
+    from repro.shard.shardmap import KeyRange
+
+    bad = object.__new__(KeyRange)  # lo > hi: the constructor would raise
+    object.__setattr__(bad, "lo", 5)
+    object.__setattr__(bad, "hi", 1)
+    return codec.encode_frame(NodeId("c9"), NodeId("n1"), bad)
+
+
+#: what a peer that does not speak the wire format might send: the
+#: retired JSON envelope, a bare JSON object, and a frame in the right
+#: format whose registered type rejects its own decoded fields.
+POISON_FRAMES = {
+    "legacy-json": lambda: _frame(b'{"s":"c9","d":"n1","p":"ping"}'),
+    "bare-object": lambda: _frame(b"{}"),
+    "rejected-dataclass": _rejected_key_range_frame,
+}
+
+
+class TestPoisonFrames:
+    @pytest.mark.parametrize("kind", sorted(POISON_FRAMES))
+    def test_poison_frame_is_dropped_and_stream_survives(self, kind):
+        asyncio.run(self._poison_then_ping(POISON_FRAMES[kind]()))
+
+    async def _poison_then_ping(self, poison: bytes):
+        received: list = []
+        server = TcpTransport({})
+
+        def echo(msg):
+            received.append(msg.payload)
+            server.send(NodeId("n1"), msg.sender, ["echo", msg.payload])
+
+        server.register(NodeId("n1"), echo)
         await server.start("127.0.0.1", 0)
         host, port = server._server.sockets[0].getsockname()[:2]
         try:
             reader, writer = await asyncio.open_connection(host, port)
+            # One write: the good frame sits behind the poison one in the
+            # same chunk, so a reader task that dies on the first never
+            # delivers the second.
             writer.write(
-                codec.encode_frame(NodeId("c9"), NodeId("n1"), "ping", fmt)
+                poison + codec.encode_frame(NodeId("c9"), NodeId("n1"), "ping")
             )
             await writer.drain()
-            header = await asyncio.wait_for(reader.readexactly(4), timeout=5.0)
-            body = await asyncio.wait_for(
-                reader.readexactly(codec.frame_length(header)), timeout=5.0
+            assert await _read_frame(reader) == (
+                NodeId("n1"), NodeId("c9"), ["echo", "ping"]
             )
-            assert codec.frame_format(body) == fmt
-            sender, dest, payload = codec.decode_frame_body(body)
-            assert (sender, dest) == (NodeId("n1"), NodeId("c9"))
-            assert payload == ["echo", "ping"]
+            assert received == ["ping"], "the poison frame was dispatched"
+            # The connection is still open and still routed: a second
+            # request on it is answered too.
+            writer.write(codec.encode_frame(NodeId("c9"), NodeId("n1"), "again"))
+            await writer.drain()
+            assert (await _read_frame(reader))[2] == ["echo", "again"]
             writer.close()
         finally:
             await server.close()

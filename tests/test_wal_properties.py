@@ -57,7 +57,7 @@ record_lists = st.lists(wal_records, max_size=8)
 
 def encode_log(records):
     return b"".join(
-        frame_record(codec.encode_payload(r, "binary")) for r in records
+        frame_record(codec.encode_payload(r)) for r in records
     )
 
 
@@ -106,7 +106,7 @@ class TestTornTail:
         frame *i* — frames behind the corruption stay readable, nothing
         after it is trusted (CRC32 catches every single-byte error)."""
         frames = [
-            frame_record(codec.encode_payload(r, "binary")) for r in records
+            frame_record(codec.encode_payload(r)) for r in records
         ]
         target = data.draw(st.integers(0, len(frames) - 1))
         offset_in_frame = data.draw(
