@@ -236,7 +236,6 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
         checkpoint_interval=args.checkpoint_interval,
         read_mode=args.read_mode,
         staleness_bound=args.staleness_bound / 1000.0,
-        handoff=args.handoff,
         **params_kwargs,
     )
     app_factory = _app_factory(args.app)
@@ -309,7 +308,6 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
         commit_note = (f", batch={args.batch_delay:g}ms"
                        f"/max{engine_params.batch_max}"
                        f", window={engine_params.window or 'unbounded'}")
-    handoff_note = ", handoff=dirty" if args.handoff == "dirty" else ""
     read_note = ""
     if args.read_mode != "log":
         bound = (f"lease={args.lease_duration:g}ms" if args.read_mode == "lease"
@@ -317,7 +315,7 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
         read_note = f", reads={args.read_mode} ({bound})"
     print(f"[{args.node}] serving on {host}:{port} "
           f"(app={args.app}, member={'yes' if initial_config else 'standby'}"
-          f"{commit_note}{read_note}{handoff_note}{shard_note})",
+          f"{commit_note}{read_note}{shard_note})",
           flush=True)
     runtime.run(host, port)
     return 0
@@ -680,7 +678,6 @@ def _cmd_storm(args: "argparse.Namespace") -> int:
         replicas=args.replicas,
         seed=args.seed,
         scale=args.scale,
-        handoff=args.handoff,
         read_mode=args.read_mode,
         durable=args.durable,
         verbose=args.verbose,
@@ -703,7 +700,7 @@ def _cmd_storm(args: "argparse.Namespace") -> int:
         print("FAIL: storm scenario did not verify", file=sys.stderr)
         return 1
     print(f"storm scenario verified: history linearizable under the "
-          f"{args.scenario} plan with {args.handoff} hand-off")
+          f"{args.scenario} plan")
     return 0
 
 
@@ -786,14 +783,6 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="MS",
                        help="follower mode: max leader silence before a "
                        "member refuses local reads")
-    serve.add_argument("--handoff", default="clean",
-                       choices=["clean", "dirty"],
-                       help="epoch hand-off mode: clean waits for the "
-                       "exact cut (orphan round trips, finished boundary "
-                       "snapshots); dirty overlaps the outgoing epoch's "
-                       "tail with the incoming one (seal-time re-proposal "
-                       "of the sealed engine's queue + dirty boundary "
-                       "serving to joiners)")
     serve.add_argument("--shard-group", default="",
                        help="serve as one group of a sharded service: the "
                        "group's name (requires --app kv; wraps the store "
@@ -929,10 +918,6 @@ def main(argv: list[str] | None = None) -> int:
                        "workload; same seed = same plan, byte for byte")
     storm.add_argument("--scale", type=float, default=1.0,
                        help="stretch factor for the plan's offsets")
-    storm.add_argument("--handoff", default="clean",
-                       choices=["clean", "dirty"],
-                       help="epoch hand-off mode on every replica "
-                       "(default: clean cut)")
     storm.add_argument("--read-mode", default=None,
                        choices=["log", "lease", "follower"],
                        help="run every replica with this read path during "
@@ -989,20 +974,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_sub = bench.add_subparsers(dest="bench_target")
     storm_bench = bench_sub.add_parser(
-        "storm", help="reconfiguration storms, clean vs dirty hand-off: "
-        "unavailability window + hand-off latency per cell; "
-        "writes BENCH_storm.json"
+        "storm", help="reconfiguration storms: unavailability window + "
+        "hand-off latency per scenario (median, min, max over the "
+        "repeats); writes BENCH_storm.json"
     )
     storm_bench.add_argument("--smoke", action="store_true",
-                             help="CI gate: joincrash cell only, dirty-cut "
-                             "unavailability must not exceed clean-cut "
-                             "beyond the noise floor")
+                             help="CI gate: the joincrash and director "
+                             "cells only; every run must verify")
     storm_bench.add_argument("--out", default="BENCH_storm.json",
                              help="output path (default: BENCH_storm.json)")
     storm_bench.add_argument("--seed", type=int, default=42)
-    storm_bench.add_argument("--repeats", type=int, default=None,
-                             help="fresh-cluster runs per cell "
-                             "(default: 2 smoke, 3 full)")
+    storm_bench.add_argument("--repeats", type=int, default=3,
+                             help="fresh-cluster runs per cell (default: 3)")
     storm_bench.add_argument("--timeline-dir", default=None, metavar="DIR",
                              help="also write each run's fault-aligned "
                              "timeline JSON into DIR (the CI artifact)")

@@ -58,7 +58,6 @@ from repro.core.command import ReconfigCommand, ReconfigRequest
 from repro.core.epoch import EpochRuntime
 from repro.core.runtime import Runtime
 from repro.core.state_transfer import (
-    DirtySnapshotReply,
     SnapshotChunkReply,
     SnapshotChunkRequest,
     SnapshotReply,
@@ -170,21 +169,6 @@ class ReconfigParams:
     #: heard from the leader, so the observable staleness is bounded by
     #: roughly this plus one heartbeat interval.
     staleness_bound: float = 0.5
-    #: "clean" waits for the exact epoch cut: commands caught in the
-    #: sealed engine ride out their orphan decide (or the GC-time
-    #: rescue), and joiners retry until a source finished the outgoing
-    #: epoch and can serve the true boundary snapshot. "dirty" overlaps
-    #: the outgoing epoch's tail with the incoming one instead: at the
-    #: seal every payload still waiting in the outgoing engine is
-    #: immediately re-proposed into the new epoch, and a snapshot source
-    #: that has not finished the outgoing epoch answers joiners with its
-    #: newest finished boundary plus the effective-log tail so far
-    #: (:class:`~repro.core.state_transfer.DirtySnapshotReply`), which
-    #: the joiner replays. Both halves re-order only *agreed* payloads
-    #: and the exactly-once apply layer deduplicates, so safety is
-    #: unchanged — the mode trades extra proposals for a shorter
-    #: unavailability window around the cut.
-    handoff: str = "clean"
 
 
 # Commit listener: (time, payload, epoch, virtual_index, reply_value).
@@ -261,11 +245,9 @@ class ReconfigurableReplica(Process):
         self.committed: list[tuple[Any, EpochId, int]] = []
         self.lease_reads = 0
         self.follower_reads = 0
-        #: dirty hand-off diagnostics: payloads overlapped into the new
-        #: epoch at seal time, and dirty snapshot replies served/applied.
+        #: payloads re-proposed into the new epoch at seal time (the name
+        #: is historical: the overlap began as the "dirty" hand-off mode).
         self.dirty_overlaps = 0
-        self.dirty_served = 0
-        self.dirty_applied = 0
 
         self.metrics = metrics_of(sim)
         self._commits_total = self.metrics.counter("smr.commits")
@@ -273,8 +255,6 @@ class ReconfigurableReplica(Process):
         self._m_follower_reads = self.metrics.counter("smr.follower_reads")
         self._orphans = self.metrics.counter("smr.orphans")
         self._m_dirty_overlaps = self.metrics.counter("smr.dirty_overlaps")
-        self._m_dirty_served = self.metrics.counter("smr.dirty_snapshots_served")
-        self._m_dirty_applied = self.metrics.counter("smr.dirty_snapshots_applied")
         self._exec_lag = self.metrics.histogram("smr.exec_lag")
         self._epoch_commits: dict[EpochId, Any] = {}
         #: the epoch this replica was bootstrapped into (no reconfiguration
@@ -419,12 +399,12 @@ class ReconfigurableReplica(Process):
         )
 
     def _replay_dirty_overlaps(self, records: list[Any]) -> None:
-        """Re-propose recovered dirty hand-off tails (satellite of the
-        dirty cut): a tail whose re-proposals never reached an acceptor
-        before the crash exists nowhere but its WAL record, so it rides
-        the ordinary orphan path again. Tails that *did* decide are
-        screened out by the reply cache / apply-time dedup — a replay is
-        at worst a no-op proposal.
+        """Re-propose recovered seal-time tails (the records written by
+        :meth:`_overlap_sealed_tail`): a tail whose re-proposals never
+        reached an acceptor before the crash exists nowhere but its WAL
+        record, so it rides the ordinary orphan path again. Tails that
+        *did* decide are screened out by the reply cache / apply-time
+        dedup — a replay is at worst a no-op proposal.
         """
         for record in records:
             for payload in record.payloads:
@@ -577,20 +557,20 @@ class ReconfigurableReplica(Process):
             # Only actual members of the sealed epoch announce; observers
             # learn seals second-hand and must not speak for the epoch.
             self._announce_epoch(next_config, runtime.config.members)
-        if was_member and self.params.handoff == "dirty":
             self._overlap_sealed_tail(runtime)
 
     def _overlap_sealed_tail(self, runtime: EpochRuntime) -> None:
-        """Dirty hand-off, ordering half: carry the tail over *now*.
+        """Seal-time tail rescue: carry the undecided tail over *now*.
 
         At the instant of the seal the outgoing engine may still hold
-        payloads it has not managed to decide (``awaiting``). Under the
-        clean cut those wait for an orphan decide round trip — or, if the
-        outgoing leader just died, for the old epoch to re-elect or for
-        the engine-GC rescue — before reaching the new epoch. Here they
-        are re-proposed into the new epoch immediately. A payload that
-        *also* decides at or before the cut in the old epoch executes
-        there first and the new-epoch copy deduplicates at apply time; a
+        payloads it has not managed to decide (``awaiting``). Left there
+        they reach the new epoch only after an orphan decide round trip
+        in the old one — and if the old quorum died at the seal (kills
+        past f among the retirees) they never decide, so their clients
+        wait out a full request timeout. Instead every member re-proposes
+        them into the new epoch immediately. A payload that *also*
+        decides at or before the cut in the old epoch executes there
+        first and the new-epoch copy deduplicates at apply time; a
         payload that decides past the cut was an orphan anyway. Nothing
         is acknowledged twice and nothing is lost.
         """
@@ -888,26 +868,6 @@ class ReconfigurableReplica(Process):
     def _handle_snapshot_request(self, request: SnapshotRequest, sender: NodeId) -> None:
         cached = self.boundary_snapshots.get(request.epoch)
         if cached is None:
-            if self.params.handoff == "dirty":
-                dirty = self._build_dirty_snapshot(request.epoch)
-                if dirty is not None:
-                    self.dirty_served += 1
-                    self._m_dirty_served.inc()
-                    entry_bytes = sum(
-                        int(getattr(payload, "size", 32))
-                        for _, entries, _ in dirty.epochs
-                        for payload in entries
-                    )
-                    self.send(
-                        sender, dirty, size=dirty.boundary_bytes + entry_bytes + 128
-                    )
-                    self.trace(
-                        "dirty-snapshot-served",
-                        epoch=request.epoch,
-                        base=dirty.base_epoch,
-                        to=str(sender),
-                    )
-                    return
             self.send(sender, SnapshotUnavailable(request.epoch))
             return
         snapshot, size = cached
@@ -918,92 +878,6 @@ class ReconfigurableReplica(Process):
             SnapshotReply(request.epoch, deepcopy(snapshot), size),
             size=size + 128,
         )
-
-    def _build_dirty_snapshot(self, epoch: EpochId) -> DirtySnapshotReply | None:
-        """Dirty hand-off, transfer half: the best boundary we have *now*.
-
-        Requires a true finished boundary at our execution frontier (a
-        mid-epoch recovery checkpoint must never be served as one) and an
-        entry source for every epoch between it and the requested one.
-        The entries shipped are agreed decisions — possibly an incomplete
-        prefix of each epoch's effective log, which is exactly the point:
-        the joiner replays what exists and the transfer retry loop tops
-        it up until some source can finish the job.
-        """
-        base = self.exec_epoch
-        if base >= epoch:
-            return None
-        base_runtime = self.chain.get(base)
-        if (
-            base_runtime is None
-            or not base_runtime.start_state_ready
-            or not base_runtime.start_state_is_boundary
-        ):
-            return None
-        epochs = []
-        for e in range(base, epoch):
-            runtime = self.chain.get(e)
-            if runtime is None:
-                return None
-            epochs.append((runtime.config, tuple(runtime.effective), runtime.cut_slot))
-        cached_base = self.boundary_snapshots.get(base)
-        boundary_bytes = cached_base[1] if cached_base is not None else 64
-        return DirtySnapshotReply(
-            epoch=epoch,
-            base_epoch=base,
-            boundary=deepcopy(base_runtime.start_state),
-            boundary_bytes=boundary_bytes,
-            epochs=tuple(epochs),
-        )
-
-    def _handle_dirty_snapshot_reply(self, reply: DirtySnapshotReply) -> None:
-        """Install a dirty boundary: base state now, tail by replay.
-
-        The base boundary is only adopted by a genuinely cold replica
-        (nothing executed, no state) — anyone else already has a state
-        the base would clobber. The tail entries always flow through
-        :meth:`_observe_entry`, which refuses epochs where our own engine
-        is authoritative, skips orphans past a cut and deduplicates — so
-        a second dirty reply (or one racing the real boundary) merely
-        extends what the first one started. Seals replay naturally: a
-        replayed ``ReconfigCommand`` seals its epoch through the ordinary
-        ``_append_effective`` path, so the chain, cut slots and the next
-        epoch's boundary all derive from agreed history.
-        """
-        target = self.chain.get(reply.epoch)
-        if target is None or target.start_state_ready:
-            return
-        if reply.base_epoch >= reply.epoch or not reply.epochs:
-            return
-        base_config = reply.epochs[0][0]
-        if base_config.epoch != reply.base_epoch:
-            return
-        cold = self.state is None and self.virtual_index == 0
-        if cold:
-            self._open_epoch(base_config, prev_members=None)
-            base_runtime = self.chain[base_config.epoch]
-            if not base_runtime.start_state_ready and base_runtime.executed == 0:
-                # Move the execution frontier back to the base: safe only
-                # because nothing has executed here yet, and required so
-                # _advance_execution replays forward from the boundary.
-                self.exec_epoch = reply.base_epoch
-                base_runtime.start_state = reply.boundary
-                base_runtime.start_state_ready = True
-        self.dirty_applied += 1
-        self._m_dirty_applied.inc()
-        replayed = 0
-        for config, entries, _cut in reply.epochs:
-            for slot, payload in enumerate(entries):
-                self._observe_entry(config, slot, payload)
-                replayed += 1
-        self.trace(
-            "dirty-transfer",
-            epoch=reply.epoch,
-            base=reply.base_epoch,
-            cold=cold,
-            replayed=replayed,
-        )
-        self._advance_execution()
 
     def _handle_snapshot_reply(self, reply: SnapshotReply) -> None:
         runtime = self.chain.get(reply.epoch)
@@ -1426,8 +1300,6 @@ class ReconfigurableReplica(Process):
             self._handle_snapshot_request(payload, sender)
         elif isinstance(payload, SnapshotReply):
             self._handle_snapshot_reply(payload)
-        elif isinstance(payload, DirtySnapshotReply):
-            self._handle_dirty_snapshot_reply(payload)
         elif isinstance(payload, SnapshotChunkRequest):
             self._handle_chunk_request(payload, sender)
         elif isinstance(payload, SnapshotChunkReply):

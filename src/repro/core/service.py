@@ -76,7 +76,6 @@ class ReplicatedService:
         batch_delay: float = 0.0,
         batch_max: int = 32,
         window: int = 0,
-        handoff: str = "clean",
     ):
         self.sim = sim
         self.app_factory = app_factory
@@ -96,7 +95,6 @@ class ReplicatedService:
             params = ReconfigParams(
                 engine_factory=factory,
                 pipeline_depth=pipeline_depth,
-                handoff=handoff,
             )
         self.params = params
         self.commit_listener = commit_listener

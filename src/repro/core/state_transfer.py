@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.types import Configuration, EpochId, NodeId
+from repro.types import EpochId, NodeId
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,31 +41,6 @@ class SnapshotUnavailable:
     """The asked replica does not (yet) have that boundary snapshot."""
 
     epoch: EpochId
-
-
-@dataclass(frozen=True, slots=True)
-class DirtySnapshotReply:
-    """Dirty-cut hand-off: a boundary the source can serve *right now*.
-
-    Sent (only under ``ReconfigParams.handoff == "dirty"``) by a source
-    that was asked for the boundary of ``epoch`` before it finished
-    executing the epochs leading up to it. Instead of
-    :class:`SnapshotUnavailable`, the source ships the newest finished
-    boundary it does have (``base_epoch``, possibly several epochs back)
-    plus the effective-log tail it has learned since: ``epochs`` lists
-    ``(config, effective_entries_so_far, cut_slot_or_None)`` for every
-    epoch in ``[base_epoch, epoch)``, in order. The receiver installs the
-    base boundary and replays the tail through the observer-entry
-    machinery — every entry is an agreed decision, so the replayed state
-    is a prefix of the agreed history and later replies (or the real
-    boundary) simply extend it.
-    """
-
-    epoch: EpochId
-    base_epoch: EpochId
-    boundary: Any
-    boundary_bytes: int
-    epochs: tuple[tuple[Configuration, tuple, Any], ...]
 
 
 @dataclass(frozen=True, slots=True)

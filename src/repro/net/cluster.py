@@ -81,7 +81,6 @@ class LocalCluster:
         lease_ms: float | None = None,
         suspect_ms: float | None = None,
         staleness_ms: float | None = None,
-        handoff: str | None = None,
         extra_args: list[str] | None = None,
     ):
         if replicas < 1:
@@ -108,9 +107,6 @@ class LocalCluster:
         self.lease_ms = lease_ms
         self.suspect_ms = suspect_ms
         self.staleness_ms = staleness_ms
-        #: epoch hand-off mode forwarded to every replica (see ``repro
-        #: serve --handoff``). None keeps the serve default (clean cut).
-        self.handoff = handoff
         #: extra ``repro serve`` flags appended to every replica's argv
         #: (e.g. the shard ownership flags a ShardedCluster passes down).
         self.extra_args = list(extra_args or [])
@@ -196,8 +192,6 @@ class LocalCluster:
             argv += ["--suspect-timeout", str(self.suspect_ms)]
         if self.staleness_ms is not None:
             argv += ["--staleness-bound", str(self.staleness_ms)]
-        if self.handoff is not None:
-            argv += ["--handoff", self.handoff]
         if name in self.initial:
             argv += ["--initial", ",".join(self.initial)]
         if self.verbose:

@@ -178,7 +178,6 @@ def _register_protocol() -> None:
         st.SnapshotRequest,
         st.SnapshotReply,
         st.SnapshotUnavailable,
-        st.DirtySnapshotReply,
         st.SnapshotChunkRequest,
         st.SnapshotChunkReply,
         # fault-injection admin protocol (serve --chaos only)

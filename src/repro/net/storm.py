@@ -23,8 +23,8 @@ those into a seeded, repeatable **storm plan** executed against a live
 ``joincrash``
     A join racing SIGKILL crashes: the outgoing epoch's leader dies right
     after the seal (stranding its in-flight tail — the exact window the
-    dirty hand-off exists for) and the joiner itself is killed mid-join
-    and later restarted with amnesia.
+    seal-time tail rescue exists for) and the joiner itself is killed
+    mid-join and later restarted with amnesia.
 
 Every run is checked with the same Wing–Gong linearizability oracle as
 the chaos suite and produces the fault-aligned hand-off timeline; on top
@@ -32,7 +32,7 @@ of that it measures the two storm headline numbers: the **unavailability
 window** (largest gap between consecutive acknowledged client operations
 during the storm) and the **hand-off latency** (cluster-level
 reconfiguration span width, decided → first commit in the new epoch).
-``repro bench storm`` compares both across ``--handoff clean|dirty``.
+``repro bench storm`` reports both per scenario.
 """
 
 from __future__ import annotations
@@ -335,7 +335,6 @@ class StormReport:
     """Outcome of one :func:`run_storm_scenario` run."""
 
     plan: StormPlan
-    handoff: str
     read_mode: str | None
     #: verdict, injections, history, aligned spans, errors — same shape
     #: as a chaos run so the timeline/tooling carries over unchanged.
@@ -345,7 +344,7 @@ class StormReport:
     reconfigs: list[dict] = field(default_factory=list)
     unavailability: dict = field(default_factory=dict)
     handoff_latency: dict = field(default_factory=dict)
-    #: per-node smr.* counters (orphans, dirty_* diagnostics).
+    #: per-node smr.* counters (orphans, seal-time dirty_overlaps).
     counters: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -374,7 +373,6 @@ class StormReport:
     def write_timeline(self, path: Any) -> None:
         payload = {
             "scenario": self.plan.scenario,
-            "handoff": self.handoff,
             "seed": self.plan.seed,
             "linearizable": self.linearizable.ok,
             "ok": self.ok,
@@ -386,7 +384,7 @@ class StormReport:
 
     def lines(self) -> list[str]:
         out = [
-            f"storm {self.plan.scenario}: handoff={self.handoff} "
+            f"storm {self.plan.scenario}: "
             f"seed={self.plan.seed} elapsed={self.chaos.elapsed:.1f}s "
             f"(replica logs: {self.chaos.log_dir})",
         ]
@@ -484,7 +482,6 @@ def run_storm_scenario(
     scenario: str = "overlap",
     *,
     seed: int = 42,
-    handoff: str = "clean",
     replicas: int = 3,
     log_dir: Any = None,
     keys: int = 8,
@@ -502,7 +499,7 @@ def run_storm_scenario(
     storm-specific parts on top: joiners are spawned up front, the
     reconfigure steps run on their own schedule concurrently with the
     workload, and the report carries the unavailability window and
-    cluster-level hand-off latency for the clean/dirty comparison.
+    cluster-level hand-off latency.
 
     The sharded cells (``shard``, ``director``) are dispatched to
     :func:`repro.shard.storm.run_shard_storm_scenario`, which returns
@@ -514,7 +511,6 @@ def run_storm_scenario(
         return run_shard_storm_scenario(
             scenario,
             seed=seed,
-            handoff=handoff,
             replicas=replicas,
             log_dir=log_dir,
             keys=keys,
@@ -538,7 +534,6 @@ def run_storm_scenario(
         verbose=verbose,
         durable=durable,
         read_mode=read_mode,
-        handoff=handoff,
     )
     with cluster:
         cluster.start(timeout=20.0)
@@ -623,7 +618,6 @@ def run_storm_scenario(
     )
     return StormReport(
         plan=plan,
-        handoff=handoff,
         read_mode=read_mode,
         chaos=chaos_report,
         reconfigs=reconfigs,

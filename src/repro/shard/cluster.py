@@ -60,7 +60,6 @@ class ShardedCluster:
         verbose: bool = False,
         durable: bool = False,
         reserve: int = 2,
-        handoff: str | None = None,
         director_replicas: int = 0,
         director_hold_ms: float = 0.0,
         director_takeover_ms: float = 1500.0,
@@ -75,7 +74,6 @@ class ShardedCluster:
         self.host = host
         self.seed = seed
         self.verbose = verbose
-        self.handoff = handoff
         self.director_replicas = director_replicas
         self.log_dir = Path(
             log_dir
@@ -103,7 +101,6 @@ class ShardedCluster:
                 verbose=verbose,
                 durable=durable,
                 reserve=reserve,
-                handoff=handoff,
             )
             self.clusters[name] = cluster
             self.members[name] = list(cluster.initial)

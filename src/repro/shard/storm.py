@@ -145,7 +145,6 @@ def run_shard_storm_scenario(
     scenario: str = "director",
     *,
     seed: int = 42,
-    handoff: str = "clean",
     replicas: int = 3,
     log_dir: Any = None,
     keys: int = 12,
@@ -158,11 +157,9 @@ def run_shard_storm_scenario(
 ) -> StormReport:
     """Run one sharded storm cell and return the usual storm report.
 
-    ``handoff`` applies to the data groups (the director group always
-    runs clean — its log is tiny and its correctness is the thing under
-    test). ``read_mode`` is accepted for signature parity with the
-    data-plane runner but not plumbed into the groups; a note is
-    recorded when it is set so a misconfigured sweep is visible.
+    ``read_mode`` is accepted for signature parity with the data-plane
+    runner but not plumbed into the groups; a note is recorded when it
+    is set so a misconfigured sweep is visible.
     """
     plan = build_shard_storm_plan(
         scenario, replicas=replicas, seed=seed, scale=scale
@@ -183,7 +180,6 @@ def run_shard_storm_scenario(
         log_dir=log_dir,
         verbose=verbose,
         durable=durable,
-        handoff=handoff,
         director_replicas=3,
         director_hold_ms=hold,
         director_takeover_ms=DIRECTOR_TAKEOVER_MS,
@@ -329,7 +325,6 @@ def run_shard_storm_scenario(
     )
     return StormReport(
         plan=plan,
-        handoff=handoff,
         read_mode=read_mode,
         chaos=chaos,
         reconfigs=entries,

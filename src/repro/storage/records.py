@@ -74,9 +74,10 @@ class WalEpochOpen:
 
 @dataclass(frozen=True, slots=True)
 class WalDirtyOverlap:
-    """The tail a dirty hand-off carried across a seal, before it decided.
+    """The undecided tail a member carried across a seal.
 
-    Written at the instant ``epoch`` seals under ``handoff="dirty"``, and
+    Written at the instant ``epoch`` seals (by every member: the name is
+    historical, from when the overlap was the "dirty" hand-off mode), and
     *before* the tail is re-proposed into ``epoch + 1`` (durable before
     send). The re-proposals themselves are plain engine traffic with no
     durable trace until accepted somewhere — so a replica SIGKILLed

@@ -45,7 +45,6 @@ def run_kv_service(
     until: float = 30.0,
     request_timeout: float = 0.5,
     keyspace: int = 10,
-    handoff: str = "clean",
 ):
     """Spin up a KV service, run clients to completion, return (svc, clients)."""
     service = ReplicatedService(
@@ -54,7 +53,6 @@ def run_kv_service(
         KvStateMachine,
         pipeline_depth=pipeline_depth,
         engine_factory=engine_factory,
-        handoff=handoff,
     )
     clients = []
     for c in range(client_count):

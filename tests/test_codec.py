@@ -26,7 +26,6 @@ from repro.core.reconfig import (
     ObserverUpdate,
 )
 from repro.core.state_transfer import (
-    DirtySnapshotReply,
     SnapshotChunkReply,
     SnapshotChunkRequest,
     SnapshotReply,
@@ -255,9 +254,6 @@ STRATEGIES: dict[type, st.SearchStrategy] = {
     SnapshotRequest: st.builds(SnapshotRequest, epochs),
     SnapshotReply: st.builds(SnapshotReply, epochs, values, sizes),
     SnapshotUnavailable: st.builds(SnapshotUnavailable, epochs),
-    DirtySnapshotReply: st.builds(
-        DirtySnapshotReply, epochs, epochs, values, sizes, observer_epochs
-    ),
     SnapshotChunkRequest: st.builds(SnapshotChunkRequest, epochs, slots),
     SnapshotChunkReply: st.builds(
         SnapshotChunkReply, epochs, slots, slots, values, sizes
@@ -573,6 +569,8 @@ class TestWireFormats:
             codec.decode_payload(blob[:-1])
         with pytest.raises(codec.CodecError):
             codec.decode_payload(blob + b"\x00")
+        with pytest.raises(codec.CodecError):  # a type id past the registry
+            codec.decode_payload(bytes([blob[0], len(codec.registered_names())]))
 
 
 class TestEstimator:

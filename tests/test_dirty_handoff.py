@@ -1,46 +1,25 @@
-"""Tests for the dirty-cut hand-off mode (``ReconfigParams.handoff``).
+"""Tests for the seal-time tail rescue (``_overlap_sealed_tail``).
 
-Dirty hand-off has two halves, exercised here at both the unit and the
-service level:
-
-* **overlap** — at the seal, the outgoing engine's still-awaiting
-  payloads are re-proposed into the incoming epoch instead of waiting
-  for the old configuration to decide them (safe: exactly-once apply
-  dedups, so the worst case is a command agreed twice and applied once);
-* **dirty transfer** — a snapshot source that has no finished boundary
-  for the requested epoch serves the boundary it *does* have plus the
-  agreed effective-log tails in between, and the receiver replays the
-  tail through the ordinary observer-entry machinery.
-
-Clean mode must be byte-for-byte unaffected: it is the default and the
-safety baseline the storm suite compares against.
+At the seal, the outgoing engine's still-awaiting payloads are
+re-proposed into the incoming epoch instead of waiting for the old
+configuration to decide them (safe: exactly-once apply dedups, so the
+worst case is a command agreed twice and applied once). This began as
+one half of a "dirty" hand-off mode — hence the file and counter names —
+and is now what every member does at every seal.
 """
 
-from copy import deepcopy
-
 from repro.apps.kvstore import KvStateMachine
-from repro.consensus.multipaxos import MultiPaxosEngine
-from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
-from repro.core.state_transfer import DirtySnapshotReply
-from repro.sim.runner import Simulator
 from repro.types import Command, CommandId, client_id, node_id
 from tests.conftest import run_kv_service
 
 BACK_TO_BACK = [(1.0, ["n2", "n3", "n4"]), (1.5, ["n3", "n4", "n5"])]
 
 
-def dirty_params(**overrides):
-    return ReconfigParams(
-        engine_factory=MultiPaxosEngine.factory(), handoff="dirty", **overrides
-    )
-
-
 class TestDirtyEndToEnd:
     def test_converges_under_back_to_back_reconfigs(self, sim):
         service, clients, finished = run_kv_service(
             sim, n_ops=60, client_count=2, reconfigs=BACK_TO_BACK,
-            handoff="dirty",
         )
         assert finished
         assert service.newest_epoch() == 2
@@ -51,28 +30,15 @@ class TestDirtyEndToEnd:
     def test_overlap_fires_on_sealed_tails(self, sim):
         service, clients, finished = run_kv_service(
             sim, n_ops=60, client_count=2, reconfigs=BACK_TO_BACK,
-            handoff="dirty",
         )
         assert finished
         total = sum(r.dirty_overlaps for r in service.replicas.values())
         assert total > 0, "no sealed engine had an awaiting tail to overlap"
 
-    def test_clean_mode_never_touches_dirty_paths(self, sim):
-        service, clients, finished = run_kv_service(
-            sim, n_ops=60, client_count=2, reconfigs=BACK_TO_BACK,
-        )
-        assert finished
-        for replica in service.replicas.values():
-            assert replica.dirty_overlaps == 0
-            assert replica.dirty_served == 0
-            assert replica.dirty_applied == 0
-
 
 class TestOverlapSealedTail:
     def test_seal_reproposes_awaiting_payloads(self, sim):
-        service = ReplicatedService(
-            sim, ["n1", "n2", "n3"], KvStateMachine, params=dirty_params()
-        )
+        service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
         sim.run(until=1.0)  # settle the epoch-0 election
         replica = service.replicas[node_id("n1")]
         runtime = replica.epoch_runtime(0)
@@ -91,203 +57,8 @@ class TestOverlapSealedTail:
         assert payload.cid in replica._replies
 
     def test_empty_tail_is_a_noop(self, sim):
-        service = ReplicatedService(
-            sim, ["n1", "n2", "n3"], KvStateMachine, params=dirty_params()
-        )
+        service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
         sim.run(until=1.0)
         replica = service.replicas[node_id("n1")]
         replica._overlap_sealed_tail(replica.epoch_runtime(0))
         assert replica.dirty_overlaps == 0
-
-
-class TestDirtySnapshotBuilder:
-    def settled_service(self, sim):
-        service, clients, finished = run_kv_service(
-            sim, n_ops=40, reconfigs=[(0.5, ["n1", "n2", "n4"])],
-            handoff="dirty",
-        )
-        assert finished
-        return service
-
-    def test_refuses_epochs_at_or_behind_the_frontier(self, sim):
-        service = self.settled_service(sim)
-        replica = service.replicas[node_id("n1")]
-        assert replica.exec_epoch == 1
-        assert replica._build_dirty_snapshot(0) is None
-        assert replica._build_dirty_snapshot(1) is None
-
-    def test_serves_base_boundary_plus_agreed_tail(self, sim):
-        service = self.settled_service(sim)
-        replica = service.replicas[node_id("n1")]
-        # A source still executing epoch 0 (mid-hand-off) serves its
-        # epoch-0 boundary plus whatever of epoch 0 is agreed so far.
-        replica.exec_epoch = 0
-        try:
-            reply = replica._build_dirty_snapshot(1)
-        finally:
-            replica.exec_epoch = 1
-        assert reply is not None
-        assert reply.base_epoch == 0
-        assert len(reply.epochs) == 1
-        config, entries, cut = reply.epochs[0]
-        assert config.epoch == 0
-        assert cut == replica.epoch_runtime(0).cut_slot
-        assert entries == tuple(replica.epoch_runtime(0).effective)
-        # Genesis serves its founding boundary: None, meaning "a fresh
-        # state machine" — the same contract bootstrap uses. A non-None
-        # boundary must be a copy, never an alias of the live state.
-        src_state = replica.epoch_runtime(0).start_state
-        assert reply.boundary == src_state
-        assert reply.boundary is None or reply.boundary is not src_state
-
-    def test_refuses_non_boundary_start_state(self, sim):
-        service = self.settled_service(sim)
-        replica = service.replicas[node_id("n1")]
-        replica.exec_epoch = 0
-        replica.epoch_runtime(0).start_state_is_boundary = False
-        try:
-            assert replica._build_dirty_snapshot(1) is None
-        finally:
-            replica.epoch_runtime(0).start_state_is_boundary = True
-            replica.exec_epoch = 1
-
-    def test_refuses_gaps_in_the_chain(self, sim):
-        service = self.settled_service(sim)
-        replica = service.replicas[node_id("n1")]
-        replica.exec_epoch = 0
-        removed = replica.chain.pop(0)
-        try:
-            assert replica._build_dirty_snapshot(1) is None
-        finally:
-            replica.chain[0] = removed
-            replica.exec_epoch = 1
-
-
-class TestDirtyReceive:
-    def paused_joiner(self, sim):
-        """A dirty-mode join paused at the instant the joiner is cold.
-
-        Runs until ``n4`` has learned that epoch 1 exists but has not yet
-        received any boundary for it — the exact state a dirty reply is
-        addressed to.
-        """
-        service = ReplicatedService(
-            sim, ["n1", "n2", "n3"], KvStateMachine, params=dirty_params()
-        )
-        budget = [40]
-
-        def ops():
-            if budget[0] <= 0:
-                return None
-            budget[0] -= 1
-            return ("set", (f"k{budget[0] % 5}", budget[0]), 64)
-
-        from repro.core.client import ClientParams
-
-        client = service.make_client("c1", ops, ClientParams(start_delay=0.2))
-        service.reconfigure_at(0.4, ["n1", "n2", "n4"])
-        caught = sim.run_until(
-            lambda: (
-                node_id("n4") in service.replicas
-                and service.replicas[node_id("n4")].epoch_runtime(1) is not None
-                and not service.replicas[node_id("n4")]
-                .epoch_runtime(1)
-                .start_state_ready
-            ),
-            timeout=10.0,
-        )
-        assert caught, "joiner never reached the cold mid-transfer state"
-        return service, client, service.replicas[node_id("n4")]
-
-    def source_reply(self, service, epoch=1):
-        """Hand-build the reply a mid-hand-off source would have sent."""
-        source = service.replicas[node_id("n1")]
-        runtime = source.epoch_runtime(0)
-        return DirtySnapshotReply(
-            epoch=epoch,
-            base_epoch=0,
-            boundary=deepcopy(runtime.start_state),
-            boundary_bytes=64,
-            epochs=((runtime.config, tuple(runtime.effective), runtime.cut_slot),),
-        )
-
-    def test_cold_joiner_installs_base_and_replays(self, sim):
-        service, client, joiner = self.paused_joiner(sim)
-        assert joiner.state is None and joiner.virtual_index == 0
-        joiner._handle_dirty_snapshot_reply(self.source_reply(service))
-        assert joiner.dirty_applied == 1
-        # The base boundary took, and the replayed tail (which contains
-        # the sealing ReconfigCommand) re-derived epoch 1's boundary.
-        assert joiner.epoch_runtime(0).start_state_ready
-        assert joiner.epoch_runtime(1).start_state_ready
-        # The service still converges after the surgery.
-        done = sim.run_until(lambda: client.finished, timeout=30.0)
-        sim.run(until=sim.now + 2.0)
-        assert done
-        survivor = service.replicas[node_id("n1")]
-        assert joiner.state.snapshot() == survivor.state.snapshot()
-
-    def test_warm_replica_refuses_the_base(self, sim):
-        service, client, joiner = self.paused_joiner(sim)
-        reply = self.source_reply(service)
-        survivor = service.replicas[node_id("n2")]
-        before = survivor.exec_epoch
-        survivor_applied = survivor.dirty_applied
-        # n2 already executes real state: target epoch ready -> no-op.
-        survivor._handle_dirty_snapshot_reply(reply)
-        assert survivor.exec_epoch == before
-        assert survivor.dirty_applied == survivor_applied
-
-    def test_malformed_replies_are_ignored(self, sim):
-        service, client, joiner = self.paused_joiner(sim)
-        good = self.source_reply(service)
-        # Base not actually behind the requested epoch.
-        joiner._handle_dirty_snapshot_reply(
-            DirtySnapshotReply(1, 1, good.boundary, 64, good.epochs)
-        )
-        # No tail at all.
-        joiner._handle_dirty_snapshot_reply(
-            DirtySnapshotReply(1, 0, good.boundary, 64, ())
-        )
-        # Tail does not start at the claimed base epoch.
-        shifted = (
-            (joiner.epoch_runtime(1).config, (), None),
-        )
-        joiner._handle_dirty_snapshot_reply(
-            DirtySnapshotReply(1, 0, good.boundary, 64, shifted)
-        )
-        assert joiner.dirty_applied == 0
-        assert not joiner.epoch_runtime(1).start_state_ready
-
-    def test_duplicate_reply_is_idempotent(self, sim):
-        service, client, joiner = self.paused_joiner(sim)
-        reply = self.source_reply(service)
-        joiner._handle_dirty_snapshot_reply(reply)
-        # Epoch 1's boundary is now derived; a second copy of the same
-        # reply must change nothing (ready target -> early return).
-        joiner._handle_dirty_snapshot_reply(reply)
-        assert joiner.dirty_applied == 1
-        done = sim.run_until(lambda: client.finished, timeout=30.0)
-        sim.run(until=sim.now + 2.0)
-        assert done
-        survivor = service.replicas[node_id("n1")]
-        assert joiner.state.snapshot() == survivor.state.snapshot()
-
-
-class TestDirtyServing:
-    def test_unavailable_when_dirty_build_fails(self, sim):
-        """A caught-up dirty source still says unavailable, not garbage."""
-        from repro.core.state_transfer import SnapshotRequest
-
-        service, clients, finished = run_kv_service(
-            sim, n_ops=40, reconfigs=[(0.5, ["n1", "n2", "n4"])],
-            handoff="dirty",
-        )
-        assert finished
-        replica = service.replicas[node_id("n1")]
-        replica.boundary_snapshots.clear()
-        served = replica.dirty_served
-        # exec_epoch == 1, so _build_dirty_snapshot(1) has no base to
-        # offer; the request must fall through to SnapshotUnavailable.
-        replica._handle_snapshot_request(SnapshotRequest(1), node_id("n4"))
-        assert replica.dirty_served == served

@@ -1,6 +1,6 @@
-"""Crash mid-dirty-overlap: the WAL record that keeps the tail alive.
+"""Crash mid-overlap: the WAL record that keeps the sealed tail alive.
 
-The dirty hand-off re-proposes a sealed engine's still-awaiting payloads
+Every seal re-proposes the sealed engine's still-awaiting payloads
 into the next epoch, but until some acceptor durably accepts them those
 payloads exist only in the sealing replica's memory. A SIGKILL in that
 gap used to drop the tail silently — the replica recovered, the chain
@@ -23,10 +23,9 @@ from repro.sim.runner import Simulator
 from repro.storage import ReplicaStore, WalDirtyOverlap
 from repro.types import Command, CommandId, client_id, node_id
 
-def dirty_params(**overrides):
-    return ReconfigParams(
-        engine_factory=MultiPaxosEngine.factory(), handoff="dirty", **overrides
-    )
+
+def default_params():
+    return ReconfigParams(engine_factory=MultiPaxosEngine.factory())
 
 
 def cmd(key, value, client="tail", seq=1):
@@ -95,7 +94,7 @@ class TestCrashMidOverlap:
             sim,
             ["n1", "n2", "n3"],
             KvStateMachine,
-            params=dirty_params(),
+            params=default_params(),
             storage_factory=factory,
         )
         sim.run(until=1.0)  # settle the epoch-0 election
@@ -132,7 +131,7 @@ class TestCrashMidOverlap:
                 sim2,
                 node_id(node),
                 KvStateMachine,
-                dirty_params(),
+                default_params(),
                 initial_config=None,
                 storage=ReplicaStore(tmp_path / node, fsync=False),
             )

@@ -5,13 +5,23 @@ mid-seal at a *retiring* replica used to die silently inside the sealed
 instance (engine-level dedup swallowed the re-proposal), so the client
 only recovered via its full request timeout. The retiring replica must
 bounce such clients to the new configuration immediately.
+
+:class:`TestFaultAtTheSeal` pins the other way a command can sit out a
+request timeout: parked in a *surviving* member's sealed engine while
+the rest of the old quorum dies at the seal, so the old epoch can never
+decide it. The seal-time tail rescue carries it into the new epoch.
 """
+
+import pytest
 
 from repro.apps.kvstore import KvStateMachine
 from repro.core.client import ClientParams
+from repro.core.command import ReconfigCommand
 from repro.core.service import ReplicatedService
 from repro.sim.runner import Simulator
 from repro.types import node_id
+from repro.verify.histories import History
+from repro.verify.linearizability import check_kv_linearizable
 
 
 def saturating_clients(sim, service, count=4):
@@ -94,3 +104,101 @@ class TestSealedEpochProposals:
         assert first_order is not None
         # Ordering resumption must not wait for the ~200ms state transfer.
         assert first_order - 1.0 < 0.08, first_order - 1.0
+
+
+RECONFIGURE_AT = 1.0
+GAP_WINDOW = 3.0
+
+
+def run_fault_at_the_seal(seed, scenario):
+    """One seeded run with the retirees crashing at the instant of the seal.
+
+    Three closed-loop get/set clients, first contacts spread over the
+    members, run against ``n1..n3``. At ``RECONFIGURE_AT`` a RECONFIGURE
+    retires the epoch-0 leader (``leader``) or the leader and one more
+    member (``past-f``: the new membership is the survivor plus two
+    joiners), and the retirees crash at the instant the first effective
+    log takes the ``ReconfigCommand`` — after the leader's Decide left,
+    before anything queued behind the cut could be decided.
+
+    Returns ``(max_gap, service, clients)``; ``max_gap`` is the longest
+    stretch of the ``GAP_WINDOW`` seconds after the RECONFIGURE in which
+    no client operation was acknowledged.
+    """
+    sim = Simulator(seed=seed)
+    victims = []
+
+    def crash_at_first_seal(now, payload, epoch, slot):
+        if isinstance(payload, ReconfigCommand):
+            while victims:
+                sim.schedule(0.0, service.replicas[victims.pop()].crash)
+
+    service = ReplicatedService(
+        sim, ["n1", "n2", "n3"], KvStateMachine,
+        order_listener=crash_at_first_seal,
+    )
+    acked_at = []
+    clients = []
+    for i in range(3):
+        rng = sim.rng.fork(f"seal-{i}")
+        values = iter(range(i, 10**9, 3))  # unique across the clients
+
+        def ops(rng=rng, values=values):
+            key = f"k{rng.randint(0, 7)}"
+            if rng.random() < 0.5:
+                return ("get", (key,), 32)
+            return ("set", (key, next(values)), 64)
+
+        client = service.make_client(
+            f"c{i}", ops, ClientParams(start_delay=0.2, request_timeout=0.5),
+            on_complete=lambda record: acked_at.append(record.returned_at),
+        )
+        client._target_index = i  # every sim client starts at n1 otherwise
+        clients.append(client)
+
+    def reconfigure():
+        members = service.initial_config.members.sorted_nodes()
+        leader = next(
+            n for n in members
+            if service.replicas[n].epoch_runtime(0).engine.is_leader
+        )
+        second, survivor = (str(n) for n in members if n != leader)
+        if scenario == "leader":
+            victims.append(leader)
+            service.reconfigure([second, survivor, "n4"])
+        else:
+            victims.extend([leader, node_id(second)])
+            service.reconfigure([survivor, "n4", "n5"])
+
+    sim.at(RECONFIGURE_AT, reconfigure)
+    end = RECONFIGURE_AT + GAP_WINDOW
+    sim.run(until=end)
+    for client in clients:
+        client.finished = True
+    sim.run(until=end + 2.0)  # let the last epoch settle everywhere
+    acked = [t for t in acked_at if RECONFIGURE_AT < t <= end]
+    marks = [RECONFIGURE_AT, *acked, end]
+    max_gap = max(b - a for a, b in zip(marks, marks[1:]))
+    return max_gap, service, clients
+
+
+class TestFaultAtTheSeal:
+    @pytest.mark.parametrize("scenario", ["leader", "past-f"])
+    def test_retirees_killed_at_the_seal_cost_no_request_timeout(self, scenario):
+        """Fails on any build that leaves the sealed engine's undecided
+        tail to the old epoch. Before the rescue was unconditional the
+        survivor's client sat out one ``proposal_retry_interval`` or old-
+        epoch election on ``leader`` (worst seed 0.173 s) and, with the
+        old quorum dead on ``past-f``, a full ``request_timeout`` (0.5 s
+        on 5 of the 12 seeds, median 0.059 s). With it no seed passes
+        0.012 s, so the bound holds for every seed, not just the median."""
+        gaps = []
+        for seed in range(1, 13):
+            gap, service, clients = run_fault_at_the_seal(seed, scenario)
+            gaps.append(round(gap, 3))
+            assert service.newest_epoch() == 1
+            states = [r.state.snapshot() for r in service.live_members()]
+            assert len(states) == 3 and all(s == states[0] for s in states)
+            verdict = check_kv_linearizable(History.from_clients(clients))
+            assert verdict.ok, (seed, verdict)
+        assert max(gaps) <= 0.1, gaps

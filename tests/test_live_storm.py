@@ -2,10 +2,11 @@
 
 The acceptance matrix for the storm suite: every scenario in the family
 (overlapping RECONFIGUREs, rolling full-cluster replacement, joins
-racing SIGKILL crashes) passes the Wing–Gong oracle under the clean-cut
-hand-off, and the dirty-cut mode passes on the *same* seeded schedules.
-One extra cell runs a storm with lease reads active, so the read fast
-path is exercised while epochs churn underneath it.
+racing SIGKILL crashes) passes the Wing–Gong oracle on its seeded
+schedule. (Test ids say "clean cut" from when a second, "dirty" hand-off
+mode ran the same schedules; there is one hand-off now.) One extra cell
+runs a storm with lease reads active, so the read fast path is exercised
+while epochs churn underneath it.
 
 Each run is the same closed loop as ``repro storm``: spawn a real
 cluster, execute the seeded plan (faults from a ChaosController thread,
@@ -25,11 +26,10 @@ WALL_CLOCK_BUDGET = 60.0
 SEED = 42
 
 
-def run_and_assert(tmp_path, scenario, handoff, **kwargs):
+def run_and_assert(tmp_path, scenario, **kwargs):
     started = time.monotonic()
     report = run_storm_scenario(
-        scenario, seed=SEED, handoff=handoff, log_dir=tmp_path / "logs",
-        **kwargs,
+        scenario, seed=SEED, log_dir=tmp_path / "logs", **kwargs
     )
     elapsed = time.monotonic() - started
     assert report.ok, "\n".join(report.lines())
@@ -55,33 +55,22 @@ def run_and_assert(tmp_path, scenario, handoff, **kwargs):
 class TestStormFamily:
     @pytest.mark.parametrize("scenario", STORM_SCENARIOS)
     def test_clean_cut_is_linearizable(self, tmp_path, scenario):
-        report = run_and_assert(tmp_path, scenario, "clean")
+        report = run_and_assert(tmp_path, scenario)
         assert report.linearizable.ok
-        # Clean mode must never touch the dirty machinery.
-        assert all(
-            node.get("smr.dirty_overlaps", 0) == 0
-            for node in report.counters.values()
+        # Every surviving replica reports its seal-time overlap count.
+        assert report.counters and all(
+            "smr.dirty_overlaps" in node for node in report.counters.values()
         )
 
-    @pytest.mark.parametrize("scenario", STORM_SCENARIOS)
-    def test_dirty_cut_is_linearizable_on_the_same_schedule(
-        self, tmp_path, scenario
-    ):
-        report = run_and_assert(tmp_path, scenario, "dirty")
-        assert report.linearizable.ok
-        assert report.handoff == "dirty"
-
     def test_final_membership_took_effect(self, tmp_path):
-        report = run_and_assert(tmp_path, "rolling", "dirty")
+        report = run_and_assert(tmp_path, "rolling")
         # Rolling replacement: no founding member remains at the end.
         assert not set(report.chaos.final_members) & set(report.plan.initial)
 
 
 class TestStormWithLeaseReads:
     def test_joincrash_with_lease_reads_active(self, tmp_path):
-        report = run_and_assert(
-            tmp_path, "joincrash", "dirty", read_mode="lease"
-        )
+        report = run_and_assert(tmp_path, "joincrash", read_mode="lease")
         # Lease mode is held to full linearizability under the storm,
         # and the fast path actually served reads while epochs churned.
         assert report.linearizable.ok
