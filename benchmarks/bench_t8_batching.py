@@ -1,9 +1,12 @@
 """T8 — leader-side batching ablation (table T8).
 
-Expected shape: messages per operation fall monotonically with the batch
-window while median latency rises by roughly the window; throughput stays
-within the same order (simulated CPU is free, so the win is message
-amortisation, not compute).
+Expected shape: messages per operation fall with the batch window, and the
+price in median latency is at most the round trip a command waits behind —
+the window only bounds how long commands are held *behind a slot in
+flight*, an idle pipeline never waits on it — so widening the window past
+a round trip costs next to nothing (EXPERIMENTS T8 keeps the table of the
+earlier rule, where a batched command paid roughly the whole window, as a
+dated result).
 """
 
 from benchmarks.conftest import run_once
@@ -11,16 +14,23 @@ from repro.bench.experiments import exp_t8_batching
 
 
 def test_t8_batching(benchmark):
-    delays = (0.0, 2.0)
+    delays = (0.0, 2.0, 5.0)
     out = run_once(benchmark, exp_t8_batching, delays_ms=delays)
     off = out.data[0.0]
     on = out.data[2.0]
+    wide = out.data[5.0]
     assert on["msgs_per_op"] < off["msgs_per_op"] * 0.6
-    assert on["throughput"] > off["throughput"] * 0.5
-    # a batched command observes roughly the window as extra latency
+    assert wide["msgs_per_op"] <= on["msgs_per_op"]
+    # a batched command waits behind the slot in flight: about a round
+    # trip, whatever the window
     assert on["p50_ms"] > off["p50_ms"]
-    # ...but with CPU-bound replicas batching wins on BOTH axes:
+    assert wide["p50_ms"] < off["p50_ms"] + 0.5 * 5.0
+    assert wide["p50_ms"] < on["p50_ms"] * 1.1
+    assert wide["throughput"] > off["throughput"] * 0.75
+    # ...and with CPU-bound replicas batching wins on BOTH axes, at every
+    # window:
     cpu_off = out.data[("cpu", 0.0)]
-    cpu_on = out.data[("cpu", 2.0)]
-    assert cpu_on["throughput"] > cpu_off["throughput"] * 1.2
-    assert cpu_on["p50_ms"] < cpu_off["p50_ms"]
+    for delay in (2.0, 5.0):
+        cpu_on = out.data[("cpu", delay)]
+        assert cpu_on["throughput"] > cpu_off["throughput"] * 1.2
+        assert cpu_on["p50_ms"] < cpu_off["p50_ms"]

@@ -756,9 +756,10 @@ def exp_t8_batching(
     """Batch-delay sweep: message amortisation vs added latency.
 
     Leader-side batching shares one Phase-2 round trip across every
-    command arriving within the window. In simulation (where CPU is free)
-    the win shows as message cost; the price is the window added to
-    closed-loop latency — the classic knob real deployments tune.
+    command arriving while a slot is in flight. In simulation (where CPU
+    is free) the win shows as message cost; the price is the wait behind
+    that slot — at most a round trip or the window, whichever is shorter,
+    since an idle pipeline never holds a command.
     """
     from repro.consensus.multipaxos import PaxosParams
 

@@ -170,8 +170,13 @@ def _parse_peers(spec: str) -> dict[str, tuple[str, int]]:
     return book
 
 
-def _cmd_serve(args: "argparse.Namespace") -> int:
-    """Run one live replica process until SIGINT/SIGTERM."""
+def build_replica(args: "argparse.Namespace"):
+    """Everything ``serve`` runs, built and wired but not yet serving.
+
+    Returns ``(runtime, replica, host, port)``; ``runtime.network`` is the
+    transport and ``replica.storage`` the durable store (None without
+    ``--data-dir``).
+    """
     from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
     from repro.core.reconfig import ReconfigParams, ReconfigurableReplica
     from repro.net.runtime import LiveRuntime
@@ -198,6 +203,10 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
         storage = ReplicaStore(
             args.data_dir, fsync=args.fsync, metrics=runtime.metrics
         )
+        # WAL group commit: the records written while one inbound chunk
+        # is handled share a single fsync (the safety argument is at
+        # TcpTransport.add_dispatch_group).
+        transport.add_dispatch_group(storage.group)
     if args.chaos:
         from repro.net.chaos import install_chaos_endpoint
 
@@ -289,6 +298,13 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
                 takeover=args.metadir_takeover / 1000.0,
             )
             driver.start()
+    return runtime, replica, host, port
+
+
+def _cmd_serve(args: "argparse.Namespace") -> int:
+    """Run one live replica process until SIGINT/SIGTERM."""
+    runtime, replica, host, port = build_replica(args)
+    storage = replica.storage
     if storage is not None:
         stat = storage.status()
         boot = "recovered" if stat["recovered"] else "fresh"
@@ -304,17 +320,18 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
         shard_note = (f", shard={args.shard_group} "
                       f"ranges={args.shard_ranges or '(none)'}")
     commit_note = ""
-    if engine_params.batch_delay > 0 or engine_params.window > 0:
+    if args.batch_delay > 0 or args.window > 0:
         commit_note = (f", batch={args.batch_delay:g}ms"
-                       f"/max{engine_params.batch_max}"
-                       f", window={engine_params.window or 'unbounded'}")
+                       f"/max{args.batch_max}"
+                       f", window={args.window or 'unbounded'}")
     read_note = ""
     if args.read_mode != "log":
         bound = (f"lease={args.lease_duration:g}ms" if args.read_mode == "lease"
                  else f"staleness<={args.staleness_bound:g}ms")
         read_note = f", reads={args.read_mode} ({bound})"
+    member = args.node in [m.strip() for m in args.initial.split(",")]
     print(f"[{args.node}] serving on {host}:{port} "
-          f"(app={args.app}, member={'yes' if initial_config else 'standby'}"
+          f"(app={args.app}, member={'yes' if member else 'standby'}"
           f"{commit_note}{read_note}{shard_note})",
           flush=True)
     runtime.run(host, port)
@@ -704,7 +721,9 @@ def _cmd_storm(args: "argparse.Namespace") -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> "argparse.ArgumentParser":
+    """The ``repro`` command line (split from :func:`main` so a test can
+    build the namespace ``serve`` runs from)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reconfigurable SMR from non-reconfigurable building blocks "
@@ -752,9 +771,10 @@ def main(argv: list[str] | None = None) -> int:
                        "(0 = only at epoch boundaries; needs --data-dir)")
     serve.add_argument("--batch-delay", type=float, default=0.0,
                        metavar="MS",
-                       help="leader-side command batching: hold a batch "
-                       "open up to this many milliseconds so concurrent "
-                       "commands share one Paxos instance (0 = off)")
+                       help="leader-side command batching: while a slot is "
+                       "in flight, hold a batch open up to this many "
+                       "milliseconds so concurrent commands share one Paxos "
+                       "instance; an idle pipeline never waits (0 = off)")
     serve.add_argument("--batch-max", type=int, default=32,
                        help="max commands per batch")
     serve.add_argument("--window", type=int, default=0,
@@ -1002,7 +1022,12 @@ def main(argv: list[str] | None = None) -> int:
                              help="comma-separated group counts to sweep "
                              "(default: 1,2,4,8 or 1,3 with --smoke)")
     shard_bench.add_argument("--seed", type=int, default=42)
+    bench.set_defaults(print_help=bench.print_help)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
@@ -1046,7 +1071,7 @@ def main(argv: list[str] | None = None) -> int:
                 smoke=args.smoke, out=args.out, seed=args.seed,
                 group_counts=group_counts,
             )
-        bench.print_help()
+        args.print_help()
         return 1
     parser.print_help()
     return 1

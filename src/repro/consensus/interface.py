@@ -1,7 +1,7 @@
 """The static SMR interface: the composition boundary of the paper.
 
-The reconfigurable layer (:mod:`repro.core`) treats a consensus engine as a
-black box with exactly this contract:
+The reconfigurable layer built on top of this package treats a consensus
+engine as a black box with exactly this contract:
 
 * ``propose(payload)`` — best-effort submission; the engine may decide the
   payload once, more than once (duplicate slots after retries), or never
@@ -10,6 +10,10 @@ black box with exactly this contract:
   ``on_decide`` callback supplied at construction;
 * ``stop()`` — cease participating (used after an epoch is sealed and its
   state handed off).
+
+A payload that must own its slot says so itself: a class attribute
+``batchable = False`` keeps an engine from packing it into a
+:class:`Batch`. Engines never import a payload type to find out.
 
 Engines are *embedded* objects, not processes: a host
 :class:`repro.sim.node.Process` may run several engine instances (one per
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from repro.sim.events import Timer
 from repro.sim.node import Process
@@ -44,6 +48,8 @@ class InstanceMessage:
 @dataclass(frozen=True, slots=True)
 class Noop:
     """Filler value used by leaders to close log gaps. Carries no effect."""
+
+    batchable: ClassVar[bool] = False
 
     reason: str = "gap"
 
@@ -200,8 +206,8 @@ class StaticSmrHost(Process):
 
     This is the standalone deployment used by the raw-building-block
     benchmarks (experiment T1) and the engine unit tests. The
-    reconfigurable replica in :mod:`repro.core.reconfig` plays the same
-    hosting role for many engines at once.
+    reconfigurable replica of the layer above plays the same hosting
+    role for many engines at once.
     """
 
     INSTANCE_ID = "static"

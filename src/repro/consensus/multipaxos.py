@@ -60,8 +60,10 @@ class PaxosParams:
     catchup_batch: int = 200
     initial_campaign_delay_max: float = 0.005
     protocol_overhead_bytes: int = 96
-    #: leader-side batching: commands arriving within this window share
-    #: one slot (and one Phase-2 round trip). 0 disables batching.
+    #: leader-side batching: commands arriving while a slot is in flight
+    #: share the next slot (and its Phase-2 round trip); this bounds how
+    #: long they are held behind the busy pipeline. An idle pipeline never
+    #: holds a command. 0 disables batching.
     batch_delay: float = 0.0
     batch_max: int = 32
     #: proposer pipeline window: max Phase-2 slots open concurrently.
@@ -138,6 +140,9 @@ class MultiPaxosEngine(SmrEngine):
         self._batch: list[Any] = []
         self._batch_keys: set[Any] = set()
         self._batch_timer: Timer | None = None
+        #: when the open batch got its first command (paxos.batch_wait:
+        #: one sample per slot flushed, first buffered command -> flush).
+        self._batch_opened_at = 0.0
         #: follower -> newest heartbeat send-time it acknowledged.
         self._hb_echoes: dict[NodeId, float] = {}
         self._last_leader_contact = float("-inf")
@@ -150,6 +155,7 @@ class MultiPaxosEngine(SmrEngine):
         self._m_campaigns = metrics.counter("paxos.campaigns")
         self._m_elections = metrics.counter("paxos.elections")
         self._m_batch_size = metrics.histogram("paxos.batch_size")
+        self._m_batch_wait = metrics.histogram("paxos.batch_wait")
         if self.params.lease_duration >= self.params.suspect_timeout_min:
             raise ConfigurationError(
                 "lease_duration must be strictly below suspect_timeout_min "
@@ -252,14 +258,24 @@ class MultiPaxosEngine(SmrEngine):
         if self._batchable(payload) and (
             self.params.batch_delay > 0 or self._window_full()
         ):
+            if not self._batch:
+                self._batch_opened_at = self.transport.now
             self._batch.append(payload)
             if key is not None:
                 self._batch_keys.add(key)
             if len(self._batch) >= self.params.batch_max or self.params.batch_delay <= 0:
                 self._flush_batch()
             elif self._batch_timer is None or not self._batch_timer.active:
+                # Nagle's rule with slots for segments: hold commands only
+                # behind a slot in flight (its decision flushes them, see
+                # _handle_accepted; batch_delay bounds the hold). With
+                # nothing in flight there is nothing to wait for, and the
+                # zero-delay timer fires once the frame or chunk that
+                # carried this command has been admitted whole.
                 self._batch_timer = self.transport.set_timer(
-                    self.params.batch_delay, self._flush_batch, label="batch"
+                    self.params.batch_delay if self.inflight else 0.0,
+                    self._flush_batch,
+                    label="batch",
                 )
             return
         # Non-batchable payloads (reconfigurations, noops) must own their
@@ -277,15 +293,9 @@ class MultiPaxosEngine(SmrEngine):
         return self.params.window > 0 and len(self.inflight) >= self.params.window
 
     def _batchable(self, payload: Any) -> bool:
-        # Only plain client commands batch; anything with seal semantics
-        # (ReconfigCommand) or no identity (Noop) rides alone.
-        from repro.core.command import ReconfigCommand
-
-        return (
-            proposal_key(payload) is not None
-            and not isinstance(payload, ReconfigCommand)
-            and not isinstance(payload, Noop)
-        )
+        # Only plain client commands batch; a payload that must own its
+        # slot (seal semantics, filler) declares ``batchable = False``.
+        return getattr(payload, "batchable", True) and proposal_key(payload) is not None
 
     def _flush_batch(self, force: bool = False) -> None:
         """Drain the batch buffer into Phase-2 slots.
@@ -313,6 +323,7 @@ class MultiPaxosEngine(SmrEngine):
                     self._batch_keys.discard(key)
                     self.assigned_keys[key] = slot
             self._m_batch_size.record(len(chunk))
+            self._m_batch_wait.record(self.transport.now - self._batch_opened_at)
             self._send_accepts(slot, value)
 
     def _send_accepts(self, slot: Slot, value: Any, only: set[NodeId] | None = None) -> None:
@@ -574,11 +585,12 @@ class MultiPaxosEngine(SmrEngine):
                 if peer != self.transport.node:
                     self.transport.send(peer, decide, size=size)
             # A slot just left the pipeline window; commands that were
-            # buffered behind it ride out now as one batch — unless a
-            # live batch timer is still gathering within its latency
-            # bound.
+            # buffered behind it ride out now as one batch — unless other
+            # slots are still in flight and a live batch timer is still
+            # gathering within its latency bound.
             if self._batch and (
-                len(self._batch) >= self.params.batch_max
+                not self.inflight
+                or len(self._batch) >= self.params.batch_max
                 or self._batch_timer is None
                 or not self._batch_timer.active
             ):

@@ -9,6 +9,7 @@ an epoch's log deterministically terminates that epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.types import CommandId, Membership, NodeId
 
@@ -23,6 +24,10 @@ class ReconfigCommand:
     cannot fork anyway, since each epoch seals at the *first* reconfig in
     its log, but dedup avoids wasted epochs).
     """
+
+    #: the effective-log cut is per slot: a reconfiguration owns its slot
+    #: (engines ask the payload, see :mod:`repro.consensus.interface`).
+    batchable: ClassVar[bool] = False
 
     cid: CommandId
     new_members: Membership

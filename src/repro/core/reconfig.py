@@ -37,9 +37,10 @@ Speculative pipelining (the paper's liveness point)
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.consensus.interface import (
     Batch,
@@ -238,7 +239,7 @@ class ReconfigurableReplica(Process):
 
         self._pending: dict[CommandId, _PendingReply] = {}
         self._replies: dict[CommandId, tuple[Any, EpochId, int]] = {}
-        #: while a decided Batch executes, replies coalesce here (keyed by
+        #: inside :meth:`_coalesced_replies` replies gather here (keyed by
         #: destination) and leave as one ReplyBatch frame per client.
         self._reply_buffer: dict[NodeId, list[ClientReply]] | None = None
         self._sealed_cids: set[CommandId] = set()
@@ -256,6 +257,9 @@ class ReconfigurableReplica(Process):
         self._orphans = self.metrics.counter("smr.orphans")
         self._m_dirty_overlaps = self.metrics.counter("smr.dirty_overlaps")
         self._exec_lag = self.metrics.histogram("smr.exec_lag")
+        #: replies sent to clients / frames that carried them.
+        self._m_replies = self.metrics.counter("smr.replies")
+        self._m_reply_frames = self.metrics.counter("smr.reply_frames")
         self._epoch_commits: dict[EpochId, Any] = {}
         #: the epoch this replica was bootstrapped into (no reconfiguration
         #: created it, so it gets no reconfiguration span).
@@ -715,16 +719,11 @@ class ReconfigurableReplica(Process):
     def _execute(self, payload: Any, epoch: EpochId) -> None:
         assert self.state is not None
         if isinstance(payload, Batch):
-            # One slot, many commands: each gets its own virtual position.
-            # Replies produced while the batch executes are coalesced per
-            # destination and leave as one ReplyBatch frame per client —
-            # the reply-path half of wire-level batching. Plain Commands
+            # One slot, many commands: each gets its own virtual position,
+            # and the replies leave as one frame per client. Plain Commands
             # (the entire hot path) run in an inlined loop; anything else
             # in a mixed batch falls back to the general case.
-            opened = self._reply_buffer is None
-            if opened:
-                self._reply_buffer = {}
-            try:
+            with self._coalesced_replies():
                 state_apply = self.state.apply
                 commits = self.committed
                 listener = self.commit_listener
@@ -740,14 +739,6 @@ class ReconfigurableReplica(Process):
                     self._count_commit(epoch)
                     if listener is not None:
                         listener(self.now, inner, epoch, vindex, value)
-            finally:
-                if opened:
-                    buffered, self._reply_buffer = self._reply_buffer, None
-                    for dest, replies in buffered.items():
-                        if len(replies) == 1:
-                            self.send(dest, replies[0])
-                        else:
-                            self.send(dest, ReplyBatch(tuple(replies)))
             return
         vindex = self.virtual_index
         self.virtual_index += 1
@@ -770,11 +761,39 @@ class ReconfigurableReplica(Process):
         self._replies[cid] = (value, epoch, vindex)
         pending = self._pending.pop(cid, None)
         if pending is not None:
-            reply = ClientReply(cid, value, epoch, vindex)
-            if self._reply_buffer is not None:
-                self._reply_buffer.setdefault(pending.client, []).append(reply)
-            else:
-                self.send(pending.client, reply)
+            self._reply_client(pending.client, ClientReply(cid, value, epoch, vindex))
+
+    def _reply_client(self, client: NodeId, reply: ClientReply) -> None:
+        """Answer one command; inside a coalescing scope the frame waits
+        for the scope's end (the command was still served *here*)."""
+        if self._reply_buffer is not None:
+            self._reply_buffer.setdefault(client, []).append(reply)
+            return
+        self._m_replies.inc()
+        self._m_reply_frames.inc()
+        self.send(client, reply)
+
+    @contextmanager
+    def _coalesced_replies(self) -> Iterator[None]:
+        """Replies produced inside the scope leave at its end, one frame
+        per client: the reply-path half of wire-level batching. Entered
+        around a decided :class:`Batch` and around a :class:`RequestBatch`
+        frame; a nested scope joins the outer one."""
+        if self._reply_buffer is not None:
+            yield
+            return
+        self._reply_buffer = {}
+        try:
+            yield
+        finally:
+            buffered, self._reply_buffer = self._reply_buffer, None
+            for client, replies in buffered.items():
+                self._m_replies.inc(len(replies))
+                self._m_reply_frames.inc()
+                self.send(
+                    client,
+                    replies[0] if len(replies) == 1 else ReplyBatch(tuple(replies)),
+                )
 
     def _finish_epoch(self, runtime: EpochRuntime) -> None:
         assert self.state is not None
@@ -1143,7 +1162,7 @@ class ReconfigurableReplica(Process):
         cached = self._replies.get(command.cid)
         if cached is not None:
             value, epoch, vindex = cached
-            self.send(reply_to, ClientReply(command.cid, value, epoch, vindex))
+            self._reply_client(reply_to, ClientReply(command.cid, value, epoch, vindex))
             return
         if command.op in self.params.read_only_ops:
             mode = self.params.read_mode
@@ -1201,9 +1220,8 @@ class ReconfigurableReplica(Process):
         value = self.state.inner.apply(command)
         self.lease_reads += 1
         self._m_lease_reads.inc()
-        self.send(
-            reply_to,
-            ClientReply(command.cid, value, runtime.config.epoch, -1),
+        self._reply_client(
+            reply_to, ClientReply(command.cid, value, runtime.config.epoch, -1)
         )
         return True
 
@@ -1242,9 +1260,8 @@ class ReconfigurableReplica(Process):
         value = self.state.inner.apply(command)
         self.follower_reads += 1
         self._m_follower_reads.inc()
-        self.send(
-            reply_to,
-            ClientReply(command.cid, value, runtime.config.epoch, -1),
+        self._reply_client(
+            reply_to, ClientReply(command.cid, value, runtime.config.epoch, -1)
         )
         return True
 
@@ -1265,7 +1282,9 @@ class ReconfigurableReplica(Process):
         cached = self._replies.get(command.cid)
         if cached is not None:
             value, epoch, vindex = cached
-            self.send(request.reply_to, ClientReply(command.cid, value, epoch, vindex))
+            self._reply_client(
+                request.reply_to, ClientReply(command.cid, value, epoch, vindex)
+            )
             return
         self._pending[command.cid] = _PendingReply(request.reply_to, self.now)
         if not self.request_reconfiguration(command):
@@ -1288,10 +1307,12 @@ class ReconfigurableReplica(Process):
             self._handle_client_request(payload)
         elif isinstance(payload, RequestBatch):
             # Unpack a coalesced frame; each command takes the ordinary
-            # per-command path (dedup, lease reads, redirects, pending).
+            # per-command path (dedup, lease reads, redirects, pending),
+            # and what is answered on the spot shares one reply frame.
             reply_to = payload.reply_to
-            for command in payload.commands:
-                self._admit_command(command, reply_to)
+            with self._coalesced_replies():
+                for command in payload.commands:
+                    self._admit_command(command, reply_to)
         elif isinstance(payload, ReconfigRequest):
             self._handle_reconfig_request(payload)
         elif isinstance(payload, EpochAnnounce):

@@ -128,13 +128,6 @@ class LiveRuntime:
             raise SimulationError(f"process {process.node!r} already registered")
         self._processes[process.node] = process
         self.network.register(process.node, process.deliver)
-        # WAL group commit: wrap every inbound chunk's dispatch in the
-        # store's group window, so the records written while handling one
-        # chunk of protocol traffic share a single fsync (see
-        # TcpTransport.add_dispatch_group for the safety argument).
-        store = getattr(process, "storage", None)
-        if store is not None and hasattr(store, "group"):
-            self.network.add_dispatch_group(store.group)
         if self._started:
             self._loop.call_soon(process.on_start)
 

@@ -334,19 +334,23 @@ class TcpTransport:
         #: context-manager factories wrapped around each inbound chunk's
         #: dispatch loop (see :meth:`add_dispatch_group`).
         self._dispatch_groups: list[Callable[[], ContextManager[Any]]] = []
+        #: reply-route frames produced by the chunk being dispatched, per
+        #: connection; None between chunks (see :meth:`_dispatch_chunk`).
+        self._corked: dict[asyncio.StreamWriter, list[bytes]] | None = None
         #: one-entry broadcast memo: (payload object, encoded bytes).
         self._encoded_payload: tuple[Any, bytes] | None = None
 
     def add_dispatch_group(self, factory: Callable[[], ContextManager[Any]]) -> None:
         """Wrap every inbound chunk's dispatch loop in ``factory()``.
 
-        The runtime registers the replica store's group-commit window
+        ``serve`` registers the replica store's group-commit window
         here: all WAL appends triggered while dispatching the frames of
         one network chunk then share a single fsync, issued when the
-        window closes — which is *before* this callback returns, hence
-        before any peer writer task (they are woken, not run, during
-        dispatch) can put a resulting protocol message on a socket. That
-        ordering is what keeps durable-before-send intact per window.
+        window closes. No byte leaves the process between a window's open
+        and its fsync: peer writer tasks are woken, not run, during
+        dispatch, and frames for reply routes are corked until the
+        windows have closed (see :meth:`_dispatch_chunk`). That ordering
+        is what keeps durable-before-send intact per window.
         """
         self._dispatch_groups.append(factory)
 
@@ -424,15 +428,7 @@ class TcpTransport:
                 if not chunk:
                     break
                 buffer += chunk
-                if self._dispatch_groups:
-                    # Group-commit windows: every WAL append triggered by
-                    # this chunk's frames shares one fsync at stack exit.
-                    with contextlib.ExitStack() as stack:
-                        for factory in self._dispatch_groups:
-                            stack.enter_context(factory())
-                        self._drain_chunk(buffer, writer)
-                else:
-                    self._drain_chunk(buffer, writer)
+                self._dispatch_chunk(buffer, writer)
         except (
             asyncio.IncompleteReadError,
             ConnectionError,
@@ -445,6 +441,31 @@ class TcpTransport:
             for node in stale:
                 del self._reply_routes[node]
             writer.close()
+
+    def _dispatch_chunk(self, buffer: bytearray, writer: asyncio.StreamWriter) -> None:
+        """Dispatch one inbound chunk; what it produced leaves at its end.
+
+        Every WAL append triggered by the chunk's frames shares one fsync
+        when the dispatch groups close. A reply route's ``write`` hands
+        bytes to the socket at once, so a reply produced inside a window
+        (a quorum of one decides there) would be acknowledged before the
+        fsync that makes it durable: reply frames are corked while the
+        chunk dispatches and written, one joined write per connection,
+        only after the groups have closed. If a group fails to close (an
+        fsync error) the corked replies are dropped with the exception.
+        """
+        corked: dict[asyncio.StreamWriter, list[bytes]] = {}
+        self._corked = corked
+        try:
+            with contextlib.ExitStack() as stack:
+                for factory in self._dispatch_groups:
+                    stack.enter_context(factory())
+                self._drain_chunk(buffer, writer)
+        finally:
+            self._corked = None
+        for route, frames in corked.items():
+            if not route.is_closing():
+                route.write(b"".join(frames))
 
     def _drain_chunk(self, buffer: bytearray, writer: asyncio.StreamWriter) -> None:
         """Parse and dispatch every complete frame currently buffered."""
@@ -571,8 +592,12 @@ class TcpTransport:
             return
         if route is not None and not route.is_closing():
             # Reply path for clients: best-effort write on their inbound
-            # connection (never awaited, so a slow client only buffers).
-            route.write(frame)
+            # connection (never awaited, so a slow client only buffers);
+            # corked to the end of the chunk while one is being dispatched.
+            if self._corked is not None:
+                self._corked.setdefault(route, []).append(frame)
+            else:
+                route.write(frame)
             return
         self.stats.messages_dropped += 1
         self._m_frames_dropped.inc()

@@ -288,6 +288,9 @@ class ReplicaStore:
         self.fsync = fsync
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_appends = self.metrics.counter("wal.appends")
+        #: appends that never demand an fsync; the grouping an fsync
+        #: really bought is (appends - lazy_appends) / fsyncs.
+        self._m_lazy_appends = self.metrics.counter("wal.lazy_appends")
         self._m_fsyncs = self.metrics.counter("wal.fsyncs")
         self._m_bytes = self.metrics.counter("wal.bytes")
         self._m_checkpoints = self.metrics.counter("wal.checkpoints")
@@ -427,6 +430,8 @@ class ReplicaStore:
         epoch = _record_epoch(record)
         if epoch > self._active_epoch:
             self._active_epoch = epoch
+        if lazy:
+            self._m_lazy_appends.inc()
         self._writer.append(record, defer_sync=self._group_depth > 0, lazy=lazy)
 
     # -- group commit ---------------------------------------------------------
@@ -436,13 +441,14 @@ class ReplicaStore:
 
         All appends issued while at least one window is open defer their
         fsync; the outermost window close forces them to media with a
-        single ``os.fsync``. The live runtime wraps every inbound network
+        single ``os.fsync``. ``serve`` wraps every inbound network
         chunk's dispatch in one of these, so the records written while
         processing N messages cost one sync — and crucially the sync
         happens *before* the dispatch callback returns, which is before
         the transport's writer tasks can put any resulting protocol
-        message on a socket. Durable-before-send is preserved per window.
-        A window that appends nothing costs nothing.
+        message on a socket, and before the transport uncorks the
+        replies the chunk produced. Durable-before-send is preserved per
+        window. A window that appends nothing costs nothing.
         """
         return _GroupWindow(self)
 

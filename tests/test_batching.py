@@ -144,16 +144,25 @@ class TestBatchedService:
     def test_reconfig_command_rides_alone(self):
         sim = Simulator(seed=602)
         service = self._service(sim, delay=0.010)
-        clients = self._clients(sim, service, count=8)
+        # Enough operations that the clients are still submitting when the
+        # RECONFIGURE arrives (an idle pipeline no longer holds a batch for
+        # ``delay``, so 8 x 40 would be done before t = 0.5 s).
+        clients = self._clients(sim, service, count=8, n_ops=400)
         service.reconfigure_at(0.5, ["n1", "n2", "n4"])
-        done = sim.run_until(lambda: all(c.finished for c in clients), timeout=40.0)
-        assert done
+        replica = service.replicas[node_id("n1")]
+        sealed = sim.run_until(
+            lambda: replica.epoch_runtime(0).cut_slot is not None, timeout=40.0
+        )
+        assert sealed
+        assert not all(c.finished for c in clients)
         # The slot that sealed epoch 0 must hold a bare ReconfigCommand.
         from repro.core.command import ReconfigCommand
 
-        replica = service.replicas[node_id("n1")]
         runtime = replica.epoch_runtime(0)
         assert isinstance(runtime.effective[runtime.cut_slot], ReconfigCommand)
+        assert any(isinstance(p, Batch) for p in runtime.effective)
+        done = sim.run_until(lambda: all(c.finished for c in clients), timeout=40.0)
+        assert done
 
     def test_virtual_indices_continuous_with_batches(self):
         sim = Simulator(seed=603)

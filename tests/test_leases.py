@@ -11,6 +11,7 @@ from repro.core.client import ClientParams
 from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.errors import ConfigurationError
+from repro.sim.node import Process
 from repro.sim.runner import Simulator
 from repro.types import node_id
 from repro.verify.histories import History
@@ -44,6 +45,17 @@ def one_write_client(sim, service, key="k", value=7):
     return service.make_client(
         "writer", ops, ClientParams(start_delay=0.05, request_timeout=0.3)
     )
+
+
+class Inbox(Process):
+    """A registered endpoint that keeps every frame sent to it."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, node_id(name))
+        self.frames = []
+
+    def on_message(self, payload, sender):
+        self.frames.append(payload)
 
 
 def mixed_clients(sim, service, count=3, n_ops=60, read_ratio=0.6):
@@ -292,13 +304,15 @@ class TestLeasePathIntegration:
     def test_request_batch_demux_hits_lease_path(self):
         # Coalesced frames must not bypass the per-command admission
         # path: every read in a RequestBatch takes the lease check, and
-        # writes in the same frame still reach the log.
-        from repro.core.client import RequestBatch
+        # writes in the same frame still reach the log. What the frame is
+        # answered with on the spot shares one reply frame.
+        from repro.core.client import ClientReply, ReplyBatch, RequestBatch
         from repro.types import Command, CommandId, client_id
 
         sim = Simulator(seed=103)
         service = lease_service(sim)
         writer = one_write_client(sim, service)
+        inbox = Inbox(sim, "probe-client")
         sim.run(until=0.5)
         assert writer.finished
         leader = next(
@@ -316,10 +330,37 @@ class TestLeasePathIntegration:
             ),
             reply_to=node_id("probe-client"),
         )
+        sent = sim.network.stats.by_type
+        singles = sent.get("ClientReply", 0)
+        assert sent.get("ReplyBatch", 0) == 0
         leader.on_message(batch, node_id("probe-client"))
         assert leader.lease_reads == before + 2
+        # Both reads left in one frame, the moment the frame was admitted.
+        assert sent.get("ReplyBatch", 0) == 1
+        assert sent.get("ClientReply", 0) == singles
         sim.run(until=sim.now + 0.5)  # let the batched write commit
         assert leader.state.inner.snapshot()["j"] == 9
+        # ...and the write's acknowledgement followed later, on its own.
+        assert sent.get("ClientReply", 0) == singles + 1
+        reads, write = inbox.frames
+        assert isinstance(reads, ReplyBatch)
+        assert [(r.cid.seq, r.value, r.virtual_index) for r in reads.replies] == [
+            (1, 7, -1), (2, 7, -1),
+        ]
+        assert isinstance(write, ClientReply) and write.cid.seq == 3
+
+        # The frame re-sent (a client retry): two fresh lease reads and the
+        # cached reply of the executed write, in one ReplyBatch.
+        del inbox.frames[:]
+        leader.on_message(batch, node_id("probe-client"))
+        sim.run(until=sim.now + 0.1)
+        (resent,) = inbox.frames
+        assert isinstance(resent, ReplyBatch)
+        assert [r.cid.seq for r in resent.replies] == [1, 2, 3]
+        assert resent.replies[2] == write
+        replies = sim.metrics.counter("smr.replies").value
+        frames = sim.metrics.counter("smr.reply_frames").value
+        assert replies - frames == 3  # 2 + 3 replies rode in 2 frames
 
     def test_lease_reads_bypass_the_log(self):
         # A lease read must never reach the proposal path: no Paxos slot,
@@ -435,6 +476,35 @@ class TestFollowerReads:
             )
             assert replica._serve_follower_read(read, node_id("pc")) is True
         assert sum(r.follower_reads for r in service.replicas.values()) == 3
+
+    def test_frame_of_reads_is_answered_by_one_frame(self):
+        from repro.core.client import ReplyBatch, RequestBatch
+        from repro.types import Command, CommandId, client_id
+
+        sim = Simulator(seed=110)
+        service = self.follower_service(sim)
+        writer = one_write_client(sim, service)
+        inbox = Inbox(sim, "pc")
+        sim.run(until=0.5)
+        assert writer.finished
+        follower = next(
+            r
+            for r in service.replicas.values()
+            if not r.epoch_runtime(0).engine.is_leader
+        )
+        batch = RequestBatch(
+            commands=tuple(
+                Command(CommandId(client_id("probe"), seq), "get", ("k",), size=32)
+                for seq in (1, 2, 3)
+            ),
+            reply_to=node_id("pc"),
+        )
+        follower.on_message(batch, node_id("pc"))
+        assert follower.follower_reads == 3
+        sim.run(until=sim.now + 0.1)
+        (frame,) = inbox.frames
+        assert isinstance(frame, ReplyBatch)
+        assert [(r.cid.seq, r.value) for r in frame.replies] == [(1, 7), (2, 7), (3, 7)]
 
     def test_stale_follower_refuses_local_reads(self):
         from repro.types import Command, CommandId, client_id
