@@ -14,12 +14,14 @@ Two measurements, written together to ``BENCH_shard.json``:
   non-linearizable run fails the gate unconditionally.
 
 Honesty note on scaling: N groups of 3 replicas is ``3N + 1`` Python
-processes plus the driving client. Near-linear scaling needs at least one
-core per replica; on the 1-CPU containers this repo is usually built in,
-every group timeslices the same core and aggregate throughput stays
+processes (the one is the director, a single-replica metadir group) plus
+the driving client. Near-linear scaling needs at least one core per
+replica; on the 1- and 2-CPU containers this repo is usually built in,
+every group timeslices the same cores and aggregate throughput stays
 roughly flat (the sweep then measures sharding *overhead*, which has its
-own floor gate). The report records ``cpus`` and the speedup gate arms
-itself only when ``cpus >= 2 * max(group_counts)``.
+own floor gate). The report records ``cpus``, the headline rows of the
+file it replaces as ``predecessor``, and the speedup gate arms itself
+only when ``cpus >= 2 * max(group_counts)``.
 
 Run via ``repro bench shard [--smoke] [--groups 1,2,4]``.
 """
@@ -30,6 +32,7 @@ import json
 import os
 import platform
 import time
+from pathlib import Path
 from typing import Any
 
 from repro.metrics import Table, percentile, summarize_throughput
@@ -116,6 +119,22 @@ def bench_split(seed: int, smoke: bool) -> dict[str, Any]:
     }
 
 
+def _predecessor(out: str) -> dict[str, Any] | None:
+    """Headline rows of the result file about to be replaced."""
+    try:
+        old = json.loads(Path(out).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    headlines = ("ops_per_s", "speedup", "p50_ms", "p99_ms")
+    return {
+        "cpus": old.get("cpus"),
+        "by_groups": {
+            count: {name: row.get(name) for name in headlines}
+            for count, row in old.get("scale", {}).get("by_groups", {}).items()
+        },
+    }
+
+
 def _render(scale: dict[str, Any], split: dict[str, Any] | None) -> None:
     table = Table(
         "T13 shard scale sweep (pipelined client, 3 replicas/group)",
@@ -123,7 +142,7 @@ def _render(scale: dict[str, Any], split: dict[str, Any] | None) -> None:
     )
     for row in scale["by_groups"].values():
         table.add_row(
-            row["groups"], row["replicas"], scale["ops"],
+            row["groups"], row["replicas"] + 1, scale["ops"],
             f"{row['ops_per_s']:.0f}", f"{row['speedup']:.2f}x",
             f"{row['p50_ms']:.2f}", f"{row['p99_ms']:.2f}",
         )
@@ -184,6 +203,7 @@ def run_shard_bench(
         "overhead_gate_groups": gate_count,
         "scale": scale,
         "split": split,
+        "predecessor": _predecessor(out),
     }
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

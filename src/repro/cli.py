@@ -288,16 +288,13 @@ def build_replica(args: "argparse.Namespace"):
             return inner if isinstance(inner, MetaDirStateMachine) else None
 
         install_director_endpoint(transport, args.node, _metadir_machine)
-        if args.metadir_driver:
-            driver = IntentDriver(
-                args.node,
-                replica,
-                addresses,
-                poll=args.metadir_poll / 1000.0,
-                hold=args.metadir_hold / 1000.0,
-                takeover=args.metadir_takeover / 1000.0,
-            )
-            driver.start()
+        IntentDriver(
+            args.node,
+            replica,
+            addresses,
+            hold=args.metadir_hold / 1000.0,
+            takeover=args.metadir_takeover / 1000.0,
+        ).start()
     return runtime, replica, host, port
 
 
@@ -399,15 +396,20 @@ def _cmd_shard_cluster(args: "argparse.Namespace") -> int:
     correctly from wherever it ended up.
     """
     from repro.shard.cluster import ShardedCluster
+    from repro.shard.shardmap import ShardError
 
-    cluster = ShardedCluster(
-        args.groups,
-        replicas_per_group=args.replicas_per_group,
-        spare_groups=args.spare_groups,
-        seed=args.seed,
-        verbose=args.verbose,
-        director_replicas=args.director_replicas,
-    )
+    try:
+        cluster = ShardedCluster(
+            args.groups,
+            replicas_per_group=args.replicas_per_group,
+            spare_groups=args.spare_groups,
+            seed=args.seed,
+            verbose=args.verbose,
+            director_replicas=args.director_replicas,
+        )
+    except ShardError as exc:
+        print(f"shard-cluster: {exc}", file=sys.stderr)
+        return 2
     total = args.groups + args.spare_groups
     print(f"starting {total} groups x {args.replicas_per_group} replicas "
           f"({args.groups} serving, {args.spare_groups} spare; "
@@ -415,17 +417,13 @@ def _cmd_shard_cluster(args: "argparse.Namespace") -> int:
     with cluster:
         cluster.start()
         shard_map = cluster.shard_map
-        if args.director_replicas >= 1:
-            book = cluster.director_addresses()
-            endpoints = ", ".join(
-                f"{name}@{host}:{port}"
-                for name, (host, port) in sorted(book.items())
-            )
-            print(f"replicated director ({len(book)} replicas: {endpoints}); "
-                  f"map v{shard_map.version}:")
-        else:
-            print(f"director on {cluster.director_address()[0]}:"
-                  f"{cluster.director_address()[1]}; map v{shard_map.version}:")
+        book = cluster.director_addresses()
+        endpoints = ", ".join(
+            f"{name}@{host}:{port}"
+            for name, (host, port) in sorted(book.items())
+        )
+        print(f"director: metadir group of {len(book)} ({endpoints}); "
+              f"map v{shard_map.version}:")
         for assignment in shard_map.assignments:
             print(f"  {assignment.range} -> {assignment.group}")
         keys = [f"key-{i:04d}" for i in range(args.ops)]
@@ -812,19 +810,12 @@ def build_parser() -> "argparse.ArgumentParser":
                        "(empty = a spare group owning nothing)")
     serve.add_argument("--shard-version", type=int, default=1,
                        help="shard-map version the boot ownership is from")
-    serve.add_argument("--metadir-driver", action="store_true",
-                       help="run the intent driver (metadir app only): "
-                       "rolls pending shard-admin intents forward against "
-                       "the data groups")
     serve.add_argument("--metadir-hold", type=float, default=0.0,
                        metavar="MS",
-                       help="driver test hook: pause between the retire "
-                       "step and the install submit (widens the "
-                       "killed-between-steps window the failover tests "
-                       "aim at; 0 = no pause)")
-    serve.add_argument("--metadir-poll", type=float, default=50.0,
-                       metavar="MS",
-                       help="driver poll period for pending intents")
+                       help="metadir app's intent driver, test hook: pause "
+                       "between the retire step and the install submit "
+                       "(widens the killed-between-steps window the "
+                       "failover tests aim at; 0 = no pause)")
     serve.add_argument("--metadir-takeover", type=float, default=1500.0,
                        metavar="MS",
                        help="a non-leader driver rolls an intent forward "
@@ -863,10 +854,10 @@ def build_parser() -> "argparse.ArgumentParser":
                                "verify the keyspace survives the cutover")
     shard_cluster.add_argument("--no-metrics", action="store_true",
                                help="skip the per-group metrics summary")
-    shard_cluster.add_argument("--director-replicas", type=int, default=0,
-                               help="replicate the director on its own "
-                               "metadir group of this many replicas "
-                               "(0 = classic in-process director); try 3")
+    shard_cluster.add_argument("--director-replicas", type=int, default=1,
+                               help="size of the metadir group that is the "
+                               "director (at least 1; 3 survive the death "
+                               "of the replica driving a move)")
     shard_cluster.add_argument("--seed", type=int, default=42)
     shard_cluster.add_argument("--verbose", action="store_true")
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import random
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.net import codec
-from repro.net.client import LiveClient, LiveClientError
+from repro.net.client import LiveClient, LiveClientError, request_reply
 from repro.net.observe import poll_cluster, reconfig_spans
 from repro.net.transport import LinkPolicy, TcpTransport
 from repro.sim.failures import (
@@ -371,40 +370,10 @@ class ChaosController:
     def _push(self, replica: str, command: ChaosCommand) -> ChaosAck | None:
         """Deliver one command to a replica's chaos endpoint, await the ack."""
         try:
-            with socket.create_connection(
-                self.cluster.addresses[replica], timeout=self.ack_timeout
-            ) as sock:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.sendall(
-                    codec.encode_frame(
-                        self.node, chaos_endpoint(replica), command
-                    )
-                )
-                buffer = b""
-                give_up_at = time.monotonic() + self.ack_timeout
-                while True:
-                    while len(buffer) >= 4:
-                        length = codec.frame_length(buffer[:4])
-                        if len(buffer) < 4 + length:
-                            break
-                        body = buffer[4 : 4 + length]
-                        buffer = buffer[4 + length :]
-                        _, _, payload = codec.decode_frame_body(body)
-                        if (
-                            isinstance(payload, ChaosAck)
-                            and payload.cid == command.cid
-                        ):
-                            return payload
-                    remaining = give_up_at - time.monotonic()
-                    if remaining <= 0:
-                        self.errors.append(f"{replica}: no ack for {command.op}")
-                        return None
-                    sock.settimeout(max(remaining, 0.01))
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        self.errors.append(f"{replica}: closed during {command.op}")
-                        return None
-                    buffer += chunk
+            return request_reply(
+                self.cluster.addresses[replica], self.node,
+                chaos_endpoint(replica), command, ChaosAck, self.ack_timeout,
+            )
         except (OSError, codec.CodecError) as exc:
             self.errors.append(f"{replica}: {command.op} push failed: {exc}")
             return None

@@ -15,6 +15,8 @@ the same retry discipline the simulated client uses:
 * timeouts and connection errors rotate round-robin to the next replica.
 
 Intended for tests and the ``repro cluster`` CLI, not high throughput.
+:func:`request_reply` is the one-shot form: what the ``#metrics``,
+``#chaos`` and shard-map admin round trips share.
 """
 
 from __future__ import annotations
@@ -54,6 +56,48 @@ PIPELINE_COALESCE = 96
 #: raises ``ValueError`` instead of rotating to the next replica), so every
 #: attempt is clamped to at least this much listening time.
 MIN_ATTEMPT_BUDGET = 0.05
+
+
+def request_reply(
+    address: Address,
+    sender: NodeId,
+    dest: NodeId,
+    request: Any,
+    reply_type: type,
+    timeout: float,
+) -> Any:
+    """One blocking admin round trip on a connection of its own.
+
+    Sends ``request`` (any payload with a ``cid``) to the endpoint
+    ``dest`` at ``address`` and reads frames until a ``reply_type`` with
+    the same ``cid`` arrives. Raises ``OSError`` (refused, closed, or
+    ``TimeoutError`` once ``timeout`` has run out) or
+    :class:`~repro.net.codec.CodecError`; the ``#metrics``, ``#chaos``
+    and shard-map callers each report those as their own error type.
+    """
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.sendall(codec.encode_frame(sender, dest, request))
+        buffer = b""
+        give_up_at = time.monotonic() + timeout
+        while True:
+            while len(buffer) >= 4:
+                length = codec.frame_length(buffer[:4])
+                if len(buffer) < 4 + length:
+                    break
+                body = buffer[4 : 4 + length]
+                buffer = buffer[4 + length :]
+                _, _, payload = codec.decode_frame_body(body)
+                if isinstance(payload, reply_type) and payload.cid == request.cid:
+                    return payload
+            remaining = give_up_at - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(f"no {reply_type.__name__} within {timeout}s")
+            sock.settimeout(max(remaining, 0.01))
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ConnectionError(f"closed before the {reply_type.__name__}")
+            buffer += chunk
 
 
 class LiveClient:

@@ -186,19 +186,14 @@ def _register_protocol() -> None:
         # observability admin protocol (the #metrics endpoint)
         ob.MetricsRequest,
         ob.MetricsSnapshot,
-        # shard protocol: the map itself, fetch/route, redirects, admin
+        # shard protocol: the map itself, its fetch, redirects
         smap.KeyRange,
         smap.ShardAssignment,
         smap.GroupInfo,
         smap.ShardMap,
         sm.ShardMapRequest,
         sm.ShardMapReply,
-        sm.RouteRequest,
-        sm.RouteReply,
         sm.WrongShard,
-        sm.SplitShard,
-        sm.MoveShard,
-        sm.ShardAck,
         # durable storage records (WAL + checkpoints; disk, not wire)
         sr.WalPromise,
         sr.WalAccept,

@@ -25,7 +25,6 @@ first-commit span.
 from __future__ import annotations
 
 import random
-import socket
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -40,6 +39,7 @@ from repro.metrics.registry import (
 )
 from repro.metrics.report import Table
 from repro.net import codec
+from repro.net.client import request_reply
 from repro.types import ClientId, CommandId, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -174,45 +174,15 @@ def fetch_metrics(
     Raises :class:`MetricsFetchError` if the replica is unreachable or
     does not answer within ``timeout``.
     """
-    cid = CommandId(ClientId(sender), seq)
-    request = MetricsRequest(cid)
+    request = MetricsRequest(CommandId(ClientId(sender), seq))
     try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.sendall(
-                codec.encode_frame(
-                    NodeId(sender), metrics_endpoint(replica), request
-                )
-            )
-            buffer = b""
-            give_up_at = time.monotonic() + timeout
-            while True:
-                while len(buffer) >= 4:
-                    length = codec.frame_length(buffer[:4])
-                    if len(buffer) < 4 + length:
-                        break
-                    body = buffer[4 : 4 + length]
-                    buffer = buffer[4 + length :]
-                    _, _, payload = codec.decode_frame_body(body)
-                    if (
-                        isinstance(payload, MetricsSnapshot)
-                        and payload.cid == cid
-                    ):
-                        return FetchedSnapshot(payload, time.monotonic())
-                remaining = give_up_at - time.monotonic()
-                if remaining <= 0:
-                    raise MetricsFetchError(
-                        f"{replica}: no metrics snapshot within {timeout}s"
-                    )
-                sock.settimeout(max(remaining, 0.01))
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise MetricsFetchError(
-                        f"{replica}: connection closed before snapshot"
-                    )
-                buffer += chunk
+        snapshot = request_reply(
+            address, NodeId(sender), metrics_endpoint(replica), request,
+            MetricsSnapshot, timeout,
+        )
     except (OSError, codec.CodecError) as exc:
         raise MetricsFetchError(f"{replica}: metrics fetch failed: {exc}") from exc
+    return FetchedSnapshot(snapshot, time.monotonic())
 
 
 def poll_cluster(

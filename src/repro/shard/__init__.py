@@ -11,14 +11,15 @@ The pieces:
 * :mod:`repro.shard.shardmap` — the map model: hash points, key ranges,
   assignments, and the pure map algebra (split / move / validate);
 * :mod:`repro.shard.messages` — the shard wire protocol (map fetch,
-  routing, ``WrongShard`` redirects, split/move admin commands);
-* :mod:`repro.shard.director` — the map authority: a tiny TCP service
-  owning the authoritative map and driving drain-and-cutover moves;
+  ``WrongShard`` redirects);
+* :mod:`repro.shard.metadir` — the map authority, the director: the map
+  version chain and the admin intents as a state machine replicated on
+  a group of its own, whose replicas drive drain-and-cutover moves;
 * :mod:`repro.shard.client` — the smart client: caches the map, fans
   requests out to per-group :class:`~repro.net.client.LiveClient`\\ s,
   and follows redirects so map changes propagate without a central hop;
 * :mod:`repro.shard.cluster` — :class:`ShardedCluster`, composing one
-  :class:`~repro.net.cluster.LocalCluster` per group plus a director;
+  :class:`~repro.net.cluster.LocalCluster` per group plus the director's;
 * :mod:`repro.shard.scenario` — the split-under-load scenario, verified
   with the Wing–Gong linearizability oracle across the cutover.
 

@@ -21,15 +21,24 @@ races against in-flight cutovers convergent: versions only move forward.
 from __future__ import annotations
 
 import random
-import socket
 import threading
 import time
 from typing import Any, Callable, Iterable
 
 from repro.core.client import ClientReply
 from repro.net import codec
-from repro.net.client import LiveClient, LiveClientError, MIN_ATTEMPT_BUDGET
-from repro.shard.messages import ShardMapReply, ShardMapRequest, WrongShard
+from repro.net.client import (
+    MIN_ATTEMPT_BUDGET,
+    LiveClient,
+    LiveClientError,
+    request_reply,
+)
+from repro.shard.messages import (
+    DIRECTOR_ENDPOINT,
+    ShardMapReply,
+    ShardMapRequest,
+    WrongShard,
+)
 from repro.shard.shardmap import GroupInfo, ShardError, ShardMap, key_point
 from repro.types import ClientId, CommandId, NodeId
 
@@ -98,45 +107,29 @@ def _fetch_map(
     seq: int = 1,
     timeout: float = 2.0,
 ) -> ShardMap:
-    """One raw-socket map fetch from one director endpoint (no retry)."""
-    cid = CommandId(ClientId(sender), seq)
+    """One map fetch from one director endpoint (no retry).
+
+    Whatever is wrong with the answer — no connection, no reply, bytes
+    that do not decode, a map that is not a partition, a reply carrying
+    something other than a map — is this endpoint's failure, so callers
+    rotating over several endpoints move on to the next.
+    """
+    request = ShardMapRequest(CommandId(ClientId(sender), seq))
     try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.sendall(
-                codec.encode_frame(
-                    NodeId(sender), NodeId("shard-director"), ShardMapRequest(cid)
-                )
+        shard_map = request_reply(
+            address, NodeId(sender), NodeId(DIRECTOR_ENDPOINT), request,
+            ShardMapReply, timeout,
+        ).shard_map
+        if not isinstance(shard_map, ShardMap):
+            raise ShardError(
+                f"reply carries a {type(shard_map).__name__}, not a map"
             )
-            buffer = b""
-            give_up_at = time.monotonic() + timeout
-            while True:
-                while len(buffer) >= 4:
-                    length = codec.frame_length(buffer[:4])
-                    if len(buffer) < 4 + length:
-                        break
-                    body = buffer[4 : 4 + length]
-                    buffer = buffer[4 + length :]
-                    _, _, payload = codec.decode_frame_body(body)
-                    if isinstance(payload, ShardMapReply) and payload.cid == cid:
-                        payload.shard_map.validate()
-                        return payload.shard_map
-                remaining = give_up_at - time.monotonic()
-                if remaining <= 0:
-                    raise ShardClientError(
-                        f"no shard map from director {address} in {timeout}s"
-                    )
-                sock.settimeout(max(remaining, 0.01))
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise ShardClientError(
-                        "director closed the connection before replying"
-                    )
-                buffer += chunk
-    except (OSError, codec.CodecError) as exc:
+        shard_map.validate()
+    except (OSError, codec.CodecError, ShardError) as exc:
         raise ShardClientError(
             f"shard map fetch from {address} failed: {exc}"
         ) from exc
+    return shard_map
 
 
 class ShardClient:
@@ -161,16 +154,14 @@ class ShardClient:
         #: dedup table sees one monotone sequence.
         self.client = ClientId(self.name)
         self.seq = 0
-        #: one or more director endpoints. With a replicated director
-        #: every metadir replica answers map lookups, so a fetch fails
-        #: over across them (rotated so a dead replica costs one attempt,
-        #: not the whole refresh).
+        #: one or more director endpoints. Every metadir replica answers
+        #: map fetches, so a fetch fails over across them (rotated so a
+        #: dead replica costs one attempt, not the whole refresh).
         self.directors: list[tuple[str, int]] = (
             [] if director is None
             else [director] if isinstance(director, tuple)
             else list(director)
         )
-        self.director = self.directors[0] if self.directors else None
         self._rng = random.Random(
             seed if seed is not None else hash(self.name) & 0xFFFFFFFF
         )

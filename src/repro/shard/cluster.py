@@ -3,15 +3,18 @@
 :class:`ShardedCluster` composes one :class:`~repro.net.cluster.LocalCluster`
 per group — each group is a full reconfigurable-SMR cluster with its own
 virtual log, epoch chain, log directory, and (optionally) data
-directory — plus one :class:`~repro.shard.director.ShardDirector` serving
-the authoritative map. Groups are told their initial ownership through
-``repro serve``'s ``--shard-*`` flags, so a replica's state machine and
-the director agree on the version-1 map without any startup handshake.
+directory — plus one more for the director: a metadir group of
+``repro serve --app metadir`` processes holding the authoritative map
+(:mod:`repro.shard.metadir`). Groups are told their initial ownership
+through ``repro serve``'s ``--shard-*`` flags, so a replica's state
+machine and the director agree on the version-1 map without any startup
+handshake.
 
 Elastic operations are methods here because they span layers:
 
-* :meth:`split` / :meth:`move` delegate to the director's
-  drain-and-cutover protocol (ownership moves *between* groups);
+* :meth:`split` / :meth:`move` commit an intent to the director group
+  and wait for one of its replicas to run the drain-and-cutover
+  (ownership moves *between* groups);
 * :meth:`add_replica` / :meth:`remove_replica` run the paper's
   reconfiguration *inside* one group and then publish the group's new
   membership through the director (a new map version), leaving every
@@ -26,8 +29,7 @@ import time
 from pathlib import Path
 
 from repro.net.client import LiveClient
-from repro.net.cluster import LocalCluster
-from repro.shard.director import ShardDirector
+from repro.net.cluster import LocalCluster, allocate_ports
 from repro.shard.metadir import ReplicatedShardDirector
 from repro.shard.shardmap import (
     GroupInfo,
@@ -40,11 +42,9 @@ from repro.shard.shardmap import (
 class ShardedCluster:
     """N independent reconfigurable-SMR groups behind one shard map.
 
-    ``director_replicas=0`` (the default) runs the classic in-process
-    :class:`ShardDirector`; ``director_replicas>=1`` instead spawns a
-    metadir group of that many ``repro serve --app metadir`` processes —
-    the replicated control plane — and drives admin operations through
-    the crash-resumable intent protocol.
+    ``director_replicas`` is the size of the metadir group (at least
+    one process; three survive the death of the replica driving a
+    move). It is durable exactly when the data groups are.
     """
 
     def __init__(
@@ -60,21 +60,18 @@ class ShardedCluster:
         verbose: bool = False,
         durable: bool = False,
         reserve: int = 2,
-        director_replicas: int = 0,
+        director_replicas: int = 1,
         director_hold_ms: float = 0.0,
         director_takeover_ms: float = 1500.0,
-        director_durable: bool = False,
     ):
         if groups < 1:
             raise ShardError("need at least one serving group")
         if spare_groups < 0:
             raise ShardError("spare_groups cannot be negative")
-        if director_replicas < 0:
-            raise ShardError("director_replicas cannot be negative")
-        self.host = host
+        if director_replicas < 1:
+            raise ShardError("need at least one director replica")
         self.seed = seed
         self.verbose = verbose
-        self.director_replicas = director_replicas
         self.log_dir = Path(
             log_dir
             if log_dir is not None
@@ -104,6 +101,35 @@ class ShardedCluster:
             )
             self.clusters[name] = cluster
             self.members[name] = list(cluster.initial)
+        #: the metadir group's processes.
+        self.director_cluster = LocalCluster(
+            replicas=director_replicas,
+            host=host,
+            app="metadir",
+            seed=seed + 1000,
+            log_dir=self.log_dir / "dir",
+            python=python,
+            verbose=verbose,
+            durable=durable,
+            reserve=1,
+            extra_args=[
+                "--metadir-hold", str(director_hold_ms),
+                "--metadir-takeover", str(director_takeover_ms),
+            ],
+        )
+        #: the admin handle over the metadir group (set by start()).
+        self.director: ReplicatedShardDirector | None = None
+        # One probe pass for the whole service. Ports probed cluster by
+        # cluster collide (the kernel hands a just-released port out
+        # again: about one 8-group book in ten on Linux), and a replica
+        # whose port another group's replica owns cannot be respawned out
+        # of it; worse, its readiness probe connects to the other one.
+        books = [*self.clusters.values(), self.director_cluster]
+        ports = iter(
+            allocate_ports(sum(len(book.addresses) for book in books), host)
+        )
+        for book in books:
+            book.addresses = {name: (host, next(ports)) for name in book.addresses}
         infos = tuple(
             GroupInfo(
                 name,
@@ -123,43 +149,19 @@ class ShardedCluster:
                 "--shard-ranges", format_ranges(ranges),
                 "--shard-version", str(self.initial_map.version),
             ]
-        self.director: ShardDirector | ReplicatedShardDirector | None = None
-        #: the metadir group's processes (director_replicas >= 1 only).
-        self.director_cluster: LocalCluster | None = None
-        if director_replicas >= 1:
-            self.director_cluster = LocalCluster(
-                replicas=director_replicas,
-                host=host,
-                app="metadir",
-                seed=seed + 1000,
-                log_dir=self.log_dir / "dir",
-                python=python,
-                verbose=verbose,
-                durable=director_durable,
-                reserve=1,
-                extra_args=[
-                    "--metadir-driver",
-                    "--metadir-hold", str(director_hold_ms),
-                    "--metadir-takeover", str(director_takeover_ms),
-                ],
-            )
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self, wait: bool = True, timeout: float = 30.0) -> None:
-        """Spawn every group's replicas, then the director."""
+        """Spawn every group's replicas and the director's, install the map."""
         give_up_at = time.monotonic() + timeout
         for cluster in self.clusters.values():
             cluster.start(wait=False)
-        if self.director_cluster is not None:
-            self.director_cluster.start(wait=False)
+        self.director_cluster.start(wait=False)
         if wait:
             for name, cluster in self.clusters.items():
                 remaining = max(1.0, give_up_at - time.monotonic())
                 cluster.wait_ready(cluster.initial, timeout=remaining)
-        if self.director_cluster is None:
-            self.director = ShardDirector(self.initial_map, host=self.host)
-            return
         remaining = max(1.0, give_up_at - time.monotonic())
         self.director_cluster.wait_ready(
             self.director_cluster.initial, timeout=remaining
@@ -175,8 +177,7 @@ class ShardedCluster:
         if self.director is not None:
             self.director.close()
             self.director = None
-        if self.director_cluster is not None:
-            self.director_cluster.shutdown()
+        self.director_cluster.shutdown()
         for cluster in self.clusters.values():
             cluster.shutdown()
 
@@ -192,31 +193,20 @@ class ShardedCluster:
     def shard_map(self) -> ShardMap:
         return self._director().shard_map
 
-    def _director(self) -> "ShardDirector | ReplicatedShardDirector":
+    def _director(self) -> ReplicatedShardDirector:
         if self.director is None:
             raise ShardError("cluster not started (no director)")
         return self.director
 
-    def director_address(self) -> tuple[str, int]:
-        if self.director_cluster is not None:
-            return self.director_cluster.addresses[self.director_cluster.initial[0]]
-        director = self._director()
-        assert isinstance(director, ShardDirector)
-        return director.address
-
     def director_addresses(self) -> dict[str, tuple[str, int]]:
         """Address book of every director endpoint clients can fetch from."""
-        if self.director_cluster is not None:
-            return {
-                name: self.director_cluster.addresses[name]
-                for name in self.director_cluster.initial
-            }
-        return {"director": self.director_address()}
+        return {
+            name: self.director_cluster.addresses[name]
+            for name in self.director_cluster.initial
+        }
 
     def kill_director(self, name: str) -> None:
         """SIGKILL one metadir replica (the failover tests' hammer)."""
-        if self.director_cluster is None:
-            raise ShardError("no replicated director to kill")
         self.director_cluster.kill(name)
 
     def client(self, name: str = "shard-cli", **kwargs) -> "ShardClient":
@@ -256,7 +246,8 @@ class ShardedCluster:
         target: str | None = None,
         deadline: float = 30.0,
     ) -> ShardMap:
-        """Split ``group``'s widest range; see :meth:`ShardDirector.split`."""
+        """Split ``group``'s widest range (``dir_begin`` plans the default
+        split point and target)."""
         return self._director().split(
             group, at=at, target=target, deadline=deadline
         )

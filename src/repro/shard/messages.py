@@ -1,22 +1,23 @@
 """The shard wire protocol (registered in the codec bootstrap).
 
-Three conversations share these payloads:
+Two conversations share these payloads:
 
-* **map fetch / routing** — a client (or the ``repro shard-route`` CLI)
-  asks the director for the authoritative map or for one key's home:
-  :class:`ShardMapRequest` → :class:`ShardMapReply`,
-  :class:`RouteRequest` → :class:`RouteReply`;
+* **map fetch** — a client (or the ``repro shard-route`` CLI) asks any
+  metadir replica for its copy of the authoritative map:
+  :class:`ShardMapRequest` → :class:`ShardMapReply`, addressed to the
+  :data:`DIRECTOR_ENDPOINT` name on the replica's ordinary port;
 * **redirects** — a group that no longer owns a key answers the normal
   :class:`~repro.core.client.ClientReply` with a :class:`WrongShard`
   *value*. Riding inside the reply keeps the replica protocol untouched:
   the sharded state machine emits it like any other result, the codec
   round-trips it like any registered dataclass, and only the
-  :class:`~repro.shard.client.ShardClient` interprets it;
-* **elastic admin** — :class:`SplitShard` / :class:`MoveShard` ask the
-  director to run a drain-and-cutover move; :class:`ShardAck` reports
-  the outcome and the resulting map version.
+  :class:`~repro.shard.client.ShardClient` interprets it.
 
-Every request carries a :class:`~repro.types.CommandId` so replies can
+Admin operations (split / move / merge / publish) have no payload here:
+they are ordinary replicated commands on the metadir group's log
+(``dir_begin`` and friends, :mod:`repro.shard.metadir`).
+
+The request carries a :class:`~repro.types.CommandId` so the reply can
 be matched over a shared connection, mirroring the ``#chaos`` and
 ``#metrics`` admin protocols.
 """
@@ -27,6 +28,9 @@ from dataclasses import dataclass
 
 from repro.shard.shardmap import ShardMap
 from repro.types import CommandId
+
+#: wire name every metadir replica answers map fetches as.
+DIRECTOR_ENDPOINT = "shard-director"
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,25 +46,6 @@ class ShardMapReply:
 
     cid: CommandId
     shard_map: ShardMap
-
-
-@dataclass(frozen=True, slots=True)
-class RouteRequest:
-    """Client -> director: which group owns this key right now?"""
-
-    cid: CommandId
-    key: str
-
-
-@dataclass(frozen=True, slots=True)
-class RouteReply:
-    """Director -> client: one key's hash point, owner, and map version."""
-
-    cid: CommandId
-    key: str
-    point: int
-    group: str
-    version: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,39 +72,3 @@ class WrongShard:
     @property
     def has_hint(self) -> bool:
         return bool(self.target) and self.hi > self.lo
-
-
-@dataclass(frozen=True, slots=True)
-class SplitShard:
-    """Admin -> director: split ``group``'s range and move half away.
-
-    ``at`` is the split point; ``-1`` means the midpoint of the group's
-    widest range. ``target`` is the receiving group; empty means "pick
-    the serving-or-spare group owning the least of the space".
-    """
-
-    cid: CommandId
-    group: str
-    at: int
-    target: str
-
-
-@dataclass(frozen=True, slots=True)
-class MoveShard:
-    """Admin -> director: move exactly ``[lo, hi)`` to ``target``."""
-
-    cid: CommandId
-    lo: int
-    hi: int
-    target: str
-
-
-@dataclass(frozen=True, slots=True)
-class ShardAck:
-    """Director -> admin: outcome of a split/move (and the new version)."""
-
-    cid: CommandId
-    op: str
-    ok: bool
-    detail: str
-    version: int

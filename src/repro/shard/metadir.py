@@ -1,15 +1,14 @@
 """The replicated director: the shard map as a state machine of its own.
 
-The in-memory :class:`~repro.shard.director.ShardDirector` owns the map
-behind a thread lock; kill that one process mid-``move`` and the service
-is left with a half-finished drain-and-cutover — retire committed on the
-source, install never submitted, map never swapped. This module applies
-the paper's recipe to the control plane itself: the authoritative state
-(the :class:`~repro.shard.shardmap.ShardMap` version chain plus a table
-of in-flight admin *intents*) becomes a deterministic state machine
+The control plane is built by the paper's own recipe: the authoritative
+state (the :class:`~repro.shard.shardmap.ShardMap` version chain plus a
+table of in-flight admin *intents*) is a deterministic state machine
 (:class:`MetaDirStateMachine`) replicated on its own reconfigurable
 group — WAL-durable, reconfigurable, and lease-readable like any data
-group.
+group. It is the only director: a map held by one process behind a lock
+leaves a half-finished drain-and-cutover behind when that process dies
+mid-``move`` — retire committed on the source, install never submitted,
+map never swapped (DESIGN "Replicated control plane" keeps the note).
 
 Admin operations run as a **crash-resumable intent protocol**:
 
@@ -35,12 +34,11 @@ whose clock says the intent has been pending past the takeover bound
 drives it too, which is what rolls an orphaned move forward after the
 leader is SIGKILLed between steps.
 
-Clients need no new protocol: every metadir replica answers the classic
-:class:`~repro.shard.messages.ShardMapRequest` /
-:class:`~repro.shard.messages.RouteRequest` on its ordinary replica port
-(see :func:`install_director_endpoint`), serving its locally-executed
-copy of the map — stale by at most the replication lag, which the
-version-gated client cache absorbs. Multi-endpoint failover lives in
+Clients fetch the map with one request: every metadir replica answers
+:class:`~repro.shard.messages.ShardMapRequest` on its ordinary replica
+port (see :func:`install_director_endpoint`), serving its locally
+executed copy of the map — stale by at most the replication lag, which
+the version-gated client cache absorbs. Multi-endpoint failover lives in
 :class:`~repro.shard.client.ShardClient`.
 """
 
@@ -54,17 +52,12 @@ from typing import Any, Callable
 
 from repro.core.statemachine import StateMachine
 from repro.shard.messages import (
-    RouteReply,
-    RouteRequest,
+    DIRECTOR_ENDPOINT,
     ShardMapReply,
     ShardMapRequest,
 )
-from repro.shard.shardmap import GroupInfo, ShardError, ShardMap, key_point
+from repro.shard.shardmap import GroupInfo, ShardError, ShardMap
 from repro.types import Command, NodeId
-
-#: wire name metadir replicas answer map lookups as (same name the
-#: in-memory director uses, so ``fetch_shard_map`` works against both).
-DIRECTOR_ENDPOINT = "shard-director"
 
 #: read-only metadir operations, eligible for the lease/follower read
 #: fast paths when the director group is served with ``--read-mode``.
@@ -74,6 +67,10 @@ METADIR_READ_OPS = frozenset(
 
 #: archived intents kept in the state machine (and its snapshots).
 DONE_LIMIT = 64
+
+#: how often an :class:`IntentDriver` looks at its replica's intent
+#: table, in seconds (the floor on a split's admin latency).
+DRIVER_POLL = 0.05
 
 
 def intent_client(intent_id: int, step: str) -> str:
@@ -359,15 +356,15 @@ def install_director_endpoint(
     node: str,
     machine: Callable[[], MetaDirStateMachine | None],
 ) -> NodeId:
-    """Answer map/route lookups from this replica's executed state.
+    """Answer map fetches from this replica's executed state.
 
     Registered as ``shard-director`` on the replica's own transport, so
-    the classic raw-socket :func:`~repro.shard.client.fetch_shard_map`
-    works unchanged against any metadir replica's address. Replies come
-    from the *locally executed* map — stale by at most the replication
-    lag; the client's version-gated adoption makes that safe (freshness
-    degrades, routing correctness is guarded by the groups' own
-    WrongShard checks). No reply until ``dir_init`` has executed here.
+    :func:`~repro.shard.client.fetch_shard_map` works against any
+    metadir replica's address. Replies come from the *locally executed*
+    map — stale by at most the replication lag; the client's
+    version-gated adoption makes that safe (freshness degrades, routing
+    correctness is guarded by the groups' own WrongShard checks). No
+    reply until ``dir_init`` has executed here.
     """
     endpoint = NodeId(DIRECTOR_ENDPOINT)
 
@@ -380,16 +377,6 @@ def install_director_endpoint(
         if isinstance(payload, ShardMapRequest):
             transport.send(
                 endpoint, message.sender, ShardMapReply(payload.cid, shard_map)
-            )
-        elif isinstance(payload, RouteRequest):
-            point = key_point(payload.key)
-            transport.send(
-                endpoint,
-                message.sender,
-                RouteReply(
-                    payload.cid, payload.key, point,
-                    shard_map.group_for_point(point), shard_map.version,
-                ),
             )
 
     transport.register(endpoint, handle)
@@ -423,7 +410,6 @@ class IntentDriver(threading.Thread):
         replica: Any,
         addresses: dict[str, tuple[str, int]],
         *,
-        poll: float = 0.05,
         hold: float = 0.0,
         takeover: float = 1.5,
         request_timeout: float = 2.0,
@@ -432,7 +418,6 @@ class IntentDriver(threading.Thread):
         self.node = str(node)
         self.replica = replica
         self.addresses = dict(addresses)
-        self.poll = poll
         self.hold = hold
         self.takeover = takeover
         self.request_timeout = request_timeout
@@ -447,7 +432,7 @@ class IntentDriver(threading.Thread):
         self._stop.set()
 
     def run(self) -> None:  # pragma: no cover - exercised via live tests
-        while not self._stop.wait(self.poll):
+        while not self._stop.wait(DRIVER_POLL):
             try:
                 self._tick()
             except Exception as exc:  # noqa: BLE001 - retried next poll
@@ -549,9 +534,9 @@ class IntentDriver(threading.Thread):
             )
             return
 
-        # Step 3 — the completion record swaps the map.
+        # Step 3 — the completion record swaps the map and archives
+        # the intent, so nothing is pending to record a step on after it.
         self._submit_self("dir_complete", (intent_id,))
-        self._submit_self("dir_step", (intent_id, "completed"))
 
     def _submit_self(self, op: str, args: tuple[Any, ...]) -> Any:
         """Submit a director-log command through our own group."""
@@ -579,12 +564,11 @@ class IntentDriver(threading.Thread):
 class ReplicatedShardDirector:
     """Client-side handle over a metadir group (the admin surface).
 
-    Mirrors :class:`~repro.shard.director.ShardDirector`'s interface
-    (``shard_map`` / ``split`` / ``move`` / ``publish_group``) so
-    :class:`~repro.shard.cluster.ShardedCluster` can swap one for the
-    other. Admin calls commit the intent and then *wait* for a driver to
-    complete it — the work itself happens inside the director replicas,
-    which is what makes it survive the death of whoever asked.
+    ``shard_map`` / ``split`` / ``move`` / ``publish_group`` are what
+    :class:`~repro.shard.cluster.ShardedCluster` drives. Admin calls
+    commit the intent and then *wait* for a driver to complete it — the
+    work itself happens inside the director replicas, which is what
+    makes it survive the death of whoever asked.
     """
 
     def __init__(

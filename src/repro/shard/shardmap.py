@@ -14,7 +14,7 @@ longer owns quotes the version of the move that took the range away, and
 clients only ever adopt maps/hints with larger versions than their cache.
 
 The map algebra here is pure (no I/O): the authoritative copy lives in
-:class:`~repro.shard.director.ShardDirector`, cached copies in
+:class:`~repro.shard.metadir.MetaDirStateMachine`, cached copies in
 :class:`~repro.shard.client.ShardClient`.
 """
 

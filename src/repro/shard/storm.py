@@ -265,9 +265,7 @@ def run_shard_storm_scenario(
         counters: dict[str, dict[str, int]] = {}
         aligned: dict[str, dict[str, dict[str, float]]] = {}
         fetch_errors: list[str] = []
-        subclusters = list(cluster.clusters.items())
-        if cluster.director_cluster is not None:
-            subclusters.append(("dir", cluster.director_cluster))
+        subclusters = [*cluster.clusters.items(), ("dir", cluster.director_cluster)]
         for label, sub in subclusters:
             live = [n for n, p in sub.procs.items() if p.poll() is None]
             if not live:

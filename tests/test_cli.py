@@ -50,3 +50,21 @@ class TestCli:
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
             assert exit_info.value.code == 2
+
+    def test_zero_director_replicas_and_retired_metadir_flags_exit_2(self, capsys):
+        from repro.shard.cluster import ShardedCluster
+        from repro.shard.shardmap import ShardError
+
+        # The metadir group is the only director: there is no count that
+        # means "the other one", and a metadir replica always runs its
+        # driver at the module's poll period.
+        assert main(["shard-cluster", "--director-replicas", "0"]) == 2
+        assert "at least one director replica" in capsys.readouterr().err
+        with pytest.raises(ShardError):
+            ShardedCluster(1, director_replicas=0)
+        serve = ["serve", "--node", "n1", "--peers", "n1=127.0.0.1:1",
+                 "--app", "metadir"]
+        for retired in (["--metadir-driver"], ["--metadir-poll", "10"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(serve + retired)
+            assert exit_info.value.code == 2

@@ -297,27 +297,10 @@ STRATEGIES: dict[type, st.SearchStrategy] = {
     ShardMap: shard_maps,
     shm.ShardMapRequest: st.builds(shm.ShardMapRequest, command_ids),
     shm.ShardMapReply: st.builds(shm.ShardMapReply, command_ids, shard_maps),
-    shm.RouteRequest: st.builds(shm.RouteRequest, command_ids, names),
-    shm.RouteReply: st.builds(
-        shm.RouteReply, command_ids, names, hash_points, names,
-        st.integers(min_value=1, max_value=2**20),
-    ),
     shm.WrongShard: st.builds(
         shm.WrongShard, names, hash_points,
         st.integers(min_value=1, max_value=2**20), names,
         st.one_of(st.just(""), names), hash_points, hash_points,
-    ),
-    shm.SplitShard: st.builds(
-        shm.SplitShard, command_ids,
-        names, st.integers(min_value=-1, max_value=HASH_SPACE),
-        st.one_of(st.just(""), names),
-    ),
-    shm.MoveShard: st.builds(
-        shm.MoveShard, command_ids, hash_points, hash_points, names
-    ),
-    shm.ShardAck: st.builds(
-        shm.ShardAck, command_ids, names, st.booleans(),
-        st.text(max_size=40), st.integers(min_value=0, max_value=2**20),
     ),
     MetricsRequest: st.builds(MetricsRequest, command_ids),
     MetricsSnapshot: st.builds(

@@ -1,8 +1,8 @@
 """Live sharded-service tests: real groups, real director, real cutover.
 
-Each test spawns one subprocess per replica (three per group), so the
-whole file rides behind the ``live`` marker like the other subprocess
-suites. Coverage:
+Each test spawns one subprocess per replica (three per group, one for
+the director), so the whole file rides behind the ``live`` marker like
+the other subprocess suites. Coverage:
 
 * a keyspace written through the smart client lands on every serving
   group and reads back correctly (the routing path);
@@ -40,7 +40,8 @@ class TestLiveRouting:
                 # scan fans out across groups and merges every key.
                 assert client.scan("key-") == tuple(sorted(keys))
             # The director serves the same map over its wire endpoint.
-            fetched = fetch_shard_map(cluster.director_address())
+            (address,) = cluster.director_addresses().values()
+            fetched = fetch_shard_map(address)
             assert fetched.version == shard_map.version
             assert fetched.assignments == shard_map.assignments
 

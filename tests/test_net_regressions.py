@@ -1,13 +1,14 @@
 """Regression tests for the timing bugs the chaos runs flushed out.
 
-Two client-side deadline bugs and two cluster-lifecycle races, each pinned
+Two client-side deadline bugs and three cluster-lifecycle races, each pinned
 by a test that fails on the pre-fix code:
 
 * :class:`LiveClient` per-attempt budget going to zero/negative at the
   deadline edge (the attempt sent its request and then had no time to
   listen for the reply);
 * :func:`repro.net.cluster.free_port` racing its own consecutive probes
-  into the same port;
+  into the same port, and the groups of a ``ShardedCluster`` racing each
+  other's;
 * a spawned replica losing the (inherent) probe-to-bind race and staying
   dead instead of being respawned;
 * killed replicas never being ``wait()``-ed, accumulating zombies over
@@ -176,6 +177,35 @@ class TestPortAllocation:
         probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         probe.bind(("127.0.0.1", port))
         probe.close()
+
+    def test_sharded_cluster_probes_its_whole_book_in_one_pass(
+        self, monkeypatch, tmp_path
+    ):
+        # Pre-fix every LocalCluster of a ShardedCluster probed on its
+        # own: distinct within a group, but a later group could be handed
+        # a port an earlier one had just released (measured on Linux:
+        # one 8-group book in ten). Here the kernel at its least helpful,
+        # every probe pass starting over at the same port.
+        import repro.net.cluster as net_cluster
+        import repro.shard.cluster as shard_cluster
+
+        def probe_pass(count, host="127.0.0.1"):
+            return list(range(40000, 40000 + count))
+
+        monkeypatch.setattr(net_cluster, "allocate_ports", probe_pass)
+        monkeypatch.setattr(
+            shard_cluster, "allocate_ports", probe_pass, raising=False
+        )
+        cluster = shard_cluster.ShardedCluster(
+            2, spare_groups=1, director_replicas=3, log_dir=tmp_path
+        )
+        books = [*cluster.clusters.values(), cluster.director_cluster]
+        ports = [port for book in books for _, port in book.addresses.values()]
+        assert len(ports) == 3 * 5 + 4
+        assert len(set(ports)) == len(ports)
+        # The map the director will serve names the same addresses.
+        for info in cluster.initial_map.groups:
+            assert dict(info.addresses) == cluster.clusters[info.name].addresses
 
 
 class TestClusterLifecycle:

@@ -15,20 +15,30 @@ Groups are faked through ``client_factory``: each fake consults a shared
 way a live sharded group would — with a hint when the world moved the
 range away from the fake's group, without one when the fake never owned
 the point.
+
+The director is not faked: :func:`served_director` runs the endpoint
+every metadir replica installs on a real :class:`TcpTransport` in this
+process, over a bare :class:`MetaDirStateMachine` (no consensus under
+it) whose map the test swaps the way an executed command would.
 """
 
+import asyncio
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.client import ClientReply
+from repro.net.transport import TcpTransport
 from repro.shard.client import ShardClient, ShardClientError
-from repro.shard.director import ShardDirector
 from repro.shard.messages import WrongShard
+from repro.shard.metadir import MetaDirStateMachine, install_director_endpoint
 from repro.shard.shardmap import (
     HASH_SPACE,
     GroupInfo,
+    KeyRange,
+    ShardAssignment,
     ShardMap,
     key_point,
 )
@@ -118,6 +128,48 @@ class FakeGroupClient:
         self.closed = True
 
 
+class ServedDirector:
+    """What :func:`served_director` yields."""
+
+    def __init__(self, machine: MetaDirStateMachine):
+        self.machine = machine
+        self.address: tuple[str, int] = ("", 0)
+        #: frames the endpoint was handed, answered or not.
+        self.requests = 0
+
+    def executed_state(self) -> MetaDirStateMachine:
+        self.requests += 1
+        return self.machine
+
+
+@contextmanager
+def served_director(shard_map=None):
+    """One director endpoint on a loopback port; ``shard_map=None`` is a
+    replica that has not executed ``dir_init`` yet."""
+    machine = MetaDirStateMachine()
+    if shard_map is not None:
+        machine._dir_init(shard_map)
+    served = ServedDirector(machine)
+    transport = TcpTransport({})
+    install_director_endpoint(transport, "n1", served.executed_state)
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def on_loop(coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, loop).result(10.0)
+
+    on_loop(transport.start("127.0.0.1", 0))
+    served.address = transport._server.sockets[0].getsockname()[:2]
+    try:
+        yield served
+    finally:
+        on_loop(transport.close())
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10.0)
+        loop.close()
+
+
 def make_client(world, shard_map=None, **kwargs):
     return ShardClient(
         "t",
@@ -176,11 +228,11 @@ class TestConcurrentRefresh:
 
     def test_threads_refreshing_from_live_director_converge(self):
         shard_map = make_map("g1", "g2")
-        with ShardDirector(shard_map) as director:
+        with served_director(shard_map) as director:
             world = World(shard_map)
             client = make_client(world, director=director.address)
             moved = shard_map.with_move(0, 8, "g2")
-            director._swap(moved)
+            director.machine.shard_map = moved
 
             versions: list[int] = []
             errors: list[Exception] = []
@@ -204,7 +256,7 @@ class TestConcurrentRefresh:
     def test_no_hint_redirect_falls_back_to_director(self):
         shard_map = make_map("g1", "g2")
         world = World(shard_map)
-        with ShardDirector(shard_map) as director:
+        with served_director(shard_map) as director:
             client = make_client(world, director=director.address)
             key = key_in(world.truth, "g1")
             point = key_point(key)
@@ -212,10 +264,11 @@ class TestConcurrentRefresh:
             # client hit the move's *target* before its install ran).
             world.move(point - point % 8, min(point + 8, HASH_SPACE), "g2")
             world.hints.clear()
-            director._swap(world.truth)
+            director.machine.shard_map = world.truth
             reply = client.submit("set", (key, "v"))
             assert reply.value == "ok"
             assert client.map_version == world.truth.version
+            assert director.requests == 1
 
 
 class TestRedirectLoopBound:
@@ -430,6 +483,67 @@ class TestDirectorFetchFailover:
         assert reply.value == "ok"
         assert client.map_version == world.truth.version
         assert [g for g, _ in world.calls] == ["g1", "g2"]
+
+
+def gapped_map(version):
+    """Decodes, but [8, 16) belongs to nobody: not a partition."""
+    good = make_map("g1", "g2")
+    return ShardMap(
+        version,
+        (
+            ShardAssignment(KeyRange(0, 8), "g1"),
+            ShardAssignment(KeyRange(16, HASH_SPACE), "g2"),
+        ),
+        good.groups,
+    )
+
+
+class TestBadEndpointIsOneEndpointsFailure:
+    """A director endpoint that answers wrongly, or not at all, costs the
+    refresh one attempt: the rotation moves on to the next replica."""
+
+    @pytest.mark.parametrize(
+        "served_value",
+        [gapped_map(version=9), "not a map"],
+        ids=["not-a-partition", "not-a-shardmap"],
+    )
+    def test_invalid_map_fails_over_to_the_next_endpoint(self, served_value):
+        truth = make_map("g1", "g2")
+        newer = truth.with_move(0, 8, "g2")
+        with served_director(truth) as bad, served_director(newer) as good:
+            # Past dir_init's validation, as a corrupted replica would be.
+            bad.machine.shard_map = served_value
+            client = make_client(
+                World(truth), director=[good.address, bad.address], seed=1
+            )
+            # One refresh per rotation offset: the bad endpoint is asked
+            # first in one of them, and neither may surface its answer.
+            for _ in range(2):
+                refreshed = client.refresh_map(timeout=5.0)
+                assert refreshed.version == newer.version
+            assert bad.requests >= 1 and good.requests == 2
+            assert client.map_version == newer.version
+
+    def test_all_endpoints_invalid_is_a_client_error(self):
+        truth = make_map("g1", "g2")
+        with served_director(truth) as bad:
+            bad.machine.shard_map = gapped_map(version=9)
+            client = make_client(World(truth), director=bad.address)
+            with pytest.raises(ShardClientError, match="gap or overlap"):
+                client.refresh_map(timeout=0.5)
+            assert client.map_version == truth.version
+
+    def test_endpoint_before_dir_init_is_silent_and_skipped(self):
+        truth = make_map("g1", "g2")
+        newer = truth.with_move(0, 8, "g2")
+        with served_director() as booting, served_director(newer) as live:
+            client = make_client(
+                World(truth), director=[live.address, booting.address], seed=1
+            )
+            for _ in range(2):
+                assert client.refresh_map(timeout=2.0).version == newer.version
+            # It was asked, said nothing, and the refresh went elsewhere.
+            assert booting.requests >= 1 and live.requests == 2
 
 
 class TestLeaseSentinelReplies:
