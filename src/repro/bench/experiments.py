@@ -769,8 +769,17 @@ def exp_t8_batching(
     )
     series = Series("T8: message cost vs batch delay", "delay (ms)", "msgs/op")
     out = ExperimentOutput("T8", tables=[table], series=[series])
+
+    def params_for(delay_ms: float) -> PaxosParams:
+        # The 0 ms cell is the ablation's baseline, one slot per command:
+        # at the default batch_max even it shares a slot between commands
+        # that reach the leader at the same instant.
+        if delay_ms == 0:
+            return PaxosParams(batch_max=1)
+        return PaxosParams(batch_delay=delay_ms / 1000.0)
+
     for delay_ms in delays_ms:
-        params = PaxosParams(batch_delay=delay_ms / 1000.0)
+        params = params_for(delay_ms)
         result = run_experiment(
             "speculative",
             seed=seed,
@@ -803,7 +812,7 @@ def exp_t8_batching(
     )
     out.tables.append(cpu_table)
     for delay_ms in delays_ms:
-        params = PaxosParams(batch_delay=delay_ms / 1000.0)
+        params = params_for(delay_ms)
         result = run_experiment(
             "speculative",
             seed=seed,

@@ -316,11 +316,8 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
     if args.shard_group:
         shard_note = (f", shard={args.shard_group} "
                       f"ranges={args.shard_ranges or '(none)'}")
-    commit_note = ""
-    if args.batch_delay > 0 or args.window > 0:
-        commit_note = (f", batch={args.batch_delay:g}ms"
-                       f"/max{args.batch_max}"
-                       f", window={args.window or 'unbounded'}")
+    commit_note = (f", batch={args.batch_delay:g}ms/max{args.batch_max}"
+                   f", window={args.window or 'unbounded'}")
     read_note = ""
     if args.read_mode != "log":
         bound = (f"lease={args.lease_duration:g}ms" if args.read_mode == "lease"
@@ -769,12 +766,14 @@ def build_parser() -> "argparse.ArgumentParser":
                        "(0 = only at epoch boundaries; needs --data-dir)")
     serve.add_argument("--batch-delay", type=float, default=0.0,
                        metavar="MS",
-                       help="leader-side command batching: while a slot is "
-                       "in flight, hold a batch open up to this many "
-                       "milliseconds so concurrent commands share one Paxos "
-                       "instance; an idle pipeline never waits (0 = off)")
+                       help="commands that arrive together always share "
+                       "one Paxos instance; while a slot is in flight, "
+                       "also hold later arrivals up to this many "
+                       "milliseconds to share the next one (0 = hold "
+                       "nothing; an idle pipeline never waits)")
     serve.add_argument("--batch-max", type=int, default=32,
-                       help="max commands per batch")
+                       help="max commands per Paxos instance "
+                       "(1 = one instance per command)")
     serve.add_argument("--window", type=int, default=0,
                        help="proposer pipeline window: max Paxos instances "
                        "in flight concurrently; commands beyond it buffer "
@@ -899,9 +898,9 @@ def build_parser() -> "argparse.ArgumentParser":
                        help="write the per-node wal/recovery metrics "
                        "snapshot as JSON (the CI artifact; needs --durable)")
     chaos.add_argument("--batch", action="store_true",
-                       help="enable leader-side command batching + a "
-                       "pipeline window on every replica, so the oracle "
-                       "checks linearizability of the batched commit path")
+                       help="run every replica with --batch-delay 2 "
+                       "--window 16, so the oracle checks commands held "
+                       "behind a busy pipeline and a full window")
     chaos.add_argument("--read-mode", default="log",
                        choices=["log", "lease", "follower"],
                        help="run every replica with this read path, so the "

@@ -132,6 +132,14 @@ class Transport:
     def send(self, dest: NodeId, inner: Any, size: int | None = None) -> None:
         self._host.send(dest, InstanceMessage(self.instance_id, inner), size=size)
 
+    def broadcast(self, dests, inner: Any, size: int | None = None) -> None:
+        """Send ``inner`` to every node of ``dests`` but this one.
+
+        One envelope object serves the whole fan-out, which is what lets
+        the live transport encode an Accept or Decide once, not per peer.
+        """
+        self._host.broadcast(dests, InstanceMessage(self.instance_id, inner), size=size)
+
     def set_timer(self, delay: float, action: Callable[[], None], label: str = "") -> Timer:
         return self._host.set_timer(delay, action, label=label or f"{self.instance_id}-timer")
 

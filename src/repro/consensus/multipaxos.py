@@ -60,18 +60,20 @@ class PaxosParams:
     catchup_batch: int = 200
     initial_campaign_delay_max: float = 0.005
     protocol_overhead_bytes: int = 96
-    #: leader-side batching: commands arriving while a slot is in flight
-    #: share the next slot (and its Phase-2 round trip); this bounds how
-    #: long they are held behind the busy pipeline. An idle pipeline never
-    #: holds a command. 0 disables batching.
+    #: leader-side batching: commands admitted in the same tick (one
+    #: inbound frame or chunk, one sim instant) always share a slot and
+    #: its Phase-2 round trip. ``batch_delay`` bounds how long commands
+    #: arriving while a slot is in flight are held behind the busy
+    #: pipeline to share the next one; 0 holds nothing behind it. An idle
+    #: pipeline never holds a command either way.
     batch_delay: float = 0.0
+    #: most commands one slot carries; 1 = one slot per command.
     batch_max: int = 32
     #: proposer pipeline window: max Phase-2 slots open concurrently.
-    #: When the window is full, batchable commands buffer and ride the
-    #: next freed slot together as one batch (adaptive batching under
-    #: load, even with ``batch_delay == 0``). Non-batchable payloads
-    #: (reconfigurations, noops) bypass the cap — a membership change
-    #: must never wait behind client traffic. 0 = unbounded.
+    #: When the window is full, batchable commands stay buffered past
+    #: ``batch_delay`` and ride the next freed slot together. Non-batchable
+    #: payloads (reconfigurations, noops) bypass the cap — a membership
+    #: change must never wait behind client traffic. 0 = unbounded.
     window: int = 0
     #: read-lease validity granted per acknowledged heartbeat. Must stay
     #: strictly below suspect_timeout_min: a follower that just granted a
@@ -156,6 +158,8 @@ class MultiPaxosEngine(SmrEngine):
         self._m_elections = metrics.counter("paxos.elections")
         self._m_batch_size = metrics.histogram("paxos.batch_size")
         self._m_batch_wait = metrics.histogram("paxos.batch_wait")
+        if self.params.batch_max < 1:
+            raise ConfigurationError("batch_max must be at least 1 command per slot")
         if self.params.lease_duration >= self.params.suspect_timeout_min:
             raise ConfigurationError(
                 "lease_duration must be strictly below suspect_timeout_min "
@@ -245,7 +249,8 @@ class MultiPaxosEngine(SmrEngine):
         # else: no leader known yet; the retry timer re-routes later.
 
     def _assign(self, payload: Any) -> None:
-        """Leader: bind ``payload`` to a fresh slot and run Phase 2."""
+        """Leader: admit ``payload`` — into the batch buffer if it may share
+        a slot, else into a fresh slot of its own — and run Phase 2."""
         key = proposal_key(payload)
         if key is not None:
             if key in self._batch_keys:
@@ -255,23 +260,22 @@ class MultiPaxosEngine(SmrEngine):
                 existing in self.inflight or self.log.is_decided(existing)
             ):
                 return  # duplicate submission
-        if self._batchable(payload) and (
-            self.params.batch_delay > 0 or self._window_full()
-        ):
+        if self._batchable(payload):
             if not self._batch:
                 self._batch_opened_at = self.transport.now
             self._batch.append(payload)
             if key is not None:
                 self._batch_keys.add(key)
-            if len(self._batch) >= self.params.batch_max or self.params.batch_delay <= 0:
+            if len(self._batch) >= self.params.batch_max:
                 self._flush_batch()
             elif self._batch_timer is None or not self._batch_timer.active:
                 # Nagle's rule with slots for segments: hold commands only
                 # behind a slot in flight (its decision flushes them, see
-                # _handle_accepted; batch_delay bounds the hold). With
-                # nothing in flight there is nothing to wait for, and the
-                # zero-delay timer fires once the frame or chunk that
-                # carried this command has been admitted whole.
+                # _handle_accepted; batch_delay bounds the hold, and 0
+                # holds nothing). With nothing in flight there is nothing
+                # to wait for, and the zero-delay timer fires once the
+                # frame or chunk that carried this command has been
+                # admitted whole.
                 self._batch_timer = self.transport.set_timer(
                     self.params.batch_delay if self.inflight else 0.0,
                     self._flush_batch,
@@ -334,14 +338,11 @@ class MultiPaxosEngine(SmrEngine):
         entry.sent_at = self.transport.now
         accept = m.Accept(self.ballot, slot, value)
         size = self.params.protocol_overhead_bytes + payload_size(value)
-        for peer in self.peers:
-            if only is not None and peer not in only:
-                continue
-            self._m_accepts.inc()
-            if peer == self.transport.node:
-                self._handle_accept(accept, peer)
-            else:
-                self.transport.send(peer, accept, size=size)
+        targets = self.peers if only is None else [p for p in self.peers if p in only]
+        self._m_accepts.inc(len(targets))
+        self.transport.broadcast(targets, accept, size=size)
+        if self.transport.node in targets:
+            self._handle_accept(accept, self.transport.node)
 
     # -- leader election ---------------------------------------------------------------
 
@@ -357,13 +358,10 @@ class MultiPaxosEngine(SmrEngine):
         self._campaign_base = self.log.next_to_deliver
         self.transport.trace("campaign", ballot=str(self.ballot), base=self._campaign_base)
         prepare = m.Prepare(self.ballot, self._campaign_base)
-        for peer in self.peers:
-            if peer == self.transport.node:
-                self._handle_prepare(prepare, peer)
-            else:
-                self.transport.send(
-                    peer, prepare, size=self.params.protocol_overhead_bytes
-                )
+        self.transport.broadcast(
+            self.peers, prepare, size=self.params.protocol_overhead_bytes
+        )
+        self._handle_prepare(prepare, self.transport.node)
 
     def _become_leader(self) -> None:
         self._campaigning = False
@@ -437,9 +435,9 @@ class MultiPaxosEngine(SmrEngine):
         if self.stopped or not self.is_leader:
             return
         beat = m.Heartbeat(self.ballot, self.log.max_decided, sent_at=self.transport.now)
-        for peer in self.peers:
-            if peer != self.transport.node:
-                self.transport.send(peer, beat, size=self.params.protocol_overhead_bytes)
+        self.transport.broadcast(
+            self.peers, beat, size=self.params.protocol_overhead_bytes
+        )
         # Nudge stuck Phase-2 slots (lost Accept/Accepted messages).
         now = self.transport.now
         for slot, entry in list(self.inflight.items()):
@@ -581,9 +579,7 @@ class MultiPaxosEngine(SmrEngine):
             self._record_decision(msg.slot, value)
             decide = m.Decide(msg.slot, value)
             size = self.params.protocol_overhead_bytes + payload_size(value)
-            for peer in self.peers:
-                if peer != self.transport.node:
-                    self.transport.send(peer, decide, size=size)
+            self.transport.broadcast(self.peers, decide, size=size)
             # A slot just left the pipeline window; commands that were
             # buffered behind it ride out now as one batch — unless other
             # slots are still in flight and a live batch timer is still

@@ -112,9 +112,7 @@ class SequencerEngine(SmrEngine):
         self._record(slot, payload)
         decide = m.Decide(slot, payload)
         size = self.params.protocol_overhead_bytes + payload_size(payload)
-        for peer in self.peers:
-            if peer != self.transport.node:
-                self.transport.send(peer, decide, size=size)
+        self.transport.broadcast(self.peers, decide, size=size)
 
     # -- messages -------------------------------------------------------------------
 

@@ -80,18 +80,14 @@ class ReplicatedService:
         self.sim = sim
         self.app_factory = app_factory
         if params is None:
-            if engine_factory is None and (batch_delay > 0 or window > 0):
-                # Commit-path knobs without hand-building an engine
-                # factory: the common way tests and benches turn on
-                # leader batching and a bounded proposer pipeline.
-                engine_factory = MultiPaxosEngine.factory(
-                    PaxosParams(
-                        batch_delay=batch_delay,
-                        batch_max=batch_max,
-                        window=window,
-                    )
+            # Commit-path knobs without hand-building an engine factory:
+            # the common way tests and benches tune leader batching and
+            # the proposer pipeline.
+            factory = engine_factory or MultiPaxosEngine.factory(
+                PaxosParams(
+                    batch_delay=batch_delay, batch_max=batch_max, window=window
                 )
-            factory = engine_factory or MultiPaxosEngine.factory()
+            )
             params = ReconfigParams(
                 engine_factory=factory,
                 pipeline_depth=pipeline_depth,

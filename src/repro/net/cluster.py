@@ -75,7 +75,7 @@ class LocalCluster:
         data_root: str | Path | None = None,
         fsync: bool = False,
         batch_delay_ms: float = 0.0,
-        batch_max: int = 32,
+        batch_max: int | None = None,
         window: int = 0,
         read_mode: str | None = None,
         lease_ms: float | None = None,
@@ -96,7 +96,8 @@ class LocalCluster:
         #: respawn budget per replica for bind-time port races.
         self.spawn_retries = spawn_retries
         #: commit-path tuning forwarded to every replica (see
-        #: ``repro serve --batch-delay/--batch-max/--window``).
+        #: ``repro serve --batch-delay/--batch-max/--window``; None keeps
+        #: the serve default).
         self.batch_delay_ms = batch_delay_ms
         self.batch_max = batch_max
         self.window = window
@@ -180,8 +181,9 @@ class LocalCluster:
             if not self.fsync:
                 argv += ["--no-fsync"]
         if self.batch_delay_ms > 0:
-            argv += ["--batch-delay", str(self.batch_delay_ms),
-                     "--batch-max", str(self.batch_max)]
+            argv += ["--batch-delay", str(self.batch_delay_ms)]
+        if self.batch_max is not None:
+            argv += ["--batch-max", str(self.batch_max)]
         if self.window > 0:
             argv += ["--window", str(self.window)]
         if self.read_mode is not None:

@@ -108,7 +108,10 @@ class LiveRuntime:
                 return
             self.events_executed += 1
             try:
-                action()
+                # A timer is a tick like an inbound chunk: the slots it
+                # flushes share one fsync, and replies wait for it.
+                with self.network.dispatch_window():
+                    action()
             finally:
                 call.cancelled = True  # fired calls read as inactive
 

@@ -331,26 +331,26 @@ class TcpTransport:
         self._reply_routes: dict[NodeId, asyncio.StreamWriter] = {}
         self._server: asyncio.base_events.Server | None = None
         self._clock: Callable[[], float] = lambda: 0.0
-        #: context-manager factories wrapped around each inbound chunk's
-        #: dispatch loop (see :meth:`add_dispatch_group`).
+        #: context-manager factories wrapped around each tick's dispatch
+        #: (see :meth:`add_dispatch_group`).
         self._dispatch_groups: list[Callable[[], ContextManager[Any]]] = []
-        #: reply-route frames produced by the chunk being dispatched, per
-        #: connection; None between chunks (see :meth:`_dispatch_chunk`).
+        #: reply-route frames produced by the tick being dispatched, per
+        #: connection; None between ticks (see :meth:`dispatch_window`).
         self._corked: dict[asyncio.StreamWriter, list[bytes]] | None = None
         #: one-entry broadcast memo: (payload object, encoded bytes).
         self._encoded_payload: tuple[Any, bytes] | None = None
 
     def add_dispatch_group(self, factory: Callable[[], ContextManager[Any]]) -> None:
-        """Wrap every inbound chunk's dispatch loop in ``factory()``.
+        """Wrap every tick (inbound chunk, timer callback) in ``factory()``.
 
         ``serve`` registers the replica store's group-commit window
         here: all WAL appends triggered while dispatching the frames of
-        one network chunk then share a single fsync, issued when the
-        window closes. No byte leaves the process between a window's open
-        and its fsync: peer writer tasks are woken, not run, during
-        dispatch, and frames for reply routes are corked until the
-        windows have closed (see :meth:`_dispatch_chunk`). That ordering
-        is what keeps durable-before-send intact per window.
+        one network chunk, or by one timer, then share a single fsync,
+        issued when the window closes. No byte leaves the process between
+        a window's open and its fsync: peer writer tasks are woken, not
+        run, during dispatch, and frames for reply routes are corked until
+        the windows have closed (see :meth:`dispatch_window`). That
+        ordering is what keeps durable-before-send intact per window.
         """
         self._dispatch_groups.append(factory)
 
@@ -428,7 +428,8 @@ class TcpTransport:
                 if not chunk:
                     break
                 buffer += chunk
-                self._dispatch_chunk(buffer, writer)
+                with self.dispatch_window():
+                    self._drain_chunk(buffer, writer)
         except (
             asyncio.IncompleteReadError,
             ConnectionError,
@@ -442,17 +443,19 @@ class TcpTransport:
                 del self._reply_routes[node]
             writer.close()
 
-    def _dispatch_chunk(self, buffer: bytearray, writer: asyncio.StreamWriter) -> None:
-        """Dispatch one inbound chunk; what it produced leaves at its end.
+    @contextlib.contextmanager
+    def dispatch_window(self):
+        """One tick of protocol work; what it produced leaves at its end.
 
-        Every WAL append triggered by the chunk's frames shares one fsync
-        when the dispatch groups close. A reply route's ``write`` hands
-        bytes to the socket at once, so a reply produced inside a window
-        (a quorum of one decides there) would be acknowledged before the
-        fsync that makes it durable: reply frames are corked while the
-        chunk dispatches and written, one joined write per connection,
-        only after the groups have closed. If a group fails to close (an
-        fsync error) the corked replies are dropped with the exception.
+        Wrapped around each inbound chunk and each timer callback. Every
+        WAL append the tick triggers shares one fsync when the dispatch
+        groups close. A reply route's ``write`` hands bytes to the socket
+        at once, so a reply produced inside a window (a quorum of one
+        decides there) would be acknowledged before the fsync that makes
+        it durable: reply frames are corked while the tick runs and
+        written, one joined write per connection, only after the groups
+        have closed. If a group fails to close (an fsync error) the
+        corked replies are dropped with the exception.
         """
         corked: dict[asyncio.StreamWriter, list[bytes]] = {}
         self._corked = corked
@@ -460,7 +463,7 @@ class TcpTransport:
             with contextlib.ExitStack() as stack:
                 for factory in self._dispatch_groups:
                     stack.enter_context(factory())
-                self._drain_chunk(buffer, writer)
+                yield
         finally:
             self._corked = None
         for route, frames in corked.items():

@@ -1,11 +1,15 @@
 """Tests for leader-side batching in the Multi-Paxos engine."""
 
+import pytest
+
 from repro.apps.kvstore import KvStateMachine
 from repro.consensus.interface import Batch, StaticSmrHost, proposal_key
 from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
 from repro.core.client import ClientParams
+from repro.core.command import ReconfigCommand
 from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
+from repro.errors import ConfigurationError
 from repro.sim.runner import Simulator
 from repro.types import Command, CommandId, Membership, client_id, node_id
 from repro.verify.histories import History
@@ -29,6 +33,15 @@ def make_cluster(params, seed=1):
 
 def cmd(seq, client="c"):
     return Command(CommandId(client_id(client), seq), "set", ("k", seq))
+
+
+def flat_payloads(host):
+    """Decided payloads in order, batches unpacked."""
+    flat = []
+    for decision in host.decisions:
+        payload = decision.payload
+        flat.extend(payload.payloads if isinstance(payload, Batch) else [payload])
+    return flat
 
 
 class TestEngineBatching:
@@ -84,19 +97,103 @@ class TestEngineBatching:
         assert flat.count(command) == 1
 
     def test_zero_delay_means_no_batches(self):
+        """Zero delay holds nothing behind a busy pipeline: commands that
+        arrive in different ticks, each behind the previous one's slot
+        still in flight, take a slot each and leave as they arrive."""
         sim, hosts = make_cluster(PaxosParams(batch_delay=0.0))
+        leader = hosts[node_id("n1")]
         sim.run(until=0.1)
         for i in range(5):
-            hosts[node_id("n1")].propose(cmd(i + 1))
+            leader.propose(cmd(i + 1))
+            sim.run(until=sim.now + 0.0001)  # no round trip fits in that
+            assert not leader.engine._batch  # not held for slot i - 1
+            assert list(leader.engine.inflight) == list(range(i + 1))
         sim.run(until=1.0)
-        assert all(
-            not isinstance(d.payload, Batch) for d in hosts[node_id("n1")].decisions
-        )
+        assert [d.payload for d in leader.decisions] == [cmd(i + 1) for i in range(5)]
 
     def test_batch_has_no_proposal_key(self):
         batch = Batch((cmd(1), cmd(2)))
         assert proposal_key(batch) is None
         assert batch.size > cmd(1).size
+
+
+class TestOneSlotPerTick:
+    """The one admission rule at its default, ``batch_delay == 0``."""
+
+    def test_commands_of_one_tick_share_one_slot(self):
+        sim, hosts = make_cluster(PaxosParams())
+        leader = hosts[node_id("n1")]
+        sim.run(until=0.1)
+        burst = [cmd(i + 1) for i in range(8)]
+        for command in burst:
+            leader.propose(command)
+        sim.run(until=1.0)
+        for host in hosts.values():
+            assert [d.payload for d in host.decisions] == [Batch(tuple(burst))]
+        waits = sim.metrics.histogram("paxos.batch_wait").summary()
+        assert waits["count"] == 1 and waits["max"] == 0.0
+
+    def test_lone_command_is_proposed_in_the_tick_it_arrived(self):
+        sim, hosts = make_cluster(PaxosParams())
+        leader = hosts[node_id("n1")]
+        sim.run(until=0.1)
+        arrived = sim.now
+        leader.propose(cmd(1))
+        sim.run(until=arrived)
+        assert sim.now == arrived
+        assert leader.engine.inflight[0].value == cmd(1)  # bare, no Batch
+        sim.run(until=1.0)
+        assert [d.payload for d in hosts[node_id("n3")].decisions] == [cmd(1)]
+
+    def test_batch_max_one_is_one_slot_per_command(self):
+        sim, hosts = make_cluster(PaxosParams(batch_max=1))
+        sim.run(until=0.1)
+        burst = [cmd(i + 1) for i in range(8)]
+        for command in burst:
+            hosts[node_id("n1")].propose(command)
+        sim.run(until=1.0)
+        for host in hosts.values():
+            assert [d.payload for d in host.decisions] == burst
+            assert [d.slot for d in host.decisions] == list(range(8))
+
+    def test_batch_max_below_one_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            make_cluster(PaxosParams(batch_max=0))
+
+    def test_reconfigure_mid_tick_flushes_the_buffer_and_owns_its_slot(self):
+        sim, hosts = make_cluster(PaxosParams())
+        leader = hosts[node_id("n1")]
+        sim.run(until=0.1)
+        reconfig = ReconfigCommand(
+            CommandId(client_id("admin"), 1), Membership.of("n1", "n2", "n4")
+        )
+        for payload in (cmd(1), cmd(2), reconfig, cmd(3)):
+            leader.propose(payload)
+        sim.run(until=1.0)
+        for host in hosts.values():
+            assert [d.payload for d in host.decisions] == [
+                Batch((cmd(1), cmd(2))), reconfig, cmd(3),
+            ]
+
+    def test_step_down_with_a_buffered_batch_loses_nothing(self):
+        """The buffer dies with the term; ``awaiting`` still holds every
+        command and the retry timer routes them to the new leader."""
+        sim, hosts = make_cluster(PaxosParams(window=1))
+        old = hosts[node_id("n1")]
+        sim.run(until=0.1)
+        sim.network.partition("cut", ["n1"], ["n2", "n3"])
+        old.propose(cmd(1))  # fills the window; the cut keeps it there
+        sim.run(until=sim.now)
+        old.propose(cmd(2))
+        old.propose(cmd(3))
+        sim.run(until=1.0)  # n2 / n3 elect a leader meanwhile
+        assert old.engine.is_leader and old.engine._batch == [cmd(2), cmd(3)]
+        sim.network.heal("cut")
+        sim.run(until=3.0)
+        assert not old.engine.is_leader and not old.engine._batch
+        for host in hosts.values():
+            decided = [p for p in flat_payloads(host) if isinstance(p, Command)]
+            assert sorted(p.cid.seq for p in decided) == [1, 2, 3]
 
 
 class TestBatchedService:

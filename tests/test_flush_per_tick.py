@@ -39,6 +39,7 @@ from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
 from repro.net.client import LiveClient
 from repro.net.cluster import free_port
 from repro.net.observe import fetch_metrics
+from repro.net.transport import TcpTransport
 from repro.sim.runner import Simulator
 from repro.storage.store import ReplicaStore
 from repro.types import Command, CommandId, Membership, client_id, node_id
@@ -70,12 +71,12 @@ class ServedReplica:
 
 
 @contextmanager
-def serve_one(tmp_path):
+def serve_one(tmp_path, *extra_args):
     port = free_port()
     args = build_parser().parse_args([
         "serve", "--node", "n1", "--peers", f"n1=127.0.0.1:{port}",
         "--initial", "n1", "--data-dir", str(tmp_path / "n1"),
-        "--checkpoint-interval", "0",
+        "--checkpoint-interval", "0", *extra_args,
     ])
     runtime, replica, host, port = build_replica(args)
     # The wiring itself: the transport wraps every inbound chunk in the
@@ -100,6 +101,10 @@ def serve_one(tmp_path):
     assert not thread.is_alive()
 
 
+def rises(before, after):
+    return lambda name: after.counters[name] - before.counters[name]
+
+
 class TestGroupWindowIsLive:
     def test_one_frame_of_eight_commands_costs_one_fsync(self, tmp_path):
         with serve_one(tmp_path) as served:
@@ -111,47 +116,99 @@ class TestGroupWindowIsLive:
                 )
             after = served.metrics()
         assert len(acked) == 8
-
-        def rose(name):
-            return after.counters[name] - before.counters[name]
-
-        # Unbatched serve default: eight slots, eight accepts, one sync.
-        assert rose("paxos.decided") == 8
+        rose = rises(before, after)
+        # Serve default: the frame's eight commands share one slot, so one
+        # accept, one (lazy) decide and one sync.
+        assert rose("paxos.decided") == 1
+        assert after.histograms["paxos.batch_size"]["max"] == 8
         assert rose("wal.fsyncs") == 1
-        assert after.histograms["wal.group_commit_size"]["max"] == 8
-        # Decides are lazy: they are appends no fsync was bought for.
-        assert rose("wal.appends") == 16
-        assert rose("wal.lazy_appends") == 8
+        assert rose("wal.appends") == 2
+        assert rose("wal.lazy_appends") == 1
         # The eight answers left as one frame.
         assert rose("smr.replies") == 8
         assert rose("smr.reply_frames") == 1
 
+    def test_batch_max_one_is_one_slot_per_command(self, tmp_path):
+        with serve_one(tmp_path, "--batch-max", "1") as served:
+            before = served.metrics()
+            with served.client() as client:
+                acked = client.submit_pipelined(
+                    [("set", (f"k{i}", i), 64) for i in range(8)], window=8
+                )
+            after = served.metrics()
+        assert len(acked) == 8
+        rose = rises(before, after)
+        # Eight slots, eight accepts, eight lazy decides - still one sync.
+        assert rose("paxos.decided") == 8
+        assert after.histograms["paxos.batch_size"]["max"] == 1
+        assert rose("wal.fsyncs") == 1
+        assert after.histograms["wal.group_commit_size"]["max"] == 8
+        assert rose("wal.appends") == 16
+        assert rose("wal.lazy_appends") == 8
+        assert rose("smr.reply_frames") == 1
+
+    def test_timer_flush_of_three_slots_costs_one_fsync(self, tmp_path):
+        """A timer is a tick too: the slots it opens share one fsync."""
+        with serve_one(tmp_path, "--batch-max", "1") as served:
+            engine = served.replica.epoch_runtime(0).engine
+            fired = threading.Event()
+
+            def tick():
+                for seq in (1, 2, 3):
+                    engine.propose(cmd(seq))
+                fired.set()
+
+            before = served.metrics()
+            served.runtime._loop.call_soon_threadsafe(
+                served.runtime.schedule, 0.0, tick
+            )
+            assert fired.wait(timeout=10.0)
+            after = served.metrics()
+        rose = rises(before, after)
+        assert rose("paxos.decided") == 3
+        assert rose("wal.fsyncs") == 1
+        assert after.histograms["wal.group_commit_size"]["max"] == 3
+
+
+@pytest.fixture
+def io_events(monkeypatch):
+    """Every WAL append, fsync, socket write and inbound chunk, in order."""
+    events: list[tuple[str, object]] = []
+    real_fsync = os.fsync
+    real_write = asyncio.StreamWriter.write
+    real_append = ReplicaStore.append
+    real_drain = TcpTransport._drain_chunk
+
+    def logged_fsync(fd):
+        events.append(("fsync", fd))
+        return real_fsync(fd)
+
+    def logged_write(self, data):
+        events.append(("write", len(data)))
+        return real_write(self, data)
+
+    def logged_append(self, record, **kwargs):
+        events.append(("append", type(record).__name__))
+        return real_append(self, record, **kwargs)
+
+    def logged_drain(self, buffer, writer):
+        events.append(("chunk", len(buffer)))
+        try:
+            return real_drain(self, buffer, writer)
+        finally:
+            events.append(("chunk-end", None))
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(asyncio.StreamWriter, "write", logged_write)
+    monkeypatch.setattr(ReplicaStore, "append", logged_append)
+    monkeypatch.setattr(TcpTransport, "_drain_chunk", logged_drain)
+    return events
+
 
 class TestDurableBeforeAcknowledged:
-    def test_quorum_of_one_fsyncs_before_the_reply_leaves(self, tmp_path, monkeypatch):
-        """A one-member quorum decides inside the window that appended the
-        accept; the reply must still wait for that window's fsync."""
-        events: list[tuple[str, object]] = []
-        real_fsync = os.fsync
-        real_write = asyncio.StreamWriter.write
-        real_append = ReplicaStore.append
-
-        def logged_fsync(fd):
-            events.append(("fsync", fd))
-            return real_fsync(fd)
-
-        def logged_write(self, data):
-            events.append(("write", len(data)))
-            return real_write(self, data)
-
-        def logged_append(self, record, **kwargs):
-            events.append(("append", type(record).__name__))
-            return real_append(self, record, **kwargs)
-
-        monkeypatch.setattr(os, "fsync", logged_fsync)
-        monkeypatch.setattr(asyncio.StreamWriter, "write", logged_write)
-        monkeypatch.setattr(ReplicaStore, "append", logged_append)
-        with serve_one(tmp_path) as served:
+    @staticmethod
+    def one_acknowledged_set(tmp_path, events, *serve_args):
+        with serve_one(tmp_path, *serve_args) as served:
             del events[:]
             with served.client() as client:
                 reply = client.submit("set", ("k", 1))
@@ -162,6 +219,24 @@ class TestDurableBeforeAcknowledged:
         fsync = accept + kinds[accept:].index("fsync")
         assert "write" not in kinds[:fsync], kinds
         assert kinds.count("write") == 1
+        return kinds, accept
+
+    def test_quorum_of_one_fsyncs_before_the_reply_leaves(self, tmp_path, io_events):
+        """A one-member quorum decides inside the window that appended the
+        accept; the reply must still wait for that window's fsync. With
+        one command per slot that window is the inbound chunk's."""
+        kinds, accept = self.one_acknowledged_set(
+            tmp_path, io_events, "--batch-max", "1"
+        )
+        assert "chunk-end" not in kinds[kinds.index("chunk"):accept], kinds
+
+    def test_timer_flushed_slot_fsyncs_before_the_reply_leaves(self, tmp_path, io_events):
+        """On the serve default the slot opens from the zero-delay timer,
+        after the chunk that carried the command: same order there."""
+        kinds, accept = self.one_acknowledged_set(tmp_path, io_events)
+        assert "chunk-end" in kinds[kinds.index("chunk"):accept], kinds
+        # Accept and (lazy) decide shared the timer's window: one sync.
+        assert kinds.count("fsync") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,18 @@ closed loop ``repro chaos`` runs in CI. Budgeted at 60 s wall clock like
 the other live tests.
 """
 
+import random
+import threading
 import time
 
 import pytest
 
-from repro.net.chaos import run_chaos_scenario
+from repro.net.chaos import HistoryRecorder, run_chaos_scenario
+from repro.net.client import LiveClient
+from repro.net.cluster import LocalCluster
+from repro.net.observe import poll_cluster
 from repro.verify import check_kv_linearizable, dump_jsonl, load_jsonl
+from repro.verify.histories import History
 
 pytestmark = [pytest.mark.live, pytest.mark.slow]
 
@@ -73,3 +79,83 @@ class TestLiveChaos:
         assert report.linearizable.ok
         assert len(report.history.completed) > 50
         assert elapsed < WALL_CLOCK_BUDGET, f"batched chaos took {elapsed:.1f}s"
+
+    def test_one_slot_per_command_is_linearizable(self, tmp_path):
+        """``--batch-max 1`` is the one-slot-per-command commit path; no
+        bench cell pins it yet, so it is kept honest here: four concurrent
+        callers on a durable cluster through a follower SIGKILL and a
+        RECONFIGURE that replaces the dead member, checked by Wing–Gong."""
+        started = time.monotonic()
+        callers, keys = 4, 8
+        stop = threading.Event()
+        recorders: list[HistoryRecorder] = []
+        errors: list[BaseException] = []
+        with LocalCluster(
+            replicas=3, reserve=1, seed=24, log_dir=tmp_path / "logs",
+            durable=True, batch_max=1,
+        ) as cluster:
+            cluster.start(timeout=20.0)
+            joiner = cluster.reserved()[0]
+            cluster.spawn(joiner)
+            cluster.wait_ready([joiner], timeout=15.0)
+            t0 = time.monotonic()
+
+            def caller(index: int) -> None:
+                rng = random.Random(24 + index)
+                try:
+                    with LiveClient(
+                        f"caller{index}", cluster.addresses,
+                        view=cluster.initial, request_timeout=0.5,
+                    ) as client:
+                        recorder = HistoryRecorder(client, t0=t0)
+                        recorders.append(recorder)
+                        written = 0
+                        while not stop.is_set():
+                            key = f"k{rng.randrange(keys)}"
+                            if rng.random() < 0.7:
+                                written += 1
+                                recorder.submit(
+                                    "set", (key, index * 100_000 + written),
+                                    deadline=6.0,
+                                )
+                            else:
+                                recorder.submit("get", (key,), size=32, deadline=6.0)
+                            time.sleep(0.005)
+                        for i in range(index, keys, callers):
+                            recorder.submit("get", (f"k{i}",), size=32, deadline=15.0)
+                except BaseException as exc:  # noqa: BLE001 - re-raised below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=caller, args=(i,), daemon=True)
+                for i in range(callers)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            cluster.kill("n2")
+            time.sleep(0.5)
+            with LiveClient("admin", cluster.addresses, view=cluster.initial) as admin:
+                admin.reconfigure(["n1", "n3", joiner], deadline=25.0)
+            time.sleep(1.0)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            live = [n for n, proc in cluster.procs.items() if proc.poll() is None]
+            fetched, fetch_errors = poll_cluster(cluster.addresses, live, timeout=5.0)
+        assert not errors, errors
+        assert not fetch_errors, fetch_errors
+
+        # One command per slot everywhere, and enough of them to matter.
+        for node, metrics in fetched.items():
+            sizes = metrics.snapshot.histograms["paxos.batch_size"]
+            assert sizes["max"] <= 1, (node, sizes)
+        assert fetched["n1"].snapshot.counters["paxos.decided"] > 100
+
+        history = History([op for r in recorders for op in r.operations])
+        assert len(history.completed) > 200
+        result = check_kv_linearizable(history)
+        assert result.ok, result
+        elapsed = time.monotonic() - started
+        assert elapsed < WALL_CLOCK_BUDGET, f"one-slot chaos took {elapsed:.1f}s"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus.interface import Noop, StaticSmrHost, proposal_key
+from repro.consensus.interface import Batch, Noop, StaticSmrHost, proposal_key
 from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
 from repro.sim.network import LatencyModel
 from repro.sim.runner import Simulator
@@ -25,6 +25,14 @@ def cmd(seq, client="c", op="set", args=("k", 1)):
 
 def decided_payloads(host):
     return [d.payload for d in host.decisions]
+
+
+def decided_commands(host):
+    """Every decided command, in order, whatever slots carried them."""
+    flat = []
+    for payload in decided_payloads(host):
+        flat.extend(payload.payloads if isinstance(payload, Batch) else [payload])
+    return [p for p in flat if hasattr(p, "cid")]
 
 
 def assert_logs_prefix_consistent(hosts):
@@ -73,8 +81,9 @@ class TestReplication:
         for i in range(20):
             hosts[node_id("n1")].propose(cmd(i + 1))
         sim.run(until=1.0)
+        proposed = [cmd(i + 1) for i in range(20)]
         for host in hosts.values():
-            assert len(host.decisions) == 20
+            assert decided_commands(host) == proposed
         assert_logs_prefix_consistent(hosts)
 
     def test_follower_proposals_forwarded(self):
@@ -118,9 +127,7 @@ class TestReplication:
         sim.at(0.2, hosts[node_id("n1")].crash)
         sim.run(until=4.0)
         survivors = [h for h in hosts.values() if not h.crashed]
-        cids = {
-            p.cid for h in survivors for p in decided_payloads(h) if hasattr(p, "cid")
-        }
+        cids = {p.cid for h in survivors for p in decided_commands(h)}
         assert len(cids) == 40
         assert_logs_prefix_consistent(hosts)
 
@@ -150,13 +157,14 @@ class TestCatchup:
         assert len(hosts[node_id("n3")].decisions) == 0
         sim.network.heal("cut")
         sim.run(until=3.0)
-        assert len(hosts[node_id("n3")].decisions) == 15
+        assert len(decided_commands(hosts[node_id("n3")])) == 15
         assert_logs_prefix_consistent(hosts)
 
     def test_noop_gap_fill_on_leader_change(self):
         # Crash the leader mid-burst; the new leader must render the log
-        # gap-free (possibly with Noops) so delivery resumes.
-        sim, hosts = make_cluster(seed=7)
+        # gap-free (possibly with Noops) so delivery resumes. One slot per
+        # command, so the crash finds 30 slots in flight, not one.
+        sim, hosts = make_cluster(seed=7, params=PaxosParams(batch_max=1))
         sim.run(until=0.1)
         for i in range(30):
             hosts[node_id("n1")].propose(cmd(i + 1))

@@ -76,7 +76,8 @@ class TestPaxosAcceptorEdges:
 
 class TestPaxosCatchupEdges:
     def test_catchup_reply_is_bounded_by_batch(self):
-        params = PaxosParams(catchup_batch=5)
+        # catchup_batch counts slots: twelve commands, twelve slots.
+        params = PaxosParams(catchup_batch=5, batch_max=1)
         sim, hosts = make_cluster(params=params)
         sim.run(until=0.3)
         for i in range(12):

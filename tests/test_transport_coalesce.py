@@ -208,3 +208,49 @@ class TestPoisonFrames:
             writer.close()
         finally:
             await server.close()
+
+
+class TestBroadcastEncodesOnce:
+    """An engine message fanned out to every peer is encoded once: the
+    engine hands the transport one envelope object for the whole fan-out,
+    which is what the transport's one-entry payload memo keys on."""
+
+    def test_one_accept_to_two_peers_costs_one_encode(self, monkeypatch):
+        asyncio.run(self._fan_out(monkeypatch))
+
+    async def _fan_out(self, monkeypatch):
+        from repro.consensus import messages as m
+        from repro.consensus.interface import InstanceMessage, StaticSmrHost
+        from repro.consensus.multipaxos import MultiPaxosEngine
+        from repro.net.cluster import free_port
+        from repro.net.runtime import LiveRuntime
+        from repro.types import Membership
+
+        encoded: list = []
+        real_encode = codec.encode_payload
+
+        def counting_encode(payload):
+            encoded.append(payload)
+            return real_encode(payload)
+
+        monkeypatch.setattr(codec, "encode_payload", counting_encode)
+        # Nobody listens at the peers' addresses: frames only queue.
+        port = TcpTransport(
+            {NodeId(n): ("127.0.0.1", free_port()) for n in ("n2", "n3")}
+        )
+        runtime = LiveRuntime(port, trace_enabled=False)
+        try:
+            host = StaticSmrHost(
+                runtime, NodeId("n1"), Membership.of("n1", "n2", "n3"),
+                MultiPaxosEngine.factory(),
+            )
+            host.engine._send_accepts(0, "value")
+            accepts = [
+                p for p in encoded
+                if isinstance(p, InstanceMessage) and isinstance(p.inner, m.Accept)
+            ]
+            assert len(accepts) == 1
+            assert port.stats.messages_sent == 2
+        finally:
+            await port.close()
+            runtime._loop.close()
