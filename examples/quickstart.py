@@ -13,7 +13,7 @@ from repro.core.client import ClientParams
 from repro.core.service import ReplicatedService
 from repro.sim.runner import Simulator
 from repro.types import node_id
-from repro.verify import verify_run
+from repro.verify.suite import verify_run
 
 
 def main() -> None:

@@ -4,10 +4,12 @@ Reproduction of Bortnikov, Chockler, Perelman, Roytman, Shachor,
 Shnayderman: *"Brief announcement: reconfigurable state machine
 replication from non-reconfigurable building blocks"* (PODC 2012).
 
-The common entry points are re-exported here::
+Import what you use from its submodule (a package ``__init__`` re-exports
+nothing, so a ``repro serve`` process loads only the serving stack)::
 
-    from repro import Simulator, ReplicatedService
     from repro.apps.kvstore import KvStateMachine
+    from repro.core.service import ReplicatedService
+    from repro.sim.runner import Simulator
 
     sim = Simulator(seed=7)
     service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
@@ -16,27 +18,4 @@ See README.md for a tour, DESIGN.md for the system inventory, and
 PROTOCOL.md for the protocol itself.
 """
 
-from repro.core.client import Client, ClientParams
-from repro.core.reconfig import ReconfigParams, ReconfigurableReplica
-from repro.core.service import ReplicatedService
-from repro.sim.network import LatencyModel, ZonedLatencyModel
-from repro.sim.runner import Simulator
-from repro.types import Command, CommandId, Configuration, Membership
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Client",
-    "ClientParams",
-    "Command",
-    "CommandId",
-    "Configuration",
-    "LatencyModel",
-    "Membership",
-    "ReconfigParams",
-    "ReconfigurableReplica",
-    "ReplicatedService",
-    "Simulator",
-    "ZonedLatencyModel",
-    "__version__",
-]

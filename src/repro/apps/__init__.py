@@ -10,15 +10,3 @@ Each application is a deterministic :class:`repro.core.statemachine.StateMachine
 * :mod:`repro.apps.lockservice` — a lease-free lock table; mutual exclusion
   per key is directly checkable from replies.
 """
-
-from repro.apps.bank import BankStateMachine
-from repro.apps.counter import CounterStateMachine
-from repro.apps.kvstore import KvStateMachine
-from repro.apps.lockservice import LockServiceStateMachine
-
-__all__ = [
-    "BankStateMachine",
-    "CounterStateMachine",
-    "KvStateMachine",
-    "LockServiceStateMachine",
-]

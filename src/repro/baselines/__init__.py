@@ -10,15 +10,3 @@
   design that dominates open-source systems and the natural "why not just
   build reconfiguration in?" comparator.
 """
-
-from repro.baselines.raft import RaftParams, RaftReplica
-from repro.baselines.raft_service import RaftService
-from repro.baselines.stoptheworld import stop_the_world_params, StopTheWorldService
-
-__all__ = [
-    "RaftParams",
-    "RaftReplica",
-    "RaftService",
-    "StopTheWorldService",
-    "stop_the_world_params",
-]

@@ -6,8 +6,3 @@ renderable :class:`repro.metrics.report.Table` / ``Series`` objects. The
 ``benchmarks/`` directory wraps these in pytest-benchmark targets; the
 examples reuse the same harness for smaller interactive runs.
 """
-
-from repro.bench.harness import RunResult, run_experiment
-from repro.bench.rawstatic import RawPaxosService
-
-__all__ = ["RawPaxosService", "RunResult", "run_experiment"]

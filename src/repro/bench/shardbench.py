@@ -35,7 +35,8 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.metrics import Table, percentile, summarize_throughput
+from repro.metrics.report import Table
+from repro.metrics.stats import percentile, summarize_throughput
 
 #: Speedup gates only arm with enough cores to actually run groups in
 #: parallel; below this the sweep degrades into an overhead measurement.

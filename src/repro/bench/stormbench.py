@@ -42,7 +42,8 @@ import platform
 from pathlib import Path
 from typing import Any
 
-from repro.metrics import Table, percentile
+from repro.metrics.report import Table
+from repro.metrics.stats import percentile
 
 #: the full grid sweeps every scenario; smoke samples the join-vs-crash
 #: race (the SIGKILL-at-the-seal window the seal-time tail rescue exists

@@ -11,16 +11,17 @@ Usage::
 
 The heavy lifting lives in :mod:`repro.bench.experiments`; this module is
 argument parsing plus a curated "quick" parameter set per experiment so a
-first-time user sees output in seconds.
+first-time user sees output in seconds. Each subcommand imports what it
+runs inside its own function, so a ``serve`` process loads the serving
+stack and not the experiment harness.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
-
-from repro.bench.experiments import ALL_EXPERIMENTS
 
 #: reduced parameter sets for --quick runs (still shape-preserving).
 QUICK_ARGS: dict[str, dict] = {
@@ -57,6 +58,8 @@ _SUMMARIES = {
 
 
 def _cmd_list() -> int:
+    from repro.bench.experiments import ALL_EXPERIMENTS
+
     print("experiments (run with: python -m repro run <ID>):")
     for name in sorted(ALL_EXPERIMENTS):
         print(f"  {name:4} {_SUMMARIES.get(name, '')}")
@@ -64,6 +67,8 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(name: str, quick: bool, seed: int | None) -> int:
+    from repro.bench.experiments import ALL_EXPERIMENTS
+
     key = name.upper()
     experiment = ALL_EXPERIMENTS.get(key)
     if experiment is None:
@@ -110,25 +115,23 @@ def _cmd_demo() -> int:
     return 0
 
 
-#: application registry for the live commands (name -> factory).
-def _app_factory(name: str):
-    from repro.apps.bank import BankStateMachine
-    from repro.apps.counter import CounterStateMachine
-    from repro.apps.kvstore import KvStateMachine
-    from repro.apps.lockservice import LockServiceStateMachine
-    from repro.shard.metadir import MetaDirStateMachine
+#: application registry for the live commands: name -> (module, class).
+_APPS = {
+    "kv": ("repro.apps.kvstore", "KvStateMachine"),
+    "counter": ("repro.apps.counter", "CounterStateMachine"),
+    "bank": ("repro.apps.bank", "BankStateMachine"),
+    "lock": ("repro.apps.lockservice", "LockServiceStateMachine"),
+    "metadir": ("repro.shard.metadir", "MetaDirStateMachine"),
+}
 
-    apps = {
-        "kv": KvStateMachine,
-        "counter": CounterStateMachine,
-        "bank": BankStateMachine,
-        "lock": LockServiceStateMachine,
-        "metadir": MetaDirStateMachine,
-    }
-    factory = apps.get(name)
-    if factory is None:
-        raise SystemExit(f"unknown app {name!r}; choose from {sorted(apps)}")
-    return factory
+
+def _app_factory(name: str):
+    """The state machine class ``--app`` names; only its module is imported."""
+    spec = _APPS.get(name)
+    if spec is None:
+        raise SystemExit(f"unknown app {name!r}; choose from {sorted(_APPS)}")
+    module, cls = spec
+    return getattr(importlib.import_module(module), cls)
 
 
 def _parse_group_peers(
@@ -198,7 +201,7 @@ def build_replica(args: "argparse.Namespace"):
     runtime = LiveRuntime(transport, seed=args.seed, echo_trace=args.verbose)
     storage = None
     if args.data_dir:
-        from repro.storage import ReplicaStore
+        from repro.storage.store import ReplicaStore
 
         storage = ReplicaStore(
             args.data_dir, fsync=args.fsync, metrics=runtime.metrics
@@ -208,14 +211,14 @@ def build_replica(args: "argparse.Namespace"):
         # TcpTransport.add_dispatch_group).
         transport.add_dispatch_group(storage.group)
     if args.chaos:
-        from repro.net.chaos import install_chaos_endpoint
+        from repro.net.admin import install_chaos_endpoint
 
         status = None
         if storage is not None:
             status = storage.status  # recovery status for the controller
         install_chaos_endpoint(transport, args.node, status=status)
     if not args.no_metrics:
-        from repro.net.observe import install_metrics_endpoint
+        from repro.net.admin import install_metrics_endpoint
 
         # Read-only, so on by default (unlike the chaos endpoint).
         install_metrics_endpoint(
@@ -328,7 +331,15 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
           f"(app={args.app}, member={'yes' if member else 'standby'}"
           f"{commit_note}{read_note}{shard_note})",
           flush=True)
-    runtime.run(host, port)
+    from repro.errors import DurabilityError
+
+    try:
+        runtime.run(host, port)
+    except DurabilityError as exc:
+        # Fail-stop: the replica's WAL can no longer be trusted; what the
+        # failed window produced never left the process.
+        print(f"[{args.node}] stopped: {exc}", file=sys.stderr, flush=True)
+        return 1
     return 0
 
 

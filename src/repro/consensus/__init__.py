@@ -12,33 +12,3 @@ This package provides the black boxes the paper composes:
 
 Nothing in here knows anything about reconfiguration.
 """
-
-from repro.consensus.ballot import Ballot
-from repro.consensus.interface import (
-    InstanceMessage,
-    Noop,
-    SmrEngine,
-    StaticSmrHost,
-    Transport,
-    proposal_key,
-)
-from repro.consensus.log import DecidedLog
-from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
-from repro.consensus.sequencer import SequencerEngine
-from repro.consensus.synod import SynodAcceptor, SynodProposer
-
-__all__ = [
-    "Ballot",
-    "DecidedLog",
-    "InstanceMessage",
-    "MultiPaxosEngine",
-    "Noop",
-    "PaxosParams",
-    "SequencerEngine",
-    "SmrEngine",
-    "StaticSmrHost",
-    "SynodAcceptor",
-    "SynodProposer",
-    "Transport",
-    "proposal_key",
-]

@@ -122,7 +122,7 @@ class Transport:
         :class:`repro.storage.ReplicaStore`; everyone else gets the null
         handle and keeps the pre-durability in-memory behaviour.
         """
-        from repro.storage import NULL_DURABILITY
+        from repro.storage.store import NULL_DURABILITY
 
         store = getattr(self._host, "storage", None)
         if store is None:

@@ -74,7 +74,7 @@ class SynodAcceptor:
         self.accepted_ballot: Ballot = Ballot.ZERO
         self.accepted_value: Any = None
         if durability is None:
-            from repro.storage import NULL_DURABILITY
+            from repro.storage.store import NULL_DURABILITY
 
             durability = NULL_DURABILITY
         self.durable = durability

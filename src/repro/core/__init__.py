@@ -16,23 +16,3 @@ This package is the paper's contribution. The composition:
 See :mod:`repro.core.reconfig` for the replica, :mod:`repro.core.client`
 for the client library and :mod:`repro.core.service` for cluster builders.
 """
-
-from repro.core.command import ReconfigCommand
-from repro.core.client import Client, ClientParams
-from repro.core.epoch import EpochRuntime
-from repro.core.reconfig import ReconfigParams, ReconfigurableReplica
-from repro.core.service import ReplicatedService, spawn_replica
-from repro.core.statemachine import DedupStateMachine, StateMachine
-
-__all__ = [
-    "Client",
-    "ClientParams",
-    "DedupStateMachine",
-    "EpochRuntime",
-    "ReconfigCommand",
-    "ReconfigParams",
-    "ReconfigurableReplica",
-    "ReplicatedService",
-    "StateMachine",
-    "spawn_replica",
-]

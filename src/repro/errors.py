@@ -48,6 +48,15 @@ class RecoveryError(ReproError):
     """
 
 
+class DurabilityError(ReproError):
+    """An fsync the write-ahead log depends on failed.
+
+    The kernel may already have dropped the dirty pages and cleared the
+    error, so a later fsync can succeed over lost records: the writer
+    refuses all further work and ``serve`` stops (fail-stop).
+    """
+
+
 class VerificationError(ReproError):
     """A correctness oracle (invariant or linearizability check) failed."""
 

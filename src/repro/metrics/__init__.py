@@ -4,69 +4,3 @@ The harness records client-observed completions (the honest service-level
 signal) and, optionally, replica-side commits. Reporting helpers render the
 paper-style tables and text "figures" (series) the benchmark suite prints.
 """
-
-from typing import TYPE_CHECKING
-
-from repro.metrics.registry import (
-    RECONFIG_PHASES,
-    SPAN_RECONFIG,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SpanEvent,
-    metrics_of,
-    reconfig_span_complete,
-    span_width,
-)
-from repro.metrics.stats import (
-    LatencySummary,
-    ThroughputSummary,
-    Timeline,
-    longest_gap,
-    percentile,
-    summarize_latencies,
-    summarize_throughput,
-)
-from repro.metrics.report import Series, Table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.collectors import CommitCollector, CompletionCollector
-
-# The collectors depend on repro.core.client, which (via the sim package)
-# depends on the registry above — importing them eagerly here would close
-# an import cycle. PEP 562 lazy re-export keeps the public surface intact.
-_LAZY = {"CommitCollector", "CompletionCollector"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.metrics import collectors
-
-        return getattr(collectors, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CommitCollector",
-    "CompletionCollector",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LatencySummary",
-    "MetricsRegistry",
-    "RECONFIG_PHASES",
-    "SPAN_RECONFIG",
-    "Series",
-    "SpanEvent",
-    "Table",
-    "ThroughputSummary",
-    "Timeline",
-    "longest_gap",
-    "metrics_of",
-    "percentile",
-    "reconfig_span_complete",
-    "span_width",
-    "summarize_latencies",
-    "summarize_throughput",
-]

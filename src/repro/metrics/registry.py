@@ -29,7 +29,7 @@ latency the paper sells.
 
 :meth:`MetricsRegistry.snapshot` renders everything into plain
 containers (str/int/float/dict/tuple) so the result can cross the wire
-unchanged inside a :class:`repro.net.observe.MetricsSnapshot`.
+unchanged inside a :class:`repro.net.admin.MetricsSnapshot`.
 """
 
 from __future__ import annotations

@@ -1,0 +1,208 @@
+"""The replica side of the two admin endpoints, ``#chaos`` and ``#metrics``.
+
+A ``repro serve`` process registers a **metrics endpoint**
+(``<node>#metrics``, on by default) and, under ``serve --chaos``, a
+**chaos endpoint** (``<node>#chaos``) on its transport. This module holds
+what the replica needs for both: their four wire types, which the codec
+registers, and the two handlers. The handlers run in the serve wiring,
+outside the protocol stack, so replica code cannot see a fault schedule
+or a poller (the simulator's honesty rule).
+
+The other side lives elsewhere: :mod:`repro.net.chaos` pushes
+:class:`ChaosCommand` frames from a failure schedule and checks the run
+with the Wing–Gong oracle; :mod:`repro.net.observe` polls, aligns and
+renders :class:`MetricsSnapshot` frames. Both import from here, never the
+other way round, so a serving replica loads neither.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
+
+from repro.types import CommandId, NodeId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics.registry import MetricsRegistry
+    from repro.net.transport import LinkPolicy, TcpTransport
+
+#: suffix distinguishing a replica's chaos endpoint from the replica itself.
+CHAOS_SUFFIX = "#chaos"
+
+#: suffix distinguishing a replica's metrics endpoint from the replica.
+METRICS_SUFFIX = "#metrics"
+
+
+def chaos_endpoint(node: str) -> NodeId:
+    """Transport endpoint id of ``node``'s chaos admin handler."""
+    return NodeId(f"{node}{CHAOS_SUFFIX}")
+
+
+def metrics_endpoint(node: str) -> NodeId:
+    """Transport endpoint id of ``node``'s metrics handler."""
+    return NodeId(f"{node}{METRICS_SUFFIX}")
+
+
+# ---------------------------------------------------------------------------
+# Wire protocol (registered in repro.net.codec's bootstrap)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class ChaosCommand:
+    """Controller -> replica: install or remove one link rule.
+
+    ``op`` is one of ``partition | drop | delay | lose | heal |
+    heal_all``; ``side_a``/``side_b`` carry the node groups (for the
+    one-way ops only their first elements are used as ``src``/``dst``),
+    ``value`` carries seconds for ``delay`` and the rate for ``lose``.
+    """
+
+    cid: CommandId
+    op: str
+    name: str = ""
+    side_a: tuple[NodeId, ...] = ()
+    side_b: tuple[NodeId, ...] = ()
+    value: float = 0.0
+
+
+@dataclass(frozen=True, slots=True)
+class ChaosAck:
+    """Replica -> controller: rule applied (or rejected).
+
+    ``detail`` is optional op-specific payload — for the ``status`` op it
+    carries the replica's recovery/durability status as a JSON object
+    (see :func:`install_chaos_endpoint`), empty for link ops.
+    """
+
+    cid: CommandId
+    node: NodeId
+    op: str
+    applied: bool
+    detail: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class MetricsRequest:
+    """Poller -> replica: send me your registry snapshot."""
+
+    cid: CommandId
+
+
+@dataclass(frozen=True, slots=True)
+class MetricsSnapshot:
+    """Replica -> poller: one registry snapshot, plus the local clock.
+
+    ``now`` is the replica's runtime clock (seconds since its process
+    started) at snapshot time — the timebase every span timestamp and
+    histogram sample in the snapshot was recorded against. Dict fields
+    hold only wire-native values (str keys; int/float/nested-dict
+    values), exactly as :meth:`MetricsRegistry.snapshot` emits them.
+    """
+
+    cid: CommandId
+    node: NodeId
+    now: float
+    counters: dict[str, int]
+    gauges: dict[str, float]
+    histograms: dict[str, dict[str, float]]
+    spans: dict[str, dict[str, float]]
+
+
+# ---------------------------------------------------------------------------
+# The handlers
+# ---------------------------------------------------------------------------
+
+
+def apply_chaos_command(policy: LinkPolicy, command: ChaosCommand) -> bool:
+    """Apply one :class:`ChaosCommand` to a transport's link policy."""
+    op = command.op
+    if op == "partition":
+        policy.partition(command.name, command.side_a, command.side_b)
+    elif op == "drop":
+        policy.drop(command.name, command.side_a[0], command.side_b[0])
+    elif op == "delay":
+        policy.delay(command.name, command.side_a[0], command.side_b[0], command.value)
+    elif op == "lose":
+        policy.lose(command.name, command.side_a[0], command.side_b[0], command.value)
+    elif op == "heal":
+        policy.heal(command.name)
+    elif op == "heal_all":
+        policy.heal_all()
+    else:
+        return False
+    return True
+
+
+def install_chaos_endpoint(
+    transport: TcpTransport, node: str, status: Any = None
+) -> NodeId:
+    """Register ``node``'s chaos admin endpoint on its transport.
+
+    Only wired up under ``repro serve --chaos``: production replicas do
+    not expose remote fault injection. The handler mutates the
+    transport's :class:`LinkPolicy` and acks over the requester's reply
+    route — it never touches replica state, so the protocol stack stays
+    blind to the schedule.
+
+    ``status`` (optional, a zero-argument callable returning a plain
+    dict) answers the read-only ``status`` op — the controller uses it
+    to ask a restarted replica whether it recovered durable state.
+    """
+    endpoint = chaos_endpoint(node)
+
+    def handle(message: Any) -> None:
+        command = message.payload
+        if not isinstance(command, ChaosCommand):
+            return
+        if command.op == "status":
+            detail = json.dumps(status()) if status is not None else ""
+            ack = ChaosAck(
+                command.cid, NodeId(str(node)), command.op,
+                status is not None, detail,
+            )
+        else:
+            applied = apply_chaos_command(transport.policy, command)
+            ack = ChaosAck(command.cid, NodeId(str(node)), command.op, applied)
+        transport.send(endpoint, message.sender, ack)
+
+    transport.register(endpoint, handle)
+    return endpoint
+
+
+def install_metrics_endpoint(
+    transport: TcpTransport,
+    node: str,
+    registry: MetricsRegistry,
+    clock: Callable[[], float],
+) -> NodeId:
+    """Register ``node``'s metrics endpoint on its transport.
+
+    Read-only, so on by default (``serve --no-metrics`` to disable): the
+    handler snapshots the registry and replies over the requester's
+    reply route.
+    """
+    endpoint = metrics_endpoint(node)
+
+    def handle(message: Any) -> None:
+        request = message.payload
+        if not isinstance(request, MetricsRequest):
+            return
+        snap = registry.snapshot()
+        transport.send(
+            endpoint,
+            message.sender,
+            MetricsSnapshot(
+                request.cid,
+                NodeId(str(node)),
+                clock(),
+                snap["counters"],
+                snap["gauges"],
+                snap["histograms"],
+                snap["spans"],
+            ),
+        )
+
+    transport.register(endpoint, handle)
+    return endpoint

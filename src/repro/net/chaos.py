@@ -19,9 +19,10 @@ real processes and real sockets:
 Link rules reach the replicas over the wire: each ``repro serve --chaos``
 process registers a **chaos endpoint** (``<node>#chaos``) on its
 transport, and the :class:`ChaosController` pushes
-:class:`ChaosCommand` frames to it. The endpoint lives entirely in the
-serve wiring — replica/protocol code cannot see the schedule, preserving
-the simulator's honesty rule.
+:class:`~repro.net.admin.ChaosCommand` frames to it. The endpoint lives
+entirely in the serve wiring (:mod:`repro.net.admin`, which a serving
+replica imports instead of this module) — replica/protocol code cannot
+see the schedule, preserving the simulator's honesty rule.
 
 On top of the controller, :func:`run_chaos_scenario` closes the
 correctness loop for live runs: a workload client records a
@@ -43,9 +44,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.net import codec
+from repro.net.admin import ChaosAck, ChaosCommand, chaos_endpoint
 from repro.net.client import LiveClient, LiveClientError, request_reply
 from repro.net.observe import poll_cluster, reconfig_spans
-from repro.net.transport import LinkPolicy, TcpTransport
 from repro.sim.failures import (
     CrashAt,
     DelayLinkAt,
@@ -63,109 +64,6 @@ from repro.verify.linearizability import LinearizabilityResult, check_kv_lineari
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.cluster import LocalCluster
-
-#: suffix distinguishing a replica's chaos endpoint from the replica itself.
-CHAOS_SUFFIX = "#chaos"
-
-
-def chaos_endpoint(node: str) -> NodeId:
-    """Transport endpoint id of ``node``'s chaos admin handler."""
-    return NodeId(f"{node}{CHAOS_SUFFIX}")
-
-
-# ---------------------------------------------------------------------------
-# Wire protocol (registered in repro.net.codec's bootstrap)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ChaosCommand:
-    """Controller -> replica: install or remove one link rule.
-
-    ``op`` is one of ``partition | drop | delay | lose | heal |
-    heal_all``; ``side_a``/``side_b`` carry the node groups (for the
-    one-way ops only their first elements are used as ``src``/``dst``),
-    ``value`` carries seconds for ``delay`` and the rate for ``lose``.
-    """
-
-    cid: CommandId
-    op: str
-    name: str = ""
-    side_a: tuple[NodeId, ...] = ()
-    side_b: tuple[NodeId, ...] = ()
-    value: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class ChaosAck:
-    """Replica -> controller: rule applied (or rejected).
-
-    ``detail`` is optional op-specific payload — for the ``status`` op it
-    carries the replica's recovery/durability status as a JSON object
-    (see :func:`install_chaos_endpoint`), empty for link ops.
-    """
-
-    cid: CommandId
-    node: NodeId
-    op: str
-    applied: bool
-    detail: str = ""
-
-
-def apply_chaos_command(policy: LinkPolicy, command: ChaosCommand) -> bool:
-    """Apply one :class:`ChaosCommand` to a transport's link policy."""
-    op = command.op
-    if op == "partition":
-        policy.partition(command.name, command.side_a, command.side_b)
-    elif op == "drop":
-        policy.drop(command.name, command.side_a[0], command.side_b[0])
-    elif op == "delay":
-        policy.delay(command.name, command.side_a[0], command.side_b[0], command.value)
-    elif op == "lose":
-        policy.lose(command.name, command.side_a[0], command.side_b[0], command.value)
-    elif op == "heal":
-        policy.heal(command.name)
-    elif op == "heal_all":
-        policy.heal_all()
-    else:
-        return False
-    return True
-
-
-def install_chaos_endpoint(
-    transport: TcpTransport, node: str, status: Any = None
-) -> NodeId:
-    """Register ``node``'s chaos admin endpoint on its transport.
-
-    Only wired up under ``repro serve --chaos``: production replicas do
-    not expose remote fault injection. The handler mutates the
-    transport's :class:`LinkPolicy` and acks over the requester's reply
-    route — it never touches replica state, so the protocol stack stays
-    blind to the schedule.
-
-    ``status`` (optional, a zero-argument callable returning a plain
-    dict) answers the read-only ``status`` op — the controller uses it
-    to ask a restarted replica whether it recovered durable state.
-    """
-    endpoint = chaos_endpoint(node)
-
-    def handle(message: Any) -> None:
-        command = message.payload
-        if not isinstance(command, ChaosCommand):
-            return
-        if command.op == "status":
-            detail = json.dumps(status()) if status is not None else ""
-            ack = ChaosAck(
-                command.cid, NodeId(str(node)), command.op,
-                status is not None, detail,
-            )
-        else:
-            applied = apply_chaos_command(transport.policy, command)
-            ack = ChaosAck(command.cid, NodeId(str(node)), command.op, applied)
-        transport.send(endpoint, message.sender, ack)
-
-    transport.register(endpoint, handle)
-    return endpoint
 
 
 def _link_command(action: FailureAction, cid: CommandId) -> ChaosCommand | None:

@@ -128,8 +128,7 @@ def _register_protocol() -> None:
     from repro.core import command as cmd
     from repro.core import reconfig as rc
     from repro.core import state_transfer as st
-    from repro.net import chaos as ch
-    from repro.net import observe as ob
+    from repro.net import admin
     from repro.shard import messages as sm
     from repro.shard import shardmap as smap
     from repro.storage import records as sr
@@ -181,11 +180,11 @@ def _register_protocol() -> None:
         st.SnapshotChunkRequest,
         st.SnapshotChunkReply,
         # fault-injection admin protocol (serve --chaos only)
-        ch.ChaosCommand,
-        ch.ChaosAck,
+        admin.ChaosCommand,
+        admin.ChaosAck,
         # observability admin protocol (the #metrics endpoint)
-        ob.MetricsRequest,
-        ob.MetricsSnapshot,
+        admin.MetricsRequest,
+        admin.MetricsSnapshot,
         # shard protocol: the map itself, its fetch, redirects
         smap.KeyRange,
         smap.ShardAssignment,

@@ -1,17 +1,19 @@
-"""Live-cluster observability: the ``#metrics`` admin endpoint.
+"""Live-cluster observability: the poller side of the ``#metrics`` endpoint.
 
 Each ``repro serve`` process registers a **metrics endpoint**
-(``<node>#metrics``) on its transport, mirroring the ``#chaos`` pattern:
-a :class:`MetricsRequest` frame gets back one :class:`MetricsSnapshot`
-carrying the replica's whole :class:`~repro.metrics.registry.MetricsRegistry`
-— counters, gauges, histogram summaries, and reconfiguration spans — plus
+(``<node>#metrics``, :mod:`repro.net.admin`) on its transport, mirroring
+the ``#chaos`` pattern: a :class:`~repro.net.admin.MetricsRequest` frame
+gets back one :class:`~repro.net.admin.MetricsSnapshot` carrying the
+replica's whole :class:`~repro.metrics.registry.MetricsRegistry` —
+counters, gauges, histogram summaries, and reconfiguration spans — plus
 the replica's local clock, which lets a poller align span timestamps from
 different replicas onto its own timeline (see :class:`FetchedSnapshot`).
 
 Unlike ``#chaos`` the endpoint is **on by default** (``serve
 --no-metrics`` to disable): it is read-only and mutates nothing, so
 exposing it carries none of the fault-injection risk that keeps the chaos
-endpoint behind an opt-in flag.
+endpoint behind an opt-in flag. A serving replica imports only
+:mod:`repro.net.admin`, never this module.
 
 :func:`fetch_metrics` is the client side (one raw socket, request/reply,
 same frame loop as :meth:`ChaosController._push`); :func:`poll_cluster`
@@ -27,26 +29,23 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import ReproError
 from repro.metrics.registry import (
     RECONFIG_PHASES,
     SPAN_RECONFIG,
-    MetricsRegistry,
     reconfig_span_complete,
     span_width,
 )
 from repro.metrics.report import Table
 from repro.net import codec
+from repro.net.admin import MetricsRequest, MetricsSnapshot, metrics_endpoint
 from repro.net.client import request_reply
 from repro.types import ClientId, CommandId, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.transport import Address, TcpTransport
-
-#: suffix distinguishing a replica's metrics endpoint from the replica.
-METRICS_SUFFIX = "#metrics"
+    from repro.net.transport import Address
 
 #: counter-name prefix of the per-epoch commit counters (suffix = epoch).
 EPOCH_COMMITS_PREFIX = "smr.commits.epoch."
@@ -54,80 +53,6 @@ EPOCH_COMMITS_PREFIX = "smr.commits.epoch."
 
 class MetricsFetchError(ReproError):
     """A ``#metrics`` request got no snapshot back in time."""
-
-
-def metrics_endpoint(node: str) -> NodeId:
-    """Transport endpoint id of ``node``'s metrics handler."""
-    return NodeId(f"{node}{METRICS_SUFFIX}")
-
-
-# ---------------------------------------------------------------------------
-# Wire protocol (registered in repro.net.codec's bootstrap)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class MetricsRequest:
-    """Poller -> replica: send me your registry snapshot."""
-
-    cid: CommandId
-
-
-@dataclass(frozen=True, slots=True)
-class MetricsSnapshot:
-    """Replica -> poller: one registry snapshot, plus the local clock.
-
-    ``now`` is the replica's runtime clock (seconds since its process
-    started) at snapshot time — the timebase every span timestamp and
-    histogram sample in the snapshot was recorded against. Dict fields
-    hold only wire-native values (str keys; int/float/nested-dict
-    values), exactly as :meth:`MetricsRegistry.snapshot` emits them.
-    """
-
-    cid: CommandId
-    node: NodeId
-    now: float
-    counters: dict[str, int]
-    gauges: dict[str, float]
-    histograms: dict[str, dict[str, float]]
-    spans: dict[str, dict[str, float]]
-
-
-def install_metrics_endpoint(
-    transport: "TcpTransport",
-    node: str,
-    registry: MetricsRegistry,
-    clock: Callable[[], float],
-) -> NodeId:
-    """Register ``node``'s metrics endpoint on its transport.
-
-    Read-only: the handler snapshots the registry and replies over the
-    requester's reply route. Replica/protocol code cannot see it, same
-    honesty rule as the chaos endpoint.
-    """
-    endpoint = metrics_endpoint(node)
-
-    def handle(message: Any) -> None:
-        request = message.payload
-        if not isinstance(request, MetricsRequest):
-            return
-        snap = registry.snapshot()
-        transport.send(
-            endpoint,
-            message.sender,
-            MetricsSnapshot(
-                request.cid,
-                NodeId(str(node)),
-                clock(),
-                snap["counters"],
-                snap["gauges"],
-                snap["histograms"],
-                snap["spans"],
-            ),
-        )
-
-    transport.register(endpoint, handle)
-    return endpoint
 
 
 # ---------------------------------------------------------------------------

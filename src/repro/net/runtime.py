@@ -88,6 +88,8 @@ class LiveRuntime:
         # so a seeded chaos run reproduces its transport-level timing. An
         # RNG injected at transport construction wins over this ambient one.
         transport.bind_rng(random.Random(seed))
+        # Fail-stop: a dispatch window whose fsync failed ends the process.
+        transport.bind_halt(self.stop)
 
     # -- clock & scheduling (Runtime protocol) ------------------------------
 
@@ -154,7 +156,11 @@ class LiveRuntime:
             process.on_start()
 
     def run(self, host: str, port: int, handle_signals: bool = True) -> None:
-        """Serve until :meth:`stop` (or SIGINT/SIGTERM). Blocks."""
+        """Serve until :meth:`stop` (or SIGINT/SIGTERM). Blocks.
+
+        Raises the transport's failure if serving ended because a
+        dispatch window's groups failed to close (an fsync error).
+        """
         asyncio.set_event_loop(self._loop)
         if handle_signals:
             for sig in (signal.SIGINT, signal.SIGTERM):
@@ -168,6 +174,8 @@ class LiveRuntime:
         finally:
             self._loop.run_until_complete(self.network.close())
             self._loop.close()
+        if self.network.failure is not None:
+            raise self.network.failure
 
     def stop(self) -> None:
         """Request a clean shutdown (thread-safe)."""

@@ -60,7 +60,7 @@ class LinkPolicy:
     transport asks the policy before moving a frame, so partitions, one-way
     drops, added latency, and probabilistic loss can be installed (and
     healed) at runtime — e.g. by :mod:`repro.net.chaos` pushing a
-    :class:`~repro.net.chaos.ChaosCommand` to a replica's chaos endpoint.
+    :class:`~repro.net.admin.ChaosCommand` to a replica's chaos endpoint.
 
     Every rule carries a **name** so it can be healed individually, the
     same convention as :meth:`repro.sim.network.Network.partition`. Rules:
@@ -271,6 +271,22 @@ class PeerConnection:
             await asyncio.sleep(backoff * self.transport.rng.uniform(0.5, 1.5))
             backoff = min(backoff * 2.0, self.transport.reconnect_max)
 
+    def abort(self) -> None:
+        """Fail-stop: discard every queued frame and stop the writer.
+
+        Synchronous, so it runs before the writer task can be scheduled
+        again; a batch the task popped earlier holds only frames of
+        windows that closed, and the task's cancellation drops it too.
+        """
+        self._closing = True
+        while not self.queue.empty():
+            self.queue.get_nowait()
+            self.dropped += 1
+            self.transport.stats.messages_dropped += 1
+            self.transport._m_frames_dropped.inc()
+        if self.task is not None:
+            self.task.cancel()
+
     async def close(self) -> None:
         self._closing = True
         if self.task is not None:
@@ -305,8 +321,9 @@ class TcpTransport:
         self.reconnect_min = reconnect_min
         self.reconnect_max = reconnect_max
         # Build the codec's tables now (protocol imports + builder codegen,
-        # ~50-100 ms): left lazy, a standby replica pays it inside the event
-        # loop on the first frame it receives — the EpochAnnounce of its join.
+        # 21-25 ms in a `serve` process on a 2-cpu x86 box): left lazy, a
+        # standby replica pays it inside the event loop on the first frame
+        # it receives — the EpochAnnounce of its join.
         codec.wire_tables()
         self.coalesce_max_bytes = coalesce_max_bytes
         self.coalesce_delay = coalesce_delay
@@ -339,6 +356,10 @@ class TcpTransport:
         self._corked: dict[asyncio.StreamWriter, list[bytes]] | None = None
         #: one-entry broadcast memo: (payload object, encoded bytes).
         self._encoded_payload: tuple[Any, bytes] | None = None
+        #: the error a dispatch window's groups failed with; once set, no
+        #: frame leaves this transport again (see :meth:`dispatch_window`).
+        self.failure: Exception | None = None
+        self._halt: Callable[[], None] = lambda: None
 
     def add_dispatch_group(self, factory: Callable[[], ContextManager[Any]]) -> None:
         """Wrap every tick (inbound chunk, timer callback) in ``factory()``.
@@ -353,6 +374,10 @@ class TcpTransport:
         ordering is what keeps durable-before-send intact per window.
         """
         self._dispatch_groups.append(factory)
+
+    def bind_halt(self, halt: Callable[[], None]) -> None:
+        """Runtime wiring: how to stop serving once a window fails."""
+        self._halt = halt
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Runtime wiring: timestamps for delivered :class:`Message`\\ s."""
@@ -454,21 +479,47 @@ class TcpTransport:
         decides there) would be acknowledged before the fsync that makes
         it durable: reply frames are corked while the tick runs and
         written, one joined write per connection, only after the groups
-        have closed. If a group fails to close (an fsync error) the
-        corked replies are dropped with the exception.
+        have closed.
+
+        If a group fails to close (an fsync error), the tick's records
+        may not be on media, so nothing it produced may leave: the corked
+        replies are dropped with the exception and the transport fails
+        stop (:meth:`_fail_stop`).
         """
         corked: dict[asyncio.StreamWriter, list[bytes]] = {}
         self._corked = corked
+        groups = contextlib.ExitStack()
         try:
-            with contextlib.ExitStack() as stack:
-                for factory in self._dispatch_groups:
-                    stack.enter_context(factory())
+            for factory in self._dispatch_groups:
+                groups.enter_context(factory())
+            try:
                 yield
+            finally:
+                try:
+                    groups.close()
+                except Exception as exc:
+                    self._fail_stop(exc)
+                    raise
         finally:
             self._corked = None
         for route, frames in corked.items():
             if not route.is_closing():
                 route.write(b"".join(frames))
+
+    def _fail_stop(self, exc: Exception) -> None:
+        """Stop for good: no frame queued or sent from now on leaves.
+
+        Peer frames are queued, not written, during a dispatch, so the
+        failed window's are still in the peer queues: they are discarded
+        here, before any writer task runs again, and every later send is
+        dropped. The runtime's halt callback then stops serving.
+        """
+        if self.failure is not None:
+            return
+        self.failure = exc
+        for peer in self._peers.values():
+            peer.abort()
+        self._halt()
 
     def _drain_chunk(self, buffer: bytearray, writer: asyncio.StreamWriter) -> None:
         """Parse and dispatch every complete frame currently buffered."""
@@ -577,6 +628,10 @@ class TcpTransport:
         route: asyncio.StreamWriter | None,
     ) -> None:
         """Move one already-encoded frame to its destination leg."""
+        if self.failure is not None:
+            self.stats.messages_dropped += 1
+            self._m_frames_dropped.inc()
+            return
         if dest in self._endpoints:
             # Loopback: through the event loop, never synchronous re-entry
             # (mirrors the simulator's zero-delay self-delivery).

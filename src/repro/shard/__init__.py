@@ -27,23 +27,3 @@ Reconfiguration stays a **per-shard** operation: adding/removing a
 replica touches one group's epoch chain only, which is what makes the
 shards independently elastic (the FRAPPE scenario from PAPERS.md).
 """
-
-from repro.shard.shardmap import (
-    HASH_SPACE,
-    GroupInfo,
-    KeyRange,
-    ShardAssignment,
-    ShardError,
-    ShardMap,
-    key_point,
-)
-
-__all__ = [
-    "HASH_SPACE",
-    "GroupInfo",
-    "KeyRange",
-    "ShardAssignment",
-    "ShardError",
-    "ShardMap",
-    "key_point",
-]

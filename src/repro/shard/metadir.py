@@ -608,10 +608,6 @@ class ReplicatedShardDirector:
         value = self._submit("dir_history", ())
         return tuple(value) if isinstance(value, (list, tuple)) else ()
 
-    def intent(self) -> dict[str, Any] | None:
-        value = self._submit("dir_intent", ())
-        return value if isinstance(value, dict) else None
-
     def status(self, intent_id: int) -> dict[str, Any]:
         value = self._submit("dir_status", (int(intent_id),))
         return value if isinstance(value, dict) else {"status": "unknown"}
@@ -639,11 +635,6 @@ class ReplicatedShardDirector:
             "move", {"lo": int(lo), "hi": int(hi), "target": str(target)},
             deadline,
         )
-
-    def merge(self, at: int, deadline: float = 30.0) -> ShardMap:
-        """Merge-prep: fold the range containing ``at`` into its left
-        neighbour's owner (the inverse of a split)."""
-        return self._admin("merge", {"at": int(at)}, deadline)
 
     def publish_group(self, info: GroupInfo, deadline: float = 15.0) -> ShardMap:
         value = self._submit("dir_publish", (info,), deadline=deadline)

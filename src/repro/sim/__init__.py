@@ -9,52 +9,3 @@ Every run is a pure function of its seed and parameters, which makes
 protocol schedules — including adversarial ones — reproducible in tests and
 benchmarks.
 """
-
-from repro.sim.events import Event, EventQueue, Timer
-from repro.sim.rng import SeededRng
-from repro.sim.network import (
-    LatencyModel,
-    Message,
-    Network,
-    NetworkStats,
-    ZonedLatencyModel,
-)
-from repro.sim.node import Process
-from repro.sim.failures import (
-    CrashAt,
-    DelayLinkAt,
-    DropLinkAt,
-    FailureInjector,
-    FailureSchedule,
-    HealAt,
-    LoseLinkAt,
-    PartitionAt,
-    RestartAt,
-)
-from repro.sim.runner import Simulator
-from repro.sim.trace import TraceLog, TraceRecord
-
-__all__ = [
-    "CrashAt",
-    "DelayLinkAt",
-    "DropLinkAt",
-    "Event",
-    "EventQueue",
-    "FailureInjector",
-    "FailureSchedule",
-    "HealAt",
-    "LoseLinkAt",
-    "PartitionAt",
-    "RestartAt",
-    "LatencyModel",
-    "Message",
-    "Network",
-    "NetworkStats",
-    "Process",
-    "SeededRng",
-    "Simulator",
-    "Timer",
-    "TraceLog",
-    "TraceRecord",
-    "ZonedLatencyModel",
-]

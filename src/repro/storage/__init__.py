@@ -16,39 +16,3 @@ Layering:
   directory of WAL segments + checkpoints, recovery folding, and the
   per-instance durability handles engines write through.
 """
-
-from repro.storage.records import (
-    CheckpointRecord,
-    WalAccept,
-    WalDecide,
-    WalDirtyOverlap,
-    WalEpochOpen,
-    WalPromise,
-)
-from repro.storage.store import (
-    NULL_DURABILITY,
-    InstanceDurability,
-    InstanceState,
-    NullDurability,
-    RecoveredState,
-    ReplicaStore,
-)
-from repro.storage.wal import WalWriter, frame_record, read_wal_bytes
-
-__all__ = [
-    "CheckpointRecord",
-    "WalAccept",
-    "WalDecide",
-    "WalDirtyOverlap",
-    "WalEpochOpen",
-    "WalPromise",
-    "InstanceDurability",
-    "InstanceState",
-    "NullDurability",
-    "NULL_DURABILITY",
-    "RecoveredState",
-    "ReplicaStore",
-    "WalWriter",
-    "frame_record",
-    "read_wal_bytes",
-]

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.consensus.ballot import Ballot
+from repro.errors import DurabilityError
 from repro.metrics.registry import SPAN_CHECKPOINT, MetricsRegistry
 from repro.net import codec
 from repro.storage.records import (
@@ -548,7 +549,13 @@ class ReplicaStore:
         self._open_segment()
         if self.fsync:
             # The rename and the new segment's entry, before any unlink.
-            fsync_dir(self.data_dir)
+            try:
+                fsync_dir(self.data_dir)
+            except OSError as exc:
+                # The new segment's records would sit behind a directory
+                # entry that may never reach media: its writer refuses them.
+                self._writer.failed = exc
+                raise DurabilityError(f"fsync of {self.data_dir} failed: {exc}") from exc
 
         self._ckpt_floors = [*self._ckpt_floors, exec_epoch][-_CKPT_KEEP:]
         for stale in self._checkpoints()[:-_CKPT_KEEP]:

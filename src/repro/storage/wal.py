@@ -25,6 +25,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.errors import DurabilityError
 from repro.net import codec
 
 _HEADER = struct.Struct("!II")
@@ -134,6 +135,12 @@ class WalWriter:
     commit window cost one ``os.fsync`` instead of N. The caller owns the
     window boundary (see ``ReplicaStore.group``) and must not let any
     protocol message depend on a deferred record until the window closes.
+
+    A failed fsync poisons the writer: it raises
+    :class:`~repro.errors.DurabilityError` and so does every later append
+    or sync. After a failed fsync the kernel may already have dropped the
+    dirty pages and cleared the error, so a retried fsync could report
+    success over records that never reached media.
     """
 
     def __init__(
@@ -154,6 +161,8 @@ class WalWriter:
         #: frames written but not yet forced to media (only grows when
         #: ``fsync=True`` appends are deferred into a group).
         self._deferred = 0
+        #: the error of the fsync that failed; set once, never cleared.
+        self.failed: OSError | None = None
         self._file = open(self.path, "ab")
 
     def append(
@@ -172,6 +181,8 @@ class WalWriter:
         cache of a quorum-durable outcome, so a torn-off lazy tail merely
         forces a catch-up, never loses an acknowledged command.
         """
+        if self.failed is not None:
+            self._refuse()
         frame = frame_record(codec.encode_payload(record))
         self._file.write(frame)
         self._file.flush()
@@ -180,7 +191,7 @@ class WalWriter:
             if defer_sync:
                 self._deferred += 1
             else:
-                os.fsync(self._file.fileno())
+                self._fsync()
                 synced = True
                 if self.on_sync is not None:
                     self.on_sync(1)
@@ -196,10 +207,12 @@ class WalWriter:
         wrapping every inbound network chunk in a group is free for
         traffic that never touches the WAL.
         """
+        if self.failed is not None:
+            self._refuse()
         if not self._deferred:
             return 0
         self._file.flush()
-        os.fsync(self._file.fileno())
+        self._fsync()
         count = self._deferred
         self._deferred = 0
         if self.on_sync is not None:
@@ -208,13 +221,27 @@ class WalWriter:
 
     def sync(self) -> None:
         """Force everything written so far to stable media."""
+        if self.failed is not None:
+            self._refuse()
         self._file.flush()
-        os.fsync(self._file.fileno())
+        self._fsync()
         if self._deferred:
             count = self._deferred
             self._deferred = 0
             if self.on_sync is not None:
                 self.on_sync(count)
+
+    def _fsync(self) -> None:
+        try:
+            os.fsync(self._file.fileno())
+        except OSError as exc:
+            self.failed = exc
+            raise DurabilityError(f"fsync of {self.path.name} failed: {exc}") from exc
+
+    def _refuse(self) -> None:
+        raise DurabilityError(
+            f"{self.path.name}: no write or sync after a failed fsync"
+        ) from self.failed
 
     def close(self) -> None:
         try:

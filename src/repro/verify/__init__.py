@@ -9,38 +9,3 @@ Replication bugs rarely announce themselves; these oracles make them loud:
   virtual-log prefix consistency, configuration-chain agreement, cut
   determinism, reply consistency.
 """
-
-from repro.verify.app_oracles import (
-    bank_conservation_bounds,
-    check_bank_conservation,
-    check_lock_mutual_exclusion,
-)
-from repro.verify.histories import History, Operation, dump_jsonl, load_jsonl
-from repro.verify.invariants import (
-    check_chain_agreement,
-    check_prefix_consistency,
-    check_reply_consistency,
-    run_all_invariants,
-)
-from repro.verify.linearizability import check_kv_linearizable
-from repro.verify.replay import check_replay_matches_acks, replay_committed
-from repro.verify.suite import VerificationReport, verify_run
-
-__all__ = [
-    "History",
-    "Operation",
-    "bank_conservation_bounds",
-    "check_bank_conservation",
-    "check_chain_agreement",
-    "check_lock_mutual_exclusion",
-    "check_kv_linearizable",
-    "check_prefix_consistency",
-    "check_reply_consistency",
-    "run_all_invariants",
-    "VerificationReport",
-    "check_replay_matches_acks",
-    "dump_jsonl",
-    "load_jsonl",
-    "replay_committed",
-    "verify_run",
-]

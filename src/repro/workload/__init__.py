@@ -7,29 +7,3 @@ Experiments compose three orthogonal pieces:
 * a schedule (:mod:`repro.workload.schedules`) — when the membership
   changes (single replacement, rolling migration, storms).
 """
-
-from repro.workload.clients import ClientPool
-from repro.workload.generators import KvOperationMix, counter_increments
-from repro.workload.openloop import OpenLoopClient, OpenLoopParams
-from repro.workload.schedules import (
-    ReconfigStep,
-    full_replacement,
-    migration_storm,
-    rolling_replacement,
-    scale_membership,
-    storm,
-)
-
-__all__ = [
-    "ClientPool",
-    "KvOperationMix",
-    "OpenLoopClient",
-    "OpenLoopParams",
-    "ReconfigStep",
-    "counter_increments",
-    "full_replacement",
-    "migration_storm",
-    "rolling_replacement",
-    "scale_membership",
-    "storm",
-]

@@ -17,16 +17,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net import codec
-from repro.net.chaos import (
+from repro.net.admin import (
     ChaosAck,
     ChaosCommand,
-    ChaosController,
-    _link_command,
     apply_chaos_command,
-    canonical_schedule,
     chaos_endpoint,
     install_chaos_endpoint,
 )
+from repro.net.chaos import ChaosController, _link_command, canonical_schedule
 from repro.net.transport import ANY_NODE, LinkPolicy, TcpTransport
 from repro.sim.failures import (
     CrashAt,

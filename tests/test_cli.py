@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import ALL_EXPERIMENTS, QUICK_ARGS, main
+from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.cli import QUICK_ARGS, main
 
 
 class TestCli:

@@ -33,8 +33,7 @@ from repro.core.state_transfer import (
     SnapshotUnavailable,
 )
 from repro.net import codec
-from repro.net.chaos import ChaosAck, ChaosCommand
-from repro.net.observe import MetricsRequest, MetricsSnapshot
+from repro.net.admin import ChaosAck, ChaosCommand, MetricsRequest, MetricsSnapshot
 from repro.shard import messages as shm
 from repro.shard.shardmap import (
     HASH_SPACE,

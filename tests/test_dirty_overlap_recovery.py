@@ -20,7 +20,8 @@ from repro.consensus.multipaxos import MultiPaxosEngine
 from repro.core.reconfig import ReconfigParams, ReconfigurableReplica
 from repro.core.service import ReplicatedService
 from repro.sim.runner import Simulator
-from repro.storage import ReplicaStore, WalDirtyOverlap
+from repro.storage.records import WalDirtyOverlap
+from repro.storage.store import ReplicaStore
 from repro.types import Command, CommandId, client_id, node_id
 
 

@@ -18,8 +18,8 @@ from repro.net.chaos import HistoryRecorder, run_chaos_scenario
 from repro.net.client import LiveClient
 from repro.net.cluster import LocalCluster
 from repro.net.observe import poll_cluster
-from repro.verify import check_kv_linearizable, dump_jsonl, load_jsonl
-from repro.verify.histories import History
+from repro.verify.histories import History, dump_jsonl, load_jsonl
+from repro.verify.linearizability import check_kv_linearizable
 
 pytestmark = [pytest.mark.live, pytest.mark.slow]
 

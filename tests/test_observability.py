@@ -33,13 +33,12 @@ from repro.metrics.registry import (
     span_width,
 )
 from repro.metrics.stats import percentile, summarize_latencies
+from repro.net.admin import MetricsSnapshot, metrics_endpoint
 from repro.net.observe import (
     EPOCH_COMMITS_PREFIX,
     FetchedSnapshot,
-    MetricsSnapshot,
     complete_reconfig_spans,
     epoch_commit_counts,
-    metrics_endpoint,
     reconfig_spans,
     render_snapshots,
 )

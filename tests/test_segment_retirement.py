@@ -32,7 +32,6 @@ from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.metrics.registry import SPAN_CHECKPOINT, MetricsRegistry
 from repro.sim.runner import Simulator
-from repro.storage import ReplicaStore
 from repro.storage import store as store_mod
 from repro.storage.records import (
     WalAccept,
@@ -41,7 +40,12 @@ from repro.storage.records import (
     WalEpochOpen,
     WalPromise,
 )
-from repro.storage.store import _instance_epoch, fold_dirty_overlaps, fold_records
+from repro.storage.store import (
+    ReplicaStore,
+    _instance_epoch,
+    fold_dirty_overlaps,
+    fold_records,
+)
 from repro.types import Configuration, Membership, node_id
 
 N1 = node_id("n1")

@@ -25,7 +25,7 @@ from repro.net import codec
 from repro.net.runtime import LiveRuntime
 from repro.net.transport import TcpTransport
 from repro.sim.runner import Simulator
-from repro.storage import ReplicaStore
+from repro.storage.store import ReplicaStore
 from repro.storage.records import WalPromise
 from repro.storage.wal import WalWriter, read_wal_file
 from repro.types import Command, CommandId, Configuration, Membership, client_id, node_id

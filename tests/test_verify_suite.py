@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import VerificationError
 from repro.sim.runner import Simulator
-from repro.verify import verify_run
+from repro.verify.suite import verify_run
 from tests.conftest import run_kv_service
 
 
