@@ -237,7 +237,7 @@ def build_replica(args: "argparse.Namespace"):
     if args.app == "metadir":
         from repro.shard.metadir import METADIR_READ_OPS
 
-        # Director reads (map/intent/history) ride the lease fast path
+        # Director reads (map/history/status) ride the lease fast path
         # when the metadir group is served with --read-mode.
         params_kwargs["read_only_ops"] = (
             ReconfigParams.__dataclass_fields__["read_only_ops"].default

@@ -47,11 +47,15 @@ class StateMachine(abc.ABC):
 class DedupStateMachine(StateMachine):
     """Exactly-once execution wrapper around an inner state machine.
 
-    Assumes each client issues sequence numbers in increasing order with at
-    most one outstanding command (the closed-loop client in
-    :mod:`repro.core.client` guarantees this). Replies are cached per
-    client for the *latest* sequence number only, which bounds the table at
-    one entry per client.
+    The rule: each :class:`ClientId` issues seqs in increasing order with
+    **at most one outstanding command**; a seq below the last applied one
+    is a stale duplicate, answered ``None`` and not applied. Every client
+    keeps it: the closed-loop ``Client`` has one command in flight, and
+    ``OpenLoopClient``, ``LiveClient`` and ``ShardClient`` give each
+    command in flight a lane identity of its own
+    (``verify.invariants.check_client_order`` checks it). Replies are
+    cached per client for the *latest* sequence number only, which bounds
+    the table at one entry per client.
     """
 
     def __init__(self, inner: StateMachine):

@@ -309,21 +309,13 @@ class HistoryRecorder:
         try:
             reply = self.client.submit(op, args, size=size, deadline=deadline)
         except LiveClientError:
-            self.operations.append(
-                Operation(
-                    cid=CommandId(self.client.client, self.client.seq),
-                    op=op, args=tuple(args), invoked_at=invoked_at,
-                    returned_at=None, value=None,
-                )
-            )
-            return None
-        self.operations.append(
-            Operation(
-                cid=CommandId(self.client.client, self.client.seq),
-                op=op, args=tuple(args), invoked_at=invoked_at,
-                returned_at=time.monotonic() - self._t0, value=reply.value,
-            )
-        )
+            reply = None
+        self.operations.append(Operation(
+            cid=CommandId(self.client.client, self.client.seq),
+            op=op, args=tuple(args), invoked_at=invoked_at,
+            returned_at=None if reply is None else time.monotonic() - self._t0,
+            value=None if reply is None else reply.value,
+        ))
         return reply
 
     def history(self) -> History:

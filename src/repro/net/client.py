@@ -3,18 +3,22 @@
 :class:`LiveClient` is the synchronous counterpart of
 :class:`repro.core.client.Client`. It speaks the same protocol payloads
 (:class:`ClientRequest` / :class:`ClientReply` / :class:`Redirect` /
-:class:`ReconfigRequest`) over plain sockets, one request at a time, with
-the same retry discipline the simulated client uses:
+:class:`ReconfigRequest`) over plain sockets, through one request loop
+with the same retry discipline the simulated client uses:
 
+* each command rides a **lane**, a :class:`ClientId` with at most one
+  command in flight (the rule the replicas' dedup table rests on):
+  ``submit`` and ``reconfigure`` use the client's own name, a pipelined
+  window of ``w`` the lanes ``<name>/<k>``;
 * retries reuse the **same** :class:`CommandId`, so replica-side dedup
   gives exactly-once semantics no matter how many times we resend;
 * replies come back over the connection the request went out on — only
   the contacted replica registered us as a pending client;
 * a :class:`Redirect` (from a retired replica) rotates the view to the
   advertised membership, restricted to nodes we have addresses for;
-* timeouts and connection errors rotate round-robin to the next replica.
+* silence and connection errors rotate round-robin to the next replica.
 
-Intended for tests and the ``repro cluster`` CLI, not high throughput.
+Intended for tests, benches and the ``repro cluster`` CLI.
 :func:`request_reply` is the one-shot form: what the ``#metrics``,
 ``#chaos`` and shard-map admin round trips share.
 """
@@ -100,6 +104,14 @@ def request_reply(
             buffer += chunk
 
 
+def _bind(item: Any, cid: CommandId) -> Command | ReconfigCommand:
+    """A membership is a RECONFIGURE, an ``(op, args, size)`` a command."""
+    if isinstance(item, Membership):
+        return ReconfigCommand(cid, item)
+    op, args, size = item
+    return Command(cid, op, tuple(args), size)
+
+
 class LiveClient:
     """Synchronous request/reply client for live TCP replicas."""
 
@@ -117,7 +129,8 @@ class LiveClient:
         members = list(view) if view is not None else sorted(self.addresses)
         self.view: list[NodeId] = sorted(NodeId(str(n)) for n in members)
         self.request_timeout = request_timeout
-        self.seq = 0
+        #: last seq sent on each lane, kept across calls.
+        self._seqs: dict[ClientId, int] = {}
         self._target_index = 0
         self._sock: socket.socket | None = None
         self._sock_node: NodeId | None = None
@@ -128,24 +141,24 @@ class LiveClient:
 
     # -- public API ---------------------------------------------------------
 
+    @property
+    def seq(self) -> int:
+        """Seq of the newest command sent on the client's own identity."""
+        return self._seqs.get(self.client, 0)
+
     def submit(
         self, op: str, args: tuple[Any, ...] = (), size: int = 64,
         deadline: float = 15.0,
     ) -> ClientReply:
         """Execute one state-machine command; returns its reply."""
-        self.seq += 1
-        cid = CommandId(self.client, self.seq)
-        command = Command(cid, op, tuple(args), size)
-        return self._request(ClientRequest(command, self.node), cid, deadline)
+        return self._run([(op, args, size)], [self.client], deadline)[0][0]
 
     def reconfigure(
         self, members: Iterable[str], deadline: float = 30.0
     ) -> ClientReply:
         """Reconfigure the cluster to ``members``; returns the ack reply."""
-        self.seq += 1
-        cid = CommandId(self.client, self.seq)
-        command = ReconfigCommand(cid, Membership.from_iter(members))
-        return self._request(ReconfigRequest(command, self.node), cid, deadline)
+        membership = Membership.from_iter(members)
+        return self._run([membership], [self.client], deadline)[0][0]
 
     def submit_pipelined(
         self,
@@ -155,126 +168,17 @@ class LiveClient:
     ) -> list[float]:
         """Submit ``ops`` (``(op, args, size)`` triples) with pipelining.
 
-        Keeps up to ``window`` requests in flight on one connection and
-        returns the per-command latency (seconds, submission order). Used
-        by the shard benchmark: the one-at-a-time :meth:`submit` loop
-        measures client round-trips, not replica throughput. Outgoing
-        commands coalesce into :class:`RequestBatch` frames (up to
-        :data:`PIPELINE_COALESCE` per frame) so frame overhead amortizes;
-        the replica unpacks them per command. Retries reuse CommandIds
-        (replica dedup keeps this exactly-once); a command not
-        acknowledged by ``deadline`` raises :class:`LiveClientError`.
+        Keeps up to ``window`` commands in flight on one connection, one
+        per lane ``<name>/<k>``, and returns the per-command latency
+        (seconds from first transmission, submission order). Used by the
+        shard benchmark: the one-at-a-time :meth:`submit` loop measures
+        client round-trips, not replica throughput. Outgoing commands
+        coalesce into :class:`RequestBatch` frames (up to
+        :data:`PIPELINE_COALESCE` per frame); a command not acknowledged
+        by ``deadline`` raises :class:`LiveClientError`.
         """
-        started = time.monotonic()
-        give_up_at = started + deadline
-        latencies: list[float] = [0.0] * len(ops)
-        pending: list[tuple[CommandId, Command]] = []
-        index_of: dict[CommandId, int] = {}
-        for i, (op, args, size) in enumerate(ops):
-            self.seq += 1
-            cid = CommandId(self.client, self.seq)
-            command = Command(cid, op, tuple(args), size)
-            index_of[cid] = i
-            pending.append((cid, command))
-        acked: set[CommandId] = set()
-        sent: dict[CommandId, float] = {}
-        first_sent: dict[CommandId, float] = {}
-        next_to_send = 0
-        target = self.view[self._target_index % len(self.view)]
-        while len(acked) < len(ops):
-            if time.monotonic() >= give_up_at:
-                unacked = [
-                    index_of[cid] for cid, _ in pending if cid not in acked
-                ]
-                shown = ", ".join(str(i) for i in unacked[:10])
-                if len(unacked) > 10:
-                    shown += f", ... ({len(unacked) - 10} more)"
-                raise LiveClientError(
-                    f"pipelined run stalled: {len(acked)}/{len(ops)} "
-                    f"acknowledged after {time.monotonic() - started:.1f}s "
-                    f"(deadline {deadline:g}s, window {window}); "
-                    f"unacknowledged op indices: [{shown}]"
-                )
-            try:
-                sock = self._connect(target)
-                # Fill the window in one sendall, packing commands into
-                # RequestBatch frames: one frame's encode/dispatch cost
-                # covers up to PIPELINE_COALESCE commands. Frames carry
-                # their destination, so encode per target.
-                burst: list[bytes] = []
-                group: list[Command] = []
-                now = time.monotonic()
-                while next_to_send < len(pending) and len(sent) < window:
-                    cid, command = pending[next_to_send]
-                    next_to_send += 1
-                    if cid in acked:
-                        continue
-                    group.append(command)
-                    sent[cid] = now
-                    first_sent.setdefault(cid, now)
-                    if len(group) >= PIPELINE_COALESCE:
-                        burst.append(self._pipeline_frame(target, group))
-                        group = []
-                if group:
-                    burst.append(self._pipeline_frame(target, group))
-                if burst:
-                    sock.sendall(b"".join(burst))
-                body = self._read_frame(sock, self._attempt_budget(give_up_at))
-            except (OSError, codec.CodecError):
-                self._drop_connection()
-                self._rotate()
-                target = self.view[self._target_index % len(self.view)]
-                next_to_send, sent = self._first_unacked(pending, acked), {}
-                time.sleep(0.05)
-                continue
-            if body is None:
-                # Stalled: resend everything outstanding. CommandIds are
-                # reused, so replica-side dedup keeps this exactly-once.
-                next_to_send, sent = self._first_unacked(pending, acked), {}
-                continue
-            _, _, payload = codec.decode_frame_body(body)
-            if isinstance(payload, Redirect):
-                self._apply_redirect(payload)
-                target = self.view[self._target_index % len(self.view)]
-                next_to_send, sent = self._first_unacked(pending, acked), {}
-                continue
-            replies = (
-                payload.replies if isinstance(payload, ReplyBatch) else (payload,)
-            )
-            for reply in replies:
-                if (
-                    isinstance(reply, ClientReply)
-                    and reply.cid in index_of
-                    and reply.cid not in acked
-                ):
-                    # Normal case: measured from the in-flight send. After
-                    # a rewind the in-flight record is gone; fall back to
-                    # the first transmission so retried commands count
-                    # their full wait instead of dropping from the sample.
-                    t0 = sent.pop(reply.cid, None)
-                    if t0 is None:
-                        t0 = first_sent.get(reply.cid, time.monotonic())
-                    latencies[index_of[reply.cid]] = time.monotonic() - t0
-                    acked.add(reply.cid)
-        return latencies
-
-    def _pipeline_frame(self, target: NodeId, group: list[Command]) -> bytes:
-        """Encode one outgoing pipelined frame (single or batched)."""
-        payload: Any = (
-            ClientRequest(group[0], self.node)
-            if len(group) == 1
-            else RequestBatch(tuple(group), self.node)
-        )
-        return codec.encode_frame(self.node, target, payload)
-
-    @staticmethod
-    def _first_unacked(
-        pending: list[tuple[CommandId, Any]], acked: set[CommandId]
-    ) -> int:
-        for i, (cid, _) in enumerate(pending):
-            if cid not in acked:
-                return i
-        return len(pending)
+        lanes = [ClientId(f"{self.client}/{k}") for k in range(window)]
+        return self._run(ops, lanes, deadline)[1]
 
     def close(self) -> None:
         self._drop_connection()
@@ -294,31 +198,95 @@ class LiveClient:
             min(self.request_timeout, give_up_at - time.monotonic()),
         )
 
-    def _request(self, payload: Any, cid: CommandId, deadline: float) -> ClientReply:
-        give_up_at = time.monotonic() + deadline
-        last_error: str = "no replicas tried"
-        while time.monotonic() < give_up_at:
+    def _run(
+        self, items: list[Any], lanes: list[ClientId], deadline: float
+    ) -> tuple[list[ClientReply], list[float]]:
+        """Send ``items`` in order, each on a free lane (one command in
+        flight per lane); returns the replies and latencies in order."""
+        started = time.monotonic()
+        give_up_at = started + deadline
+        replies: list[Any] = [None] * len(items)
+        latencies = [0.0] * len(items)
+        free = lanes[::-1]
+        #: cid -> (item index, command, first transmission)
+        inflight: dict[CommandId, tuple[int, Any, float]] = {}
+        queued = 0  # next item to bind to a lane
+        resend = False
+        last_error = "no replicas tried"
+        while queued < len(items) or inflight:
+            now = time.monotonic()
+            if now >= give_up_at:
+                unacked = [i for i, reply in enumerate(replies) if reply is None]
+                shown = ", ".join(str(i) for i in unacked[:10])
+                if len(unacked) > 10:
+                    shown += f", ... ({len(unacked) - 10} more)"
+                raise LiveClientError(
+                    f"{self.client} stalled: {queued - len(inflight)}/"
+                    f"{len(items)} acknowledged "
+                    f"after {now - started:.1f}s (deadline {deadline:g}s, "
+                    f"window {len(lanes)}); unacknowledged op indices: "
+                    f"[{shown}]; last error: {last_error}"
+                )
             target = self.view[self._target_index % len(self.view)]
             budget = self._attempt_budget(give_up_at)
             try:
                 sock = self._connect(target)
-                # Frames carry their destination; rewrite it per target.
-                sock.sendall(codec.encode_frame(self.node, target, payload))
-                reply = self._read_reply(sock, cid, budget)
+                fresh = []
+                while free and queued < len(items):
+                    lane = free.pop()
+                    self._seqs[lane] = self._seqs.get(lane, 0) + 1
+                    command = _bind(items[queued], CommandId(lane, self._seqs[lane]))
+                    inflight[command.cid] = (queued, command, now)
+                    fresh.append(command)
+                    queued += 1
+                outgoing = [c for _, c, _ in inflight.values()] if resend else fresh
+                resend = False
+                if outgoing:
+                    # Frames carry their destination, so encode per target.
+                    sock.sendall(b"".join(
+                        self._frame(target, outgoing[at : at + PIPELINE_COALESCE])
+                        for at in range(0, len(outgoing), PIPELINE_COALESCE)
+                    ))
+                body = self._read_frame(sock, budget)
+                payload = None if body is None else codec.decode_frame_body(body)[2]
             except (OSError, codec.CodecError) as exc:
                 last_error = f"{target}: {exc}"
                 self._drop_connection()
                 self._rotate()
+                resend = True
                 time.sleep(0.05)
                 continue
-            if isinstance(reply, ClientReply):
-                return reply
-            if isinstance(reply, Redirect):
-                self._apply_redirect(reply)
-                continue
-            last_error = f"{target}: timed out after {budget:.2f}s"
-            self._rotate()
-        raise LiveClientError(f"{cid} not acknowledged in {deadline}s ({last_error})")
+            if payload is None:
+                last_error = f"{target}: timed out after {budget:.2f}s"
+                self._rotate()
+                resend = True
+            elif isinstance(payload, Redirect):
+                if payload.cid in inflight:
+                    self._apply_redirect(payload)
+                    resend = True
+            else:
+                arrived = time.monotonic()
+                for reply in (
+                    payload.replies if isinstance(payload, ReplyBatch) else (payload,)
+                ):
+                    if not isinstance(reply, ClientReply) or reply.cid not in inflight:
+                        continue  # a stale reply from an earlier attempt
+                    index, _, sent = inflight.pop(reply.cid)
+                    replies[index] = reply
+                    latencies[index] = arrived - sent
+                    free.append(reply.cid.client)
+        return replies, latencies
+
+    def _frame(self, target: NodeId, group: list[Any]) -> bytes:
+        """One outgoing frame: a bare request, or a RequestBatch of many."""
+        payload: Any
+        if len(group) > 1:
+            payload = RequestBatch(tuple(group), self.node)
+        elif isinstance(group[0], ReconfigCommand):
+            payload = ReconfigRequest(group[0], self.node)
+        else:
+            payload = ClientRequest(group[0], self.node)
+        return codec.encode_frame(self.node, target, payload)
 
     def _apply_redirect(self, redirect: Redirect) -> None:
         reachable = sorted(n for n in redirect.members.nodes if n in self.addresses)
@@ -355,23 +323,6 @@ class LiveClient:
         self._sock_node = None
         self._buffer = bytearray()
         self._buf_pos = 0
-
-    def _read_reply(
-        self, sock: socket.socket, cid: CommandId, timeout: float
-    ) -> ClientReply | Redirect | None:
-        """Read frames until a reply for ``cid`` arrives or ``timeout``."""
-        give_up_at = time.monotonic() + max(timeout, 0.0)
-        while True:
-            remaining = give_up_at - time.monotonic()
-            if remaining <= 0:
-                return None
-            frame_body = self._read_frame(sock, remaining)
-            if frame_body is None:
-                return None
-            _, _, payload = codec.decode_frame_body(frame_body)
-            if isinstance(payload, (ClientReply, Redirect)) and payload.cid == cid:
-                return payload
-            # Anything else (stale reply from an earlier attempt) is skipped.
 
     def _read_frame(self, sock: socket.socket, timeout: float) -> bytes | None:
         give_up_at = time.monotonic() + timeout

@@ -150,8 +150,9 @@ class ShardClient:
             raise ShardError("need a director address or an initial shard map")
         self.name = str(name)
         #: recording identity (unique cids for history recorders); the
-        #: wire identity is per-group ("<name>@<group>") so each group's
-        #: dedup table sees one monotone sequence.
+        #: wire identity is per-group ("<name>@<group>", and one lane
+        #: "<name>@<group>/<k>" per pipelined command in flight) so each
+        #: group's dedup table sees one command at a time per identity.
         self.client = ClientId(self.name)
         self.seq = 0
         #: one or more director endpoints. Every metadir replica answers
@@ -371,11 +372,12 @@ class ShardClient:
         """Partition ``ops`` by owning group and pipeline each partition.
 
         One thread per group drives that group's
-        :meth:`LiveClient.submit_pipelined`, so N groups commit in
-        parallel — the aggregate-throughput path the shard bench
-        measures. Returns per-op latencies in submission order. Assumes
-        a stable map for the batch (redirect values are not inspected on
-        this path); use :meth:`submit` when a move may be in flight.
+        :meth:`LiveClient.submit_pipelined` (lanes ``<name>@<group>/<k>``),
+        so N groups commit in parallel — the aggregate-throughput path
+        the shard bench measures. Returns per-op latencies in submission
+        order. Assumes a stable map for the batch (redirect values are not
+        inspected on this path); use :meth:`submit` when a move may be in
+        flight.
         """
         shard_map = self.shard_map
         by_group: dict[str, list[int]] = {}

@@ -61,9 +61,7 @@ from repro.types import Command, NodeId
 
 #: read-only metadir operations, eligible for the lease/follower read
 #: fast paths when the director group is served with ``--read-mode``.
-METADIR_READ_OPS = frozenset(
-    {"dir_map", "dir_intent", "dir_history", "dir_status"}
-)
+METADIR_READ_OPS = frozenset({"dir_map", "dir_history", "dir_status"})
 
 #: archived intents kept in the state machine (and its snapshots).
 DONE_LIMIT = 64
@@ -113,9 +111,6 @@ class MetaDirStateMachine(StateMachine):
 
     def _dir_map(self) -> ShardMap | None:
         return self.shard_map
-
-    def _dir_intent(self) -> dict[str, Any] | None:
-        return self.active_intent
 
     def _dir_history(self) -> tuple[dict[str, Any], ...]:
         return tuple(self.chain)

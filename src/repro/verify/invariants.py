@@ -13,6 +13,8 @@ the first violation.
 * **Reply consistency** — any command acknowledged anywhere has exactly
   one (value, virtual index) across the cluster; exactly-once made
   visible.
+* **Client order** — each client's commands first execute in increasing
+  seq order: the dedup table's one-command-in-flight rule.
 """
 
 from __future__ import annotations
@@ -131,6 +133,35 @@ def check_no_duplicate_effects(replicas: Iterable[ReconfigurableReplica]) -> int
     return checked
 
 
+def check_client_order(replicas: Iterable[ReconfigurableReplica]) -> int:
+    """Verify each client's first executions come in increasing seq order.
+
+    A first execution after a higher seq of its client was answered
+    ``None`` by the dedup table and never applied. Walks the virtual log
+    merged over all replicas (a joiner's slice alone cannot tell a late
+    duplicate from a first execution); returns the commands checked.
+    """
+    log: dict[int, Command] = {}
+    for replica in replicas:
+        for payload, _epoch, vindex in replica.committed:
+            if isinstance(payload, Command):
+                log[vindex] = payload
+    newest: dict[object, int] = {}
+    executed: set[object] = set()
+    for vindex in sorted(log):
+        cid = log[vindex].cid
+        if cid in executed:
+            continue
+        executed.add(cid)
+        if cid.seq < newest.get(cid.client, 0):
+            raise VerificationError(
+                f"{cid} first executed at virtual index {vindex}, after seq "
+                f"{newest[cid.client]} of its client: never applied"
+            )
+        newest[cid.client] = cid.seq
+    return len(executed)
+
+
 def run_all_invariants(replicas: Iterable[ReconfigurableReplica]) -> dict[str, int]:
     """Run every structural invariant; returns coverage counters."""
     replica_list = [r for r in replicas]
@@ -139,4 +170,5 @@ def run_all_invariants(replicas: Iterable[ReconfigurableReplica]) -> dict[str, i
         "epochs": check_chain_agreement(replica_list),
         "replies": check_reply_consistency(replica_list),
         "commands": check_no_duplicate_effects(replica_list),
+        "client_order": check_client_order(replica_list),
     }

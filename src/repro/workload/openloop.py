@@ -5,6 +5,10 @@ when the service slows down, which hides availability problems. An
 open-loop client keeps issuing at its configured rate regardless — the
 honest way to measure what a reconfiguration outage does to latency under
 sustained offered load.
+
+Each outstanding command rides a lane of its own, one of
+``max_outstanding`` identities ``<client>/<k>``: the dedup table's
+one-command-in-flight rule.
 """
 
 from __future__ import annotations
@@ -12,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.client import ClientReply, ClientRequest, OperationSource, Redirect
+from repro.core.client import (
+    ClientReply,
+    ClientRequest,
+    OperationSource,
+    Redirect,
+    ReplyBatch,
+)
 from repro.errors import ConfigurationError
 from repro.sim.node import Process
 from repro.sim.runner import Simulator
@@ -68,7 +78,11 @@ class OpenLoopClient(Process):
         self.params = params if params is not None else OpenLoopParams()
         self.on_complete = on_complete
         self.records: list[OpenLoopRecord] = []
-        self.seq = 0
+        #: the last CommandId of every free lane; an arrival takes one.
+        self._free = [
+            CommandId(ClientId(f"{client}/{k}"), 0)
+            for k in reversed(range(self.params.max_outstanding))
+        ]
         self.issued = 0
         self.shed = 0  # arrivals dropped because too many were outstanding
         self.stopped = False
@@ -102,12 +116,12 @@ class OpenLoopClient(Process):
         if operation is None:
             self.stopped = True
             return
-        if len(self._outstanding) >= self.params.max_outstanding:
+        if not self._free:
             self.shed += 1
             return
         op, args, size = operation
-        self.seq += 1
-        command = Command(CommandId(self.client, self.seq), op, args, size=size)
+        last = self._free.pop()
+        command = Command(CommandId(last.client, last.seq + 1), op, args, size=size)
         entry = _Outstanding(command, self.now, self._target_rotation)
         self._target_rotation += 1
         self._outstanding[command.cid] = entry
@@ -135,10 +149,14 @@ class OpenLoopClient(Process):
     # -- completions ----------------------------------------------------------
 
     def on_message(self, payload: Any, sender: NodeId) -> None:
-        if isinstance(payload, ClientReply):
+        if isinstance(payload, ReplyBatch):
+            for reply in payload.replies:
+                self.on_message(reply, sender)
+        elif isinstance(payload, ClientReply):
             entry = self._outstanding.pop(payload.cid, None)
             if entry is None:
                 return
+            self._free.append(payload.cid)
             record = OpenLoopRecord(
                 cid=payload.cid,
                 invoked_at=entry.invoked_at,

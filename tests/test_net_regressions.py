@@ -40,7 +40,8 @@ class StubReplica:
     """A thread that acks every ClientRequest it reads, frame for frame.
 
     ``reply_delay`` holds each ack briefly so tests can place
-    the reply inside or outside a client's listening window.
+    the reply inside or outside a client's listening window. Subclasses
+    override :meth:`reply` to answer differently, or not at all.
     """
 
     def __init__(self, reply_delay: float = 0.0):
@@ -51,6 +52,10 @@ class StubReplica:
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
+
+    def reply(self, command) -> ClientReply | None:
+        """The answer to one command; None drops it unanswered."""
+        return ClientReply(command.cid, "ok", 0, 0)
 
     def _serve(self) -> None:
         self.server.settimeout(0.1)
@@ -84,8 +89,10 @@ class StubReplica:
                     if self.reply_delay > 0:
                         time.sleep(self.reply_delay)
                     acks = tuple(
-                        ClientReply(cmd.cid, "ok", 0, 0) for cmd in commands
+                        ack for ack in map(self.reply, commands) if ack is not None
                     )
+                    if not acks:
+                        continue
                     out: ClientReply | ReplyBatch = (
                         acks[0] if len(acks) == 1 else ReplyBatch(acks)
                     )
