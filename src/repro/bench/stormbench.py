@@ -24,8 +24,8 @@ SIGKILL respawn can eat a scheduling quantum at random, so one run is
 not a measurement and the spread is part of the result.
 
 Gate (exit code): every run of every cell is ``ok`` — linearizable,
-every admin operation acknowledged, and (sharded cells) the director's
-map version chain linear and gapless.
+every scheduled fault applied, every step acknowledged, and (sharded
+cells) the director's map version chain linear and gapless.
 
 Results land in ``BENCH_storm.json`` (with the headline numbers of the
 file it replaces as ``predecessor``); ``--timeline-dir`` additionally
@@ -93,7 +93,7 @@ def _run_cell(
             "handoff_latency_mean_s": report.handoff_latency["mean_s"],
             "handoff_latency_max_s": report.handoff_latency["max_s"],
             "dirty_overlaps": dirty_overlaps,
-            "elapsed_s": round(report.chaos.elapsed, 2),
+            "elapsed_s": round(report.elapsed, 2),
         })
         if timeline_dir is not None:
             path = Path(timeline_dir)
@@ -195,7 +195,7 @@ def run_storm_bench(
 
     failures = [
         f"cell {cell['scenario']} had a run that was not ok "
-        "(non-linearizable history or unacknowledged RECONFIGURE)"
+        "(see its report lines above)"
         for cell in cells
         if not cell["all_ok"]
     ]

@@ -633,59 +633,15 @@ def _cmd_top(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_chaos(args: "argparse.Namespace") -> int:
-    """Seeded fault injection against a live cluster, verified.
-
-    Runs the canonical crash + restart + leader-partition schedule while
-    a workload client records a history, cuts an epoch that votes the
-    partitioned leader out mid-partition, then feeds the recorded history
-    through the linearizability checker. Exit code 0 iff the history is
-    linearizable and the reconfiguration committed.
-    """
-    from repro.net.chaos import run_chaos_scenario
-
-    report = run_chaos_scenario(
-        replicas=args.replicas,
-        seed=args.seed,
-        scale=args.scale,
-        verbose=args.verbose,
-        durable=args.durable,
-        batching=args.batch,
-        read_mode=args.read_mode,
-    )
-    for line in report.lines():
-        print(line)
-    if args.history:
-        from repro.verify.histories import dump_jsonl
-
-        dump_jsonl(report.history, args.history)
-        print(f"history written to {args.history}")
-    if args.timeline:
-        report.write_timeline(args.timeline)
-        print(f"fault-aligned timeline written to {args.timeline}")
-    if args.recovery_out:
-        report.write_recovery(args.recovery_out)
-        print(f"recovery metrics written to {args.recovery_out}")
-    if args.smoke and report.elapsed >= 60.0:
-        print(f"FAIL: smoke chaos run took {report.elapsed:.1f}s (>= 60s)",
-              file=sys.stderr)
-        return 1
-    if not report.ok:
-        print("FAIL: chaos scenario did not verify", file=sys.stderr)
-        return 1
-    print("chaos scenario verified: history linearizable under "
-          "crash+partition+reconfigure")
-    return 0
-
-
 def _cmd_storm(args: "argparse.Namespace") -> int:
-    """One seeded reconfiguration storm against a live cluster, verified.
+    """One seeded live scenario against a real cluster, verified.
 
-    Runs the chosen storm plan (back-to-back RECONFIGUREs, rolling
-    replacement, or joins racing crashes) while a workload client records
-    a history, then feeds it through the linearizability checker. Exit
-    code 0 iff the history verifies and every planned RECONFIGURE was
-    acknowledged.
+    Runs the chosen plan (the canonical chaos schedule, back-to-back
+    RECONFIGUREs, rolling replacement, joins racing crashes, or a
+    sharded cell) while recorded workers drive load, then feeds the
+    history through the linearizability checker. Exit code 0 iff the
+    run verifies (see ``StormReport.ok``); 2 for options the cell cannot
+    honour.
     """
     from repro.net.storm import build_storm_plan, run_storm_scenario
 
@@ -696,27 +652,32 @@ def _cmd_storm(args: "argparse.Namespace") -> int:
         )
         print(plan.to_json())
         return 0
-    report = run_storm_scenario(
-        args.scenario,
-        replicas=args.replicas,
-        seed=args.seed,
-        scale=args.scale,
-        read_mode=args.read_mode,
-        durable=args.durable,
-        verbose=args.verbose,
-    )
+    try:
+        report = run_storm_scenario(
+            args.scenario,
+            replicas=args.replicas,
+            seed=args.seed,
+            scale=args.scale,
+            read_mode=args.read_mode,
+            durable=args.durable,
+            batching=args.batch,
+            verbose=args.verbose,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for line in report.lines():
         print(line)
     if args.history:
         from repro.verify.histories import dump_jsonl
 
-        dump_jsonl(report.chaos.history, args.history)
+        dump_jsonl(report.history, args.history)
         print(f"history written to {args.history}")
     if args.timeline:
         report.write_timeline(args.timeline)
         print(f"fault-aligned storm timeline written to {args.timeline}")
-    if args.smoke and report.chaos.elapsed >= 60.0:
-        print(f"FAIL: smoke storm run took {report.chaos.elapsed:.1f}s "
+    if args.smoke and report.elapsed >= 60.0:
+        print(f"FAIL: smoke storm run took {report.elapsed:.1f}s "
               "(>= 60s)", file=sys.stderr)
         return 1
     if not report.ok:
@@ -881,54 +842,18 @@ def build_parser() -> "argparse.ArgumentParser":
                              help="keys to resolve (may be empty)")
     shard_route.add_argument("--timeout", type=float, default=2.0)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="seeded fault injection against a live cluster + "
-        "linearizability verdict",
-    )
-    chaos.add_argument("--replicas", type=int, default=3)
-    chaos.add_argument("--seed", type=int, default=42,
-                       help="drives the schedule, workload, and link-loss "
-                       "draws; same seed = same injection order")
-    chaos.add_argument("--scale", type=float, default=1.0,
-                       help="stretch factor for the schedule's offsets")
-    chaos.add_argument("--smoke", action="store_true",
-                       help="CI gate: also fail if the run takes >= 60s")
-    chaos.add_argument("--history", default=None, metavar="PATH",
-                       help="write the recorded client history as JSONL")
-    chaos.add_argument("--timeline", default="CHAOS_timeline.json",
-                       metavar="PATH",
-                       help="write the fault-aligned hand-off timeline as "
-                       "JSON (injections + reconfiguration span phases on "
-                       "one timebase); empty string to skip")
-    chaos.add_argument("--durable", action="store_true",
-                       help="give every replica a --data-dir so the "
-                       "schedule's restart recovers from checkpoint+WAL "
-                       "instead of amnesia")
-    chaos.add_argument("--recovery-out", default=None, metavar="PATH",
-                       help="write the per-node wal/recovery metrics "
-                       "snapshot as JSON (the CI artifact; needs --durable)")
-    chaos.add_argument("--batch", action="store_true",
-                       help="run every replica with --batch-delay 2 "
-                       "--window 16, so the oracle checks commands held "
-                       "behind a busy pipeline and a full window")
-    chaos.add_argument("--read-mode", default="log",
-                       choices=["log", "lease", "follower"],
-                       help="run every replica with this read path, so the "
-                       "oracle checks e.g. lease reads while the schedule "
-                       "partitions the leaseholder mid-RECONFIGURE")
-    chaos.add_argument("--verbose", action="store_true")
-
     storm = sub.add_parser(
         "storm",
-        help="seeded reconfiguration storm against a live cluster + "
-        "linearizability verdict (overlap | rolling | joincrash | "
-        "shard | director)",
+        help="seeded live scenario against a real cluster + "
+        "linearizability verdict (chaos | overlap | rolling | joincrash "
+        "| shard | director)",
     )
     storm.add_argument("scenario", nargs="?", default="overlap",
-                       choices=["overlap", "rolling", "joincrash",
+                       choices=["chaos", "overlap", "rolling", "joincrash",
                                 "shard", "director"],
-                       help="which storm plan to run (default: overlap); "
+                       help="which plan to run (default: overlap); 'chaos' "
+                       "crashes a follower and partitions the leader "
+                       "around a RECONFIGURE that votes it out, "
                        "'director' SIGKILLs the replicated shard "
                        "director's claiming replica mid-move, 'shard' "
                        "races per-group membership churn against a "
@@ -957,6 +882,11 @@ def build_parser() -> "argparse.ArgumentParser":
     storm.add_argument("--durable", action="store_true",
                        help="give every replica a --data-dir so crashed "
                        "replicas recover from checkpoint+WAL")
+    storm.add_argument("--batch", action="store_true",
+                       help="run every replica with --batch-delay 2 "
+                       "--window 16, so the oracle checks commands held "
+                       "behind a busy pipeline and a full window "
+                       "(single-group cells only)")
     storm.add_argument("--verbose", action="store_true")
 
     metrics = sub.add_parser(
@@ -1040,8 +970,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "cluster":
         return _cmd_cluster(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
     if args.command == "storm":
         return _cmd_storm(args)
     if args.command == "metrics":

@@ -24,24 +24,19 @@ entirely in the serve wiring (:mod:`repro.net.admin`, which a serving
 replica imports instead of this module) — replica/protocol code cannot
 see the schedule, preserving the simulator's honesty rule.
 
-On top of the controller, :func:`run_chaos_scenario` closes the
-correctness loop for live runs: a workload client records a
-client-observed :class:`~repro.verify.histories.History` while a seeded
-schedule crashes, partitions, and heals the cluster around a live
-reconfiguration, and the recorded history is fed to the same
-Wing–Gong linearizability checker the simulator uses. Exposed as the
-``repro chaos`` CLI subcommand.
+The controller, :class:`HistoryRecorder` and
+:func:`collect_aligned_spans` are the parts
+:func:`repro.net.storm.run_storm_scenario` - the one live scenario loop
+(``repro storm``) - assembles into a verified run.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.net import codec
 from repro.net.admin import ChaosAck, ChaosCommand, chaos_endpoint
@@ -60,7 +55,6 @@ from repro.sim.failures import (
 )
 from repro.types import ClientId, CommandId, NodeId
 from repro.verify.histories import History, Operation
-from repro.verify.linearizability import LinearizabilityResult, check_kv_linearizable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.cluster import LocalCluster
@@ -98,6 +92,7 @@ class Injection:
     applied_at: float  #: wall-clock offset it actually ran at
     action: FailureAction
     acks: tuple[str, ...]  #: replicas that acknowledged (link actions only)
+    error: str | None = None  #: why the action failed; None = applied
 
 
 class ChaosController:
@@ -175,18 +170,19 @@ class ChaosController:
             try:
                 acks = self._apply(action)
             except Exception as exc:
-                # The injection log must record the attempt even when the
-                # action blows up (e.g. a respawn that never binds its
-                # port raises from deep inside the cluster harness) —
-                # otherwise the report silently shows fewer injections
-                # than the schedule and the run looks healthier than it
-                # was. Log first, then let the failure propagate.
-                self.errors.append(
-                    f"{type(action).__name__} at {action.time}: {exc}"
-                )
-                self.log.append(
-                    Injection(action.time, time.monotonic() - t0, action, ())
-                )
+                # The injection log records the attempt and its failure
+                # even when the action blows up (e.g. a respawn that never
+                # binds its port), so a run cannot look healthier than it
+                # was. A RuntimeError or TimeoutError (a respawn that
+                # never came up) leaves the rest of the schedule to run;
+                # anything else stops the controller.
+                error = f"{type(action).__name__} at {action.time}: {exc}"
+                self.errors.append(error)
+                self.log.append(Injection(
+                    action.time, time.monotonic() - t0, action, (), error
+                ))
+                if isinstance(exc, (RuntimeError, TimeoutError)):
+                    continue
                 raise
             self.log.append(
                 Injection(action.time, time.monotonic() - t0, action, acks)
@@ -200,13 +196,9 @@ class ChaosController:
             self.cluster.kill(str(action.node))
             return ()
         if isinstance(action, RestartAt):
-            try:
-                self.cluster.restart(
-                    str(action.node), wait=True, timeout=self.restart_timeout
-                )
-            except (RuntimeError, TimeoutError) as exc:
-                self.errors.append(f"restart {action.node}: {exc}")
-                return ()
+            self.cluster.restart(
+                str(action.node), wait=True, timeout=self.restart_timeout
+            )
             # The replica restarts with an empty LinkPolicy; re-install
             # every active rule so e.g. a partitioned node that crashed
             # and came back stays partitioned until the schedule heals it.
@@ -278,7 +270,7 @@ class ChaosController:
 
 
 # ---------------------------------------------------------------------------
-# Workload + verification: the closed loop
+# What the storm loop records
 # ---------------------------------------------------------------------------
 
 
@@ -330,8 +322,8 @@ def collect_aligned_spans(
     Returns ``(fetched, aligned, errors)``: the raw snapshots, the
     reconfiguration spans re-based onto the controller's monotonic
     timebase (node -> epoch -> phase -> seconds from controller start),
-    and any fetch errors. Shared by the chaos and storm drivers so both
-    produce the same fault-aligned timeline shape.
+    and any fetch errors. The storm loop calls it once per group, and
+    ``perf/workloads.py`` for its hand-off spans.
 
     ``_retired`` is the slot of the deleted wire-format selector and is
     ignored: ``perf/workloads.py`` passes ``None`` there positionally and
@@ -350,327 +342,3 @@ def collect_aligned_spans(
                 for epoch, phases in node_spans.items()
             }
     return fetched, aligned, errors
-
-
-def canonical_schedule(
-    leader: str, others: Iterable[str], joiner: str, *, seed: int = 42,
-    scale: float = 1.0,
-) -> FailureSchedule:
-    """The canonical live chaos scenario (EXPERIMENTS T10), seeded.
-
-    Offsets are wall-clock seconds from controller start, jittered per
-    seed (same seed -> same schedule -> same injection order):
-
-    1. crash one non-leader replica (``SIGKILL``), chosen by the seed;
-    2. restart it (amnesia; catch-up re-educates it);
-    3. partition the **epoch-0 leader** (the lowest member id campaigns
-       first, so ``leader`` should be the first initial member) away from
-       everyone else — the workload then drives an epoch cut that votes
-       the unreachable leader out while it still believes it leads;
-    4. heal, letting the deposed leader discover its retirement.
-    """
-    rng = random.Random(seed)
-    others = list(others)
-    victim = rng.choice(others)
-
-    def jitter(offset: float) -> float:
-        return round(offset * scale * rng.uniform(0.9, 1.1), 3)
-
-    schedule = FailureSchedule()
-    schedule.crash(jitter(1.0), victim)
-    schedule.restart(jitter(2.0), victim)
-    schedule.partition(
-        jitter(3.4), "cut-leader", [leader], [*others, joiner]
-    )
-    schedule.heal(jitter(5.6), "cut-leader")
-    return schedule
-
-
-@dataclass(slots=True)
-class ChaosReport:
-    """Outcome of one :func:`run_chaos_scenario` run."""
-
-    ok: bool
-    linearizable: "LinearizabilityResult"
-    injections: list[Injection]
-    history: History
-    reconfigured: bool
-    final_members: tuple[str, ...]
-    elapsed: float
-    seed: int
-    log_dir: str
-    errors: list[str] = field(default_factory=list)
-    #: reconfiguration spans fetched from the replicas' #metrics
-    #: endpoints, clock-aligned onto the injection log's timebase:
-    #: node -> new-epoch id -> phase -> seconds from controller start.
-    spans: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
-    #: durable runs only: node -> wal./recovery./checkpoint counters and
-    #: recovery-duration summary extracted from each #metrics snapshot.
-    recovery: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: local-read runs only: node -> smr.* read counters, so callers can
-    #: assert the fast path actually served reads during the schedule
-    #: (a lease-mode verdict over zero lease reads proves nothing).
-    read_counters: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def span_overlaps(self, at: float) -> list[str]:
-        """Spans in flight at offset ``at`` (``node:epoch`` labels).
-
-        A span is "in flight" between its earliest and latest recorded
-        phase — for a complete span, decided through first-commit. This
-        is what annotates each injection with the hand-offs it landed in
-        the middle of.
-        """
-        return [
-            f"{node}:epoch {epoch}"
-            for node, per_epoch in sorted(self.spans.items())
-            for epoch, phases in sorted(per_epoch.items())
-            if phases and min(phases.values()) <= at <= max(phases.values())
-        ]
-
-    def timeline(self) -> list[dict]:
-        """Injections and span phases merged into one ordered event list."""
-        events: list[dict] = []
-        for node, per_epoch in sorted(self.spans.items()):
-            for epoch, phases in sorted(per_epoch.items()):
-                for phase, at in sorted(phases.items(), key=lambda kv: kv[1]):
-                    events.append({
-                        "at": round(at, 4), "kind": "span",
-                        "node": node, "epoch": epoch, "phase": phase,
-                    })
-        for injection in self.injections:
-            events.append({
-                "at": round(injection.applied_at, 4), "kind": "injection",
-                "action": type(injection.action).__name__,
-                "detail": str(injection.action),
-                "scheduled_at": injection.scheduled_at,
-                "overlapping_spans": self.span_overlaps(injection.applied_at),
-            })
-        events.sort(key=lambda event: event["at"])
-        return events
-
-    def write_timeline(self, path: Any) -> None:
-        """Write the fault-aligned timeline as JSON (a CI artifact)."""
-        payload = {
-            "seed": self.seed,
-            "elapsed": round(self.elapsed, 3),
-            "final_members": list(self.final_members),
-            "reconfigured": self.reconfigured,
-            "linearizable": self.linearizable.ok,
-            "events": self.timeline(),
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-    def write_recovery(self, path: Any) -> None:
-        """Write the per-node recovery metrics snapshot as JSON (CI artifact)."""
-        payload = {
-            "seed": self.seed,
-            "linearizable": self.linearizable.ok,
-            "nodes": self.recovery,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    def lines(self) -> list[str]:
-        """Human-readable summary (one string per line)."""
-        out = [
-            f"chaos run: seed={self.seed} elapsed={self.elapsed:.1f}s "
-            f"(replica logs: {self.log_dir})",
-            "injection log:",
-        ]
-        for injection in self.injections:
-            during = self.span_overlaps(injection.applied_at)
-            out.append(
-                f"  t={injection.applied_at:6.2f}s "
-                f"(scheduled {injection.scheduled_at:.2f}s) "
-                f"{type(injection.action).__name__} {injection.action}"
-                + (f"  [during hand-off: {', '.join(during)}]" if during else "")
-            )
-        for node, per_epoch in sorted(self.spans.items()):
-            for epoch, phases in sorted(per_epoch.items()):
-                marks = " ".join(
-                    f"{phase}@{phases[phase]:.2f}s"
-                    for phase in ("decided", "cut", "transfer", "first-commit")
-                    if phase in phases
-                )
-                out.append(f"  span {node} -> epoch {epoch}: {marks}")
-        completed = len(self.history.completed)
-        pending = len(self.history.pending)
-        out.append(
-            f"history: {completed} completed + {pending} pending operations; "
-            f"reconfigured={'yes' if self.reconfigured else 'NO'} "
-            f"-> members {','.join(self.final_members)}"
-        )
-        result = self.linearizable
-        verdict = "LINEARIZABLE" if result.ok else (
-            f"NOT LINEARIZABLE (key {result.failing_key!r})"
-        )
-        out.append(
-            f"verdict: {verdict} "
-            f"({result.checked_ops} ops over {result.checked_keys} keys)"
-        )
-        for error in self.errors:
-            out.append(f"  note: {error}")
-        return out
-
-
-def run_chaos_scenario(
-    *,
-    replicas: int = 3,
-    seed: int = 42,
-    log_dir: Any = None,
-    keys: int = 8,
-    op_interval: float = 0.02,
-    request_timeout: float = 0.5,
-    scale: float = 1.0,
-    schedule: FailureSchedule | None = None,
-    verbose: bool = False,
-    durable: bool = False,
-    batching: bool = False,
-    read_mode: str | None = None,
-) -> ChaosReport:
-    """Run a seeded failure schedule against a live cluster and verify it.
-
-    Closes the loop the simulator has always had: workload in, chaos in
-    the middle, a client-observed history out, a linearizability verdict
-    at the end. Mid-schedule (during the leader partition for the
-    canonical schedule) the workload client drives a live RECONFIGURE
-    that replaces the isolated leader with a standby joiner.
-
-    With ``durable=True`` every replica runs with a ``--data-dir``, so
-    the schedule's restart comes back through crash recovery instead of
-    amnesia; each node's wal/recovery counters land in
-    :attr:`ChaosReport.recovery`.
-
-    With ``batching=True`` every replica runs the batched, pipelined
-    commit path (``--batch-delay 2 --window 16``), so the Wing–Gong
-    verdict covers batch demultiplexing and batch/epoch-cut interaction
-    under the same crash/partition/reconfigure schedule.
-
-    With ``read_mode="lease"`` (or ``"follower"``) every replica serves
-    read-only operations through that local read path. The canonical
-    schedule partitions the epoch-0 leader — in lease mode that is the
-    leaseholder — away from the majority right before the RECONFIGURE
-    that votes it out, so the verdict covers exactly the hazard the
-    lease machinery must survive: a deposed leaseholder serving reads
-    while a new epoch starts ordering writes without it. (Follower mode
-    is bounded-staleness by design, so its histories are checked for
-    progress, not linearizability — see the lease tests.)
-    """
-    from repro.net.cluster import LocalCluster
-
-    started = time.monotonic()
-    cluster = LocalCluster(
-        replicas=replicas, reserve=2, seed=seed,
-        log_dir=log_dir, chaos=True, verbose=verbose, durable=durable,
-        batch_delay_ms=2.0 if batching else 0.0,
-        window=16 if batching else 0,
-        read_mode=read_mode,
-    )
-    with cluster:
-        cluster.start(timeout=20.0)
-        joiner = cluster.reserved()[0]
-        cluster.spawn(joiner)
-        cluster.wait_ready([joiner], timeout=15.0)
-
-        leader, others = cluster.initial[0], cluster.initial[1:]
-        if schedule is None:
-            schedule = canonical_schedule(
-                leader, others, joiner, seed=seed, scale=scale
-            )
-        plan = schedule.sorted_actions()
-        end_of_schedule = max((a.time for a in plan), default=0.0)
-        # Cut the epoch between the last partition and the first heal (the
-        # window the schedule is built to stress); fall back to mid-run.
-        partition_times = [a.time for a in plan if isinstance(a, PartitionAt)]
-        heal_times = [a.time for a in plan if isinstance(a, HealAt)]
-        if partition_times and heal_times:
-            reconfigure_at = (max(partition_times) + min(heal_times)) / 2
-        else:
-            reconfigure_at = end_of_schedule / 2
-
-        controller = ChaosController(cluster, schedule).start()
-        client = LiveClient(
-            "chaos-cli", cluster.addresses, view=cluster.initial,
-            request_timeout=request_timeout,
-        )
-        recorder = HistoryRecorder(client)
-        workload_rng = random.Random(seed)
-        target_members = (*others, joiner)
-        reconfigured = False
-        counter = 0
-        with client:
-            t0 = time.monotonic()
-            while time.monotonic() - t0 < end_of_schedule + 1.0:
-                offset = time.monotonic() - t0
-                if not reconfigured and offset >= reconfigure_at:
-                    try:
-                        client.reconfigure(target_members, deadline=25.0)
-                        reconfigured = True
-                    except LiveClientError as exc:
-                        controller.errors.append(f"reconfigure: {exc}")
-                        reconfigured = True  # do not retry with a new epoch
-                    continue
-                key = f"k{workload_rng.randrange(keys)}"
-                if workload_rng.random() < 0.7:
-                    counter += 1
-                    recorder.submit("set", (key, counter), deadline=8.0)
-                else:
-                    recorder.submit("get", (key,), size=32, deadline=8.0)
-                time.sleep(op_interval)
-            # Final phase: the cluster is healed; read every key back with
-            # generous deadlines so the history ends on settled state.
-            for i in range(keys):
-                recorder.submit("get", (f"k{i}",), size=32, deadline=15.0)
-        controller.stop()
-        controller.join(timeout=30.0)
-        # While the replicas are still up, pull their #metrics snapshots
-        # and align every reconfiguration span onto the injection log's
-        # timebase (seconds from controller start) — the fault-aligned
-        # hand-off timeline ISSUE 4 asks for.
-        controller_t0 = controller.t0 if controller.t0 is not None else started
-        live = [name for name, proc in cluster.procs.items() if proc.poll() is None]
-        fetched, aligned_spans, fetch_errors = collect_aligned_spans(
-            cluster.addresses, live, None, controller_t0
-        )
-        recovery: dict[str, dict[str, Any]] = {}
-        if durable:
-            for node, snap in fetched.items():
-                recovery[node] = {
-                    "counters": {
-                        name: value
-                        for name, value in sorted(snap.snapshot.counters.items())
-                        if name.startswith(("wal.", "recovery."))
-                    },
-                    "recovery_duration": snap.snapshot.histograms.get(
-                        "recovery.duration", {}
-                    ),
-                }
-        read_counters: dict[str, dict[str, int]] = {}
-        if read_mode is not None:
-            for node, snap in fetched.items():
-                read_counters[node] = {
-                    name: int(value)
-                    for name, value in sorted(snap.snapshot.counters.items())
-                    if name.startswith("smr.")
-                }
-    history = recorder.history()
-    result = check_kv_linearizable(history)
-    # Follower mode trades linearizability for bounded staleness by
-    # design: its run is gated on progress + reconfiguration only, while
-    # the oracle's verdict stays recorded for inspection. Lease mode is
-    # claimed linearizable and gates on the verdict like ordered reads.
-    lin_ok = result.ok or read_mode == "follower"
-    return ChaosReport(
-        ok=lin_ok and reconfigured,
-        linearizable=result,
-        injections=list(controller.log),
-        history=history,
-        reconfigured=reconfigured,
-        final_members=tuple(target_members),
-        elapsed=time.monotonic() - started,
-        seed=seed,
-        log_dir=str(cluster.log_dir),
-        errors=list(controller.errors) + fetch_errors,
-        spans=aligned_spans,
-        recovery=recovery,
-        read_counters=read_counters,
-    )

@@ -1,12 +1,16 @@
-"""Reconfiguration storms: adversarial hand-off schedules, verified.
+"""Live scenarios: seeded fault and reconfiguration plans, verified.
 
-Every chaos scenario before this module fires a *single* RECONFIGURE
-against a mostly-healthy cluster. The paper's liveness claim is stronger:
-the service stays available while reconfigurations pile up faster than
-state transfer completes, while the whole membership rolls over under
-load, and while joins race fail-stop crashes. This module turns each of
-those into a seeded, repeatable **storm plan** executed against a live
-:class:`~repro.net.cluster.LocalCluster`:
+The paper claims the service stays correct and available while its
+configuration changes under crashes. Every live check of that claim is
+a seeded, repeatable :class:`StormPlan` - a failure schedule plus
+timed reconfiguration steps - run by :func:`run_storm_scenario`, the one
+live scenario loop (``repro storm <cell>``):
+
+``chaos``
+    The canonical fault schedule (EXPERIMENTS T10): crash and restart a
+    follower, partition the epoch-0 leader, and - midway through the
+    partition - one RECONFIGURE that replaces the isolated leader with a
+    standby joiner; then heal.
 
 ``overlap``
     Back-to-back RECONFIGUREs issued faster than the joiners' state
@@ -26,13 +30,17 @@ those into a seeded, repeatable **storm plan** executed against a live
     seal-time tail rescue exists for) and the joiner itself is killed
     mid-join and later restarted with amnesia.
 
-Every run is checked with the same Wing–Gong linearizability oracle as
-the chaos suite and produces the fault-aligned hand-off timeline; on top
-of that it measures the two storm headline numbers: the **unavailability
-window** (largest gap between consecutive acknowledged client operations
-during the storm) and the **hand-off latency** (cluster-level
-reconfiguration span width, decided → first commit in the new epoch).
-``repro bench storm`` reports both per scenario.
+``shard`` / ``director``
+    Sharded cells (:mod:`repro.shard.storm`): membership churn racing a
+    range move, and a director replica SIGKILLed mid-move.
+
+Every run is checked with the Wing–Gong linearizability oracle and
+produces the fault-aligned hand-off timeline; on top of that it measures
+the two storm headline numbers: the **unavailability window** (largest
+gap between consecutive acknowledged client operations during the
+storm) and the **hand-off latency** (cluster-level reconfiguration span
+width, decided → first commit in the new epoch). ``repro bench storm``
+reports both per scenario.
 """
 
 from __future__ import annotations
@@ -43,12 +51,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.net.chaos import (
     ChaosController,
-    ChaosReport,
     HistoryRecorder,
+    Injection,
     collect_aligned_spans,
 )
 from repro.net.client import LiveClient, LiveClientError
@@ -59,16 +67,15 @@ from repro.verify.linearizability import (
     check_kv_linearizable,
 )
 
-#: the scenario family; see the module docstring.
+#: the single-group reconfiguration storms; see the module docstring.
 STORM_SCENARIOS = ("overlap", "rolling", "joincrash")
 
-#: sharded cells living in :mod:`repro.shard.storm` — director failover
-#: mid-move and the membership-churn-vs-range-move race. Dispatched from
-#: :func:`run_storm_scenario` / :func:`build_storm_plan` so the CLI and
-#: the storm bench treat the whole family uniformly; kept out of
-#: ``STORM_SCENARIOS`` because these run a full sharded cluster, not the
-#: single-group topology the data-plane plans assume.
+#: sharded cells whose plans and topology live in :mod:`repro.shard.storm`
+#: (they run a full sharded cluster, not one group).
 SHARD_STORM_SCENARIOS = ("shard", "director")
+
+#: every cell ``repro storm`` runs.
+SCENARIOS = ("chaos", *STORM_SCENARIOS, *SHARD_STORM_SCENARIOS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +103,8 @@ class StormPlan:
     joiners: tuple[str, ...]
     steps: tuple[ReconfigStep, ...]
     schedule: FailureSchedule
-    #: workload runs from 0 to this offset (settle margin included).
+    #: the workload runs from 0 to at least this offset (settle margin
+    #: included), and on until every step has returned.
     duration: float
     #: initial members the plan never crashes or restarts — the workload
     #: client's contact view. Pinning the recorder to stable contacts
@@ -135,9 +143,9 @@ def build_storm_plan(
 ) -> StormPlan:
     """Build one deterministic storm plan (see :class:`StormPlan`).
 
-    Offsets are jittered per seed exactly like
-    :func:`~repro.net.chaos.canonical_schedule` (same seed -> same plan);
-    ``scale`` stretches the whole storm without changing its structure.
+    Every offset is jittered per seed by a factor in [0.9, 1.1] (same
+    seed -> same plan); ``scale`` stretches the whole storm without
+    changing its structure.
     """
     if scenario in SHARD_STORM_SCENARIOS:
         from repro.shard.storm import build_shard_storm_plan
@@ -145,10 +153,9 @@ def build_storm_plan(
         return build_shard_storm_plan(
             scenario, replicas=replicas, seed=seed, scale=scale
         )
-    if scenario not in STORM_SCENARIOS:
+    if scenario not in SCENARIOS:
         raise ValueError(
-            f"unknown storm scenario {scenario!r}; pick from "
-            f"{STORM_SCENARIOS + SHARD_STORM_SCENARIOS}"
+            f"unknown storm scenario {scenario!r}; pick from {SCENARIOS}"
         )
     rng = random.Random(seed)
     initial = tuple(f"n{i + 1}" for i in range(replicas))
@@ -157,7 +164,23 @@ def build_storm_plan(
         return round(offset * scale * rng.uniform(0.9, 1.1), 3)
 
     schedule = FailureSchedule()
-    if scenario == "overlap":
+    if scenario == "chaos":
+        # The epoch-0 leader is the lowest member id (it campaigns
+        # first); the crashed follower is chosen by the seed.
+        leader, others = initial[0], initial[1:]
+        joiners = (f"n{replicas + 1}",)
+        victim = rng.choice(others)
+        schedule.crash(jitter(1.0), victim)
+        schedule.restart(jitter(2.0), victim)  # amnesia unless durable
+        cut_at = jitter(3.4)
+        schedule.partition(cut_at, "cut-leader", [leader], [*others, *joiners])
+        heal_at = jitter(5.6)
+        schedule.heal(heal_at, "cut-leader")
+        # Vote the unreachable leader out while it still believes it
+        # leads; the heal then lets it discover its retirement.
+        steps = (ReconfigStep((cut_at + heal_at) / 2, (*others, *joiners)),)
+        duration = round(heal_at + 1.0, 3)
+    elif scenario == "overlap":
         joiners = (f"n{replicas + 1}", f"n{replicas + 2}")
         # Slow every link toward (and from) the joiners so their boundary
         # transfer cannot finish between reconfigures: the second step
@@ -310,23 +333,8 @@ def handoff_latencies(
     }
 
 
-def storm_verdict(
-    history: History, read_mode: str | None
-) -> tuple[LinearizabilityResult, bool]:
-    """The oracle gate every storm run goes through.
-
-    Wing–Gong over the client-observed history; follower-mode runs are
-    bounded-staleness by design, so they gate on progress while the raw
-    verdict stays recorded for inspection (same convention as the chaos
-    suite). The positive-control test feeds this a hand-constructed
-    non-linearizable history and asserts the gate actually fails.
-    """
-    result = check_kv_linearizable(history)
-    return result, result.ok or read_mode == "follower"
-
-
 # ---------------------------------------------------------------------------
-# The storm driver
+# The report and the loop
 # ---------------------------------------------------------------------------
 
 
@@ -336,28 +344,94 @@ class StormReport:
 
     plan: StormPlan
     read_mode: str | None
-    #: verdict, injections, history, aligned spans, errors — same shape
-    #: as a chaos run so the timeline/tooling carries over unchanged.
-    chaos: ChaosReport
+    linearizable: LinearizabilityResult
+    history: History
+    injections: list[Injection]
     #: per planned step: offset, members, applied_at (None = never
-    #: acknowledged), ok.
-    reconfigs: list[dict] = field(default_factory=list)
+    #: returned), ok, and the error of a failed step.
+    reconfigs: list[dict]
+    elapsed: float
+    log_dir: str
+    #: checks the topology adds that failed (sharded cells: the map chain).
+    failed_checks: list[str] = field(default_factory=list)
+    errors: list[str] = field(default_factory=list)
+    #: reconfiguration spans fetched from the replicas' #metrics
+    #: endpoints, clock-aligned onto the injection log's timebase:
+    #: node -> new-epoch id -> phase -> seconds from controller start.
+    spans: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
     unavailability: dict = field(default_factory=dict)
     handoff_latency: dict = field(default_factory=dict)
-    #: per-node smr.* counters (orphans, seal-time dirty_overlaps).
+    #: per-node smr.* (orphans, seal-time overlaps, lease and follower
+    #: reads), wal.* and recovery.* counters.
     counters: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: per-node ``recovery.duration`` summary, for nodes that recovered.
+    recovery_duration: dict[str, dict[str, float]] = field(default_factory=dict)
+
+    @property
+    def final_members(self) -> tuple[str, ...]:
+        return self.plan.final_members()
+
+    @property
+    def reconfigured(self) -> bool:
+        """Every planned step was acknowledged."""
+        return len(self.reconfigs) == len(self.plan.steps) and all(
+            step["ok"] for step in self.reconfigs
+        )
+
+    @property
+    def faults_applied(self) -> bool:
+        """Every scheduled fault was injected, and none failed."""
+        return len(self.injections) == len(self.plan.schedule.actions) and not any(
+            injection.error for injection in self.injections
+        )
 
     @property
     def ok(self) -> bool:
-        return self.chaos.ok
+        """The gate: linearizable, every fault and step applied, every
+        topology check passed. Follower reads are bounded-staleness by
+        design, so a follower-mode run gates on progress while the raw
+        verdict stays recorded for inspection."""
+        return (
+            (self.linearizable.ok or self.read_mode == "follower")
+            and self.reconfigured
+            and self.faults_applied
+            and not self.failed_checks
+        )
 
-    @property
-    def linearizable(self) -> LinearizabilityResult:
-        return self.chaos.linearizable
+    def span_overlaps(self, at: float) -> list[str]:
+        """Spans in flight at offset ``at`` (``node:epoch`` labels).
+
+        A span is "in flight" between its earliest and latest recorded
+        phase — for a complete span, decided through first-commit. This
+        is what annotates each injection with the hand-offs it landed in
+        the middle of.
+        """
+        return [
+            f"{node}:epoch {epoch}"
+            for node, per_epoch in sorted(self.spans.items())
+            for epoch, phases in sorted(per_epoch.items())
+            if phases and min(phases.values()) <= at <= max(phases.values())
+        ]
 
     def timeline(self) -> list[dict]:
-        """The chaos timeline plus the planned RECONFIGURE issue points."""
-        events = self.chaos.timeline()
+        """Injections, steps and span phases merged into one ordered list."""
+        events: list[dict] = []
+        for node, per_epoch in sorted(self.spans.items()):
+            for epoch, phases in sorted(per_epoch.items()):
+                for phase, at in sorted(phases.items(), key=lambda kv: kv[1]):
+                    events.append({
+                        "at": round(at, 4), "kind": "span",
+                        "node": node, "epoch": epoch, "phase": phase,
+                    })
+        for injection in self.injections:
+            events.append({
+                "at": round(injection.applied_at, 4), "kind": "injection",
+                "action": type(injection.action).__name__,
+                "detail": str(injection.action),
+                "scheduled_at": injection.scheduled_at,
+                "error": injection.error,
+                "overlapping_spans": self.span_overlaps(injection.applied_at),
+            })
         for step in self.reconfigs:
             at = step["applied_at"]
             events.append({
@@ -371,37 +445,57 @@ class StormReport:
         return events
 
     def write_timeline(self, path: Any) -> None:
+        """Write the fault-aligned timeline and counters as JSON (a CI
+        artifact)."""
         payload = {
             "scenario": self.plan.scenario,
             "seed": self.plan.seed,
+            "elapsed": round(self.elapsed, 3),
+            "final_members": list(self.final_members),
+            "reconfigured": self.reconfigured,
             "linearizable": self.linearizable.ok,
             "ok": self.ok,
             "unavailability": self.unavailability,
             "handoff_latency": self.handoff_latency,
+            "counters": self.counters,
+            "recovery_duration": self.recovery_duration,
             "events": self.timeline(),
         }
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
     def lines(self) -> list[str]:
+        """Human-readable summary (one string per line)."""
         out = [
-            f"storm {self.plan.scenario}: "
-            f"seed={self.plan.seed} elapsed={self.chaos.elapsed:.1f}s "
-            f"(replica logs: {self.chaos.log_dir})",
+            f"storm {self.plan.scenario}: seed={self.plan.seed} "
+            f"elapsed={self.elapsed:.1f}s (replica logs: {self.log_dir})",
         ]
         for step in self.reconfigs:
             at = step["applied_at"]
+            outcome = (
+                f"acked at {at:.2f}s" if step["ok"]
+                else f"FAILED: {step.get('error', 'never returned')}"
+            )
             out.append(
                 f"  reconfigure @ {step['offset']:.2f}s -> "
-                f"{','.join(step['members'])}: "
-                + (f"acked at {at:.2f}s" if step["ok"] else "FAILED")
+                f"{','.join(step['members'])}: {outcome}"
             )
-        for injection in self.chaos.injections:
-            during = self.chaos.span_overlaps(injection.applied_at)
+        for injection in self.injections:
+            during = self.span_overlaps(injection.applied_at)
             out.append(
                 f"  t={injection.applied_at:6.2f}s "
+                f"(scheduled {injection.scheduled_at:.2f}s) "
                 f"{type(injection.action).__name__} {injection.action}"
+                + (f"  FAILED: {injection.error}" if injection.error else "")
                 + (f"  [during hand-off: {', '.join(during)}]" if during else "")
             )
+        for node, per_epoch in sorted(self.spans.items()):
+            for epoch, phases in sorted(per_epoch.items()):
+                marks = " ".join(
+                    f"{phase}@{phases[phase]:.2f}s"
+                    for phase in ("decided", "cut", "transfer", "first-commit")
+                    if phase in phases
+                )
+                out.append(f"  span {node} -> epoch {epoch}: {marks}")
         un = self.unavailability
         out.append(
             f"  unavailability: max gap {un.get('max_gap_s', 0):.3f}s over a "
@@ -423,59 +517,94 @@ class StormReport:
             f"  verdict: {verdict} ({result.checked_ops} ops over "
             f"{result.checked_keys} keys); ok={'yes' if self.ok else 'NO'}"
         )
-        for error in self.chaos.errors:
+        for failed in self.failed_checks:
+            out.append(f"  check FAILED: {failed}")
+        for error in self.errors:
             out.append(f"  note: {error}")
         return out
 
 
-class _ReconfigDriver(threading.Thread):
-    """Issue the plan's RECONFIGUREs at their offsets, off the workload.
+def wait_until(at: float) -> None:
+    """Sleep until the monotonic instant ``at`` (no-op once past it)."""
+    delay = at - time.monotonic()
+    if delay > 0:
+        time.sleep(delay)
 
-    A dedicated thread with its own admin client: the whole point of the
-    overlap storm is that the *next* step is issued on schedule even if
-    the previous hand-off is still settling, and the workload loop must
-    keep recording ops while a reconfigure waits for its ack.
-    """
+
+class _GroupTopology:
+    """One group: the plan's steps are RECONFIGUREs of a
+    :class:`~repro.net.cluster.LocalCluster` (every cell but the sharded
+    ones). :mod:`repro.shard.storm` has the sharded counterpart."""
+
+    #: workload shape: keys, closed-loop workers, per-op deadline, and
+    #: whether every key is written once before the clock starts.
+    keys = 8
+    workers = 1
+    deadline = 6.0
+    preload = False
 
     def __init__(
-        self,
-        plan: StormPlan,
-        addresses: dict,
-        view: list[str],
-        t0: float,
-        deadline: float = 20.0,
+        self, plan: StormPlan, *, seed: int, log_dir: Any, durable: bool,
+        verbose: bool, read_mode: str | None, batching: bool,
     ):
-        super().__init__(name="storm-reconfig", daemon=True)
+        from repro.net.cluster import LocalCluster
+
         self.plan = plan
-        self.t0 = t0
-        self.deadline = deadline
-        self.results: list[dict] = []
-        self.client = LiveClient(
-            "storm-admin", addresses, view=list(view),
-            request_timeout=1.0,
+        self.cluster = LocalCluster(
+            replicas=len(plan.initial),
+            reserve=len(plan.joiners),
+            seed=seed,
+            log_dir=log_dir,
+            chaos=True,
+            verbose=verbose,
+            durable=durable,
+            batch_delay_ms=2.0 if batching else 0.0,
+            window=16 if batching else 0,
+            read_mode=read_mode,
+        )
+        #: what the plan's failure schedule acts on.
+        self.faults = self.cluster
+        self.notes: list[str] = []
+
+    def start(self) -> None:
+        self.cluster.start(timeout=20.0)
+        for joiner in self.plan.joiners:
+            self.cluster.spawn(joiner)
+        self.cluster.wait_ready(list(self.plan.joiners), timeout=15.0)
+
+    def client(self, name: str) -> LiveClient:
+        # Pinned to the plan's stable contacts: a SIGKILLed contact costs
+        # one client timeout whatever the hand-off does, which is noise
+        # in the unavailability window.
+        return LiveClient(
+            name, self.cluster.addresses, view=list(self.plan.contacts),
+            request_timeout=0.5,
         )
 
-    def run(self) -> None:
-        with self.client:
-            for step in self.plan.steps:
-                delay = self.t0 + step.offset - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                entry = {
-                    "offset": step.offset,
-                    "members": list(step.members),
-                    "applied_at": None,
-                    "ok": False,
-                }
+    def run_steps(self, t0: float, finish: Callable[..., None]) -> None:
+        """Issue each RECONFIGURE at its offset, whether or not the
+        previous hand-off has settled (the overlap cell's whole point)."""
+        addresses = self.cluster.addresses
+        with LiveClient(
+            "storm-admin", addresses, view=list(addresses), request_timeout=1.0
+        ) as admin:
+            for index, step in enumerate(self.plan.steps):
+                wait_until(t0 + step.offset)
                 try:
-                    self.client.reconfigure(
-                        step.members, deadline=self.deadline
-                    )
-                    entry["applied_at"] = round(time.monotonic() - self.t0, 4)
-                    entry["ok"] = True
+                    admin.reconfigure(step.members, deadline=20.0)
+                    finish(index, True)
                 except LiveClientError as exc:
-                    entry["error"] = str(exc)
-                self.results.append(entry)
+                    finish(index, False, str(exc))
+
+    def groups(self) -> list[tuple[str, Any]]:
+        """``(label, LocalCluster)`` pairs whose replicas are polled."""
+        return [("", self.cluster)]
+
+    def checks(self) -> list[str]:
+        return []
+
+    def handoff_latency(self, spans: dict, reconfigs: list[dict]) -> dict:
+        return handoff_latencies(spans)
 
 
 def run_storm_scenario(
@@ -484,146 +613,158 @@ def run_storm_scenario(
     seed: int = 42,
     replicas: int = 3,
     log_dir: Any = None,
-    keys: int = 8,
     op_interval: float = 0.015,
-    request_timeout: float = 0.5,
     scale: float = 1.0,
     read_mode: str | None = None,
     durable: bool = False,
+    batching: bool = False,
     verbose: bool = False,
 ) -> StormReport:
-    """Run one storm plan against a live cluster and verify it.
+    """Run one plan against a live cluster and verify it.
 
-    The structure mirrors :func:`~repro.net.chaos.run_chaos_scenario`
-    (workload in, faults in the middle, Wing–Gong verdict out) with the
-    storm-specific parts on top: joiners are spawned up front, the
-    reconfigure steps run on their own schedule concurrently with the
-    workload, and the report carries the unavailability window and
-    cluster-level hand-off latency.
+    Workload in, faults in the middle, Wing–Gong verdict out: the
+    topology's cluster starts with every joiner spawned up front, a
+    :class:`~repro.net.chaos.ChaosController` runs the plan's failure
+    schedule, a driver thread runs its steps at their offsets, and
+    recorded workers drive load on one timebase (the controller's t0)
+    until the plan's duration has passed and every step has returned.
+    Each worker then reads its keys back, so the history ends on agreed
+    state (not counted in the unavailability window).
 
-    The sharded cells (``shard``, ``director``) are dispatched to
-    :func:`repro.shard.storm.run_shard_storm_scenario`, which returns
-    the same report type over a sharded-cluster run.
+    ``durable`` gives every replica a data dir (restarts recover from
+    WAL + checkpoint); ``batching`` runs every replica with
+    ``--batch-delay 2 --window 16``; ``read_mode`` picks the read path.
+    The sharded cells honour ``durable`` only, and raise
+    :class:`ValueError` for the other two.
     """
-    if scenario in SHARD_STORM_SCENARIOS:
-        from repro.shard.storm import run_shard_storm_scenario
-
-        return run_shard_storm_scenario(
-            scenario,
-            seed=seed,
-            replicas=replicas,
-            log_dir=log_dir,
-            keys=keys,
-            op_interval=op_interval,
-            request_timeout=request_timeout,
-            scale=scale,
-            read_mode=read_mode,
-            durable=durable,
-            verbose=verbose,
-        )
-    from repro.net.cluster import LocalCluster
-
     plan = build_storm_plan(scenario, replicas=replicas, seed=seed, scale=scale)
-    started = time.monotonic()
-    cluster = LocalCluster(
-        replicas=replicas,
-        reserve=len(plan.joiners),
-        seed=seed,
-        log_dir=log_dir,
-        chaos=True,
-        verbose=verbose,
-        durable=durable,
-        read_mode=read_mode,
+    options = dict(
+        seed=seed, log_dir=log_dir, durable=durable, verbose=verbose,
+        read_mode=read_mode, batching=batching,
     )
-    with cluster:
-        cluster.start(timeout=20.0)
-        for joiner in plan.joiners:
-            cluster.spawn(joiner)
-        cluster.wait_ready(list(plan.joiners), timeout=15.0)
+    if scenario in SHARD_STORM_SCENARIOS:
+        from repro.shard.storm import ShardTopology
 
-        controller = ChaosController(cluster, plan.schedule).start()
-        # One timebase for everything: the controller's t0 anchors the
-        # injection log, the reconfigure driver and the recorded history.
+        topology: Any = ShardTopology(plan, replicas=replicas, **options)
+    else:
+        topology = _GroupTopology(plan, **options)
+    started = time.monotonic()
+    reconfigs = [
+        {"offset": s.offset, "members": list(s.members), "applied_at": None,
+         "ok": False}
+        for s in plan.steps
+    ]
+    recorders: list[HistoryRecorder] = []
+    with topology.cluster:
+        topology.start()
+        controller = ChaosController(topology.faults, plan.schedule).start()
         while controller.t0 is None:
             time.sleep(0.001)
         t0 = controller.t0
-        driver = _ReconfigDriver(
-            plan, cluster.addresses, list(cluster.addresses), t0
+
+        def finish(index: int, ok: bool, error: str | None = None) -> None:
+            reconfigs[index].update(
+                applied_at=round(time.monotonic() - t0, 4), ok=ok
+            )
+            if error is not None:
+                reconfigs[index]["error"] = error
+
+        driver = threading.Thread(
+            target=topology.run_steps, args=(t0, finish),
+            name="storm-steps", daemon=True,
         )
         driver.start()
-        client = LiveClient(
-            "storm-cli", cluster.addresses, view=list(plan.contacts),
-            request_timeout=request_timeout,
-        )
-        recorder = HistoryRecorder(client, t0=t0)
-        workload_rng = random.Random(seed)
-        counter = 0
-        with client:
-            while time.monotonic() - t0 < plan.duration:
-                key = f"k{workload_rng.randrange(keys)}"
-                if workload_rng.random() < 0.7:
-                    counter += 1
-                    recorder.submit("set", (key, counter), deadline=6.0)
-                else:
-                    recorder.submit("get", (key,), size=32, deadline=6.0)
-                time.sleep(op_interval)
-            workload_end = time.monotonic() - t0
-            # Settled tail: read every key back with generous deadlines so
-            # the history ends on agreed state (not counted in the
-            # unavailability window).
-            for i in range(keys):
-                recorder.submit("get", (f"k{i}",), size=32, deadline=15.0)
-        driver.join(timeout=30.0)
+        if topology.preload:
+            with topology.client("loader") as loader:
+                preload = HistoryRecorder(loader, t0=t0)
+                recorders.append(preload)
+                for i in range(topology.keys):
+                    preload.submit("set", (f"k{i}", f"v0-{i}"), deadline=15.0)
+
+        stop = threading.Event()
+
+        def worker(index: int) -> None:
+            with topology.client(f"w{index}") as client:
+                recorder = HistoryRecorder(client, t0=t0)
+                recorders.append(recorder)
+                rng = random.Random(seed * 997 + index)
+                counter = 0
+                while not stop.is_set():
+                    key = f"k{rng.randrange(topology.keys)}"
+                    if rng.random() < 0.7:
+                        counter += 1
+                        recorder.submit(
+                            "set", (key, f"w{index}-{counter}"),
+                            deadline=topology.deadline,
+                        )
+                    else:
+                        recorder.submit(
+                            "get", (key,), size=32, deadline=topology.deadline
+                        )
+                    time.sleep(op_interval)
+                for i in range(index, topology.keys, topology.workers):
+                    recorder.submit("get", (f"k{i}",), size=32, deadline=15.0)
+
+        workers = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(topology.workers)
+        ]
+        for thread in workers:
+            thread.start()
+        wait_until(t0 + plan.duration)
+        driver.join(timeout=60.0)
+        stop.set()
+        workload_end = time.monotonic() - t0
+        for thread in workers:
+            thread.join(timeout=30.0)
         controller.stop()
         controller.join(timeout=30.0)
-        live = [
-            name for name, proc in cluster.procs.items() if proc.poll() is None
-        ]
-        fetched, aligned_spans, fetch_errors = collect_aligned_spans(
-            cluster.addresses, live, None, t0
-        )
-        counters = {
-            node: {
-                name: int(value)
-                for name, value in sorted(snap.snapshot.counters.items())
-                if name.startswith("smr.")
-            }
-            for node, snap in fetched.items()
-        }
-        read_counters = counters if read_mode is not None else {}
 
-    history = recorder.history()
-    result, lin_ok = storm_verdict(history, read_mode)
-    reconfigs = list(driver.results)
-    # Steps the driver never reached (e.g. it died) count as failed.
-    for step in plan.steps[len(reconfigs):]:
-        reconfigs.append({
-            "offset": step.offset, "members": list(step.members),
-            "applied_at": None, "ok": False,
-        })
-    reconfigured = all(step["ok"] for step in reconfigs)
-    chaos_report = ChaosReport(
-        ok=lin_ok and reconfigured,
-        linearizable=result,
-        injections=list(controller.log),
-        history=history,
-        reconfigured=reconfigured,
-        final_members=plan.final_members(),
-        elapsed=time.monotonic() - started,
-        seed=seed,
-        log_dir=str(cluster.log_dir),
-        errors=list(controller.errors) + fetch_errors,
-        spans=aligned_spans,
-        read_counters=read_counters,
-    )
+        # While the replicas are still up, pull their #metrics snapshots
+        # and align every reconfiguration span onto the run's timebase.
+        spans: dict[str, dict[str, dict[str, float]]] = {}
+        counters: dict[str, dict[str, int]] = {}
+        recovery_duration: dict[str, dict[str, float]] = {}
+        fetch_errors: list[str] = []
+        for label, group in topology.groups():
+            prefix = f"{label}/" if label else ""
+            live = [n for n, p in group.procs.items() if p.poll() is None]
+            if not live:
+                continue
+            fetched, group_spans, errors = collect_aligned_spans(
+                group.addresses, live, None, t0
+            )
+            fetch_errors.extend(prefix + error for error in errors)
+            for node, node_spans in group_spans.items():
+                spans[prefix + node] = node_spans
+            for node, snap in fetched.items():
+                counters[prefix + node] = {
+                    name: int(value)
+                    for name, value in sorted(snap.snapshot.counters.items())
+                    if name.startswith(("smr.", "wal.", "recovery."))
+                }
+                recovered = snap.snapshot.histograms.get("recovery.duration")
+                if recovered:
+                    recovery_duration[prefix + node] = recovered
+        failed_checks = topology.checks()
+
+    history = History([op for recorder in recorders for op in recorder.operations])
     return StormReport(
         plan=plan,
         read_mode=read_mode,
-        chaos=chaos_report,
+        linearizable=check_kv_linearizable(history),
+        history=history,
+        injections=list(controller.log),
         reconfigs=reconfigs,
+        elapsed=time.monotonic() - started,
+        log_dir=str(topology.cluster.log_dir),
+        failed_checks=failed_checks,
+        errors=list(controller.errors) + topology.notes + fetch_errors,
+        spans=spans,
         unavailability=availability_windows(
-            recorder.operations, start=0.0, end=workload_end
+            history.operations, start=0.0, end=workload_end
         ),
-        handoff_latency=handoff_latencies(aligned_spans),
+        handoff_latency=topology.handoff_latency(spans, reconfigs),
         counters=counters,
+        recovery_duration=recovery_duration,
     )

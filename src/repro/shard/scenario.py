@@ -9,9 +9,10 @@ linearizability checker. The verdict covers the cutover window: any op
 that read stale data from a retired range, or wrote into one, would
 produce a non-linearizable per-key history.
 
-This mirrors :func:`repro.net.chaos.run_chaos_scenario` in shape (report
-object with ``lines()`` / ``ok``) so the CLI and the live tests share
-one entry point.
+It predates the storm loop (:func:`repro.net.storm.run_storm_scenario`,
+which runs every live fault scenario) and keeps its own small report
+object with ``lines()`` / ``ok`` for the shard benchmark and the live
+tests.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Sharded storm cells: control-plane failover and cross-plane races.
 
 Two storm scenarios extend the :mod:`repro.net.storm` family onto the
-sharded service — same seeded-plan discipline, same Wing–Gong verdict,
-same report surface, so ``repro storm`` and ``repro bench storm`` treat
-them as ordinary cells:
+sharded service. They run in the same loop as every other cell
+(:func:`repro.net.storm.run_storm_scenario`); this module holds only
+what is specific to sharding - the plans and the :class:`ShardTopology`
+the loop calls:
 
 ``director``
     The replicated control plane's headline failure: a ``split`` intent
@@ -38,24 +39,17 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
-from repro.net.chaos import HistoryRecorder, collect_aligned_spans
 from repro.net.storm import (
-    ChaosReport,
+    SHARD_STORM_SCENARIOS,
     ReconfigStep,
     StormPlan,
-    StormReport,
-    availability_windows,
     handoff_latencies,
-    storm_verdict,
+    wait_until,
 )
 from repro.shard.cluster import ShardedCluster
 from repro.sim.failures import FailureSchedule
-from repro.verify.histories import History
-
-#: the sharded members of the storm family (see module docstring).
-SHARD_STORM_SCENARIOS = ("shard", "director")
 
 #: director cell: how long the claiming driver lingers between the
 #: retire commit and the install submit, and how stale a claimed intent
@@ -132,309 +126,177 @@ def check_chain_linear(chain: tuple[dict[str, Any], ...]) -> str | None:
     return None
 
 
-def _admin_entry(step: ReconfigStep) -> dict[str, Any]:
-    return {
-        "offset": step.offset,
-        "members": list(step.members),
-        "applied_at": None,
-        "ok": False,
-    }
+class ShardTopology:
+    """What the storm loop needs from a sharded cell.
 
-
-def run_shard_storm_scenario(
-    scenario: str = "director",
-    *,
-    seed: int = 42,
-    replicas: int = 3,
-    log_dir: Any = None,
-    keys: int = 12,
-    op_interval: float = 0.015,
-    request_timeout: float = 0.5,
-    scale: float = 1.0,
-    read_mode: str | None = None,
-    durable: bool = False,
-    verbose: bool = False,
-) -> StormReport:
-    """Run one sharded storm cell and return the usual storm report.
-
-    ``read_mode`` is accepted for signature parity with the data-plane
-    runner but not plumbed into the groups; a note is recorded when it
-    is set so a misconfigured sweep is visible.
+    One serving group ``g1``, a spare ``g2`` and a 3-replica metadir
+    group as the director; the plan's steps are admin operations
+    (``director``: split with a condition-triggered director kill, then
+    a move back; ``shard``: grow and shrink ``g1`` racing a split out of
+    it). The loop polls every group's replicas under ``<group>/<node>``
+    labels, gates on the archived map chain, and - when no group
+    reconfigured - times the admin operations instead of hand-offs.
     """
-    plan = build_shard_storm_plan(
-        scenario, replicas=replicas, seed=seed, scale=scale
-    )
-    started = time.monotonic()
-    notes: list[str] = []
-    if read_mode is not None:
-        notes.append(f"read_mode={read_mode!r} ignored by sharded cells")
-    entries = [_admin_entry(step) for step in plan.steps]
-    key_names = [f"k{i}" for i in range(keys)]
-    hold = DIRECTOR_HOLD_MS if scenario == "director" else 0.0
 
-    with ShardedCluster(
-        1,
-        replicas_per_group=replicas,
-        spare_groups=1,
-        seed=seed,
-        log_dir=log_dir,
-        verbose=verbose,
-        durable=durable,
-        director_replicas=3,
-        director_hold_ms=hold,
-        director_takeover_ms=DIRECTOR_TAKEOVER_MS,
-    ) as cluster:
-        cluster.start()
-        t0 = time.monotonic()
-        recorders: list[HistoryRecorder] = []
-        with cluster.client("loader") as loader:
-            preload = HistoryRecorder(loader, t0=t0)
-            recorders.append(preload)
-            for i, key in enumerate(key_names):
-                preload.submit("set", (key, f"v0-{i}"), deadline=15.0)
+    #: workload shape (see the single-group topology in net.storm).
+    keys = 12
+    workers = 2
+    deadline = 10.0
+    preload = True
 
-        stop = threading.Event()
-
-        def worker(index: int) -> None:
-            client = cluster.client(f"w{index}")
-            recorder = HistoryRecorder(client, t0=t0)
-            recorders.append(recorder)
-            rng = random.Random(seed * 997 + index)
-            counter = 0
-            try:
-                while not stop.is_set():
-                    key = key_names[rng.randrange(keys)]
-                    if rng.random() < 0.7:
-                        counter += 1
-                        recorder.submit(
-                            "set", (key, f"w{index}-{counter}"), deadline=10.0
-                        )
-                    else:
-                        recorder.submit("get", (key,), size=32, deadline=10.0)
-                    time.sleep(op_interval)
-            finally:
-                client.close()
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-
-        def wait_for(offset: float) -> None:
-            delay = t0 + offset - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-
-        def finish(index: int, ok: bool, error: str | None = None) -> None:
-            entries[index]["applied_at"] = round(time.monotonic() - t0, 4)
-            entries[index]["ok"] = ok
-            if error is not None:
-                entries[index]["error"] = error
-                notes.append(error)
-
-        if scenario == "director":
-            _run_director_steps(cluster, plan, entries, t0, wait_for,
-                                finish, notes)
-        else:
-            _run_shard_steps(cluster, plan, entries, t0, wait_for, finish)
-
-        time.sleep(0.5)  # load after the last admin op
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        workload_end = time.monotonic() - t0
-
-        # Settled tail: every key readable wherever it now lives.
-        with cluster.client("checker") as checker:
-            tail = HistoryRecorder(checker, t0=t0)
-            recorders.append(tail)
-            for key in key_names:
-                tail.submit("get", (key,), size=32, deadline=15.0)
-
-        chain = cluster.director.history()
-        chain_error = check_chain_linear(chain)
-        if chain_error is not None:
-            notes.append(chain_error)
-
-        # Poll each sub-cluster with its *real* node names — the metrics
-        # endpoint is derived from the name in the frame, so a prefixed
-        # label would never be answered — then merge under prefixed keys
-        # so the timeline distinguishes g1/n1 from dir/n1.
-        counters: dict[str, dict[str, int]] = {}
-        aligned: dict[str, dict[str, dict[str, float]]] = {}
-        fetch_errors: list[str] = []
-        subclusters = [*cluster.clusters.items(), ("dir", cluster.director_cluster)]
-        for label, sub in subclusters:
-            live = [n for n, p in sub.procs.items() if p.poll() is None]
-            if not live:
-                continue
-            fetched, spans, errs = collect_aligned_spans(
-                sub.addresses, live, None, t0
+    def __init__(
+        self, plan: StormPlan, *, replicas: int, seed: int, log_dir: Any,
+        durable: bool, verbose: bool, read_mode: str | None, batching: bool,
+    ):
+        if read_mode is not None or batching:
+            raise ValueError(
+                f"the {plan.scenario} cell runs its groups on the serve "
+                "defaults: it cannot honour read_mode or batching"
             )
-            for node, snap in fetched.items():
-                counters[f"{label}/{node}"] = {
-                    name: int(value)
-                    for name, value in sorted(snap.snapshot.counters.items())
-                    if name.startswith("smr.")
-                }
-            for node, node_spans in spans.items():
-                aligned[f"{label}/{node}"] = node_spans
-            fetch_errors.extend(f"{label}/{err}" for err in errs)
-        log_path = str(cluster.log_dir)
+        self.plan = plan
+        self.cluster = ShardedCluster(
+            1,
+            replicas_per_group=replicas,
+            spare_groups=1,
+            seed=seed,
+            log_dir=log_dir,
+            verbose=verbose,
+            durable=durable,
+            director_replicas=3,
+            director_hold_ms=(
+                DIRECTOR_HOLD_MS if plan.scenario == "director" else 0.0
+            ),
+            director_takeover_ms=DIRECTOR_TAKEOVER_MS,
+        )
+        #: what the plan's (empty) failure schedule acts on.
+        self.faults = self.cluster.clusters["g1"]
+        self.notes: list[str] = []
 
-    operations = [op for recorder in recorders for op in recorder.operations]
-    history = History(operations)
-    result, lin_ok = storm_verdict(history, None)
-    admin_ok = all(entry["ok"] for entry in entries)
-    ok = lin_ok and admin_ok and chain_error is None
+    def start(self) -> None:
+        self.cluster.start()
 
-    latency = handoff_latencies(aligned)
-    if not latency.get("count"):
+    def client(self, name: str):
+        return self.cluster.client(name)
+
+    def run_steps(self, t0: float, finish: Callable[..., None]) -> None:
+        if self.plan.scenario == "director":
+            self._director_steps(t0, finish)
+        else:
+            self._shard_steps(t0, finish)
+
+    def groups(self) -> list[tuple[str, Any]]:
+        # Polled with their real node names (the metrics endpoint is
+        # derived from the name in the frame); the labels keep g1/n1
+        # apart from dir/n1 in the merged timeline.
+        return [
+            *self.cluster.clusters.items(),
+            ("dir", self.cluster.director_cluster),
+        ]
+
+    def checks(self) -> list[str]:
+        error = check_chain_linear(self.cluster.director.history())
+        return [] if error is None else [error]
+
+    def handoff_latency(
+        self, spans: dict, reconfigs: list[dict[str, Any]]
+    ) -> dict[str, Any]:
+        latency = handoff_latencies(spans)
+        if latency["count"]:
+            return latency
         # No group reconfigured (the director cell): report the admin
-        # operations' own wall-clock widths instead — issue to archive,
-        # failover included — in the same dict shape.
+        # operations' own wall-clock widths instead - issue to archive,
+        # failover included - in the same dict shape.
         widths = {
-            f"step-{i}": round(entry["applied_at"] - entry["offset"], 4)
-            for i, entry in enumerate(entries)
-            if entry["applied_at"] is not None
+            f"step-{i}": round(step["applied_at"] - step["offset"], 4)
+            for i, step in enumerate(reconfigs)
+            if step["applied_at"] is not None
         }
         values = list(widths.values())
-        latency = {
+        return {
             "per_epoch_s": widths,
             "count": len(values),
             "max_s": round(max(values), 4) if values else None,
             "mean_s": round(sum(values) / len(values), 4) if values else None,
         }
 
-    chaos = ChaosReport(
-        ok=ok,
-        linearizable=result,
-        injections=[],
-        history=history,
-        reconfigured=admin_ok,
-        final_members=plan.final_members(),
-        elapsed=time.monotonic() - started,
-        seed=seed,
-        log_dir=log_path,
-        errors=notes + fetch_errors,
-        spans=aligned,
-    )
-    return StormReport(
-        plan=plan,
-        read_mode=read_mode,
-        chaos=chaos,
-        reconfigs=entries,
-        unavailability=availability_windows(
-            operations, start=0.0, end=workload_end
-        ),
-        handoff_latency=latency,
-        counters=counters,
-    )
-
-
-def _run_director_steps(
-    cluster: ShardedCluster,
-    plan: StormPlan,
-    entries: list[dict[str, Any]],
-    t0: float,
-    wait_for,
-    finish,
-    notes: list[str],
-) -> None:
-    """Split with a SIGKILL inside the retire/install gap, then move back."""
-    director = cluster.director
-    wait_for(plan.steps[0].offset)
-    try:
-        intent = director.begin("split", {"group": "g1", "target": "g2"})
-        iid = int(intent["id"])
-        claimed = _kill_claimant_at_retire(cluster, director, iid, notes, t0)
-        if claimed is None:
-            notes.append("never observed the retired step; kill skipped")
-        director.wait(iid, deadline=30.0)
-        finish(0, True)
-    except Exception as exc:  # noqa: BLE001 - verdict, not crash
-        finish(0, False, f"director split failed: {type(exc).__name__}: {exc}")
-        return
-    wait_for(plan.steps[1].offset)
-    try:
-        moved = cluster.shard_map.ranges_of("g2")
-        if not moved:
-            raise RuntimeError("g2 owns nothing after the completed split")
-        director.move(moved[0].lo, moved[0].hi, "g1", deadline=30.0)
-        finish(1, True)
-    except Exception as exc:  # noqa: BLE001
-        finish(1, False, f"post-failover move failed: "
-                         f"{type(exc).__name__}: {exc}")
-
-
-def _kill_claimant_at_retire(
-    cluster: ShardedCluster,
-    director,
-    iid: int,
-    notes: list[str],
-    t0: float,
-    deadline: float = 15.0,
-) -> str | None:
-    """SIGKILL whichever director replica claimed the intent, the moment
-    its ``retired`` step commits — the map and the source group now
-    disagree, and only the intent record can reconcile them."""
-    give_up_at = time.monotonic() + deadline
-    while time.monotonic() < give_up_at:
-        status = director.status(iid)
-        if status.get("status") in ("done", "aborted"):
-            return None  # too late to kill anyone mid-move
-        if "retired" in tuple(status.get("steps") or ()):
-            claimed = status.get("claimed_by")
-            if claimed:
-                cluster.kill_director(str(claimed))
-                notes.append(
-                    f"SIGKILL director {claimed} at "
-                    f"{time.monotonic() - t0:.2f}s "
-                    "(retire committed, install not yet submitted)"
-                )
-                return str(claimed)
-        time.sleep(0.02)
-    return None
-
-
-def _run_shard_steps(
-    cluster: ShardedCluster,
-    plan: StormPlan,
-    entries: list[dict[str, Any]],
-    t0: float,
-    wait_for,
-    finish,
-) -> None:
-    """Membership churn on g1 racing a split out of g1."""
-    added: list[str] = []
-
-    def churn() -> None:
-        wait_for(plan.steps[0].offset)
+    def _director_steps(self, t0: float, finish: Callable[..., None]) -> None:
+        """Split with a SIGKILL inside the retire/install gap, then move
+        back."""
+        director = self.cluster.director
+        wait_until(t0 + self.plan.steps[0].offset)
         try:
-            added.append(cluster.add_replica("g1"))
+            intent = director.begin("split", {"group": "g1", "target": "g2"})
+            iid = int(intent["id"])
+            if self._kill_claimant_at_retire(iid, t0) is None:
+                self.notes.append("never observed the retired step; kill skipped")
+            director.wait(iid, deadline=30.0)
             finish(0, True)
-        except Exception as exc:  # noqa: BLE001
-            finish(0, False, f"add_replica failed: "
-                             f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - verdict, not crash
+            finish(0, False, f"director split failed: {type(exc).__name__}: {exc}")
             return
-        wait_for(plan.steps[2].offset)
+        wait_until(t0 + self.plan.steps[1].offset)
         try:
-            cluster.remove_replica("g1", added[0])
-            finish(2, True)
+            moved = self.cluster.shard_map.ranges_of("g2")
+            if not moved:
+                raise RuntimeError("g2 owns nothing after the completed split")
+            director.move(moved[0].lo, moved[0].hi, "g1", deadline=30.0)
+            finish(1, True)
         except Exception as exc:  # noqa: BLE001
-            finish(2, False, f"remove_replica failed: "
+            finish(1, False, f"post-failover move failed: "
                              f"{type(exc).__name__}: {exc}")
 
-    churner = threading.Thread(target=churn, daemon=True)
-    churner.start()
-    wait_for(plan.steps[1].offset)
-    try:
-        cluster.split("g1", target="g2")
-        finish(1, True)
-    except Exception as exc:  # noqa: BLE001
-        finish(1, False, f"split failed: {type(exc).__name__}: {exc}")
-    churner.join(timeout=60.0)
-    if entries[2]["applied_at"] is None:
-        finish(2, False, "membership churn thread never finished")
+    def _kill_claimant_at_retire(
+        self, iid: int, t0: float, deadline: float = 15.0
+    ) -> str | None:
+        """SIGKILL whichever director replica claimed the intent, the
+        moment its ``retired`` step commits — the map and the source group
+        now disagree, and only the intent record can reconcile them."""
+        director = self.cluster.director
+        give_up_at = time.monotonic() + deadline
+        while time.monotonic() < give_up_at:
+            status = director.status(iid)
+            if status.get("status") in ("done", "aborted"):
+                return None  # too late to kill anyone mid-move
+            if "retired" in tuple(status.get("steps") or ()):
+                claimed = status.get("claimed_by")
+                if claimed:
+                    self.cluster.kill_director(str(claimed))
+                    self.notes.append(
+                        f"SIGKILL director {claimed} at "
+                        f"{time.monotonic() - t0:.2f}s "
+                        "(retire committed, install not yet submitted)"
+                    )
+                    return str(claimed)
+            time.sleep(0.02)
+        return None
+
+    def _shard_steps(self, t0: float, finish: Callable[..., None]) -> None:
+        """Membership churn on g1 racing a split out of g1."""
+        cluster, steps = self.cluster, self.plan.steps
+
+        def churn() -> None:
+            wait_until(t0 + steps[0].offset)
+            try:
+                added = cluster.add_replica("g1")
+                finish(0, True)
+            except Exception as exc:  # noqa: BLE001
+                finish(0, False, f"add_replica failed: "
+                                 f"{type(exc).__name__}: {exc}")
+                return
+            wait_until(t0 + steps[2].offset)
+            try:
+                cluster.remove_replica("g1", added)
+                finish(2, True)
+            except Exception as exc:  # noqa: BLE001
+                finish(2, False, f"remove_replica failed: "
+                                 f"{type(exc).__name__}: {exc}")
+
+        churner = threading.Thread(target=churn, daemon=True)
+        churner.start()
+        wait_until(t0 + steps[1].offset)
+        try:
+            cluster.split("g1", target="g2")
+            finish(1, True)
+        except Exception as exc:  # noqa: BLE001
+            finish(1, False, f"split failed: {type(exc).__name__}: {exc}")
+        churner.join(timeout=60.0)

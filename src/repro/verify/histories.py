@@ -121,7 +121,7 @@ class History:
 def dump_jsonl(history: History, path: str | Path) -> None:
     """Write a history as JSON lines (one operation per line).
 
-    Live chaos runs (``repro chaos --history``) persist their recorded
+    Live scenario runs (``repro storm --history``) persist their recorded
     histories this way, so a failing run's evidence survives the run and
     can be re-checked offline with :func:`load_jsonl` +
     :func:`repro.verify.linearizability.check_kv_linearizable`.

@@ -10,6 +10,7 @@ test_live_chaos.py.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import random
 import time
 
@@ -24,7 +25,8 @@ from repro.net.admin import (
     chaos_endpoint,
     install_chaos_endpoint,
 )
-from repro.net.chaos import ChaosController, _link_command, canonical_schedule
+from repro.net.chaos import ChaosController, _link_command
+from repro.net.storm import ReconfigStep, StormReport, build_storm_plan
 from repro.net.transport import ANY_NODE, LinkPolicy, TcpTransport
 from repro.sim.failures import (
     CrashAt,
@@ -35,11 +37,14 @@ from repro.sim.failures import (
     HealAt,
     LoseLinkAt,
     PartitionAt,
+    RestartAt,
 )
 from repro.sim.runner import Simulator
 from repro.types import ClientId, CommandId, NodeId
+from repro.verify.histories import History
+from repro.verify.linearizability import LinearizabilityResult
 
-N1, N2, N3 = NodeId("n1"), NodeId("n2"), NodeId("n3")
+N1, N2, N3, N4 = NodeId("n1"), NodeId("n2"), NodeId("n3"), NodeId("n4")
 
 
 def cid(seq: int = 1) -> CommandId:
@@ -232,21 +237,46 @@ class TestChaosProtocol:
         assert chaos_endpoint("n1") == NodeId("n1#chaos")
 
 
+def chaos_schedule(seed: int) -> FailureSchedule:
+    """The canonical T10 schedule: the ``chaos`` cell's failure plan."""
+    return build_storm_plan("chaos", seed=seed).schedule
+
+
+def reference_schedule(seed: int) -> list:
+    """The canonical schedule as the standalone chaos builder drew it
+    before it became the ``chaos`` cell: the victim first, then one
+    jitter per action in schedule order."""
+    rng = random.Random(seed)
+    victim = rng.choice(["n2", "n3"])
+
+    def jitter(offset: float) -> float:
+        return round(offset * rng.uniform(0.9, 1.1), 3)
+
+    return (
+        FailureSchedule()
+        .crash(jitter(1.0), victim)
+        .restart(jitter(2.0), victim)
+        .partition(jitter(3.4), "cut-leader", ["n1"], ["n2", "n3", "n4"])
+        .heal(jitter(5.6), "cut-leader")
+        .sorted_actions()
+    )
+
+
 class TestCanonicalSchedule:
     def test_same_seed_same_schedule(self):
-        a = canonical_schedule("n1", ["n2", "n3"], "n4", seed=7)
-        b = canonical_schedule("n1", ["n2", "n3"], "n4", seed=7)
+        a = chaos_schedule(7)
+        b = chaos_schedule(7)
         assert a.sorted_actions() == b.sorted_actions()
 
     def test_different_seeds_jitter_the_offsets(self):
-        a = canonical_schedule("n1", ["n2", "n3"], "n4", seed=7)
-        b = canonical_schedule("n1", ["n2", "n3"], "n4", seed=8)
+        a = chaos_schedule(7)
+        b = chaos_schedule(8)
         assert [x.time for x in a.sorted_actions()] != [
             x.time for x in b.sorted_actions()
         ]
 
     def test_scenario_shape(self):
-        plan = canonical_schedule("n1", ["n2", "n3"], "n4", seed=42).sorted_actions()
+        plan = chaos_schedule(42).sorted_actions()
         assert [type(a).__name__ for a in plan] == [
             "CrashAt", "RestartAt", "PartitionAt", "HealAt"
         ]
@@ -259,13 +289,34 @@ class TestCanonicalSchedule:
     def test_controller_plan_is_deterministic(self, tmp_path):
         from repro.net.cluster import LocalCluster
 
-        schedule = canonical_schedule("n1", ["n2", "n3"], "n4", seed=5)
+        schedule = chaos_schedule(5)
         clusters = [
             LocalCluster(replicas=3, log_dir=tmp_path / str(i)) for i in range(2)
         ]
         # Never started: plan construction must not touch the processes.
         plans = [ChaosController(c, schedule).plan for c in clusters]
         assert plans[0] == plans[1] == schedule.sorted_actions()
+
+    def test_chaos_cell_injects_the_t10_schedule(self):
+        # Seed 42 as the standalone builder produced it, pinned literally.
+        assert chaos_schedule(42).sorted_actions() == [
+            CrashAt(0.905, N2),
+            RestartAt(1.91, N2),
+            PartitionAt(3.212, "cut-leader", (N1,), (N2, N3, N4)),
+            HealAt(5.865, "cut-leader"),
+        ]
+        for seed in range(1, 21):
+            assert chaos_schedule(seed).sorted_actions() == (
+                reference_schedule(seed)
+            ), seed
+            plan = build_storm_plan("chaos", seed=seed)
+            _, _, partition, heal = plan.schedule.sorted_actions()
+            # One RECONFIGURE, midway through the partition, voting the
+            # isolated leader out for the joiner.
+            assert plan.steps == (
+                ReconfigStep((partition.time + heal.time) / 2, ("n2", "n3", "n4")),
+            )
+            assert plan.duration == pytest.approx(heal.time + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -496,4 +547,66 @@ class TestControllerFailureLogging:
             "RestartAt",
         ]
         assert controller.log[-1].acks == ()
+        assert controller.log[-1].error is not None
         assert any("RestartAt" in err for err in controller.errors)
+
+    class _Cluster:
+        """Duck-typed LocalCluster with no processes; ``restart`` raises
+        ``failure`` when one is set."""
+
+        initial = ["n1", "n2", "n3"]
+        addresses: dict = {}
+        procs: dict = {}
+
+        def __init__(self, failure=None):
+            self.failure = failure
+
+        def kill(self, name):
+            pass
+
+        def restart(self, name, wait=True, timeout=15.0, amnesia=None):
+            if self.failure is not None:
+                raise self.failure
+
+    def _report(self, cluster) -> StormReport:
+        """The chaos cell's plan at zero offsets, run by a controller
+        against ``cluster``, with a clean history and an acked step."""
+        plan = build_storm_plan("chaos", seed=42)
+        schedule = FailureSchedule([
+            dataclasses.replace(action, time=0.0)
+            for action in plan.schedule.sorted_actions()
+        ])
+        plan = dataclasses.replace(plan, schedule=schedule)
+        controller = ChaosController(cluster, schedule)
+        try:
+            controller.run()
+        except Exception:  # noqa: BLE001 - the log is what is judged
+            pass
+        return StormReport(
+            plan=plan,
+            read_mode=None,
+            linearizable=LinearizabilityResult(True, None, 0, 0),
+            history=History([]),
+            injections=controller.log,
+            reconfigs=[{"offset": 0.0, "members": ["n2", "n3", "n4"],
+                        "applied_at": 0.1, "ok": True}],
+            elapsed=0.1,
+            log_dir="logs",
+        )
+
+    def test_a_fault_that_was_not_injected_fails_the_run(self):
+        assert self._report(self._Cluster()).ok
+        # A respawn that never came up: the schedule runs on, the failure
+        # is on the log, and the run does not pass.
+        report = self._report(self._Cluster(RuntimeError("port never bound")))
+        assert len(report.injections) == 4
+        assert "port never bound" in report.injections[1].error
+        assert not report.faults_applied and not report.ok
+        # An action that stops the controller: the later ones never ran.
+        import subprocess
+
+        report = self._report(
+            self._Cluster(subprocess.TimeoutExpired(["serve"], 15.0))
+        )
+        assert len(report.injections) == 2
+        assert not report.ok

@@ -69,3 +69,23 @@ class TestCli:
             with pytest.raises(SystemExit) as exit_info:
                 main(serve + retired)
             assert exit_info.value.code == 2
+
+    def test_chaos_is_a_storm_cell(self, capsys):
+        import json
+
+        # The standalone subcommand is gone: its scenario is the `chaos`
+        # cell of `repro storm`.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main(["storm", "chaos", "--plan-only", "--seed", "42"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert len(plan["schedule"]) == 4
+        assert len(plan["steps"]) == 1
+
+    def test_sharded_cells_refuse_options_they_cannot_honour(self, capsys):
+        for cell in ("shard", "director"):
+            for option in (["--read-mode", "lease"], ["--batch"]):
+                assert main(["storm", cell, *option]) == 2
+                assert "cannot honour" in capsys.readouterr().err

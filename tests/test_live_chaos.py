@@ -3,9 +3,9 @@
 One wall-clock run of the canonical scenario (EXPERIMENTS T10): crash and
 restart a follower, partition the epoch-0 leader, drive a live
 RECONFIGURE that votes the unreachable leader out mid-partition, heal,
-and check the client-observed history for linearizability — the same
-closed loop ``repro chaos`` runs in CI. Budgeted at 60 s wall clock like
-the other live tests.
+and check the client-observed history for linearizability — the
+``chaos`` cell of the storm loop, as ``repro storm chaos`` runs it in
+CI. Budgeted at 60 s wall clock like the other live tests.
 """
 
 import random
@@ -14,10 +14,11 @@ import time
 
 import pytest
 
-from repro.net.chaos import HistoryRecorder, run_chaos_scenario
+from repro.net.chaos import HistoryRecorder
 from repro.net.client import LiveClient
 from repro.net.cluster import LocalCluster
 from repro.net.observe import poll_cluster
+from repro.net.storm import run_storm_scenario
 from repro.verify.histories import History, dump_jsonl, load_jsonl
 from repro.verify.linearizability import check_kv_linearizable
 
@@ -29,7 +30,7 @@ WALL_CLOCK_BUDGET = 60.0
 class TestLiveChaos:
     def test_canonical_scenario_is_linearizable(self, tmp_path):
         started = time.monotonic()
-        report = run_chaos_scenario(replicas=3, seed=42, log_dir=tmp_path / "logs")
+        report = run_storm_scenario("chaos", seed=42, log_dir=tmp_path / "logs")
         elapsed = time.monotonic() - started
         assert report.ok, "\n".join(report.lines())
 
@@ -54,7 +55,7 @@ class TestLiveChaos:
         assert not [e for e in report.errors if "push" in e], report.errors
 
         # The recorded evidence survives a round-trip to disk and still
-        # passes the checker offline (the `repro chaos --history` path).
+        # passes the checker offline (the `repro storm --history` path).
         path = tmp_path / "history.jsonl"
         dump_jsonl(report.history, path)
         reloaded = load_jsonl(path)
@@ -70,8 +71,8 @@ class TestLiveChaos:
         must demultiplex per-command replies correctly and must not let a
         batch straddle the epoch cut."""
         started = time.monotonic()
-        report = run_chaos_scenario(
-            replicas=3, seed=42, log_dir=tmp_path / "logs", batching=True
+        report = run_storm_scenario(
+            "chaos", seed=42, log_dir=tmp_path / "logs", batching=True
         )
         elapsed = time.monotonic() - started
         assert report.ok, "\n".join(report.lines())

@@ -21,10 +21,10 @@ import time
 
 import pytest
 
-from repro.net.chaos import run_chaos_scenario
 from repro.net.client import LiveClient
 from repro.net.cluster import LocalCluster
 from repro.net.observe import poll_cluster
+from repro.net.storm import run_storm_scenario
 
 pytestmark = [pytest.mark.live, pytest.mark.slow]
 
@@ -116,8 +116,8 @@ class TestLiveLeaseChaos:
         guarantee the new epoch cannot form sooner), so the client
         history stays linearizable."""
         started = time.monotonic()
-        report = run_chaos_scenario(
-            replicas=3, seed=42, log_dir=tmp_path / "logs", read_mode="lease"
+        report = run_storm_scenario(
+            "chaos", seed=42, log_dir=tmp_path / "logs", read_mode="lease"
         )
         elapsed = time.monotonic() - started
         assert report.ok, "\n".join(report.lines())
@@ -135,8 +135,8 @@ class TestLiveLeaseChaos:
         # fallback.
         lease_reads = sum(
             counters.get("smr.lease_reads", 0)
-            for counters in report.read_counters.values()
+            for counters in report.counters.values()
         )
-        assert lease_reads >= 1, report.read_counters
+        assert lease_reads >= 1, report.counters
         assert len(report.history.completed) > 50
         assert elapsed < WALL_CLOCK_BUDGET, f"lease chaos took {elapsed:.1f}s"

@@ -38,14 +38,14 @@ def run_and_assert(tmp_path, scenario, **kwargs):
     for step in report.reconfigs:
         assert step["ok"], step
     # Every planned fault was injected, at or after its offset.
-    assert len(report.chaos.injections) == len(
+    assert len(report.injections) == len(
         report.plan.schedule.sorted_actions()
     )
-    for injection in report.chaos.injections:
+    for injection in report.injections:
         assert injection.applied_at >= injection.scheduled_at - 0.05
     # The oracle saw a real workload, and the hand-off spans were
     # fetched and clock-aligned (at least one complete hand-off).
-    assert len(report.chaos.history.completed) > 50
+    assert len(report.history.completed) > 50
     assert report.handoff_latency["count"] >= 1
     assert report.unavailability["window_s"] > 0
     assert elapsed < WALL_CLOCK_BUDGET, f"storm took {elapsed:.1f}s"
@@ -65,7 +65,7 @@ class TestStormFamily:
     def test_final_membership_took_effect(self, tmp_path):
         report = run_and_assert(tmp_path, "rolling")
         # Rolling replacement: no founding member remains at the end.
-        assert not set(report.chaos.final_members) & set(report.plan.initial)
+        assert not set(report.final_members) & set(report.plan.initial)
 
 
 class TestStormWithLeaseReads:

@@ -332,21 +332,20 @@ class TestObserveHelpers:
 
 class TestChaosTimeline:
     def _report(self, spans):
-        from repro.net.chaos import ChaosReport
-        from repro.sim.failures import CrashAt
         from repro.net.chaos import Injection
+        from repro.net.storm import StormReport, build_storm_plan
+        from repro.sim.failures import CrashAt
         from repro.verify.histories import History
         from repro.verify.linearizability import LinearizabilityResult
 
-        return ChaosReport(
-            ok=True,
+        return StormReport(
+            plan=build_storm_plan("chaos", seed=42),
+            read_mode=None,
             linearizable=LinearizabilityResult(True, None, 0, 0),
-            injections=[Injection(1.0, 1.5, CrashAt(1.0, NodeId("n2")), ())],
             history=History([]),
-            reconfigured=True,
-            final_members=("n2", "n3", "n4"),
+            injections=[Injection(1.0, 1.5, CrashAt(1.0, NodeId("n2")), ())],
+            reconfigs=[],
             elapsed=6.0,
-            seed=42,
             log_dir="/tmp/x",
             spans=spans,
         )

@@ -7,22 +7,25 @@ Covers the three properties the live storm runs lean on:
 * **metric correctness** — the unavailability window and hand-off
   latency are computed from recorded data by plain code; get the units
   wrong here and every BENCH_storm number is fiction;
-* **oracle integrity** — the verdict gate every storm goes through must
-  actually REJECT a non-linearizable history (a checker that waves
-  everything through would make the whole suite theatre). This is the
-  positive control: the end-to-end runs only ever show it passing.
+* **gate integrity** — the report's ``ok`` every run goes through must
+  actually REJECT a non-linearizable history, an unacknowledged step and
+  a failed topology check (a gate that waves everything through would
+  make the whole suite theatre). This is the positive control: the
+  end-to-end runs only ever show it passing.
 """
 
 import pytest
 
+from repro.net.chaos import Injection
 from repro.types import CommandId, client_id
 from repro.verify.histories import History, Operation
+from repro.verify.linearizability import check_kv_linearizable
 from repro.net.storm import (
     STORM_SCENARIOS,
+    StormReport,
     availability_windows,
     build_storm_plan,
     handoff_latencies,
-    storm_verdict,
 )
 
 
@@ -178,6 +181,37 @@ class TestHandoffLatencies:
         assert latency["mean_s"] is None
 
 
+def make_report(**changes) -> StormReport:
+    """A chaos-cell report where everything went right, then ``changes``."""
+    plan = build_storm_plan("chaos", seed=42)
+    fields = dict(
+        plan=plan,
+        read_mode=None,
+        linearizable=check_kv_linearizable(History([])),
+        history=History([]),
+        injections=[
+            Injection(a.time, a.time, a, ())
+            for a in plan.schedule.sorted_actions()
+        ],
+        reconfigs=[
+            {"offset": s.offset, "members": list(s.members),
+             "applied_at": s.offset + 0.1, "ok": True}
+            for s in plan.steps
+        ],
+        elapsed=7.0,
+        log_dir="logs",
+    )
+    fields.update(changes)
+    return StormReport(**fields)
+
+
+def storm_verdict(history, read_mode):
+    """The raw Wing–Gong verdict and the gate of a report over it."""
+    result = check_kv_linearizable(history)
+    report = make_report(history=history, linearizable=result, read_mode=read_mode)
+    return result, report.ok
+
+
 class TestStormVerdict:
     def good_history(self):
         return History([
@@ -215,3 +249,21 @@ class TestStormVerdict:
     def test_lease_mode_is_held_to_full_linearizability(self):
         result, ok = storm_verdict(self.bad_history(), read_mode="lease")
         assert not ok
+
+
+class TestReportGate:
+    def test_a_clean_run_passes(self):
+        assert make_report().ok
+
+    def test_an_unacknowledged_step_fails_the_run(self):
+        # The standalone chaos loop passed a RECONFIGURE that raised.
+        step = dict(make_report().reconfigs[0], ok=False, error="timed out")
+        report = make_report(reconfigs=[step])
+        assert not report.reconfigured and not report.ok
+        assert "FAILED: timed out" in "\n".join(report.lines())
+        # A step the driver never reached counts the same.
+        assert not make_report(reconfigs=[]).ok
+
+    def test_a_failed_topology_check_fails_the_run(self):
+        report = make_report(failed_checks=["map chain not linear/gapless"])
+        assert not report.ok
