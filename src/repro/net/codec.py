@@ -10,7 +10,11 @@ varint *type id* followed by the field values in declaration order — no
 names on the wire. The type-id and field tables are interned
 deterministically from the registry (sorted wire names), so every process
 that bootstraps the same protocol derives the same tables; see
-:func:`wire_tables`.
+:func:`wire_tables`. A tuple or list of at least
+:data:`COLUMN_CROSSOVER` rows of one registered dataclass (the commands of
+a batch, the replies of a reply batch) is written as a **column block**
+instead: the row count, then one column per field, each packed and
+unpacked by bulk calls rather than one interpreter step per value.
 
 **Frame**: a 4-byte big-endian length followed by the body; the body is
 the magic byte ``0xB5``, varint-length sender and dest ids, and the
@@ -33,6 +37,8 @@ import functools
 import struct
 import threading
 from dataclasses import fields, is_dataclass
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from repro.errors import ReproError
@@ -225,6 +231,26 @@ _T_SET = 0x08
 _T_FROZENSET = 0x09
 _T_DICT = 0x0A
 _T_DATACLASS = 0x0B
+_T_COLUMNS = 0x0C
+
+#: the fewest rows a run of one registered dataclass needs to be written
+#: as a column block instead of row by row. Measured, not a knob: below
+#: it the block's per-column headers cost more than its bulk calls save
+#: (DESIGN.md, "Wire format", has the table).
+COLUMN_CROSSOVER = 10
+
+# Column kinds, one byte at the head of every column in a block.
+_C_ANY = 0x00  # the n values as one row-encoded list
+_C_STR = 0x01  # distinct-value table + index column
+_C_INT = 0x02  # one int column
+_C_TUPLE = 0x03  # lengths column + one column of the flattened items
+_C_DATACLASS = 0x04  # varint type id + one column per field
+
+#: int column widths: the struct format character leads the column and
+#: says how many little-endian bytes each value takes.
+_INT_WIDTHS = {ord(code): struct.calcsize("<" + code) for code in "bBhHiIqQ"}
+_UNSIGNED = ((1 << 8, "B"), (1 << 16, "H"), (1 << 32, "I"), (1 << 64, "Q"))
+_SIGNED = ((1 << 7, "b"), (1 << 15, "h"), (1 << 31, "i"), (1 << 63, "q"))
 
 _PACK_FLOAT = struct.Struct("!d").pack
 _UNPACK_FLOAT = struct.Struct("!d").unpack_from
@@ -319,6 +345,125 @@ def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
+def _int_code(lo: int, hi: int) -> str | None:
+    """The narrowest int column width holding ``[lo, hi]`` (None past 64 bits)."""
+    if lo >= 0 and hi < 0x100:  # the common case: one byte
+        return "B"
+    if lo >= 0:
+        for limit, code in _UNSIGNED:
+            if hi < limit:
+                return code
+    else:
+        for limit, code in _SIGNED:
+            if -limit <= lo and hi < limit:
+                return code
+    return None
+
+
+def _write_ints(out: bytearray, values: Any, code: str | None = None) -> None:
+    """An int column; ``code`` defaults to the width of a non-negative one
+    (the lengths and indexes a column carries)."""
+    if code is None:
+        code = _int_code(0, max(values))
+    out.append(ord(code))
+    if code == "B":
+        out += bytes(values)
+    else:
+        out += struct.pack(f"<{len(values)}{code}", *values)
+
+
+#: one getter per field table: a row -> its field values (one field: the value).
+_getter = functools.cache(lambda names: attrgetter(*names))
+
+
+def _write_rows(
+    out: bytearray,
+    rows: Any,
+    tid: int,
+    ids: dict[type, int],
+    field_table: list[tuple[str, ...]],
+) -> None:
+    """The columns of a run of one registered dataclass, one per field."""
+    names = field_table[tid]
+    if len(names) == 1:
+        columns: Any = (list(map(_getter(names), rows)),)
+    else:
+        columns = zip(*map(_getter(names), rows))
+    for column in columns:
+        _write_column(out, column, ids, field_table)
+
+
+def _write_column(
+    out: bytearray,
+    column: Any,
+    ids: dict[type, int],
+    field_table: list[tuple[str, ...]],
+) -> None:
+    """One column of a block: its kind byte, then the kind's encoding.
+
+    The kind follows from the values' types alone, with builtin subclasses
+    taken as their base type as the row encoding takes them, so a decoded
+    column re-encodes to the same bytes.
+    """
+    kinds = set(map(type, column))
+    only = next(iter(kinds)) if len(kinds) == 1 else None
+    tid = ids.get(only)
+    if tid is not None:
+        cacheable = tid in _CACHEABLE_TIDS
+        kind = _C_ANY if cacheable or not field_table[tid] else _C_DATACLASS
+    elif only is str:
+        kind = _C_STR
+    elif only is int:
+        kind = _C_INT
+    elif only is tuple:
+        kind = _C_TUPLE
+    elif not column:
+        kind = _C_ANY
+    elif all(issubclass(k, str) for k in kinds):
+        kind = _C_STR
+    elif all(issubclass(k, int) and k is not bool for k in kinds):
+        kind = _C_INT
+    elif all(issubclass(k, tuple) for k in kinds):
+        kind = _C_TUPLE
+    else:
+        kind = _C_ANY
+    if kind == _C_INT:
+        code = _int_code(min(column), max(column))
+        if code is None:
+            kind = _C_ANY
+    out.append(kind)
+    if kind == _C_STR:
+        table = list(dict.fromkeys(column))
+        text = "".join(table)
+        blob = text.encode("utf-8")
+        _write_varint(out, len(table))
+        # all-ASCII text: character lengths are byte lengths
+        _write_ints(out, list(map(len, table if len(blob) == len(text) else
+                                  map(str.encode, table))))
+        out += blob
+        if len(table) == len(column):
+            _write_ints(out, range(len(table)))
+        elif len(table) == 1:
+            _write_ints(out, bytes(len(column)), "B")
+        else:
+            index = dict(zip(table, range(len(table))))
+            _write_ints(out, list(map(index.__getitem__, column)))
+    elif kind == _C_INT:
+        _write_ints(out, column, code)
+    elif kind == _C_TUPLE:
+        _write_ints(out, list(map(len, column)))
+        _write_column(out, list(chain.from_iterable(column)), ids, field_table)
+    elif kind == _C_DATACLASS:
+        _write_varint(out, tid)
+        _write_rows(out, column, tid, ids, field_table)
+    else:
+        # one row-encoded list, so the decoder reads it in one pass
+        out.append(_T_LIST)
+        _write_varint(out, len(column))
+        for value in column:
+            _bencode(value, out, ids, field_table)
+
+
 def _bencode(
     value: Any,
     out: bytearray,
@@ -362,6 +507,23 @@ def _bencode(
         out.append(_T_FLOAT)
         out += _PACK_FLOAT(value)
     elif t is tuple or t is list:
+        if len(value) >= COLUMN_CROSSOVER:
+            # A long run of one registered dataclass (the commands of a
+            # batch, the replies of a ReplyBatch) goes column by column.
+            tid = ids.get(type(value[0]))
+            if (
+                tid is not None
+                and tid not in _CACHEABLE_TIDS
+                and field_table[tid]
+                and len(set(map(type, value))) == 1
+            ):
+                out.append(_T_COLUMNS)
+                out.append(_T_TUPLE if t is tuple else _T_LIST)
+                _write_varint(out, len(value))
+                out.append(_C_DATACLASS)
+                _write_varint(out, tid)
+                _write_rows(out, value, tid, ids, field_table)
+                return
         out.append(_T_TUPLE if t is tuple else _T_LIST)
         _write_varint(out, len(value))
         for item in value:
@@ -529,6 +691,8 @@ def _bdecode(
                 else frozenset() if tag == _T_FROZENSET
                 else {}
             )
+        elif tag == _T_COLUMNS:
+            value, pos = _read_block(buf, pos, types, field_table, builders)
         else:
             raise CodecError(f"unknown binary tag 0x{tag:02x}")
         # -- feed the completed value upward, building any containers it
@@ -564,6 +728,133 @@ def _bdecode(
                 it = iter(items)
                 value = dict(zip(it, it))
             top = stack.pop() if stack else None
+
+
+def _read_ints(buf: bytes, pos: int, n: int) -> tuple[Any, int]:
+    """An int column of ``n`` values (one-byte values stay a bytes slice)."""
+    code = buf[pos]
+    if code == 0x42:  # "B"
+        end = pos + 1 + n
+        if end > len(buf):
+            raise CodecError("int column overruns its frame")
+        return buf[pos + 1 : end], end
+    width = _INT_WIDTHS.get(code)
+    if width is None:
+        raise CodecError(f"unknown int column width 0x{code:02x}")
+    values = struct.unpack_from(f"<{n}{chr(code)}", buf, pos + 1)
+    return values, pos + 1 + n * width
+
+
+def _read_strings(raws: list[bytes]) -> list[str]:
+    """Decode a distinct-value table through the row decoder's intern
+    table, so repeated short strings share one object across frames."""
+    cache = _STR_CACHE
+    strings = list(map(cache.get, raws))
+    if None in strings:
+        for i, raw in enumerate(raws):
+            if strings[i] is None:
+                value = strings[i] = raw.decode("utf-8")
+                if len(raw) <= 32:
+                    if len(cache) >= 8192:
+                        cache.clear()
+                    cache[raw] = value
+    return strings
+
+
+def _read_block(
+    buf: bytes,
+    pos: int,
+    types: list[type],
+    field_table: list[tuple[str, ...]],
+    builders: list[Callable],
+) -> tuple[Any, int]:
+    """A column block after its tag: container, row count, the rows' columns."""
+    container = buf[pos]
+    n, pos = _read_varint(buf, pos + 1)
+    if container != _T_TUPLE and container != _T_LIST:
+        raise CodecError(f"column block in unknown container 0x{container:02x}")
+    if n < COLUMN_CROSSOVER:
+        raise CodecError(f"column block of {n} rows is below the crossover")
+    if buf[pos] != _C_DATACLASS:
+        raise CodecError("column block rows are not a registered dataclass")
+    tid, pos = _read_varint(buf, pos + 1)
+    rows, pos = _read_rows(buf, pos, n, tid, types, field_table, builders)
+    return (tuple(rows) if container == _T_TUPLE else rows), pos
+
+
+def _read_rows(
+    buf: bytes,
+    pos: int,
+    n: int,
+    tid: int,
+    types: list[type],
+    field_table: list[tuple[str, ...]],
+    builders: list[Callable],
+) -> tuple[list, int]:
+    """``n`` rows of type ``tid``: one column per field, then the rows."""
+    if tid >= len(types) or tid in _CACHEABLE_TIDS or not field_table[tid]:
+        raise CodecError(f"type id {tid} cannot head a column")
+    columns = []
+    for _ in field_table[tid]:
+        column, pos = _read_column(buf, pos, n, types, field_table, builders)
+        columns.append(column)
+    return list(map(builders[tid], zip(*columns))), pos
+
+
+def _read_column(
+    buf: bytes,
+    pos: int,
+    n: int,
+    types: list[type],
+    field_table: list[tuple[str, ...]],
+    builders: list[Callable],
+) -> tuple[Any, int]:
+    """``n`` values of one column; a list or tuple, built by bulk calls."""
+    # Every kind spends at least a byte per value, so a count past the
+    # bytes left is malformed before anything is allocated for it.
+    if n > len(buf) - pos:
+        raise CodecError(f"column of {n} values overruns its frame")
+    kind = buf[pos]
+    pos += 1
+    if kind == _C_STR:
+        m, pos = _read_varint(buf, pos)
+        if not 0 < m <= n:
+            raise CodecError(f"string table of {m} values for {n} rows")
+        lengths, pos = _read_ints(buf, pos, m)
+        if min(lengths) < 0:
+            raise CodecError("negative string length")
+        offsets = list(accumulate(lengths, initial=pos))
+        pos = offsets[-1]
+        if pos > len(buf):
+            raise CodecError("string table overruns its frame")
+        table = _read_strings(
+            list(map(buf.__getitem__, map(slice, offsets, offsets[1:])))
+        )
+        index, pos = _read_ints(buf, pos, n)
+        if min(index) < 0 or max(index) >= m:
+            raise CodecError("string index outside its table")
+        return list(map(table.__getitem__, index)), pos
+    if kind == _C_INT:
+        return _read_ints(buf, pos, n)
+    if kind == _C_TUPLE:
+        lengths, pos = _read_ints(buf, pos, n)
+        if n and min(lengths) < 0:
+            raise CodecError("negative tuple length")
+        items, pos = _read_column(
+            buf, pos, sum(lengths), types, field_table, builders
+        )
+        offsets = list(accumulate(lengths, initial=0))
+        slices = map(slice, offsets, offsets[1:])
+        return list(map(tuple, map(items.__getitem__, slices))), pos
+    if kind == _C_DATACLASS:
+        tid, pos = _read_varint(buf, pos)
+        return _read_rows(buf, pos, n, tid, types, field_table, builders)
+    if kind == _C_ANY:
+        column, pos = _bdecode(buf, pos, types, field_table, builders)
+        if type(column) is not list or len(column) != n:
+            raise CodecError(f"any-value column is not a list of {n} values")
+        return column, pos
+    raise CodecError(f"unknown column kind 0x{kind:02x}")
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +998,11 @@ def payload_shape(payload: Any, depth: int = 3) -> Any:
     proxy), containers and registered dataclasses by their element shapes
     down to ``depth`` levels (deeper values collapse to a type+length
     summary). The simulator memoizes :func:`estimate_size` by this key so
-    repeated sends of same-shaped payloads skip the full encode.
+    repeated sends of same-shaped payloads skip the full encode. For runs
+    long enough to be column blocks (batches) the key is an estimate: a
+    string column stores each distinct value once, so two batches of the
+    same shape encode to different sizes when they repeat different
+    numbers of values, and the memo returns the first one's size.
 
     Returns ``None`` for payloads the codec cannot encode (the caller
     should skip the cache and fall back directly).

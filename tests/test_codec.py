@@ -5,6 +5,8 @@ test pins the strategy table to the registry, so adding a protocol message
 without a round-trip strategy fails loudly here.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -571,3 +573,424 @@ class TestEstimator:
     def test_oversized_frame_rejected(self):
         with pytest.raises(codec.CodecError):
             codec.frame_length((codec.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+
+
+# ---------------------------------------------------------------------------
+# Column blocks: runs of one registered dataclass, written column by column
+# ---------------------------------------------------------------------------
+
+CROSSOVER = codec.COLUMN_CROSSOVER
+T_TUPLE, T_LIST, T_DATACLASS, T_COLUMNS = 0x07, 0x06, 0x0B, 0x0C
+
+
+class Label(str):
+    """A str subclass: it must encode as plain ``str``, in rows or columns."""
+
+
+class Count(int):
+    """An int subclass: it must encode as plain ``int``, in rows or columns."""
+
+
+#: what one column may hold: every column kind (strings with few or many
+#: distinct values, ints of every width, tuples, nested runs) and every
+#: any-value fallback (mixes, bools, floats, ints past 64 bits, subclasses).
+column_fills = st.sampled_from([
+    st.text(max_size=6),  # non-ASCII included
+    st.sampled_from(["set", "get", "ä"]),
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=-(2**15), max_value=2**15),
+    st.integers(min_value=-(2**63), max_value=2**64 - 1),
+    st.integers(min_value=-(2**63), max_value=2**31),
+    st.one_of(
+        st.integers(min_value=2**64, max_value=2**70),
+        st.integers(min_value=-(2**70), max_value=-(2**63) - 1),
+    ),
+    st.one_of(st.none(), st.text(max_size=4)),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.lists(st.text(max_size=3), max_size=3).map(tuple),  # empty and ragged
+    st.lists(st.integers(-3, 300), max_size=2).map(tuple),
+    st.text(max_size=4).map(Label),
+    st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(Count)),
+    values,
+])
+run_lengths = st.sampled_from([CROSSOVER - 1, CROSSOVER, CROSSOVER + 1])
+
+
+@st.composite
+def runs(draw):
+    """A tuple or list of one registered dataclass at the crossover or one
+    row either side of it, each field column drawn from one fill."""
+    n = draw(run_lengths)
+    kind = draw(st.sampled_from(["command", "reply", "decision", "assignment"]))
+    fill = draw(column_fills)
+    column = st.lists(fill, min_size=n, max_size=n)
+    if kind == "command":
+        clients = draw(st.lists(st.one_of(client_ids, names.map(Label)),
+                                min_size=n, max_size=n))
+        rows = [
+            Command(CommandId(c, seq), op, args, size)
+            for c, seq, op, args, size in zip(
+                clients,
+                draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)),
+                draw(st.lists(names, min_size=n, max_size=n)),
+                draw(st.lists(st.lists(fill, max_size=3).map(tuple),
+                              min_size=n, max_size=n)),
+                draw(st.lists(sizes, min_size=n, max_size=n)),
+            )
+        ]
+    elif kind == "reply":
+        rows = [
+            ClientReply(cid, value, 0, slot)
+            for cid, value, slot in zip(
+                draw(st.lists(command_ids, min_size=n, max_size=n)),
+                draw(column),
+                draw(st.lists(slots, min_size=n, max_size=n)),
+            )
+        ]
+    elif kind == "decision":
+        # a value column that nests a whole run inside each row
+        inner = draw(st.sampled_from([fill, st.lists(
+            commands, min_size=CROSSOVER, max_size=CROSSOVER + 1).map(tuple)]))
+        rows = [
+            Decision(slot, value, 0.5)
+            for slot, value in zip(
+                draw(st.lists(slots, min_size=n, max_size=n)),
+                draw(st.lists(inner, min_size=n, max_size=n)),
+            )
+        ]
+    else:
+        rows = [
+            ShardAssignment(KeyRange(lo, lo + 1), group)
+            for lo, group in zip(
+                draw(st.lists(hash_points, min_size=n, max_size=n)),
+                draw(st.lists(names, min_size=n, max_size=n)),
+            )
+        ]
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+def _base(value):
+    """``value`` with the builtin subclasses the tests draw taken as their
+    base type, which is what decoding gives back."""
+    if type(value) is Label:
+        return str(value)
+    if type(value) is Count:
+        return int(value)
+    if type(value) is tuple:
+        return tuple(map(_base, value))
+    if type(value) is list:
+        return list(map(_base, value))
+    if type(value) in (Command, CommandId, ClientReply, Decision):
+        return type(value)(*(_base(getattr(value, f)) for f in value.__slots__))
+    return value
+
+
+class TestColumnBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(run=runs())
+    def test_run_round_trips_and_reencodes(self, run):
+        encoded = codec.encode_payload(run)
+        assert encoded[0] == (T_COLUMNS if len(run) >= CROSSOVER else
+                              T_TUPLE if type(run) is tuple else T_LIST)
+        decoded = codec.decode_payload(encoded)
+        assert type(decoded) is type(run)
+        assert decoded == run
+        assert codec.encode_payload(decoded) == encoded
+        # builtin subclasses encode as their base type, as rows do
+        assert codec.encode_payload(_base(run)) == encoded
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=runs(), reply_to=node_ids)
+    def test_batched_frames_round_trip(self, run, reply_to):
+        rows = tuple(run)
+        for payload in self._frames_for(rows, reply_to):
+            body = codec.encode_frame(NodeId("a"), NodeId("b"), payload)[4:]
+            decoded = codec.decode_frame_body(body)[2]
+            assert decoded == payload
+            assert codec.encode_frame(NodeId("a"), NodeId("b"), decoded)[4:] == body
+
+    @staticmethod
+    def _frames_for(rows, reply_to):
+        if type(rows[0]) is Command:
+            ballot = Ballot(1, NodeId("n1"))
+            batch = Batch(rows)
+            return [RequestBatch(rows, reply_to),
+                    InstanceMessage("e0", m.Accept(ballot, 3, batch)),
+                    WalAccept("e0", 3, ballot, batch), WalDecide("e0", 3, batch)]
+        if type(rows[0]) is ClientReply:
+            return [ReplyBatch(rows)]
+        return [rows]
+
+    @pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1])
+    def test_long_shard_map_round_trips(self, n):
+        groups = [GroupInfo(f"g{i}", ("n1",), {"n1": ("127.0.0.1", 9000 + i)})
+                  for i in range(n)]
+        shard_map = ShardMap.initial(groups)
+        encoded = codec.encode_payload(shard_map)
+        assert (bytes([T_COLUMNS, T_TUPLE]) in encoded) == (n >= CROSSOVER)
+        assert codec.decode_payload(encoded) == shard_map
+
+    def test_mixed_rows_stay_row_encoded(self):
+        rows = [Command(CommandId(ClientId("c"), i), "set", ("k",), 64)
+                for i in range(CROSSOVER + 1)]
+        for odd in (CommandId(ClientId("c"), 0), "text", None):
+            encoded = codec.encode_payload(tuple(rows + [odd]))
+            assert encoded[0] == T_TUPLE
+            assert codec.decode_payload(encoded) == tuple(rows + [odd])
+
+    def test_batches_and_fieldless_types_stay_row_encoded(self):
+        batch = Batch((Command(CommandId(ClientId("c"), 1), "set", ("k",), 64),))
+        for rows in ((batch,) * CROSSOVER, (ObserverSubscribe(),) * CROSSOVER):
+            encoded = codec.encode_payload(rows)
+            assert encoded[0] == T_TUPLE
+            assert codec.decode_payload(encoded) == rows
+
+    def test_decoded_strings_share_the_intern_table(self):
+        run = tuple(Command(CommandId(ClientId("client-7"), i), "set", (f"k{i}",), 64)
+                    for i in range(CROSSOVER))
+        first = codec.decode_payload(codec.encode_payload(run))
+        second = codec.decode_payload(codec.encode_payload(run))
+        assert first[0].op is second[-1].op
+        assert first[0].cid.client is second[0].cid.client
+
+
+def _varint(n: int) -> bytes:
+    out = bytearray()
+    while n >= 0x80:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def _tid(cls) -> int:
+    return codec.wire_tables()[2][cls]
+
+
+def _ints(code: str, values) -> bytes:
+    return code.encode() + struct.pack(f"<{len(values)}{code}", *values)
+
+
+def _str_column(table, index, *, index_code="B", length_code="B") -> bytes:
+    raws = [s.encode() for s in table]
+    lengths = _ints(length_code, [len(r) for r in raws])
+    return (bytes([0x01]) + _varint(len(table)) + lengths + b"".join(raws)
+            + _ints(index_code, index))
+
+
+def _int_column(values, code="B") -> bytes:
+    return bytes([0x02]) + _ints(code, values)
+
+
+def _block(cls, n, *columns, container=T_TUPLE) -> bytes:
+    return (bytes([T_COLUMNS, container]) + _varint(n) + bytes([0x04])
+            + _varint(_tid(cls)) + b"".join(columns))
+
+
+def _cid_block(n=CROSSOVER, client=None, seqs=None) -> bytes:
+    """A hand-built run of ``n`` ``CommandId("a", i)``."""
+    return _block(
+        CommandId, n,
+        client if client is not None else _str_column(["a"], [0] * n),
+        seqs if seqs is not None else _int_column(list(range(n))),
+    )
+
+
+def _command_block(args: bytes) -> bytes:
+    n = CROSSOVER
+    cid = bytes([0x04]) + _varint(_tid(CommandId)) + _str_column(["a"], [0] * n) \
+        + _int_column(list(range(n)))
+    return _block(Command, n, cid, _str_column(["set"], [0] * n), args,
+                  _int_column([64] * n))
+
+
+def _bad_shard_map() -> ShardMap:
+    """A long map whose one assignment range ``KeyRange`` refuses."""
+    bad = object.__new__(KeyRange)
+    object.__setattr__(bad, "lo", 5)
+    object.__setattr__(bad, "hi", 1)
+    assignments = [ShardAssignment(KeyRange(i, i + 1), "g") for i in range(CROSSOVER)]
+    assignments.append(ShardAssignment(bad, "g"))
+    return ShardMap(1, tuple(assignments), (GroupInfo("g", ("n1",), {}),))
+
+
+#: malformed column blocks, each of which must decode to CodecError.
+MALFORMED_BLOCKS = {
+    "index-past-table": lambda: _cid_block(
+        client=_str_column(["a"], [0] * (CROSSOVER - 1) + [1])),
+    "negative-index": lambda: _cid_block(
+        client=_str_column(["a"], [0] * (CROSSOVER - 1) + [-1], index_code="b")),
+    "negative-string-length": lambda: _cid_block(
+        client=bytes([0x01, 1]) + _ints("b", [-1]) + _ints("B", [0] * CROSSOVER)),
+    "oversized-string-length": lambda: _cid_block(
+        client=bytes([0x01, 1]) + _ints("I", [10**6]) + b"a"
+        + _ints("B", [0] * CROSSOVER)),
+    "empty-string-table": lambda: _cid_block(
+        client=bytes([0x01, 0]) + _ints("B", []) + _ints("B", [0] * CROSSOVER)),
+    "negative-tuple-length": lambda: _command_block(
+        bytes([0x03]) + _ints("b", [-1] * CROSSOVER) + bytes([0x00, T_LIST, 0])),
+    "oversized-tuple-length": lambda: _command_block(
+        bytes([0x03]) + _ints("I", [2**31] * CROSSOVER) + bytes([0x00, T_LIST, 0])),
+    "any-column-wrong-count": lambda: _cid_block(
+        seqs=bytes([0x00, T_LIST, 1, 0x03, 2])),
+    "oversized-row-count": lambda: _block(
+        CommandId, 2**40, _str_column(["a"], [0] * CROSSOVER),
+        _int_column(list(range(CROSSOVER)))),
+    "unknown-column-kind": lambda: _cid_block(seqs=bytes([0x09]) + bytes(CROSSOVER)),
+    "unknown-int-width": lambda: _cid_block(
+        seqs=bytes([0x02]) + b"x" + bytes(CROSSOVER)),
+    "below-crossover": lambda: _cid_block(
+        n=CROSSOVER - 1, client=_str_column(["a"], [0] * (CROSSOVER - 1)),
+        seqs=_int_column(list(range(CROSSOVER - 1)))),
+    "unknown-container": lambda: _block(
+        CommandId, CROSSOVER, _str_column(["a"], [0] * CROSSOVER),
+        _int_column(list(range(CROSSOVER))), container=0x08),
+    "batch-rows": lambda: _block(
+        Batch, CROSSOVER,
+        bytes([0x00, T_LIST, CROSSOVER]) + bytes([T_TUPLE, 0]) * CROSSOVER),
+    "rejected-key-range": lambda: codec.encode_payload(_bad_shard_map()),
+}
+
+
+class TestMalformedColumnBlocks:
+    def test_hand_built_block_matches_the_encoder(self):
+        """The helpers below build what the encoder writes, so each
+        malformed case differs from a good block only where it says."""
+        run = tuple(CommandId(ClientId("a"), i) for i in range(CROSSOVER))
+        assert codec.encode_payload(run) == _cid_block()
+        assert codec.decode_payload(_cid_block()) == run
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_BLOCKS))
+    def test_malformed_block_is_codec_error(self, kind):
+        blob = MALFORMED_BLOCKS[kind]()
+        with pytest.raises(codec.CodecError):
+            codec.decode_payload(blob)
+        frame = codec.encode_frame_precoded(NodeId("n1"), NodeId("n2"), blob)
+        with pytest.raises(codec.CodecError):
+            codec.decode_frame_body(frame[4:])
+
+    def test_every_truncation_is_codec_error(self):
+        rows = tuple(
+            Command(CommandId(ClientId(f"c{i % 3}"), i), "set", (f"k{i}", "v" * i), 64)
+            for i in range(CROSSOVER + 1)
+        )
+        blob = codec.encode_payload(RequestBatch(rows, NodeId("cli")))
+        for cut in range(1, len(blob)):
+            with pytest.raises(codec.CodecError):
+                codec.decode_payload(blob[:cut])
+
+
+def _row_bytes(value) -> bytes:
+    """The row encoding, assembled from the row tags alone: the bytes
+    every release before column blocks wrote for any run length."""
+    _, _, ids, field_table, _ = codec.wire_tables()
+    out = bytearray()
+
+    def put(v):
+        t = type(v)
+        if t in ids:
+            out.append(T_DATACLASS)
+            out.extend(_varint(ids[t]))
+            for name in field_table[ids[t]]:
+                put(getattr(v, name))
+        elif t is str:
+            raw = v.encode()
+            out.append(0x05)
+            out.extend(_varint(len(raw)) + raw)
+        elif t is int:
+            out.append(0x03)
+            out.extend(_varint(v << 1 if v >= 0 else (-v << 1) - 1))
+        elif t is tuple:
+            out.append(T_TUPLE)
+            out.extend(_varint(len(v)))
+            for item in v:
+                put(item)
+        else:
+            raise TypeError(t)
+
+    put(value)
+    return bytes(out)
+
+
+def _old_batch(n=256) -> Batch:
+    return Batch(tuple(
+        Command(CommandId(ClientId(f"perf-{i % 64}"), i + 1), "set",
+                (f"key-{i}", f"{i:064d}"), 64)
+        for i in range(n)
+    ))
+
+
+class TestRowEncodedDataStillReads:
+    def test_row_helper_matches_short_runs(self):
+        """Below the crossover the encoder still writes rows, so the
+        test's hand-assembled row bytes are the codec's own there."""
+        batch = _old_batch(CROSSOVER - 1)
+        assert _row_bytes(batch) == codec.encode_payload(batch)
+
+    def test_row_encoded_256_command_batch_decodes(self):
+        batch = _old_batch()
+        old = _row_bytes(m.Accept(Ballot(2, NodeId("n1")), 9, batch))
+        decoded = codec.decode_payload(old)
+        assert decoded == m.Accept(Ballot(2, NodeId("n1")), 9, batch)
+        # the batch memo splices the bytes it was decoded from ...
+        assert codec.encode_payload(decoded) == old
+        # ... and a fresh encode writes columns
+        codec._PAYLOAD_MEMO.clear()
+        assert len(codec.encode_payload(decoded)) < len(old)
+
+    def test_row_encoded_wal_recovers_to_the_same_state(self, tmp_path):
+        from repro.storage.store import ReplicaStore
+        from repro.storage.wal import frame_record
+
+        ballot = Ballot(2, NodeId("n1"))
+        records = [
+            WalAccept("e0", 0, ballot, _old_batch()),
+            WalDecide("e0", 0, _old_batch()),
+            WalAccept("e0", 1, ballot, _old_batch(CROSSOVER)),
+        ]
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "wal-000001.log").write_bytes(
+            b"".join(frame_record(_row_bytes(r)) for r in records)
+        )
+        fresh = ReplicaStore(tmp_path / "new", fsync=False)
+        for record in records:
+            fresh.append(record)
+        fresh.close()
+        old = ReplicaStore(tmp_path / "old", fsync=False).recovered
+        new = ReplicaStore(tmp_path / "new", fsync=False).recovered
+        assert old.records == new.records == 3
+        assert old.torn_bytes == 0
+        assert old.instances["e0"].accepted == new.instances["e0"].accepted
+        assert old.instances["e0"].decided == new.instances["e0"].decided
+        assert old.instances["e0"].decided[0] == _old_batch()
+        assert (tmp_path / "new" / "wal-000001.log").read_bytes() != (
+            tmp_path / "old" / "wal-000001.log").read_bytes()
+
+    def test_column_bytes_are_pinned(self):
+        """A format change must show up as an edit here."""
+        rows = tuple(
+            Command(CommandId(ClientId(f"c{i % 2}"), i + 1), "set", (f"k{i}", i), 64)
+            for i in range(10)
+        )
+        encoded = codec.encode_payload(RequestBatch(rows, NodeId("cli")))
+        assert encoded.hex() == PINNED_REQUEST_BATCH
+        assert codec.decode_payload(encoded) == RequestBatch(rows, NodeId("cli"))
+
+
+#: ``RequestBatch`` of 10 commands, hex: the type ids are the positions of
+#: the wire names in the sorted registry.
+PINNED_REQUEST_BATCH = "".join([
+    "0b27",  # RequestBatch
+    "0c070a",  # column block: tuple of 10 rows
+    "040c",  # rows are Command, one column per field:
+    "040d",  # cid: CommandId, one column per field:
+    "0102" "42" "0202" "63306331" "42" "00010001000100010001",  # client: table, index
+    "02" "42" "0102030405060708090a",  # seq: one-byte ints
+    "0101" "42" "03" "736574" "42" "00000000000000000000",  # op: "set" x 10
+    "03" "42" "02020202020202020202",  # args: lengths, then the 20 items
+    "000614",  # any-value column: one row-encoded list of 20 values
+    "".join(f"05026b3{i}03{2 * i:02x}" for i in range(10)),  # "k<i>", <i>
+    "02" "42" "40404040404040404040",  # size
+    "0503636c69",  # reply_to "cli"
+])

@@ -161,13 +161,45 @@ def _rejected_key_range_frame() -> bytes:
     return codec.encode_frame(NodeId("c9"), NodeId("n1"), bad)
 
 
+def _column_frame(kind: str) -> bytes:
+    """A frame whose payload is one of the malformed column blocks."""
+    from tests.test_codec import MALFORMED_BLOCKS
+
+    return codec.encode_frame_precoded(
+        NodeId("c9"), NodeId("n1"), MALFORMED_BLOCKS[kind]()
+    )
+
+
+def _truncated_column_frame() -> bytes:
+    """A request batch cut off inside its column block; the length prefix
+    matches the cut body, so only the payload is malformed."""
+    from repro.core.client import RequestBatch
+    from repro.types import ClientId, Command, CommandId
+
+    rows = tuple(
+        Command(CommandId(ClientId("c9"), i), "set", (f"k{i}",), 64)
+        for i in range(codec.COLUMN_CROSSOVER)
+    )
+    batch = RequestBatch(rows, NodeId("c9"))
+    body = codec.encode_frame(NodeId("c9"), NodeId("n1"), batch)[4:]
+    return _frame(body[: len(body) // 2])
+
+
 #: what a peer that does not speak the wire format might send: the
-#: retired JSON envelope, a bare JSON object, and a frame in the right
-#: format whose registered type rejects its own decoded fields.
+#: retired JSON envelope, a bare JSON object, a frame in the right
+#: format whose registered type rejects its own decoded fields, and
+#: malformed column blocks.
 POISON_FRAMES = {
     "legacy-json": lambda: _frame(b'{"s":"c9","d":"n1","p":"ping"}'),
     "bare-object": lambda: _frame(b"{}"),
     "rejected-dataclass": _rejected_key_range_frame,
+    "column-truncated": _truncated_column_frame,
+    "column-index-past-table": lambda: _column_frame("index-past-table"),
+    "column-negative-index": lambda: _column_frame("negative-index"),
+    "column-oversized-length": lambda: _column_frame("oversized-tuple-length"),
+    "column-unknown-kind": lambda: _column_frame("unknown-column-kind"),
+    "column-below-crossover": lambda: _column_frame("below-crossover"),
+    "column-rejected-key-range": lambda: _column_frame("rejected-key-range"),
 }
 
 
