@@ -29,10 +29,9 @@ def test_t13_shard_scale(benchmark):
 
 def test_t13_shard_split_linearizable(benchmark):
     split = benchmark.pedantic(
-        lambda: bench_split(seed=42, smoke=True),
+        lambda: bench_split(seed=42),
         rounds=1, iterations=1,
     )
-    assert not split["errors"], split["errors"]
-    assert split["version_after"] > split["version_before"]
+    assert not split["failed_checks"], split["failed_checks"]
     assert split["linearizable"], "split under load must stay linearizable"
     assert split["ok"]

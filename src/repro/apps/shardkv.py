@@ -20,8 +20,8 @@ whole cutover safety argument:
 
 Because the director only installs after the retire's reply returns, the
 install strictly follows the retire in real time, so per-key histories
-across the two groups remain linearizable (verified live by
-:mod:`repro.shard.scenario` with the Wing–Gong oracle).
+across the two groups remain linearizable (verified live by the
+``shard`` cell of ``repro storm`` with the Wing–Gong oracle).
 
 Shard state (owned ranges, forwarding hints, map version) is part of the
 snapshot, so it survives group-internal reconfigurations, state transfer

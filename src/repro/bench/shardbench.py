@@ -8,10 +8,13 @@ Two measurements, written together to ``BENCH_shard.json``:
   ops by group and drives every group from its own thread, so the groups
   commit in parallel). Reports aggregate committed ops/s, p50/p99 client
   latency, and the key spread.
-* **split under load** — the T13 scenario: a drain-and-cutover split
-  while concurrent clients keep writing, with the merged history checked
-  by the Wing & Gong oracle. The benchmark records the verdict; a
-  non-linearizable run fails the gate unconditionally.
+* **split under load** — the ``shard`` cell of ``repro storm``: a
+  drain-and-cutover split out of ``g1`` racing an add and a remove of a
+  ``g1`` replica while recorded clients keep writing, with the merged
+  history checked by the Wing & Gong oracle, the director's map chain
+  checked for gaps and the spare checked to own a range. The benchmark
+  records the verdict; a run that does not verify fails the gate
+  unconditionally.
 
 Honesty note on scaling: N groups of 3 replicas is ``3N + 1`` Python
 processes (the one is the director, a single-replica metadir group) plus
@@ -88,35 +91,22 @@ def bench_scale(
     return results
 
 
-def bench_split(seed: int, smoke: bool) -> dict[str, Any]:
-    """Split-under-load linearizability cell (the T13 scenario)."""
-    from repro.shard.scenario import run_split_scenario
+def bench_split(seed: int) -> dict[str, Any]:
+    """Split-under-load verdict: one run of the ``shard`` storm cell."""
+    from repro.net.storm import run_storm_scenario
 
-    report = run_split_scenario(
-        groups=2 if smoke else 3,
-        replicas_per_group=3,
-        clients=2 if smoke else 3,
-        keys=12 if smoke else 24,
-        seed=seed,
-        settle=0.6,
-    )
+    report = run_storm_scenario("shard", seed=seed)
     for line in report.lines():
         print(f"  {line}")
     return {
-        "groups": report.groups,
-        "clients": report.clients,
-        "elapsed_s": round(report.elapsed, 2),
-        "version_before": report.version_before,
-        "version_after": report.version_after,
-        "moved": list(report.moved) if report.moved else None,
-        "ops_total": report.ops_total,
-        "ops_pending": report.ops_pending,
-        "linearizable": bool(report.linearizable and report.linearizable.ok),
-        "checked_ops": report.linearizable.checked_ops
-        if report.linearizable
-        else 0,
-        "errors": list(report.errors),
         "ok": report.ok,
+        "linearizable": report.linearizable.ok,
+        "checked_ops": report.linearizable.checked_ops,
+        "ops_total": len(report.history),
+        "ops_pending": len(report.history.pending),
+        "elapsed_s": round(report.elapsed, 2),
+        "errors": list(report.errors),
+        "failed_checks": list(report.failed_checks),
     }
 
 
@@ -153,9 +143,8 @@ def _render(scale: dict[str, Any], split: dict[str, Any] | None) -> None:
         return
     verdict = "LINEARIZABLE" if split["linearizable"] else "VIOLATION"
     print(
-        f"split under load: map v{split['version_before']} -> "
-        f"v{split['version_after']}, "
-        f"{split['ops_total'] - split['ops_pending']} ops checked, {verdict}"
+        f"split under load: {split['checked_ops']} ops checked, {verdict}, "
+        f"ok={'yes' if split['ok'] else 'NO'}"
     )
     print()
 
@@ -185,7 +174,7 @@ def run_shard_bench(
     print(f"T13 shard benchmark ({mode}, seed={seed}, cpus={cpus}, "
           f"groups={','.join(map(str, group_counts))})")
     scale = bench_scale(seed, smoke, group_counts)
-    split = bench_split(seed, smoke)
+    split = bench_split(seed)
     _render(scale, split)
 
     top = max(group_counts)
@@ -232,10 +221,11 @@ def run_shard_bench(
     elif not speedup_armed:
         print(f"speedup gate not armed: {cpus} cpu(s) for {top} groups "
               f"(need >= {MIN_CPUS_PER_GROUP * top})")
-    if not split["linearizable"]:
-        failures.append("split under load was NOT linearizable")
-    if split["errors"]:
-        failures.append(f"split scenario errors: {split['errors']}")
+    if not split["ok"]:
+        failures.append(
+            f"split under load did not verify (linearizable="
+            f"{split['linearizable']}, failed checks {split['failed_checks']})"
+        )
     for failure in failures:
         print(f"REGRESSION: {failure}")
     return 1 if failures else 0

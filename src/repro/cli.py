@@ -6,8 +6,8 @@ Usage::
     python -m repro run T2               # regenerate one table/figure
     python -m repro run F2 --quick       # smaller parameters, faster
     python -m repro demo                 # 30-second guided tour
-    python -m repro cluster --replicas 3 # live TCP cluster on localhost
-    python -m repro serve --node n1 ...  # one live replica (used by cluster)
+    python -m repro storm rolling        # live cluster, verified scenario
+    python -m repro serve --node n1 ...  # one live replica (used by storm)
 
 The heavy lifting lives in :mod:`repro.bench.experiments`; this module is
 argument parsing plus a curated "quick" parameter set per experiment so a
@@ -182,6 +182,7 @@ def build_replica(args: "argparse.Namespace"):
     """
     from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
     from repro.core.reconfig import ReconfigParams, ReconfigurableReplica
+    from repro.net.admin import install_chaos_endpoint, install_metrics_endpoint
     from repro.net.runtime import LiveRuntime
     from repro.net.transport import LinkPolicy, TcpTransport
     from repro.types import Configuration, Membership, NodeId
@@ -211,19 +212,14 @@ def build_replica(args: "argparse.Namespace"):
         # TcpTransport.add_dispatch_group).
         transport.add_dispatch_group(storage.group)
     if args.chaos:
-        from repro.net.admin import install_chaos_endpoint
-
         status = None
         if storage is not None:
             status = storage.status  # recovery status for the controller
         install_chaos_endpoint(transport, args.node, status=status)
-    if not args.no_metrics:
-        from repro.net.admin import install_metrics_endpoint
-
-        # Read-only, so on by default (unlike the chaos endpoint).
-        install_metrics_endpoint(
-            transport, args.node, runtime.metrics, lambda: runtime.now
-        )
+    # Read-only, so always served (unlike the chaos endpoint).
+    install_metrics_endpoint(
+        transport, args.node, runtime.metrics, lambda: runtime.now
+    )
     suspect_min = args.suspect_timeout / 1000.0
     engine_params = PaxosParams(
         batch_delay=args.batch_delay / 1000.0,
@@ -247,7 +243,6 @@ def build_replica(args: "argparse.Namespace"):
         engine_factory=MultiPaxosEngine.factory(engine_params),
         checkpoint_interval=args.checkpoint_interval,
         read_mode=args.read_mode,
-        staleness_bound=args.staleness_bound / 1000.0,
         **params_kwargs,
     )
     app_factory = _app_factory(args.app)
@@ -324,7 +319,7 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
     read_note = ""
     if args.read_mode != "log":
         bound = (f"lease={args.lease_duration:g}ms" if args.read_mode == "lease"
-                 else f"staleness<={args.staleness_bound:g}ms")
+                 else f"staleness<={replica.params.staleness_bound * 1e3:g}ms")
         read_note = f", reads={args.read_mode} ({bound})"
     member = args.node in [m.strip() for m in args.initial.split(",")]
     print(f"[{args.node}] serving on {host}:{port} "
@@ -340,140 +335,6 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
         # failed window produced never left the process.
         print(f"[{args.node}] stopped: {exc}", file=sys.stderr, flush=True)
         return 1
-    return 0
-
-
-def _cmd_cluster(args: "argparse.Namespace") -> int:
-    """Launch a live localhost cluster, run a workload, reconfigure, stop."""
-    from repro.net.client import LiveClient
-    from repro.net.cluster import LocalCluster
-
-    cluster = LocalCluster(
-        replicas=args.replicas,
-        base_port=args.base_port,
-        app=args.app,
-        seed=args.seed,
-        verbose=args.verbose,
-    )
-    print(f"starting {args.replicas} replicas: {', '.join(cluster.initial)} "
-          f"(logs in {cluster.log_dir})")
-    with cluster:
-        cluster.start()
-        client = LiveClient(
-            "cli", cluster.addresses, view=cluster.initial,
-        )
-        with client:
-            print(f"cluster up; submitting {args.ops} commands ...")
-            for i in range(args.ops):
-                reply = client.submit("set", (f"key-{i}", i))
-                if args.verbose:
-                    print(f"  set key-{i} -> ok "
-                          f"(epoch {reply.epoch}, slot {reply.virtual_index})")
-            check = client.submit("get", (f"key-{args.ops - 1}",), size=32)
-            if check.value != args.ops - 1:
-                print(f"FAIL: read back {check.value!r}, "
-                      f"expected {args.ops - 1}", file=sys.stderr)
-                return 1
-            print(f"{args.ops} writes committed; read-back verified "
-                  f"(epoch {check.epoch})")
-            if not args.no_reconfigure:
-                joiner = cluster.reserved()[0]
-                target = cluster.initial[1:] + [joiner]
-                print(f"reconfiguring {cluster.initial} -> {target} ...")
-                cluster.spawn(joiner)
-                cluster.wait_ready([joiner])
-                ack = client.reconfigure(target)
-                print(f"reconfiguration acknowledged: {ack.value} ")
-                after = client.submit("get", (f"key-{args.ops - 1}",), size=32)
-                if after.value != args.ops - 1:
-                    print(f"FAIL: post-reconfig read {after.value!r}",
-                          file=sys.stderr)
-                    return 1
-                print(f"state survived the hand-off "
-                      f"(read served in epoch {after.epoch})")
-    print("cluster shut down cleanly")
-    return 0
-
-
-def _cmd_shard_cluster(args: "argparse.Namespace") -> int:
-    """Launch a sharded multi-group cluster and drive a keyspace across it.
-
-    Writes ``--ops`` keys through a ShardClient, prints how the keyspace
-    spread over the groups, optionally splits the busiest group into a
-    spare under continued traffic, and verifies every key reads back
-    correctly from wherever it ended up.
-    """
-    from repro.shard.cluster import ShardedCluster
-    from repro.shard.shardmap import ShardError
-
-    try:
-        cluster = ShardedCluster(
-            args.groups,
-            replicas_per_group=args.replicas_per_group,
-            spare_groups=args.spare_groups,
-            seed=args.seed,
-            verbose=args.verbose,
-            director_replicas=args.director_replicas,
-        )
-    except ShardError as exc:
-        print(f"shard-cluster: {exc}", file=sys.stderr)
-        return 2
-    total = args.groups + args.spare_groups
-    print(f"starting {total} groups x {args.replicas_per_group} replicas "
-          f"({args.groups} serving, {args.spare_groups} spare; "
-          f"logs in {cluster.log_dir})")
-    with cluster:
-        cluster.start()
-        shard_map = cluster.shard_map
-        book = cluster.director_addresses()
-        endpoints = ", ".join(
-            f"{name}@{host}:{port}"
-            for name, (host, port) in sorted(book.items())
-        )
-        print(f"director: metadir group of {len(book)} ({endpoints}); "
-              f"map v{shard_map.version}:")
-        for assignment in shard_map.assignments:
-            print(f"  {assignment.range} -> {assignment.group}")
-        keys = [f"key-{i:04d}" for i in range(args.ops)]
-        with cluster.client("cli") as client:
-            print(f"writing {args.ops} keys through the shard router ...")
-            for i, key in enumerate(keys):
-                client.submit("set", (key, i))
-            spread = cluster.shard_map.spread(keys)
-            print("keys per group: "
-                  + ", ".join(f"{g}={n}" for g, n in sorted(spread.items())))
-            starved = [
-                g for g in cluster.serving
-                if spread.get(g, 0) == 0 and args.ops >= 8 * args.groups
-            ]
-            if starved:
-                print(f"FAIL: serving groups own no keys: {starved}",
-                      file=sys.stderr)
-                return 1
-            if args.split:
-                target = (cluster.spares[0] if cluster.spares
-                          else min(spread, key=lambda g: (spread[g], g)))
-                source = max(spread, key=lambda g: (spread[g], g))
-                print(f"splitting {source} into {target} ...")
-                new_map = cluster.split(source, target=target)
-                print(f"map now v{new_map.version}:")
-                for assignment in new_map.assignments:
-                    print(f"  {assignment.range} -> {assignment.group}")
-            print("verifying read-back of every key ...")
-            for i, key in enumerate(keys):
-                reply = client.submit("get", (key,), size=32)
-                if reply.value != i:
-                    print(f"FAIL: {key} read back {reply.value!r}, "
-                          f"expected {i}", file=sys.stderr)
-                    return 1
-        if not args.no_metrics:
-            from repro.net.observe import group_summary_table, poll_groups
-
-            fetched, errors = poll_groups(cluster.group_endpoints())
-            print(group_summary_table(fetched).render())
-            for error in errors:
-                print(f"note: {error}", file=sys.stderr)
-    print("sharded cluster shut down cleanly")
     return 0
 
 
@@ -507,13 +368,7 @@ def _cmd_shard_route(args: "argparse.Namespace") -> int:
 
 
 def _cmd_metrics(args: "argparse.Namespace") -> int:
-    """Poll a live cluster's ``#metrics`` endpoints and render the snapshots.
-
-    With ``--demo``, spins up a throwaway 3-replica cluster, drives it
-    through a live reconfiguration, and renders the resulting snapshot —
-    which must show per-epoch commit counts and at least one complete
-    decided → cut → transfer → first-commit span (exit code 0 iff it does).
-    """
+    """Poll a live cluster's ``#metrics`` endpoints and render the snapshots."""
     import json
 
     from repro.net.observe import render_snapshots
@@ -530,23 +385,6 @@ def _cmd_metrics(args: "argparse.Namespace") -> int:
             indent=2, sort_keys=True,
         )
 
-    if args.demo:
-        from repro.net.observe import run_metrics_demo
-
-        report = run_metrics_demo(seed=args.seed, verbose=args.verbose)
-        for line in report.lines():
-            print(line)
-        if report.snapshots:
-            print()
-            print(render_snapshots(report.snapshots))
-        if args.json_out and report.snapshots:
-            with open(args.json_out, "w") as handle:
-                handle.write(snapshot_json(report.snapshots) + "\n")
-            print(f"snapshot JSON written to {args.json_out}")
-        return 0 if report.ok else 1
-    if not args.peers:
-        print("--peers required (or use --demo)", file=sys.stderr)
-        return 2
     groups = _parse_group_peers(args.peers)
     if set(groups) == {""}:
         # Single unlabelled cluster: the original one-cluster behaviour.
@@ -720,9 +558,6 @@ def build_parser() -> "argparse.ArgumentParser":
     serve.add_argument("--chaos", action="store_true",
                        help="expose the fault-injection admin endpoint "
                        "(transport-level partitions/drops/delay/loss)")
-    serve.add_argument("--no-metrics", action="store_true",
-                       help="do not expose the read-only #metrics endpoint "
-                       "(on by default)")
     serve.add_argument("--data-dir", default=None, metavar="DIR",
                        help="durable state directory (WAL + checkpoints); "
                        "reboots recover from it instead of cold-joining. "
@@ -756,8 +591,8 @@ def build_parser() -> "argparse.ArgumentParser":
                        "through consensus (default); lease serves them "
                        "locally at the leaseholding leader (linearizable, "
                        "no log round); follower serves them locally at any "
-                       "caught-up member within --staleness-bound (bounded "
-                       "staleness, NOT linearizable)")
+                       "member that heard from the leader in the last "
+                       "500 ms (bounded staleness, NOT linearizable)")
     serve.add_argument("--lease-duration", type=float, default=80.0,
                        metavar="MS",
                        help="read-lease validity per acknowledged "
@@ -768,10 +603,6 @@ def build_parser() -> "argparse.ArgumentParser":
                        help="leader-failure suspicion floor; raising it "
                        "admits longer leases at the cost of slower "
                        "failover (the max stays at 2x the floor)")
-    serve.add_argument("--staleness-bound", type=float, default=500.0,
-                       metavar="MS",
-                       help="follower mode: max leader silence before a "
-                       "member refuses local reads")
     serve.add_argument("--shard-group", default="",
                        help="serve as one group of a sharded service: the "
                        "group's name (requires --app kv; wraps the store "
@@ -792,45 +623,6 @@ def build_parser() -> "argparse.ArgumentParser":
                        help="a non-leader driver rolls an intent forward "
                        "after it has been pending this long (dead-leader "
                        "takeover bound)")
-
-    cluster = sub.add_parser(
-        "cluster", help="launch a live localhost cluster and drive it"
-    )
-    cluster.add_argument("--replicas", type=int, default=3)
-    cluster.add_argument("--base-port", type=int, default=None,
-                         help="first port (default: OS-assigned free ports)")
-    cluster.add_argument("--app", default="kv", help="kv|counter|bank|lock")
-    cluster.add_argument("--ops", type=int, default=20,
-                         help="commands to commit before reconfiguring")
-    cluster.add_argument("--no-reconfigure", action="store_true",
-                         help="skip the live membership change")
-    cluster.add_argument("--seed", type=int, default=42)
-    cluster.add_argument("--verbose", action="store_true")
-
-    shard_cluster = sub.add_parser(
-        "shard-cluster",
-        help="launch N reconfigurable-SMR groups behind a shard map "
-        "and drive a keyspace across them",
-    )
-    shard_cluster.add_argument("--groups", type=int, default=3,
-                               help="serving groups (each a full cluster)")
-    shard_cluster.add_argument("--replicas-per-group", type=int, default=3)
-    shard_cluster.add_argument("--spare-groups", type=int, default=0,
-                               help="extra groups owning nothing, as "
-                               "targets for --split")
-    shard_cluster.add_argument("--ops", type=int, default=64,
-                               help="keys to write through the router")
-    shard_cluster.add_argument("--split", action="store_true",
-                               help="split the busiest group mid-run and "
-                               "verify the keyspace survives the cutover")
-    shard_cluster.add_argument("--no-metrics", action="store_true",
-                               help="skip the per-group metrics summary")
-    shard_cluster.add_argument("--director-replicas", type=int, default=1,
-                               help="size of the metadir group that is the "
-                               "director (at least 1; 3 survive the death "
-                               "of the replica driving a move)")
-    shard_cluster.add_argument("--seed", type=int, default=42)
-    shard_cluster.add_argument("--verbose", action="store_true")
 
     shard_route = sub.add_parser(
         "shard-route",
@@ -893,20 +685,14 @@ def build_parser() -> "argparse.ArgumentParser":
         "metrics",
         help="poll a live cluster's #metrics endpoints and render snapshots",
     )
-    metrics.add_argument("--peers", action="append", default=[],
+    metrics.add_argument("--peers", action="append", required=True,
                          help="address book: n1=host:port,... — repeat "
                          "with group labels (g1:n1=host:port,...) to poll "
                          "several shards and aggregate in one call")
-    metrics.add_argument("--demo", action="store_true",
-                         help="self-contained: spin up a cluster, reconfigure "
-                         "it, and show the resulting snapshot")
     metrics.add_argument("--json", action="store_true",
                          help="raw snapshot JSON instead of tables")
     metrics.add_argument("--json-out", default=None, metavar="PATH",
-                         help="also write the snapshot JSON to PATH "
-                         "(the CI artifact)")
-    metrics.add_argument("--seed", type=int, default=7)
-    metrics.add_argument("--verbose", action="store_true")
+                         help="also write the snapshot JSON to PATH")
 
     top = sub.add_parser(
         "top", help="repeatedly poll a live cluster's metrics (watch mode)"
@@ -968,16 +754,12 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_demo()
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
     if args.command == "storm":
         return _cmd_storm(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
     if args.command == "top":
         return _cmd_top(args)
-    if args.command == "shard-cluster":
-        return _cmd_shard_cluster(args)
     if args.command == "shard-route":
         return _cmd_shard_route(args)
     if args.command == "bench":

@@ -13,7 +13,7 @@ operating-system processes talking length-prefixed binary frames over TCP:
 * :mod:`repro.net.client` — blocking client/admin library for driving a
   live cluster;
 * :mod:`repro.net.cluster` — localhost multi-process cluster launcher
-  (used by ``repro cluster`` and the loopback integration test);
+  (used by the storm loop, ``perf/`` and the loopback integration tests);
 * :mod:`repro.net.admin` — the replica side of the ``#chaos`` and
   ``#metrics`` admin endpoints, whose controllers are
   :mod:`repro.net.chaos` and :mod:`repro.net.observe`.

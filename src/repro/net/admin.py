@@ -1,7 +1,7 @@
 """The replica side of the two admin endpoints, ``#chaos`` and ``#metrics``.
 
 A ``repro serve`` process registers a **metrics endpoint**
-(``<node>#metrics``, on by default) and, under ``serve --chaos``, a
+(``<node>#metrics``, always) and, under ``serve --chaos``, a
 **chaos endpoint** (``<node>#chaos``) on its transport. This module holds
 what the replica needs for both: their four wire types, which the codec
 registers, and the two handlers. The handlers run in the serve wiring,
@@ -179,9 +179,8 @@ def install_metrics_endpoint(
 ) -> NodeId:
     """Register ``node``'s metrics endpoint on its transport.
 
-    Read-only, so on by default (``serve --no-metrics`` to disable): the
-    handler snapshots the registry and replies over the requester's
-    reply route.
+    Read-only, so every replica serves it: the handler snapshots the
+    registry and replies over the requester's reply route.
     """
     endpoint = metrics_endpoint(node)
 

@@ -18,7 +18,7 @@ with the same retry discipline the simulated client uses:
   advertised membership, restricted to nodes we have addresses for;
 * silence and connection errors rotate round-robin to the next replica.
 
-Intended for tests, benches and the ``repro cluster`` CLI.
+Intended for tests, benches and the live scenario loop (``repro storm``).
 :func:`request_reply` is the one-shot form: what the ``#metrics``,
 ``#chaos`` and shard-map admin round trips share.
 """

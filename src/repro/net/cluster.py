@@ -7,9 +7,9 @@ replica, all sharing a single address book. The book includes a few
 addressable by every running replica from the start — mirroring the
 simulator's convention that processes exist before they join an epoch.
 
-Used by the ``repro cluster`` subcommand and the loopback integration
-test; each replica's stdout/stderr is captured to a per-node log file so
-a failing run can be diagnosed post-mortem.
+Used by the storm loop (:mod:`repro.net.storm`), ``perf/`` and the
+loopback integration tests; each replica's stdout/stderr is captured to
+a per-node log file so a failing run can be diagnosed post-mortem.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class LocalCluster:
         replicas: int = 3,
         *,
         host: str = "127.0.0.1",
-        base_port: int | None = None,
         reserve: int = 2,
         app: str = "kv",
         seed: int = 42,
@@ -80,7 +79,6 @@ class LocalCluster:
         read_mode: str | None = None,
         lease_ms: float | None = None,
         suspect_ms: float | None = None,
-        staleness_ms: float | None = None,
         extra_args: list[str] | None = None,
     ):
         if replicas < 1:
@@ -102,22 +100,18 @@ class LocalCluster:
         self.batch_max = batch_max
         self.window = window
         #: read-path tuning forwarded to every replica (see ``repro serve
-        #: --read-mode/--lease-duration/--staleness-bound``). None keeps
+        #: --read-mode/--lease-duration/--suspect-timeout``). None keeps
         #: the serve defaults (ordered reads).
         self.read_mode = read_mode
         self.lease_ms = lease_ms
         self.suspect_ms = suspect_ms
-        self.staleness_ms = staleness_ms
         #: extra ``repro serve`` flags appended to every replica's argv
         #: (e.g. the shard ownership flags a ShardedCluster passes down).
         self.extra_args = list(extra_args or [])
         names = [f"n{i + 1}" for i in range(replicas + reserve)]
         #: members of epoch 0; the rest of the book is reserved for joiners.
         self.initial = names[:replicas]
-        if base_port is not None:
-            ports = [base_port + i for i in range(len(names))]
-        else:
-            ports = allocate_ports(len(names), host)
+        ports = allocate_ports(len(names), host)
         self.addresses: dict[str, Address] = {
             name: (host, port) for name, port in zip(names, ports)
         }
@@ -192,8 +186,6 @@ class LocalCluster:
             argv += ["--lease-duration", str(self.lease_ms)]
         if self.suspect_ms is not None:
             argv += ["--suspect-timeout", str(self.suspect_ms)]
-        if self.staleness_ms is not None:
-            argv += ["--staleness-bound", str(self.staleness_ms)]
         if name in self.initial:
             argv += ["--initial", ",".join(self.initial)]
         if self.verbose:

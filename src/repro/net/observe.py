@@ -9,33 +9,31 @@ counters, gauges, histogram summaries, and reconfiguration spans — plus
 the replica's local clock, which lets a poller align span timestamps from
 different replicas onto its own timeline (see :class:`FetchedSnapshot`).
 
-Unlike ``#chaos`` the endpoint is **on by default** (``serve
---no-metrics`` to disable): it is read-only and mutates nothing, so
-exposing it carries none of the fault-injection risk that keeps the chaos
-endpoint behind an opt-in flag. A serving replica imports only
-:mod:`repro.net.admin`, never this module.
+Unlike ``#chaos`` every replica serves the endpoint: it is read-only
+and mutates nothing, so exposing it carries none of the fault-injection
+risk that keeps the chaos endpoint behind an opt-in flag. A serving
+replica imports only :mod:`repro.net.admin`, never this module.
 
 :func:`fetch_metrics` is the client side (one raw socket, request/reply,
 same frame loop as :meth:`ChaosController._push`); :func:`poll_cluster`
-fans it out over an address book. :func:`run_metrics_demo` closes the
-loop for CI and the acceptance test: a live 3-replica cluster, a
-workload, one reconfiguration, and a fetched snapshot asserted to show
-per-epoch commit counts and a complete decided → cut → transfer →
-first-commit span.
+fans it out over an address book, :func:`poll_groups` over the groups of
+a sharded service. ``repro metrics`` and ``repro top`` render what they
+fetch; the storm loop (:mod:`repro.net.storm`) folds the same snapshots
+into its report, whose ``chaos`` cell is the live acceptance check that
+a reconfiguration shows per-epoch commit counts and a complete decided →
+cut → transfer → first-commit span.
 """
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ReproError
 from repro.metrics.registry import (
     RECONFIG_PHASES,
     SPAN_RECONFIG,
-    reconfig_span_complete,
     span_width,
 )
 from repro.metrics.report import Table
@@ -198,17 +196,6 @@ def reconfig_spans(snapshot: MetricsSnapshot) -> dict[str, dict[str, float]]:
     }
 
 
-def complete_reconfig_spans(
-    snapshot: MetricsSnapshot,
-) -> dict[str, dict[str, float]]:
-    """Only the spans carrying all four phases (decided ... first-commit)."""
-    return {
-        epoch: phases
-        for epoch, phases in reconfig_spans(snapshot).items()
-        if reconfig_span_complete(phases)
-    }
-
-
 def snapshot_tables(snapshots: dict[str, MetricsSnapshot]) -> list[Table]:
     """Render fetched snapshots as paper-style tables (one set per poll).
 
@@ -337,126 +324,3 @@ def render_group_snapshots(
             parts.append(f"=== group {label} ===\n"
                          + render_snapshots(snapshots))
     return "\n\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# The demo: live cluster -> reconfigure -> snapshot with a complete span
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class MetricsDemoReport:
-    """Outcome of one :func:`run_metrics_demo` run."""
-
-    ok: bool
-    snapshots: dict[str, MetricsSnapshot]
-    #: per-node per-epoch commit counts, from the snapshots.
-    epoch_commits: dict[str, dict[int, int]]
-    #: per-node complete reconfiguration spans (epoch id -> phases).
-    complete_spans: dict[str, dict[str, dict[str, float]]]
-    final_members: tuple[str, ...]
-    elapsed: float
-    seed: int
-    log_dir: str
-    errors: list[str] = field(default_factory=list)
-
-    def lines(self) -> list[str]:
-        out = [
-            f"metrics demo: seed={self.seed} elapsed={self.elapsed:.1f}s "
-            f"members={','.join(self.final_members)} "
-            f"(replica logs: {self.log_dir})"
-        ]
-        for node in sorted(self.epoch_commits):
-            per_epoch = ", ".join(
-                f"epoch {e}: {c}" for e, c in sorted(self.epoch_commits[node].items())
-            )
-            out.append(f"  {node} commits: {per_epoch or '(none)'}")
-        for node in sorted(self.complete_spans):
-            for epoch, phases in sorted(self.complete_spans[node].items()):
-                width = span_width(phases)
-                out.append(
-                    f"  {node} reconfig span -> epoch {epoch}: complete, "
-                    f"handoff {width * 1e3:.1f}ms"
-                )
-        out.extend(f"  note: {error}" for error in self.errors)
-        out.append("verdict: " + ("OK" if self.ok else "INCOMPLETE"))
-        return out
-
-
-def run_metrics_demo(
-    *,
-    replicas: int = 3,
-    seed: int = 7,
-    log_dir: Any = None,
-    ops_per_phase: int = 40,
-    verbose: bool = False,
-) -> MetricsDemoReport:
-    """Drive a live cluster through a reconfiguration and snapshot it.
-
-    Starts ``replicas`` members plus one warm joiner, runs a keyed
-    workload, reconfigures the first member out (survivors hand the
-    boundary over locally, so they record the full decided → cut →
-    transfer → first-commit span), keeps the workload going so the new
-    epoch commits, then fetches every survivor's ``#metrics`` snapshot.
-    ``ok`` iff some survivor shows commits in two epochs **and** a
-    complete reconfiguration span — the ISSUE 4 acceptance criterion.
-    """
-    from repro.net.client import LiveClient, LiveClientError
-    from repro.net.cluster import LocalCluster
-
-    started = time.monotonic()
-    errors: list[str] = []
-    cluster = LocalCluster(
-        replicas=replicas, reserve=1, seed=seed,
-        log_dir=log_dir, verbose=verbose,
-    )
-    with cluster:
-        cluster.start(timeout=20.0)
-        joiner = cluster.reserved()[0]
-        cluster.spawn(joiner)
-        cluster.wait_ready([joiner], timeout=15.0)
-        retiree, survivors = cluster.initial[0], cluster.initial[1:]
-        target_members = (*survivors, joiner)
-
-        rng = random.Random(seed)
-        with LiveClient(
-            "metrics-demo", cluster.addresses, view=cluster.initial,
-            request_timeout=1.0,
-        ) as client:
-            for i in range(ops_per_phase):
-                client.submit("set", (f"k{rng.randrange(8)}", i), deadline=10.0)
-            try:
-                client.reconfigure(target_members, deadline=25.0)
-            except LiveClientError as exc:
-                errors.append(f"reconfigure: {exc}")
-            for i in range(ops_per_phase):
-                client.submit(
-                    "set", (f"k{rng.randrange(8)}", ops_per_phase + i),
-                    deadline=10.0,
-                )
-
-        fetched, fetch_errors = poll_cluster(cluster.addresses, target_members)
-        errors.extend(fetch_errors)
-
-    snapshots = {node: f.snapshot for node, f in fetched.items()}
-    epoch_commits = {n: epoch_commit_counts(s) for n, s in snapshots.items()}
-    complete = {
-        n: spans
-        for n, s in snapshots.items()
-        if (spans := complete_reconfig_spans(s))
-    }
-    ok = bool(complete) and any(
-        len([c for c in counts.values() if c > 0]) >= 2
-        for counts in epoch_commits.values()
-    )
-    return MetricsDemoReport(
-        ok=ok,
-        snapshots=snapshots,
-        epoch_commits=epoch_commits,
-        complete_spans=complete,
-        final_members=target_members,
-        elapsed=time.monotonic() - started,
-        seed=seed,
-        log_dir=str(cluster.log_dir),
-        errors=errors,
-    )

@@ -20,7 +20,8 @@ The pieces:
   and follows redirects so map changes propagate without a central hop;
 * :mod:`repro.shard.cluster` — :class:`ShardedCluster`, composing one
   :class:`~repro.net.cluster.LocalCluster` per group plus the director's;
-* :mod:`repro.shard.scenario` — the split-under-load scenario, verified
+* :mod:`repro.shard.storm` — the sharded cells of the one live scenario
+  loop (``repro storm shard|director``): a split under load, verified
   with the Wing–Gong linearizability oracle across the cutover.
 
 Reconfiguration stays a **per-shard** operation: adding/removing a

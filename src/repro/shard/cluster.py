@@ -81,8 +81,6 @@ class ShardedCluster:
         total = groups + spare_groups
         self.group_names = [f"g{i + 1}" for i in range(total)]
         self.serving = self.group_names[:groups]
-        #: groups that start owning nothing; targets for future splits.
-        self.spares = self.group_names[groups:]
         self.clusters: dict[str, LocalCluster] = {}
         #: live membership per group (tracked across add/remove_replica).
         self.members: dict[str, list[str]] = {}
@@ -226,16 +224,6 @@ class ShardedCluster:
             cluster.addresses,
             view=self.members[group],
         )
-
-    def group_endpoints(self) -> dict[str, dict[str, tuple[str, int]]]:
-        """Per-group address books of currently-live members (metrics)."""
-        return {
-            name: {
-                member: self.clusters[name].addresses[member]
-                for member in self.members[name]
-            }
-            for name in self.group_names
-        }
 
     # -- elastic operations -------------------------------------------------
 

@@ -31,7 +31,8 @@ the loop calls:
 Both cells gate on (a) Wing–Gong linearizability of the merged
 client-observed data history and (b) linearity and gaplessness of the
 map version chain the director archived — every chain entry's version
-must be exactly its predecessor's plus one.
+must be exactly its predecessor's plus one. The ``shard`` cell also
+gates on (c) the spare ``g2`` owning a range once its steps returned.
 """
 
 from __future__ import annotations
@@ -194,8 +195,13 @@ class ShardTopology:
         ]
 
     def checks(self) -> list[str]:
-        error = check_chain_linear(self.cluster.director.history())
-        return [] if error is None else [error]
+        errors = [check_chain_linear(self.cluster.director.history())]
+        # The shard cell's split must leave the spare serving part of the
+        # keyspace; the director cell moves the range back by design.
+        if self.plan.scenario == "shard":
+            if not self.cluster.shard_map.ranges_of("g2"):
+                errors.append("g2 owns no range after the split")
+        return [error for error in errors if error is not None]
 
     def handoff_latency(
         self, spans: dict, reconfigs: list[dict[str, Any]]

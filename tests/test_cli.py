@@ -52,15 +52,13 @@ class TestCli:
                 main(argv)
             assert exit_info.value.code == 2
 
-    def test_zero_director_replicas_and_retired_metadir_flags_exit_2(self, capsys):
+    def test_zero_director_replicas_and_retired_metadir_flags_exit_2(self):
         from repro.shard.cluster import ShardedCluster
         from repro.shard.shardmap import ShardError
 
         # The metadir group is the only director: there is no count that
         # means "the other one", and a metadir replica always runs its
         # driver at the module's poll period.
-        assert main(["shard-cluster", "--director-replicas", "0"]) == 2
-        assert "at least one director replica" in capsys.readouterr().err
         with pytest.raises(ShardError):
             ShardedCluster(1, director_replicas=0)
         serve = ["serve", "--node", "n1", "--peers", "n1=127.0.0.1:1",
@@ -83,6 +81,21 @@ class TestCli:
         plan = json.loads(capsys.readouterr().out)
         assert len(plan["schedule"]) == 4
         assert len(plan["steps"]) == 1
+
+    def test_retired_drivers_and_serve_knobs_exit_2(self):
+        # Every live run is a `repro storm` cell, so these drivers do not
+        # exist; a follower-read bound and the metrics endpoint are fixed.
+        serve = ["serve", "--node", "n1", "--peers", "n1=127.0.0.1:1"]
+        for argv in (
+            ["cluster"],
+            ["shard-cluster"],
+            ["metrics", "--demo"],
+            serve + ["--staleness-bound", "500"],
+            serve + ["--no-metrics"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
 
     def test_sharded_cells_refuse_options_they_cannot_honour(self, capsys):
         for cell in ("shard", "director"):

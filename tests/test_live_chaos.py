@@ -5,7 +5,10 @@ restart a follower, partition the epoch-0 leader, drive a live
 RECONFIGURE that votes the unreachable leader out mid-partition, heal,
 and check the client-observed history for linearizability — the
 ``chaos`` cell of the storm loop, as ``repro storm chaos`` runs it in
-CI. Budgeted at 60 s wall clock like the other live tests.
+CI. The same report carries what the replicas' ``#metrics`` endpoints
+showed: per-epoch commit counts and the decided → cut → transfer →
+first-commit span of the hand-off. Budgeted at 60 s wall clock like the
+other live tests.
 """
 
 import random
@@ -14,6 +17,7 @@ import time
 
 import pytest
 
+from repro.metrics.registry import RECONFIG_PHASES, reconfig_span_complete
 from repro.net.chaos import HistoryRecorder
 from repro.net.client import LiveClient
 from repro.net.cluster import LocalCluster
@@ -53,6 +57,28 @@ class TestLiveChaos:
         assert len(report.history.completed) > 50
         # Rules were pushed over the wire without a single failed ack.
         assert not [e for e in report.errors if "push" in e], report.errors
+
+        # The replicas' #metrics snapshots: some node committed in both the
+        # old and the new epoch...
+        multi_epoch = [
+            node for node, counters in report.counters.items()
+            if counters.get("smr.commits.epoch.0", 0) > 0
+            and counters.get("smr.commits.epoch.1", 0) > 0
+        ]
+        assert multi_epoch, report.counters
+        # ...and some node recorded the full hand-off span, its phases in
+        # order (a survivor hands the boundary over locally, so it sees
+        # decided, cut, transfer and the new epoch's first commit).
+        complete = [
+            (node, epoch, phases)
+            for node, per_epoch in report.spans.items()
+            for epoch, phases in per_epoch.items()
+            if reconfig_span_complete(phases)
+        ]
+        assert complete, "\n".join(report.lines())
+        for node, epoch, phases in complete:
+            ordered = [phases[p] for p in RECONFIG_PHASES]
+            assert ordered == sorted(ordered), (node, epoch, phases)
 
         # The recorded evidence survives a round-trip to disk and still
         # passes the checker offline (the `repro storm --history` path).
@@ -152,6 +178,11 @@ class TestLiveChaos:
         for node, metrics in fetched.items():
             sizes = metrics.snapshot.histograms["paxos.batch_size"]
             assert sizes["max"] <= 1, (node, sizes)
+            # The snapshots carry the commit-path and transport metrics
+            # too: the registry the sim assertions cover, over the wire.
+            assert metrics.snapshot.counters.get("smr.commits", 0) > 0, node
+            assert metrics.snapshot.counters.get("net.frames_sent", 0) > 0, node
+            assert "net.peers_connected" in metrics.snapshot.gauges, node
         assert fetched["n1"].snapshot.counters["paxos.decided"] > 100
 
         history = History([op for r in recorders for op in r.operations])

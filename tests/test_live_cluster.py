@@ -83,18 +83,6 @@ class TestLiveCluster:
                 before = client.submit("get", ("x",), size=32, deadline=10.0)
                 assert before.value == 1
 
-    def test_cluster_cli_end_to_end(self, tmp_path, capsys):
-        """``repro cluster --replicas 3`` (the CLI acceptance path)."""
-        from repro.cli import main
-
-        code = main(
-            ["cluster", "--replicas", "3", "--ops", "3", "--no-reconfigure"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "3 writes committed" in out
-        assert "cluster shut down cleanly" in out
-
 
 @pytest.mark.parametrize("standalone", [True])
 def test_serve_rejects_unknown_node(standalone):

@@ -37,7 +37,6 @@ from repro.net.admin import MetricsSnapshot, metrics_endpoint
 from repro.net.observe import (
     EPOCH_COMMITS_PREFIX,
     FetchedSnapshot,
-    complete_reconfig_spans,
     epoch_commit_counts,
     reconfig_spans,
     render_snapshots,
@@ -307,7 +306,11 @@ class TestObserveHelpers:
         }
         snapshot = make_snapshot(spans=spans)
         assert set(reconfig_spans(snapshot)) == {"1", "2"}
-        assert set(complete_reconfig_spans(snapshot)) == {"1"}
+        complete = [
+            epoch for epoch, phases in reconfig_spans(snapshot).items()
+            if reconfig_span_complete(phases)
+        ]
+        assert complete == ["1"]
 
     def test_fetched_snapshot_clock_alignment(self):
         fetched = FetchedSnapshot(make_snapshot(now=10.0), fetched_at=110.0)
