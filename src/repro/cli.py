@@ -9,11 +9,11 @@ Usage::
     python -m repro storm rolling        # live cluster, verified scenario
     python -m repro serve --node n1 ...  # one live replica (used by storm)
 
-The heavy lifting lives in :mod:`repro.bench.experiments`; this module is
-argument parsing plus a curated "quick" parameter set per experiment so a
-first-time user sees output in seconds. Each subcommand imports what it
-runs inside its own function, so a ``serve`` process loads the serving
-stack and not the experiment harness.
+The heavy lifting lives in :mod:`repro.bench.experiments`, whose registry
+holds each experiment's summary and its "quick" parameters (output in
+seconds for a first-time user); this module is argument parsing. Each
+subcommand imports what it runs inside its own function, so a ``serve``
+process loads the serving stack and not the experiment harness.
 """
 
 from __future__ import annotations
@@ -23,62 +23,29 @@ import importlib
 import sys
 import time
 
-#: reduced parameter sets for --quick runs (still shape-preserving).
-QUICK_ARGS: dict[str, dict] = {
-    "T1": {"sizes": (3, 5), "run_for": 1.5},
-    "F1": {"preload": 30_000, "run_for": 4.0},
-    "T2": {"preloads": (1_000, 60_000)},
-    "F2": {"intervals": (1.0, 0.25), "rounds": 4},
-    "T3": {"preload": 10_000},
-    "F3": {"rounds": 3, "preload": 20_000},
-    "T4": {"ops": 200},
-    "F4": {"depths": (1, None), "rounds": 4},
-    "T5": {"preload": 5_000},
-    "F5": {"preloads": (10_000, 80_000)},
-    "T6": {"timeouts": (0.05, 0.2)},
-    "T7": {"read_ratios": (0.9,)},
-    "T8": {"delays_ms": (0.0, 2.0), "clients": 8},
-}
-
-_SUMMARIES = {
-    "T1": "steady-state overhead of the composition (cluster-size sweep)",
-    "F1": "throughput timeline through one migration",
-    "T2": "hand-off latency vs state size (the headline claim)",
-    "F2": "reconfiguration storms: liveness under bursts",
-    "T3": "crash + replacement availability",
-    "F3": "client latency percentiles under periodic reconfiguration",
-    "T4": "message & byte cost per op / per reconfiguration",
-    "F4": "ablation: speculation pipeline depth",
-    "T5": "block-agnosticism: multi-paxos vs sequencer blocks",
-    "F5": "warm standby (observer) promotion vs cold join",
-    "T6": "failure-detector sensitivity ablation",
-    "T7": "leader-lease local reads vs ordered reads",
-    "T8": "leader-side batching ablation",
-}
-
 
 def _cmd_list() -> int:
-    from repro.bench.experiments import ALL_EXPERIMENTS
+    from repro.bench.experiments import REGISTRY
 
     print("experiments (run with: python -m repro run <ID>):")
-    for name in sorted(ALL_EXPERIMENTS):
-        print(f"  {name:4} {_SUMMARIES.get(name, '')}")
+    for name in sorted(REGISTRY):
+        print(f"  {name:4} {REGISTRY[name].summary}")
     return 0
 
 
 def _cmd_run(name: str, quick: bool, seed: int | None) -> int:
-    from repro.bench.experiments import ALL_EXPERIMENTS
+    from repro.bench.experiments import REGISTRY
 
     key = name.upper()
-    experiment = ALL_EXPERIMENTS.get(key)
+    experiment = REGISTRY.get(key)
     if experiment is None:
         print(f"unknown experiment {name!r}; try: python -m repro list", file=sys.stderr)
         return 2
-    kwargs = dict(QUICK_ARGS.get(key, {})) if quick else {}
+    kwargs = dict(experiment.quick) if quick else {}
     if seed is not None:
         kwargs["seed"] = seed
     started = time.time()
-    output = experiment(**kwargs)
+    output = experiment.run(**kwargs)
     output.print()
     print(f"\n[{key} completed in {time.time() - started:.1f}s"
           f"{' (quick parameters)' if quick else ''}]")

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.metrics.stats import longest_gap
 from repro.net.chaos import (
     ChaosController,
     HistoryRecorder,
@@ -272,7 +273,9 @@ def availability_windows(
     The headline is ``max_gap_s``: the largest stretch of the window with
     no acknowledged operation — the unavailability window a client
     actually experienced. Bounded by the window edges, so a storm that
-    never recovers is charged until ``end``, not forgiven.
+    never recovers is charged until ``end``, not forgiven. The simulator's
+    ``CompletionCollector.unavailability`` reads the same
+    :func:`~repro.metrics.stats.longest_gap`; an empty window reads 0.
     """
     completions = sorted(
         op.returned_at
@@ -281,11 +284,7 @@ def availability_windows(
     )
     if end is None:
         end = completions[-1] if completions else start
-    marks = [start, *[at for at in completions if at <= end], end]
-    max_gap = max(
-        (later - earlier for earlier, later in zip(marks, marks[1:])),
-        default=0.0,
-    )
+    max_gap = longest_gap(completions, start, end) if end > start else 0.0
     return {
         "window_s": round(end - start, 4),
         "max_gap_s": round(max_gap, 4),

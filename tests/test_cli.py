@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench.experiments import ALL_EXPERIMENTS
-from repro.cli import QUICK_ARGS, main
+from repro.bench.experiments import ALL_EXPERIMENTS, QUICK_ARGS
+from repro.cli import main
 
 
 class TestCli:

@@ -10,14 +10,18 @@ import pytest
 
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
+    QUICK_ARGS,
     exp_f2_storm,
     exp_f4_ablation,
+    exp_f5_warmjoin,
     exp_t1_overhead,
+    exp_t2_statesize,
+    exp_t4_msgcost,
     exp_t5_blocks,
     exp_t6_detector,
     exp_t7_leases,
+    exp_t8_batching,
 )
-from repro.cli import QUICK_ARGS
 
 
 class TestRegistry:
@@ -72,6 +76,41 @@ class TestOutputs:
         out = exp_t7_leases(read_ratios=(0.9,))
         assert (0.9, "log") in out.data and (0.9, "lease") in out.data
         assert out.data[(0.9, "lease")]["lease_reads"] > 0
+
+    def test_t2_structure(self):
+        out = exp_t2_statesize(preloads=(1_000,))
+        assert len(out.tables[0].rows) == 2  # two protocols, one state size
+        assert out.tables[0].rows[0][2] == "0.09"  # snapshot MB of 1k entries
+        assert set(out.data) == {("speculative", 1_000), ("stw", 1_000)}
+        for entry in out.data.values():
+            assert set(entry) == {"order_resume", "first_reply", "gap"}
+            assert entry["order_resume"] > 0
+
+    def test_t4_structure(self):
+        out = exp_t4_msgcost(ops=40)
+        assert len(out.tables[0].rows) == 3  # one row per protocol
+        assert set(out.data) == {"speculative", "stw", "raft"}
+        for entry in out.data.values():
+            assert set(entry) == {
+                "steady_msgs_per_op", "steady_bytes_per_op",
+                "reconfig_msgs_per_op", "extra_per_reconfig",
+            }
+            assert entry["steady_msgs_per_op"] > 0
+
+    def test_f5_structure(self):
+        out = exp_f5_warmjoin(preloads=(1_000,))
+        assert len(out.tables[0].rows) == 2  # warm and cold, one state size
+        assert set(out.data) == {("warm (observer)", 1_000), ("cold (snapshot)", 1_000)}
+        assert all(0 < latency < 30.0 for latency in out.data.values())
+        assert len(out.series[0].points) == 2
+
+    def test_t8_structure(self):
+        out = exp_t8_batching(delays_ms=(0.0, 2.0), clients=4)
+        assert [len(table.rows) for table in out.tables] == [2, 2]  # T8, T8b
+        assert set(out.data) == {0.0, 2.0, ("cpu", 0.0), ("cpu", 2.0)}
+        for entry in out.data.values():
+            assert set(entry) == {"throughput", "p50_ms", "msgs_per_op"}
+        assert len(out.series[0].points) == 2
 
     def test_output_render_roundtrip(self):
         out = exp_t6_detector(timeouts=(0.1,))
