@@ -81,13 +81,16 @@ def proposal_key(payload: Any) -> Any | None:
 
     Engines use this to avoid proposing the same logical payload into two
     slots when clients or hosts retry. Payloads without identity (``Noop``)
-    return ``None`` and are never deduplicated.
+    return ``None`` and are never deduplicated. A command's key is its own
+    :class:`~repro.types.CommandId` (no wrapper to allocate per lookup or
+    to keep per command); reconfiguration and raw keys are tuples, and a
+    tuple never equals a ``CommandId``.
     """
     if isinstance(payload, Noop):
         return None
     cid = getattr(payload, "cid", None)
     if cid is not None:
-        return ("cmd", cid)
+        return cid
     rid = getattr(payload, "rid", None)
     if rid is not None:
         return ("reconfig", rid)

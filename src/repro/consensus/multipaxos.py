@@ -31,6 +31,7 @@ not of this building block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable
 
 from repro.consensus.ballot import Ballot
@@ -138,9 +139,10 @@ class MultiPaxosEngine(SmrEngine):
         self._hb_timer: Timer | None = None
         self._retry_timer: Timer | None = None
         self._last_catchup_request = -1.0
-        #: leader-side batching buffer (commands awaiting a shared slot).
+        #: leader-side batching buffer (commands awaiting a shared slot)
+        #: and their keys, in the same order (a dict keeps it).
         self._batch: list[Any] = []
-        self._batch_keys: set[Any] = set()
+        self._batch_keys: dict[Any, None] = {}
         self._batch_timer: Timer | None = None
         #: when the open batch got its first command (paxos.batch_wait:
         #: one sample per slot flushed, first buffered command -> flush).
@@ -223,23 +225,27 @@ class MultiPaxosEngine(SmrEngine):
             return
         self._m_proposals.inc()
         key = proposal_key(payload)
-        if key is not None:
-            if key in self.awaiting or self._key_settled(key):
-                # Already in flight or already decided locally: retrying
-                # would only burn a duplicate slot.
-                if not self._key_settled(key):
-                    self._route(payload)
-                return
-            self.awaiting[key] = payload
-        self._route(payload)
+        if key is None:
+            self._route(payload, None)
+            return
+        slot = self.assigned_keys.get(key)
+        if slot is not None and self.log.is_decided(slot):
+            return  # decided locally: retrying would only burn a duplicate slot
+        awaiting = self.awaiting
+        waiting = len(awaiting)
+        awaiting.setdefault(key, payload)
+        # A key new to ``awaiting`` with no slot is not buffered either
+        # (buffered keys are awaiting keys, and a key leaves ``awaiting``
+        # only once it has a slot): _assign may skip its duplicate checks.
+        self._route(payload, key, fresh=slot is None and len(awaiting) > waiting)
 
     def _key_settled(self, key: Any) -> bool:
         slot = self.assigned_keys.get(key)
         return slot is not None and self.log.is_decided(slot)
 
-    def _route(self, payload: Any) -> None:
+    def _route(self, payload: Any, key: Any, fresh: bool = False) -> None:
         if self.is_leader:
-            self._assign(payload)
+            self._assign(payload, key, fresh)
         elif self.leader_hint is not None and self.leader_hint != self.transport.node:
             self.transport.send(
                 self.leader_hint,
@@ -248,11 +254,12 @@ class MultiPaxosEngine(SmrEngine):
             )
         # else: no leader known yet; the retry timer re-routes later.
 
-    def _assign(self, payload: Any) -> None:
-        """Leader: admit ``payload`` — into the batch buffer if it may share
-        a slot, else into a fresh slot of its own — and run Phase 2."""
-        key = proposal_key(payload)
-        if key is not None:
+    def _assign(self, payload: Any, key: Any, fresh: bool = False) -> None:
+        """Leader: admit ``payload`` (its proposal key is ``key``) — into the
+        batch buffer if it may share a slot, else into a fresh slot of its
+        own — and run Phase 2. A ``fresh`` key is known to be neither
+        buffered nor assigned."""
+        if key is not None and not fresh:
             if key in self._batch_keys:
                 return  # already buffered in the open batch
             existing = self.assigned_keys.get(key)
@@ -260,12 +267,13 @@ class MultiPaxosEngine(SmrEngine):
                 existing in self.inflight or self.log.is_decided(existing)
             ):
                 return  # duplicate submission
-        if self._batchable(payload):
+        # Only plain client commands batch; a payload that must own its
+        # slot (seal semantics, filler) declares ``batchable = False``.
+        if key is not None and getattr(payload, "batchable", True):
             if not self._batch:
                 self._batch_opened_at = self.transport.now
             self._batch.append(payload)
-            if key is not None:
-                self._batch_keys.add(key)
+            self._batch_keys[key] = None
             if len(self._batch) >= self.params.batch_max:
                 self._flush_batch()
             elif self._batch_timer is None or not self._batch_timer.active:
@@ -296,11 +304,6 @@ class MultiPaxosEngine(SmrEngine):
     def _window_full(self) -> bool:
         return self.params.window > 0 and len(self.inflight) >= self.params.window
 
-    def _batchable(self, payload: Any) -> bool:
-        # Only plain client commands batch; a payload that must own its
-        # slot (seal semantics, filler) declares ``batchable = False``.
-        return getattr(payload, "batchable", True) and proposal_key(payload) is not None
-
     def _flush_batch(self, force: bool = False) -> None:
         """Drain the batch buffer into Phase-2 slots.
 
@@ -318,14 +321,18 @@ class MultiPaxosEngine(SmrEngine):
         while self._batch and (force or not self._window_full()):
             chunk = self._batch[: self.params.batch_max]
             del self._batch[: len(chunk)]
+            if self._batch:
+                keys = dict.fromkeys(islice(self._batch_keys, len(chunk)))
+                for key in keys:
+                    del self._batch_keys[key]
+            else:
+                keys, self._batch_keys = self._batch_keys, {}
             slot = self.next_slot
             self.next_slot += 1
             value: Any = chunk[0] if len(chunk) == 1 else Batch(tuple(chunk))
-            for payload in chunk:
-                key = proposal_key(payload)
-                if key is not None:
-                    self._batch_keys.discard(key)
-                    self.assigned_keys[key] = slot
+            # Dict to dict: the keys' stored hashes are reused, so no
+            # key is hashed again here.
+            self.assigned_keys.update(dict.fromkeys(keys, slot))
             self._m_batch_size.record(len(chunk))
             self._m_batch_wait.record(self.transport.now - self._batch_opened_at)
             self._send_accepts(slot, value)
@@ -408,8 +415,8 @@ class MultiPaxosEngine(SmrEngine):
         self._heartbeat_tick()
         # Re-route everything we were asked to propose but that never made
         # it through the previous leader.
-        for payload in list(self.awaiting.values()):
-            self._route(payload)
+        for key, payload in list(self.awaiting.items()):
+            self._route(payload, key)
 
     def _step_down(self, observed: Ballot) -> None:
         if observed.round > self.max_round_seen:
@@ -458,11 +465,17 @@ class MultiPaxosEngine(SmrEngine):
     def _retry_tick(self) -> None:
         if self.stopped:
             return
+        # A leader re-routes only what it holds nowhere: a buffered key or
+        # one whose slot is in flight is _assign's duplicate (the heartbeat
+        # tick resends in-flight slots), a decided one is pruned.
+        leading = self.is_leader
         for key, payload in list(self.awaiting.items()):
             if self._key_settled(key):
                 del self.awaiting[key]
-            else:
-                self._route(payload)
+            elif not leading or not (
+                key in self._batch_keys or self.assigned_keys.get(key) in self.inflight
+            ):
+                self._route(payload, key)
         self._arm_retry_timer()
 
     # -- message dispatch ---------------------------------------------------------------------
@@ -627,12 +640,13 @@ class MultiPaxosEngine(SmrEngine):
         released = self.log.record(slot, value, self.transport.now)
         if released:
             self._m_decided.inc(len(released))
+        awaiting, assigned = self.awaiting, self.assigned_keys
         inner = value.payloads if isinstance(value, Batch) else (value,)
         for payload in inner:
             key = proposal_key(payload)
             if key is not None:
-                self.awaiting.pop(key, None)
-                self.assigned_keys.setdefault(key, slot)
+                awaiting.pop(key, None)
+                assigned.setdefault(key, slot)
         if released:
             self.transport.trace(
                 "decide", upto=self.log.next_to_deliver - 1, count=len(released)

@@ -182,12 +182,6 @@ CommitListener = Callable[[Time, Any, EpochId, int, Any], None]
 OrderListener = Callable[[Time, Any, EpochId, int], None]
 
 
-@dataclass(slots=True)
-class _PendingReply:
-    client: NodeId
-    received_at: Time
-
-
 class ReconfigurableReplica(Process):
     """One server of the reconfigurable replicated service."""
 
@@ -237,7 +231,8 @@ class ReconfigurableReplica(Process):
         #: constructor runs recovery before the transport is up).
         self._started = False
 
-        self._pending: dict[CommandId, _PendingReply] = {}
+        #: command -> the client node waiting for its reply.
+        self._pending: dict[CommandId, NodeId] = {}
         self._replies: dict[CommandId, tuple[Any, EpochId, int]] = {}
         #: inside :meth:`_coalesced_replies` replies gather here (keyed by
         #: destination) and leave as one ReplyBatch frame per client.
@@ -315,14 +310,14 @@ class ReconfigurableReplica(Process):
             return
         self.metrics.span_event(SPAN_RECONFIG, epoch, phase, self.now)
 
-    def _count_commit(self, epoch: EpochId) -> None:
-        self._commits_total.inc()
+    def _count_commits(self, epoch: EpochId, count: int = 1) -> None:
+        self._commits_total.inc(count)
         counter = self._epoch_commits.get(epoch)
         if counter is None:
             counter = self._epoch_commits[epoch] = self.metrics.counter(
                 f"smr.commits.epoch.{epoch}"
             )
-        counter.inc()
+        counter.inc(count)
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -655,33 +650,39 @@ class ReconfigurableReplica(Process):
         # to the new configuration *now*; otherwise it only finds out via
         # its request timeout, which turns every hand-off into a full
         # timeout-length outage for the clients caught mid-seal.
-        pending = self._pending.pop(payload.cid, None)
-        if pending is not None:
+        client = self._pending.pop(payload.cid, None)
+        if client is not None:
             config = self.newest_config
             if config is not None:
                 self.send(
-                    pending.client,
+                    client,
                     Redirect(payload.cid, config.members, config.epoch),
                 )
 
     def _propose_newest(self, payload: Any) -> bool:
-        """Propose into the newest *live* epoch we participate in.
+        """Propose into the newest *live* epoch we participate in; False
+        when there is none (see :meth:`_live_engine`)."""
+        engine = self._live_engine()
+        if engine is None:
+            return False
+        engine.propose(payload)
+        return True
 
-        Returns False when every epoch we host an engine for is already
-        sealed (we are leaving the cluster): proposing into a sealed
-        instance only produces orphans that bounce straight back here —
-        callers must instead redirect clients to the new configuration.
+    def _live_engine(self) -> Any:
+        """The engine of the newest *live* epoch we participate in.
+
+        None when every epoch we host an engine for is already sealed (we
+        are leaving the cluster): proposing into a sealed instance only
+        produces orphans that bounce straight back here — callers must
+        instead redirect clients to the new configuration.
         """
         for epoch in sorted(self.chain, reverse=True):
             runtime = self.chain[epoch]
             engine = runtime.engine
             if engine is None or engine.stopped:
                 continue
-            if runtime.sealed:
-                return False
-            engine.propose(payload)
-            return True
-        return False
+            return None if runtime.sealed else engine
+        return None
 
     # ------------------------------------------------------------------
     # Execution pipeline
@@ -721,12 +722,15 @@ class ReconfigurableReplica(Process):
         if isinstance(payload, Batch):
             # One slot, many commands: each gets its own virtual position,
             # and the replies leave as one frame per client. Plain Commands
-            # (the entire hot path) run in an inlined loop; anything else
-            # in a mixed batch falls back to the general case.
+            # (the entire hot path) run in an inlined loop that counts the
+            # batch's commits once; anything else in a mixed batch falls
+            # back to the general case.
             with self._coalesced_replies():
                 state_apply = self.state.apply
+                complete = self._complete_command
                 commits = self.committed
                 listener = self.commit_listener
+                executed = 0
                 for inner in payload.payloads:
                     if type(inner) is not Command:
                         self._execute(inner, epoch)
@@ -734,11 +738,13 @@ class ReconfigurableReplica(Process):
                     vindex = self.virtual_index
                     self.virtual_index = vindex + 1
                     value = state_apply(inner)
-                    self._complete_command(inner.cid, value, epoch, vindex)
+                    complete(inner.cid, value, epoch, vindex)
                     commits.append((inner, epoch, vindex))
-                    self._count_commit(epoch)
+                    executed += 1
                     if listener is not None:
                         listener(self.now, inner, epoch, vindex, value)
+                if executed:
+                    self._count_commits(epoch, executed)
             return
         vindex = self.virtual_index
         self.virtual_index += 1
@@ -751,7 +757,7 @@ class ReconfigurableReplica(Process):
         else:
             value = None  # Noop filler
         self.committed.append((payload, epoch, vindex))
-        self._count_commit(epoch)
+        self._count_commits(epoch)
         if self.commit_listener is not None:
             self.commit_listener(self.now, payload, epoch, vindex, value)
 
@@ -759,9 +765,9 @@ class ReconfigurableReplica(Process):
         self, cid: CommandId, value: Any, epoch: EpochId, vindex: int
     ) -> None:
         self._replies[cid] = (value, epoch, vindex)
-        pending = self._pending.pop(cid, None)
-        if pending is not None:
-            self._reply_client(pending.client, ClientReply(cid, value, epoch, vindex))
+        client = self._pending.pop(cid, None)
+        if client is not None:
+            self._reply_client(client, ClientReply(cid, value, epoch, vindex))
 
     def _reply_client(self, client: NodeId, reply: ClientReply) -> None:
         """Answer one command; inside a coalescing scope the frame waits
@@ -1156,34 +1162,56 @@ class ReconfigurableReplica(Process):
     # ------------------------------------------------------------------
 
     def _handle_client_request(self, request: ClientRequest) -> None:
-        self._admit_command(request.command, request.reply_to)
+        self._admit_commands((request.command,), request.reply_to)
 
-    def _admit_command(self, command: Command, reply_to: NodeId) -> None:
-        cached = self._replies.get(command.cid)
-        if cached is not None:
-            value, epoch, vindex = cached
-            self._reply_client(reply_to, ClientReply(command.cid, value, epoch, vindex))
+    def _admit_commands(self, commands: Any, reply_to: NodeId) -> None:
+        """Admit one client frame (a :class:`RequestBatch`, or one request).
+
+        Each command gets the per-command checks, in order: a cached
+        retry is answered from ``_replies``, a read-only op may be served
+        locally (lease or follower read), a retired replica redirects.
+        What is left is registered as pending and proposed, in order, into
+        the newest live engine, resolved once per frame. Nothing in the
+        loop can seal an epoch or change the membership, so the retired
+        check and the engine hold for the whole frame.
+        """
+        replies = self._replies
+        read_only_ops = self.params.read_only_ops
+        mode = self.params.read_mode
+        retired = self.is_retired
+        pending = self._pending
+        proposals = []
+        for command in commands:
+            cid = command.cid
+            cached = replies.get(cid)
+            if cached is not None:
+                value, epoch, vindex = cached
+                self._reply_client(reply_to, ClientReply(cid, value, epoch, vindex))
+                continue
+            if command.op in read_only_ops:
+                if mode == "lease" and self._serve_lease_read(command, reply_to):
+                    continue
+                if mode == "follower" and self._serve_follower_read(command, reply_to):
+                    continue
+            if retired:
+                config = self.newest_config
+                members = config.members if config is not None else Membership(frozenset())
+                epoch = config.epoch if config is not None else -1
+                self.send(reply_to, Redirect(cid, members, epoch))
+                continue
+            pending[cid] = reply_to
+            proposals.append(command)
+        if not proposals:
             return
-        if command.op in self.params.read_only_ops:
-            mode = self.params.read_mode
-            if mode == "lease" and self._serve_lease_read(command, reply_to):
-                return
-            if mode == "follower" and self._serve_follower_read(command, reply_to):
-                return
-        if self.is_retired:
-            config = self.newest_config
-            members = config.members if config is not None else Membership(frozenset())
-            epoch = config.epoch if config is not None else -1
-            self.send(reply_to, Redirect(command.cid, members, epoch))
+        engine = self._live_engine()
+        if engine is not None:
+            for command in proposals:
+                engine.propose(command)
             return
-        self._pending[command.cid] = _PendingReply(reply_to, self.now)
-        if not self._propose_newest(command):
-            config = self.newest_config
-            if config is not None:
-                self.send(
-                    reply_to,
-                    Redirect(command.cid, config.members, config.epoch),
-                )
+        config = self.newest_config
+        if config is not None:
+            for command in proposals:
+                self.send(reply_to, Redirect(command.cid, config.members, config.epoch))
 
     def _serve_lease_read(self, command: Command, reply_to: NodeId) -> bool:
         """Serve a read locally if it is provably linearizable to do so.
@@ -1286,7 +1314,7 @@ class ReconfigurableReplica(Process):
                 request.reply_to, ClientReply(command.cid, value, epoch, vindex)
             )
             return
-        self._pending[command.cid] = _PendingReply(request.reply_to, self.now)
+        self._pending[command.cid] = request.reply_to
         if not self.request_reconfiguration(command):
             self._pending.pop(command.cid, None)
             config = self.newest_config
@@ -1306,13 +1334,10 @@ class ReconfigurableReplica(Process):
         elif isinstance(payload, ClientRequest):
             self._handle_client_request(payload)
         elif isinstance(payload, RequestBatch):
-            # Unpack a coalesced frame; each command takes the ordinary
-            # per-command path (dedup, lease reads, redirects, pending),
-            # and what is answered on the spot shares one reply frame.
-            reply_to = payload.reply_to
+            # What a frame's admission answers on the spot (cached
+            # retries, local reads) shares one reply frame.
             with self._coalesced_replies():
-                for command in payload.commands:
-                    self._admit_command(command, reply_to)
+                self._admit_commands(payload.commands, payload.reply_to)
         elif isinstance(payload, ReconfigRequest):
             self._handle_reconfig_request(payload)
         elif isinstance(payload, EpochAnnounce):

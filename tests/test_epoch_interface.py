@@ -142,7 +142,7 @@ class TestReconfigCommand:
         )
         from repro.consensus.interface import proposal_key
 
-        assert proposal_key(command) == ("cmd", command.cid)
+        assert proposal_key(command) is command.cid
 
     def test_str_mentions_target(self):
         command = ReconfigCommand(

@@ -205,7 +205,26 @@ class TestEngineLifecycle:
 class TestProposalKey:
     def test_command_key_uses_cid(self):
         command = cmd(3)
-        assert proposal_key(command) == ("cmd", command.cid)
+        assert proposal_key(command) is command.cid
+
+    def test_command_reconfig_and_raw_keys_never_compare_equal(self):
+        class RidPayload:  # a payload identified by ``rid``, not ``cid``
+            def __init__(self, rid):
+                self.rid = rid
+
+        cid = CommandId(client_id("c"), 3)
+        keys = [
+            proposal_key(cmd(3)),
+            proposal_key(RidPayload(cid)),
+            proposal_key(("c", 3)),
+            proposal_key(("cmd", cid)),
+            proposal_key("c"),
+        ]
+        assert keys[0] == cid and keys[1] == ("reconfig", cid)
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                assert a != b and b != a
+        assert len(set(keys)) == len(keys)
 
     def test_noop_has_no_key(self):
         assert proposal_key(Noop()) is None
