@@ -230,7 +230,9 @@ class MultiPaxosEngine(SmrEngine):
             return
         slot = self.assigned_keys.get(key)
         if slot is not None and self.log.is_decided(slot):
-            return  # decided locally: retrying would only burn a duplicate slot
+            if self._carries(slot, key):
+                return  # decided locally: retrying would only burn a duplicate slot
+            slot = None  # _carries dropped the stale assignment
         awaiting = self.awaiting
         waiting = len(awaiting)
         awaiting.setdefault(key, payload)
@@ -241,7 +243,20 @@ class MultiPaxosEngine(SmrEngine):
 
     def _key_settled(self, key: Any) -> bool:
         slot = self.assigned_keys.get(key)
-        return slot is not None and self.log.is_decided(slot)
+        return slot is not None and self.log.is_decided(slot) and self._carries(slot, key)
+
+    def _carries(self, slot: Slot, key: Any) -> bool:
+        """Whether decided ``slot`` carries ``key``. Only a deposed leader
+        can find that it does not: it assigned the key to a slot that the
+        next leader filled with other values. That assignment is dropped,
+        so the key is proposed afresh. Called on the retry paths only,
+        never for a fresh key."""
+        value = self.log.value(slot)
+        inner = value.payloads if isinstance(value, Batch) else (value,)
+        if key in map(proposal_key, inner):
+            return True
+        del self.assigned_keys[key]
+        return False
 
     def _route(self, payload: Any, key: Any, fresh: bool = False) -> None:
         if self.is_leader:
@@ -264,7 +279,8 @@ class MultiPaxosEngine(SmrEngine):
                 return  # already buffered in the open batch
             existing = self.assigned_keys.get(key)
             if existing is not None and (
-                existing in self.inflight or self.log.is_decided(existing)
+                existing in self.inflight
+                or (self.log.is_decided(existing) and self._carries(existing, key))
             ):
                 return  # duplicate submission
         # Only plain client commands batch; a payload that must own its
@@ -646,7 +662,8 @@ class MultiPaxosEngine(SmrEngine):
             key = proposal_key(payload)
             if key is not None:
                 awaiting.pop(key, None)
-                assigned.setdefault(key, slot)
+                if assigned.setdefault(key, slot) != slot:
+                    assigned[key] = slot  # the slot that carries it wins
         if released:
             self.transport.trace(
                 "decide", upto=self.log.next_to_deliver - 1, count=len(released)

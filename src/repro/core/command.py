@@ -28,6 +28,8 @@ class ReconfigCommand:
     #: the effective-log cut is per slot: a reconfiguration owns its slot
     #: (engines ask the payload, see :mod:`repro.consensus.interface`).
     batchable: ClassVar[bool] = False
+    #: admitted like a client command, under an op no read path serves.
+    op: ClassVar[str] = "reconfigure"
 
     cid: CommandId
     new_members: Membership

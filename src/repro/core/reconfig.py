@@ -1,85 +1,52 @@
 """The reconfigurable replica: composing static SMR instances.
 
-This module implements the paper's protocol. Each replica hosts a *chain*
-of epochs; epoch ``e`` wraps one static SMR engine over the fixed member
-set ``C_e``. The moving parts:
+Each replica hosts a *chain* of epochs; epoch ``e`` wraps one static SMR
+engine over the fixed member set ``C_e``. The paper's four rules:
 
-Effective-log cut
-    Reconfiguration requests are ordinary payloads ordered by the current
-    engine. The **first** ``ReconfigCommand`` delivered in an epoch's log
-    seals the epoch at that slot: the epoch's effective log is exactly the
-    prefix up to and including the cut. Because the cut is a pure function
-    of the (agreed) decided log, every member computes the same cut with
-    no extra coordination and no "stop" API on the black box.
-
-Orphan re-proposal
-    The black box keeps deciding slots past the cut (it cannot be told to
-    stop). Those decisions are *orphans*: their payloads are re-proposed
-    into the newest epoch. Engine-level key dedup plus the exactly-once
-    apply layer make this safe; nothing acknowledged is ever lost and
-    nothing executes twice.
-
-Chain construction
-    Sealing epoch ``e`` opens epoch ``e+1`` over the membership named by
-    the cut command. New members (in ``C_{e+1}`` but not ``C_e``) learn of
-    the epoch via ``EpochAnnounce`` and fetch the boundary snapshot from
-    old members.
-
-Speculative pipelining (the paper's liveness point)
-    Ordering in epoch ``e+1`` starts as soon as the epoch is known —
-    *before* the boundary state is available. Decided-but-not-yet-
-    executable commands accumulate; execution (and client replies) catch
-    up the moment the boundary state lands. ``ReconfigParams.pipeline_depth``
-    gates this: ``None`` is the paper's unbounded pipeline, ``1`` disables
-    speculation entirely (the stop-the-world baseline), and intermediate
-    depths support the ablation experiment F4.
+* **Seal.** The first ``ReconfigCommand`` decided in an epoch's log (an
+  ordinary payload of its engine) seals the epoch at that slot.
+* **Cut.** The effective log is the prefix up to the seal: a pure function
+  of the agreed decided log, so every member computes the same cut with no
+  "stop" API on the black box. Sealing ``e`` opens ``e+1`` over the
+  membership the command names; joiners learn of it by ``EpochAnnounce``
+  and fetch the boundary (:class:`~repro.core.state_transfer.BoundaryTransfer`)
+  unless they track the log as warm standbys
+  (:class:`~repro.core.observer.WarmStandby`).
+* **Re-propose orphans.** Decisions past the cut are re-proposed into the
+  newest epoch; key dedup plus the exactly-once apply layer mean nothing
+  acknowledged is lost and nothing executes twice.
+* **Order before execute.** Epoch ``e+1`` orders as soon as it is known,
+  before its boundary state lands; execution and replies catch up then.
+  ``ReconfigParams.pipeline_depth`` gates this: ``None`` is the paper's
+  unbounded pipeline, ``1`` stop-the-world, depths between feed F4.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from repro.consensus.interface import (
-    Batch,
-    EngineFactory,
-    InstanceMessage,
-    Transport,
-)
-from repro.core.client import (
-    ClientReply,
-    ClientRequest,
-    Redirect,
-    ReplyBatch,
-    RequestBatch,
-)
+from repro.consensus.interface import Batch, EngineFactory, InstanceMessage, Transport
+from repro.core.client import ClientReply, ClientRequest, Redirect, ReplyBatch, RequestBatch
 from repro.core.command import ReconfigCommand, ReconfigRequest
 from repro.core.epoch import EpochRuntime
+from repro.core.observer import OBSERVER_MESSAGES, WarmStandby
 from repro.core.runtime import Runtime
-from repro.core.state_transfer import (
-    SnapshotChunkReply,
-    SnapshotChunkRequest,
-    SnapshotReply,
-    SnapshotRequest,
-    SnapshotUnavailable,
-    TransferTask,
-)
+from repro.core.state_transfer import TRANSFER_MESSAGES, BoundaryTransfer
 from repro.core.statemachine import DedupStateMachine, StateMachine
 from repro.errors import ProtocolError, RecoveryError
 from repro.metrics.registry import SPAN_RECONFIG, SPAN_RECOVERY, metrics_of
 from repro.sim.node import Process
 from repro.types import (
-    Command,
-    CommandId,
-    Configuration,
-    Decision,
-    EpochId,
-    Membership,
-    NodeId,
-    Time,
+    Command, CommandId, Configuration, Decision, EpochId, Membership, NodeId, Time,
 )
+
+#: grace before a sealed, fully-executed epoch's engine is stopped.
+ENGINE_GC_GRACE = 1.0
+#: members re-announce the newest epoch at this period until it seals,
+#: so a joiner that missed the (unacknowledged) announce still joins.
+ANNOUNCE_INTERVAL = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,42 +62,6 @@ class EpochAnnounce:
     prev_members: Membership
 
 
-@dataclass(frozen=True, slots=True)
-class ObserverSubscribe:
-    """A non-voting standby asks a member to stream the virtual log to it.
-
-    Observers (learners) warm up *before* being added to the membership:
-    they receive a bootstrap (boundary snapshot + effective entries so far)
-    and then every subsequent effective entry. A later reconfiguration that
-    promotes the observer finds its state already local, so the hand-off
-    costs no bulk transfer — the warm-join ablation (experiment F5).
-    """
-
-
-@dataclass(frozen=True, slots=True)
-class ObserverBootstrap:
-    """Sponsor -> observer: everything needed to start tracking.
-
-    ``epochs`` lists ``(config, effective_entries, cut_slot)`` for every
-    epoch from ``start_epoch`` on, in order; ``boundary`` is the
-    application state at the start of ``start_epoch`` (None = fresh).
-    """
-
-    start_epoch: EpochId
-    boundary: Any
-    boundary_bytes: int
-    epochs: tuple[tuple[Configuration, tuple, Any], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ObserverUpdate:
-    """Sponsor -> observer: one new effective entry."""
-
-    config: Configuration
-    slot: int
-    payload: Any
-
-
 @dataclass(slots=True)
 class ReconfigParams:
     """Composition-layer parameters."""
@@ -138,47 +69,29 @@ class ReconfigParams:
     engine_factory: EngineFactory
     #: None = unbounded speculation (the paper); 1 = stop-the-world.
     pipeline_depth: int | None = None
-    transfer_retry_interval: float = 0.05
-    #: None = ship the snapshot in one message; otherwise stream it as a
-    #: train of chunks of this many bytes (resumable across source crashes).
-    transfer_chunk_bytes: int | None = None
-    #: grace before a sealed, fully-executed epoch's engine is stopped.
-    engine_gc_grace: float = 1.0
     #: boundary snapshots cached for serving joiners.
     snapshot_cache_limit: int = 8
-    #: how often a silent observer re-subscribes (sponsor failover).
-    observer_resubscribe_interval: float = 0.5
-    #: members re-announce the newest epoch at this period until it seals,
-    #: so a joiner that missed the (unacknowledged) announce still joins.
-    announce_interval: float = 0.5
     #: period of durable state-machine checkpoints (0 = boundary-only).
     #: Only meaningful on replicas constructed with a ``storage`` store.
     checkpoint_interval: float = 0.0
     #: "log" orders every operation; "lease" serves read-only operations
     #: locally at the current epoch's leaseholding leader (linearizable,
-    #: no log round); "follower" serves read-only operations locally at
-    #: ANY caught-up member within ``staleness_bound`` of leader contact
-    #: (bounded staleness, NOT linearizable — reads scale across members).
+    #: no log round); "follower" serves them at ANY caught-up member
+    #: within ``staleness_bound`` of leader contact (bounded staleness,
+    #: NOT linearizable — reads scale across members).
     read_mode: str = "log"
-    #: operations eligible for the lease fast path (pure reads only).
-    read_only_ops: frozenset = frozenset(
-        {"get", "scan", "read", "balance", "holder", "total"}
-    )
+    #: operations eligible for the local read paths (pure reads only).
+    read_only_ops: frozenset = frozenset({"get", "scan", "read", "balance", "holder", "total"})
     #: follower mode only: max seconds of leader silence before a member
-    #: refuses local reads and falls back to the ordered path. A served
-    #: read reflects every write the member had learned of when it last
-    #: heard from the leader, so the observable staleness is bounded by
-    #: roughly this plus one heartbeat interval.
+    #: refuses local reads and falls back to the ordered path.
     staleness_bound: float = 0.5
 
 
 # Commit listener: (time, payload, epoch, virtual_index, reply_value).
 CommitListener = Callable[[Time, Any, EpochId, int, Any], None]
-
-# Order listener: (time, payload, epoch, slot) — fires when a decision
-# enters an epoch's effective log, i.e. when its position becomes final.
-# This is the signal that keeps flowing during speculative hand-off even
-# though execution (and client replies) wait for the boundary state.
+# Order listener: (time, payload, epoch, slot) — fires when a decision's
+# position becomes final, which keeps flowing during a speculative hand-off
+# while execution (and client replies) wait for the boundary state.
 OrderListener = Callable[[Time, Any, EpochId, int], None]
 
 
@@ -206,15 +119,10 @@ class ReconfigurableReplica(Process):
         self.app_factory = app_factory
         self.commit_listener = commit_listener
         self.order_listener = order_listener
-        #: nodes this replica streams the virtual log to (we are a sponsor).
-        self._observers: set[NodeId] = set()
-        #: sponsors to subscribe to when running as a warm standby.
-        self._observe_targets: list[NodeId] = list(observe_from or [])
-        self._observe_index = 0
-        self._observer_bootstrapped = False
-        self._last_observed_at = -1.0
-        #: out-of-order observed entries: epoch -> slot -> (config, payload)
-        self._observed_stash: dict[EpochId, dict[int, tuple[Configuration, Any]]] = {}
+        #: the two seams that own their state: boundary transfer and the
+        #: warm-standby stream (each both ends of its protocol).
+        self.transfer = BoundaryTransfer(self, params.snapshot_cache_limit)
+        self.standby = WarmStandby(self, list(observe_from or []))
 
         self.chain: dict[EpochId, EpochRuntime] = {}
         self.newest_epoch: EpochId = -1
@@ -222,14 +130,6 @@ class ReconfigurableReplica(Process):
         self.exec_epoch: EpochId = 0
         self.virtual_index = 0
         self.state: DedupStateMachine | None = None
-
-        #: boundary snapshots: epoch -> (snapshot, size); serves joiners.
-        self.boundary_snapshots: dict[EpochId, tuple[Any, int]] = {}
-        self._transfer: TransferTask | None = None
-        self._transfer_timer_armed = False
-        #: set by :meth:`on_start`; nothing may be sent before it (the
-        #: constructor runs recovery before the transport is up).
-        self._started = False
 
         #: command -> the client node waiting for its reply.
         self._pending: dict[CommandId, NodeId] = {}
@@ -241,8 +141,8 @@ class ReconfigurableReplica(Process):
         self.committed: list[tuple[Any, EpochId, int]] = []
         self.lease_reads = 0
         self.follower_reads = 0
-        #: payloads re-proposed into the new epoch at seal time (the name
-        #: is historical: the overlap began as the "dirty" hand-off mode).
+        #: payloads carried from a sealed epoch's undecided tail into the
+        #: next epoch: at the seal, and again from the WAL at boot.
         self.dirty_overlaps = 0
 
         self.metrics = metrics_of(sim)
@@ -258,26 +158,20 @@ class ReconfigurableReplica(Process):
         self._epoch_commits: dict[EpochId, Any] = {}
         #: the epoch this replica was bootstrapped into (no reconfiguration
         #: created it, so it gets no reconfiguration span).
-        self._genesis_epoch: EpochId | None = (
-            initial_config.epoch if initial_config is not None else None
-        )
+        self._genesis_epoch = initial_config.epoch if initial_config is not None else None
 
         if storage is not None and storage.recovered.has_state:
             self._recover_from_storage()
         elif initial_config is not None:
             if node not in initial_config.members:
-                raise ProtocolError(
-                    f"{node} bootstrapped with a configuration it is not in"
-                )
+                raise ProtocolError(f"{node} bootstrapped with a configuration it is not in")
             self.exec_epoch = initial_config.epoch
-            self._open_epoch(initial_config, prev_members=None)
-            runtime = self.chain[initial_config.epoch]
-            runtime.start_state = None  # fresh application state
-            runtime.start_state_ready = True
+            self.open_epoch(initial_config, prev_members=None)
+            self.land_boundary(initial_config.epoch, None)  # fresh state
             self._maybe_start_engines()
 
     # ------------------------------------------------------------------
-    # Introspection helpers (used by tests, examples, the harness)
+    # Introspection (tests, examples, the harness) and observability
     # ------------------------------------------------------------------
 
     @property
@@ -293,30 +187,19 @@ class ReconfigurableReplica(Process):
     def epoch_runtime(self, epoch: EpochId) -> EpochRuntime | None:
         return self.chain.get(epoch)
 
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
     def _span(self, epoch: EpochId, phase: str) -> None:
-        """Mark one phase of the reconfiguration span producing ``epoch``.
-
-        The span id is the *new* epoch: decided/cut fire while sealing
-        ``epoch - 1``, transfer when ``epoch``'s boundary state becomes
-        available, first-commit when ``epoch`` executes its first entry.
-        The genesis epoch was not produced by a reconfiguration, so it
-        gets no span.
-        """
-        if epoch == self._genesis_epoch:
-            return
-        self.metrics.span_event(SPAN_RECONFIG, epoch, phase, self.now)
+        """Mark one phase (decided, cut, transfer, first-commit) of the
+        reconfiguration span producing ``epoch``; the genesis epoch, which
+        no reconfiguration produced, gets none."""
+        if epoch != self._genesis_epoch:
+            self.metrics.span_event(SPAN_RECONFIG, epoch, phase, self.now)
 
     def _count_commits(self, epoch: EpochId, count: int = 1) -> None:
         self._commits_total.inc(count)
         counter = self._epoch_commits.get(epoch)
         if counter is None:
-            counter = self._epoch_commits[epoch] = self.metrics.counter(
-                f"smr.commits.epoch.{epoch}"
-            )
+            counter = self.metrics.counter(f"smr.commits.epoch.{epoch}")
+            self._epoch_commits[epoch] = counter
         counter.inc(count)
 
     # ------------------------------------------------------------------
@@ -326,19 +209,13 @@ class ReconfigurableReplica(Process):
     def _recover_from_storage(self) -> None:
         """Rebuild the epoch chain from the durable store at boot.
 
-        The checkpoint pins the execution frontier (state machine, virtual
-        index, entries of the frontier epoch already applied); the WAL's
-        epoch-open records say which engines to rebuild, and each engine
-        restores its own acceptor/learner state through its durability
-        handle as it is constructed — replayed decisions flow through the
-        ordinary ``on_decide`` path, so seals, chain growth and execution
-        all happen exactly as they did the first time. Anything the WAL
-        does not know (entries decided elsewhere while we were down) is
-        healed afterwards by the normal catch-up and announce protocols:
-        we *rejoin* the cluster, we do not cold-join it.
-
-        Raises :class:`RecoveryError` when the store holds state but
-        nothing a chain can be built from.
+        The checkpoint pins the execution frontier; the WAL's epoch-open
+        records say which engines to rebuild, and each engine replays its
+        own decisions through ``on_decide``, so seals, chain growth and
+        execution happen as they did the first time. Catch-up and announces
+        heal the rest: we *rejoin* the cluster. Raises
+        :class:`RecoveryError` when nothing a chain can be built from is
+        stored.
         """
         rec = self.storage.recovered
         ckpt = rec.checkpoint
@@ -356,73 +233,45 @@ class ReconfigurableReplica(Process):
         runtime = EpochRuntime(config=base_open.config)
         self.chain[base] = runtime
         self.newest_epoch = base
+        # The recovered base was not (re)produced by a reconfiguration we
+        # will observe this lifetime; suppress its reconfig span.
+        self._genesis_epoch = base
         if ckpt is not None:
             runtime.executed = ckpt.executed
-            runtime.start_state = {
-                "state": ckpt.app_state,
-                "vindex": ckpt.virtual_index,
-            }
-            runtime.start_state_ready = True
             # A mid-epoch checkpoint is not the epoch boundary: replay
             # resumes from it, but joiners must fetch the true boundary
             # from someone else.
             runtime.start_state_is_boundary = ckpt.executed == 0
+            self.land_boundary(base, {"state": ckpt.app_state, "vindex": ckpt.virtual_index})
             self._last_checkpoint_marker = (ckpt.exec_epoch, ckpt.virtual_index)
         elif base_open.prev_members is None:
-            # Genesis epoch, never checkpointed: replay from scratch.
-            runtime.start_state = None
-            runtime.start_state_ready = True
+            self.land_boundary(base, None)  # genesis, never checkpointed: replay all
         # else: we joined ``base`` and crashed before its boundary landed —
-        # leave start_state_ready False and _open_epoch below re-fetches
-        # the boundary from base_open.prev_members, like a cold joiner.
-
-        # The recovered base was not (re)produced by a reconfiguration we
-        # will observe this lifetime; suppress its reconfig span.
-        self._genesis_epoch = base
+        # leave it unlanded and open_epoch below re-fetches it from
+        # base_open.prev_members, like a cold joiner.
         for epoch in sorted(epoch_opens):
-            if epoch < base:
-                continue
-            eo = epoch_opens[epoch]
-            self._open_epoch(eo.config, prev_members=eo.prev_members)
+            if epoch >= base:
+                self.open_epoch(epoch_opens[epoch].config, epoch_opens[epoch].prev_members)
         self.metrics.span_event(SPAN_RECOVERY, self.node, "replayed", self.now)
-        self._advance_execution()
-        self._replay_dirty_overlaps(rec.dirty_overlaps)
+        self.advance_execution()
+        # Re-propose the seal-time tails _overlap_sealed_tail logged: one
+        # whose re-proposals never reached an acceptor before the crash
+        # exists nowhere but its WAL record. A tail that did decide is
+        # screened out by the reply cache / apply-time dedup.
+        for record in rec.dirty_overlaps:
+            self._carry_over(record.payloads)
+            self.trace("dirty-overlap-replay", epoch=record.epoch, payloads=len(record.payloads))
         self.metrics.span_event(SPAN_RECOVERY, self.node, "rejoined", self.now)
         self.trace(
-            "recovered",
-            base=base,
-            newest=self.newest_epoch,
-            executed=self.virtual_index,
-            wal_records=rec.records,
-            torn_bytes=rec.torn_bytes,
+            "recovered", base=base, newest=self.newest_epoch, executed=self.virtual_index,
+            wal_records=rec.records, torn_bytes=rec.torn_bytes,
         )
-
-    def _replay_dirty_overlaps(self, records: list[Any]) -> None:
-        """Re-propose recovered seal-time tails (the records written by
-        :meth:`_overlap_sealed_tail`): a tail whose re-proposals never
-        reached an acceptor before the crash exists nowhere but its WAL
-        record, so it rides the ordinary orphan path again. Tails that
-        *did* decide are screened out by the reply cache / apply-time
-        dedup — a replay is at worst a no-op proposal.
-        """
-        for record in records:
-            for payload in record.payloads:
-                self.dirty_overlaps += 1
-                self._m_dirty_overlaps.inc()
-                self._repropose_orphan(payload)
-            self.trace(
-                "dirty-overlap-replay",
-                epoch=record.epoch,
-                payloads=len(record.payloads),
-            )
 
     # ------------------------------------------------------------------
     # Epoch chain management
     # ------------------------------------------------------------------
 
-    def _open_epoch(
-        self, config: Configuration, prev_members: Membership | None
-    ) -> None:
+    def open_epoch(self, config: Configuration, prev_members: Membership | None) -> None:
         """Create (or complete) the runtime for ``config``.
 
         Idempotent; also handles the warm-standby promotion case where the
@@ -442,34 +291,28 @@ class ReconfigurableReplica(Process):
                 # Durable before the engine exists (let alone speaks): a
                 # recovered replica must know which epochs it was in.
                 self.storage.log_epoch_open(config, prev_members)
-            transport = Transport(self, f"e{config.epoch}")
             runtime.engine = self.params.engine_factory(
-                transport,
+                Transport(self, f"e{config.epoch}"),
                 config.members,
                 lambda decision, e=config.epoch: self._on_engine_decide(e, decision),
             )
             # A member that cannot compute the boundary locally must fetch
-            # it. "Locally" requires a way to obtain the previous epoch's
-            # effective entries: hosting its engine (we were a member) or
-            # an active observer stream. Merely *knowing about* the
-            # previous epoch (a chain entry with no entry source — the
-            # in/out/in "skipped epoch" case) does not qualify.
+            # it. "Locally" means hosting the previous epoch's engine or an
+            # observer stream; merely *knowing about* the previous epoch
+            # (the in/out/in "skipped epoch" case) does not qualify.
             was_in_prev = prev_members is not None and self.node in prev_members
             prev_runtime = self.chain.get(config.epoch - 1)
             warm = (
                 not was_in_prev
                 and prev_runtime is not None
-                and (prev_runtime.engine is not None or bool(self._observe_targets))
+                and (prev_runtime.engine is not None or self.standby.subscribed())
             )
-            if prev_members is not None and not was_in_prev and not warm:
+            if prev_members is not None and not (was_in_prev or warm):
                 if not runtime.start_state_ready:
-                    self._begin_transfer(config.epoch, prev_members)
+                    self.transfer.begin(config.epoch, prev_members)
             self.trace(
-                "epoch-open",
-                epoch=config.epoch,
-                members=str(config.members),
-                member=True,
-                warm=warm,
+                "epoch-open", epoch=config.epoch, members=str(config.members),
+                member=True, warm=warm,
             )
         self._maybe_start_engines()
 
@@ -477,10 +320,8 @@ class ReconfigurableReplica(Process):
         """Start created engines allowed by the speculation gate."""
         depth = self.params.pipeline_depth
         exec_runtime = self.chain.get(self.exec_epoch)
-        if exec_runtime is not None and exec_runtime.start_state_ready:
-            frontier = self.exec_epoch
-        else:
-            frontier = self.exec_epoch - 1
+        ready = exec_runtime is not None and exec_runtime.start_state_ready
+        frontier = self.exec_epoch if ready else self.exec_epoch - 1
         for epoch in sorted(self.chain):
             runtime = self.chain[epoch]
             if runtime.engine is None or runtime.engine_started:
@@ -491,9 +332,33 @@ class ReconfigurableReplica(Process):
             runtime.engine.start()
             self.trace("engine-start", epoch=epoch, speculative=not runtime.start_state_ready)
 
-    # ------------------------------------------------------------------
-    # Decisions from engines
-    # ------------------------------------------------------------------
+    def land_boundary(self, epoch: EpochId, state: Any) -> bool:
+        """The one place a boundary lands: ``epoch``'s start state becomes
+        ``state``, whether this replica executed up to it, fetched it or
+        was bootstrapped with it. False when it had already landed."""
+        runtime = self.chain.get(epoch)
+        if runtime is None or runtime.start_state_ready:
+            return False
+        runtime.start_state = state
+        runtime.start_state_ready = True
+        self._span(epoch, "transfer")
+        return True
+
+    def adopt_boundary(self, epoch: EpochId) -> None:
+        """Execute from a fetched boundary, jumping the execution frontier
+        to it when it lies ahead: a replica that skipped an epoch as a member
+        (in ``C_{e+1}`` and ``C_{e+3}``, not ``C_{e+2}``) can never execute
+        the epoch it is stuck at, and the later boundary subsumes it."""
+        if epoch > self.exec_epoch:
+            self.trace("boundary-jump", frm=self.exec_epoch, to=epoch)
+            # The jumped-over epochs never reach first-commit here: close
+            # their reconfiguration spans as aborted, not dangling.
+            for skipped in range(self.exec_epoch, epoch):
+                if skipped != self._genesis_epoch:
+                    self.metrics.abandon_span(SPAN_RECONFIG, skipped, self.now)
+            self.exec_epoch = epoch
+            self.state = None  # re-initialise from the adopted boundary
+        self.advance_execution()
 
     def _on_engine_decide(self, epoch: EpochId, decision: Decision) -> None:
         runtime = self.chain[epoch]
@@ -508,8 +373,7 @@ class ReconfigurableReplica(Process):
             # guarantees the payloads match; check anyway.
             if runtime.effective[decision.slot] != decision.payload:
                 raise ProtocolError(
-                    f"epoch {epoch} slot {decision.slot}: engine decision "
-                    f"contradicts observed entry"
+                    f"epoch {epoch} slot {decision.slot}: decision contradicts observed entry"
                 )
             return
         if decision.slot != len(runtime.effective):
@@ -517,41 +381,33 @@ class ReconfigurableReplica(Process):
                 f"epoch {epoch} delivered slot {decision.slot}, "
                 f"expected {len(runtime.effective)}"
             )
-        self._append_effective(runtime, decision.slot, decision.payload)
-        self._advance_execution()
+        self.append_effective(runtime, decision.slot, decision.payload)
+        self.advance_execution()
 
-    def _append_effective(self, runtime: EpochRuntime, slot: int, payload: Any) -> None:
+    def append_effective(self, runtime: EpochRuntime, slot: int, payload: Any) -> None:
         """Append one entry to an epoch's effective log (engine or observed)."""
         epoch = runtime.config.epoch
         runtime.effective.append(payload)
         runtime.decided_at.append(self.now)
         if self.order_listener is not None:
             self.order_listener(self.now, payload, epoch, slot)
-        if self._observers:
-            update = ObserverUpdate(runtime.config, slot, payload)
-            size = 64 + int(getattr(payload, "size", 32))
-            for observer in self._observers:
-                self.send(observer, update, size=size)
+        self.standby.publish(runtime.config, slot, payload)
         if isinstance(payload, ReconfigCommand) and not runtime.sealed:
             self._span(epoch + 1, "decided")
             self._seal_epoch(runtime, slot, payload)
 
-    def _seal_epoch(
-        self, runtime: EpochRuntime, slot: int, command: ReconfigCommand
-    ) -> None:
+    def _seal_epoch(self, runtime: EpochRuntime, slot: int, command: ReconfigCommand) -> None:
         runtime.cut_slot = slot
         next_config = Configuration(runtime.config.epoch + 1, command.new_members)
         runtime.next_config = next_config
         self._sealed_cids.add(command.cid)
         self._span(next_config.epoch, "cut")
         self.trace(
-            "epoch-seal",
-            epoch=runtime.config.epoch,
-            cut=slot,
+            "epoch-seal", epoch=runtime.config.epoch, cut=slot,
             next_members=str(command.new_members),
         )
         was_member = runtime.engine is not None
-        self._open_epoch(next_config, prev_members=runtime.config.members)
+        self.open_epoch(next_config, prev_members=runtime.config.members)
         if was_member:
             # Only actual members of the sealed epoch announce; observers
             # learn seals second-hand and must not speak for the epoch.
@@ -561,17 +417,14 @@ class ReconfigurableReplica(Process):
     def _overlap_sealed_tail(self, runtime: EpochRuntime) -> None:
         """Seal-time tail rescue: carry the undecided tail over *now*.
 
-        At the instant of the seal the outgoing engine may still hold
-        payloads it has not managed to decide (``awaiting``). Left there
-        they reach the new epoch only after an orphan decide round trip
-        in the old one — and if the old quorum died at the seal (kills
-        past f among the retirees) they never decide, so their clients
-        wait out a full request timeout. Instead every member re-proposes
-        them into the new epoch immediately. A payload that *also*
-        decides at or before the cut in the old epoch executes there
-        first and the new-epoch copy deduplicates at apply time; a
-        payload that decides past the cut was an orphan anyway. Nothing
-        is acknowledged twice and nothing is lost.
+        At the seal the outgoing engine may still hold payloads it has not
+        decided (``awaiting``). Left there they reach the new epoch only
+        after an orphan round trip in the old one — and never if the old
+        quorum died at the seal, so their clients would wait out a request
+        timeout. Every member re-proposes them into the new epoch at once.
+        A payload that *also* decides by the cut in the old epoch executes
+        there first and the new copy deduplicates at apply time; one that
+        decides past the cut was an orphan anyway.
         """
         engine = runtime.engine
         if engine is None or engine.stopped:
@@ -580,42 +433,30 @@ class ReconfigurableReplica(Process):
         if not tail:
             return
         if self.storage is not None:
-            # Durable before the re-proposals can reach a socket: the
-            # record is the only trace of the tail until some engine
-            # accepts it, and a SIGKILL in that gap must not lose it.
-            # The sealing command itself is excluded: it already took
-            # effect (that is what sealed us), and _sealed_cids — which
-            # screens it out of the live re-propose below — is not
-            # rebuilt by recovery, so replaying it would cut a redundant
-            # extra epoch.
+            # Durable before the re-proposals can reach a socket: until an
+            # engine accepts it the record is the tail's only trace. The
+            # sealing command is left out: it already took effect, and
+            # _sealed_cids (which screens it from the live re-propose) is
+            # not rebuilt by recovery, so a replay would cut an extra epoch.
             durable_tail = [
-                p
-                for p in tail
-                if not (
-                    isinstance(p, ReconfigCommand)
-                    and p.cid in self._sealed_cids
-                )
+                p for p in tail
+                if not (isinstance(p, ReconfigCommand) and p.cid in self._sealed_cids)
             ]
             if durable_tail:
-                self.storage.log_dirty_overlap(
-                    runtime.config.epoch, durable_tail
-                )
-        for payload in tail:
+                self.storage.log_dirty_overlap(runtime.config.epoch, durable_tail)
+        self._carry_over(tail)
+        self.trace("dirty-overlap", epoch=runtime.config.epoch, payloads=len(tail))
+
+    def _carry_over(self, payloads: Any) -> None:
+        for payload in payloads:
             self.dirty_overlaps += 1
             self._m_dirty_overlaps.inc()
             self._repropose_orphan(payload)
-        self.trace(
-            "dirty-overlap", epoch=runtime.config.epoch, payloads=len(tail)
-        )
 
     def _announce_epoch(self, config: Configuration, prev_members: Membership) -> None:
-        """Announce ``config`` to its members, re-sending until it seals.
-
-        Announces carry no ack, so a single send can vanish into a
-        partition and strand a joiner forever; re-announcing while the
-        epoch is still the newest unsealed one makes epoch discovery
-        self-healing at a cost of a few small messages per interval.
-        """
+        """Announce ``config`` to its members, re-sending until it seals:
+        announces carry no ack, and one lost to a partition would strand
+        a joiner forever."""
         if self.crashed:
             return
         runtime = self.chain.get(config.epoch)
@@ -626,8 +467,7 @@ class ReconfigurableReplica(Process):
             if member != self.node:
                 self.send(member, announce)
         self.set_timer(
-            self.params.announce_interval,
-            lambda: self._announce_epoch(config, prev_members),
+            ANNOUNCE_INTERVAL, lambda: self._announce_epoch(config, prev_members),
             label="re-announce",
         )
 
@@ -645,19 +485,13 @@ class ReconfigurableReplica(Process):
             return  # already executed
         if self._propose_newest(payload):
             return
-        # We host no engine in any live epoch — we are leaving the cluster
-        # and cannot carry this command forward. Bounce the waiting client
-        # to the new configuration *now*; otherwise it only finds out via
-        # its request timeout, which turns every hand-off into a full
-        # timeout-length outage for the clients caught mid-seal.
+        # We host no engine in any live epoch: we are leaving and cannot
+        # carry this command forward. Bounce the waiting client to the new
+        # configuration *now*, not after its request timeout — otherwise
+        # every hand-off is a timeout-long outage for clients mid-seal.
         client = self._pending.pop(payload.cid, None)
         if client is not None:
-            config = self.newest_config
-            if config is not None:
-                self.send(
-                    client,
-                    Redirect(payload.cid, config.members, config.epoch),
-                )
+            self._redirect(client, payload.cid)
 
     def _propose_newest(self, payload: Any) -> bool:
         """Propose into the newest *live* epoch we participate in; False
@@ -669,13 +503,9 @@ class ReconfigurableReplica(Process):
         return True
 
     def _live_engine(self) -> Any:
-        """The engine of the newest *live* epoch we participate in.
-
-        None when every epoch we host an engine for is already sealed (we
-        are leaving the cluster): proposing into a sealed instance only
-        produces orphans that bounce straight back here — callers must
-        instead redirect clients to the new configuration.
-        """
+        """The engine of the newest *live* epoch we participate in; None
+        when every epoch we host an engine for is sealed (we are leaving:
+        callers redirect clients instead of minting orphans)."""
         for epoch in sorted(self.chain, reverse=True):
             runtime = self.chain[epoch]
             engine = runtime.engine
@@ -688,7 +518,7 @@ class ReconfigurableReplica(Process):
     # Execution pipeline
     # ------------------------------------------------------------------
 
-    def _advance_execution(self) -> None:
+    def advance_execution(self) -> None:
         while True:
             runtime = self.chain.get(self.exec_epoch)
             if runtime is None or not runtime.start_state_ready:
@@ -697,9 +527,7 @@ class ReconfigurableReplica(Process):
                 self._initialise_state(runtime)
             while runtime.executed < len(runtime.effective):
                 payload = runtime.effective[runtime.executed]
-                self._exec_lag.record(
-                    self.now - runtime.decided_at[runtime.executed]
-                )
+                self._exec_lag.record(self.now - runtime.decided_at[runtime.executed])
                 runtime.executed += 1
                 self._execute(payload, runtime.config.epoch)
                 if runtime.executed == 1:
@@ -720,11 +548,9 @@ class ReconfigurableReplica(Process):
     def _execute(self, payload: Any, epoch: EpochId) -> None:
         assert self.state is not None
         if isinstance(payload, Batch):
-            # One slot, many commands: each gets its own virtual position,
-            # and the replies leave as one frame per client. Plain Commands
-            # (the entire hot path) run in an inlined loop that counts the
-            # batch's commits once; anything else in a mixed batch falls
-            # back to the general case.
+            # One slot, many commands, each at its own virtual position;
+            # replies leave as one frame per client. Plain Commands (the
+            # hot path) run inline and count their commits once.
             with self._coalesced_replies():
                 state_apply = self.state.apply
                 complete = self._complete_command
@@ -761,9 +587,7 @@ class ReconfigurableReplica(Process):
         if self.commit_listener is not None:
             self.commit_listener(self.now, payload, epoch, vindex, value)
 
-    def _complete_command(
-        self, cid: CommandId, value: Any, epoch: EpochId, vindex: int
-    ) -> None:
+    def _complete_command(self, cid: CommandId, value: Any, epoch: EpochId, vindex: int) -> None:
         self._replies[cid] = (value, epoch, vindex)
         client = self._pending.pop(cid, None)
         if client is not None:
@@ -796,45 +620,29 @@ class ReconfigurableReplica(Process):
             for client, replies in buffered.items():
                 self._m_replies.inc(len(replies))
                 self._m_reply_frames.inc()
-                self.send(
-                    client,
-                    replies[0] if len(replies) == 1 else ReplyBatch(tuple(replies)),
-                )
+                self.send(client, replies[0] if len(replies) == 1 else ReplyBatch(tuple(replies)))
 
     def _finish_epoch(self, runtime: EpochRuntime) -> None:
         assert self.state is not None
         epoch = runtime.config.epoch
         boundary = {"state": self.state.snapshot(), "vindex": self.virtual_index}
-        size = self.state.snapshot_bytes()
-        self.boundary_snapshots[epoch + 1] = (boundary, size)
-        self._trim_snapshot_cache()
+        self.transfer.cache(epoch + 1, boundary, self.state.snapshot_bytes())
         self.trace("epoch-executed", epoch=epoch, entries=runtime.executed)
         # Hand the boundary to the next epoch locally, if we host it.
-        next_runtime = self.chain.get(epoch + 1)
-        if next_runtime is not None and not next_runtime.start_state_ready:
-            next_runtime.start_state = boundary
-            next_runtime.start_state_ready = True
-            self._span(epoch + 1, "transfer")
-            if self._transfer is not None and self._transfer.epoch == epoch + 1:
-                self._transfer.done = True
+        self.land_boundary(epoch + 1, boundary)
         self.exec_epoch = epoch + 1
         if self.storage is not None:
             # Boundary checkpoint: pins the new epoch's start state and
             # lets the WAL drop everything the finished epoch wrote.
             self._last_checkpoint_marker = (epoch + 1, self.virtual_index)
             self.storage.checkpoint(
-                exec_epoch=epoch + 1,
-                executed=0,
-                virtual_index=self.virtual_index,
-                app_state=boundary["state"],
-                now=self.now,
+                exec_epoch=epoch + 1, executed=0, virtual_index=self.virtual_index,
+                app_state=boundary["state"], now=self.now,
             )
         if runtime.engine is not None:
             engine = runtime.engine
             self.set_timer(
-                self.params.engine_gc_grace,
-                lambda: self._gc_engine(epoch, engine),
-                label="engine-gc",
+                ENGINE_GC_GRACE, lambda: self._gc_engine(epoch, engine), label="engine-gc"
             )
 
     def _gc_engine(self, epoch: EpochId, engine) -> None:
@@ -847,169 +655,13 @@ class ReconfigurableReplica(Process):
             self._repropose_orphan(payload)
         self.trace("engine-gc", epoch=epoch, rescued=len(leftovers))
 
-    def _trim_snapshot_cache(self) -> None:
-        limit = self.params.snapshot_cache_limit
-        while len(self.boundary_snapshots) > limit:
-            del self.boundary_snapshots[min(self.boundary_snapshots)]
-
     # ------------------------------------------------------------------
-    # State transfer
-    # ------------------------------------------------------------------
-
-    def _begin_transfer(self, epoch: EpochId, sources: Membership) -> None:
-        others = [n for n in sources.sorted_nodes() if n != self.node]
-        if not others:
-            raise ProtocolError(f"no snapshot sources for epoch {epoch}")
-        self._transfer = TransferTask(epoch=epoch, sources=others)
-        self.trace("transfer-begin", epoch=epoch, sources=len(others))
-        if self._started:
-            self._transfer_tick()
-
-    def _transfer_tick(self) -> None:
-        task = self._transfer
-        if task is None or task.done:
-            self._transfer_timer_armed = False
-            return
-        runtime = self.chain.get(task.epoch)
-        if runtime is not None and runtime.start_state_ready:
-            task.done = True
-            self._transfer_timer_armed = False
-            return
-        source = task.pick_source()
-        if self.params.transfer_chunk_bytes is None:
-            self.send(source, SnapshotRequest(task.epoch))
-        else:
-            self.send(
-                source,
-                SnapshotChunkRequest(
-                    task.epoch, task.next_chunk, self.params.transfer_chunk_bytes
-                ),
-            )
-        self._transfer_timer_armed = True
-        self.set_timer(
-            self.params.transfer_retry_interval, self._transfer_tick, label="transfer"
-        )
-
-    def _handle_snapshot_request(self, request: SnapshotRequest, sender: NodeId) -> None:
-        cached = self.boundary_snapshots.get(request.epoch)
-        if cached is None:
-            self.send(sender, SnapshotUnavailable(request.epoch))
-            return
-        snapshot, size = cached
-        # Deep copy models serialisation: the receiver must not alias our
-        # live state.
-        self.send(
-            sender,
-            SnapshotReply(request.epoch, deepcopy(snapshot), size),
-            size=size + 128,
-        )
-
-    def _handle_snapshot_reply(self, reply: SnapshotReply) -> None:
-        runtime = self.chain.get(reply.epoch)
-        if runtime is None or runtime.start_state_ready:
-            return
-        runtime.start_state = reply.snapshot
-        runtime.start_state_ready = True
-        self._span(reply.epoch, "transfer")
-        if self._transfer is not None and self._transfer.epoch == reply.epoch:
-            self._transfer.done = True
-        self.trace("transfer-done", epoch=reply.epoch, bytes=reply.snapshot_bytes)
-        self._adopt_boundary_if_ahead(reply.epoch)
-        self._advance_execution()
-
-    def _adopt_boundary_if_ahead(self, epoch: EpochId) -> None:
-        """Jump the execution frontier to a transferred boundary.
-
-        A boundary snapshot for epoch ``k`` subsumes the history of every
-        epoch before ``k``. Normally transfers land exactly at the
-        execution frontier, but a replica that skipped an epoch as a
-        member (in ``C_{e+1}`` and ``C_{e+3}`` but not ``C_{e+2}``) can be
-        stuck with an earlier epoch it will never be able to execute
-        locally; adopting the later boundary is both safe (the state is
-        agreed) and the only way forward.
-        """
-        if epoch <= self.exec_epoch:
-            return
-        # A transfer is only ever started when the previous epoch cannot be
-        # completed locally, so a transfer landing ahead of the execution
-        # frontier always means the frontier is permanently stuck: adopt.
-        self.trace("boundary-jump", frm=self.exec_epoch, to=epoch)
-        # The jumped-over epochs will never execute locally, so their
-        # reconfiguration spans can never reach first-commit here: close
-        # them as aborted instead of leaving them dangling open forever.
-        for skipped in range(self.exec_epoch, epoch):
-            if skipped == self._genesis_epoch:
-                continue
-            self.metrics.abandon_span(SPAN_RECONFIG, skipped, self.now)
-        self.exec_epoch = epoch
-        self.state = None  # re-initialise from the adopted boundary
-
-    def _handle_chunk_request(self, request: SnapshotChunkRequest, sender: NodeId) -> None:
-        cached = self.boundary_snapshots.get(request.epoch)
-        if cached is None:
-            self.send(sender, SnapshotUnavailable(request.epoch))
-            return
-        snapshot, size = cached
-        total = max(1, -(-size // request.chunk_bytes))  # ceil division
-        index = min(request.index, total - 1)
-        final = index == total - 1
-        chunk_size = size - request.chunk_bytes * index if final else request.chunk_bytes
-        self.send(
-            sender,
-            SnapshotChunkReply(
-                request.epoch,
-                index,
-                total,
-                deepcopy(snapshot) if final else None,
-                size,
-            ),
-            size=max(chunk_size, 1) + 128,
-        )
-
-    def _handle_chunk_reply(self, reply: SnapshotChunkReply, sender: NodeId) -> None:
-        task = self._transfer
-        runtime = self.chain.get(reply.epoch)
-        if runtime is None or runtime.start_state_ready:
-            return
-        if task is None or task.epoch != reply.epoch or task.done:
-            return
-        if reply.index != task.next_chunk:
-            return  # stale or duplicated chunk; the timer re-requests
-        task.total_chunks = reply.total_chunks
-        task.next_chunk += 1
-        if reply.index == reply.total_chunks - 1:
-            runtime.start_state = reply.snapshot
-            runtime.start_state_ready = True
-            self._span(reply.epoch, "transfer")
-            task.done = True
-            self.trace(
-                "transfer-done",
-                epoch=reply.epoch,
-                bytes=reply.snapshot_bytes,
-                chunks=reply.total_chunks,
-            )
-            self._adopt_boundary_if_ahead(reply.epoch)
-            self._advance_execution()
-        else:
-            # Stream: pull the next chunk immediately from whichever source
-            # just answered (the retry timer covers losses and crashes).
-            self.send(
-                sender,
-                SnapshotChunkRequest(
-                    task.epoch, task.next_chunk, self.params.transfer_chunk_bytes
-                ),
-            )
-
-    # ------------------------------------------------------------------
-    # Observer (warm standby) protocol
+    # Start-up and periodic checkpoints
     # ------------------------------------------------------------------
 
     def on_start(self) -> None:
-        self._started = True
-        if self._transfer is not None:
-            self._transfer_tick()  # a transfer that recovery left pending
-        if self._observe_targets:
-            self._observer_subscribe_tick()
+        self.transfer.start()
+        self.standby.start()
         interval = self.params.checkpoint_interval
         if self.storage is not None and interval > 0:
             # Stagger the members' timers across one interval, so the
@@ -1017,167 +669,42 @@ class ReconfigurableReplica(Process):
             config = self.newest_config
             members = config.members.sorted_nodes() if config is not None else []
             phase = members.index(self.node) / len(members) if self.node in members else 0.0
-            self.set_timer(
-                interval * (1.0 + phase), self._checkpoint_tick, label="checkpoint"
-            )
+            self.set_timer(interval * (1.0 + phase), self._checkpoint_tick, label="checkpoint")
 
     def _checkpoint_tick(self) -> None:
-        if self.crashed:
-            return
-        self._maybe_checkpoint()
-        self.set_timer(
-            self.params.checkpoint_interval, self._checkpoint_tick, label="checkpoint"
-        )
-
-    def _maybe_checkpoint(self) -> None:
         """Write a periodic checkpoint if execution advanced since the last.
 
         Mid-epoch checkpoints bound recovery replay between epoch
         boundaries; the (epoch, virtual index) marker makes an idle
         replica's ticks free.
         """
-        if self.storage is None or self.state is None:
+        if self.crashed:
             return
         marker = (self.exec_epoch, self.virtual_index)
-        if marker == self._last_checkpoint_marker:
-            return
-        runtime = self.chain.get(self.exec_epoch)
-        self._last_checkpoint_marker = marker
-        self.storage.checkpoint(
-            exec_epoch=self.exec_epoch,
-            executed=runtime.executed if runtime is not None else 0,
-            virtual_index=self.virtual_index,
-            app_state=self.state.snapshot(),
-            now=self.now,
-        )
-
-    def _observer_subscribe_tick(self) -> None:
-        """Subscribe (and periodically re-subscribe) to a live sponsor."""
-        if self.crashed or not self._observe_targets:
-            return
-        # Once promoted to a member, stop behaving like an observer.
-        if any(rt.engine is not None for rt in self.chain.values()):
-            return
-        silent_for = self.now - self._last_observed_at
-        if not self._observer_bootstrapped or silent_for >= self.params.observer_resubscribe_interval:
-            target = self._observe_targets[self._observe_index % len(self._observe_targets)]
-            self._observe_index += 1
-            self.send(target, ObserverSubscribe())
-        self.set_timer(
-            self.params.observer_resubscribe_interval,
-            self._observer_subscribe_tick,
-            label="observer-subscribe",
-        )
-
-    def _handle_observer_subscribe(self, sender: NodeId) -> None:
-        runtime = self.chain.get(self.exec_epoch)
-        if runtime is None or not runtime.start_state_ready:
-            return  # not bootstrappable yet; the observer will retry
-        if not runtime.start_state_is_boundary:
-            # Recovered from a mid-epoch checkpoint: our start_state is
-            # not the epoch boundary, so we cannot bootstrap an observer
-            # honestly. We can again at the next epoch boundary; until
-            # then the observer's re-subscribe tries another sponsor.
-            return
-        self._observers.add(sender)
-        epochs = tuple(
-            (
-                self.chain[epoch].config,
-                tuple(self.chain[epoch].effective),
-                self.chain[epoch].cut_slot,
+        if self.state is not None and marker != self._last_checkpoint_marker:
+            runtime = self.chain.get(self.exec_epoch)
+            self._last_checkpoint_marker = marker
+            self.storage.checkpoint(
+                exec_epoch=self.exec_epoch,
+                executed=runtime.executed if runtime is not None else 0,
+                virtual_index=self.virtual_index, app_state=self.state.snapshot(), now=self.now,
             )
-            for epoch in sorted(self.chain)
-            if epoch >= self.exec_epoch
-        )
-        boundary_bytes = self.state.snapshot_bytes() if self.state is not None else 64
-        entry_bytes = sum(
-            int(getattr(payload, "size", 32))
-            for _, entries, _ in epochs
-            for payload in entries
-        )
-        self.send(
-            sender,
-            ObserverBootstrap(
-                start_epoch=self.exec_epoch,
-                boundary=deepcopy(runtime.start_state),
-                boundary_bytes=boundary_bytes,
-                epochs=epochs,
-            ),
-            size=boundary_bytes + entry_bytes + 128,
-        )
-        self.trace("observer-bootstrap-sent", to=str(sender), epochs=len(epochs))
-
-    def _handle_observer_bootstrap(self, msg: ObserverBootstrap) -> None:
-        self._last_observed_at = self.now
-        start_runtime = self.chain.get(msg.start_epoch)
-        if start_runtime is None and self.chain:
-            # A re-bootstrap landed at an epoch we no longer track from;
-            # only accept bootstraps that extend what we have.
-            if msg.start_epoch < min(self.chain):
-                return
-        for config, entries, _cut in msg.epochs:
-            self._open_epoch(config, prev_members=None)
-            runtime = self.chain[config.epoch]
-            if config.epoch == msg.start_epoch and not runtime.start_state_ready:
-                runtime.start_state = msg.boundary
-                runtime.start_state_ready = True
-                self._span(config.epoch, "transfer")
-            for slot, payload in enumerate(entries):
-                self._observe_entry(config, slot, payload)
-        self._observer_bootstrapped = True
-        self.trace("observer-bootstrapped", start=msg.start_epoch)
-        self._advance_execution()
-
-    def _observe_entry(self, config: Configuration, slot: int, payload: Any) -> None:
-        runtime = self.chain.get(config.epoch)
-        if runtime is None:
-            self._open_epoch(config, prev_members=None)
-            runtime = self.chain[config.epoch]
-        if runtime.engine is not None:
-            return  # we are a member here: the engine is authoritative
-        if runtime.sealed and slot > runtime.cut_slot:
-            return  # orphan; observers never re-propose
-        if slot < len(runtime.effective):
-            return  # duplicate
-        if slot > len(runtime.effective):
-            self._observed_stash.setdefault(config.epoch, {})[slot] = (config, payload)
-            return
-        self._append_effective(runtime, slot, payload)
-        # Drain any stashed successors that are now in order.
-        stash = self._observed_stash.get(config.epoch)
-        while stash:
-            next_slot = len(runtime.effective)
-            entry = stash.pop(next_slot, None)
-            if entry is None:
-                break
-            self._append_effective(runtime, next_slot, entry[1])
-        self._advance_execution()
-
-    def _handle_observer_update(self, msg: ObserverUpdate) -> None:
-        self._last_observed_at = self.now
-        self._observe_entry(msg.config, msg.slot, msg.payload)
+        self.set_timer(self.params.checkpoint_interval, self._checkpoint_tick, label="checkpoint")
 
     # ------------------------------------------------------------------
     # Client interaction
     # ------------------------------------------------------------------
 
-    def _handle_client_request(self, request: ClientRequest) -> None:
-        self._admit_commands((request.command,), request.reply_to)
-
     def _admit_commands(self, commands: Any, reply_to: NodeId) -> None:
-        """Admit one client frame (a :class:`RequestBatch`, or one request).
-
-        Each command gets the per-command checks, in order: a cached
-        retry is answered from ``_replies``, a read-only op may be served
-        locally (lease or follower read), a retired replica redirects.
-        What is left is registered as pending and proposed, in order, into
-        the newest live engine, resolved once per frame. Nothing in the
-        loop can seal an epoch or change the membership, so the retired
-        check and the engine hold for the whole frame.
+        """Admit one frame of commands (client or admin), checking each in
+        order: a cached retry is answered, a read-only op may be served
+        locally, a retired replica redirects. The rest are registered as
+        pending and proposed into the newest live engine, resolved once per
+        frame: nothing in the loop can seal an epoch or change membership.
         """
         replies = self._replies
         read_only_ops = self.params.read_only_ops
-        mode = self.params.read_mode
+        local_reads = self.params.read_mode != "log"
         retired = self.is_retired
         pending = self._pending
         proposals = []
@@ -1188,16 +715,11 @@ class ReconfigurableReplica(Process):
                 value, epoch, vindex = cached
                 self._reply_client(reply_to, ClientReply(cid, value, epoch, vindex))
                 continue
-            if command.op in read_only_ops:
-                if mode == "lease" and self._serve_lease_read(command, reply_to):
-                    continue
-                if mode == "follower" and self._serve_follower_read(command, reply_to):
+            if local_reads and command.op in read_only_ops:
+                if self._serve_local_read(command, reply_to):
                     continue
             if retired:
-                config = self.newest_config
-                members = config.members if config is not None else Membership(frozenset())
-                epoch = config.epoch if config is not None else -1
-                self.send(reply_to, Redirect(cid, members, epoch))
+                self._redirect(reply_to, cid)
                 continue
             pending[cid] = reply_to
             proposals.append(command)
@@ -1208,89 +730,59 @@ class ReconfigurableReplica(Process):
             for command in proposals:
                 engine.propose(command)
             return
+        for command in proposals:
+            self._redirect(reply_to, command.cid)
+
+    def _redirect(self, client: NodeId, cid: CommandId) -> None:
+        """Send ``client`` to the newest configuration we know (an empty
+        one when we know none: the client rotates through its view)."""
         config = self.newest_config
-        if config is not None:
-            for command in proposals:
-                self.send(reply_to, Redirect(command.cid, config.members, config.epoch))
+        if config is None:
+            self.send(client, Redirect(cid, Membership(frozenset()), -1))
+        else:
+            self.send(client, Redirect(cid, config.members, config.epoch))
 
-    def _serve_lease_read(self, command: Command, reply_to: NodeId) -> bool:
-        """Serve a read locally if it is provably linearizable to do so.
+    def _serve_local_read(self, command: Command, reply_to: NodeId) -> bool:
+        """Serve a read-only op from local state, or refuse (False) so it
+        takes the ordered path.
 
-        Conditions (all must hold — each one is load-bearing):
-
-        1. we lead the **newest** epoch we know and hold a valid read
-           lease there — no other member can be committing writes;
-        2. that epoch is **not sealed** — once sealed, writes move to the
-           next instance, where someone else may already be ordering
-           (the cross-epoch staleness hazard); and the seal is ordered by
-           the leaseholder itself, so "not sealed here" is authoritative;
-        3. our execution is fully caught up with everything we ordered —
-           the local state contains every acknowledged write.
-
-        Failing any condition falls back to the ordered (log) path.
+        Both modes keep the epoch-cut guards: we run the engine of the
+        **newest** epoch we know, it is **not sealed** (once sealed, writes
+        move to an instance where someone else may already be ordering;
+        the seal is ordered by the leaseholder itself, so "not sealed here"
+        is authoritative), and execution has caught up with everything we
+        ordered. Then the mode's freshness test: ``lease`` holds a valid
+        read lease as leader, so no other member can commit a write (the
+        read is linearizable); ``follower`` heard from the leader within
+        ``staleness_bound``, which caps how stale (NOT linearizable) the
+        reply can be.
         """
         runtime = self.chain.get(self.newest_epoch)
         if runtime is None or runtime.engine is None or not runtime.engine_started:
             return False
-        if runtime.sealed:
-            return False
-        if not runtime.engine.has_read_lease(self.now):
-            return False
-        if self.exec_epoch != runtime.config.epoch:
+        if runtime.sealed or self.exec_epoch != runtime.config.epoch:
             return False
         if not runtime.start_state_ready or runtime.executed != len(runtime.effective):
             return False
         if self.state is None:
+            return False
+        lease = self.params.read_mode == "lease"
+        if lease:
+            if not runtime.engine.has_read_lease(self.now):
+                return False
+        elif runtime.engine.read_freshness_age(self.now) > self.params.staleness_bound:
             return False
         # Bypass the dedup layer on purpose: reads mutate nothing and must
         # not advance the client's dedup sequence (a later retry of an
         # *older* write would otherwise be misclassified as a duplicate).
         value = self.state.inner.apply(command)
-        self.lease_reads += 1
-        self._m_lease_reads.inc()
-        self._reply_client(
-            reply_to, ClientReply(command.cid, value, runtime.config.epoch, -1)
-        )
-        return True
-
-    def _serve_follower_read(self, command: Command, reply_to: NodeId) -> bool:
-        """Serve a read locally under an explicit staleness bound.
-
-        Unlike the lease path this is NOT linearizable: any caught-up
-        member of the newest epoch answers from local state when it heard
-        from the leader within ``params.staleness_bound`` seconds
-        (leaders are always fresh). The reply reflects every write this
-        member has learned of — a write committed at the leader whose
-        ``Decide`` has not arrived here yet is exactly the staleness the
-        bound caps, at roughly ``staleness_bound + heartbeat_interval``.
-
-        The epoch-cut guards are shared with the lease path: a sealed
-        epoch or lagging execution refuses the read, so local reads never
-        observe state from an epoch that has handed off, and a drained
-        shard range fails ownership inside the state machine like any
-        other apply.
-        """
-        runtime = self.chain.get(self.newest_epoch)
-        if runtime is None or runtime.engine is None or not runtime.engine_started:
-            return False
-        if runtime.sealed:
-            return False
-        if runtime.engine.read_freshness_age(self.now) > self.params.staleness_bound:
-            return False
-        if self.exec_epoch != runtime.config.epoch:
-            return False
-        if not runtime.start_state_ready or runtime.executed != len(runtime.effective):
-            return False
-        if self.state is None:
-            return False
-        # Same dedup bypass as the lease path (reads mutate nothing and
-        # must not advance the client's dedup sequence).
-        value = self.state.inner.apply(command)
-        self.follower_reads += 1
-        self._m_follower_reads.inc()
-        self._reply_client(
-            reply_to, ClientReply(command.cid, value, runtime.config.epoch, -1)
-        )
+        if lease:
+            self.lease_reads += 1
+            self._m_lease_reads.inc()
+        else:
+            self.follower_reads += 1
+            self._m_follower_reads.inc()
+        self._reply_client(reply_to, ClientReply(command.cid, value, runtime.config.epoch, -1))
         return True
 
     def request_reconfiguration(self, command: ReconfigCommand) -> bool:
@@ -1300,29 +792,14 @@ class ReconfigurableReplica(Process):
         return self._propose_newest(command)
 
     def _handle_reconfig_request(self, request: ReconfigRequest) -> None:
-        """Wire entry point for admin reconfiguration (live clusters).
-
-        Mirrors :meth:`_handle_client_request`: the requester is registered
-        as a pending client so the ordinary ``_complete_command`` path
-        acknowledges it when the reconfiguration executes.
-        """
-        command = request.command
-        cached = self._replies.get(command.cid)
-        if cached is not None:
-            value, epoch, vindex = cached
-            self._reply_client(
-                request.reply_to, ClientReply(command.cid, value, epoch, vindex)
-            )
+        """Admin reconfiguration over the wire: admitted like a client
+        command, except that one which already sealed an epoch here is not
+        proposed again and waits for its execution to be acknowledged."""
+        cid = request.command.cid
+        if cid in self._sealed_cids and cid not in self._replies:
+            self._pending[cid] = request.reply_to
             return
-        self._pending[command.cid] = request.reply_to
-        if not self.request_reconfiguration(command):
-            self._pending.pop(command.cid, None)
-            config = self.newest_config
-            if config is not None:
-                self.send(
-                    request.reply_to,
-                    Redirect(command.cid, config.members, config.epoch),
-                )
+        self._admit_commands((request.command,), request.reply_to)
 
     # ------------------------------------------------------------------
     # Message dispatch & lifecycle
@@ -1332,7 +809,7 @@ class ReconfigurableReplica(Process):
         if isinstance(payload, InstanceMessage):
             self._route_instance_message(payload, sender)
         elif isinstance(payload, ClientRequest):
-            self._handle_client_request(payload)
+            self._admit_commands((payload.command,), payload.reply_to)
         elif isinstance(payload, RequestBatch):
             # What a frame's admission answers on the spot (cached
             # retries, local reads) shares one reply frame.
@@ -1341,23 +818,11 @@ class ReconfigurableReplica(Process):
         elif isinstance(payload, ReconfigRequest):
             self._handle_reconfig_request(payload)
         elif isinstance(payload, EpochAnnounce):
-            self._open_epoch(payload.config, prev_members=payload.prev_members)
-        elif isinstance(payload, SnapshotRequest):
-            self._handle_snapshot_request(payload, sender)
-        elif isinstance(payload, SnapshotReply):
-            self._handle_snapshot_reply(payload)
-        elif isinstance(payload, SnapshotChunkRequest):
-            self._handle_chunk_request(payload, sender)
-        elif isinstance(payload, SnapshotChunkReply):
-            self._handle_chunk_reply(payload, sender)
-        elif isinstance(payload, SnapshotUnavailable):
-            pass  # the transfer timer will retry another source
-        elif isinstance(payload, ObserverSubscribe):
-            self._handle_observer_subscribe(sender)
-        elif isinstance(payload, ObserverBootstrap):
-            self._handle_observer_bootstrap(payload)
-        elif isinstance(payload, ObserverUpdate):
-            self._handle_observer_update(payload)
+            self.open_epoch(payload.config, prev_members=payload.prev_members)
+        elif isinstance(payload, TRANSFER_MESSAGES):
+            self.transfer.on_message(payload, sender)
+        elif isinstance(payload, OBSERVER_MESSAGES):
+            self.standby.on_message(payload, sender)
 
     def _route_instance_message(self, message: InstanceMessage, sender: NodeId) -> None:
         if not message.instance.startswith("e"):

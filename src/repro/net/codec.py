@@ -132,6 +132,7 @@ def _register_protocol() -> None:
     from repro.consensus.interface import Batch, InstanceMessage, Noop
     from repro.core import client as cl
     from repro.core import command as cmd
+    from repro.core import observer as ob
     from repro.core import reconfig as rc
     from repro.core import state_transfer as st
     from repro.net import admin
@@ -176,15 +177,13 @@ def _register_protocol() -> None:
         cmd.ReconfigCommand,
         cmd.ReconfigRequest,
         rc.EpochAnnounce,
-        rc.ObserverSubscribe,
-        rc.ObserverBootstrap,
-        rc.ObserverUpdate,
+        ob.ObserverSubscribe,
+        ob.ObserverBootstrap,
+        ob.ObserverUpdate,
         # state transfer
         st.SnapshotRequest,
         st.SnapshotReply,
         st.SnapshotUnavailable,
-        st.SnapshotChunkRequest,
-        st.SnapshotChunkReply,
         # fault-injection admin protocol (serve --chaos only)
         admin.ChaosCommand,
         admin.ChaosAck,

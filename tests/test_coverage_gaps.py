@@ -34,9 +34,9 @@ class TestReplicaEdgeCases:
             sim.at(0.3 + 0.3 * k, lambda m=members: service.reconfigure(m))
         sim.run(until=3.0)
         survivor = service.replicas[node_id("n1")]
-        assert len(survivor.boundary_snapshots) <= 2
+        assert len(survivor.transfer.snapshots) <= 2
         # And the kept ones are the newest boundaries.
-        assert min(survivor.boundary_snapshots) >= 3
+        assert min(survivor.transfer.snapshots) >= 3
 
     def test_reconfig_request_dedup_by_cid(self):
         sim = Simulator(seed=802)

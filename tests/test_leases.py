@@ -202,10 +202,10 @@ class TestLeaseSafety:
         # lease and every guard passes, so the read MUST be served — a
         # mere "returns a bool" here would let the sealed-epoch assertion
         # below pass vacuously on a path that never serves anything.
-        assert leader._serve_lease_read(read, node_id("probe-client")) is True
+        assert leader._serve_local_read(read, node_id("probe-client")) is True
         runtime = leader.epoch_runtime(0)
         runtime.cut_slot = len(runtime.effective)  # pretend sealed
-        assert leader._serve_lease_read(read, node_id("probe-client")) is False
+        assert leader._serve_local_read(read, node_id("probe-client")) is False
 
     def test_lagging_execution_refuses_lease_reads(self):
         sim = Simulator(seed=100)
@@ -222,10 +222,10 @@ class TestLeaseSafety:
 
         read = Command(CommandId(client_id("probe"), 2), "get", ("k",), size=32)
         # Positive control first: a caught-up leaseholder serves.
-        assert leader._serve_lease_read(read, node_id("probe-client")) is True
+        assert leader._serve_local_read(read, node_id("probe-client")) is True
         runtime = leader.epoch_runtime(0)
         runtime.effective.append(object())  # fake un-executed entry
-        assert leader._serve_lease_read(read, node_id("probe-client")) is False
+        assert leader._serve_local_read(read, node_id("probe-client")) is False
 
     def test_become_leader_clears_stale_echoes(self):
         # Regression: a node that re-wins leadership must not anchor a
@@ -389,7 +389,7 @@ class TestLeasePathIntegration:
                 read = Command(
                     CommandId(client_id("probe"), seq), "get", ("k",), size=32
                 )
-                assert leader._serve_lease_read(read, node_id("pc")) is True
+                assert leader._serve_local_read(read, node_id("pc")) is True
         finally:
             engine.propose = original
         assert calls == []
@@ -415,7 +415,7 @@ class TestLeasePathIntegration:
         leader.send = lambda to, payload: captured.append((to, payload))
         try:
             read = Command(CommandId(client_id("probe"), 1), "get", ("k",), size=32)
-            assert leader._serve_lease_read(read, node_id("pc")) is True
+            assert leader._serve_local_read(read, node_id("pc")) is True
         finally:
             del leader.send  # restore the bound method
         (to, reply), = captured
@@ -474,7 +474,7 @@ class TestFollowerReads:
             read = Command(
                 CommandId(client_id("probe"), seq), "get", ("k",), size=32
             )
-            assert replica._serve_follower_read(read, node_id("pc")) is True
+            assert replica._serve_local_read(read, node_id("pc")) is True
         assert sum(r.follower_reads for r in service.replicas.values()) == 3
 
     def test_frame_of_reads_is_answered_by_one_frame(self):
@@ -523,14 +523,14 @@ class TestFollowerReads:
         sim.network.partition("iso", [str(follower.node)], others)
         sim.run(until=sim.now + 0.6)  # silence > staleness_bound
         read = Command(CommandId(client_id("probe"), 1), "get", ("k",), size=32)
-        assert follower._serve_follower_read(read, node_id("pc")) is False
+        assert follower._serve_local_read(read, node_id("pc")) is False
         # The leader of the majority side stays fresh (age 0) and serves.
         leader = next(
             r
             for r in service.replicas.values()
             if r.node != follower.node and r.epoch_runtime(0).engine.is_leader
         )
-        assert leader._serve_follower_read(read, node_id("pc")) is True
+        assert leader._serve_local_read(read, node_id("pc")) is True
 
 
 class TestLeaseShardInteraction:
@@ -581,8 +581,8 @@ class TestLeaseShardInteraction:
             owned = Command(
                 CommandId(client_id("probe"), 2), "get", ("other",), size=32
             )
-            assert leader._serve_lease_read(drained, node_id("pc")) is True
-            assert leader._serve_lease_read(owned, node_id("pc")) is True
+            assert leader._serve_local_read(drained, node_id("pc")) is True
+            assert leader._serve_local_read(owned, node_id("pc")) is True
         finally:
             del leader.send
         hint, value = captured[0].value, captured[1].value

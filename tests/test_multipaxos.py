@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.consensus import messages as m
 from repro.consensus.interface import Batch, Noop, StaticSmrHost, proposal_key
 from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
 from repro.sim.network import LatencyModel
@@ -180,6 +181,67 @@ class TestCatchup:
                 for p in decided_payloads(host)
             )
         assert_logs_prefix_consistent(hosts)
+
+
+def retry_at_deposed_leader(
+    params=None, forwarded=False, learn_before_step_down=False, retry_at="n1"
+):
+    """A leader cut off from its quorum assigns a command to slot 0; the
+    majority side fills slot 0 with other commands; after the heal the
+    client retries the command at the deposed leader (or at ``retry_at``)."""
+    sim, hosts = make_cluster(seed=3, params=params)
+    n1, n2 = hosts[node_id("n1")], hosts[node_id("n2")]
+    lost = cmd(1, client="lost")
+
+    def offer(host=n1):
+        if forwarded:  # what a follower's forward delivers
+            host.engine.on_message(m.ProposeForward(lost), node_id("n3"))
+        else:
+            host.propose(lost)
+
+    sim.run(until=0.1)
+    assert n1.engine.is_leader
+    sim.network.partition("cut", ["n1"], ["n2", "n3"])
+    offer()
+    sim.run(until=2.0)
+    assert n1.engine.assigned_keys[proposal_key(lost)] == 0
+    for i in range(5):
+        n2.propose(cmd(i + 1, client="other"))
+    sim.run(until=3.0)
+    assert lost not in decided_commands(n2)
+    if learn_before_step_down:
+        assert n1.engine.is_leader
+        n1.engine.on_message(m.Decide(0, n2.engine.log.value(0)), node_id("n2"))
+        assert n1.engine.is_leader
+    sim.network.heal("cut")
+    sim.at(6.0, lambda: offer(hosts[node_id(retry_at)]))
+    sim.run(until=10.0)
+    return hosts, lost
+
+
+class TestDeposedLeaderRetry:
+    """A key is settled only by a decided slot that carries it: a deposed
+    leader's own assignment of a slot that another leader filled with
+    other values must not swallow the client's retry."""
+
+    @pytest.mark.parametrize("forwarded", [False, True], ids=["propose", "forward"])
+    @pytest.mark.parametrize("batch_max", [32, 1])
+    @pytest.mark.parametrize(
+        "learn_before_step_down", [False, True], ids=["after", "before"]
+    )
+    def test_retry_is_decided_everywhere(self, forwarded, batch_max, learn_before_step_down):
+        hosts, lost = retry_at_deposed_leader(
+            PaxosParams(batch_max=batch_max), forwarded, learn_before_step_down
+        )
+        for host in hosts.values():
+            assert decided_commands(host).count(lost) == 1, host.node
+        assert_logs_prefix_consistent(hosts)
+
+    def test_retry_at_a_member_of_the_majority_is_decided(self):
+        """The control: the same retry at n2 was always decided."""
+        hosts, lost = retry_at_deposed_leader(retry_at="n2")
+        for host in hosts.values():
+            assert decided_commands(host).count(lost) == 1
 
 
 class TestEngineLifecycle:

@@ -164,7 +164,7 @@ class TestAbandonedSpans:
 
     def test_abandon_closes_a_mid_transfer_span(self):
         # A reconfiguration aborted mid-transfer (the boundary jump in
-        # _adopt_boundary_if_ahead) must not leave a dangling open span.
+        # adopt_boundary) must not leave a dangling open span.
         registry = MetricsRegistry()
         registry.span_event(SPAN_RECONFIG, "2", "decided", 1.0)
         registry.span_event(SPAN_RECONFIG, "2", "cut", 1.1)

@@ -38,7 +38,7 @@ class TestObserverTracking:
         sim.run_until(lambda: client.finished, timeout=20.0)
         sim.run(until=sim.now + 1.0)
         member = service.replicas[node_id("n1")]
-        assert observer._observer_bootstrapped
+        assert observer.standby.bootstrapped
         assert observer.virtual_index == member.virtual_index
         assert observer.state.snapshot() == member.state.snapshot()
 
@@ -69,7 +69,7 @@ class TestObserverTracking:
         observer = service.add_observer("w1")
         client = run_client(sim, service, 80)
         # Crash whichever member the observer first subscribed to.
-        first_target = observer._observe_targets[0]
+        first_target = observer.standby.targets[0]
         sim.at(0.5, service.replicas[first_target].crash)
         sim.run_until(lambda: client.finished, timeout=30.0)
         sim.run(until=sim.now + 2.0)
@@ -87,13 +87,13 @@ class TestWarmPromotion:
         observer = service.add_observer("w1")
         client = run_client(sim, service, 100)
         sim.run(until=1.0)  # let the observer warm up
-        assert observer._observer_bootstrapped
+        assert observer.standby.bootstrapped
         service.reconfigure(["n1", "n2", "w1"])
         sim.run_until(lambda: client.finished, timeout=30.0)
         sim.run(until=sim.now + 2.0)
         # Promoted: engine exists and no snapshot fetch ever started.
         assert any(rt.engine is not None for rt in observer.chain.values())
-        assert observer._transfer is None
+        assert observer.transfer.task is None
         member = service.replicas[node_id("n1")]
         assert observer.virtual_index == member.virtual_index
         run_all_invariants(service.replicas.values())

@@ -213,7 +213,7 @@ class TestOrphansAndRetirement:
             sim, n_ops=40, reconfigs=[(0.4, ("n1", "n2", "n4"))]
         )
         assert finished
-        sim.run(until=sim.now + 2.0)  # past engine_gc_grace
+        sim.run(until=sim.now + 2.0)  # past ENGINE_GC_GRACE
         survivor = service.replicas[node_id("n1")]
         assert survivor.epoch_runtime(0).engine.stopped
 

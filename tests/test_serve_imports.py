@@ -62,7 +62,10 @@ def test_a_built_replica_loads_only_the_serving_stack(tmp_path):
         capture_output=True, text=True, timeout=60, check=True,
     )
     loaded = json.loads(out.stdout)
-    for serving in ("repro.net.transport", "repro.storage.store", "repro.net.admin"):
+    for serving in (
+        "repro.net.transport", "repro.storage.store", "repro.net.admin",
+        "repro.core.state_transfer", "repro.core.observer",
+    ):
         assert serving in loaded
     offenders = [
         name for name in loaded

@@ -1,9 +1,7 @@
-"""Tests for boundary-state transfer, including the chunked/resumable mode."""
+"""Tests for boundary-state transfer: one snapshot, polled round-robin."""
 
 from repro.apps.kvstore import KvStateMachine
-from repro.consensus.multipaxos import MultiPaxosEngine
 from repro.core.client import ClientParams
-from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.core.state_transfer import TransferTask
 from repro.sim.network import LatencyModel
@@ -11,20 +9,13 @@ from repro.sim.runner import Simulator
 from repro.types import node_id
 
 
-def chunked_params(chunk_bytes):
-    return ReconfigParams(
-        engine_factory=MultiPaxosEngine.factory(),
-        transfer_chunk_bytes=chunk_bytes,
-    )
-
-
-def make_service(sim, params=None, preload=5000):
+def make_service(sim, preload=5000):
     def app():
         kv = KvStateMachine()
         kv.preload(preload)
         return kv
 
-    return ReplicatedService(sim, ["n1", "n2", "n3"], app, params=params)
+    return ReplicatedService(sim, ["n1", "n2", "n3"], app)
 
 
 def drive_join(sim, service, budget_ops=40):
@@ -67,46 +58,34 @@ class TestSingleShotTransfer:
         by_type = sim.network.stats.bytes_by_type
         assert by_type.get("SnapshotReply", 0) > 10_000 * 80
 
-
-class TestChunkedTransfer:
-    def test_chunked_join_completes(self):
+    def test_join_lands_in_one_reply(self):
         sim = Simulator(seed=33)
-        service = make_service(sim, params=chunked_params(64_000))
+        service = make_service(sim)
         client, done = drive_join(sim, service)
         assert done
         joiner = service.replicas[node_id("n4")]
         assert joiner.epoch_runtime(1).start_state_ready
-        assert joiner._transfer.total_chunks > 1
         assert len(joiner.state.inner) >= 5000
+        # The whole snapshot travels in one reply, not in pieces.
+        stats = sim.network.stats
+        snapshot_size = service.replicas[node_id("n1")].transfer.snapshots[1][1]
+        assert stats.by_type.get("SnapshotReply", 0) == 1
+        assert stats.bytes_by_type["SnapshotReply"] >= snapshot_size
 
-    def test_chunk_count_matches_snapshot_size(self):
-        sim = Simulator(seed=34)
-        chunk = 50_000
-        service = make_service(sim, params=chunked_params(chunk), preload=10_000)
+    def test_joiner_state_matches_members(self):
+        sim = Simulator(seed=35)
+        service = make_service(sim)
         drive_join(sim, service)
         joiner = service.replicas[node_id("n4")]
-        expected_size = 16 + 88 * 10_000 + 32 * 1  # kv + dedup table entry
-        expected_chunks = -(-expected_size // chunk)
-        assert abs(joiner._transfer.total_chunks - expected_chunks) <= 1
-
-    def test_chunked_matches_single_shot_result(self):
-        results = {}
-        for label, params in (
-            ("single", None),
-            ("chunked", chunked_params(40_000)),
-        ):
-            sim = Simulator(seed=35)
-            service = make_service(sim, params=params)
-            drive_join(sim, service)
-            joiner = service.replicas[node_id("n4")]
-            results[label] = joiner.state.snapshot()
-        assert results["single"] == results["chunked"]
+        for member in ("n1", "n2"):
+            survivor = service.replicas[node_id(member)]
+            assert joiner.state.snapshot() == survivor.state.snapshot()
 
     def test_resumes_across_source_crash(self):
         sim = Simulator(seed=36)
-        # Slow the pipe so the transfer is in flight when the source dies.
+        # Slow the pipe so the transfer is in flight when a source dies.
         sim.network.latency.bandwidth = 2_000_000.0
-        service = make_service(sim, params=chunked_params(30_000), preload=20_000)
+        service = make_service(sim, preload=20_000)
         budget = [30]
 
         def ops():
@@ -117,20 +96,20 @@ class TestChunkedTransfer:
 
         client = service.make_client("c1", ops, ClientParams(start_delay=0.2))
         service.reconfigure_at(0.4, ["n1", "n2", "n4"])
-
-        # Crash a member mid-transfer; chunks resume from the others.
+        # Crash a source mid-transfer; the retry asks the others.
         sim.at(0.6, service.replicas[node_id("n3")].crash)
         done = sim.run_until(lambda: client.finished, timeout=40.0)
         assert done
         sim.run(until=sim.now + 3.0)
         joiner = service.replicas[node_id("n4")]
         assert joiner.epoch_runtime(1).start_state_ready
-        # Resumption, not restart: progress is monotonic in chunk index.
-        assert joiner._transfer.next_chunk == joiner._transfer.total_chunks
+        assert joiner.transfer.task.attempts > 3  # every source, n3 included
+        survivor = service.replicas[node_id("n1")]
+        assert joiner.state.snapshot() == survivor.state.snapshot()
 
-    def test_chunked_survives_lossy_network(self):
+    def test_survives_lossy_network(self):
         sim = Simulator(seed=37, latency=LatencyModel(drop_probability=0.08))
-        service = make_service(sim, params=chunked_params(50_000), preload=8_000)
+        service = make_service(sim, preload=8_000)
         client, done = drive_join(sim, service)
         assert done
         joiner = service.replicas[node_id("n4")]

@@ -370,16 +370,16 @@ class TestReplicaRecovery:
         runtime = LiveRuntime(TcpTransport(book))
         try:
             revived = self.revive(runtime, "n4", tmp_path)
-            assert revived._transfer is not None and revived._transfer.attempts == 0
+            assert revived.transfer.task is not None and revived.transfer.task.attempts == 0
         finally:
             runtime._loop.close()
 
         # In the simulator the resumed transfer leaves with on_start.
         sim = Simulator(seed=2)
         revived = self.revive(sim, "n4", tmp_path)
-        assert revived._transfer.attempts == 0
+        assert revived.transfer.task.attempts == 0
         sim.run(until=0.01)
-        assert revived._transfer.attempts == 1
+        assert revived.transfer.task.attempts == 1
 
     def test_empty_data_dir_falls_back_to_cold_boot(self, tmp_path):
         sim = Simulator(seed=3)

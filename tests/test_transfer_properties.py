@@ -1,17 +1,15 @@
-"""Property tests over the chunked-transfer arithmetic and determinism."""
+"""Property tests over boundary transfer: any state size lands intact."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.kvstore import KvStateMachine
-from repro.consensus.multipaxos import MultiPaxosEngine
-from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.core.client import ClientParams
 from repro.sim.runner import Simulator
 from repro.types import node_id
 
 
-def run_chunked_join(chunk_bytes: int, preload: int, seed: int = 931):
+def run_join(preload: int, seed: int = 931):
     sim = Simulator(seed=seed)
 
     def app():
@@ -19,15 +17,7 @@ def run_chunked_join(chunk_bytes: int, preload: int, seed: int = 931):
         kv.preload(preload)
         return kv
 
-    service = ReplicatedService(
-        sim,
-        ["n1", "n2", "n3"],
-        app,
-        params=ReconfigParams(
-            engine_factory=MultiPaxosEngine.factory(),
-            transfer_chunk_bytes=chunk_bytes,
-        ),
-    )
+    service = ReplicatedService(sim, ["n1", "n2", "n3"], app)
     budget = [15]
 
     def ops():
@@ -50,32 +40,20 @@ def run_chunked_join(chunk_bytes: int, preload: int, seed: int = 931):
     return sim, service, joiner
 
 
-class TestChunkArithmetic:
+class TestStateSize:
     @settings(max_examples=10, deadline=None)
-    @given(chunk_bytes=st.integers(min_value=1_000, max_value=500_000))
-    def test_any_chunk_size_completes_and_matches(self, chunk_bytes):
-        sim, service, joiner = run_chunked_join(chunk_bytes, preload=2_000)
+    @given(preload=st.integers(min_value=0, max_value=20_000))
+    def test_any_state_size_completes_and_matches(self, preload):
+        sim, service, joiner = run_join(preload)
         assert joiner.epoch_runtime(1).start_state_ready
         survivor = service.replicas[node_id("n1")]
         sim.run(until=sim.now + 1.0)
         assert joiner.state.snapshot() == survivor.state.snapshot()
-        task = joiner._transfer
-        # Chunk count consistent with the snapshot size and chunk size.
-        expected_size = survivor.boundary_snapshots[1][1]
-        expected_chunks = max(1, -(-expected_size // chunk_bytes))
-        assert task.total_chunks == expected_chunks
-        assert task.next_chunk == task.total_chunks
-
-    def test_chunk_size_larger_than_snapshot_is_single_chunk(self):
-        sim, service, joiner = run_chunked_join(10_000_000, preload=500)
-        assert joiner._transfer.total_chunks == 1
+        assert len(joiner.state.inner) >= preload
 
     def test_transfer_wire_bytes_track_snapshot_size(self):
-        sim, service, joiner = run_chunked_join(50_000, preload=5_000)
-        stats = sim.network.stats
-        chunk_bytes = stats.bytes_by_type.get("SnapshotChunkReply", 0)
-        snapshot_size = service.replicas[node_id("n1")].boundary_snapshots[1][1]
-        # All chunks together carry (at least) the snapshot, and not
-        # wildly more (retries/overhead allowance of 2x).
-        assert chunk_bytes >= snapshot_size
-        assert chunk_bytes < snapshot_size * 2 + 50_000
+        sim, service, joiner = run_join(preload=5_000)
+        reply_bytes = sim.network.stats.bytes_by_type.get("SnapshotReply", 0)
+        snapshot_size = service.replicas[node_id("n1")].transfer.snapshots[1][1]
+        # The replies carry (at least) the whole snapshot.
+        assert reply_bytes >= snapshot_size
