@@ -13,7 +13,8 @@ Run:  python examples/rolling_replacement.py
 from repro.apps.counter import CounterStateMachine
 from repro.core.client import ClientParams
 from repro.core.service import ReplicatedService
-from repro.sim.failures import FailureInjector, FailureSchedule
+from repro.faults import FailureSchedule
+from repro.sim.failures import FailureInjector
 from repro.sim.runner import Simulator
 from repro.types import node_id
 from repro.workload.generators import counter_increments

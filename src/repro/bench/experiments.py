@@ -28,9 +28,9 @@ from repro.bench.harness import RunResult, run_experiment
 from repro.consensus.multipaxos import PaxosParams
 from repro.core.client import ClientParams
 from repro.core.service import ReplicatedService
+from repro.faults import FailureSchedule
 from repro.metrics.report import Series, Table
 from repro.metrics.stats import summarize_latencies
-from repro.sim.failures import FailureSchedule
 from repro.sim.network import LatencyModel
 from repro.sim.runner import Simulator
 from repro.types import node_id

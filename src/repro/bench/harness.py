@@ -22,8 +22,9 @@ from repro.core.client import ClientParams
 from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.errors import ConfigurationError
+from repro.faults import FailureSchedule
 from repro.metrics.collectors import CommitCollector, CompletionCollector
-from repro.sim.failures import FailureInjector, FailureSchedule
+from repro.sim.failures import FailureInjector
 from repro.sim.network import LatencyModel
 from repro.sim.runner import Simulator
 from repro.workload.clients import ClientPool

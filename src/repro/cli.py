@@ -151,7 +151,8 @@ def build_replica(args: "argparse.Namespace"):
     from repro.core.reconfig import ReconfigParams, ReconfigurableReplica
     from repro.net.admin import install_chaos_endpoint, install_metrics_endpoint
     from repro.net.runtime import LiveRuntime
-    from repro.net.transport import LinkPolicy, TcpTransport
+    from repro.faults import LinkPolicy
+    from repro.net.transport import TcpTransport
     from repro.types import Configuration, Membership, NodeId
 
     addresses = _parse_peers(args.peers)

@@ -186,6 +186,12 @@ class SmrEngine(abc.ABC):
         """Cease participation; safe to call more than once."""
         self.stopped = True
 
+    def restart(self) -> None:
+        """Undo :meth:`stop` after the host's crash, before :meth:`start`:
+        the state the engine models as stable storage survived, and an
+        engine with a leader comes back as a follower."""
+        self.stopped = False
+
     @property
     @abc.abstractmethod
     def next_undelivered_slot(self) -> int:

@@ -214,6 +214,12 @@ class MultiPaxosEngine(SmrEngine):
         if self._batch_timer is not None:
             self._batch_timer.cancel()
 
+    def restart(self) -> None:
+        # Acceptor and learner state is the modelled stable storage;
+        # leadership, a campaign and its in-flight slots are volatile.
+        super().restart()
+        self._step_down(self.ballot)
+
     @property
     def next_undelivered_slot(self) -> Slot:
         return self.log.next_to_deliver

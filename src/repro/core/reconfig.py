@@ -847,3 +847,15 @@ class ReconfigurableReplica(Process):
             # next incarnation; closing keeps the dead process from
             # holding (or, in tests, reusing) the write handle.
             self.storage.close()
+
+    def on_restart(self) -> None:
+        """A sim restart keeps the modelled stable state (the chain, each
+        engine's acceptor and decided state) and loses leadership,
+        campaigns and timers: the engines of epochs not yet fully
+        executed come back as followers, and the start-up timers re-arm."""
+        for epoch, runtime in self.chain.items():
+            if runtime.engine is not None and epoch >= self.exec_epoch:
+                runtime.engine.restart()
+                if runtime.engine_started:
+                    runtime.engine.start()
+        self.on_start()

@@ -24,8 +24,9 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.types import CommandId, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults import FailureAction
     from repro.metrics.registry import MetricsRegistry
-    from repro.net.transport import LinkPolicy, TcpTransport
+    from repro.net.transport import TcpTransport
 
 #: suffix distinguishing a replica's chaos endpoint from the replica itself.
 CHAOS_SUFFIX = "#chaos"
@@ -51,34 +52,25 @@ def metrics_endpoint(node: str) -> NodeId:
 
 @dataclass(frozen=True, slots=True)
 class ChaosCommand:
-    """Controller -> replica: install or remove one link rule.
+    """Controller -> replica: apply one schedule action, or report status.
 
-    ``op`` is one of ``partition | drop | delay | lose | heal |
-    heal_all``; ``side_a``/``side_b`` carry the node groups (for the
-    one-way ops only their first elements are used as ``src``/``dst``),
-    ``value`` carries seconds for ``delay`` and the rate for ``lose``.
+    ``action`` is the :data:`~repro.faults.FailureAction` itself (the
+    codec registers every action type); the replica applies it to its
+    transport's :class:`~repro.faults.LinkPolicy`. ``None`` asks for the
+    replica's status instead.
     """
 
     cid: CommandId
-    op: str
-    name: str = ""
-    side_a: tuple[NodeId, ...] = ()
-    side_b: tuple[NodeId, ...] = ()
-    value: float = 0.0
+    action: FailureAction | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class ChaosAck:
-    """Replica -> controller: rule applied (or rejected).
-
-    ``detail`` is optional op-specific payload — for the ``status`` op it
-    carries the replica's recovery/durability status as a JSON object
-    (see :func:`install_chaos_endpoint`), empty for link ops.
-    """
+    """Replica -> controller: the action was applied (or was not one a
+    link rule models). A status answer carries the replica's recovery and
+    durability status as a JSON object in ``detail``."""
 
     cid: CommandId
-    node: NodeId
-    op: str
     applied: bool
     detail: str = ""
 
@@ -115,26 +107,6 @@ class MetricsSnapshot:
 # ---------------------------------------------------------------------------
 
 
-def apply_chaos_command(policy: LinkPolicy, command: ChaosCommand) -> bool:
-    """Apply one :class:`ChaosCommand` to a transport's link policy."""
-    op = command.op
-    if op == "partition":
-        policy.partition(command.name, command.side_a, command.side_b)
-    elif op == "drop":
-        policy.drop(command.name, command.side_a[0], command.side_b[0])
-    elif op == "delay":
-        policy.delay(command.name, command.side_a[0], command.side_b[0], command.value)
-    elif op == "lose":
-        policy.lose(command.name, command.side_a[0], command.side_b[0], command.value)
-    elif op == "heal":
-        policy.heal(command.name)
-    elif op == "heal_all":
-        policy.heal_all()
-    else:
-        return False
-    return True
-
-
 def install_chaos_endpoint(
     transport: TcpTransport, node: str, status: Any = None
 ) -> NodeId:
@@ -142,13 +114,14 @@ def install_chaos_endpoint(
 
     Only wired up under ``repro serve --chaos``: production replicas do
     not expose remote fault injection. The handler mutates the
-    transport's :class:`LinkPolicy` and acks over the requester's reply
-    route — it never touches replica state, so the protocol stack stays
-    blind to the schedule.
+    transport's :class:`~repro.faults.LinkPolicy` and acks over the
+    requester's reply route — it never touches replica state, so the
+    protocol stack stays blind to the schedule.
 
     ``status`` (optional, a zero-argument callable returning a plain
-    dict) answers the read-only ``status`` op — the controller uses it
-    to ask a restarted replica whether it recovered durable state.
+    dict) answers a command with no action - the controller uses it to
+    ask a restarted replica whether it recovered durable state. An action
+    no link rule models (a crash, a restart) is acked ``applied=False``.
     """
     endpoint = chaos_endpoint(node)
 
@@ -156,15 +129,12 @@ def install_chaos_endpoint(
         command = message.payload
         if not isinstance(command, ChaosCommand):
             return
-        if command.op == "status":
-            detail = json.dumps(status()) if status is not None else ""
-            ack = ChaosAck(
-                command.cid, NodeId(str(node)), command.op,
-                status is not None, detail,
-            )
+        if command.action is not None:
+            ack = ChaosAck(command.cid, transport.policy.apply(command.action))
+        elif status is not None:
+            ack = ChaosAck(command.cid, True, json.dumps(status()))
         else:
-            applied = apply_chaos_command(transport.policy, command)
-            ack = ChaosAck(command.cid, NodeId(str(node)), command.op, applied)
+            ack = ChaosAck(command.cid, False)
         transport.send(endpoint, message.sender, ack)
 
     transport.register(endpoint, handle)

@@ -1,28 +1,26 @@
-"""Scheduled fault injection against a live TCP cluster.
+"""The live executor of a :class:`~repro.faults.FailureSchedule`.
 
-The simulator has had declarative chaos since the beginning: a
-:class:`~repro.sim.failures.FailureSchedule` armed by a
-:class:`~repro.sim.failures.FailureInjector`. This module ports that
-subsystem to the live runtime so the same schedule vocabulary runs against
-real processes and real sockets:
+:mod:`repro.faults` holds the one fault vocabulary;
+:class:`~repro.sim.failures.FailureInjector` executes it in the
+simulator, and the :class:`ChaosController` here executes it against a
+live TCP cluster:
 
 * **crash** = ``SIGKILL`` of the replica's OS process (fail-stop, no
   goodbye, exactly the paper's model);
 * **restart** = respawn of the process — with **total amnesia** on a
   storage-less cluster, or with **crash recovery** (checkpoint + WAL
   replay, see :mod:`repro.storage`) when the cluster runs durable;
-* **partition / link drop / delay / loss** = transport-level, through the
-  :class:`~repro.net.transport.LinkPolicy` hooks — no processes are
-  harmed, which is the point: a partitioned replica keeps running and
-  keeps trying, as a real partitioned replica would.
+* **partition / link drop / delay / loss / heal** = the action itself,
+  pushed to every live replica's chaos endpoint (``<node>#chaos``, under
+  ``repro serve --chaos``) as a :class:`~repro.net.admin.ChaosCommand`,
+  where :meth:`~repro.faults.LinkPolicy.apply` installs it in the
+  transport's policy — no processes are harmed, which is the point: a
+  partitioned replica keeps running and keeps trying, as a real
+  partitioned replica would.
 
-Link rules reach the replicas over the wire: each ``repro serve --chaos``
-process registers a **chaos endpoint** (``<node>#chaos``) on its
-transport, and the :class:`ChaosController` pushes
-:class:`~repro.net.admin.ChaosCommand` frames to it. The endpoint lives
-entirely in the serve wiring (:mod:`repro.net.admin`, which a serving
-replica imports instead of this module) — replica/protocol code cannot
-see the schedule, preserving the simulator's honesty rule.
+The endpoint lives entirely in the serve wiring (:mod:`repro.net.admin`,
+which a serving replica imports instead of this module) — replica and
+protocol code cannot see the schedule, the simulator's honesty rule.
 
 The controller, :class:`HistoryRecorder` and
 :func:`collect_aligned_spans` are the parts
@@ -38,45 +36,16 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.faults import CrashAt, FailureAction, FailureSchedule, HealAt, RestartAt
 from repro.net import codec
 from repro.net.admin import ChaosAck, ChaosCommand, chaos_endpoint
 from repro.net.client import LiveClient, LiveClientError, request_reply
 from repro.net.observe import poll_cluster, reconfig_spans
-from repro.sim.failures import (
-    CrashAt,
-    DelayLinkAt,
-    DropLinkAt,
-    FailureAction,
-    FailureSchedule,
-    HealAt,
-    LoseLinkAt,
-    PartitionAt,
-    RestartAt,
-)
 from repro.types import ClientId, CommandId, NodeId
 from repro.verify.histories import History, Operation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.cluster import LocalCluster
-
-
-def _link_command(action: FailureAction, cid: CommandId) -> ChaosCommand | None:
-    """The :class:`ChaosCommand` equivalent of a transport-level action."""
-    if isinstance(action, PartitionAt):
-        return ChaosCommand(cid, "partition", action.name, action.side_a, action.side_b)
-    if isinstance(action, HealAt):
-        return ChaosCommand(cid, "heal", action.name)
-    if isinstance(action, DropLinkAt):
-        return ChaosCommand(cid, "drop", action.name, (action.src,), (action.dst,))
-    if isinstance(action, DelayLinkAt):
-        return ChaosCommand(
-            cid, "delay", action.name, (action.src,), (action.dst,), action.seconds
-        )
-    if isinstance(action, LoseLinkAt):
-        return ChaosCommand(
-            cid, "lose", action.name, (action.src,), (action.dst,), action.rate
-        )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -204,37 +173,20 @@ class ChaosController:
             # and came back stays partitioned until the schedule heals it.
             acked = []
             for active in self._active.values():
-                command = _link_command(active, self._next_cid())
-                if command is None:
-                    continue
-                ack = self._push(str(action.node), command)
+                ack = self._push(str(action.node), active)
                 if ack is not None and ack.applied:
-                    acked.append(f"{action.node}:{command.name}")
+                    acked.append(f"{action.node}:{active.name}")
             return tuple(acked)
-        command = _link_command(action, self._next_cid())
-        if command is None:  # pragma: no cover - exhaustive over actions
-            self.errors.append(f"unknown action {action!r}")
-            return ()
         if isinstance(action, HealAt):
             self._active.pop(action.name, None)
         else:
             self._active[action.name] = action
-        return self._broadcast(command)
-
-    def _broadcast(self, command: ChaosCommand) -> tuple[str, ...]:
-        """Push one rule to every live replica; returns who acked."""
         acked = []
         for name, proc in self.cluster.procs.items():
-            if proc.poll() is not None:
-                continue
-            # Dedicated CommandId per (rule, replica) so acks correlate.
-            per_node = ChaosCommand(
-                self._next_cid(), command.op, command.name,
-                command.side_a, command.side_b, command.value,
-            )
-            ack = self._push(name, per_node)
-            if ack is not None and ack.applied:
-                acked.append(name)
+            if proc.poll() is None:
+                ack = self._push(name, action)
+                if ack is not None and ack.applied:
+                    acked.append(name)
         return tuple(acked)
 
     def _next_cid(self) -> CommandId:
@@ -248,7 +200,7 @@ class ChaosController:
         plus whatever the serve wiring adds), or None when the replica is
         unreachable or runs without a status hook.
         """
-        ack = self._push(replica, ChaosCommand(self._next_cid(), "status"))
+        ack = self._push(replica, None)
         if ack is None or not ack.applied or not ack.detail:
             return None
         try:
@@ -257,15 +209,19 @@ class ChaosController:
             self.errors.append(f"{replica}: undecodable status {ack.detail!r}")
             return None
 
-    def _push(self, replica: str, command: ChaosCommand) -> ChaosAck | None:
-        """Deliver one command to a replica's chaos endpoint, await the ack."""
+    def _push(self, replica: str, action: FailureAction | None) -> ChaosAck | None:
+        """Deliver one action (None: a status query) to a replica's chaos
+        endpoint under a fresh CommandId, and await the ack."""
         try:
             return request_reply(
                 self.cluster.addresses[replica], self.node,
-                chaos_endpoint(replica), command, ChaosAck, self.ack_timeout,
+                chaos_endpoint(replica),
+                ChaosCommand(self._next_cid(), action), ChaosAck,
+                self.ack_timeout,
             )
         except (OSError, codec.CodecError) as exc:
-            self.errors.append(f"{replica}: {command.op} push failed: {exc}")
+            what = "status" if action is None else type(action).__name__
+            self.errors.append(f"{replica}: {what} push failed: {exc}")
             return None
 
 

@@ -126,6 +126,7 @@ def _bootstrap() -> None:
 
 
 def _register_protocol() -> None:
+    from repro import faults as f
     from repro import types as t
     from repro.consensus import messages as m
     from repro.consensus.ballot import Ballot
@@ -184,9 +185,17 @@ def _register_protocol() -> None:
         st.SnapshotRequest,
         st.SnapshotReply,
         st.SnapshotUnavailable,
-        # fault-injection admin protocol (serve --chaos only)
+        # fault-injection admin protocol (serve --chaos only): a command
+        # carries one schedule action as itself
         admin.ChaosCommand,
         admin.ChaosAck,
+        f.CrashAt,
+        f.RestartAt,
+        f.PartitionAt,
+        f.HealAt,
+        f.DropLinkAt,
+        f.DelayLinkAt,
+        f.LoseLinkAt,
         # observability admin protocol (the #metrics endpoint)
         admin.MetricsRequest,
         admin.MetricsSnapshot,

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.faults import FailureSchedule
 from repro.metrics.stats import longest_gap
 from repro.net.chaos import (
     ChaosController,
@@ -61,12 +62,12 @@ from repro.net.chaos import (
     collect_aligned_spans,
 )
 from repro.net.client import LiveClient, LiveClientError
-from repro.sim.failures import FailureSchedule
 from repro.verify.histories import History, Operation
 from repro.verify.linearizability import (
     LinearizabilityResult,
     check_kv_linearizable,
 )
+from repro.workload.schedules import ReconfigStep
 
 #: the single-group reconfiguration storms; see the module docstring.
 STORM_SCENARIOS = ("overlap", "rolling", "joincrash")
@@ -80,21 +81,15 @@ SCENARIOS = ("chaos", *STORM_SCENARIOS, *SHARD_STORM_SCENARIOS)
 
 
 @dataclass(frozen=True, slots=True)
-class ReconfigStep:
-    """One planned RECONFIGURE: issue at ``offset`` targeting ``members``."""
-
-    offset: float
-    members: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class StormPlan:
     """A fully-determined storm: schedule + reconfigure timings.
 
     Built purely from ``(scenario, seed, scale)`` — no wall clock, no
     ambient randomness — so the same seed produces a byte-identical plan
     (:meth:`to_json`), identical injection order and identical
-    reconfigure timings across runs and machines.
+    reconfigure timings across runs and machines. A single-group plan
+    runs in the simulator as it is: ``run_experiment(members=initial,
+    schedule=steps, failures=schedule)`` (``benchmarks/sim_plans.py``).
     """
 
     scenario: str
@@ -126,7 +121,7 @@ class StormPlan:
             "initial": list(self.initial),
             "joiners": list(self.joiners),
             "steps": [
-                {"offset": step.offset, "members": list(step.members)}
+                {"time": step.time, "members": list(step.members)}
                 for step in self.steps
             ],
             "schedule": [
@@ -224,7 +219,7 @@ def build_storm_plan(
                 schedule.crash(round(at + jitter(0.45), 3), retiree)
             at = round(at + jitter(0.9), 3)
         steps = tuple(steps_list)
-        duration = round(steps[-1].offset + jitter(1.4), 3)
+        duration = round(steps[-1].time + jitter(1.4), 3)
     else:  # joincrash
         joiners = (f"n{replicas + 1}", f"n{replicas + 2}")
         r1 = jitter(1.1)
@@ -588,7 +583,7 @@ class _GroupTopology:
             "storm-admin", addresses, view=list(addresses), request_timeout=1.0
         ) as admin:
             for index, step in enumerate(self.plan.steps):
-                wait_until(t0 + step.offset)
+                wait_until(t0 + step.time)
                 try:
                     admin.reconfigure(step.members, deadline=20.0)
                     finish(index, True)
@@ -649,7 +644,7 @@ def run_storm_scenario(
         topology = _GroupTopology(plan, **options)
     started = time.monotonic()
     reconfigs = [
-        {"offset": s.offset, "members": list(s.members), "applied_at": None,
+        {"offset": s.time, "members": list(s.members), "applied_at": None,
          "ok": False}
         for s in plan.steps
     ]

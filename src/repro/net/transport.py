@@ -28,9 +28,11 @@ surface as :class:`repro.sim.network.Network` — over real sockets:
   back over the connection it last spoke on.
 
 Delivery semantics match the simulator's fail-stop network: unknown or
-unreachable destinations drop messages silently, and per-run statistics
-(:class:`repro.sim.network.NetworkStats`) count messages and bytes by
-payload type.
+unreachable destinations drop messages silently, link faults come from
+the same :class:`~repro.faults.LinkPolicy` the simulator consults (on
+send, as added delay, and again on inbound dispatch), and per-run
+statistics (:class:`repro.sim.network.NetworkStats`) count messages and
+bytes by payload type.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import random
 import traceback
 from typing import Any, Callable, ContextManager
 
+from repro.faults import LinkPolicy
 from repro.metrics.registry import MetricsRegistry
 from repro.net import codec
 from repro.sim.network import Message, NetworkStats
@@ -48,122 +51,6 @@ from repro.types import NodeId
 
 #: (host, port) address of one peer process.
 Address = tuple[str, int]
-
-#: wildcard node pattern accepted by LinkPolicy link rules.
-ANY_NODE = "*"
-
-
-class LinkPolicy:
-    """Injectable link-fault rules, consulted on every send and dispatch.
-
-    Fault injection for the live runtime without killing processes: the
-    transport asks the policy before moving a frame, so partitions, one-way
-    drops, added latency, and probabilistic loss can be installed (and
-    healed) at runtime — e.g. by :mod:`repro.net.chaos` pushing a
-    :class:`~repro.net.admin.ChaosCommand` to a replica's chaos endpoint.
-
-    Every rule carries a **name** so it can be healed individually, the
-    same convention as :meth:`repro.sim.network.Network.partition`. Rules:
-
-    * ``partition(name, side_a, side_b)`` — block traffic both ways
-      between two node groups (exactly the simulator's semantics);
-    * ``drop(name, src, dst)`` — block ``src -> dst`` only (one-way);
-    * ``delay(name, src, dst, seconds)`` — add one-way latency;
-    * ``lose(name, src, dst, rate)`` — drop that fraction of frames,
-      using this policy's own seeded RNG so runs are reproducible.
-
-    ``src``/``dst`` accept ``"*"`` as a wildcard. Nodes not named by any
-    rule are unaffected, so admin/chaos traffic itself passes through.
-    The default policy has no rules and short-circuits to "allow".
-    """
-
-    def __init__(self, seed: int | None = None):
-        self.rng = random.Random(seed)
-        self._partitions: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
-        self._drops: dict[str, tuple[str, str]] = {}
-        self._delays: dict[str, tuple[str, str, float]] = {}
-        self._loss: dict[str, tuple[str, str, float]] = {}
-
-    # -- rule management ----------------------------------------------------
-
-    def partition(self, name: str, side_a, side_b) -> None:
-        self._partitions[name] = (
-            frozenset(str(n) for n in side_a),
-            frozenset(str(n) for n in side_b),
-        )
-
-    def drop(self, name: str, src: str, dst: str) -> None:
-        self._drops[name] = (str(src), str(dst))
-
-    def delay(self, name: str, src: str, dst: str, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative link delay {seconds}")
-        self._delays[name] = (str(src), str(dst), seconds)
-
-    def lose(self, name: str, src: str, dst: str, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"loss rate {rate} outside [0, 1]")
-        self._loss[name] = (str(src), str(dst), rate)
-
-    def heal(self, name: str) -> None:
-        """Remove the named rule wherever it lives; unknown names no-op."""
-        self._partitions.pop(name, None)
-        self._drops.pop(name, None)
-        self._delays.pop(name, None)
-        self._loss.pop(name, None)
-
-    def heal_all(self) -> None:
-        self._partitions.clear()
-        self._drops.clear()
-        self._delays.clear()
-        self._loss.clear()
-
-    def active(self) -> list[str]:
-        """Names of every installed rule (diagnostics)."""
-        return sorted(
-            {*self._partitions, *self._drops, *self._delays, *self._loss}
-        )
-
-    # -- queries (the transport's hot path) ---------------------------------
-
-    @staticmethod
-    def _match(pattern: str, node: str) -> bool:
-        return pattern == ANY_NODE or pattern == node
-
-    def blocks(self, src: NodeId, dst: NodeId) -> bool:
-        """Deterministically blocked? (partitions are two-way, drops one-way)"""
-        if self._partitions:
-            for side_a, side_b in self._partitions.values():
-                if (src in side_a and dst in side_b) or (
-                    src in side_b and dst in side_a
-                ):
-                    return True
-        if self._drops:
-            for rule_src, rule_dst in self._drops.values():
-                if self._match(rule_src, src) and self._match(rule_dst, dst):
-                    return True
-        return False
-
-    def should_drop(self, src: NodeId, dst: NodeId) -> bool:
-        """Blocked or probabilistically lost (consults the seeded RNG)."""
-        if self.blocks(src, dst):
-            return True
-        if self._loss:
-            for rule_src, rule_dst, rate in self._loss.values():
-                if self._match(rule_src, src) and self._match(rule_dst, dst):
-                    if self.rng.random() < rate:
-                        return True
-        return False
-
-    def latency(self, src: NodeId, dst: NodeId) -> float:
-        """Injected one-way delay in seconds (sums overlapping rules)."""
-        if not self._delays:
-            return 0.0
-        return sum(
-            seconds
-            for rule_src, rule_dst, seconds in self._delays.values()
-            if self._match(rule_src, src) and self._match(rule_dst, dst)
-        )
 
 
 class PeerConnection:

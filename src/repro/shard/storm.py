@@ -42,15 +42,15 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.faults import FailureSchedule
 from repro.net.storm import (
     SHARD_STORM_SCENARIOS,
-    ReconfigStep,
     StormPlan,
     handoff_latencies,
     wait_until,
 )
 from repro.shard.cluster import ShardedCluster
-from repro.sim.failures import FailureSchedule
+from repro.workload.schedules import ReconfigStep
 
 #: director cell: how long the claiming driver lingers between the
 #: retire commit and the install submit, and how stale a claimed intent
@@ -110,7 +110,7 @@ def build_shard_storm_plan(
         joiners=("g2",),
         steps=steps,
         schedule=FailureSchedule(),
-        duration=round(steps[-1].offset + jitter(1.5), 3),
+        duration=round(steps[-1].time + jitter(1.5), 3),
         contacts=("g1",),
     )
 
@@ -229,7 +229,7 @@ class ShardTopology:
         """Split with a SIGKILL inside the retire/install gap, then move
         back."""
         director = self.cluster.director
-        wait_until(t0 + self.plan.steps[0].offset)
+        wait_until(t0 + self.plan.steps[0].time)
         try:
             intent = director.begin("split", {"group": "g1", "target": "g2"})
             iid = int(intent["id"])
@@ -240,7 +240,7 @@ class ShardTopology:
         except Exception as exc:  # noqa: BLE001 - verdict, not crash
             finish(0, False, f"director split failed: {type(exc).__name__}: {exc}")
             return
-        wait_until(t0 + self.plan.steps[1].offset)
+        wait_until(t0 + self.plan.steps[1].time)
         try:
             moved = self.cluster.shard_map.ranges_of("g2")
             if not moved:
@@ -281,7 +281,7 @@ class ShardTopology:
         cluster, steps = self.cluster, self.plan.steps
 
         def churn() -> None:
-            wait_until(t0 + steps[0].offset)
+            wait_until(t0 + steps[0].time)
             try:
                 added = cluster.add_replica("g1")
                 finish(0, True)
@@ -289,7 +289,7 @@ class ShardTopology:
                 finish(0, False, f"add_replica failed: "
                                  f"{type(exc).__name__}: {exc}")
                 return
-            wait_until(t0 + steps[2].offset)
+            wait_until(t0 + steps[2].time)
             try:
                 cluster.remove_replica("g1", added)
                 finish(2, True)
@@ -299,7 +299,7 @@ class ShardTopology:
 
         churner = threading.Thread(target=churn, daemon=True)
         churner.start()
-        wait_until(t0 + steps[1].offset)
+        wait_until(t0 + steps[1].time)
         try:
             cluster.split("g1", target="g2")
             finish(1, True)

@@ -1,175 +1,23 @@
-"""Failure injection: scheduled crashes, restarts, partitions, link faults.
+"""Failure injection in the simulator: one :class:`FailureSchedule`, armed.
 
-Experiments describe *what goes wrong and when* declaratively with a
-:class:`FailureSchedule`; an injector arms the schedule against a running
-system. Keeping failures out of protocol code keeps both sides honest:
-protocols cannot "see" the schedule.
-
-The schedule types are **runtime-agnostic**: ``time`` is seconds on
-whichever clock the executing injector uses — virtual seconds under
-:class:`FailureInjector` (simulator), wall-clock seconds from the start of
-the run under :class:`repro.net.chaos.ChaosController` (live TCP cluster).
-The link-level actions (:class:`DropLinkAt`, :class:`DelayLinkAt`,
-:class:`LoseLinkAt`) target the live transport's
-:class:`repro.net.transport.LinkPolicy`; the simulator's network has no
-one-way/latency/loss hooks per named rule, so the sim injector rejects
-them explicitly instead of silently ignoring them.
+The schedule vocabulary lives in :mod:`repro.faults`, shared with the live
+runtime's :class:`repro.net.chaos.ChaosController`. Here a crash or
+restart acts on the simulated :class:`~repro.sim.node.Process`, and every
+link action goes to the simulator network's
+:class:`~repro.faults.LinkPolicy` - the same policy, with the same
+partition, one-way drop, delay and loss semantics, that a live transport
+consults - so one plan runs unchanged on either backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.types import NodeId, Time
+from repro.faults import CrashAt, FailureAction, FailureSchedule, RestartAt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.runner import Simulator
-
-
-@dataclass(frozen=True, slots=True)
-class CrashAt:
-    """Crash ``node`` at ``time`` (fail-stop unless a RestartAt follows)."""
-
-    time: Time
-    node: NodeId
-
-
-@dataclass(frozen=True, slots=True)
-class RestartAt:
-    """Restart a previously crashed ``node`` at ``time``."""
-
-    time: Time
-    node: NodeId
-
-
-@dataclass(frozen=True, slots=True)
-class PartitionAt:
-    """Install a named partition between two groups at ``time``."""
-
-    time: Time
-    name: str
-    side_a: tuple[NodeId, ...]
-    side_b: tuple[NodeId, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class HealAt:
-    """Heal a named partition (or named link rule) at ``time``."""
-
-    time: Time
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class DropLinkAt:
-    """Drop all ``src -> dst`` traffic (one-way) from ``time`` until healed.
-
-    ``src``/``dst`` may be ``"*"`` to match any node (live runtime only).
-    """
-
-    time: Time
-    name: str
-    src: NodeId
-    dst: NodeId
-
-
-@dataclass(frozen=True, slots=True)
-class DelayLinkAt:
-    """Add ``seconds`` of one-way latency on ``src -> dst`` until healed."""
-
-    time: Time
-    name: str
-    src: NodeId
-    dst: NodeId
-    seconds: float
-
-
-@dataclass(frozen=True, slots=True)
-class LoseLinkAt:
-    """Drop ``src -> dst`` frames with probability ``rate`` until healed."""
-
-    time: Time
-    name: str
-    src: NodeId
-    dst: NodeId
-    rate: float
-
-
-FailureAction = (
-    CrashAt | RestartAt | PartitionAt | HealAt
-    | DropLinkAt | DelayLinkAt | LoseLinkAt
-)
-
-#: actions the simulator's network cannot express (live transport only).
-LINK_ACTIONS = (DropLinkAt, DelayLinkAt, LoseLinkAt)
-
-
-@dataclass(slots=True)
-class FailureSchedule:
-    """An ordered list of failure actions."""
-
-    actions: list[FailureAction] = field(default_factory=list)
-
-    def crash(self, time: Time, node: str) -> "FailureSchedule":
-        self.actions.append(CrashAt(time, NodeId(node)))
-        return self
-
-    def restart(self, time: Time, node: str) -> "FailureSchedule":
-        self.actions.append(RestartAt(time, NodeId(node)))
-        return self
-
-    def partition(
-        self, time: Time, name: str, side_a: Sequence[str], side_b: Sequence[str]
-    ) -> "FailureSchedule":
-        self.actions.append(
-            PartitionAt(
-                time,
-                name,
-                tuple(NodeId(n) for n in side_a),
-                tuple(NodeId(n) for n in side_b),
-            )
-        )
-        return self
-
-    def heal(self, time: Time, name: str) -> "FailureSchedule":
-        self.actions.append(HealAt(time, name))
-        return self
-
-    def drop_link(
-        self, time: Time, name: str, src: str, dst: str
-    ) -> "FailureSchedule":
-        self.actions.append(DropLinkAt(time, name, NodeId(src), NodeId(dst)))
-        return self
-
-    def delay_link(
-        self, time: Time, name: str, src: str, dst: str, seconds: float
-    ) -> "FailureSchedule":
-        if seconds < 0:
-            raise ConfigurationError(f"negative link delay {seconds}")
-        self.actions.append(
-            DelayLinkAt(time, name, NodeId(src), NodeId(dst), seconds)
-        )
-        return self
-
-    def lose_link(
-        self, time: Time, name: str, src: str, dst: str, rate: float
-    ) -> "FailureSchedule":
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigurationError(f"loss rate {rate} outside [0, 1]")
-        self.actions.append(LoseLinkAt(time, name, NodeId(src), NodeId(dst), rate))
-        return self
-
-    def sorted_actions(self) -> list[FailureAction]:
-        """Actions in execution order: by time, insertion order breaking ties.
-
-        This is the injection order every executor follows, so two runs of
-        the same schedule inject identically regardless of runtime.
-        """
-        return sorted(
-            self.actions, key=lambda a: a.time
-        )  # sorted() is stable: equal times keep insertion order
 
 
 class FailureInjector:
@@ -181,12 +29,6 @@ class FailureInjector:
 
     def arm(self) -> None:
         for action in self._schedule.actions:
-            if isinstance(action, LINK_ACTIONS):
-                raise ConfigurationError(
-                    f"{type(action).__name__} targets the live transport's "
-                    "LinkPolicy; the simulator network has no per-link hooks "
-                    "(use repro.net.chaos.ChaosController)"
-                )
             if action.time < self._sim.now:
                 raise ConfigurationError(
                     f"failure action {action} scheduled before current time"
@@ -199,19 +41,16 @@ class FailureInjector:
 
     def _apply(self, action: FailureAction) -> None:
         sim = self._sim
-        if isinstance(action, CrashAt):
+        if isinstance(action, (CrashAt, RestartAt)):
             process = sim.process(action.node)
             if process is None:
-                raise ConfigurationError(f"cannot crash unknown node {action.node!r}")
-            process.crash()
-        elif isinstance(action, RestartAt):
-            process = sim.process(action.node)
-            if process is None:
-                raise ConfigurationError(f"cannot restart unknown node {action.node!r}")
-            process.restart()
-        elif isinstance(action, PartitionAt):
-            sim.network.partition(action.name, action.side_a, action.side_b)
-            sim.trace.emit(sim.now, "injector", "partition", name=action.name)
-        elif isinstance(action, HealAt):
-            sim.network.heal(action.name)
-            sim.trace.emit(sim.now, "injector", "heal", name=action.name)
+                raise ConfigurationError(f"{action} names an unknown node")
+            if isinstance(action, CrashAt):
+                process.crash()
+            else:
+                process.restart()
+            return
+        sim.network.policy.apply(action)
+        # partition / heal / droplink / delaylink / loselink
+        kind = type(action).__name__[:-2].lower()
+        sim.trace.emit(sim.now, "injector", kind, name=action.name)

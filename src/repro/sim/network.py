@@ -8,8 +8,11 @@ with a configurable latency model:
 * a serialisation component proportional to message size
   (``size / bandwidth``), which is what makes large state-transfer
   snapshots observably slower than protocol messages,
-* optional loss (``drop_probability``), duplication
-  (``duplicate_probability``), and named bidirectional partitions.
+* optional loss (``drop_probability``) and duplication
+  (``duplicate_probability``),
+* the named link rules of a :class:`~repro.faults.LinkPolicy`
+  (partitions, one-way drops, added delay, loss), the same policy the
+  live TCP transport consults.
 
 Messages to crashed endpoints are silently dropped at delivery time, the
 usual fail-stop model. The network also keeps per-run statistics (message
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import NetworkError
+from repro.faults import LinkPolicy
 from repro.sim.rng import SeededRng
 from repro.types import NodeId, Time
 
@@ -169,7 +173,10 @@ class Network:
         self.latency = latency if latency is not None else LatencyModel()
         self._rng = sim.rng.fork("network")
         self._endpoints: dict[NodeId, Callable[[Message], None]] = {}
-        self._partitions: dict[str, tuple[frozenset[NodeId], frozenset[NodeId]]] = {}
+        #: link faults (partitions, one-way drops, delay, loss), consulted
+        #: where the live transport consults its own: on send, in the
+        #: delay, and again at delivery.
+        self.policy = LinkPolicy(rng=sim.rng.fork("links"))
         self.stats = NetworkStats()
 
     # -- endpoint management -------------------------------------------------
@@ -184,27 +191,6 @@ class Network:
 
     def knows(self, node: NodeId) -> bool:
         return node in self._endpoints
-
-    # -- partitions ----------------------------------------------------------
-
-    def partition(self, name: str, side_a, side_b) -> None:
-        """Install a named bidirectional partition between two node groups."""
-        group_a = frozenset(NodeId(str(n)) for n in side_a)
-        group_b = frozenset(NodeId(str(n)) for n in side_b)
-        self._partitions[name] = (group_a, group_b)
-
-    def heal(self, name: str) -> None:
-        """Remove a previously installed partition; unknown names are a no-op."""
-        self._partitions.pop(name, None)
-
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
-    def _partitioned(self, a: NodeId, b: NodeId) -> bool:
-        for group_a, group_b in self._partitions.values():
-            if (a in group_a and b in group_b) or (a in group_b and b in group_a):
-                return True
-        return False
 
     # -- sending -------------------------------------------------------------
 
@@ -229,7 +215,7 @@ class Network:
         message = Message(
             sender=sender, dest=dest, payload=payload, size=size, sent_at=self._sim.now
         )
-        if self._partitioned(sender, dest):
+        if self.policy.should_drop(sender, dest):
             self.stats.messages_dropped += 1
             return
         if self.latency.drop_probability > 0.0:
@@ -244,7 +230,7 @@ class Network:
     def _schedule_delivery(self, message: Message) -> None:
         delay = self.latency.sample_delay_between(
             self._rng, message.size, message.sender, message.dest
-        )
+        ) + self.policy.latency(message.sender, message.dest)
         self._sim.schedule(
             delay,
             lambda: self._deliver(message),
@@ -252,9 +238,9 @@ class Network:
         )
 
     def _deliver(self, message: Message) -> None:
-        # Partitions are re-checked at delivery time so that a partition
+        # Blocking rules are re-checked at delivery time so that a partition
         # installed while a message is in flight also cuts it off.
-        if self._partitioned(message.sender, message.dest):
+        if self.policy.blocks(message.sender, message.dest):
             self.stats.messages_dropped += 1
             return
         deliver = self._endpoints.get(message.dest)

@@ -15,15 +15,26 @@ the first violation.
   visible.
 * **Client order** — each client's commands first execute in increasing
   seq order: the dedup table's one-command-in-flight rule.
+
+One check reads the client history and the fault plan instead of
+replica state, because it is about progress, not safety:
+
+* **Liveness** — while the plan leaves a majority of the current
+  configuration up and mutually connected, some operation completes at
+  least every ``bound`` seconds (:func:`check_liveness`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import combinations
+from typing import Any, Iterable
 
 from repro.core.reconfig import ReconfigurableReplica
 from repro.errors import VerificationError
+from repro.faults import CrashAt, LinkPolicy, RestartAt
 from repro.types import Command
+from repro.verify.histories import History
+from repro.workload.schedules import ReconfigStep
 
 
 def check_prefix_consistency(replicas: Iterable[ReconfigurableReplica]) -> int:
@@ -172,3 +183,71 @@ def run_all_invariants(replicas: Iterable[ReconfigurableReplica]) -> dict[str, i
         "commands": check_no_duplicate_effects(replica_list),
         "client_order": check_client_order(replica_list),
     }
+
+
+def check_liveness(
+    history: History, plan: Any, start: float, end: float, bound: float
+) -> float:
+    """Verify the service made progress whenever the plan let it.
+
+    ``plan`` has ``initial`` members, reconfiguration ``steps`` and a
+    failure ``schedule`` (a :class:`~repro.net.storm.StormPlan`). The
+    current configuration is the initial one, then each step's members
+    from the step's time on; link rules are replayed through a
+    :class:`~repro.faults.LinkPolicy`, so "connected" means what both
+    runtimes enforce (delay and loss slow a link, they do not cut it). A
+    stretch of ``[start, end]`` with no completed operation fails the
+    check when more than ``bound`` seconds of it fall while a majority of
+    the current configuration is up and mutually connected. Returns the
+    longest such overlap.
+    """
+    policy, down, members = LinkPolicy(), set(), tuple(plan.initial)
+
+    def healthy() -> bool:
+        up = [n for n in members if n not in down]
+        return any(
+            all(
+                not (policy.blocks(a, b) or policy.blocks(b, a))
+                for a, b in combinations(group, 2)
+            )
+            for group in combinations(up, len(members) // 2 + 1)
+        )
+
+    # The plan's events cut the run into stretches with one verdict each.
+    stretches: list[tuple[float, float]] = []
+    since = start if healthy() else None
+    for event in sorted([*plan.schedule.actions, *plan.steps], key=lambda e: e.time):
+        if isinstance(event, ReconfigStep):
+            members = tuple(event.members)
+        elif isinstance(event, CrashAt):
+            down.add(str(event.node))
+        elif isinstance(event, RestartAt):
+            down.discard(str(event.node))
+        else:
+            policy.apply(event)
+        if not healthy():
+            if since is not None:
+                stretches.append((since, event.time))
+            since = None
+        elif since is None:
+            since = event.time
+    if since is not None:
+        stretches.append((since, end))
+    completions = sorted(
+        op.returned_at
+        for op in history.operations
+        if op.returned_at is not None and start <= op.returned_at <= end
+    )
+    longest = 0.0
+    for a, b in zip([start, *completions], [*completions, end]):
+        for since, until in stretches:
+            stalled = min(b, until) - max(a, since)
+            longest = max(longest, stalled)
+            if stalled > bound:
+                raise VerificationError(
+                    f"no operation completed from {max(a, since):.3f}s to "
+                    f"{min(b, until):.3f}s ({stalled:.3f}s > {bound}s) while "
+                    "a majority of the current configuration was up and "
+                    "connected"
+                )
+    return longest

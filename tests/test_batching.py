@@ -181,14 +181,14 @@ class TestOneSlotPerTick:
         sim, hosts = make_cluster(PaxosParams(window=1))
         old = hosts[node_id("n1")]
         sim.run(until=0.1)
-        sim.network.partition("cut", ["n1"], ["n2", "n3"])
+        sim.network.policy.partition("cut", ["n1"], ["n2", "n3"])
         old.propose(cmd(1))  # fills the window; the cut keeps it there
         sim.run(until=sim.now)
         old.propose(cmd(2))
         old.propose(cmd(3))
         sim.run(until=1.0)  # n2 / n3 elect a leader meanwhile
         assert old.engine.is_leader and old.engine._batch == [cmd(2), cmd(3)]
-        sim.network.heal("cut")
+        sim.network.policy.heal("cut")
         sim.run(until=3.0)
         assert not old.engine.is_leader and not old.engine._batch
         for host in hosts.values():

@@ -1,5 +1,5 @@
-"""Unit tests for live-runtime fault injection: LinkPolicy, schedules,
-the chaos wire protocol, and transport-level enforcement.
+"""Unit tests for fault injection: LinkPolicy, schedules, the sim
+injector, the chaos wire protocol, and transport-level enforcement.
 
 Transport tests drive real :class:`TcpTransport` instances over loopback
 inside ``asyncio.run`` (same conventions as test_transport_coalesce.py);
@@ -17,32 +17,35 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import codec
-from repro.net.admin import (
-    ChaosAck,
-    ChaosCommand,
-    apply_chaos_command,
-    chaos_endpoint,
-    install_chaos_endpoint,
-)
-from repro.net.chaos import ChaosController, _link_command
-from repro.net.storm import ReconfigStep, StormReport, build_storm_plan
-from repro.net.transport import ANY_NODE, LinkPolicy, TcpTransport
-from repro.sim.failures import (
+from repro.faults import (
+    ANY_NODE,
     CrashAt,
     DelayLinkAt,
     DropLinkAt,
-    FailureInjector,
     FailureSchedule,
     HealAt,
+    LinkPolicy,
     LoseLinkAt,
     PartitionAt,
     RestartAt,
 )
+from repro.net import codec
+from repro.net.admin import (
+    ChaosAck,
+    ChaosCommand,
+    chaos_endpoint,
+    install_chaos_endpoint,
+)
+from repro.net.chaos import ChaosController
+from repro.net.storm import StormReport, build_storm_plan
+from repro.net.transport import TcpTransport
+from repro.sim.failures import FailureInjector
+from repro.sim.node import Process
 from repro.sim.runner import Simulator
 from repro.types import ClientId, CommandId, NodeId
 from repro.verify.histories import History
 from repro.verify.linearizability import LinearizabilityResult
+from repro.workload.schedules import ReconfigStep
 
 N1, N2, N3, N4 = NodeId("n1"), NodeId("n2"), NodeId("n3"), NodeId("n4")
 
@@ -174,63 +177,92 @@ class TestSchedule:
         # executor injects the same schedule in the same order.
         assert plan == schedule.sorted_actions()
 
-    def test_sim_injector_rejects_link_actions(self):
+    def test_sim_honours_every_link_action(self):
+        # The simulator network consults the same LinkPolicy a live
+        # transport does: a one-way drop, a delay, a loss and a heal.
         sim = Simulator(seed=1)
-        schedule = FailureSchedule().drop_link(1.0, "d", "n1", "n2")
-        with pytest.raises(ConfigurationError, match="LinkPolicy"):
-            FailureInjector(sim, schedule).arm()
+        heard: dict[str, list] = {"a": [], "b": [], "c": []}
+
+        class Endpoint(Process):
+            def on_message(self, payload, sender):
+                heard[str(self.node)].append((payload, sim.now))
+
+        for name in heard:
+            Endpoint(sim, NodeId(name))
+        schedule = (
+            FailureSchedule()
+            .drop_link(1.0, "mute", "a", "b")
+            .delay_link(1.0, "lag", "a", "c", 0.3)
+            .lose_link(1.0, "flaky", "c", "a", 1.0)
+            .heal(2.0, "mute")
+            .heal(2.0, "lag")
+            .heal(2.0, "flaky")
+        )
+        FailureInjector(sim, schedule).arm()
+
+        def send_round(tag):
+            for src, dst in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")):
+                sim.network.send(NodeId(src), NodeId(dst), f"{tag}:{src}{dst}")
+
+        sim.at(1.5, lambda: send_round("faulty"))
+        sim.at(2.5, lambda: send_round("healed"))
+        sim.run(until=3.0)
+        received = {n: [p for p, _ in msgs] for n, msgs in heard.items()}
+        # One-way: a -> b is dropped, b -> a is not; c -> a is lost.
+        assert received["b"] == ["healed:ab"]
+        assert sorted(received["a"]) == ["faulty:ba", "healed:ba", "healed:ca"]
+        # The delay adds to a -> c, and the heal takes it away again.
+        (faulty, sent_at), (healed, healed_at) = heard["c"]
+        assert (faulty, healed) == ("faulty:ac", "healed:ac")
+        assert sent_at - 1.5 >= 0.3 > healed_at - 2.5
+        assert sim.trace.count("droplink") == 1
+        assert sim.trace.count("heal") == 3
 
 
 class TestChaosProtocol:
-    def test_apply_command_each_op(self):
+    def test_policy_applies_each_link_action(self):
         policy = LinkPolicy(seed=1)
-        assert apply_chaos_command(
-            policy, ChaosCommand(cid(1), "partition", "cut", (N1,), (N2,))
-        )
+        assert policy.apply(PartitionAt(0.0, "cut", (N1,), (N2,)))
         assert policy.blocks(N1, N2) and policy.blocks(N2, N1)
-        assert apply_chaos_command(
-            policy, ChaosCommand(cid(2), "drop", "ow", (N2,), (N3,))
-        )
+        assert policy.apply(DropLinkAt(0.0, "ow", N2, N3))
         assert policy.blocks(N2, N3) and not policy.blocks(N3, N2)
-        assert apply_chaos_command(
-            policy, ChaosCommand(cid(3), "delay", "lag", (N1,), (N3,), 0.2)
-        )
+        assert policy.apply(DelayLinkAt(0.0, "lag", N1, N3, 0.2))
         assert policy.latency(N1, N3) == pytest.approx(0.2)
-        assert apply_chaos_command(
-            policy, ChaosCommand(cid(4), "lose", "flaky", (N3,), (N1,), 1.0)
-        )
+        assert policy.apply(LoseLinkAt(0.0, "flaky", N3, N1, 1.0))
         assert policy.should_drop(N3, N1)
-        assert apply_chaos_command(policy, ChaosCommand(cid(5), "heal", "cut"))
+        assert policy.apply(HealAt(0.0, "cut"))
         assert not policy.blocks(N1, N2)
-        assert apply_chaos_command(policy, ChaosCommand(cid(6), "heal_all"))
+        assert policy.active() == ["flaky", "lag", "ow"]
+
+    def test_process_actions_are_not_link_rules(self):
+        policy = LinkPolicy()
+        assert not policy.apply(CrashAt(1.0, N1))
+        assert not policy.apply(RestartAt(2.0, N1))
         assert policy.active() == []
 
-    def test_unknown_op_rejected_not_crashed(self):
-        assert not apply_chaos_command(
-            LinkPolicy(), ChaosCommand(cid(), "chaos-monkey")
-        )
-
-    def test_link_command_translates_every_link_action(self):
-        pairs = [
-            (PartitionAt(1.0, "cut", (N1,), (N2, N3)), "partition"),
-            (HealAt(2.0, "cut"), "heal"),
-            (DropLinkAt(1.0, "d", N1, N2), "drop"),
-            (DelayLinkAt(1.0, "lag", N1, N2, 0.3), "delay"),
-            (LoseLinkAt(1.0, "flaky", N1, N2, 0.2), "lose"),
-        ]
-        for action, op in pairs:
-            command = _link_command(action, cid())
-            assert command is not None and command.op == op
-        # Process-level actions have no wire translation.
-        assert _link_command(CrashAt(1.0, N1), cid()) is None
+    def test_every_action_travels_as_itself(self):
+        # The chaos wire carries the schedule's own action (or None, the
+        # status query): no translation either way.
+        for action in [
+            CrashAt(1.0, N1),
+            RestartAt(2.0, N1),
+            PartitionAt(1.0, "cut", (N1,), (N2, N3)),
+            HealAt(2.0, "cut"),
+            DropLinkAt(1.0, "d", N1, N2),
+            DelayLinkAt(1.0, "lag", N1, N2, 0.3),
+            LoseLinkAt(1.0, "flaky", N1, N2, 0.2),
+            None,
+        ]:
+            command = ChaosCommand(cid(), action)
+            assert codec.decode_payload(codec.encode_payload(command)) == command
 
     def test_command_round_trips_and_applies_after_decode(self):
         # The full path a rule travels: encode, decode, apply.
-        command = ChaosCommand(cid(), "partition", "cut", (N1,), (N2, N3))
+        command = ChaosCommand(cid(), PartitionAt(1.0, "cut", (N1,), (N2, N3)))
         decoded = codec.decode_payload(codec.encode_payload(command))
         assert decoded == command
         policy = LinkPolicy()
-        assert apply_chaos_command(policy, decoded)
+        assert policy.apply(decoded.action)
         assert policy.blocks(N1, N3)
 
     def test_chaos_endpoint_name(self):
@@ -438,20 +470,28 @@ class TestTransportEnforcement:
         received: list = []
         replica, (host, port) = await _start_receiver("n1", received)
         install_chaos_endpoint(replica, "n1")
-        command = ChaosCommand(cid(), "partition", "cut", (N1,), (N2,))
+        partition = ChaosCommand(cid(1), PartitionAt(0.0, "cut", (N1,), (N2,)))
+        crash = ChaosCommand(cid(2), CrashAt(0.0, N1))
         try:
             reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                codec.encode_frame(NodeId("ctl"), chaos_endpoint("n1"), command)
-            )
-            await writer.drain()
-            header = await asyncio.wait_for(reader.readexactly(4), timeout=5.0)
-            body = await asyncio.wait_for(
-                reader.readexactly(codec.frame_length(header)), timeout=5.0
-            )
-            _, _, ack = codec.decode_frame_body(body)
-            assert ack == ChaosAck(command.cid, N1, "partition", True)
+            acks = []
+            for command in (partition, crash):
+                writer.write(codec.encode_frame(
+                    NodeId("ctl"), chaos_endpoint("n1"), command
+                ))
+                await writer.drain()
+                header = await asyncio.wait_for(reader.readexactly(4), timeout=5.0)
+                body = await asyncio.wait_for(
+                    reader.readexactly(codec.frame_length(header)), timeout=5.0
+                )
+                acks.append(codec.decode_frame_body(body)[2])
+            assert acks == [
+                ChaosAck(partition.cid, True),
+                # A process action is not the transport's to apply.
+                ChaosAck(crash.cid, False),
+            ]
             assert replica.policy.blocks(N1, N2)
+            assert replica.policy.active() == ["cut"]
             writer.close()
         finally:
             await replica.close()

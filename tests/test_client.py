@@ -3,7 +3,8 @@
 from repro.apps.kvstore import KvStateMachine
 from repro.core.client import Client, ClientParams, ClientReply, Redirect
 from repro.core.service import ReplicatedService
-from repro.sim.failures import FailureInjector, FailureSchedule
+from repro.faults import FailureSchedule
+from repro.sim.failures import FailureInjector
 from repro.sim.runner import Simulator
 from repro.types import ClientId, CommandId, Membership, client_id, node_id
 

@@ -24,6 +24,15 @@ from repro.core.command import ReconfigCommand, ReconfigRequest
 from repro.core.observer import ObserverBootstrap, ObserverSubscribe, ObserverUpdate
 from repro.core.reconfig import EpochAnnounce
 from repro.core.state_transfer import SnapshotReply, SnapshotRequest, SnapshotUnavailable
+from repro.faults import (
+    CrashAt,
+    DelayLinkAt,
+    DropLinkAt,
+    HealAt,
+    LoseLinkAt,
+    PartitionAt,
+    RestartAt,
+)
 from repro.net import codec
 from repro.net.admin import ChaosAck, ChaosCommand, MetricsRequest, MetricsSnapshot
 from repro.shard import messages as shm
@@ -107,6 +116,22 @@ decisions = st.builds(Decision, slots, st.one_of(commands, values), times)
 
 reconfig_commands = st.builds(ReconfigCommand, command_ids, memberships, sizes)
 batches = st.builds(Batch, st.lists(commands, min_size=1, max_size=4).map(tuple))
+node_groups = st.lists(node_ids, max_size=3).map(tuple)
+fault_actions = {
+    CrashAt: st.builds(CrashAt, times, node_ids),
+    RestartAt: st.builds(RestartAt, times, node_ids),
+    PartitionAt: st.builds(PartitionAt, times, names, node_groups, node_groups),
+    HealAt: st.builds(HealAt, times, names),
+    DropLinkAt: st.builds(DropLinkAt, times, names, node_ids, node_ids),
+    DelayLinkAt: st.builds(
+        DelayLinkAt, times, names, node_ids, node_ids,
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    ),
+    LoseLinkAt: st.builds(
+        LoseLinkAt, times, names, node_ids, node_ids,
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    ),
+}
 engine_inner = st.one_of(
     st.builds(m.Prepare, ballots, slots),
     st.builds(
@@ -248,15 +273,10 @@ STRATEGIES: dict[type, st.SearchStrategy] = {
     ChaosCommand: st.builds(
         ChaosCommand,
         command_ids,
-        st.sampled_from(["partition", "drop", "delay", "lose", "heal", "heal_all"]),
-        names,
-        st.lists(node_ids, max_size=3).map(tuple),
-        st.lists(node_ids, max_size=3).map(tuple),
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        st.one_of(st.none(), *fault_actions.values()),
     ),
-    ChaosAck: st.builds(
-        ChaosAck, command_ids, node_ids, names, st.booleans(), st.text(max_size=40)
-    ),
+    **fault_actions,
+    ChaosAck: st.builds(ChaosAck, command_ids, st.booleans(), st.text(max_size=40)),
     WalPromise: st.builds(WalPromise, names, ballots),
     WalAccept: st.builds(
         WalAccept, names, slots, ballots, st.one_of(commands, batches, values)
@@ -978,7 +998,7 @@ class TestRowEncodedDataStillReads:
 #: ``RequestBatch`` of 10 commands, hex: the type ids are the positions of
 #: the wire names in the sorted registry.
 PINNED_REQUEST_BATCH = "".join([
-    "0b27",  # RequestBatch
+    "0b2d",  # RequestBatch
     "0c070a",  # column block: tuple of 10 rows
     "040c",  # rows are Command, one column per field:
     "040d",  # cid: CommandId, one column per field:

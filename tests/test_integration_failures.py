@@ -1,10 +1,13 @@
 """End-to-end correctness under failures: crashes, partitions, lossy links."""
 
+import pytest
+
 from repro.apps.counter import CounterStateMachine
 from repro.apps.kvstore import KvStateMachine
 from repro.core.client import ClientParams
 from repro.core.service import ReplicatedService
-from repro.sim.failures import FailureInjector, FailureSchedule
+from repro.faults import FailureSchedule
+from repro.sim.failures import FailureInjector
 from repro.sim.network import LatencyModel
 from repro.sim.runner import Simulator
 from repro.types import node_id
@@ -51,6 +54,27 @@ def assert_correct(service, clients):
 
 
 class TestCrashes:
+    @pytest.mark.parametrize("victim", ["n1", "n2"])
+    def test_a_restarted_replica_votes_again(self, victim):
+        # The victim (the first leader, or a follower) crashes and comes
+        # back; then n3 crashes for good, so the victim's vote is part of
+        # every quorum left. A restart keeps the chain and the acceptor
+        # state but revives the engines as followers, so commands commit.
+        sim = Simulator(seed=204)
+        service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
+        clients = kv_clients(service, 2, 1500)
+        FailureInjector(
+            sim,
+            FailureSchedule()
+            .crash(0.4, victim)
+            .restart(0.8, victim)
+            .crash(1.2, "n3"),
+        ).arm()
+        done = sim.run_until(lambda: all(c.finished for c in clients), timeout=30.0)
+        assert done
+        assert max(r.returned_at for c in clients for r in c.records) > 1.5
+        assert_correct(service, clients)
+
     def test_follower_crash_transparent(self):
         sim = Simulator(seed=201)
         service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)

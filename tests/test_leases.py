@@ -115,8 +115,10 @@ class TestLeaseMechanics:
             for r in service.replicas.values()
             if r.epoch_runtime(0).engine.is_leader
         )
-        sim.network.partition("iso", [str(leader.node)],
-                              [str(n) for n in service.replicas if n != leader.node])
+        sim.network.policy.partition(
+            "iso", [str(leader.node)],
+            [str(n) for n in service.replicas if n != leader.node],
+        )
         sim.run(until=sim.now + 0.3)  # > lease_duration with no fresh acks
         assert not leader.epoch_runtime(0).engine.has_read_lease(sim.now)
 
@@ -520,7 +522,7 @@ class TestFollowerReads:
             if not r.epoch_runtime(0).engine.is_leader
         )
         others = [str(n) for n in service.replicas if n != follower.node]
-        sim.network.partition("iso", [str(follower.node)], others)
+        sim.network.policy.partition("iso", [str(follower.node)], others)
         sim.run(until=sim.now + 0.6)  # silence > staleness_bound
         read = Command(CommandId(client_id("probe"), 1), "get", ("k",), size=32)
         assert follower._serve_local_read(read, node_id("pc")) is False

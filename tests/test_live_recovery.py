@@ -24,7 +24,7 @@ import pytest
 from repro.net.chaos import ChaosController, HistoryRecorder
 from repro.net.client import LiveClient
 from repro.net.cluster import LocalCluster
-from repro.sim.failures import FailureSchedule
+from repro.faults import FailureSchedule
 from repro.verify.linearizability import check_kv_linearizable
 
 pytestmark = [pytest.mark.live, pytest.mark.slow]

@@ -151,12 +151,12 @@ class TestCatchup:
     def test_partitioned_follower_catches_up(self):
         sim, hosts = make_cluster(seed=5)
         sim.run(until=0.1)
-        sim.network.partition("cut", ["n3"], ["n1", "n2"])
+        sim.network.policy.partition("cut", ["n3"], ["n1", "n2"])
         for i in range(15):
             hosts[node_id("n1")].propose(cmd(i + 1))
         sim.run(until=1.0)
         assert len(hosts[node_id("n3")].decisions) == 0
-        sim.network.heal("cut")
+        sim.network.policy.heal("cut")
         sim.run(until=3.0)
         assert len(decided_commands(hosts[node_id("n3")])) == 15
         assert_logs_prefix_consistent(hosts)
@@ -201,7 +201,7 @@ def retry_at_deposed_leader(
 
     sim.run(until=0.1)
     assert n1.engine.is_leader
-    sim.network.partition("cut", ["n1"], ["n2", "n3"])
+    sim.network.policy.partition("cut", ["n1"], ["n2", "n3"])
     offer()
     sim.run(until=2.0)
     assert n1.engine.assigned_keys[proposal_key(lost)] == 0
@@ -213,7 +213,7 @@ def retry_at_deposed_leader(
         assert n1.engine.is_leader
         n1.engine.on_message(m.Decide(0, n2.engine.log.value(0)), node_id("n2"))
         assert n1.engine.is_leader
-    sim.network.heal("cut")
+    sim.network.policy.heal("cut")
     sim.at(6.0, lambda: offer(hosts[node_id(retry_at)]))
     sim.run(until=10.0)
     return hosts, lost

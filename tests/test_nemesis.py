@@ -74,18 +74,18 @@ class Nemesis:
             isolated = self.rng.choice(members)
             rest = [str(r.node) for r in members if r is not isolated]
             self.actions.append(f"partition {isolated.node}")
-            self.sim.network.partition("nemesis", [str(isolated.node)], rest)
+            self.sim.network.policy.partition("nemesis", [str(isolated.node)], rest)
             self._partition_active = True
             self.sim.schedule(0.4, self._heal)
         else:
             self.actions.append("noop")
 
     def _heal(self) -> None:
-        self.sim.network.heal("nemesis")
+        self.sim.network.policy.heal("nemesis")
         self._partition_active = False
 
     def _heal_everything(self) -> None:
-        self.sim.network.heal_all()
+        self.sim.network.policy.heal_all()
         self._partition_active = False
 
 

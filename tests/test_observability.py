@@ -337,7 +337,7 @@ class TestChaosTimeline:
     def _report(self, spans):
         from repro.net.chaos import Injection
         from repro.net.storm import StormReport, build_storm_plan
-        from repro.sim.failures import CrashAt
+        from repro.faults import CrashAt
         from repro.verify.histories import History
         from repro.verify.linearizability import LinearizabilityResult
 

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps.kvstore import KvStateMachine
 from repro.core.client import ClientParams
 from repro.core.service import ReplicatedService
-from repro.sim.failures import FailureInjector, FailureSchedule
+from repro.faults import FailureSchedule
+from repro.sim.failures import FailureInjector
 from repro.sim.network import LatencyModel
 from repro.sim.runner import Simulator
 from repro.verify.histories import History

@@ -36,9 +36,9 @@ class TestAnnounceLoss:
         # The joiner is cut off exactly when the seal (and its announce)
         # happens; the periodic re-announce must recover it after healing.
         joiner = service.add_replica("n4")
-        sim.network.partition("cut", ["n4"], ["n1", "n2", "n3"])
+        sim.network.policy.partition("cut", ["n4"], ["n1", "n2", "n3"])
         service.reconfigure_at(0.4, ["n1", "n2", "n4"])
-        sim.at(1.5, lambda: sim.network.heal("cut"))
+        sim.at(1.5, lambda: sim.network.policy.heal("cut"))
         done = sim.run_until(lambda: client.finished, timeout=40.0)
         assert done
         sim.run_until(

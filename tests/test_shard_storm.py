@@ -53,7 +53,7 @@ class TestPlanShapes:
         ]
         # The second step trails the first by enough for the failover
         # (hold + takeover + replayed cutover) to complete in between.
-        assert plan.steps[1].offset - plan.steps[0].offset > 1.5
+        assert plan.steps[1].time - plan.steps[0].time > 1.5
         # The kill is condition-triggered, not scheduled: the window it
         # aims at (retired, not installed) has no wall-clock address.
         assert not plan.schedule.sorted_actions()
@@ -62,14 +62,14 @@ class TestPlanShapes:
         plan = build_shard_storm_plan("shard", seed=42)
         ops = [step.members[0] for step in plan.steps]
         assert ops == ["add-replica", "split", "remove-replica"]
-        offsets = [step.offset for step in plan.steps]
+        offsets = [step.time for step in plan.steps]
         assert offsets == sorted(offsets)
         assert plan.duration > offsets[-1]
 
     def test_scale_stretches_offsets(self):
         base = build_shard_storm_plan("shard", seed=3, scale=1.0)
         wide = build_shard_storm_plan("shard", seed=3, scale=2.0)
-        assert wide.steps[0].offset > base.steps[0].offset
+        assert wide.steps[0].time > base.steps[0].time
 
 
 class TestChainOracle:

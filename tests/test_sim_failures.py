@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.failures import FailureInjector, FailureSchedule
+from repro.faults import FailureSchedule
+from repro.sim.failures import FailureInjector
 from repro.sim.node import Process
 from repro.sim.runner import Simulator
 from repro.types import node_id

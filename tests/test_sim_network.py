@@ -80,7 +80,7 @@ class TestLossAndDuplication:
 class TestPartitions:
     def test_partition_blocks_both_directions(self):
         sim, inboxes = make_net()
-        sim.network.partition("p", ["a"], ["b"])
+        sim.network.policy.partition("p", ["a"], ["b"])
         sim.network.send(node_id("a"), node_id("b"), "x")
         sim.network.send(node_id("b"), node_id("a"), "y")
         sim.run()
@@ -88,15 +88,15 @@ class TestPartitions:
 
     def test_partition_does_not_affect_third_party(self):
         sim, inboxes = make_net()
-        sim.network.partition("p", ["a"], ["b"])
+        sim.network.policy.partition("p", ["a"], ["b"])
         sim.network.send(node_id("a"), node_id("c"), "x")
         sim.run()
         assert len(inboxes["c"]) == 1
 
     def test_heal_restores_delivery(self):
         sim, inboxes = make_net()
-        sim.network.partition("p", ["a"], ["b"])
-        sim.network.heal("p")
+        sim.network.policy.partition("p", ["a"], ["b"])
+        sim.network.policy.heal("p")
         sim.network.send(node_id("a"), node_id("b"), "x")
         sim.run()
         assert len(inboxes["b"]) == 1
@@ -105,15 +105,15 @@ class TestPartitions:
         sim, inboxes = make_net()
         sim.network.send(node_id("a"), node_id("b"), "x")
         # Partition lands before delivery (delivery has nonzero latency).
-        sim.network.partition("p", ["a"], ["b"])
+        sim.network.policy.partition("p", ["a"], ["b"])
         sim.run()
         assert inboxes["b"] == []
 
     def test_heal_all(self):
         sim, inboxes = make_net()
-        sim.network.partition("p1", ["a"], ["b"])
-        sim.network.partition("p2", ["a"], ["c"])
-        sim.network.heal_all()
+        sim.network.policy.partition("p1", ["a"], ["b"])
+        sim.network.policy.partition("p2", ["a"], ["c"])
+        sim.network.policy.heal_all()
         sim.network.send(node_id("a"), node_id("b"), "x")
         sim.network.send(node_id("a"), node_id("c"), "y")
         sim.run()
@@ -121,7 +121,7 @@ class TestPartitions:
 
     def test_heal_unknown_partition_is_noop(self):
         sim, _ = make_net()
-        sim.network.heal("never-existed")
+        sim.network.policy.heal("never-existed")
 
 
 class TestStats:

@@ -69,13 +69,13 @@ class TestPlanShapes:
     def test_overlap_issues_back_to_back_reconfigs(self):
         plan = build_storm_plan("overlap", seed=42)
         assert len(plan.steps) == 2
-        gap = plan.steps[1].offset - plan.steps[0].offset
+        gap = plan.steps[1].time - plan.steps[0].time
         # The whole point: the second RECONFIGURE lands well inside the
         # window the delayed links keep the first join's transfer open.
         assert gap < 0.6
         heals = [a for a in plan.schedule.sorted_actions()
                  if type(a).__name__ == "HealAt"]
-        assert heals and all(a.time > plan.steps[1].offset for a in heals)
+        assert heals and all(a.time > plan.steps[1].time for a in heals)
 
     def test_rolling_replaces_every_member(self):
         plan = build_storm_plan("rolling", seed=42)
@@ -89,8 +89,8 @@ class TestPlanShapes:
         assert {str(a.node) for a in crashes} == {
             plan.initial[0], plan.joiners[0]
         }
-        r1 = plan.steps[0].offset
-        assert all(r1 < a.time < plan.steps[1].offset for a in crashes)
+        r1 = plan.steps[0].time
+        assert all(r1 < a.time < plan.steps[1].time for a in crashes)
 
     @pytest.mark.parametrize("scenario", STORM_SCENARIOS)
     def test_contacts_are_never_disturbed(self, scenario):
@@ -107,7 +107,7 @@ class TestPlanShapes:
         wide = build_storm_plan("rolling", seed=3, scale=2.0)
         assert wide.duration > base.duration
         for narrow_step, wide_step in zip(base.steps, wide.steps):
-            assert wide_step.offset > narrow_step.offset
+            assert wide_step.time > narrow_step.time
 
 
 class TestAvailabilityWindows:
@@ -194,8 +194,8 @@ def make_report(**changes) -> StormReport:
             for a in plan.schedule.sorted_actions()
         ],
         reconfigs=[
-            {"offset": s.offset, "members": list(s.members),
-             "applied_at": s.offset + 0.1, "ok": True}
+            {"offset": s.time, "members": list(s.members),
+             "applied_at": s.time + 0.1, "ok": True}
             for s in plan.steps
         ],
         elapsed=7.0,

@@ -38,11 +38,29 @@ class TestVerifyRun:
         sim = Simulator(seed=923)
         service, clients, finished = run_kv_service(sim, n_ops=20)
         assert finished
-        clients[0].records[-1].value = "FORGED"
         report = verify_run(
             service.replicas.values(), clients, check_linearizability=False
         )
-        assert report.kv_keys_checked == 0  # structural checks only
+        assert report.kv_keys_checked == 0  # Wing-Gong skipped...
+        assert report.replayed > 0  # ...the replay oracle still runs
+        # and still catches a forged reply on its own.
+        clients[0].records[-1].value = "FORGED"
+        with pytest.raises(VerificationError, match="reply mismatch"):
+            verify_run(
+                service.replicas.values(), clients, check_linearizability=False
+            )
+
+    def test_replays_every_caught_up_founding_member(self):
+        sim = Simulator(seed=921)
+        service, clients, finished = run_kv_service(
+            sim, n_ops=40, client_count=2, reconfigs=[(0.4, ("n1", "n2", "n4"))]
+        )
+        assert finished
+        sim.run(until=sim.now + 1.0)
+        report = verify_run(service.replicas.values(), clients)
+        # n1 and n2 stayed members from epoch 0; retired n3 and the
+        # mid-log joiner n4 are not replayed.
+        assert report.replayed == 2 * 80
 
     def test_counts_pending_operations(self):
         sim = Simulator(seed=924)
