@@ -30,6 +30,8 @@ from repro.types import Command
 class BankStateMachine(StateMachine):
     """Deterministic account table with atomic transfers."""
 
+    READ_ONLY_OPS = frozenset({"balance", "total"})
+
     def __init__(self):
         self._accounts: dict[str, int] = {}
 

@@ -24,6 +24,8 @@ from repro.types import Command
 class CounterStateMachine(StateMachine):
     """Deterministic counter table."""
 
+    READ_ONLY_OPS = frozenset({"read"})
+
     def __init__(self):
         self._counters: dict[str, int] = {}
 

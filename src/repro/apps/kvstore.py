@@ -26,6 +26,8 @@ from repro.types import Command
 class KvStateMachine(StateMachine):
     """Deterministic in-memory KV store."""
 
+    READ_ONLY_OPS = frozenset({"get", "scan"})
+
     def __init__(self, value_bytes: int = 64):
         self._data: dict[str, Any] = {}
         self.value_bytes = value_bytes

@@ -26,6 +26,8 @@ from repro.types import Command
 class LockServiceStateMachine(StateMachine):
     """Deterministic lock table."""
 
+    READ_ONLY_OPS = frozenset({"holder"})
+
     def __init__(self):
         self._holders: dict[str, str] = {}
 

@@ -50,6 +50,8 @@ SHARD_OPS = ("shard_retire", "shard_install", "shard_info")
 class ShardedKvStateMachine(StateMachine):
     """A KV store that serves only the hash ranges its group owns."""
 
+    READ_ONLY_OPS = KvStateMachine.READ_ONLY_OPS
+
     def __init__(
         self,
         group: str = "g0",

@@ -103,19 +103,14 @@ class InstallSnapshotReply:
     match_index: int
 
 
-@dataclass(slots=True)
-class RaftParams:
-    """Raft timing/compaction parameters (simulated seconds)."""
-
-    election_timeout_min: float = 0.15
-    election_timeout_max: float = 0.30
-    heartbeat_interval: float = 0.025
-    max_entries_per_append: int = 64
-    #: compact the log once this many entries are applied past its base.
-    compaction_threshold: int = 512
-    protocol_overhead_bytes: int = 96
-    #: lowest-id member campaigns immediately at t=0 for fast cold start.
-    fast_bootstrap: bool = True
+#: a follower campaigns after a silence drawn from this range (seconds).
+ELECTION_TIMEOUT_MIN = 0.15
+ELECTION_TIMEOUT_MAX = 0.30
+HEARTBEAT_INTERVAL = 0.025
+MAX_ENTRIES_PER_APPEND = 64
+#: compact the log once this many entries are applied past its base.
+COMPACTION_THRESHOLD = 512
+PROTOCOL_OVERHEAD_BYTES = 96
 
 
 def _payload_size(payload: Any) -> int:
@@ -137,12 +132,10 @@ class RaftReplica(Process):
         sim: Simulator,
         node: NodeId,
         app_factory: Callable[[], StateMachine],
-        params: RaftParams | None = None,
         initial_config: Membership | None = None,
         commit_listener: Callable[[Time, Any, int, int, Any], None] | None = None,
     ):
         super().__init__(sim, node)
-        self.params = params if params is not None else RaftParams()
         self.app_factory = app_factory
         self.commit_listener = commit_listener
         self._rng = sim.rng.fork(f"raft/{node}")
@@ -229,11 +222,8 @@ class RaftReplica(Process):
 
     def on_start(self) -> None:
         self._arm_election_timer()
-        if (
-            self.params.fast_bootstrap
-            and len(self.config) > 0
-            and self.node == self.config.sorted_nodes()[0]
-        ):
+        # The lowest-id member campaigns at once: a fast cold start.
+        if len(self.config) > 0 and self.node == self.config.sorted_nodes()[0]:
             self.set_timer(
                 self._rng.uniform(0.0, 0.01), self._start_election, label="bootstrap"
             )
@@ -262,9 +252,7 @@ class RaftReplica(Process):
             self._election_timer.cancel()
         if self.node not in self.config:
             return  # not a voter: never campaign
-        delay = self._rng.uniform(
-            self.params.election_timeout_min, self.params.election_timeout_max
-        )
+        delay = self._rng.uniform(ELECTION_TIMEOUT_MIN, ELECTION_TIMEOUT_MAX)
         self._election_timer = self.set_timer(
             delay, self._on_election_timeout, label="raft-election"
         )
@@ -293,7 +281,7 @@ class RaftReplica(Process):
         )
         for peer in self.config:
             if peer != self.node:
-                self.send(peer, request, size=self.params.protocol_overhead_bytes)
+                self.send(peer, request, size=PROTOCOL_OVERHEAD_BYTES)
         if len(self._votes) >= self.config.quorum_size:
             self._become_leader()
 
@@ -306,13 +294,13 @@ class RaftReplica(Process):
         # cluster with endless higher-term campaigns.
         recently_led = (
             self.role == "leader"
-            or self.now - self._last_leader_contact < self.params.election_timeout_min
+            or self.now - self._last_leader_contact < ELECTION_TIMEOUT_MIN
         )
         if recently_led and msg.candidate != self.leader_hint:
             self.send(
                 sender,
                 VoteReply(self.current_term, False),
-                size=self.params.protocol_overhead_bytes,
+                size=PROTOCOL_OVERHEAD_BYTES,
             )
             return
         if msg.term > self.current_term:
@@ -332,7 +320,7 @@ class RaftReplica(Process):
         self.send(
             sender,
             VoteReply(self.current_term, granted),
-            size=self.params.protocol_overhead_bytes,
+            size=PROTOCOL_OVERHEAD_BYTES,
         )
 
     def _handle_vote_reply(self, msg: VoteReply, sender: NodeId) -> None:
@@ -384,7 +372,7 @@ class RaftReplica(Process):
         if self._hb_timer is not None:
             self._hb_timer.cancel()
         self._hb_timer = self.set_timer(
-            self.params.heartbeat_interval, self._heartbeat_tick, label="raft-hb"
+            HEARTBEAT_INTERVAL, self._heartbeat_tick, label="raft-hb"
         )
 
     def _heartbeat_tick(self) -> None:
@@ -428,9 +416,9 @@ class RaftReplica(Process):
         if prev_term is None:
             self._send_snapshot(peer)
             return
-        end = min(self.last_log_index, next_index + self.params.max_entries_per_append - 1)
+        end = min(self.last_log_index, next_index + MAX_ENTRIES_PER_APPEND - 1)
         entries = tuple(self.entry_at(i) for i in range(next_index, end + 1))
-        size = self.params.protocol_overhead_bytes + sum(
+        size = PROTOCOL_OVERHEAD_BYTES + sum(
             _payload_size(e.payload) for e in entries
         )
         self.send(
@@ -455,7 +443,7 @@ class RaftReplica(Process):
                 self.current_term, self.node, self.snap_index, self.snap_term,
                 self.snap_config or self.config, deepcopy(self.snap_data), size,
             ),
-            size=size + self.params.protocol_overhead_bytes,
+            size=size + PROTOCOL_OVERHEAD_BYTES,
         )
 
     def _handle_append_reply(self, msg: AppendReply, sender: NodeId) -> None:
@@ -509,7 +497,7 @@ class RaftReplica(Process):
             self.send(
                 sender,
                 AppendReply(self.current_term, False, 0, self.last_log_index + 1),
-                size=self.params.protocol_overhead_bytes,
+                size=PROTOCOL_OVERHEAD_BYTES,
             )
             return
         if msg.term > self.current_term or self.role != "follower":
@@ -522,7 +510,7 @@ class RaftReplica(Process):
             self.send(
                 sender,
                 AppendReply(self.current_term, False, 0, self.last_log_index + 1),
-                size=self.params.protocol_overhead_bytes,
+                size=PROTOCOL_OVERHEAD_BYTES,
             )
             return
         local_prev_term = self.term_at(msg.prev_log_index)
@@ -532,7 +520,7 @@ class RaftReplica(Process):
             self.send(
                 sender,
                 AppendReply(self.current_term, False, 0, self.snap_index + 1),
-                size=self.params.protocol_overhead_bytes,
+                size=PROTOCOL_OVERHEAD_BYTES,
             )
             return
         if local_prev_term != msg.prev_log_term:
@@ -549,7 +537,7 @@ class RaftReplica(Process):
             self.send(
                 sender,
                 AppendReply(self.current_term, False, 0, conflict),
-                size=self.params.protocol_overhead_bytes,
+                size=PROTOCOL_OVERHEAD_BYTES,
             )
             return
 
@@ -578,7 +566,7 @@ class RaftReplica(Process):
         self.send(
             sender,
             AppendReply(self.current_term, True, match, 0),
-            size=self.params.protocol_overhead_bytes,
+            size=PROTOCOL_OVERHEAD_BYTES,
         )
 
     def _handle_install_snapshot(self, msg: InstallSnapshot, sender: NodeId) -> None:
@@ -586,7 +574,7 @@ class RaftReplica(Process):
             self.send(
                 sender,
                 InstallSnapshotReply(self.current_term, 0),
-                size=self.params.protocol_overhead_bytes,
+                size=PROTOCOL_OVERHEAD_BYTES,
             )
             return
         if msg.term > self.current_term or self.role != "follower":
@@ -615,7 +603,7 @@ class RaftReplica(Process):
         self.send(
             sender,
             InstallSnapshotReply(self.current_term, self.snap_index),
-            size=self.params.protocol_overhead_bytes,
+            size=PROTOCOL_OVERHEAD_BYTES,
         )
 
     # ------------------------------------------------------------------
@@ -662,7 +650,7 @@ class RaftReplica(Process):
             )
 
     def _maybe_compact(self) -> None:
-        if self.last_applied - (self.log_base - 1) >= self.params.compaction_threshold:
+        if self.last_applied - (self.log_base - 1) >= COMPACTION_THRESHOLD:
             self._compact()
 
     def _compact(self, force: bool = False) -> None:

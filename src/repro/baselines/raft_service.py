@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.baselines.raft import RaftParams, RaftReplica
+from repro.baselines.raft import RaftReplica
 from repro.core.client import Client, ClientParams, OperationSource, OpRecord
 from repro.core.command import ReconfigCommand
 from repro.core.statemachine import StateMachine
@@ -31,11 +31,9 @@ class RaftService:
         sim: Simulator,
         members: Iterable[str],
         app_factory: Callable[[], StateMachine],
-        params: RaftParams | None = None,
         commit_listener=None,
     ):
         self.sim = sim
-        self.params = params if params is not None else RaftParams()
         self.app_factory = app_factory
         self.commit_listener = commit_listener
         membership = Membership.from_iter(members)
@@ -48,7 +46,6 @@ class RaftService:
                 sim,
                 node,
                 app_factory,
-                params=self.params,
                 initial_config=membership,
                 commit_listener=commit_listener,
             )
@@ -66,7 +63,6 @@ class RaftService:
             self.sim,
             NodeId(node),
             self.app_factory,
-            params=self.params,
             initial_config=None,
             commit_listener=self.commit_listener,
         )

@@ -583,7 +583,6 @@ def exp_t6_detector(
             request_timeout=max(0.3, timeout), trace=True,
             engine_params=PaxosParams(
                 suspect_timeout_min=timeout,
-                suspect_timeout_max=timeout * 2,
                 # keep the lease legal under aggressive suspicion settings
                 lease_duration=min(0.08, timeout * 0.5),
             ),

@@ -39,7 +39,7 @@ def _engine_factory(engine: str, engine_params=None) -> EngineFactory:
     if engine == "paxos":
         return MultiPaxosEngine.factory(engine_params)
     if engine == "sequencer":
-        return SequencerEngine.factory(engine_params)
+        return SequencerEngine  # no parameters: the class is the factory
     raise ConfigurationError(f"unknown engine {engine!r}")
 
 

@@ -188,30 +188,17 @@ def build_replica(args: "argparse.Namespace"):
     install_metrics_endpoint(
         transport, args.node, runtime.metrics, lambda: runtime.now
     )
-    suspect_min = args.suspect_timeout / 1000.0
     engine_params = PaxosParams(
         batch_delay=args.batch_delay / 1000.0,
         batch_max=args.batch_max,
         window=args.window,
         lease_duration=args.lease_duration / 1000.0,
-        suspect_timeout_min=suspect_min,
-        suspect_timeout_max=2.0 * suspect_min,
+        suspect_timeout_min=args.suspect_timeout / 1000.0,
     )
-    params_kwargs = {}
-    if args.app == "metadir":
-        from repro.shard.metadir import METADIR_READ_OPS
-
-        # Director reads (map/history/status) ride the lease fast path
-        # when the metadir group is served with --read-mode.
-        params_kwargs["read_only_ops"] = (
-            ReconfigParams.__dataclass_fields__["read_only_ops"].default
-            | METADIR_READ_OPS
-        )
     params = ReconfigParams(
         engine_factory=MultiPaxosEngine.factory(engine_params),
         checkpoint_interval=args.checkpoint_interval,
         read_mode=args.read_mode,
-        **params_kwargs,
     )
     app_factory = _app_factory(args.app)
     if args.shard_group:
@@ -286,8 +273,10 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
                    f", window={args.window or 'unbounded'}")
     read_note = ""
     if args.read_mode != "log":
+        from repro.core.reconfig import STALENESS_BOUND
+
         bound = (f"lease={args.lease_duration:g}ms" if args.read_mode == "lease"
-                 else f"staleness<={replica.params.staleness_bound * 1e3:g}ms")
+                 else f"staleness<={STALENESS_BOUND * 1e3:g}ms")
         read_note = f", reads={args.read_mode} ({bound})"
     member = args.node in [m.strip() for m in args.initial.split(",")]
     print(f"[{args.node}] serving on {host}:{port} "

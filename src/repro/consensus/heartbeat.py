@@ -5,7 +5,7 @@ logic shared by the Multi-Paxos engine (and usable by any leader-based
 protocol): a randomized suspicion timeout that is re-armed every time we
 hear from the current leader, firing a campaign callback when it expires.
 
-Randomizing the timeout per node (uniform in ``[min, max]``) is the
+Randomizing the timeout per node (uniform in ``[min, 2 * min]``) is the
 standard duelling-candidates mitigation: two followers rarely give up on a
 dead leader at exactly the same instant.
 """
@@ -25,12 +25,11 @@ class HeartbeatMonitor:
         self,
         transport: Transport,
         timeout_min: float,
-        timeout_max: float,
         on_suspect: Callable[[], None],
     ):
         self._transport = transport
         self._timeout_min = timeout_min
-        self._timeout_max = timeout_max
+        self._timeout_max = 2.0 * timeout_min
         self._on_suspect = on_suspect
         self._timer: Timer | None = None
         self._stopped = False

@@ -151,8 +151,9 @@ class Transport:
 
 
 # Factory signature every engine implementation provides (see
-# MultiPaxosEngine.factory / SequencerEngine.factory): given a transport,
-# the fixed membership and a decision callback, build a ready engine.
+# MultiPaxosEngine.factory; SequencerEngine, which has no parameters, is
+# its own factory): given a transport, the fixed membership and a
+# decision callback, build a ready engine.
 EngineFactory = Callable[[Transport, Membership, Callable[[Decision], None]], "SmrEngine"]
 
 

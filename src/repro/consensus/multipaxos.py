@@ -49,18 +49,28 @@ def payload_size(value: Any) -> int:
     return int(getattr(value, "size", 64))
 
 
+#: leader heartbeat period (simulated seconds); also the least gap
+#: between two catch-up requests of one learner.
+HEARTBEAT_INTERVAL = 0.025
+#: period of the follower's re-forward and the leader's re-accept sweep.
+PROPOSAL_RETRY_INTERVAL = 0.10
+#: an unanswered Accept is re-sent once it is this old at a sweep.
+ACCEPT_RESEND_AFTER = 0.05
+#: most decided slots one CatchupReply carries.
+CATCHUP_BATCH = 200
+#: the lowest member's first campaign waits up to this long (jitter).
+INITIAL_CAMPAIGN_DELAY_MAX = 0.005
+#: bytes every engine message is charged beyond its payload (sim).
+PROTOCOL_OVERHEAD_BYTES = 96
+
+
 @dataclass(slots=True)
 class PaxosParams:
     """Tunable timing/batching parameters (simulated seconds)."""
 
-    heartbeat_interval: float = 0.025
+    #: a follower suspects a silent leader after a random delay drawn
+    #: from ``[suspect_timeout_min, 2 * suspect_timeout_min]``.
     suspect_timeout_min: float = 0.10
-    suspect_timeout_max: float = 0.20
-    proposal_retry_interval: float = 0.10
-    accept_resend_after: float = 0.05
-    catchup_batch: int = 200
-    initial_campaign_delay_max: float = 0.005
-    protocol_overhead_bytes: int = 96
     #: leader-side batching: commands admitted in the same tick (one
     #: inbound frame or chunk, one sim instant) always share a slot and
     #: its Phase-2 round trip. ``batch_delay`` bounds how long commands
@@ -133,7 +143,6 @@ class MultiPaxosEngine(SmrEngine):
         self._monitor = HeartbeatMonitor(
             transport,
             self.params.suspect_timeout_min,
-            self.params.suspect_timeout_max,
             self._campaign,
         )
         self._hb_timer: Timer | None = None
@@ -199,9 +208,7 @@ class MultiPaxosEngine(SmrEngine):
         # The lowest member id campaigns immediately so fresh instances
         # elect a leader in one round trip instead of one suspicion timeout.
         if self.transport.node == self.peers[0]:
-            delay = self.transport.rng.uniform(
-                0.0, self.params.initial_campaign_delay_max
-            )
+            delay = self.transport.rng.uniform(0.0, INITIAL_CAMPAIGN_DELAY_MAX)
             self.transport.set_timer(delay, self._campaign, label="initial-campaign")
 
     def stop(self) -> None:
@@ -271,7 +278,7 @@ class MultiPaxosEngine(SmrEngine):
             self.transport.send(
                 self.leader_hint,
                 m.ProposeForward(payload),
-                size=self.params.protocol_overhead_bytes + payload_size(payload),
+                size=PROTOCOL_OVERHEAD_BYTES + payload_size(payload),
             )
         # else: no leader known yet; the retry timer re-routes later.
 
@@ -366,7 +373,7 @@ class MultiPaxosEngine(SmrEngine):
             self.inflight[slot] = entry
         entry.sent_at = self.transport.now
         accept = m.Accept(self.ballot, slot, value)
-        size = self.params.protocol_overhead_bytes + payload_size(value)
+        size = PROTOCOL_OVERHEAD_BYTES + payload_size(value)
         targets = self.peers if only is None else [p for p in self.peers if p in only]
         self._m_accepts.inc(len(targets))
         self.transport.broadcast(targets, accept, size=size)
@@ -388,7 +395,7 @@ class MultiPaxosEngine(SmrEngine):
         self.transport.trace("campaign", ballot=str(self.ballot), base=self._campaign_base)
         prepare = m.Prepare(self.ballot, self._campaign_base)
         self.transport.broadcast(
-            self.peers, prepare, size=self.params.protocol_overhead_bytes
+            self.peers, prepare, size=PROTOCOL_OVERHEAD_BYTES
         )
         self._handle_prepare(prepare, self.transport.node)
 
@@ -465,23 +472,23 @@ class MultiPaxosEngine(SmrEngine):
             return
         beat = m.Heartbeat(self.ballot, self.log.max_decided, sent_at=self.transport.now)
         self.transport.broadcast(
-            self.peers, beat, size=self.params.protocol_overhead_bytes
+            self.peers, beat, size=PROTOCOL_OVERHEAD_BYTES
         )
         # Nudge stuck Phase-2 slots (lost Accept/Accepted messages).
         now = self.transport.now
         for slot, entry in list(self.inflight.items()):
-            if now - entry.sent_at >= self.params.accept_resend_after:
+            if now - entry.sent_at >= ACCEPT_RESEND_AFTER:
                 missing = {p for p in self.peers if p not in entry.acks}
                 self._send_accepts(slot, entry.value, only=missing)
         self._hb_timer = self.transport.set_timer(
-            self.params.heartbeat_interval, self._heartbeat_tick, label="hb"
+            HEARTBEAT_INTERVAL, self._heartbeat_tick, label="hb"
         )
 
     def _arm_retry_timer(self) -> None:
         if self.stopped:
             return
         self._retry_timer = self.transport.set_timer(
-            self.params.proposal_retry_interval, self._retry_tick, label="proposal-retry"
+            PROPOSAL_RETRY_INTERVAL, self._retry_tick, label="proposal-retry"
         )
 
     def _retry_tick(self) -> None:
@@ -584,7 +591,7 @@ class MultiPaxosEngine(SmrEngine):
         if dest == self.transport.node:
             self.on_message(reply, dest)
         else:
-            self.transport.send(dest, reply, size=self.params.protocol_overhead_bytes)
+            self.transport.send(dest, reply, size=PROTOCOL_OVERHEAD_BYTES)
 
     # -- candidate / leader ---------------------------------------------------------------------
 
@@ -613,7 +620,7 @@ class MultiPaxosEngine(SmrEngine):
             del self.inflight[msg.slot]
             self._record_decision(msg.slot, value)
             decide = m.Decide(msg.slot, value)
-            size = self.params.protocol_overhead_bytes + payload_size(value)
+            size = PROTOCOL_OVERHEAD_BYTES + payload_size(value)
             self.transport.broadcast(self.peers, decide, size=size)
             # A slot just left the pipeline window; commands that were
             # buffered behind it ride out now as one batch — unless other
@@ -733,20 +740,20 @@ class MultiPaxosEngine(SmrEngine):
 
     def _request_catchup(self, target: NodeId) -> None:
         now = self.transport.now
-        if now - self._last_catchup_request < self.params.heartbeat_interval:
+        if now - self._last_catchup_request < HEARTBEAT_INTERVAL:
             return
         self._last_catchup_request = now
         self.transport.send(
             target,
             m.CatchupRequest(self.log.next_to_deliver),
-            size=self.params.protocol_overhead_bytes,
+            size=PROTOCOL_OVERHEAD_BYTES,
         )
 
     def _handle_catchup_request(self, msg: m.CatchupRequest, sender: NodeId) -> None:
-        entries = self.log.decided_range(msg.from_slot, self.params.catchup_batch)
+        entries = self.log.decided_range(msg.from_slot, CATCHUP_BATCH)
         if not entries:
             return
-        size = self.params.protocol_overhead_bytes + sum(
+        size = PROTOCOL_OVERHEAD_BYTES + sum(
             payload_size(v) for _, v in entries
         )
         self.transport.send(sender, m.CatchupReply(tuple(entries)), size=size)

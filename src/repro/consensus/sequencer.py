@@ -16,7 +16,6 @@ sick instance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.consensus.interface import SmrEngine, Transport, proposal_key
@@ -26,14 +25,14 @@ from repro.consensus.multipaxos import payload_size
 from repro.types import Decision, Membership, NodeId, Slot
 
 
-@dataclass(slots=True)
-class SequencerParams:
-    """Timing parameters for the sequencer block (simulated seconds)."""
-
-    proposal_retry_interval: float = 0.10
-    gap_probe_interval: float = 0.05
-    catchup_batch: int = 200
-    protocol_overhead_bytes: int = 64
+#: period of a proposer's re-forward (simulated seconds).
+PROPOSAL_RETRY_INTERVAL = 0.10
+#: period of a learner's catch-up probe to the sequencer.
+GAP_PROBE_INTERVAL = 0.05
+#: most decided slots one CatchupReply carries.
+CATCHUP_BATCH = 200
+#: bytes every engine message is charged beyond its payload (sim).
+PROTOCOL_OVERHEAD_BYTES = 64
 
 
 class SequencerEngine(SmrEngine):
@@ -44,10 +43,8 @@ class SequencerEngine(SmrEngine):
         transport: Transport,
         membership: Membership,
         on_decide: Callable[[Decision], None],
-        params: SequencerParams | None = None,
     ):
         super().__init__(transport, membership, on_decide)
-        self.params = params if params is not None else SequencerParams()
         self.peers = membership.sorted_nodes()
         self.sequencer: NodeId = self.peers[0]
         self.is_sequencer = transport.node == self.sequencer
@@ -55,17 +52,6 @@ class SequencerEngine(SmrEngine):
         self.next_slot: Slot = 0
         self.assigned_keys: dict[Any, Slot] = {}
         self.awaiting: dict[Any, Any] = {}
-
-    @classmethod
-    def factory(cls, params: SequencerParams | None = None):
-        def make(
-            transport: Transport,
-            membership: Membership,
-            on_decide: Callable[[Decision], None],
-        ) -> "SequencerEngine":
-            return cls(transport, membership, on_decide, params=params)
-
-        return make
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -94,7 +80,7 @@ class SequencerEngine(SmrEngine):
             self.transport.send(
                 self.sequencer,
                 m.ProposeForward(payload),
-                size=self.params.protocol_overhead_bytes + payload_size(payload),
+                size=PROTOCOL_OVERHEAD_BYTES + payload_size(payload),
             )
 
     def _key_settled(self, key: Any) -> bool:
@@ -111,7 +97,7 @@ class SequencerEngine(SmrEngine):
             self.assigned_keys[key] = slot
         self._record(slot, payload)
         decide = m.Decide(slot, payload)
-        size = self.params.protocol_overhead_bytes + payload_size(payload)
+        size = PROTOCOL_OVERHEAD_BYTES + payload_size(payload)
         self.transport.broadcast(self.peers, decide, size=size)
 
     # -- messages -------------------------------------------------------------------
@@ -125,9 +111,9 @@ class SequencerEngine(SmrEngine):
         elif isinstance(inner, m.Decide):
             self._record(inner.slot, inner.value)
         elif isinstance(inner, m.CatchupRequest):
-            entries = self.log.decided_range(inner.from_slot, self.params.catchup_batch)
+            entries = self.log.decided_range(inner.from_slot, CATCHUP_BATCH)
             if entries:
-                size = self.params.protocol_overhead_bytes + sum(
+                size = PROTOCOL_OVERHEAD_BYTES + sum(
                     payload_size(v) for _, v in entries
                 )
                 self.transport.send(sender, m.CatchupReply(tuple(entries)), size=size)
@@ -148,7 +134,7 @@ class SequencerEngine(SmrEngine):
         if self.stopped:
             return
         self.transport.set_timer(
-            self.params.proposal_retry_interval, self._retry_tick, label="seq-retry"
+            PROPOSAL_RETRY_INTERVAL, self._retry_tick, label="seq-retry"
         )
 
     def _retry_tick(self) -> None:
@@ -161,7 +147,7 @@ class SequencerEngine(SmrEngine):
                 self.transport.send(
                     self.sequencer,
                     m.ProposeForward(payload),
-                    size=self.params.protocol_overhead_bytes + payload_size(payload),
+                    size=PROTOCOL_OVERHEAD_BYTES + payload_size(payload),
                 )
             else:
                 self._order(payload)
@@ -171,7 +157,7 @@ class SequencerEngine(SmrEngine):
         if self.stopped:
             return
         self.transport.set_timer(
-            self.params.gap_probe_interval, self._gap_probe, label="seq-gap-probe"
+            GAP_PROBE_INTERVAL, self._gap_probe, label="seq-gap-probe"
         )
 
     def _gap_probe(self) -> None:
@@ -183,6 +169,6 @@ class SequencerEngine(SmrEngine):
         self.transport.send(
             self.sequencer,
             m.CatchupRequest(self.log.next_to_deliver),
-            size=self.params.protocol_overhead_bytes,
+            size=PROTOCOL_OVERHEAD_BYTES,
         )
         self._arm_gap_probe()

@@ -81,7 +81,6 @@ class ClientParams:
     """Client behaviour knobs (simulated seconds)."""
 
     request_timeout: float = 0.5
-    think_time: float = 0.0
     start_delay: float = 0.0
 
 
@@ -207,12 +206,9 @@ class Client(Process):
         self.records.append(record)
         if self.on_complete is not None:
             self.on_complete(record)
-        if self.params.think_time > 0.0:
-            self.set_timer(self.params.think_time, self._issue_next, label="think")
-        else:
-            # Go through the event queue (zero delay) to avoid unbounded
-            # synchronous recursion on fast paths.
-            self.set_timer(0.0, self._issue_next, label="next-op")
+        # Go through the event queue (zero delay) to avoid unbounded
+        # synchronous recursion on fast paths.
+        self.set_timer(0.0, self._issue_next, label="next-op")
 
     def _handle_redirect(self, redirect: Redirect) -> None:
         if self._current is None or redirect.cid != self._current.cid:

@@ -44,6 +44,9 @@ from repro.types import (
 
 #: grace before a sealed, fully-executed epoch's engine is stopped.
 ENGINE_GC_GRACE = 1.0
+#: ``read_mode="follower"``: most seconds of leader silence before a
+#: member refuses local reads and sends them down the ordered path.
+STALENESS_BOUND = 0.5
 #: members re-announce the newest epoch at this period until it seals,
 #: so a joiner that missed the (unacknowledged) announce still joins.
 ANNOUNCE_INTERVAL = 0.5
@@ -62,6 +65,18 @@ class EpochAnnounce:
     prev_members: Membership
 
 
+@dataclass(frozen=True, slots=True)
+class EpochClosed:
+    """Answer to engine traffic for an epoch that is closed here: sealed,
+    fully executed and its engine stopped, so no engine will answer the
+    sender again. ``config`` is the successor configuration and
+    ``prev_members`` (the closed epoch's members) hold its boundary.
+    """
+
+    config: Configuration
+    prev_members: Membership
+
+
 @dataclass(slots=True)
 class ReconfigParams:
     """Composition-layer parameters."""
@@ -69,22 +84,15 @@ class ReconfigParams:
     engine_factory: EngineFactory
     #: None = unbounded speculation (the paper); 1 = stop-the-world.
     pipeline_depth: int | None = None
-    #: boundary snapshots cached for serving joiners.
-    snapshot_cache_limit: int = 8
     #: period of durable state-machine checkpoints (0 = boundary-only).
     #: Only meaningful on replicas constructed with a ``storage`` store.
     checkpoint_interval: float = 0.0
-    #: "log" orders every operation; "lease" serves read-only operations
-    #: locally at the current epoch's leaseholding leader (linearizable,
-    #: no log round); "follower" serves them at ANY caught-up member
-    #: within ``staleness_bound`` of leader contact (bounded staleness,
-    #: NOT linearizable — reads scale across members).
+    #: "log" orders every operation; "lease" serves the app's
+    #: ``READ_ONLY_OPS`` locally at the current epoch's leaseholding
+    #: leader (linearizable, no log round); "follower" serves them at ANY
+    #: caught-up member within :data:`STALENESS_BOUND` of leader contact
+    #: (bounded staleness, NOT linearizable — reads scale across members).
     read_mode: str = "log"
-    #: operations eligible for the local read paths (pure reads only).
-    read_only_ops: frozenset = frozenset({"get", "scan", "read", "balance", "holder", "total"})
-    #: follower mode only: max seconds of leader silence before a member
-    #: refuses local reads and falls back to the ordered path.
-    staleness_bound: float = 0.5
 
 
 # Commit listener: (time, payload, epoch, virtual_index, reply_value).
@@ -121,7 +129,7 @@ class ReconfigurableReplica(Process):
         self.order_listener = order_listener
         #: the two seams that own their state: boundary transfer and the
         #: warm-standby stream (each both ends of its protocol).
-        self.transfer = BoundaryTransfer(self, params.snapshot_cache_limit)
+        self.transfer = BoundaryTransfer(self)
         self.standby = WarmStandby(self, list(observe_from or []))
 
         self.chain: dict[EpochId, EpochRuntime] = {}
@@ -646,14 +654,11 @@ class ReconfigurableReplica(Process):
             )
 
     def _gc_engine(self, epoch: EpochId, engine) -> None:
-        if engine.stopped:
-            return
-        # Rescue anything still waiting in the dying engine's queue.
-        leftovers = list(getattr(engine, "awaiting", {}).values())
-        engine.stop()
-        for payload in leftovers:
-            self._repropose_orphan(payload)
-        self.trace("engine-gc", epoch=epoch, rescued=len(leftovers))
+        # Whatever the engine still held at the seal was carried over by
+        # _overlap_sealed_tail; it has nothing left to rescue.
+        if not engine.stopped:
+            engine.stop()
+            self.trace("engine-gc", epoch=epoch)
 
     # ------------------------------------------------------------------
     # Start-up and periodic checkpoints
@@ -703,8 +708,8 @@ class ReconfigurableReplica(Process):
         frame: nothing in the loop can seal an epoch or change membership.
         """
         replies = self._replies
-        read_only_ops = self.params.read_only_ops
-        local_reads = self.params.read_mode != "log"
+        local_reads = self.params.read_mode != "log" and self.state is not None
+        read_only_ops = self.state.inner.READ_ONLY_OPS if local_reads else ()
         retired = self.is_retired
         pending = self._pending
         proposals = []
@@ -754,7 +759,7 @@ class ReconfigurableReplica(Process):
         ordered. Then the mode's freshness test: ``lease`` holds a valid
         read lease as leader, so no other member can commit a write (the
         read is linearizable); ``follower`` heard from the leader within
-        ``staleness_bound``, which caps how stale (NOT linearizable) the
+        :data:`STALENESS_BOUND`, which caps how stale (NOT linearizable) the
         reply can be.
         """
         runtime = self.chain.get(self.newest_epoch)
@@ -770,7 +775,7 @@ class ReconfigurableReplica(Process):
         if lease:
             if not runtime.engine.has_read_lease(self.now):
                 return False
-        elif runtime.engine.read_freshness_age(self.now) > self.params.staleness_bound:
+        elif runtime.engine.read_freshness_age(self.now) > STALENESS_BOUND:
             return False
         # Bypass the dedup layer on purpose: reads mutate nothing and must
         # not advance the client's dedup sequence (a later retry of an
@@ -819,6 +824,8 @@ class ReconfigurableReplica(Process):
             self._handle_reconfig_request(payload)
         elif isinstance(payload, EpochAnnounce):
             self.open_epoch(payload.config, prev_members=payload.prev_members)
+        elif isinstance(payload, EpochClosed):
+            self._on_epoch_closed(payload)
         elif isinstance(payload, TRANSFER_MESSAGES):
             self.transfer.on_message(payload, sender)
         elif isinstance(payload, OBSERVER_MESSAGES):
@@ -834,9 +841,35 @@ class ReconfigurableReplica(Process):
         runtime = self.chain.get(epoch)
         if runtime is None or runtime.engine is None:
             return  # epoch unknown here (yet); peers retry
-        if runtime.engine.stopped or not runtime.engine_started:
+        if runtime.engine.stopped:
+            if runtime.fully_executed:
+                # Closed here, and the sender's engine still speaks: it
+                # missed the cut, and no engine will ever answer it again.
+                self.send(sender, EpochClosed(runtime.next_config, runtime.config.members))
             return
-        runtime.engine.on_message(message.inner, sender)
+        if runtime.engine_started:
+            runtime.engine.on_message(message.inner, sender)
+
+    def _on_epoch_closed(self, closed: EpochClosed) -> None:
+        """A peer closed an epoch we are still running: learn its successor,
+        stop our engine (nobody will answer it) and leave the epoch by its
+        boundary - fetched if we are a member of the successor, and as a
+        retiree by redirecting the clients we were holding."""
+        config = closed.config
+        runtime = self.chain.get(config.epoch - 1)
+        if runtime is None or runtime.fully_executed:
+            return  # we closed it too; our own grace timer stops the engine
+        self.trace("epoch-closed", epoch=config.epoch - 1, members=str(config.members))
+        self.open_epoch(config, closed.prev_members)
+        if runtime.engine is not None:
+            runtime.engine.stop()
+        if self.node in config.members:
+            if not self.chain[config.epoch].start_state_ready:
+                self.transfer.begin(config.epoch, closed.prev_members)
+        elif self.is_retired:
+            pending, self._pending = self._pending, {}
+            for cid, client in pending.items():
+                self._redirect(client, cid)
 
     def on_crash(self) -> None:
         for runtime in self.chain.values():

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from repro.consensus.interface import EngineFactory
-from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
+from repro.consensus.multipaxos import MultiPaxosEngine
 from repro.core.client import Client, ClientParams, OperationSource, OpRecord
 from repro.core.command import ReconfigCommand
 from repro.core.reconfig import (
@@ -67,31 +66,15 @@ class ReplicatedService:
         sim: Runtime,
         members: Iterable[str],
         app_factory: Callable[[], StateMachine],
-        engine_factory: EngineFactory | None = None,
-        pipeline_depth: int | None = None,
         params: ReconfigParams | None = None,
         commit_listener: CommitListener | None = None,
         order_listener: OrderListener | None = None,
         storage_factory: Callable[[str], Any] | None = None,
-        batch_delay: float = 0.0,
-        batch_max: int = 32,
-        window: int = 0,
     ):
         self.sim = sim
         self.app_factory = app_factory
         if params is None:
-            # Commit-path knobs without hand-building an engine factory:
-            # the common way tests and benches tune leader batching and
-            # the proposer pipeline.
-            factory = engine_factory or MultiPaxosEngine.factory(
-                PaxosParams(
-                    batch_delay=batch_delay, batch_max=batch_max, window=window
-                )
-            )
-            params = ReconfigParams(
-                engine_factory=factory,
-                pipeline_depth=pipeline_depth,
-            )
+            params = ReconfigParams(engine_factory=MultiPaxosEngine.factory())
         self.params = params
         self.commit_listener = commit_listener
         self.order_listener = order_listener

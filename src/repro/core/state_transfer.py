@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: seconds before a joiner asks the next source again.
 TRANSFER_RETRY_INTERVAL = 0.05
+#: boundary snapshots a replica keeps cached for serving joiners.
+SNAPSHOT_CACHE_LIMIT = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,9 +84,8 @@ class BoundaryTransfer:
     :meth:`~repro.core.reconfig.ReconfigurableReplica.adopt_boundary`.
     """
 
-    def __init__(self, replica: "ReconfigurableReplica", cache_limit: int):
+    def __init__(self, replica: "ReconfigurableReplica"):
         self.replica = replica
-        self.cache_limit = cache_limit
         #: boundary snapshots: epoch -> (snapshot, size); serves joiners.
         self.snapshots: dict[EpochId, tuple[Any, int]] = {}
         self.task: TransferTask | None = None
@@ -94,7 +95,7 @@ class BoundaryTransfer:
 
     def cache(self, epoch: EpochId, snapshot: Any, size: int) -> None:
         self.snapshots[epoch] = (snapshot, size)
-        while len(self.snapshots) > self.cache_limit:
+        while len(self.snapshots) > SNAPSHOT_CACHE_LIMIT:
             del self.snapshots[min(self.snapshots)]
 
     def begin(self, epoch: EpochId, sources: Membership) -> None:

@@ -27,6 +27,10 @@ from repro.types import ClientId, Command
 class StateMachine(abc.ABC):
     """Deterministic application logic replicated by the service."""
 
+    #: operations that only read state: the ones a replica may serve
+    #: from local state under ``read_mode="lease"`` or ``"follower"``.
+    READ_ONLY_OPS: frozenset[str] = frozenset()
+
     @abc.abstractmethod
     def apply(self, command: Command) -> Any:
         """Execute ``command``, mutate state, and return the reply value."""

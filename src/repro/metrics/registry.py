@@ -62,6 +62,12 @@ RECONFIG_PHASES = ("decided", "cut", "transfer", "first-commit")
 RECONFIG_TERMINAL_PHASES = ("first-commit", "aborted")
 
 
+#: samples a histogram's reservoir keeps (the newest win).
+HISTOGRAM_CAPACITY = 1024
+#: span events a registry keeps (the newest win).
+EVENT_CAPACITY = 4096
+
+
 class Counter:
     """Monotonically increasing integer metric."""
 
@@ -100,7 +106,7 @@ class Histogram:
 
     __slots__ = ("name", "capacity", "count", "total", "peak", "_reservoir", "_next")
 
-    def __init__(self, name: str, capacity: int = 1024):
+    def __init__(self, name: str, capacity: int = HISTOGRAM_CAPACITY):
         if capacity <= 0:
             raise ValueError(f"histogram capacity must be positive, got {capacity}")
         self.name = name
@@ -162,15 +168,14 @@ class SpanEvent:
 class MetricsRegistry:
     """Shared instrument store for one runtime (sim or live)."""
 
-    def __init__(self, histogram_capacity: int = 1024, event_capacity: int = 4096):
-        self.histogram_capacity = histogram_capacity
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         #: assembled spans: (kind, id) -> {phase: time of first occurrence}.
         self._spans: dict[tuple[str, str], dict[str, Time]] = {}
         #: raw event stream, newest-last, bounded.
-        self.events: deque[SpanEvent] = deque(maxlen=event_capacity)
+        self.events: deque[SpanEvent] = deque(maxlen=EVENT_CAPACITY)
         self._snapshot_hooks: list[Callable[["MetricsRegistry"], None]] = []
 
     # -- instruments --------------------------------------------------------
@@ -187,12 +192,10 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(self, name: str, capacity: int | None = None) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(
-                name, capacity or self.histogram_capacity
-            )
+            instrument = self._histograms[name] = Histogram(name)
         return instrument
 
     # -- spans --------------------------------------------------------------

@@ -55,7 +55,7 @@ class ChaosCommand:
     """Controller -> replica: apply one schedule action, or report status.
 
     ``action`` is the :data:`~repro.faults.FailureAction` itself (the
-    codec registers every action type); the replica applies it to its
+    codec's type table holds every action type); the replica applies it to its
     transport's :class:`~repro.faults.LinkPolicy`. ``None`` asks for the
     replica's status instead.
     """

@@ -44,6 +44,13 @@ from repro.net.observe import poll_cluster, reconfig_spans
 from repro.types import ClientId, CommandId, NodeId
 from repro.verify.histories import History, Operation
 
+#: wire identity of the controller on the chaos endpoints.
+CONTROLLER_NAME = "chaos-ctl"
+#: seconds a chaos endpoint has to acknowledge one command.
+ACK_TIMEOUT = 2.0
+#: seconds a restarted replica has to accept connections again.
+RESTART_TIMEOUT = 15.0
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.cluster import LocalCluster
 
@@ -86,17 +93,11 @@ class ChaosController:
         self,
         cluster: "LocalCluster",
         schedule: FailureSchedule,
-        *,
-        name: str = "chaos-ctl",
-        ack_timeout: float = 2.0,
-        restart_timeout: float = 15.0,
     ):
         self.cluster = cluster
         self.schedule = schedule
-        self.node = NodeId(name)
-        self.client = ClientId(name)
-        self.ack_timeout = ack_timeout
-        self.restart_timeout = restart_timeout
+        self.node = NodeId(CONTROLLER_NAME)
+        self.client = ClientId(CONTROLLER_NAME)
         self.plan: list[FailureAction] = schedule.sorted_actions()
         self.log: list[Injection] = []
         self.errors: list[str] = []
@@ -166,7 +167,7 @@ class ChaosController:
             return ()
         if isinstance(action, RestartAt):
             self.cluster.restart(
-                str(action.node), wait=True, timeout=self.restart_timeout
+                str(action.node), wait=True, timeout=RESTART_TIMEOUT
             )
             # The replica restarts with an empty LinkPolicy; re-install
             # every active rule so e.g. a partitioned node that crashed
@@ -217,7 +218,7 @@ class ChaosController:
                 self.cluster.addresses[replica], self.node,
                 chaos_endpoint(replica),
                 ChaosCommand(self._next_cid(), action), ChaosAck,
-                self.ack_timeout,
+                ACK_TIMEOUT,
             )
         except (OSError, codec.CodecError) as exc:
             what = "status" if action is None else type(action).__name__

@@ -24,6 +24,9 @@ from pathlib import Path
 
 from repro.net.transport import Address
 
+#: respawns per replica after losing a bind-time port race.
+SPAWN_RETRIES = 3
+
 
 def free_port(host: str = "127.0.0.1") -> int:
     """Ask the OS for a currently-free TCP port (best effort).
@@ -69,9 +72,7 @@ class LocalCluster:
         python: str = sys.executable,
         verbose: bool = False,
         chaos: bool = False,
-        spawn_retries: int = 3,
         durable: bool = False,
-        data_root: str | Path | None = None,
         fsync: bool = False,
         batch_delay_ms: float = 0.0,
         batch_max: int | None = None,
@@ -91,8 +92,6 @@ class LocalCluster:
         #: expose the chaos admin endpoint on every replica (fault
         #: injection via repro.net.chaos; off for production-like runs).
         self.chaos = chaos
-        #: respawn budget per replica for bind-time port races.
-        self.spawn_retries = spawn_retries
         #: commit-path tuning forwarded to every replica (see
         #: ``repro serve --batch-delay/--batch-max/--window``; None keeps
         #: the serve default).
@@ -123,19 +122,18 @@ class LocalCluster:
             else tempfile.mkdtemp(prefix="repro-cluster-")
         )
         self.log_dir.mkdir(parents=True, exist_ok=True)
-        #: durable mode: every replica gets --data-dir under data_root, so
-        #: restart() recovers from checkpoint+WAL instead of amnesia.
+        #: durable mode: every replica gets --data-dir under
+        #: ``log_dir/data``, so restart() recovers from checkpoint+WAL
+        #: instead of amnesia.
         #: fsync defaults off for the localhost harness: flushed-to-kernel
         #: writes already survive SIGKILL (the failure mode under test);
         #: per-append fsync only adds machine-crash durability and makes
         #: wall-clock-budgeted tests an order of magnitude slower.
-        self.durable = durable or data_root is not None
+        self.durable = durable
         self.fsync = fsync
         self.data_root: Path | None = None
-        if self.durable:
-            self.data_root = Path(
-                data_root if data_root is not None else self.log_dir / "data"
-            )
+        if durable:
+            self.data_root = self.log_dir / "data"
             self.data_root.mkdir(parents=True, exist_ok=True)
 
     # -- lifecycle ----------------------------------------------------------
@@ -217,7 +215,7 @@ class LocalCluster:
                 # restart rebinds a port whose previous owner just died —
                 # so respawn on the same address a bounded number of times.
                 attempts = self._respawns.get(name, 0)
-                if self._bind_failed(name) and attempts < self.spawn_retries:
+                if self._bind_failed(name) and attempts < SPAWN_RETRIES:
                     self._respawns[name] = attempts + 1
                     time.sleep(0.1 * (attempts + 1))
                     self.spawn(name)

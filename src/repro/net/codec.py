@@ -7,9 +7,9 @@ registered wire name and one loss-free binary encoding.
 **Payload**: one tag byte per value, varint lengths, zigzag-varint
 integers, struct-packed doubles. Registered dataclasses are encoded as a
 varint *type id* followed by the field values in declaration order — no
-names on the wire. The type-id and field tables are interned
-deterministically from the registry (sorted wire names), so every process
-that bootstraps the same protocol derives the same tables; see
+names on the wire. A type's id is its position in one declared table
+(:func:`_protocol`), which only ever grows at its end, so ids never move
+and WAL records written by an older build still decode; see
 :func:`wire_tables`. A tuple or list of at least
 :data:`COLUMN_CROSSOVER` rows of one registered dataclass (the commands of
 a batch, the replies of a reply batch) is written as a **column block**
@@ -36,10 +36,10 @@ from __future__ import annotations
 import functools
 import struct
 import threading
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.types import NodeId
@@ -59,10 +59,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: first byte of every frame body; anything else is not a frame.
 BINARY_MAGIC = 0xB5
 
-_REGISTRY: dict[str, type] = {}
-_BY_TYPE: dict[type, str] = {}
-_bootstrapped = False
-_BOOTSTRAP_LOCK = threading.Lock()
+_TABLES_LOCK = threading.Lock()
 
 #: types whose instances may be byte-memoized across codec calls. Only
 #: for deeply immutable values that fan out across several envelopes per
@@ -73,59 +70,21 @@ _BOOTSTRAP_LOCK = threading.Lock()
 #: identity (one entry per type), which is sound exactly because the
 #: values are frozen: the same object always encodes to the same bytes.
 _CACHEABLE: set[type] = set()
-#: wire-table type ids of the cacheable types (rebuilt with the tables).
+#: wire-table type ids of the cacheable types (set with the tables).
 _CACHEABLE_TIDS: frozenset[int] = frozenset()
 #: per-type one-entry memo: type -> (object, its encoded byte run).
 _PAYLOAD_MEMO: dict[type, tuple[Any, bytes]] = {}
 
 
-def register(cls: type, name: str | None = None) -> type:
-    """Register a dataclass under a wire name (idempotent; returns ``cls``)."""
-    if not is_dataclass(cls):
-        raise CodecError(f"{cls!r} is not a dataclass")
-    wire_name = name or cls.__name__
-    existing = _REGISTRY.get(wire_name)
-    if existing is not None and existing is not cls:
-        raise CodecError(f"wire name {wire_name!r} already taken by {existing!r}")
-    _REGISTRY[wire_name] = cls
-    _BY_TYPE[cls] = wire_name
-    return cls
+def _protocol() -> tuple[type, ...]:
+    """The wire type table: a type's id is its position here.
 
-
-def registered_names() -> list[str]:
-    """Sorted wire names of every registered payload type."""
-    _bootstrap()
-    return sorted(_REGISTRY)
-
-
-def registered_type(name: str) -> type:
-    _bootstrap()
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise CodecError(f"unknown wire type {name!r}")
-    return cls
-
-
-def _bootstrap() -> None:
-    """Register the whole protocol surface (lazy: avoids import cycles).
-
-    Thread-safe: concurrent clients (the shard client's parallel group
-    submits, threaded map refreshes, bench fan-out arms) may race to the
-    first codec call. The done-flag must only be published *after* the
-    full registry is built — a reader that returns early on a half-built
-    table sees arbitrary types as unencodable.
+    The ids are on disk (every ``Wal*`` record and checkpoint carries its
+    type id), so they never move: a new type is appended at the end, and
+    none is removed or reordered. The first 61 entries are the order the
+    table had when ids were positions in the sorted name list, so data
+    written then still decodes. Imports are lazy to avoid import cycles.
     """
-    global _bootstrapped
-    if _bootstrapped:
-        return
-    with _BOOTSTRAP_LOCK:
-        if _bootstrapped:
-            return
-        _register_protocol()
-        _bootstrapped = True
-
-
-def _register_protocol() -> None:
     from repro import faults as f
     from repro import types as t
     from repro.consensus import messages as m
@@ -141,85 +100,71 @@ def _register_protocol() -> None:
     from repro.shard import shardmap as smap
     from repro.storage import records as sr
 
-    protocol: Iterable[type] = (
-        # shared primitives
-        t.CommandId,
-        t.Command,
-        t.Reply,
-        t.Membership,
-        t.Configuration,
-        t.VirtualLogPosition,
-        t.Decision,
-        Ballot,
-        # engine inner messages
-        m.Prepare,
-        m.Promise,
-        m.PrepareNack,
-        m.Accept,
-        m.Accepted,
+    return (
+        m.Accept,  # 0x00
         m.AcceptNack,
-        m.Decide,
+        m.Accepted,
+        Ballot,
+        Batch,
+        m.CatchupReply,
+        m.CatchupRequest,
+        admin.ChaosAck,
+        admin.ChaosCommand,
+        sr.CheckpointRecord,
+        cl.ClientReply,  # 0x0a
+        cl.ClientRequest,
+        t.Command,
+        t.CommandId,
+        t.Configuration,
+        f.CrashAt,
+        m.Decide,  # 0x10
+        t.Decision,
+        f.DelayLinkAt,
+        f.DropLinkAt,
+        rc.EpochAnnounce,
+        smap.GroupInfo,
+        f.HealAt,
         m.Heartbeat,
         m.HeartbeatAck,
-        m.ProposeForward,
-        m.CatchupRequest,
-        m.CatchupReply,
-        # engine multiplexing envelope + fillers
         InstanceMessage,
-        Noop,
-        Batch,
-        # client protocol
-        cl.ClientRequest,
-        cl.ClientReply,
-        cl.RequestBatch,
-        cl.ReplyBatch,
-        cl.Redirect,
-        # reconfiguration protocol
-        cmd.ReconfigCommand,
-        cmd.ReconfigRequest,
-        rc.EpochAnnounce,
-        ob.ObserverSubscribe,
-        ob.ObserverBootstrap,
-        ob.ObserverUpdate,
-        # state transfer
-        st.SnapshotRequest,
-        st.SnapshotReply,
-        st.SnapshotUnavailable,
-        # fault-injection admin protocol (serve --chaos only): a command
-        # carries one schedule action as itself
-        admin.ChaosCommand,
-        admin.ChaosAck,
-        f.CrashAt,
-        f.RestartAt,
-        f.PartitionAt,
-        f.HealAt,
-        f.DropLinkAt,
-        f.DelayLinkAt,
+        smap.KeyRange,  # 0x1a
         f.LoseLinkAt,
-        # observability admin protocol (the #metrics endpoint)
+        t.Membership,
         admin.MetricsRequest,
         admin.MetricsSnapshot,
-        # shard protocol: the map itself, its fetch, redirects
-        smap.KeyRange,
+        Noop,
+        ob.ObserverBootstrap,  # 0x20
+        ob.ObserverSubscribe,
+        ob.ObserverUpdate,
+        f.PartitionAt,
+        m.Prepare,
+        m.PrepareNack,
+        m.Promise,
+        m.ProposeForward,
+        cmd.ReconfigCommand,
+        cmd.ReconfigRequest,
+        cl.Redirect,  # 0x2a
+        t.Reply,
+        cl.ReplyBatch,
+        cl.RequestBatch,
+        f.RestartAt,
         smap.ShardAssignment,
-        smap.GroupInfo,
-        smap.ShardMap,
-        sm.ShardMapRequest,
+        smap.ShardMap,  # 0x30
         sm.ShardMapReply,
-        sm.WrongShard,
-        # durable storage records (WAL + checkpoints; disk, not wire)
-        sr.WalPromise,
+        sm.ShardMapRequest,
+        st.SnapshotReply,
+        st.SnapshotRequest,
+        st.SnapshotUnavailable,
+        t.VirtualLogPosition,
         sr.WalAccept,
         sr.WalDecide,
-        sr.WalEpochOpen,
         sr.WalDirtyOverlap,
-        sr.CheckpointRecord,
+        sr.WalEpochOpen,  # 0x3a
+        sr.WalPromise,
+        sm.WrongShard,
+        # New types go here, at the end.
+        rc.EpochClosed,  # 0x3d
     )
-    for cls in protocol:
-        register(cls)
-    # The batch payload is the one value that crosses many envelopes per
-    # commit; everything else on the wire is either small or unique.
-    _CACHEABLE.add(Batch)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +211,10 @@ _UNPACK_FLOAT = struct.Struct("!d").unpack_from
 #: decode-side intern table for short wire strings (bytes -> str).
 _STR_CACHE: dict[bytes, str] = {}
 
-#: interned wire tables, rebuilt if the registry grows:
-#: (registry_size, types_by_id, type -> id, field-name tuples by id,
-#:  fast constructors by id).
+#: interned wire tables, built once on first use: (types by id,
+#: type -> id, field-name tuples by id, fast constructors by id).
 _TABLES: (
-    tuple[int, list[type], dict[type, int], list[tuple[str, ...]], list[Callable]]
+    tuple[list[type], dict[type, int], list[tuple[str, ...]], list[Callable]]
     | None
 ) = None
 
@@ -303,30 +247,35 @@ def _dataclass_builder(cls: type, names: tuple[str, ...]) -> Callable[[list], An
 
 
 def wire_tables() -> tuple[
-    int, list[type], dict[type, int], list[tuple[str, ...]], list[Callable]
+    list[type], dict[type, int], list[tuple[str, ...]], list[Callable]
 ]:
     """The interned type/field tables the binary format encodes against.
 
-    Derived deterministically from the registry (type ids are positions in
-    the sorted wire-name list; field tables are dataclass declaration
-    order), so two processes agree on the tables iff they registered the
-    same protocol — which every ``repro`` process does at bootstrap.
+    Type ids are positions in :func:`_protocol`'s table; field tables are
+    dataclass declaration order. Built on first use (the protocol imports
+    are lazy) and thread-safe: concurrent clients (the shard client's
+    parallel group submits, threaded map refreshes) may race to the first
+    codec call, so the tables are published only once complete.
     """
     global _TABLES, _CACHEABLE_TIDS
-    _bootstrap()
-    if _TABLES is None or _TABLES[0] != len(_REGISTRY):
-        types = [_REGISTRY[name] for name in sorted(_REGISTRY)]
-        ids = {cls: i for i, cls in enumerate(types)}
-        field_table = [tuple(f.name for f in fields(cls)) for cls in types]
-        builders = [
-            _dataclass_builder(cls, names)
-            for cls, names in zip(types, field_table)
-        ]
-        _TABLES = (len(_REGISTRY), types, ids, field_table, builders)
-        _CACHEABLE_TIDS = frozenset(
-            ids[cls] for cls in _CACHEABLE if cls in ids
-        )
-        _PAYLOAD_MEMO.clear()
+    if _TABLES is not None:
+        return _TABLES
+    with _TABLES_LOCK:
+        if _TABLES is None:
+            from repro.consensus.interface import Batch
+
+            types = list(_protocol())
+            ids = {cls: i for i, cls in enumerate(types)}
+            field_table = [tuple(f.name for f in fields(cls)) for cls in types]
+            builders = [
+                _dataclass_builder(cls, names)
+                for cls, names in zip(types, field_table)
+            ]
+            # The batch payload is the one value that crosses many
+            # envelopes per commit; everything else is small or unique.
+            _CACHEABLE.add(Batch)
+            _CACHEABLE_TIDS = frozenset({ids[Batch]})
+            _TABLES = (types, ids, field_table, builders)
     return _TABLES
 
 
@@ -879,7 +828,7 @@ _MALFORMED = (IndexError, struct.error, ValueError, TypeError, ReproError)
 
 def encode_payload(payload: Any) -> bytes:
     """Encode one payload to canonical bytes (no frame header)."""
-    _, _, ids, field_table, _ = wire_tables()
+    _, ids, field_table, _ = wire_tables()
     out = bytearray()
     _bencode(payload, out, ids, field_table)
     return bytes(out)
@@ -887,7 +836,7 @@ def encode_payload(payload: Any) -> bytes:
 
 def decode_payload(data: bytes) -> Any:
     """Decode one payload (the inverse of :func:`encode_payload`)."""
-    _, types, _, field_table, builders = wire_tables()
+    types, _, field_table, builders = wire_tables()
     if not data:
         raise CodecError("empty payload")
     try:
@@ -901,7 +850,7 @@ def decode_payload(data: bytes) -> Any:
 
 def encode_frame(sender: NodeId, dest: NodeId, payload: Any) -> bytes:
     """One wire frame: 4-byte big-endian length + envelope body."""
-    _, _, ids, field_table, _ = wire_tables()
+    _, ids, field_table, _ = wire_tables()
     out = bytearray(4)  # length prefix patched in below
     out.append(BINARY_MAGIC)
     for node in (sender, dest):
@@ -942,7 +891,7 @@ def encode_frame_precoded(
 
 def decode_frame_body(body: bytes) -> tuple[NodeId, NodeId, Any]:
     """Decode a frame body (the bytes after the length prefix)."""
-    _, types, _, field_table, builders = wire_tables()
+    types, _, field_table, builders = wire_tables()
     if not body or body[0] != BINARY_MAGIC:
         raise CodecError("frame body does not start with the magic byte")
     try:
@@ -1029,7 +978,7 @@ def payload_shape(payload: Any, depth: int = 3) -> Any:
             return ("?", t.__name__, len(payload))  # type: ignore[arg-type]
         except TypeError:
             return ("?", t.__name__, 0)
-    _, _, ids, field_table, _ = wire_tables()
+    _, ids, field_table, _ = wire_tables()
     tid = ids.get(t)
     if tid is not None:
         return (
@@ -1069,8 +1018,5 @@ __all__ = [
     "frame_length",
     "frame_overhead",
     "payload_shape",
-    "register",
-    "registered_names",
-    "registered_type",
     "wire_size",
 ]

@@ -65,14 +65,11 @@ class LiveRuntime:
         self,
         transport: TcpTransport,
         seed: int = 42,
-        trace_enabled: bool = True,
-        trace_capacity: int | None = 200_000,
         echo_trace: bool = False,
     ):
         self.rng = SeededRng(seed)
         self.network = transport
-        trace_cls = EchoTraceLog if echo_trace else TraceLog
-        self.trace = trace_cls(enabled=trace_enabled, capacity=trace_capacity)
+        self.trace = EchoTraceLog() if echo_trace else TraceLog()
         self._loop = asyncio.new_event_loop()
         self._t0 = self._loop.time()
         self._processes: dict[NodeId, Any] = {}
@@ -85,8 +82,7 @@ class LiveRuntime:
         transport.bind_metrics(self.metrics)
         transport.bind_clock(lambda: self.now)
         # Reconnect jitter and link-loss draws come from seed-derived RNGs,
-        # so a seeded chaos run reproduces its transport-level timing. An
-        # RNG injected at transport construction wins over this ambient one.
+        # so a seeded chaos run reproduces its transport-level timing.
         transport.bind_rng(random.Random(seed))
         # Fail-stop: a dispatch window whose fsync failed ends the process.
         transport.bind_halt(self.stop)

@@ -14,10 +14,9 @@ surface as :class:`repro.sim.network.Network` — over real sockets:
   when the queue fills, the oldest frames are dropped (the protocols all
   tolerate loss and retry);
 * the writer task **coalesces**: each wakeup drains the whole queue (up to
-  ``coalesce_max_bytes``) into a single ``writer.write`` + ``drain`` pair
-  instead of one syscall round per frame; ``coalesce_delay`` optionally
-  holds the first frame of a batch for that many seconds to gather more —
-  an explicit flush-latency bound (0.0 = flush immediately, the default);
+  :data:`COALESCE_MAX_BYTES`) into a single ``writer.write`` + ``drain``
+  pair instead of one syscall round per frame, and never holds a frame
+  back to wait for more;
 * connections are (re)established lazily with exponential backoff plus
   jitter, so a restarting replica is re-adopted without thundering herds;
 * the **inbound** reader consumes the byte stream in large chunks and
@@ -52,6 +51,16 @@ from repro.types import NodeId
 #: (host, port) address of one peer process.
 Address = tuple[str, int]
 
+#: frames one peer's outbound queue holds before the oldest is shed.
+QUEUE_LIMIT = 4096
+#: reconnect backoff: first pause and cap (seconds; jittered x0.5-1.5).
+RECONNECT_MIN = 0.05
+RECONNECT_MAX = 2.0
+#: most bytes one coalesced write+drain round carries.
+COALESCE_MAX_BYTES = 256 * 1024
+#: bytes asked of the socket per inbound read.
+READ_CHUNK = 64 * 1024
+
 
 class PeerConnection:
     """Outbound leg to one configured peer: queue + reconnect loop."""
@@ -61,12 +70,11 @@ class PeerConnection:
         transport: "TcpTransport",
         peer: NodeId,
         address: Address,
-        queue_limit: int,
     ):
         self.transport = transport
         self.peer = peer
         self.address = address
-        self.queue: asyncio.Queue[bytes] = asyncio.Queue(maxsize=queue_limit)
+        self.queue: asyncio.Queue[bytes] = asyncio.Queue(maxsize=QUEUE_LIMIT)
         self.task: asyncio.Task | None = None
         self.connected = False
         self.ever_connected = False
@@ -99,9 +107,7 @@ class PeerConnection:
             )
 
     async def _run(self) -> None:
-        backoff = self.transport.reconnect_min
-        max_bytes = self.transport.coalesce_max_bytes
-        delay = self.transport.coalesce_delay
+        backoff = RECONNECT_MIN
         while not self._closing:
             writer = None
             batch: list[bytes] = []
@@ -111,17 +117,13 @@ class PeerConnection:
                 if self.ever_connected:
                     self.transport._m_reconnects.inc()
                 self.ever_connected = True
-                backoff = self.transport.reconnect_min
+                backoff = RECONNECT_MIN
                 while not self._closing:
                     # Coalesce: take everything queued right now (bounded by
-                    # ``max_bytes``) and flush it as one write+drain round.
+                    # COALESCE_MAX_BYTES) and flush it as one write+drain.
                     batch = [await self.queue.get()]
-                    if delay > 0.0 and self.queue.empty():
-                        # Flush-latency bound: hold the batch open briefly
-                        # to gather frames that arrive back-to-back.
-                        await asyncio.sleep(delay)
                     size = len(batch[0])
-                    while size < max_bytes:
+                    while size < COALESCE_MAX_BYTES:
                         try:
                             frame = self.queue.get_nowait()
                         except asyncio.QueueEmpty:
@@ -156,7 +158,7 @@ class PeerConnection:
             # The jitter comes from the transport's (seedable) RNG so a
             # seeded chaos run reproduces its reconnect timing.
             await asyncio.sleep(backoff * self.transport.rng.uniform(0.5, 1.5))
-            backoff = min(backoff * 2.0, self.transport.reconnect_max)
+            backoff = min(backoff * 2.0, RECONNECT_MAX)
 
     def abort(self) -> None:
         """Fail-stop: discard every queued frame and stop the writer.
@@ -192,36 +194,22 @@ class TcpTransport:
         self,
         addresses: dict[NodeId, Address],
         *,
-        queue_limit: int = 4096,
-        reconnect_min: float = 0.05,
-        reconnect_max: float = 2.0,
-        coalesce_max_bytes: int = 256 * 1024,
-        coalesce_delay: float = 0.0,
-        read_chunk: int = 64 * 1024,
         link_policy: LinkPolicy | None = None,
-        rng: random.Random | None = None,
     ):
         #: address book: every node this process may *initiate* a
         #: connection to (replicas; clients stay reply-routed).
         self.addresses = {NodeId(str(n)): a for n, a in addresses.items()}
-        self.queue_limit = queue_limit
-        self.reconnect_min = reconnect_min
-        self.reconnect_max = reconnect_max
         # Build the codec's tables now (protocol imports + builder codegen,
         # 21-25 ms in a `serve` process on a 2-cpu x86 box): left lazy, a
         # standby replica pays it inside the event loop on the first frame
         # it receives — the EpochAnnounce of its join.
         codec.wire_tables()
-        self.coalesce_max_bytes = coalesce_max_bytes
-        self.coalesce_delay = coalesce_delay
-        self.read_chunk = read_chunk
         #: chaos hooks; the permissive default short-circuits to "allow".
         self.policy = link_policy if link_policy is not None else LinkPolicy()
-        #: timing randomness (reconnect jitter). Seed it — or let
-        #: :meth:`bind_rng` seed it — to make chaos runs reproducible;
-        #: unseeded transports fall back to the module-level RNG.
-        self.rng: random.Random | Any = rng if rng is not None else random
-        self._rng_bound = rng is not None
+        #: timing randomness (reconnect jitter). :meth:`bind_rng` seeds
+        #: it, which makes chaos runs reproducible; an unbound transport
+        #: uses the module-level RNG.
+        self.rng: random.Random | Any = random
         self.stats = NetworkStats()
         #: observability registry. A private default keeps standalone
         #: transports (tests, tools) instrumented; :meth:`bind_metrics`
@@ -271,16 +259,13 @@ class TcpTransport:
         self._clock = clock
 
     def bind_rng(self, rng: random.Random) -> None:
-        """Runtime wiring: adopt a seeded RNG unless one was injected.
+        """Runtime wiring: adopt a seeded RNG.
 
         :class:`repro.net.runtime.LiveRuntime` calls this with an RNG
         derived from its seed, so reconnect jitter is reproducible per
-        seed without every call site having to thread one through. An RNG
-        passed to the constructor wins (explicit beats ambient).
+        seed without every call site having to thread one through.
         """
-        if not self._rng_bound:
-            self.rng = rng
-            self._rng_bound = True
+        self.rng = rng
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Runtime wiring: share the runtime's registry (same pattern as
@@ -336,7 +321,7 @@ class TcpTransport:
             while True:
                 # Chunked reads: a coalesced batch of frames arrives in one
                 # (or few) chunks and is parsed without per-frame syscalls.
-                chunk = await reader.read(self.read_chunk)
+                chunk = await reader.read(READ_CHUNK)
                 if not chunk:
                     break
                 buffer += chunk
@@ -530,7 +515,7 @@ class TcpTransport:
         if address is not None:
             peer = self._peers.get(dest)
             if peer is None:
-                peer = PeerConnection(self, dest, address, self.queue_limit)
+                peer = PeerConnection(self, dest, address)
                 self._peers[dest] = peer
             peer.enqueue(frame)
             peer.ensure_running()

@@ -20,6 +20,7 @@ races against in-flight cutovers convergent: versions only move forward.
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
@@ -53,6 +54,13 @@ REDIRECT_BACKOFF = 0.05
 #: have served.
 MAP_RETRY_BASE = 0.05
 MAP_RETRY_CAP = 0.4
+#: rounds a one-endpoint fetch (:func:`fetch_shard_map`) makes at most.
+FETCH_ATTEMPTS = 3
+
+#: per-attempt request timeout of every group client (seconds).
+REQUEST_TIMEOUT = 1.0
+#: WrongShard redirects one :meth:`ShardClient.submit` follows at most.
+MAX_REDIRECTS = 12
 
 
 class ShardClientError(LiveClientError):
@@ -60,43 +68,58 @@ class ShardClientError(LiveClientError):
 
 
 def fetch_shard_map(
-    address: tuple[str, int],
-    *,
-    sender: str = "shard-cli",
-    seq: int = 1,
-    timeout: float = 2.0,
-    attempts: int = 3,
-    rng: random.Random | None = None,
+    address: tuple[str, int], *, timeout: float = 2.0
 ) -> ShardMap:
-    """Fetch the authoritative map, retrying with jittered backoff.
+    """Fetch the authoritative map from one endpoint, retrying with
+    jittered backoff; ``timeout`` bounds the whole call."""
+    return _fetch_with_retry(
+        [address], sender="shard-cli", seq=1, timeout=timeout,
+        rng=random.Random(), rounds=FETCH_ATTEMPTS,
+    )
 
-    ``timeout`` bounds the whole call; each attempt gets an equal slice
-    of it and failures back off exponentially (with jitter, so a fleet
-    of clients re-fetching after a director restart does not stampede in
-    lockstep).
+
+def _fetch_with_retry(
+    endpoints: list[tuple[str, int]],
+    *,
+    sender: str,
+    seq: int,
+    timeout: float,
+    rng: random.Random,
+    rounds: int | None = None,
+) -> ShardMap:
+    """The one map-fetch retry loop: each round tries every endpoint in
+    order, and a round that fails backs off exponentially with jitter (so
+    a fleet of clients re-fetching after a director restart does not
+    stampede in lockstep) before the next. ``timeout`` bounds the whole
+    call, ``rounds`` (None = until the timeout) the number of rounds. An
+    attempt may take ``timeout / rounds`` (half the timeout when rounds
+    are unbounded), at least 0.1 s.
     """
-    rng = rng if rng is not None else random.Random()
     give_up_at = time.monotonic() + timeout
-    per_attempt = max(0.1, timeout / max(1, attempts))
+    per_attempt = max(0.1, timeout / (rounds or 2))
     last: Exception | None = None
-    for attempt in range(max(1, attempts)):
-        remaining = give_up_at - time.monotonic()
-        if remaining <= 0:
-            break
-        try:
-            return _fetch_map(
-                address, sender=sender, seq=seq,
-                timeout=min(per_attempt, remaining),
-            )
-        except ShardClientError as exc:
-            last = exc
-            pause = min(MAP_RETRY_CAP, MAP_RETRY_BASE * (2 ** attempt))
-            pause *= 0.5 + rng.random()  # jitter in [0.5x, 1.5x)
-            if time.monotonic() + pause >= give_up_at:
+    for round_no in itertools.count() if rounds is None else range(rounds):
+        for address in endpoints:
+            remaining = give_up_at - time.monotonic()
+            if remaining <= 0:
                 break
-            time.sleep(pause)
+            try:
+                return _fetch_map(
+                    address, sender=sender, seq=seq,
+                    timeout=min(per_attempt, remaining),
+                )
+            except ShardClientError as exc:
+                last = exc
+        if round_no + 1 == rounds:
+            break
+        pause = min(MAP_RETRY_CAP, MAP_RETRY_BASE * (2 ** round_no))
+        pause *= 0.5 + rng.random()  # jitter in [0.5x, 1.5x)
+        if time.monotonic() + pause >= give_up_at:
+            break
+        time.sleep(pause)
     raise ShardClientError(
-        f"shard map fetch from {address} failed after retries: {last}"
+        f"shard map fetch from {len(endpoints)} endpoint(s) failed after "
+        f"retries: {last}"
     ) from last
 
 
@@ -141,10 +164,7 @@ class ShardClient:
         *,
         director: tuple[str, int] | list[tuple[str, int]] | None = None,
         shard_map: ShardMap | None = None,
-        request_timeout: float = 1.0,
-        max_redirects: int = 12,
         client_factory: Callable[[GroupInfo], Any] | None = None,
-        seed: int | None = None,
     ):
         if shard_map is None and director is None:
             raise ShardError("need a director address or an initial shard map")
@@ -163,11 +183,7 @@ class ShardClient:
             else [director] if isinstance(director, tuple)
             else list(director)
         )
-        self._rng = random.Random(
-            seed if seed is not None else hash(self.name) & 0xFFFFFFFF
-        )
-        self.request_timeout = request_timeout
-        self.max_redirects = max_redirects
+        self._rng = random.Random(hash(self.name) & 0xFFFFFFFF)
         self._factory = client_factory or self._default_factory
         self._lock = threading.RLock()
         self._clients: dict[str, Any] = {}
@@ -187,7 +203,7 @@ class ShardClient:
             f"{self.name}@{info.name}",
             info.addresses,
             view=info.members,
-            request_timeout=self.request_timeout,
+            request_timeout=REQUEST_TIMEOUT,
         )
 
     # -- map cache ----------------------------------------------------------
@@ -221,33 +237,10 @@ class ShardClient:
             # first endpoint is not re-probed first by every caller.
             offset = seq % len(self.directors)
             endpoints = self.directors[offset:] + self.directors[:offset]
-        give_up_at = time.monotonic() + timeout
-        last: Exception | None = None
-        round_no = 0
-        while True:
-            for address in endpoints:
-                remaining = give_up_at - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    fetched = _fetch_map(
-                        address, sender=f"{self.name}-map", seq=seq,
-                        timeout=max(0.1, min(remaining, timeout / 2)),
-                    )
-                except ShardClientError as exc:
-                    last = exc
-                    continue
-                return self._adopt(fetched)
-            pause = min(MAP_RETRY_CAP, MAP_RETRY_BASE * (2 ** round_no))
-            pause *= 0.5 + self._rng.random()
-            round_no += 1
-            if time.monotonic() + pause >= give_up_at:
-                break
-            time.sleep(pause)
-        raise ShardClientError(
-            f"no director endpoint answered in {timeout}s "
-            f"(tried {len(endpoints)}): {last}"
-        ) from last
+        return self._adopt(_fetch_with_retry(
+            endpoints, sender=f"{self.name}-map", seq=seq, timeout=timeout,
+            rng=self._rng,
+        ))
 
     def _adopt(self, new_map: ShardMap) -> ShardMap:
         with self._lock:
@@ -302,7 +295,7 @@ class ShardClient:
     ) -> ClientReply:
         """Execute one keyed command on whichever group owns its key.
 
-        Follows WrongShard redirects up to ``max_redirects`` times within
+        Follows WrongShard redirects up to :data:`MAX_REDIRECTS` times within
         ``deadline``; hints that do not advance the cached map fall back
         to a director refresh, then a short backoff (an in-flight
         cutover resolves in a couple of commits).
@@ -329,7 +322,7 @@ class ShardClient:
                 f"{group} does not own {key!r} "
                 f"(map v{value.version}, hint {value.target or 'none'})"
             )
-            if redirects > self.max_redirects:
+            if redirects > MAX_REDIRECTS:
                 raise ShardClientError(
                     f"redirect budget exhausted after {redirects - 1} "
                     f"redirects for {op} {key!r}: {last}"

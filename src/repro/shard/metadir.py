@@ -59,10 +59,6 @@ from repro.shard.messages import (
 from repro.shard.shardmap import GroupInfo, ShardError, ShardMap
 from repro.types import Command, NodeId
 
-#: read-only metadir operations, eligible for the lease/follower read
-#: fast paths when the director group is served with ``--read-mode``.
-METADIR_READ_OPS = frozenset({"dir_map", "dir_history", "dir_status"})
-
 #: archived intents kept in the state machine (and its snapshots).
 DONE_LIMIT = 64
 
@@ -85,6 +81,10 @@ def intent_client(intent_id: int, step: str) -> str:
 
 class MetaDirStateMachine(StateMachine):
     """Replicated director state: map version chain + intent table."""
+
+    #: director reads ride the lease/follower fast paths when the group
+    #: is served with ``--read-mode``.
+    READ_ONLY_OPS = frozenset({"dir_map", "dir_history", "dir_status"})
 
     def __init__(self) -> None:
         #: the committed map; None until ``dir_init`` executes.

@@ -40,12 +40,11 @@ class Simulator:
         seed: int = 42,
         latency: LatencyModel | None = None,
         trace_enabled: bool = True,
-        trace_capacity: int | None = 200_000,
     ):
         self.rng = SeededRng(seed)
         self.now: Time = 0.0
         self.events = EventQueue()
-        self.trace = TraceLog(enabled=trace_enabled, capacity=trace_capacity)
+        self.trace = TraceLog(enabled=trace_enabled)
         self.network = Network(self, latency=latency)
         # Cluster-wide registry: every simulated replica shares it (the sim
         # is one process), so counters aggregate across the whole cluster

@@ -29,12 +29,15 @@ class TraceRecord:
         return f"[{self.time * 1000.0:10.3f}ms] {self.source:<8} {self.category:<18} {fields}"
 
 
+#: records a log keeps; later ones are counted in ``dropped``.
+TRACE_CAPACITY = 200_000
+
+
 class TraceLog:
     """Bounded, filterable event log."""
 
-    def __init__(self, enabled: bool = True, capacity: int | None = 200_000):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.capacity = capacity
         self._records: list[TraceRecord] = []
         self.dropped = 0
 
@@ -44,7 +47,7 @@ class TraceLog:
     def emit(self, time: Time, source: str, category: str, **detail: Any) -> None:
         if not self.enabled:
             return
-        if self.capacity is not None and len(self._records) >= self.capacity:
+        if len(self._records) >= TRACE_CAPACITY:
             self.dropped += 1
             return
         self._records.append(TraceRecord(time, source, category, detail))

@@ -11,7 +11,7 @@ Layering:
 
 * :mod:`repro.storage.wal` — byte-level record framing and torn-tail
   truncation (pure functions plus a thin file writer);
-* :mod:`repro.storage.records` — the codec-registered record dataclasses;
+* :mod:`repro.storage.records` — the record dataclasses (wire codec types);
 * :mod:`repro.storage.store` — :class:`ReplicaStore`, the per-replica
   directory of WAL segments + checkpoints, recovery folding, and the
   per-instance durability handles engines write through.

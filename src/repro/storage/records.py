@@ -1,7 +1,7 @@
 """Durable record types written to the WAL and checkpoint files.
 
-Each record is an ordinary codec-registered dataclass (see
-:func:`repro.net.codec._bootstrap`), so the WAL reuses the wire codec's
+Each record is an ordinary dataclass in the wire codec's type table (see
+:func:`repro.net.codec.wire_tables`), so the WAL reuses the wire codec's
 encoding — one serialisation surface, one set of round-trip tests — and
 a WAL written by one replica can be read back by any other build of the
 code.

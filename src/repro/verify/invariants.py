@@ -22,6 +22,12 @@ replica state, because it is about progress, not safety:
 * **Liveness** — while the plan leaves a majority of the current
   configuration up and mutually connected, some operation completes at
   least every ``bound`` seconds (:func:`check_liveness`).
+
+And one reads replica state at the end of a settled run:
+
+* **Convergence** — every replica that is up is either executing in the
+  newest configuration, as a member, or knows it is retired
+  (:func:`check_convergence`): nobody is left behind in a closed epoch.
 """
 
 from __future__ import annotations
@@ -171,6 +177,34 @@ def check_client_order(replicas: Iterable[ReconfigurableReplica]) -> int:
             )
         newest[cid.client] = cid.seq
     return len(executed)
+
+
+def check_convergence(replicas: Iterable[ReconfigurableReplica]) -> int:
+    """Every replica that is up has caught up with the newest configuration
+    any replica knows: a member executes in it, anyone else knows it is
+    retired. Meaningful once the run has settled; returns how many
+    replicas were checked."""
+    live = [r for r in replicas if not r.crashed]
+    configs = [r.newest_config for r in live if r.newest_config is not None]
+    if not configs:
+        return 0
+    newest = max(configs, key=lambda config: config.epoch)
+    for replica in live:
+        if replica.node in newest.members:
+            runtime = replica.epoch_runtime(newest.epoch)
+            if replica.exec_epoch < newest.epoch or not (
+                runtime is not None and runtime.start_state_ready
+            ):
+                raise VerificationError(
+                    f"{replica.node} is a member of epoch {newest.epoch} but "
+                    f"still executes epoch {replica.exec_epoch}"
+                )
+        elif not replica.is_retired:
+            raise VerificationError(
+                f"{replica.node} left epoch {newest.epoch}'s configuration but "
+                f"does not know it is retired (it knows epoch {replica.newest_epoch})"
+            )
+    return len(live)
 
 
 def run_all_invariants(replicas: Iterable[ReconfigurableReplica]) -> dict[str, int]:

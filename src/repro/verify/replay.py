@@ -50,9 +50,6 @@ def check_replay_matches_acks(
     clients: Iterable[Client],
     app_factory: Callable[[], StateMachine],
     lease_mode: bool = False,
-    read_only_ops: frozenset = frozenset(
-        {"get", "scan", "read", "balance", "holder", "total"}
-    ),
 ) -> int:
     """Verify every acknowledged reply against the replay; returns count.
 
@@ -64,6 +61,7 @@ def check_replay_matches_acks(
     effect that never happened.
     """
     replayed = replay_committed(replica, app_factory)
+    read_only_ops = app_factory().READ_ONLY_OPS
     checked = 0
     for client in clients:
         for record in client.records:

@@ -5,7 +5,8 @@ simulation they call :func:`verify_run` and get either a
 :class:`VerificationReport` or a :class:`repro.errors.VerificationError`
 explaining exactly what broke: Wing-Gong linearizability over the client
 history, the structural invariants, the log replay against every
-acknowledged reply, and - given the run's fault plan - liveness.
+acknowledged reply, and - given the run's fault plan - liveness and
+convergence.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from typing import Any, Iterable
 from repro.core.client import Client
 from repro.core.reconfig import ReconfigurableReplica
 from repro.verify.histories import History
-from repro.verify.invariants import check_liveness, run_all_invariants
+from repro.verify.invariants import (
+    check_convergence,
+    check_liveness,
+    run_all_invariants,
+)
 from repro.verify.linearizability import check_kv_linearizable
 from repro.verify.replay import check_replay_matches_acks
 
@@ -64,7 +69,9 @@ def verify_run(
     anyone executed: a founding member, where one is left. Given the
     run's fault ``plan`` and measured ``window``,
     :func:`~repro.verify.invariants.check_liveness` runs too, bounding a
-    stall by two of the clients' retry intervals.
+    stall by two of the clients' retry intervals, and so does
+    :func:`~repro.verify.invariants.check_convergence`: the plan's run is
+    over, so every replica that is up must have caught up with it.
     """
     replica_list = list(replicas)
     client_list = list(clients)
@@ -90,6 +97,7 @@ def verify_run(
     if plan is not None:
         retry = max(client.params.request_timeout for client in client_list)
         stalled = check_liveness(history, plan, *window, 2 * retry)
+        check_convergence(replica_list)
     return VerificationReport(
         operations=len(history),
         pending_operations=len(history.pending),

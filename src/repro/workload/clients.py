@@ -30,13 +30,12 @@ class ClientPool:
         count: int,
         ops_per_client: int | None,
         params: ClientParams | None = None,
-        name_prefix: str = "c",
         bin_width: float = 0.05,
     ):
         self.collector = CompletionCollector(bin_width=bin_width)
         self.clients: list[Client] = []
         for i in range(count):
-            name = f"{name_prefix}{i}"
+            name = f"c{i}"
             client = service.make_client(
                 name,
                 mix.source(name, ops_per_client),

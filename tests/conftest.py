@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.kvstore import KvStateMachine
+from repro.consensus.multipaxos import MultiPaxosEngine
 from repro.core.client import ClientParams
+from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.sim.runner import Simulator
 from repro.types import Command, CommandId, client_id
@@ -51,8 +53,10 @@ def run_kv_service(
         sim,
         list(members),
         KvStateMachine,
-        pipeline_depth=pipeline_depth,
-        engine_factory=engine_factory,
+        params=ReconfigParams(
+            engine_factory=engine_factory or MultiPaxosEngine.factory(),
+            pipeline_depth=pipeline_depth,
+        ),
     )
     clients = []
     for c in range(client_count):

@@ -516,11 +516,9 @@ class TestTransportRng:
                     recorded.append(round(delay, 9))
                 await real_sleep(0)
 
-            transport = TcpTransport(
-                {N2: ("127.0.0.1", 1)},  # port 1: nothing listens there
-                reconnect_min=0.05,
-                rng=random.Random(seed),
-            )
+            # port 1: nothing listens there
+            transport = TcpTransport({N2: ("127.0.0.1", 1)})
+            transport.bind_rng(random.Random(seed))
             monkeypatch.setattr(asyncio, "sleep", spy_sleep)
             try:
                 transport.send(N1, N2, "never-arrives")
@@ -538,11 +536,7 @@ class TestTransportRng:
         assert sleeps[0][:4] == sleeps[1][:4]
         assert sleeps[2][:4] != sleeps[0][:4]
 
-    def test_bind_rng_adopts_ambient_only_when_unseeded(self):
-        explicit = random.Random(1)
-        transport = TcpTransport({}, rng=explicit)
-        transport.bind_rng(random.Random(2))
-        assert transport.rng is explicit  # constructor injection wins
+    def test_bind_rng_seeds_the_transport(self):
         ambient = random.Random(3)
         unseeded = TcpTransport({})
         assert unseeded.rng is random  # module-level fallback

@@ -22,7 +22,7 @@ from repro.core.client import (
 )
 from repro.core.command import ReconfigCommand, ReconfigRequest
 from repro.core.observer import ObserverBootstrap, ObserverSubscribe, ObserverUpdate
-from repro.core.reconfig import EpochAnnounce
+from repro.core.reconfig import EpochAnnounce, EpochClosed
 from repro.core.state_transfer import SnapshotReply, SnapshotRequest, SnapshotUnavailable
 from repro.faults import (
     CrashAt,
@@ -260,6 +260,7 @@ STRATEGIES: dict[type, st.SearchStrategy] = {
     ReconfigCommand: reconfig_commands,
     ReconfigRequest: st.builds(ReconfigRequest, reconfig_commands, node_ids),
     EpochAnnounce: st.builds(EpochAnnounce, configurations, memberships),
+    EpochClosed: st.builds(EpochClosed, configurations, memberships),
     ObserverSubscribe: st.builds(ObserverSubscribe),
     ObserverBootstrap: st.builds(
         ObserverBootstrap, epochs, values, sizes, observer_epochs
@@ -323,10 +324,15 @@ STRATEGIES: dict[type, st.SearchStrategy] = {
 }
 
 
+def wire_names() -> list[str]:
+    """Every wire type's name, in type-id order."""
+    return [cls.__name__ for cls in codec.wire_tables()[0]]
+
+
 class TestRegistry:
     def test_strategy_table_complete(self):
-        """Every registered wire type has a round-trip strategy (and only those)."""
-        registered = set(codec.registered_names())
+        """Every wire type has a round-trip strategy (and only those)."""
+        registered = set(wire_names())
         covered = {cls.__name__ for cls in STRATEGIES}
         assert registered == covered
 
@@ -337,9 +343,9 @@ class TestRegistry:
             "AcceptNack", "Decide", "Heartbeat", "HeartbeatAck",
             "ProposeForward", "CatchupRequest", "CatchupReply",
         }
-        assert engine <= set(codec.registered_names())
+        assert engine <= set(wire_names())
         # The two seams split out of the replica: every message each
-        # module defines is on the wire under the class's own name.
+        # module defines is in the wire type table.
         from repro.core import observer, state_transfer
 
         for module, messages in (
@@ -348,21 +354,38 @@ class TestRegistry:
         ):
             for cls in messages:
                 assert cls.__module__ == module.__name__
-                assert codec.registered_type(cls.__name__) is cls
+                assert cls in codec.wire_tables()[1]
 
-    def test_duplicate_wire_name_rejected(self):
-        from dataclasses import dataclass
+    def test_type_ids_are_pinned(self):
+        """The whole name -> id table. Ids are on disk (WAL records and
+        checkpoints carry them), so a new type is appended at the end and
+        no existing id may move."""
+        assert {name: i for i, name in enumerate(wire_names())} == PINNED_TYPE_IDS
 
-        @dataclass(frozen=True)
-        class Prepare:  # same wire name, different class
-            x: int
 
-        with pytest.raises(codec.CodecError):
-            codec.register(Prepare)
-
-    def test_non_dataclass_rejected(self):
-        with pytest.raises(codec.CodecError):
-            codec.register(int)
+#: every wire type's id; the first 61 are the ids of the sorted-name era,
+#: and every later type is appended at the end.
+PINNED_TYPE_IDS = {
+    name: i for i, name in enumerate((
+        "Accept", "AcceptNack", "Accepted", "Ballot", "Batch",
+        "CatchupReply", "CatchupRequest", "ChaosAck", "ChaosCommand",
+        "CheckpointRecord", "ClientReply", "ClientRequest", "Command",
+        "CommandId", "Configuration", "CrashAt", "Decide", "Decision",
+        "DelayLinkAt", "DropLinkAt", "EpochAnnounce", "GroupInfo", "HealAt",
+        "Heartbeat", "HeartbeatAck", "InstanceMessage", "KeyRange",
+        "LoseLinkAt", "Membership", "MetricsRequest", "MetricsSnapshot",
+        "Noop", "ObserverBootstrap", "ObserverSubscribe", "ObserverUpdate",
+        "PartitionAt", "Prepare", "PrepareNack", "Promise", "ProposeForward",
+        "ReconfigCommand", "ReconfigRequest", "Redirect", "Reply",
+        "ReplyBatch", "RequestBatch", "RestartAt", "ShardAssignment",
+        "ShardMap", "ShardMapReply", "ShardMapRequest", "SnapshotReply",
+        "SnapshotRequest", "SnapshotUnavailable", "VirtualLogPosition",
+        "WalAccept", "WalDecide", "WalDirtyOverlap", "WalEpochOpen",
+        "WalPromise", "WrongShard",
+        # appended since
+        "EpochClosed",
+    ))
+}
 
 
 @pytest.mark.parametrize(
@@ -571,7 +594,7 @@ class TestWireFormats:
         with pytest.raises(codec.CodecError):
             codec.decode_payload(blob + b"\x00")
         with pytest.raises(codec.CodecError):  # a type id past the registry
-            codec.decode_payload(bytes([blob[0], len(codec.registered_names())]))
+            codec.decode_payload(bytes([blob[0], len(codec.wire_tables()[0])]))
 
 
 class TestEstimator:
@@ -782,7 +805,7 @@ def _varint(n: int) -> bytes:
 
 
 def _tid(cls) -> int:
-    return codec.wire_tables()[2][cls]
+    return codec.wire_tables()[1][cls]
 
 
 def _ints(code: str, values) -> bytes:
@@ -901,7 +924,7 @@ class TestMalformedColumnBlocks:
 def _row_bytes(value) -> bytes:
     """The row encoding, assembled from the row tags alone: the bytes
     every release before column blocks wrote for any run length."""
-    _, _, ids, field_table, _ = codec.wire_tables()
+    _, ids, field_table, _ = codec.wire_tables()
     out = bytearray()
 
     def put(v):

@@ -250,7 +250,7 @@ class TestLiveCoalescedPipeline:
             replicas=3,
             seed=9,
             durable=True,
-            data_root=tmp_path,
+            log_dir=tmp_path,
             batch_delay_ms=2.0,
             batch_max=64,
             window=8,

@@ -6,6 +6,7 @@ from repro.apps.kvstore import KvStateMachine
 from repro.consensus.multipaxos import MultiPaxosEngine
 from repro.core.client import ClientParams, ClientRequest, Redirect
 from repro.core.command import ReconfigCommand
+from repro.core import state_transfer
 from repro.core.reconfig import ReconfigParams, ReconfigurableReplica
 from repro.core.service import ReplicatedService
 from repro.sim.runner import Simulator
@@ -20,12 +21,10 @@ from repro.types import (
 
 
 class TestReplicaEdgeCases:
-    def test_snapshot_cache_trims_to_limit(self):
+    def test_snapshot_cache_trims_to_limit(self, monkeypatch):
+        monkeypatch.setattr(state_transfer, "SNAPSHOT_CACHE_LIMIT", 2)
         sim = Simulator(seed=801)
-        params = ReconfigParams(
-            engine_factory=MultiPaxosEngine.factory(), snapshot_cache_limit=2
-        )
-        service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine, params=params)
+        service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
         # Walk through several epochs; only members of every epoch keep
         # executing, so target a node we keep in all configs.
         for k, members in enumerate(

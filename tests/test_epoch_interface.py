@@ -103,7 +103,7 @@ class TestHeartbeatMonitor:
         host = _Host(sim, node_id("a"))
         transport = Transport(host, "e0")
         fired = []
-        monitor = HeartbeatMonitor(transport, 0.1, 0.2, lambda: fired.append(sim.now))
+        monitor = HeartbeatMonitor(transport, 0.1, lambda: fired.append(sim.now))
         return sim, monitor, fired
 
     def test_fires_after_silence(self):

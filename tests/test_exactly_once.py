@@ -249,8 +249,7 @@ class TestLivePipelinedLeaderKill:
     def test_every_acknowledged_write_reads_back(self, tmp_path):
         ops = [("set", (f"k{i}", i), 64) for i in range(600)]
         with LocalCluster(
-            replicas=3, seed=27, durable=True, data_root=tmp_path / "data",
-            log_dir=tmp_path / "logs",
+            replicas=3, seed=27, durable=True, log_dir=tmp_path / "logs",
         ) as cluster:
             cluster.start()
             leader = cluster.initial[0]  # the lowest member campaigns first

@@ -11,6 +11,7 @@ from repro.apps.counter import CounterStateMachine
 from repro.apps.kvstore import KvStateMachine
 from repro.consensus.sequencer import SequencerEngine
 from repro.core.client import ClientParams
+from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.sim.runner import Simulator
 from repro.types import node_id
@@ -115,7 +116,7 @@ class TestSequencerBlock:
             sim,
             n_ops=60,
             client_count=2,
-            engine_factory=SequencerEngine.factory(),
+            engine_factory=SequencerEngine,
             reconfigs=[(0.4, ("n1", "n2", "n4"))],
         )
         assert finished
@@ -132,7 +133,7 @@ class TestSequencerBlock:
             sim,
             ["n1", "n2", "n3"],
             KvStateMachine,
-            engine_factory=SequencerEngine.factory(),
+            params=ReconfigParams(engine_factory=SequencerEngine),
         )
         budget = [40]
 

@@ -8,6 +8,7 @@ refused whenever any of the guard conditions fails.
 from repro.apps.kvstore import KvStateMachine
 from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
 from repro.core.client import ClientParams
+from repro.core import reconfig
 from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.errors import ConfigurationError
@@ -452,15 +453,13 @@ class TestLeasePathIntegration:
 
 
 class TestFollowerReads:
-    def follower_service(self, sim, staleness=0.5):
+    def follower_service(self, sim):
         return ReplicatedService(
             sim,
             ["n1", "n2", "n3"],
             KvStateMachine,
             params=ReconfigParams(
-                engine_factory=MultiPaxosEngine.factory(),
-                read_mode="follower",
-                staleness_bound=staleness,
+                engine_factory=MultiPaxosEngine.factory(), read_mode="follower"
             ),
         )
 
@@ -508,11 +507,12 @@ class TestFollowerReads:
         assert isinstance(frame, ReplyBatch)
         assert [(r.cid.seq, r.value) for r in frame.replies] == [(1, 7), (2, 7), (3, 7)]
 
-    def test_stale_follower_refuses_local_reads(self):
+    def test_stale_follower_refuses_local_reads(self, monkeypatch):
         from repro.types import Command, CommandId, client_id
 
+        monkeypatch.setattr(reconfig, "STALENESS_BOUND", 0.3)
         sim = Simulator(seed=108)
-        service = self.follower_service(sim, staleness=0.3)
+        service = self.follower_service(sim)
         writer = one_write_client(sim, service)
         sim.run(until=0.5)
         assert writer.finished
@@ -523,7 +523,7 @@ class TestFollowerReads:
         )
         others = [str(n) for n in service.replicas if n != follower.node]
         sim.network.policy.partition("iso", [str(follower.node)], others)
-        sim.run(until=sim.now + 0.6)  # silence > staleness_bound
+        sim.run(until=sim.now + 0.6)  # silence > STALENESS_BOUND
         read = Command(CommandId(client_id("probe"), 1), "get", ("k",), size=32)
         assert follower._serve_local_read(read, node_id("pc")) is False
         # The leader of the majority side stays fresh (age 0) and serves.

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import run_kv_service
 from repro.errors import ConfigurationError
+from repro.metrics import registry as registry_mod
 from repro.metrics.registry import (
     RECONFIG_PHASES,
     RECONFIG_TERMINAL_PHASES,
@@ -141,8 +142,9 @@ class TestSpans:
         del phases["transfer"]
         assert not reconfig_span_complete(phases)
 
-    def test_event_log_bounded(self):
-        registry = MetricsRegistry(event_capacity=3)
+    def test_event_log_bounded(self, monkeypatch):
+        monkeypatch.setattr(registry_mod, "EVENT_CAPACITY", 3)
+        registry = MetricsRegistry()
         for i in range(10):
             registry.span_event("k", str(i), "p", float(i))
         assert len(registry.events) == 3

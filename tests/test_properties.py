@@ -8,7 +8,9 @@ stack. These are the tests most likely to find schedule-dependent bugs.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.kvstore import KvStateMachine
+from repro.consensus.multipaxos import MultiPaxosEngine
 from repro.core.client import ClientParams
+from repro.core.reconfig import ReconfigParams
 from repro.core.service import ReplicatedService
 from repro.faults import FailureSchedule
 from repro.sim.failures import FailureInjector
@@ -34,7 +36,10 @@ def run_random_scenario(
 ):
     sim = Simulator(seed=seed, latency=LatencyModel(drop_probability=drop))
     service = ReplicatedService(
-        sim, ["n1", "n2", "n3"], KvStateMachine, pipeline_depth=depth
+        sim, ["n1", "n2", "n3"], KvStateMachine,
+        params=ReconfigParams(
+            engine_factory=MultiPaxosEngine.factory(), pipeline_depth=depth
+        ),
     )
     clients = []
     for i in range(2):

@@ -5,6 +5,7 @@ from repro.consensus.ballot import Ballot
 from repro.consensus.interface import StaticSmrHost
 from repro.consensus.multipaxos import MultiPaxosEngine, PaxosParams
 from repro.consensus import messages as m
+from repro.consensus import multipaxos
 from repro.sim.runner import Simulator
 from repro.types import Command, CommandId, Membership, client_id, node_id
 
@@ -75,9 +76,10 @@ class TestPaxosAcceptorEdges:
 
 
 class TestPaxosCatchupEdges:
-    def test_catchup_reply_is_bounded_by_batch(self):
-        # catchup_batch counts slots: twelve commands, twelve slots.
-        params = PaxosParams(catchup_batch=5, batch_max=1)
+    def test_catchup_reply_is_bounded_by_batch(self, monkeypatch):
+        # CATCHUP_BATCH counts slots: twelve commands, twelve slots.
+        monkeypatch.setattr(multipaxos, "CATCHUP_BATCH", 5)
+        params = PaxosParams(batch_max=1)
         sim, hosts = make_cluster(params=params)
         sim.run(until=0.3)
         for i in range(12):

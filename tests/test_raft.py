@@ -3,7 +3,8 @@
 import pytest
 
 from repro.apps.kvstore import KvStateMachine
-from repro.baselines.raft import RaftParams, RaftReplica
+from repro.baselines import raft
+from repro.baselines.raft import RaftReplica
 from repro.baselines.raft_service import RaftService
 from repro.core.client import ClientParams
 from repro.core.command import ReconfigCommand
@@ -13,11 +14,9 @@ from repro.sim.runner import Simulator
 from repro.types import CommandId, Membership, client_id, node_id
 
 
-def make_cluster(n=3, seed=1, latency=None, params=None):
+def make_cluster(n=3, seed=1, latency=None):
     sim = Simulator(seed=seed, latency=latency)
-    service = RaftService(
-        sim, [f"n{i + 1}" for i in range(n)], KvStateMachine, params=params
-    )
+    service = RaftService(sim, [f"n{i + 1}" for i in range(n)], KvStateMachine)
     return sim, service
 
 
@@ -166,18 +165,18 @@ class TestMembership:
 
 
 class TestSnapshots:
-    def test_log_compaction_triggers(self):
-        params = RaftParams(compaction_threshold=20)
-        sim, service = make_cluster(3, seed=14, params=params)
+    def test_log_compaction_triggers(self, monkeypatch):
+        monkeypatch.setattr(raft, "COMPACTION_THRESHOLD", 20)
+        sim, service = make_cluster(3, seed=14)
         client = service.make_client("c1", kv_ops(60), ClientParams(start_delay=0.3))
         sim.run_until(lambda: client.finished, timeout=15.0)
         leader = service.leader()
         assert leader.snap_index > 0
         assert leader.log_base == leader.snap_index + 1
 
-    def test_fresh_server_catches_up_via_snapshot(self):
-        params = RaftParams(compaction_threshold=20)
-        sim, service = make_cluster(3, seed=15, params=params)
+    def test_fresh_server_catches_up_via_snapshot(self, monkeypatch):
+        monkeypatch.setattr(raft, "COMPACTION_THRESHOLD", 20)
+        sim, service = make_cluster(3, seed=15)
         client = service.make_client("c1", kv_ops(60), ClientParams(start_delay=0.3))
         sim.run_until(lambda: client.finished, timeout=15.0)
         service.reconfigure(["n1", "n2", "n3", "n4"])
@@ -188,9 +187,9 @@ class TestSnapshots:
         leader = service.leader()
         assert joiner.last_applied >= leader.snap_index
 
-    def test_snapshot_preserves_dedup_state(self):
-        params = RaftParams(compaction_threshold=10)
-        sim, service = make_cluster(3, seed=16, params=params)
+    def test_snapshot_preserves_dedup_state(self, monkeypatch):
+        monkeypatch.setattr(raft, "COMPACTION_THRESHOLD", 10)
+        sim, service = make_cluster(3, seed=16)
         client = service.make_client("c1", kv_ops(40), ClientParams(start_delay=0.3))
         sim.run_until(lambda: client.finished, timeout=15.0)
         service.reconfigure(["n1", "n2", "n3", "n4"])

@@ -130,12 +130,13 @@ class TestRaftClientInteraction:
 
     def test_applied_membership_visible_to_clients_via_redirects(self):
         sim, service = make(seed=7)
-        # Think time stretches the client past the whole migration, so it
-        # must chase the moving membership via redirects to finish.
+        # The client keeps issuing past the whole migration, so it must
+        # chase the moving membership via redirects to finish.
+        ops = iter_ops(10**6)
         client = service.make_client(
             "c1",
-            iter_ops(150),
-            ClientParams(start_delay=0.4, request_timeout=0.3, think_time=0.02),
+            lambda: ops() if sim.now < 4.0 else None,
+            ClientParams(start_delay=0.4, request_timeout=0.3),
         )
         service.reconfigure_at(0.8, ["n4", "n5", "n6"])
         ok = sim.run_until(lambda: client.finished, timeout=60.0)

@@ -142,7 +142,10 @@ class TestStateTransfer:
 class TestSpeculationGate:
     def test_stw_defers_engine_until_state_ready(self, sim):
         service = ReplicatedService(
-            sim, ["n1", "n2", "n3"], KvStateMachine, pipeline_depth=1
+            sim, ["n1", "n2", "n3"], KvStateMachine,
+            params=ReconfigParams(
+                engine_factory=MultiPaxosEngine.factory(), pipeline_depth=1
+            ),
         )
         # Track engine-start traces for the joiner's epoch.
         sim.at(0.3, lambda: service.reconfigure(["n1", "n2", "n4"]))
@@ -158,7 +161,10 @@ class TestSpeculationGate:
 
     def test_speculative_starts_engine_before_state(self, sim):
         service = ReplicatedService(
-            sim, ["n1", "n2", "n3"], KvStateMachine, pipeline_depth=None
+            sim, ["n1", "n2", "n3"], KvStateMachine,
+            params=ReconfigParams(
+                engine_factory=MultiPaxosEngine.factory(), pipeline_depth=None
+            ),
         )
         # Preload big state so the transfer is slow enough to observe.
         sim.network.latency.bandwidth = 1_000_000.0

@@ -354,7 +354,7 @@ class TestStaggeredCheckpoints:
         counter = itertools.count()
         service.make_client(
             "c0", lambda: ("set", ("k", next(counter)), 64),
-            ClientParams(start_delay=0.1, think_time=0.01),
+            ClientParams(start_delay=0.1),
         )
         sim.run(until=2.0 * interval + 0.1)
         spans = [

@@ -11,7 +11,7 @@ def make_cluster(n=3, seed=1, latency=None):
     sim = Simulator(seed=seed, latency=latency)
     members = Membership.from_iter(f"n{i + 1}" for i in range(n))
     hosts = {
-        node: StaticSmrHost(sim, node, members, SequencerEngine.factory())
+        node: StaticSmrHost(sim, node, members, SequencerEngine)
         for node in members
     }
     return sim, hosts

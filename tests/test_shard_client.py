@@ -272,9 +272,12 @@ class TestConcurrentRefresh:
 
 
 class TestRedirectLoopBound:
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        from repro.shard import client as client_mod
+
+        monkeypatch.setattr(client_mod, "MAX_REDIRECTS", 3)
         world = World(make_map("g1", "g2"))
-        client = make_client(world, max_redirects=3)
+        client = make_client(world)
         key = key_in(world.truth, "g1")
         # Truth moves away but the hint lies: it points back at a group
         # that will bounce again, and no director exists to break the tie.
@@ -300,15 +303,18 @@ class TestRedirectLoopBound:
                 )
 
         client = ShardClient(
-            "t", shard_map=truth, max_redirects=3,
+            "t", shard_map=truth,
             client_factory=lambda info: Bouncer(world, info),
         )
         with pytest.raises(ShardClientError, match="redirect budget"):
             client.submit("set", (key, "v"), deadline=30.0)
-        # The loop is bounded: max_redirects + the initial attempt.
+        # The loop is bounded: MAX_REDIRECTS + the initial attempt.
         assert len(world.calls) == 4
 
-    def test_deadline_bounds_the_loop_too(self):
+    def test_deadline_bounds_the_loop_too(self, monkeypatch):
+        from repro.shard import client as client_mod
+
+        monkeypatch.setattr(client_mod, "MAX_REDIRECTS", 10_000)
         world = World(make_map("g1", "g2"))
         truth = world.truth
 
@@ -323,7 +329,7 @@ class TestRedirectLoopBound:
                 )
 
         client = ShardClient(
-            "t", shard_map=truth, max_redirects=10_000,
+            "t", shard_map=truth,
             client_factory=lambda info: Bouncer(world, info),
         )
         started = time.monotonic()
@@ -391,8 +397,6 @@ class TestDirectorFetchFailover:
     rotation, never an error a cached map could have absorbed."""
 
     def test_fetch_retries_through_a_flap_with_jittered_backoff(self, monkeypatch):
-        import random
-
         from repro.shard import client as client_mod
 
         calls = []
@@ -407,9 +411,7 @@ class TestDirectorFetchFailover:
 
         monkeypatch.setattr(client_mod, "_fetch_map", flaky)
         monkeypatch.setattr(client_mod.time, "sleep", pauses.append)
-        fetched = client_mod.fetch_shard_map(
-            ("127.0.0.1", 9101), rng=random.Random(3)
-        )
+        fetched = client_mod.fetch_shard_map(("127.0.0.1", 9101))
         assert fetched is truth
         assert len(calls) == 3
         # Two backoffs, exponential base with jitter in [0.5x, 1.5x).
@@ -429,7 +431,7 @@ class TestDirectorFetchFailover:
         monkeypatch.setattr(client_mod, "_fetch_map", dead)
         monkeypatch.setattr(client_mod.time, "sleep", lambda _s: None)
         with pytest.raises(ShardClientError, match="after retries"):
-            client_mod.fetch_shard_map(("127.0.0.1", 9101), attempts=3)
+            client_mod.fetch_shard_map(("127.0.0.1", 9101))
         assert len(calls) == 3
 
     def test_refresh_rotates_past_dead_endpoints(self, monkeypatch):
@@ -451,7 +453,6 @@ class TestDirectorFetchFailover:
         client = make_client(
             world,
             director=[("127.0.0.1", 9301), ("127.0.0.1", 9302), live],
-            seed=9,
         )
         refreshed = client.refresh_map(timeout=5.0)
         assert refreshed.version == newer.version
@@ -514,7 +515,7 @@ class TestBadEndpointIsOneEndpointsFailure:
             # Past dir_init's validation, as a corrupted replica would be.
             bad.machine.shard_map = served_value
             client = make_client(
-                World(truth), director=[good.address, bad.address], seed=1
+                World(truth), director=[good.address, bad.address]
             )
             # One refresh per rotation offset: the bad endpoint is asked
             # first in one of them, and neither may surface its answer.
@@ -538,7 +539,7 @@ class TestBadEndpointIsOneEndpointsFailure:
         newer = truth.with_move(0, 8, "g2")
         with served_director() as booting, served_director(newer) as live:
             client = make_client(
-                World(truth), director=[live.address, booting.address], seed=1
+                World(truth), director=[live.address, booting.address]
             )
             for _ in range(2):
                 assert client.refresh_map(timeout=2.0).version == newer.version

@@ -1,5 +1,6 @@
 """Tests for the structured trace log."""
 
+from repro.sim import trace
 from repro.sim.trace import TraceLog
 
 
@@ -25,8 +26,9 @@ class TestTraceLog:
         log.emit(1.0, "a", "x")
         assert len(log) == 0
 
-    def test_capacity_bound(self):
-        log = TraceLog(capacity=3)
+    def test_capacity_bound(self, monkeypatch):
+        monkeypatch.setattr(trace, "TRACE_CAPACITY", 3)
+        log = TraceLog()
         for i in range(5):
             log.emit(float(i), "a", "x")
         assert len(log) == 3

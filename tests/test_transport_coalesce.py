@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.net import codec
+from repro.net import transport as transport_mod
 from repro.net.transport import PeerConnection, TcpTransport
 from repro.types import NodeId
 
@@ -60,14 +61,15 @@ class TestCoalescing:
             await sender.close()
             await receiver.close()
 
-    def test_size_cap_splits_batches(self):
+    def test_size_cap_splits_batches(self, monkeypatch):
+        # Cap so small that every batch holds exactly one frame.
+        monkeypatch.setattr(transport_mod, "COALESCE_MAX_BYTES", 1)
         asyncio.run(self._size_cap())
 
     async def _size_cap(self):
         received: list = []
         receiver, address = await _start_receiver("n2", received)
-        # Cap so small that every batch holds exactly one frame.
-        sender = TcpTransport({NodeId("n2"): address}, coalesce_max_bytes=1)
+        sender = TcpTransport({NodeId("n2"): address})
         try:
             for i in range(20):
                 sender.send(NodeId("n1"), NodeId("n2"), i)
@@ -79,38 +81,15 @@ class TestCoalescing:
             await sender.close()
             await receiver.close()
 
-    def test_flush_latency_bound_is_respected(self):
-        asyncio.run(self._flush_latency())
-
-    async def _flush_latency(self):
-        received: list = []
-        receiver, address = await _start_receiver("n2", received)
-        delay = 0.05
-        sender = TcpTransport({NodeId("n2"): address}, coalesce_delay=delay)
-        try:
-            # Warm the connection so the measured send pays no dial time.
-            sender.send(NodeId("n1"), NodeId("n2"), "warm")
-            await _wait_for(lambda: len(received) == 1)
-            start = time.monotonic()
-            sender.send(NodeId("n1"), NodeId("n2"), "lone")
-            await _wait_for(lambda: len(received) == 2)
-            elapsed = time.monotonic() - start
-            # A lone frame is held for the configured window — no longer.
-            assert elapsed >= delay * 0.5
-            assert elapsed < delay + 1.0, "flush-latency bound violated"
-        finally:
-            await sender.close()
-            await receiver.close()
-
 
 class TestLossAccounting:
     def test_inflight_batch_counted_dropped_on_write_failure(self, monkeypatch):
         asyncio.run(self._write_failure(monkeypatch))
 
     async def _write_failure(self, monkeypatch):
-        transport = TcpTransport(
-            {NodeId("n2"): ("127.0.0.1", 9)}, reconnect_min=30.0
-        )
+        monkeypatch.setattr(transport_mod, "RECONNECT_MIN", 30.0)
+        monkeypatch.setattr(transport_mod, "QUEUE_LIMIT", 16)
+        transport = TcpTransport({NodeId("n2"): ("127.0.0.1", 9)})
 
         class FailingWriter:
             def write(self, data: bytes) -> None:
@@ -126,9 +105,7 @@ class TestLossAccounting:
             return None, FailingWriter()
 
         monkeypatch.setattr(asyncio, "open_connection", fake_open)
-        conn = PeerConnection(
-            transport, NodeId("n2"), ("127.0.0.1", 9), queue_limit=16
-        )
+        conn = PeerConnection(transport, NodeId("n2"), ("127.0.0.1", 9))
         for i in range(3):
             conn.enqueue(b"frame-%d" % i)
         conn.ensure_running()
@@ -270,7 +247,7 @@ class TestBroadcastEncodesOnce:
         port = TcpTransport(
             {NodeId(n): ("127.0.0.1", free_port()) for n in ("n2", "n3")}
         )
-        runtime = LiveRuntime(port, trace_enabled=False)
+        runtime = LiveRuntime(port)
         try:
             host = StaticSmrHost(
                 runtime, NodeId("n1"), Membership.of("n1", "n2", "n3"),
