@@ -206,7 +206,7 @@ def exp_f1_timeline(
         kind: ((PROTOCOL_LABELS[kind],), dict(
             kind=kind, seed=seed, clients=6, run_for=run_for, preload=preload,
             schedule=[ReconfigStep(reconfig_at, ("n1", "n4", "n5"))],
-            latency=TRANSFER_LATENCY, bin_width=0.1,
+            latency=TRANSFER_LATENCY,
         ))
         for kind in PROTOCOLS
     }
@@ -261,7 +261,7 @@ def exp_t2_statesize(
     grid = {
         (kind, preload): ((PROTOCOL_LABELS[kind], preload, _snapshot_mb(preload)), dict(
             kind=kind, seed=seed, clients=4, run_for=reconfig_at + 4.0,
-            preload=preload, value_size=64,
+            preload=preload,
             schedule=full_replacement(["n1", "n2", "n3"], at=reconfig_at, first_fresh=4),
             latency=TRANSFER_LATENCY,
         ))

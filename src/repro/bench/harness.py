@@ -34,6 +34,13 @@ from repro.workload.schedules import ReconfigStep
 #: protocol kinds run_experiment understands.
 KINDS = ("speculative", "stw", "raft", "raw-static")
 
+#: clients start ``WARMUP`` simulated seconds in; collectors bin
+#: completions ``BIN_WIDTH`` wide; a run drains for at most
+#: ``DRAIN_BOUND`` simulated seconds after its clients stop issuing.
+WARMUP = 0.3
+BIN_WIDTH = 0.1
+DRAIN_BOUND = 2.0
+
 
 def _engine_factory(engine: str, engine_params=None) -> EngineFactory:
     if engine == "paxos":
@@ -127,11 +134,7 @@ def run_experiment(
     clients: int = 4,
     ops_per_client: int | None = None,
     run_for: float = 5.0,
-    warmup: float = 0.3,
     read_ratio: float = 0.5,
-    cas_ratio: float = 0.0,
-    keyspace: int = 64,
-    value_size: int = 64,
     preload: int = 0,
     schedule: list[ReconfigStep] | None = None,
     failures: FailureSchedule | None = None,
@@ -139,7 +142,6 @@ def run_experiment(
     pipeline_depth: int | None = None,
     request_timeout: float = 0.5,
     latency: LatencyModel | None = None,
-    bin_width: float = 0.1,
     trace: bool = False,
     engine_params=None,
     read_mode: str = "log",
@@ -147,22 +149,23 @@ def run_experiment(
 ) -> RunResult:
     """Run one workload under one protocol; see DESIGN.md experiment index.
 
-    ``run_for`` bounds the measured window after ``warmup``; clients with a
-    finite ``ops_per_client`` may stop earlier. The simulation is allowed a
-    drain tail beyond the window so in-flight work settles.
+    ``run_for`` bounds the measured window after :data:`WARMUP`; it ends
+    early when every ``ops_per_client`` budget ran out first. Clients stop
+    issuing at its end, and the run drains until :func:`_drained` (a
+    client still waiting at :data:`DRAIN_BOUND` gives up).
     """
     if kind not in KINDS:
         raise ConfigurationError(f"kind must be one of {KINDS}")
     sim = Simulator(seed=seed, latency=latency, trace_enabled=trace)
 
     def app_factory() -> KvStateMachine:
-        app = KvStateMachine(value_bytes=value_size)
+        app = KvStateMachine()
         if preload:
             app.preload(preload)
         return app
 
-    commits = CommitCollector(bin_width=bin_width)
-    orders = CommitCollector(bin_width=bin_width)
+    commits = CommitCollector(bin_width=BIN_WIDTH)
+    orders = CommitCollector(bin_width=BIN_WIDTH)
 
     def order_listener(time, payload, epoch, slot):
         orders.listener(time, payload, epoch, slot, None)
@@ -186,20 +189,15 @@ def run_experiment(
         for replica in getattr(service, "replicas", {}).values():
             replica.processing_delay = processing_delay
 
-    mix = KvOperationMix(
-        sim.rng.fork("mix"),
-        keyspace=keyspace,
-        read_ratio=read_ratio,
-        cas_ratio=cas_ratio,
-        value_size=value_size,
-    )
+    # 64-byte values over 64 keys, no compare-and-swap: the mix's defaults.
+    mix = KvOperationMix(sim.rng.fork("mix"), read_ratio=read_ratio)
     pool = ClientPool(
         service,
         mix,
         count=clients,
         ops_per_client=ops_per_client,
-        params=ClientParams(start_delay=warmup, request_timeout=request_timeout),
-        bin_width=bin_width,
+        params=ClientParams(start_delay=WARMUP, request_timeout=request_timeout),
+        bin_width=BIN_WIDTH,
     )
 
     if schedule:
@@ -208,17 +206,18 @@ def run_experiment(
     if failures is not None:
         FailureInjector(sim, failures).arm()
 
-    started_at = warmup
-    ended_at = warmup + run_for
+    started_at = WARMUP
+    ended_at = WARMUP + run_for
     if ops_per_client is not None:
         sim.run_until(lambda: pool.all_finished, timeout=ended_at + 30.0)
         ended_at = min(ended_at, sim.now)
     else:
-        sim.run(until=ended_at + 1.0)
-
-    # Stop unbounded clients so nothing keeps issuing beyond the window.
+        sim.run(until=ended_at)
     for client in pool.clients:
-        client.finished = True
+        client.operations = lambda: None  # what is outstanding still completes
+    sim.run_until(lambda: _drained(pool, service), timeout=DRAIN_BOUND)
+    for client in pool.clients:
+        client.finished = True  # what the bound cut off is abandoned
 
     return RunResult(
         kind=kind,
@@ -230,4 +229,22 @@ def run_experiment(
         started_at=started_at,
         ended_at=ended_at,
         schedule=list(schedule or []),
+    )
+
+
+def _drained(pool: ClientPool, service: Any) -> bool:
+    """No client waits, and every up replica of a :class:`ReplicatedService`
+    has caught up: members of the newest configuration have executed as far
+    as the furthest replica, everyone else knows it is retired. (Raft and
+    the raw static block have no such notion here.)"""
+    if not pool.all_finished:
+        return False
+    if not isinstance(service, ReplicatedService):
+        return True
+    live = [r for r in service.replicas.values() if not r.crashed]
+    configs = [r.newest_config for r in live if r.newest_config is not None]
+    members = max(configs, key=lambda config: config.epoch).members if configs else ()
+    furthest = max((r.virtual_index for r in live), default=0)
+    return all(
+        r.virtual_index == furthest if r.node in members else r.is_retired for r in live
     )

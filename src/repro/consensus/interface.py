@@ -46,6 +46,13 @@ class InstanceMessage:
 
 
 @dataclass(frozen=True, slots=True)
+class ExecutedInstanceMessage(InstanceMessage):
+    """The same envelope, from a host that has executed the instance's log
+    fully (so nobody need tell it the instance is closed); engines never
+    see the difference."""
+
+
+@dataclass(frozen=True, slots=True)
 class Noop:
     """Filler value used by leaders to close log gaps. Carries no effect."""
 
@@ -148,6 +155,22 @@ class Transport:
 
     def trace(self, category: str, **detail: Any) -> None:
         self._host.trace(category, instance=self.instance_id, **detail)
+
+    def mark_executed(self) -> None:
+        """The host has executed the instance's log fully: the engine's
+        further messages say so. The send path of an instance still being
+        executed stays as it is."""
+        self.__class__ = _ExecutedTransport
+
+
+class _ExecutedTransport(Transport):
+    """A :class:`Transport` after :meth:`~Transport.mark_executed`."""
+
+    def send(self, dest: NodeId, inner: Any, size: int | None = None) -> None:
+        self._host.send(dest, ExecutedInstanceMessage(self.instance_id, inner), size=size)
+
+    def broadcast(self, dests, inner: Any, size: int | None = None) -> None:
+        self._host.broadcast(dests, ExecutedInstanceMessage(self.instance_id, inner), size=size)
 
 
 # Factory signature every engine implementation provides (see

@@ -67,10 +67,11 @@ class EpochAnnounce:
 
 @dataclass(frozen=True, slots=True)
 class EpochClosed:
-    """Answer to engine traffic for an epoch that is closed here: sealed,
-    fully executed and its engine stopped, so no engine will answer the
-    sender again. ``config`` is the successor configuration and
-    ``prev_members`` (the closed epoch's members) hold its boundary.
+    """Answer to engine traffic for an epoch that is closed here (sealed,
+    fully executed and its engine stopped) from a sender that has not
+    executed it fully: no engine will answer that sender again. ``config``
+    is the successor configuration and ``prev_members`` (the closed
+    epoch's members) hold its boundary.
     """
 
     config: Configuration
@@ -649,6 +650,8 @@ class ReconfigurableReplica(Process):
             )
         if runtime.engine is not None:
             engine = runtime.engine
+            # Peers that stop the epoch before us need not tell us so.
+            engine.transport.mark_executed()
             self.set_timer(
                 ENGINE_GC_GRACE, lambda: self._gc_engine(epoch, engine), label="engine-gc"
             )
@@ -842,9 +845,9 @@ class ReconfigurableReplica(Process):
         if runtime is None or runtime.engine is None:
             return  # epoch unknown here (yet); peers retry
         if runtime.engine.stopped:
-            if runtime.fully_executed:
-                # Closed here, and the sender's engine still speaks: it
-                # missed the cut, and no engine will ever answer it again.
+            if runtime.fully_executed and type(message) is InstanceMessage:
+                # Closed here, and the sender has not executed it fully:
+                # it missed the cut, and no engine will answer it again.
                 self.send(sender, EpochClosed(runtime.next_config, runtime.config.members))
             return
         if runtime.engine_started:

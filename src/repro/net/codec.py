@@ -89,7 +89,7 @@ def _protocol() -> tuple[type, ...]:
     from repro import types as t
     from repro.consensus import messages as m
     from repro.consensus.ballot import Ballot
-    from repro.consensus.interface import Batch, InstanceMessage, Noop
+    from repro.consensus.interface import Batch, ExecutedInstanceMessage, InstanceMessage, Noop
     from repro.core import client as cl
     from repro.core import command as cmd
     from repro.core import observer as ob
@@ -164,6 +164,7 @@ def _protocol() -> tuple[type, ...]:
         sm.WrongShard,
         # New types go here, at the end.
         rc.EpochClosed,  # 0x3d
+        ExecutedInstanceMessage,  # 0x3e
     )
 
 

@@ -96,50 +96,6 @@ class LatencyModel:
         base = rng.uniform(self.min_delay, self.max_delay)
         return base + size / self.bandwidth
 
-    def sample_delay_between(
-        self, rng: SeededRng, size: int, sender: NodeId, dest: NodeId
-    ) -> float:
-        """Endpoint-aware delay; the base model ignores the endpoints."""
-        return self.sample_delay(rng, size)
-
-
-class ZonedLatencyModel(LatencyModel):
-    """Topology-aware delays: cheap within a zone, expensive across zones.
-
-    Models multi-rack / multi-datacenter deployments. Nodes map to named
-    zones via ``zone_of``; pairs in the same zone use the base
-    ``min_delay``/``max_delay``, pairs in different zones use
-    ``inter_min``/``inter_max``. Unmapped nodes (e.g. clients) count as a
-    zone of their own prefix, so client traffic defaults to intra-zone
-    unless mapped explicitly.
-    """
-
-    def __init__(
-        self,
-        zone_of: dict[str, str],
-        inter_min: float = 0.015,
-        inter_max: float = 0.040,
-        default_zone: str = "local",
-        **kwargs,
-    ):
-        super().__init__(**kwargs)
-        self.zone_of = dict(zone_of)
-        self.inter_min = inter_min
-        self.inter_max = inter_max
-        self.default_zone = default_zone
-
-    def zone(self, node: NodeId) -> str:
-        return self.zone_of.get(str(node), self.default_zone)
-
-    def sample_delay_between(
-        self, rng: SeededRng, size: int, sender: NodeId, dest: NodeId
-    ) -> float:
-        if self.zone(sender) == self.zone(dest):
-            base = rng.uniform(self.min_delay, self.max_delay)
-        else:
-            base = rng.uniform(self.inter_min, self.inter_max)
-        return base + size / self.bandwidth
-
 
 @dataclass(slots=True)
 class NetworkStats:
@@ -228,9 +184,9 @@ class Network:
                 self._schedule_delivery(message)
 
     def _schedule_delivery(self, message: Message) -> None:
-        delay = self.latency.sample_delay_between(
-            self._rng, message.size, message.sender, message.dest
-        ) + self.policy.latency(message.sender, message.dest)
+        delay = self.latency.sample_delay(self._rng, message.size) + self.policy.latency(
+            message.sender, message.dest
+        )
         self._sim.schedule(
             delay,
             lambda: self._deliver(message),

@@ -133,12 +133,7 @@ class Simulator:
             if budget is not None:
                 budget -= 1
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: Time,
-        check_label: str = "condition",
-    ) -> bool:
+    def run_until(self, predicate: Callable[[], bool], timeout: Time) -> bool:
         """Run until ``predicate()`` holds; returns whether it did in time.
 
         The predicate is evaluated after every executed event, which keeps

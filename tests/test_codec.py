@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consensus import messages as m
 from repro.consensus.ballot import Ballot
-from repro.consensus.interface import Batch, InstanceMessage, Noop
+from repro.consensus.interface import Batch, ExecutedInstanceMessage, InstanceMessage, Noop
 from repro.core.client import (
     ClientReply,
     ClientRequest,
@@ -239,6 +239,7 @@ STRATEGIES: dict[type, st.SearchStrategy] = {
         st.lists(st.tuples(slots, st.one_of(commands, values)), max_size=3).map(tuple),
     ),
     InstanceMessage: st.builds(InstanceMessage, names, engine_inner),
+    ExecutedInstanceMessage: st.builds(ExecutedInstanceMessage, names, engine_inner),
     Noop: st.builds(Noop, names),
     Batch: batches,
     ClientRequest: st.builds(ClientRequest, commands, node_ids),
@@ -383,7 +384,7 @@ PINNED_TYPE_IDS = {
         "WalAccept", "WalDecide", "WalDirtyOverlap", "WalEpochOpen",
         "WalPromise", "WrongShard",
         # appended since
-        "EpochClosed",
+        "EpochClosed", "ExecutedInstanceMessage",
     ))
 }
 

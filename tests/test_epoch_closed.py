@@ -5,7 +5,8 @@ it. A replica that missed the cut - partitioned past the grace - then
 hears from nobody about that epoch again, so a closed epoch answers any
 engine traffic for it with ``EpochClosed``: the successor configuration
 and where its boundary lives. A retiree learns it is retired; a member
-of the successor fetches the boundary and executes again.
+of the successor fetches the boundary and executes again. A sender that
+executed the epoch fully says so by its envelope, and is not answered.
 """
 
 from types import SimpleNamespace
@@ -18,7 +19,7 @@ from repro.errors import VerificationError
 from repro.faults import FailureSchedule
 from repro.types import Configuration, Membership
 from repro.verify.invariants import check_convergence
-from repro.workload.schedules import ReconfigStep
+from repro.workload.schedules import ReconfigStep, storm
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -47,6 +48,27 @@ def partitioned_member(heal_at):
     )
     result.sim.run(until=result.sim.now + 2.0)
     return result.service.replicas
+
+
+def test_only_a_sender_that_missed_the_cut_is_answered():
+    # T5's sequencer storm: members keep a closed epoch's engine for the
+    # grace, and its heartbeats reach peers that stopped theirs. Those
+    # peers used to answer all of them (5 answers, none of them news).
+    sequencer = run_experiment(
+        "speculative", seed=42, clients=4, run_for=5.4, preload=5_000, trace=True,
+        engine="sequencer", schedule=storm(["n1", "n2", "n3"], 1.0, 0.8, 3, first_fresh=4),
+    )
+    # n3, cut off past the grace, is a sender the answer is for.
+    straggler = run_experiment(
+        "speculative", seed=1, clients=2, run_for=4.0, trace=True,
+        failures=FailureSchedule().partition(0.5, "iso", ["n3"], ["n1", "n2", "n4"])
+        .heal(3.0, "iso"),
+        schedule=[ReconfigStep(0.8, ("n1", "n2", "n3", "n4"))],
+    )
+    for result in (sequencer, straggler):
+        sent = result.sim.network.stats.by_type.get("EpochClosed", 0)
+        assert sent == result.sim.trace.count("epoch-closed")
+    assert straggler.sim.trace.count("epoch-closed") > 0
 
 
 @pytest.mark.parametrize("heal_at", [1.5, 3.0])

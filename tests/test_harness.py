@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.bench.harness import KINDS, RunResult, build_service, run_experiment
+from repro.bench.harness import DRAIN_BOUND, KINDS, RunResult, build_service, run_experiment
 from repro.bench.rawstatic import RawPaxosService
 from repro.errors import ConfigurationError
+from repro.net.storm import build_storm_plan
 from repro.workload.schedules import ReconfigStep
 
 
@@ -83,3 +84,17 @@ class TestRunExperiment:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment("bogus")
+
+    def test_a_timed_run_returns_drained(self):
+        # The overlap plan replaces n1 and then n2 under load. Seed 8 used
+        # to return with both clients waiting and n5 one decision behind.
+        plan = build_storm_plan("overlap", seed=8)
+        result = run_experiment(
+            "speculative", seed=8, members=plan.initial, schedule=plan.steps,
+            failures=plan.schedule, clients=2, run_for=plan.duration,
+        )
+        assert all(len(c.records) == c.seq for c in result.pool.clients)
+        assert max(result.collector.completion_times) <= result.ended_at + DRAIN_BOUND
+        members = result.service.live_members()
+        assert {r.node for r in members} == {"n3", "n4", "n5"}
+        assert len({r.virtual_index for r in members}) == 1

@@ -1,8 +1,7 @@
-"""Tests for open-loop clients and the zoned (topology-aware) network."""
+"""Tests for open-loop clients."""
 
 from repro.apps.kvstore import KvStateMachine
 from repro.core.service import ReplicatedService
-from repro.sim.network import ZonedLatencyModel
 from repro.sim.runner import Simulator
 from repro.types import ClientId, Membership, node_id
 from repro.workload.generators import KvOperationMix
@@ -80,95 +79,3 @@ class TestOpenLoopClient:
         sim.run(until=2.0)
         assert client.stopped
         assert client.issued == 1
-
-
-class TestZonedLatency:
-    def test_intra_zone_is_fast_inter_zone_is_slow(self):
-        model = ZonedLatencyModel(
-            zone_of={"a": "east", "b": "east", "c": "west"},
-            min_delay=0.001,
-            max_delay=0.002,
-            inter_min=0.030,
-            inter_max=0.040,
-        )
-        sim = Simulator(seed=65, latency=model)
-        arrivals = {}
-        for name in ("a", "b", "c"):
-            sim.network.register(
-                node_id(name), lambda m, n=name: arrivals.setdefault(n, sim.now)
-            )
-        sim.network.send(node_id("a"), node_id("b"), "x", size=0)
-        sim.network.send(node_id("a"), node_id("c"), "y", size=0)
-        sim.run()
-        assert arrivals["b"] <= 0.002
-        assert arrivals["c"] >= 0.030
-
-    def test_unmapped_nodes_share_default_zone(self):
-        model = ZonedLatencyModel(zone_of={}, min_delay=0.001, max_delay=0.001)
-        sim = Simulator(seed=66, latency=model)
-        seen = []
-        sim.network.register(node_id("p"), lambda m: seen.append(sim.now))
-        sim.network.register(node_id("q"), lambda m: None)
-        sim.network.send(node_id("q"), node_id("p"), "x", size=0)
-        sim.run()
-        assert seen and seen[0] <= 0.002
-
-    def test_cross_zone_service_still_linearizable(self):
-        model = ZonedLatencyModel(
-            zone_of={"n1": "east", "n2": "east", "n3": "west", "n4": "west"},
-            inter_min=0.020,
-            inter_max=0.030,
-        )
-        sim = Simulator(seed=67, latency=model)
-        service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
-        from repro.core.client import ClientParams
-        from repro.verify.histories import History
-        from repro.verify.linearizability import check_kv_linearizable
-
-        budget = [40]
-
-        def ops():
-            if budget[0] <= 0:
-                return None
-            budget[0] -= 1
-            return ("set", (f"k{budget[0] % 4}", budget[0]), 64)
-
-        client = service.make_client(
-            "c1", ops, ClientParams(start_delay=0.3, request_timeout=1.0)
-        )
-        service.reconfigure_at(0.8, ["n1", "n2", "n4"])  # migrate toward west
-        done = sim.run_until(lambda: client.finished, timeout=60.0)
-        assert done
-        assert check_kv_linearizable(History.from_clients([client])).ok
-
-    def test_cross_zone_rounds_cost_more(self):
-        def run(spread: bool) -> float:
-            zone_of = (
-                {"n1": "e", "n2": "e", "n3": "w"}
-                if spread
-                else {"n1": "e", "n2": "e", "n3": "e"}
-            )
-            model = ZonedLatencyModel(zone_of=zone_of, inter_min=0.02, inter_max=0.03)
-            sim = Simulator(seed=68, latency=model)
-            service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
-            from repro.core.client import ClientParams
-
-            budget = [30]
-
-            def ops():
-                if budget[0] <= 0:
-                    return None
-                budget[0] -= 1
-                return ("set", ("k", budget[0]), 64)
-
-            client = service.make_client(
-                "c1", ops, ClientParams(start_delay=0.3, request_timeout=1.0)
-            )
-            sim.run_until(lambda: client.finished, timeout=60.0)
-            latencies = [r.returned_at - r.invoked_at for r in client.records]
-            return sum(latencies) / len(latencies)
-
-        # Same zone: commit needs only intra-zone quorum — but with one
-        # replica across the country, the quorum may still be local...
-        # either way the spread cluster cannot be *faster*.
-        assert run(True) >= run(False) * 0.9

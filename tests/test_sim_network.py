@@ -151,87 +151,6 @@ class TestStats:
         assert inboxes["b"] == []
 
 
-class TestZonedLatency:
-    """sample_delay_between: intra-zone, inter-zone, and fallback bands."""
-
-    def make_model(self, **kwargs):
-        from repro.sim.network import ZonedLatencyModel
-
-        defaults = dict(
-            zone_of={"a": "east", "b": "east", "c": "west"},
-            min_delay=0.001,
-            max_delay=0.002,
-            inter_min=0.020,
-            inter_max=0.040,
-            bandwidth=1_000_000.0,
-        )
-        defaults.update(kwargs)
-        return ZonedLatencyModel(**defaults)
-
-    def rng(self, seed=1):
-        from repro.sim.rng import SeededRng
-
-        return SeededRng(seed)
-
-    def test_same_zone_uses_intra_band(self):
-        model = self.make_model()
-        rng = self.rng()
-        for _ in range(50):
-            delay = model.sample_delay_between(rng, 0, node_id("a"), node_id("b"))
-            assert 0.001 <= delay <= 0.002
-
-    def test_cross_zone_uses_inter_band(self):
-        model = self.make_model()
-        rng = self.rng()
-        for _ in range(50):
-            delay = model.sample_delay_between(rng, 0, node_id("a"), node_id("c"))
-            assert 0.020 <= delay <= 0.040
-
-    def test_direction_does_not_matter(self):
-        model = self.make_model()
-        rng = self.rng()
-        for _ in range(20):
-            forward = model.sample_delay_between(rng, 0, node_id("c"), node_id("a"))
-            assert 0.020 <= forward <= 0.040
-
-    def test_size_adds_serialisation_delay_in_both_bands(self):
-        model = self.make_model()
-        rng = self.rng()
-        # 1 MB at 1 MB/s adds exactly one second on top of the base band.
-        intra = model.sample_delay_between(rng, 1_000_000, node_id("a"), node_id("b"))
-        assert 1.001 <= intra <= 1.002
-        inter = model.sample_delay_between(rng, 1_000_000, node_id("a"), node_id("c"))
-        assert 1.020 <= inter <= 1.040
-
-    def test_unmapped_nodes_fall_back_to_default_zone(self):
-        model = self.make_model()
-        rng = self.rng()
-        # Two unmapped nodes (e.g. clients) share the default zone: intra.
-        for _ in range(20):
-            delay = model.sample_delay_between(
-                rng, 0, node_id("client-1"), node_id("client-2")
-            )
-            assert 0.001 <= delay <= 0.002
-        # Unmapped vs mapped crosses zones: inter.
-        delay = model.sample_delay_between(rng, 0, node_id("client-1"), node_id("a"))
-        assert 0.020 <= delay <= 0.040
-
-    def test_default_zone_can_coincide_with_a_real_zone(self):
-        model = self.make_model(default_zone="east")
-        rng = self.rng()
-        # With default_zone="east", unmapped clients sit next to a and b.
-        delay = model.sample_delay_between(rng, 0, node_id("client-1"), node_id("a"))
-        assert 0.001 <= delay <= 0.002
-
-    def test_network_routes_through_endpoint_aware_model(self):
-        model = self.make_model(zone_of={"a": "east", "b": "west"})
-        sim, inboxes = make_net(model)
-        sim.network.send(node_id("a"), node_id("b"), "x", size=0)
-        sim.run()
-        assert [m.payload for m in inboxes["b"]] == ["x"]
-        assert 0.020 <= sim.now <= 0.040
-
-
 class TestEstimatedSizes:
     """Sends without an explicit size use the shared codec estimator."""
 
