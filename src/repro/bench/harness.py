@@ -65,6 +65,9 @@ class RunResult:
     orders: CommitCollector
     started_at: float
     ended_at: float
+    #: messages and bytes the network carried inside the measured window.
+    window_messages: int
+    window_bytes: int
     schedule: list[ReconfigStep] = field(default_factory=list)
 
     @property
@@ -81,13 +84,15 @@ class RunResult:
     def unavailability(self) -> float:
         return self.collector.unavailability(self.started_at, self.ended_at)
 
+    def _window_ops(self) -> int:
+        return max(1, self.collector.completed_between(self.started_at, self.ended_at))
+
     def messages_per_op(self) -> float:
-        ops = max(1, self.collector.count)
-        return self.sim.network.stats.messages_sent / ops
+        """Messages sent in the window per operation completed in it."""
+        return self.window_messages / self._window_ops()
 
     def bytes_per_op(self) -> float:
-        ops = max(1, self.collector.count)
-        return self.sim.network.stats.bytes_sent / ops
+        return self.window_bytes / self._window_ops()
 
 
 def build_service(
@@ -208,11 +213,21 @@ def run_experiment(
 
     started_at = WARMUP
     ended_at = WARMUP + run_for
+    stats = sim.network.stats
+    at_start = [0, 0]  # a run over before its window starts counts it all
+
+    def mark_start() -> None:
+        at_start[:] = stats.messages_sent, stats.bytes_sent
+
+    # Scheduled before the run arms the clients' start timers: it runs first.
+    sim.at(started_at, mark_start)
     if ops_per_client is not None:
         sim.run_until(lambda: pool.all_finished, timeout=ended_at + 30.0)
         ended_at = min(ended_at, sim.now)
     else:
         sim.run(until=ended_at)
+    window_messages = stats.messages_sent - at_start[0]
+    window_bytes = stats.bytes_sent - at_start[1]
     for client in pool.clients:
         client.operations = lambda: None  # what is outstanding still completes
     sim.run_until(lambda: _drained(pool, service), timeout=DRAIN_BOUND)
@@ -228,6 +243,8 @@ def run_experiment(
         orders=orders,
         started_at=started_at,
         ended_at=ended_at,
+        window_messages=window_messages,
+        window_bytes=window_bytes,
         schedule=list(schedule or []),
     )
 

@@ -1,23 +1,25 @@
-"""Client library: request routing, retries, redirection.
+"""Client library: one lane-and-route core, and its simulator driver.
 
-A :class:`Client` is a closed-loop process: it issues one command at a
-time, waits for the reply, then issues the next (after an optional think
-time). Retries reuse the same :class:`repro.types.CommandId`, so the
-service's dedup layers guarantee exactly-once execution no matter how many
-replicas end up proposing the command.
+:class:`ClientCore` holds the client rules once and touches no socket and
+no timer. Each command in flight rides a **lane**, a :class:`ClientId`
+whose seq only grows and which carries one command until its reply
+arrives (the rule the replicas' dedup table rests on; retries reuse the
+:class:`CommandId`, so exactly-once holds however often they land). The
+**route** is a view of the membership and an index into it: a timeout
+moves it on only if the command timed out at its current target, and a
+``Redirect`` from a retired replica moves it into the next configuration.
 
-Routing: the client keeps a *view* of the membership (possibly stale). It
-sends to one replica, rotates on timeout, and adopts fresher membership
-from ``Redirect`` responses — the standard way clients chase a
-reconfiguring service.
+:class:`Client` drives the core in the simulator, closed or open loop;
+:class:`repro.net.client.LiveClient` drives it over sockets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Container, Iterable
 
 from repro.core.runtime import Runtime
+from repro.errors import ConfigurationError
 from repro.sim.events import Timer
 from repro.sim.node import Process
 from repro.types import ClientId, Command, CommandId, Membership, NodeId, Time
@@ -78,10 +80,18 @@ class Redirect:
 
 @dataclass(slots=True)
 class ClientParams:
-    """Client behaviour knobs (simulated seconds)."""
+    """Client behaviour knobs (simulated seconds).
+
+    ``rate=None`` is a closed loop: a lane issues its next operation when
+    its reply arrives. A ``rate`` is an open loop: Poisson arrivals at
+    ``rate`` per second, each on a free lane, shed when no lane is free.
+    One lane is the client's own identity, ``n`` lanes are ``<name>/<k>``.
+    """
 
     request_timeout: float = 0.5
     start_delay: float = 0.0
+    rate: float | None = None
+    lanes: int = 1
 
 
 # An operation generator yields (op, args, size) tuples, or None to stop.
@@ -101,8 +111,113 @@ class OpRecord:
     retries: int
 
 
+#: redirects in a row after which a route falls back to every node heard
+#: of: redirect chains can loop through stale hints.
+REDIRECT_STREAK = 8
+
+
+@dataclass(slots=True)
+class Outstanding:
+    """A command on its lane, waiting for its reply."""
+
+    command: Any  # a Command, or a ReconfigCommand from the live client
+    invoked_at: Time
+    #: the member it was last bound for; its timeout moves the route only
+    #: if the route still points there.
+    target: NodeId | None = None
+    retries: int = 0
+
+
+class ClientCore:
+    """Lanes, outstanding commands and the route of one client."""
+
+    def __init__(
+        self,
+        view: Iterable[NodeId],
+        rng: Any,
+        reachable: Container[NodeId] | None = None,
+    ):
+        self.view: list[NodeId] = sorted(view)
+        self.target_index = 0
+        #: every node a redirect advertised that the client can reach.
+        self.known_nodes: set[NodeId] = set(self.view)
+        self.redirect_streak = 0
+        #: last seq issued on each lane, kept for the client's lifetime.
+        self.seqs: dict[ClientId, int] = {}
+        self.free: list[ClientId] = []
+        self.outstanding: dict[CommandId, Outstanding] = {}
+        self._rng = rng
+        self._reachable = reachable
+
+    def use_lanes(self, lanes: list[ClientId]) -> None:
+        """Issue on ``lanes`` from now on; what was outstanding is dropped."""
+        self.free = lanes[::-1]
+        self.outstanding.clear()
+
+    @property
+    def target(self) -> NodeId:
+        return self.view[self.target_index % len(self.view)]
+
+    def issue(self, bind: Callable[[CommandId], Any], now: Time) -> Outstanding | None:
+        """Bind the next command of a free lane; None if every lane is busy."""
+        if not self.free:
+            return None
+        lane = self.free.pop()
+        seq = self.seqs.get(lane, 0) + 1
+        self.seqs[lane] = seq
+        entry = Outstanding(bind(CommandId(lane, seq)), now)
+        self.outstanding[entry.command.cid] = entry
+        return entry
+
+    def send_to(self, entry: Outstanding) -> NodeId:
+        """The member to send ``entry`` to now."""
+        entry.target = self.target
+        return entry.target
+
+    def failed(self, target: NodeId | None) -> None:
+        """``target`` did not answer: move on, unless the route moved already."""
+        if target == self.target:
+            self.target_index += 1
+
+    def timed_out(self, cid: CommandId) -> Outstanding | None:
+        """``cid`` waited a whole timeout; None if it is no longer outstanding."""
+        entry = self.outstanding.get(cid)
+        if entry is not None:
+            entry.retries += 1
+            self.failed(entry.target)
+        return entry
+
+    def replied(self, cid: CommandId) -> Outstanding | None:
+        """``cid`` completed and frees its lane; None for a stale reply."""
+        entry = self.outstanding.pop(cid, None)
+        if entry is not None:
+            self.free.append(cid.client)
+            self.redirect_streak = 0
+        return entry
+
+    def redirected(self, redirect: Redirect) -> Outstanding | None:
+        """Follow a redirect for an outstanding command; None if stale."""
+        entry = self.outstanding.get(redirect.cid)
+        if entry is None:
+            return None
+        self.redirect_streak += 1
+        members = [
+            n for n in redirect.members.sorted_nodes()
+            if self._reachable is None or n in self._reachable
+        ]
+        self.known_nodes.update(members)
+        if self.redirect_streak > REDIRECT_STREAK:
+            self.view = sorted(self.known_nodes)
+            self.target_index += 1
+        elif members:
+            self.view = members
+            self.target_index = self._rng.randint(0, len(members) - 1)
+        entry.target = self.target  # bound for the new target
+        return entry
+
+
 class Client(Process):
-    """Closed-loop client issuing commands against the replicated service."""
+    """A simulated client: the core's lanes and route on the sim's timers."""
 
     def __init__(
         self,
@@ -115,66 +230,102 @@ class Client(Process):
     ):
         super().__init__(sim, NodeId(str(client)))
         self.client = client
-        self.view = view
         self.operations = operations
         self.params = params if params is not None else ClientParams()
+        if self.params.rate is not None and self.params.rate <= 0:
+            raise ConfigurationError("open-loop rate must be positive")
         self.on_complete = on_complete
-        self.seq = 0
         self.records: list[OpRecord] = []
+        self.issued = 0
+        self.shed = 0  # open-loop arrivals dropped because no lane was free
+        #: the operation source ran dry; no further command is issued.
+        self.stopped = False
+        #: stopped with nothing outstanding, or given up on by the harness.
         self.finished = False
-        self._current: Command | None = None
-        self._invoked_at: Time = 0.0
-        self._retries = 0
-        self._target_index = 0
-        self._timeout: Timer | None = None
         self._rng = sim.rng.fork(f"client/{client}")
-        self._known_nodes: set[NodeId] = set(view.nodes)
-        self._redirect_streak = 0
+        self.core = ClientCore(view.nodes, self._rng)
+        lanes = self.params.lanes
+        self.core.use_lanes(
+            [client] if lanes == 1 else [ClientId(f"{client}/{k}") for k in range(lanes)]
+        )
+        self._timeouts: dict[CommandId, Timer] = {}
 
-    # -- lifecycle --------------------------------------------------------------
+    @property
+    def view(self) -> Membership:
+        return Membership(frozenset(self.core.view))
+
+    @property
+    def seq(self) -> int:
+        """Seq of the newest command issued on the client's own identity."""
+        return self.core.seqs.get(self.client, 0)
+
+    @property
+    def outstanding(self) -> int:
+        return len(self.core.outstanding)
+
+    # -- issuing ------------------------------------------------------------------
 
     def on_start(self) -> None:
-        self.set_timer(self.params.start_delay, self._issue_next, label="client-start")
+        self.set_timer(self.params.start_delay, self._start, label="client-start")
 
-    def _issue_next(self) -> None:
-        if self.finished or self.crashed:
+    def _start(self) -> None:
+        if self.params.rate is not None:
+            self._arrive()
             return
-        operation = self.operations()
-        if operation is None:
+        for _ in range(self.params.lanes):
+            self._issue()
+
+    def _arrive(self) -> None:
+        self._issue()
+        if not (self.stopped or self.finished):
+            gap = self._rng.expovariate(self.params.rate)
+            self.set_timer(gap, self._arrive, label="client-arrival")
+
+    def _issue(self) -> None:
+        if not (self.stopped or self.finished):
+            operation = self.operations()
+            if operation is not None:
+                op, args, size = operation
+                entry = self.core.issue(
+                    lambda cid: Command(cid, op, args, size=size), self.now
+                )
+                if entry is None:
+                    self.shed += 1
+                else:
+                    self.issued += 1
+                    self._send(entry)
+                return
+            self.stopped = True
+        if not (self.finished or self.core.outstanding):
             self.finished = True
             self.trace("client-done", ops=len(self.records))
-            return
-        op, args, size = operation
-        self.seq += 1
-        self._current = Command(CommandId(self.client, self.seq), op, args, size=size)
-        self._invoked_at = self.now
-        self._retries = 0
-        self._send_current()
 
     # -- sending & retries ----------------------------------------------------------
 
-    def _send_current(self) -> None:
-        assert self._current is not None
-        targets = self.view.sorted_nodes()
-        target = targets[self._target_index % len(targets)]
+    def _send(self, entry: Outstanding) -> None:
+        command = entry.command
+        cid = command.cid
         self.send(
-            target,
-            ClientRequest(self._current, self.node),
-            size=64 + self._current.size,
+            self.core.send_to(entry),
+            ClientRequest(command, self.node),
+            size=64 + command.size,
         )
-        if self._timeout is not None:
-            self._timeout.cancel()
-        self._timeout = self.set_timer(
-            self.params.request_timeout, self._on_timeout, label="client-timeout"
+        timer = self._timeouts.get(cid)
+        if timer is not None:
+            timer.cancel()
+        self._timeouts[cid] = self.set_timer(
+            self.params.request_timeout,
+            lambda: self._on_timeout(cid),
+            label="client-timeout",
         )
 
-    def _on_timeout(self) -> None:
-        if self._current is None or self.finished:
+    def _on_timeout(self, cid: CommandId) -> None:
+        if self.finished:
             return
-        self._retries += 1
-        self._target_index += 1
-        self.trace("client-retry", cid=str(self._current.cid), retry=self._retries)
-        self._send_current()
+        entry = self.core.timed_out(cid)
+        if entry is not None:
+            self.trace("client-retry", cid=str(cid), retry=entry.retries)
+            self._send(entry)
 
     # -- replies -----------------------------------------------------------------------
 
@@ -188,45 +339,39 @@ class Client(Process):
             self._handle_redirect(payload)
 
     def _handle_reply(self, reply: ClientReply) -> None:
-        if self._current is None or reply.cid != self._current.cid:
+        entry = self.core.replied(reply.cid)
+        if entry is None:
             return  # duplicate or stale reply
-        self._redirect_streak = 0
-        if self._timeout is not None:
-            self._timeout.cancel()
+        self._timeouts.pop(reply.cid).cancel()
+        command = entry.command
         record = OpRecord(
             cid=reply.cid,
-            op=self._current.op,
-            args=self._current.args,
-            invoked_at=self._invoked_at,
+            op=command.op,
+            args=command.args,
+            invoked_at=entry.invoked_at,
             returned_at=self.now,
             value=reply.value,
-            retries=self._retries,
+            retries=entry.retries,
         )
-        self._current = None
         self.records.append(record)
         if self.on_complete is not None:
             self.on_complete(record)
-        # Go through the event queue (zero delay) to avoid unbounded
-        # synchronous recursion on fast paths.
-        self.set_timer(0.0, self._issue_next, label="next-op")
+        if self.params.rate is None:
+            # Go through the event queue (zero delay) to avoid unbounded
+            # synchronous recursion on fast paths.
+            self.set_timer(0.0, self._issue, label="next-op")
+        elif self.stopped:
+            self._issue()  # finishes once nothing is outstanding
 
     def _handle_redirect(self, redirect: Redirect) -> None:
-        if self._current is None or redirect.cid != self._current.cid:
+        if self.core.redirected(redirect) is None:
             return
-        self._redirect_streak += 1
-        self._known_nodes.update(redirect.members.nodes)
-        if self._redirect_streak > 8:
-            # Redirect chains can loop through stale hints; fall back to
-            # every node we have ever heard of and rotate through them.
-            self.view = Membership(frozenset(self._known_nodes))
-            self._target_index += 1
-        elif len(redirect.members) > 0:
-            self.view = redirect.members
-            self._target_index = self._rng.randint(0, len(redirect.members) - 1)
+        cid = redirect.cid
         # A short pause stops tight redirect ping-pong from flooding the
         # network between two confused nodes.
-        self.set_timer(0.01, self._resend_if_current, label="redirect-resend")
+        self.set_timer(0.01, lambda: self._resend(cid), label="redirect-resend")
 
-    def _resend_if_current(self) -> None:
-        if self._current is not None and not self.finished:
-            self._send_current()
+    def _resend(self, cid: CommandId) -> None:
+        entry = self.core.outstanding.get(cid)
+        if entry is not None and not self.finished:
+            self._send(entry)

@@ -54,10 +54,11 @@ class DedupStateMachine(StateMachine):
     The rule: each :class:`ClientId` issues seqs in increasing order with
     **at most one outstanding command**; a seq below the last applied one
     is a stale duplicate, answered ``None`` and not applied. Every client
-    keeps it: the closed-loop ``Client`` has one command in flight, and
-    ``OpenLoopClient``, ``LiveClient`` and ``ShardClient`` give each
-    command in flight a lane identity of its own
-    (``verify.invariants.check_client_order`` checks it). Replies are
+    keeps it through ``core.client.ClientCore``, which gives each command
+    in flight a lane identity of its own: the simulated ``Client`` (one
+    lane closed loop, many open loop), ``LiveClient`` and, through it,
+    ``ShardClient`` (``verify.invariants.check_client_order`` checks
+    it). Replies are
     cached per client for the *latest* sequence number only, which bounds
     the table at one entry per client.
     """

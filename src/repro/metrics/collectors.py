@@ -39,10 +39,12 @@ class CompletionCollector:
     def latency_summary(self) -> LatencySummary:
         return summarize_latencies(self.latencies)
 
+    def completed_between(self, start: Time, end: Time) -> int:
+        return sum(1 for t in self.completion_times if start <= t <= end)
+
     def throughput(self, start: Time, end: Time) -> float:
-        inside = [t for t in self.completion_times if start <= t <= end]
         duration = end - start
-        return len(inside) / duration if duration > 0 else 0.0
+        return self.completed_between(start, end) / duration if duration > 0 else 0.0
 
     def unavailability(self, start: Time, end: Time) -> float:
         return longest_gap(self.completion_times, start, end)

@@ -1,22 +1,17 @@
 """Blocking client for a live cluster: submit commands, drive reconfigs.
 
-:class:`LiveClient` is the synchronous counterpart of
-:class:`repro.core.client.Client`. It speaks the same protocol payloads
-(:class:`ClientRequest` / :class:`ClientReply` / :class:`Redirect` /
-:class:`ReconfigRequest`) over plain sockets, through one request loop
-with the same retry discipline the simulated client uses:
-
-* each command rides a **lane**, a :class:`ClientId` with at most one
-  command in flight (the rule the replicas' dedup table rests on):
-  ``submit`` and ``reconfigure`` use the client's own name, a pipelined
-  window of ``w`` the lanes ``<name>/<k>``;
-* retries reuse the **same** :class:`CommandId`, so replica-side dedup
-  gives exactly-once semantics no matter how many times we resend;
-* replies come back over the connection the request went out on — only
-  the contacted replica registered us as a pending client;
-* a :class:`Redirect` (from a retired replica) rotates the view to the
-  advertised membership, restricted to nodes we have addresses for;
-* silence and connection errors rotate round-robin to the next replica.
+:class:`LiveClient` drives :class:`repro.core.client.ClientCore`, the
+lane-and-route core the simulated client drives too, so it keeps the same
+retry discipline the simulated client uses: one command in flight per
+lane (``submit`` and ``reconfigure`` use the client's own name, a
+pipelined window of ``w`` the lanes ``<name>/<k>``), retries under the
+**same** :class:`CommandId`, and a route that follows a ``Redirect``
+to members we have an address for. What stays here is the I/O: replies come
+back over the connection the request went out on (only the contacted
+replica registered us as a pending client), outgoing commands coalesce
+into :class:`RequestBatch` frames, everything outstanding is resent after
+silence, a redirect or a connection error, and a failed connect backs off
+50 ms.
 
 Intended for tests, benches and the live scenario loop (``repro storm``).
 :func:`request_reply` is the one-shot form: what the ``#metrics``,
@@ -25,11 +20,14 @@ Intended for tests, benches and the live scenario loop (``repro storm``).
 
 from __future__ import annotations
 
+import random
 import socket
 import time
+from functools import partial
 from typing import Any, Iterable
 
 from repro.core.client import (
+    ClientCore,
     ClientReply,
     ClientRequest,
     Redirect,
@@ -126,12 +124,13 @@ class LiveClient:
         self.client = ClientId(str(name))
         #: address book: every replica we may ever be redirected to.
         self.addresses = {NodeId(str(n)): a for n, a in addresses.items()}
-        members = list(view) if view is not None else sorted(self.addresses)
-        self.view: list[NodeId] = sorted(NodeId(str(n)) for n in members)
+        members = list(view) if view is not None else self.addresses
+        self.core = ClientCore(
+            (NodeId(str(n)) for n in members),
+            random.Random(str(name)),
+            reachable=self.addresses,
+        )
         self.request_timeout = request_timeout
-        #: last seq sent on each lane, kept across calls.
-        self._seqs: dict[ClientId, int] = {}
-        self._target_index = 0
         self._sock: socket.socket | None = None
         self._sock_node: NodeId | None = None
         #: inbound reassembly buffer; frames are consumed from ``_buf_pos``
@@ -142,9 +141,18 @@ class LiveClient:
     # -- public API ---------------------------------------------------------
 
     @property
+    def view(self) -> list[NodeId]:
+        """The members the route runs over, sorted."""
+        return self.core.view
+
+    @view.setter
+    def view(self, members: Iterable[NodeId]) -> None:
+        self.core.view = sorted(members)
+
+    @property
     def seq(self) -> int:
         """Seq of the newest command sent on the client's own identity."""
-        return self._seqs.get(self.client, 0)
+        return self.core.seqs.get(self.client, 0)
 
     def submit(
         self, op: str, args: tuple[Any, ...] = (), size: int = 64,
@@ -205,15 +213,15 @@ class LiveClient:
         flight per lane); returns the replies and latencies in order."""
         started = time.monotonic()
         give_up_at = started + deadline
+        core = self.core
+        core.use_lanes(lanes)
         replies: list[Any] = [None] * len(items)
         latencies = [0.0] * len(items)
-        free = lanes[::-1]
-        #: cid -> (item index, command, first transmission)
-        inflight: dict[CommandId, tuple[int, Any, float]] = {}
+        index: dict[CommandId, int] = {}  # cid -> its item's index
         queued = 0  # next item to bind to a lane
         resend = False
         last_error = "no replicas tried"
-        while queued < len(items) or inflight:
+        while queued < len(items) or core.outstanding:
             now = time.monotonic()
             if now >= give_up_at:
                 unacked = [i for i, reply in enumerate(replies) if reply is None]
@@ -221,25 +229,28 @@ class LiveClient:
                 if len(unacked) > 10:
                     shown += f", ... ({len(unacked) - 10} more)"
                 raise LiveClientError(
-                    f"{self.client} stalled: {queued - len(inflight)}/"
+                    f"{self.client} stalled: {queued - len(core.outstanding)}/"
                     f"{len(items)} acknowledged "
                     f"after {now - started:.1f}s (deadline {deadline:g}s, "
                     f"window {len(lanes)}); unacknowledged op indices: "
                     f"[{shown}]; last error: {last_error}"
                 )
-            target = self.view[self._target_index % len(self.view)]
+            target = core.target
             budget = self._attempt_budget(give_up_at)
             try:
                 sock = self._connect(target)
                 fresh = []
-                while free and queued < len(items):
-                    lane = free.pop()
-                    self._seqs[lane] = self._seqs.get(lane, 0) + 1
-                    command = _bind(items[queued], CommandId(lane, self._seqs[lane]))
-                    inflight[command.cid] = (queued, command, now)
-                    fresh.append(command)
+                while queued < len(items):
+                    entry = core.issue(partial(_bind, items[queued]), now)
+                    if entry is None:
+                        break
+                    index[entry.command.cid] = queued
+                    fresh.append(entry.command)
                     queued += 1
-                outgoing = [c for _, c, _ in inflight.values()] if resend else fresh
+                outgoing = (
+                    [entry.command for entry in core.outstanding.values()]
+                    if resend else fresh
+                )
                 resend = False
                 if outgoing:
                     # Frames carry their destination, so encode per target.
@@ -252,29 +263,29 @@ class LiveClient:
             except (OSError, codec.CodecError) as exc:
                 last_error = f"{target}: {exc}"
                 self._drop_connection()
-                self._rotate()
+                core.failed(target)
                 resend = True
                 time.sleep(0.05)
                 continue
             if payload is None:
                 last_error = f"{target}: timed out after {budget:.2f}s"
-                self._rotate()
+                core.failed(target)
                 resend = True
             elif isinstance(payload, Redirect):
-                if payload.cid in inflight:
-                    self._apply_redirect(payload)
-                    resend = True
+                resend = core.redirected(payload) is not None
             else:
                 arrived = time.monotonic()
                 for reply in (
                     payload.replies if isinstance(payload, ReplyBatch) else (payload,)
                 ):
-                    if not isinstance(reply, ClientReply) or reply.cid not in inflight:
+                    if not isinstance(reply, ClientReply):
+                        continue
+                    entry = core.replied(reply.cid)
+                    if entry is None:
                         continue  # a stale reply from an earlier attempt
-                    index, _, sent = inflight.pop(reply.cid)
-                    replies[index] = reply
-                    latencies[index] = arrived - sent
-                    free.append(reply.cid.client)
+                    at = index.pop(reply.cid)
+                    replies[at] = reply
+                    latencies[at] = arrived - entry.invoked_at
         return replies, latencies
 
     def _frame(self, target: NodeId, group: list[Any]) -> bytes:
@@ -287,17 +298,6 @@ class LiveClient:
         else:
             payload = ClientRequest(group[0], self.node)
         return codec.encode_frame(self.node, target, payload)
-
-    def _apply_redirect(self, redirect: Redirect) -> None:
-        reachable = sorted(n for n in redirect.members.nodes if n in self.addresses)
-        if reachable and reachable != self.view:
-            self.view = reachable
-            self._target_index = 0
-        else:
-            self._rotate()
-
-    def _rotate(self) -> None:
-        self._target_index = (self._target_index + 1) % len(self.view)
 
     # -- socket plumbing ----------------------------------------------------
 

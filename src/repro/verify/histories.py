@@ -103,18 +103,20 @@ class History:
                         value=record.value,
                     )
                 )
-            if include_pending and client._current is not None:
-                current = client._current
-                operations.append(
-                    Operation(
-                        cid=current.cid,
-                        op=current.op,
-                        args=current.args,
-                        invoked_at=client._invoked_at,
-                        returned_at=None,
-                        value=None,
+            if include_pending:
+                # Every command still on a lane may or may not have applied.
+                for entry in client.core.outstanding.values():
+                    command = entry.command
+                    operations.append(
+                        Operation(
+                            cid=command.cid,
+                            op=command.op,
+                            args=command.args,
+                            invoked_at=entry.invoked_at,
+                            returned_at=None,
+                            value=None,
+                        )
                     )
-                )
         return cls(operations)
 
 

@@ -32,6 +32,11 @@ def sim() -> Simulator:
     return Simulator(seed=1234)
 
 
+def stop_at(sim: Simulator, at: float, source):
+    """``source`` until simulated time ``at``, then dry: an open loop's end."""
+    return lambda: source() if sim.now < at else None
+
+
 def make_command(seq: int, op: str = "set", args: tuple = ("k", 1), client: str = "c") -> Command:
     return Command(CommandId(client_id(client), seq), op, args)
 

@@ -1,12 +1,15 @@
 """Tests for the client library: retries, redirects, history recording."""
 
+import pytest
+
 from repro.apps.kvstore import KvStateMachine
-from repro.core.client import Client, ClientParams, ClientReply, Redirect
+from repro.core.client import Client, ClientCore, ClientParams, ClientReply, Redirect
 from repro.core.service import ReplicatedService
 from repro.faults import FailureSchedule
 from repro.sim.failures import FailureInjector
+from repro.sim.node import Process
 from repro.sim.runner import Simulator
-from repro.types import ClientId, CommandId, Membership, client_id, node_id
+from repro.types import ClientId, Command, CommandId, Membership, client_id, node_id
 
 
 def one_shot_ops(n):
@@ -19,6 +22,31 @@ def one_shot_ops(n):
         return ("set", (f"k{budget[0]}", budget[0]), 64)
 
     return ops
+
+
+class Looper(Process):
+    """A retired node: redirects every request to ``redirect_to``."""
+
+    def __init__(self, sim, node, redirect_to):
+        super().__init__(sim, node)
+        self.redirect_to = redirect_to
+
+    def on_message(self, payload, sender):
+        if hasattr(payload, "command"):
+            self.send(
+                payload.reply_to,
+                Redirect(payload.command.cid, self.redirect_to, 0),
+            )
+
+
+class Silent(Process):
+    """A member that never answers; counts the requests it gets."""
+
+    requests = 0
+
+    def on_message(self, payload, sender):
+        if hasattr(payload, "command"):
+            self.requests += 1
 
 
 class TestBasics:
@@ -104,17 +132,7 @@ class TestRedirects:
     def test_redirect_loop_falls_back_to_known_nodes(self):
         sim = Simulator(seed=5)
         # A lone fake node that always redirects to itself.
-        from repro.sim.node import Process
-
-        class Looper(Process):
-            def on_message(self, payload, sender):
-                if hasattr(payload, "command"):
-                    self.send(
-                        payload.reply_to,
-                        Redirect(payload.command.cid, Membership.of("loop"), 0),
-                    )
-
-        Looper(sim, node_id("loop"))
+        Looper(sim, node_id("loop"), Membership.of("loop"))
         client = Client(
             sim,
             ClientId("c"),
@@ -125,5 +143,37 @@ class TestRedirects:
         sim.run(until=2.0)
         # The client survives the loop (does not crash or flood); its
         # fallback view contains every node it has heard of.
-        assert client._redirect_streak > 8
-        assert node_id("loop") in client._known_nodes
+        assert client.core.redirect_streak > 8
+        assert node_id("loop") in client.core.known_nodes
+
+    @pytest.mark.parametrize(
+        "params",
+        [ClientParams(request_timeout=0.5),
+         ClientParams(request_timeout=0.5, rate=10.0, lanes=4)],
+        ids=["closed-loop", "open-loop"],
+    )
+    def test_one_retry_chain_per_command_after_a_redirect(self, params):
+        # The redirect's resend re-arms the command's one timeout; it does
+        # not start a second chain beside it (the open-loop client did,
+        # and sent 19 requests here).
+        sim = Simulator(seed=1)
+        Looper(sim, node_id("loop"), Membership.of("silent"))
+        silent = Silent(sim, node_id("silent"))
+        Client(sim, ClientId("c"), Membership.of("loop"), one_shot_ops(1), params)
+        sim.run(until=5.0)
+        assert silent.requests == 10  # one every request_timeout
+
+
+class TestCore:
+    def test_a_dead_target_costs_one_move_however_many_lanes_wait(self):
+        core = ClientCore([node_id("n1"), node_id("n2"), node_id("n3")], rng=None)
+        core.use_lanes([ClientId("c/0"), ClientId("c/1"), ClientId("c/2")])
+        entries = [core.issue(lambda cid: Command(cid, "get", ("k",)), 0.0)
+                   for _ in range(3)]
+        assert [core.send_to(e) for e in entries] == [node_id("n1")] * 3
+        for entry in entries:
+            core.timed_out(entry.command.cid)
+        assert core.target == node_id("n2")
+        assert [core.send_to(e) for e in entries] == [node_id("n2")] * 3
+        core.timed_out(entries[0].command.cid)
+        assert core.target == node_id("n3")

@@ -8,7 +8,7 @@ resend after an election, or two contacts forwarding at different speeds)
 and be acknowledged for a write that never happened. Every client keeps
 the rule by giving each command in flight a lane identity of its own:
 
-* the sim's :class:`OpenLoopClient` - no acknowledged write goes missing,
+* the sim's open-loop :class:`Client` - no acknowledged write goes missing,
   with or without a leader crash (before lanes: ~100-260 per run);
 * :meth:`LiveClient.submit_pipelined` against a stub replica applying
   through a real dedup table, with the first transmission of op 0 lost;
@@ -32,7 +32,7 @@ import pytest
 
 from repro.apps.kvstore import KvStateMachine
 from repro.apps.shardkv import ShardedKvStateMachine
-from repro.core.client import ClientReply
+from repro.core.client import Client, ClientParams, ClientReply
 from repro.core.service import ReplicatedService
 from repro.core.statemachine import DedupStateMachine
 from repro.errors import VerificationError
@@ -47,7 +47,9 @@ from repro.types import ClientId, Command, CommandId, node_id
 from repro.verify.histories import History, Operation
 from repro.verify.invariants import check_client_order, run_all_invariants
 from repro.verify.linearizability import check_kv_linearizable
-from repro.workload.openloop import OpenLoopClient, OpenLoopParams
+from repro.verify.suite import verify_run
+from repro.workload.generators import KvOperationMix
+from tests.conftest import stop_at
 from tests.test_net_regressions import StubReplica
 
 
@@ -72,10 +74,10 @@ class TestOpenLoopLanes:
             i = next(keys)
             return ("set", (f"k{i}", i), 64)
 
-        client = OpenLoopClient(
-            sim, ClientId("ol"), service.initial_config.members, unique_sets,
-            OpenLoopParams(rate=300.0, start_delay=0.3, stop_after=2.5,
-                           max_outstanding=64),
+        client = Client(
+            sim, ClientId("ol"), service.initial_config.members,
+            stop_at(sim, 0.3 + 2.5, unique_sets),
+            ClientParams(rate=300.0, start_delay=0.3, lanes=64),
         )
         sim.run(until=1.2)
         if crash_leader:
@@ -105,6 +107,29 @@ class TestOpenLoopLanes:
         # A crash costs a command one request timeout (0.5 s), not two: a
         # ReplyBatch answering several lanes is read, not dropped.
         assert max(r.returned_at - r.invoked_at for r in client.records) < 0.75
+
+    def test_many_lanes_go_through_the_one_gate(self):
+        # 64 lanes over 16 keys through a leader crash, stopped while the
+        # retries are in flight: every outstanding lane is a pending
+        # operation for Wing-Gong, and the replay oracle and
+        # check_client_order read the lanes' records.
+        sim = Simulator(seed=1)
+        service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
+        mix = KvOperationMix(sim.rng.fork("lanes"), keyspace=16, read_ratio=0.4)
+        client = Client(
+            sim, ClientId("ol"), service.initial_config.members,
+            mix.source("ol", None),
+            ClientParams(rate=300.0, start_delay=0.3, lanes=64),
+        )
+        sim.run(until=1.2)
+        service.replicas[node_id("n1")].crash()
+        sim.run(until=1.8)  # the lanes that waited on n1 are being retried
+
+        report = verify_run(service.replicas.values(), [client])
+        assert report.pending_operations == client.outstanding > 0
+        assert report.operations == len(client.records) + client.outstanding > 300
+        assert report.replayed > 0
+        assert len({record.cid.client for record in client.records}) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +184,7 @@ class TestPipelinedLanes:
                 client.submit_pipelined([("set", ("a", 1), 64)] * 3, window=2)
                 client.submit_pipelined([("set", ("a", 2), 64)] * 2, window=2)
                 client.submit("get", ("a",))
-                seqs = dict(client._seqs)
+                seqs = dict(client.core.seqs)
         finally:
             stub.close()
         assert set(seqs) == {ClientId("c/0"), ClientId("c/1"), ClientId("c")}
@@ -262,7 +287,7 @@ class TestLivePipelinedLeaderKill:
 
                 def kill_mid_window() -> None:
                     # A copy is taken in one step; the loop adds lanes.
-                    while sum(dict(client._seqs).values()) < 200:
+                    while sum(dict(client.core.seqs).values()) < 200:
                         time.sleep(0.001)
                     cluster.kill(leader)
                     killed_at.append(time.monotonic())

@@ -153,7 +153,7 @@ def run_fault_at_the_seal(seed, scenario):
             f"c{i}", ops, ClientParams(start_delay=0.2, request_timeout=0.5),
             on_complete=lambda record: acked_at.append(record.returned_at),
         )
-        client._target_index = i  # every sim client starts at n1 otherwise
+        client.core.target_index = i  # every sim client starts at n1 otherwise
         clients.append(client)
 
     def reconfigure():

@@ -6,22 +6,23 @@ and late completions rather than a quiet client.
 """
 
 from repro.apps.kvstore import KvStateMachine
+from repro.core.client import Client, ClientParams
 from repro.core.service import ReplicatedService
 from repro.metrics.stats import longest_gap
 from repro.sim.runner import Simulator
 from repro.types import ClientId, node_id
 from repro.workload.generators import KvOperationMix
-from repro.workload.openloop import OpenLoopClient, OpenLoopParams
+from tests.conftest import stop_at
 
 
-def open_loop(sim, service, rate=300.0, stop_after=2.5, **kw):
+def open_loop(sim, service, rate=300.0, stop_after=2.5, lanes=256, **kw):
     mix = KvOperationMix(sim.rng.fork("olr"), keyspace=16, read_ratio=0.4)
-    return OpenLoopClient(
+    return Client(
         sim,
         ClientId("ol"),
         service.initial_config.members,
-        mix.source("ol", None),
-        OpenLoopParams(rate=rate, start_delay=0.3, stop_after=stop_after, **kw),
+        stop_at(sim, 0.3 + stop_after, mix.source("ol", None)),
+        ClientParams(rate=rate, start_delay=0.3, lanes=lanes, **kw),
     )
 
 
@@ -52,7 +53,7 @@ class TestOpenLoopThroughReconfig:
         sim = Simulator(seed=913)
         service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
         client = open_loop(sim, service, rate=250.0, stop_after=3.0,
-                           max_outstanding=30, request_timeout=0.25)
+                           lanes=30, request_timeout=0.25)
         # Lose one member (n1 is the bootstrap leader: worst case), then
         # repair by reconfiguring a replacement in.
         sim.at(1.0, service.replicas[node_id("n1")].crash)
@@ -71,7 +72,7 @@ class TestOpenLoopThroughReconfig:
         sim = Simulator(seed=915)
         service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
         client = open_loop(sim, service, rate=250.0, stop_after=3.0,
-                           max_outstanding=30, request_timeout=0.25)
+                           lanes=30, request_timeout=0.25)
         sim.at(1.0, service.replicas[node_id("n1")].crash)
         sim.at(1.0, service.replicas[node_id("n2")].crash)
         sim.at(1.6, lambda: service.reconfigure(["n3", "n7", "n8"]))

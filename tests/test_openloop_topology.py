@@ -1,11 +1,12 @@
 """Tests for open-loop clients."""
 
 from repro.apps.kvstore import KvStateMachine
+from repro.core.client import Client, ClientParams
 from repro.core.service import ReplicatedService
 from repro.sim.runner import Simulator
 from repro.types import ClientId, Membership, node_id
 from repro.workload.generators import KvOperationMix
-from repro.workload.openloop import OpenLoopClient, OpenLoopParams
+from tests.conftest import stop_at
 
 
 def unbounded_sets(sim):
@@ -17,12 +18,12 @@ class TestOpenLoopClient:
     def test_issues_at_configured_rate(self):
         sim = Simulator(seed=61)
         service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
-        client = OpenLoopClient(
+        client = Client(
             sim,
             ClientId("ol1"),
             service.initial_config.members,
-            unbounded_sets(sim),
-            OpenLoopParams(rate=200.0, start_delay=0.2, stop_after=2.0),
+            stop_at(sim, 0.2 + 2.0, unbounded_sets(sim)),
+            ClientParams(rate=200.0, start_delay=0.2, lanes=256),
         )
         sim.run(until=3.0)
         # Poisson(200/s) over 2s ≈ 400 issues; generous tolerance.
@@ -34,13 +35,13 @@ class TestOpenLoopClient:
         # and sheds when the outstanding window fills.
         sim = Simulator(seed=62)
         service = ReplicatedService(sim, ["n1", "n2", "n3"], KvStateMachine)
-        client = OpenLoopClient(
+        client = Client(
             sim,
             ClientId("ol1"),
             service.initial_config.members,
-            unbounded_sets(sim),
-            OpenLoopParams(rate=300.0, start_delay=0.2, stop_after=2.0,
-                           max_outstanding=20, request_timeout=0.2),
+            stop_at(sim, 0.2 + 2.0, unbounded_sets(sim)),
+            ClientParams(rate=300.0, start_delay=0.2, lanes=20,
+                         request_timeout=0.2),
         )
         # Kill a majority: the service cannot commit anything.
         sim.at(0.5, service.replicas[node_id("n1")].crash)
@@ -53,12 +54,12 @@ class TestOpenLoopClient:
         sim = Simulator(seed=63)
         service = ReplicatedService(sim, ["n1", "n2"], KvStateMachine)
         seen = []
-        OpenLoopClient(
+        Client(
             sim,
             ClientId("ol1"),
             service.initial_config.members,
-            unbounded_sets(sim),
-            OpenLoopParams(rate=100.0, stop_after=1.0),
+            stop_at(sim, 0.2 + 1.0, unbounded_sets(sim)),
+            ClientParams(rate=100.0, start_delay=0.2, lanes=256),
             on_complete=seen.append,
         )
         sim.run(until=2.0)
@@ -69,12 +70,12 @@ class TestOpenLoopClient:
         sim = Simulator(seed=64)
         service = ReplicatedService(sim, ["n1", "n2"], KvStateMachine)
         budget = iter([("set", ("k", 1), 32)])
-        client = OpenLoopClient(
+        client = Client(
             sim,
             ClientId("ol1"),
             service.initial_config.members,
             lambda: next(budget, None),
-            OpenLoopParams(rate=50.0),
+            ClientParams(rate=50.0, start_delay=0.2, lanes=256),
         )
         sim.run(until=2.0)
         assert client.stopped

@@ -142,4 +142,4 @@ class TestRaftClientInteraction:
         ok = sim.run_until(lambda: client.finished, timeout=60.0)
         assert ok
         # After full migration the client's view must have moved on.
-        assert set(client._known_nodes) & {node_id("n4"), node_id("n5"), node_id("n6")}
+        assert set(client.core.known_nodes) & {node_id("n4"), node_id("n5"), node_id("n6")}
