@@ -230,24 +230,14 @@ def build_replica(args: "argparse.Namespace"):
         storage=storage,
     )
     if args.app == "metadir":
-        from repro.shard.metadir import (
-            IntentDriver,
-            MetaDirStateMachine,
-            install_director_endpoint,
-        )
+        from repro.shard.metadir import IntentDriver, install_director_endpoint
 
-        def _metadir_machine():
-            inner = getattr(replica.state, "inner", None)
-            return inner if isinstance(inner, MetaDirStateMachine) else None
-
-        install_director_endpoint(transport, args.node, _metadir_machine)
-        IntentDriver(
-            args.node,
+        driver = IntentDriver(
             replica,
-            addresses,
             hold=args.metadir_hold / 1000.0,
             takeover=args.metadir_takeover / 1000.0,
-        ).start()
+        )
+        install_director_endpoint(transport, args.node, driver.machine)
     return runtime, replica, host, port
 
 

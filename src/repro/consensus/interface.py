@@ -9,7 +9,9 @@ engine as a black box with exactly this contract:
 * a ``Decision`` stream delivered **in slot order with no gaps** via the
   ``on_decide`` callback supplied at construction;
 * ``stop()`` — cease participating (used after an epoch is sealed and its
-  state handed off).
+  state handed off);
+* ``leads()`` — whether this member currently leads the instance (the
+  one member that orders); never after ``stop()``.
 
 A payload that must own its slot says so itself: a class attribute
 ``batchable = False`` keeps an engine from packing it into a
@@ -209,6 +211,10 @@ class SmrEngine(abc.ABC):
     def stop(self) -> None:
         """Cease participation; safe to call more than once."""
         self.stopped = True
+
+    @abc.abstractmethod
+    def leads(self) -> bool:
+        """True while this member leads the instance; False once stopped."""
 
     def restart(self) -> None:
         """Undo :meth:`stop` after the host's crash, before :meth:`start`:

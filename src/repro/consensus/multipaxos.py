@@ -227,6 +227,9 @@ class MultiPaxosEngine(SmrEngine):
         super().restart()
         self._step_down(self.ballot)
 
+    def leads(self) -> bool:
+        return self.is_leader and not self.stopped
+
     @property
     def next_undelivered_slot(self) -> Slot:
         return self.log.next_to_deliver

@@ -60,6 +60,9 @@ class SequencerEngine(SmrEngine):
         if not self.is_sequencer:
             self._arm_gap_probe()
 
+    def leads(self) -> bool:
+        return self.is_sequencer and not self.stopped
+
     @property
     def next_undelivered_slot(self) -> Slot:
         return self.log.next_to_deliver

@@ -9,8 +9,9 @@ arrives (the rule the replicas' dedup table rests on; retries reuse the
 moves it on only if the command timed out at its current target, and a
 ``Redirect`` from a retired replica moves it into the next configuration.
 
-:class:`Client` drives the core in the simulator, closed or open loop;
-:class:`repro.net.client.LiveClient` drives it over sockets.
+:class:`Client` drives the core in the simulator, closed or open loop,
+and the shard director's intent driver on either runtime, both through
+:class:`Requester`; :class:`repro.net.client.LiveClient` drives it over sockets.
 """
 
 from __future__ import annotations
@@ -216,7 +217,80 @@ class ClientCore:
         return entry
 
 
-class Client(Process):
+class Requester(Process):
+    """The per-command retry chain over a :class:`ClientCore`: a send arms
+    the command's timeout, a timeout moves the route and resends, a
+    ``Redirect`` is followed after a short pause, a reply frees the lane.
+    """
+
+    #: stopped with nothing outstanding, or given up on by the harness.
+    finished = False
+
+    def __init__(self, sim: Runtime, node: NodeId, core: ClientCore, request_timeout: float):
+        super().__init__(sim, node)
+        self.core = core
+        self.request_timeout = request_timeout
+        self._timeouts: dict[CommandId, Timer] = {}
+
+    def completed(self, entry: Outstanding, reply: ClientReply) -> None:
+        """``entry`` was answered with ``reply`` (once per command)."""
+
+    def _send(self, entry: Outstanding) -> None:
+        command = entry.command
+        cid = command.cid
+        self.send(
+            self.core.send_to(entry),
+            ClientRequest(command, self.node),
+            size=64 + command.size,
+        )
+        timer = self._timeouts.get(cid)
+        if timer is not None:
+            timer.cancel()
+        self._timeouts[cid] = self.set_timer(
+            self.request_timeout,
+            lambda: self._on_timeout(cid),
+            label="client-timeout",
+        )
+
+    def _on_timeout(self, cid: CommandId) -> None:
+        if self.finished:
+            return
+        entry = self.core.timed_out(cid)
+        if entry is not None:
+            self.trace("client-retry", cid=str(cid), retry=entry.retries)
+            self._send(entry)
+
+    def on_message(self, payload: Any, sender: NodeId) -> None:
+        if isinstance(payload, ClientReply):
+            self._handle_reply(payload)
+        elif isinstance(payload, ReplyBatch):
+            for reply in payload.replies:
+                self._handle_reply(reply)
+        elif isinstance(payload, Redirect):
+            self._handle_redirect(payload)
+
+    def _handle_reply(self, reply: ClientReply) -> None:
+        entry = self.core.replied(reply.cid)
+        if entry is None:
+            return  # duplicate or stale reply
+        self._timeouts.pop(reply.cid).cancel()
+        self.completed(entry, reply)
+
+    def _handle_redirect(self, redirect: Redirect) -> None:
+        if self.core.redirected(redirect) is None:
+            return
+        cid = redirect.cid
+        # A short pause stops tight redirect ping-pong from flooding the
+        # network between two confused nodes.
+        self.set_timer(0.01, lambda: self._resend(cid), label="redirect-resend")
+
+    def _resend(self, cid: CommandId) -> None:
+        entry = self.core.outstanding.get(cid)
+        if entry is not None and not self.finished:
+            self._send(entry)
+
+
+class Client(Requester):
     """A simulated client: the core's lanes and route on the sim's timers."""
 
     def __init__(
@@ -228,27 +302,26 @@ class Client(Process):
         params: ClientParams | None = None,
         on_complete: Callable[[OpRecord], None] | None = None,
     ):
-        super().__init__(sim, NodeId(str(client)))
-        self.client = client
-        self.operations = operations
         self.params = params if params is not None else ClientParams()
         if self.params.rate is not None and self.params.rate <= 0:
             raise ConfigurationError("open-loop rate must be positive")
+        self._rng = sim.rng.fork(f"client/{client}")
+        super().__init__(
+            sim, NodeId(str(client)), ClientCore(view.nodes, self._rng),
+            self.params.request_timeout,
+        )
+        self.client = client
+        self.operations = operations
         self.on_complete = on_complete
         self.records: list[OpRecord] = []
         self.issued = 0
         self.shed = 0  # open-loop arrivals dropped because no lane was free
         #: the operation source ran dry; no further command is issued.
         self.stopped = False
-        #: stopped with nothing outstanding, or given up on by the harness.
-        self.finished = False
-        self._rng = sim.rng.fork(f"client/{client}")
-        self.core = ClientCore(view.nodes, self._rng)
         lanes = self.params.lanes
         self.core.use_lanes(
             [client] if lanes == 1 else [ClientId(f"{client}/{k}") for k in range(lanes)]
         )
-        self._timeouts: dict[CommandId, Timer] = {}
 
     @property
     def view(self) -> Membership:
@@ -300,49 +373,9 @@ class Client(Process):
             self.finished = True
             self.trace("client-done", ops=len(self.records))
 
-    # -- sending & retries ----------------------------------------------------------
-
-    def _send(self, entry: Outstanding) -> None:
-        command = entry.command
-        cid = command.cid
-        self.send(
-            self.core.send_to(entry),
-            ClientRequest(command, self.node),
-            size=64 + command.size,
-        )
-        timer = self._timeouts.get(cid)
-        if timer is not None:
-            timer.cancel()
-        self._timeouts[cid] = self.set_timer(
-            self.params.request_timeout,
-            lambda: self._on_timeout(cid),
-            label="client-timeout",
-        )
-
-    def _on_timeout(self, cid: CommandId) -> None:
-        if self.finished:
-            return
-        entry = self.core.timed_out(cid)
-        if entry is not None:
-            self.trace("client-retry", cid=str(cid), retry=entry.retries)
-            self._send(entry)
-
     # -- replies -----------------------------------------------------------------------
 
-    def on_message(self, payload: Any, sender: NodeId) -> None:
-        if isinstance(payload, ClientReply):
-            self._handle_reply(payload)
-        elif isinstance(payload, ReplyBatch):
-            for reply in payload.replies:
-                self._handle_reply(reply)
-        elif isinstance(payload, Redirect):
-            self._handle_redirect(payload)
-
-    def _handle_reply(self, reply: ClientReply) -> None:
-        entry = self.core.replied(reply.cid)
-        if entry is None:
-            return  # duplicate or stale reply
-        self._timeouts.pop(reply.cid).cancel()
+    def completed(self, entry: Outstanding, reply: ClientReply) -> None:
         command = entry.command
         record = OpRecord(
             cid=reply.cid,
@@ -362,16 +395,3 @@ class Client(Process):
             self.set_timer(0.0, self._issue, label="next-op")
         elif self.stopped:
             self._issue()  # finishes once nothing is outstanding
-
-    def _handle_redirect(self, redirect: Redirect) -> None:
-        if self.core.redirected(redirect) is None:
-            return
-        cid = redirect.cid
-        # A short pause stops tight redirect ping-pong from flooding the
-        # network between two confused nodes.
-        self.set_timer(0.01, lambda: self._resend(cid), label="redirect-resend")
-
-    def _resend(self, cid: CommandId) -> None:
-        entry = self.core.outstanding.get(cid)
-        if entry is not None and not self.finished:
-            self._send(entry)

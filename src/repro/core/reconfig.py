@@ -193,6 +193,12 @@ class ReconfigurableReplica(Process):
         config = self.newest_config
         return config is None or self.node not in config.members
 
+    @property
+    def leads_newest_epoch(self) -> bool:
+        """Whether this replica's engine leads the newest epoch it knows."""
+        runtime = self.chain.get(self.newest_epoch)
+        return runtime is not None and runtime.engine is not None and runtime.engine.leads()
+
     def epoch_runtime(self, epoch: EpochId) -> EpochRuntime | None:
         return self.chain.get(epoch)
 

@@ -45,11 +45,17 @@ class MessagePort(Protocol):
 
     ``size=None`` asks the port to estimate the payload's wire size itself
     (the simulated network uses the shared codec estimator; the live
-    transport measures the encoded frame).
+    transport measures the encoded frame). ``send_to`` reaches a node of
+    another group at its address: live, names repeat across groups.
     """
 
     def send(
         self, sender: NodeId, dest: NodeId, payload: Any, size: int | None = None
+    ) -> None: ...
+
+    def send_to(
+        self, address: Any, sender: NodeId, dest: NodeId, payload: Any,
+        size: int | None = None,
     ) -> None: ...
 
     def register(self, node: NodeId, deliver: Callable[..., None]) -> None: ...

@@ -24,7 +24,8 @@ surface as :class:`repro.sim.network.Network` — over real sockets:
   decoded without per-frame read syscalls;
 * inbound connections from nodes outside the address book (clients,
   admin tools) are remembered as reply routes: a send to such a node goes
-  back over the connection it last spoke on.
+  back over the connection it last spoke on, which is read on both ends;
+  :meth:`TcpTransport.send_to` reaches another group's node by address.
 
 Delivery semantics match the simulator's fail-stop network: unknown or
 unreachable destinations drop messages silently, link faults come from
@@ -110,9 +111,14 @@ class PeerConnection:
         backoff = RECONNECT_MIN
         while not self._closing:
             writer = None
+            replies = None
             batch: list[bytes] = []
             try:
-                _, writer = await asyncio.open_connection(*self.address)
+                reader, writer = await asyncio.open_connection(*self.address)
+                # Replies to an endpoint here the far end knows by no name.
+                replies = asyncio.get_running_loop().create_task(
+                    self.transport._serve_connection(reader, writer)
+                )
                 self.connected = True
                 if self.ever_connected:
                     self.transport._m_reconnects.inc()
@@ -142,6 +148,8 @@ class PeerConnection:
                 pass
             finally:
                 self.connected = False
+                if replies is not None:
+                    replies.cancel()
                 if batch:
                     # Frames already popped from the queue die with the
                     # connection: account for them instead of losing them
@@ -217,7 +225,8 @@ class TcpTransport:
         self.metrics = MetricsRegistry()
         self._bind_instruments()
         self._endpoints: dict[NodeId, Callable[[Message], None]] = {}
-        self._peers: dict[NodeId, PeerConnection] = {}
+        #: outbound legs by peer name, or by address (see :meth:`send_to`).
+        self._peers: dict[Any, PeerConnection] = {}
         #: reply routes for unconfigured senders (clients/admin tools):
         #: node -> StreamWriter of the connection it last spoke on.
         self._reply_routes: dict[NodeId, asyncio.StreamWriter] = {}
@@ -490,6 +499,30 @@ class TcpTransport:
             )
             return
         self._forward(sender, dest, payload, frame, route)
+
+    def send_to(
+        self, address: Address, sender: NodeId, dest: NodeId, payload: Any,
+        size: int | None = None,
+    ) -> None:
+        """Send to ``dest`` of another group at ``address``: names repeat
+        across groups, so the leg is keyed by address (and no link rule,
+        which names this service's nodes, applies)."""
+        try:
+            frame = codec.encode_frame(sender, dest, payload)
+        except codec.CodecError:
+            frame = b""
+        if not frame or self.failure is not None:
+            self.stats.messages_dropped += 1
+            self._m_frames_dropped.inc()
+            return
+        self.stats.record_send(payload, len(frame) if size is None else size)
+        self._m_frames_sent.inc()
+        self._m_bytes_sent.inc(len(frame))
+        link = self._peers.get(address)
+        if link is None:
+            link = self._peers[address] = PeerConnection(self, dest, address)
+        link.enqueue(frame)
+        link.ensure_running()
 
     def _forward(
         self,

@@ -183,7 +183,7 @@ class ShardClient:
             else [director] if isinstance(director, tuple)
             else list(director)
         )
-        self._rng = random.Random(hash(self.name) & 0xFFFFFFFF)
+        self._rng = random.Random(self.name)
         self._factory = client_factory or self._default_factory
         self._lock = threading.RLock()
         self._clients: dict[str, Any] = {}

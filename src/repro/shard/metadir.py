@@ -5,34 +5,21 @@ state (the :class:`~repro.shard.shardmap.ShardMap` version chain plus a
 table of in-flight admin *intents*) is a deterministic state machine
 (:class:`MetaDirStateMachine`) replicated on its own reconfigurable
 group — WAL-durable, reconfigurable, and lease-readable like any data
-group. It is the only director: a map held by one process behind a lock
-leaves a half-finished drain-and-cutover behind when that process dies
-mid-``move`` — retire committed on the source, install never submitted,
-map never swapped (DESIGN "Replicated control plane" keeps the note).
+group. An admin operation is a **crash-resumable intent**: ``dir_begin``
+commits the plan (``[lo, hi)``, source, target, planned map version;
+one intent in flight), an :class:`IntentDriver` runs the retire and the
+install against the data groups under identities derived from the intent
+id (:func:`intent_client`), so a successor's replay gets the original
+replies from the groups' dedup tables, and ``dir_complete`` swaps the map
+once, idempotently by intent id. Resume and roll-forward are the same
+code path (DESIGN "Replicated control plane" has the whole protocol).
 
-Admin operations run as a **crash-resumable intent protocol**:
-
-1. ``dir_begin`` commits an *intent* record to the director log. The
-   intent captures the full plan — ``[lo, hi)``, source, target and the
-   planned map version — computed against the committed map, and intents
-   are serialized (one in flight), so the plan stays valid until the
-   intent is archived.
-2. Any director replica's :class:`IntentDriver` executes the
-   drain-and-cutover steps against the data groups. Every step's
-   command identity is **derived from the intent id** (client
-   ``"metadir-i<id>-r"`` / ``"-i"``, seq 1), so a successor replaying a
-   dead leader's steps hits the groups' dedup tables and gets the
-   *original* replies back: a re-run retire returns the same captured
-   items, a re-run install merges nothing new. Resume and roll-forward
-   are literally the same code path.
-3. ``dir_complete`` commits the completion record, which swaps the map
-   (version + 1) and archives the intent. Completion is idempotent by
-   intent id, so racing drivers cannot double-install a range.
-
-The driver normally runs only on the group's current leader; a follower
-whose clock says the intent has been pending past the takeover bound
-drives it too, which is what rolls an orphaned move forward after the
-leader is SIGKILLed between steps.
+The driver is a process on its replica's runtime, stepped by the
+replica's own execution of ``dir_*`` commands, so it runs the same in
+the simulator and live. It drives on the group's current leader; a
+follower whose takeover timer fires with the intent still pending drives
+it too, which is what rolls an orphaned move forward after the leader is
+SIGKILLed between steps.
 
 Clients fetch the map with one request: every metadir replica answers
 :class:`~repro.shard.messages.ShardMapRequest` on its ordinary replica
@@ -45,11 +32,10 @@ the version-gated client cache absorbs. Multi-endpoint failover lives in
 from __future__ import annotations
 
 import os
-import sys
-import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
+from repro.core.client import ClientCore, ClientReply, Outstanding, Requester
 from repro.core.statemachine import StateMachine
 from repro.shard.messages import (
     DIRECTOR_ENDPOINT,
@@ -57,14 +43,14 @@ from repro.shard.messages import (
     ShardMapRequest,
 )
 from repro.shard.shardmap import GroupInfo, ShardError, ShardMap
-from repro.types import Command, NodeId
+from repro.sim.events import Timer
+from repro.types import ClientId, Command, NodeId
 
 #: archived intents kept in the state machine (and its snapshots).
 DONE_LIMIT = 64
 
-#: how often an :class:`IntentDriver` looks at its replica's intent
-#: table, in seconds (the floor on a split's admin latency).
-DRIVER_POLL = 0.05
+#: seconds an intent step waits for its reply before it moves on.
+REQUEST_TIMEOUT = 0.5
 
 
 def intent_client(intent_id: int, step: str) -> str:
@@ -74,7 +60,8 @@ def intent_client(intent_id: int, step: str) -> str:
     step ``step`` of intent ``intent_id`` — the leader that began it or
     the successor rolling it forward — submits under the same client
     name with seq 1, so the data group's dedup table returns the
-    original reply instead of re-executing the command.
+    original reply instead of re-executing the command. The director's
+    own records ride such lanes too, so a restarted driver reuses no seq.
     """
     return f"metadir-i{intent_id}-{step}"
 
@@ -383,172 +370,153 @@ def install_director_endpoint(
 # ---------------------------------------------------------------------------
 
 
-class IntentDriver(threading.Thread):
+class IntentDriver(Requester):
     """Rolls pending intents forward against the data groups.
 
-    One per metadir replica process. Polls the locally executed intent
-    table; drives when this replica leads the newest epoch, or when a
-    pending intent has sat unexecuted past ``takeover`` seconds (the
-    dead-leader case). Every action is idempotent — steps replay through
-    the data groups' dedup tables and completion dedups by intent id —
-    so two drivers racing after a fuzzy leadership hand-off is safe,
-    merely wasteful.
-
-    ``hold`` inserts a pause between the retire step and the install
-    submit: zero in production, widened by the failover tests and the
-    storm cell to make "killed between steps" a deterministic window.
+    One per metadir replica: a process on its runtime that crashes and
+    restarts with it (one of its ``companions``). It steps when a
+    ``dir_*`` command executes at its replica and when its takeover timer
+    fires, and drives while its replica leads the newest epoch or once
+    the pending intent outlived ``takeover`` seconds (the dead-leader
+    case). Every step is idempotent, so racing drivers are safe, merely
+    wasteful. ``hold`` pauses between the retire step and the install:
+    zero in production, widened by the failover tests and the storm cell
+    to make "killed between steps" a deterministic window.
     """
 
-    def __init__(
-        self,
-        node: str,
-        replica: Any,
-        addresses: dict[str, tuple[str, int]],
-        *,
-        hold: float = 0.0,
-        takeover: float = 1.5,
-        request_timeout: float = 2.0,
-    ):
-        super().__init__(name=f"intent-driver-{node}", daemon=True)
-        self.node = str(node)
+    def __init__(self, replica: Any, *, hold: float = 0.0, takeover: float = 1.5):
+        self._rng = replica.sim.rng.fork(f"intents/{replica.node}")
+        super().__init__(replica.sim, NodeId(f"{replica.node}-driver"),
+                         ClientCore((), self._rng), REQUEST_TIMEOUT)
         self.replica = replica
-        self.addresses = dict(addresses)
         self.hold = hold
         self.takeover = takeover
-        self.request_timeout = request_timeout
-        self.driven = 0
-        self._stop = threading.Event()
-        self._pending_since: tuple[int, float] | None = None
-        self._self_client: Any = None
+        replica.commit_listener = self._committed
+        replica.companions.append(self)
+        #: the intent driven, the rest of its steps and the hold's timer.
+        self._driving: int | None = None
+        self._drive: Iterator[Any] | None = None
+        self._hold: Timer | None = None
+        #: the pending intent the takeover timer runs for.
+        self._watching: int | None = None
+        #: the addresses of the group the step in flight goes to.
+        self._book: dict[str, Any] = {}
 
-    # -- lifecycle ----------------------------------------------------------
+    def machine(self) -> MetaDirStateMachine | None:
+        """The director state as executed here (None before any)."""
+        state = self.replica.state
+        return None if state is None else state.inner
 
-    def stop(self) -> None:
-        self._stop.set()
+    # -- when to step -------------------------------------------------------
 
-    def run(self) -> None:  # pragma: no cover - exercised via live tests
-        while not self._stop.wait(DRIVER_POLL):
-            try:
-                self._tick()
-            except Exception as exc:  # noqa: BLE001 - retried next poll
-                print(
-                    f"[{self.node}] intent driver: "
-                    f"{type(exc).__name__}: {exc}",
-                    file=sys.stderr, flush=True,
-                )
+    def on_start(self) -> None:
+        self._step()
 
-    # -- one poll -----------------------------------------------------------
+    def on_restart(self) -> None:
+        # The drive and the takeover clock were volatile; the intent
+        # table survived, and the lanes make a resumed drive a replay.
+        self._abandon()
+        self._watching = None
+        self._step()
 
-    def _machine(self) -> MetaDirStateMachine | None:
-        state = getattr(self.replica, "state", None)
-        inner = getattr(state, "inner", None)
-        return inner if isinstance(inner, MetaDirStateMachine) else None
+    def _committed(self, now: float, payload: Any, *_: Any) -> None:
+        if isinstance(payload, Command) and payload.op.startswith("dir_"):
+            self.set_timer(0.0, self._step, label="intent-step")
 
-    def _is_leader(self) -> bool:
-        replica = self.replica
-        runtime = replica.chain.get(replica.newest_epoch)
-        engine = getattr(runtime, "engine", None)
-        return bool(getattr(engine, "is_leader", False))
-
-    def _tick(self) -> None:
-        machine = self._machine()
-        if machine is None:
-            return
-        intent = machine.active_intent
-        if intent is None or machine.shard_map is None:
-            self._pending_since = None
-            return
-        now = time.monotonic()
-        if self._pending_since is None or self._pending_since[0] != intent["id"]:
-            self._pending_since = (intent["id"], now)
-        aged = now - self._pending_since[1] >= self.takeover
-        if not self._is_leader() and not aged:
-            return
-        self._drive(dict(intent), machine.shard_map)
+    def _step(self, overdue: bool = False) -> None:
+        machine = self.machine()
+        intent = None if machine is None else machine.active_intent
+        iid = None if intent is None else intent["id"]
+        if self._driving not in (None, iid):
+            self._abandon()  # archived under us: a racing driver finished
+        if iid != self._watching:
+            self._watching = iid
+            if iid is not None:
+                self.set_timer(self.takeover, lambda: self._step(iid == self._watching),
+                               label="intent-takeover")
+        if iid is not None and self._driving is None and (
+            overdue or self.replica.leads_newest_epoch
+        ):
+            self._driving = iid
+            self._drive = self._steps(dict(intent), machine.shard_map)
+            self._advance()
 
     # -- the drain-and-cutover steps ----------------------------------------
 
-    def _drive(self, intent: dict[str, Any], shard_map: ShardMap) -> None:
-        from repro.net.client import LiveClient
-
-        intent_id = int(intent["id"])
+    def _steps(self, intent: dict[str, Any], shard_map: ShardMap) -> Iterator[Any]:
+        """Yields ``(group, step, op, args)`` per request (group None: the
+        director's own) and gets its reply's value back, or the hold."""
+        iid = int(intent["id"])
         lo, hi = int(intent["lo"]), int(intent["hi"])
         version = int(intent["planned_version"])
         source = shard_map.group_info(intent["source"])
         target = shard_map.group_info(intent["target"])
-        self.driven += 1
+        node = str(self.replica.node)
+        if intent.get("claimed_by") != node:
+            yield None, f"claim-{node}", "dir_claim", (iid, node)
 
-        if intent.get("claimed_by") != self.node:
-            self._submit_self("dir_claim", (intent_id, self.node))
-
-        # Step 1 — retire at the source. The deterministic client name
-        # means a replay (us, or a successor after our death) gets the
-        # original capture back from the dedup table.
-        with LiveClient(
-            intent_client(intent_id, "r"),
-            source.addresses,
-            view=source.members,
-            request_timeout=self.request_timeout,
-        ) as retire_client:
-            reply = retire_client.submit(
-                "shard_retire", (lo, hi, version, target.name), deadline=15.0
-            )
-        capture = reply.value
+        # Step 1 — retire at the source. The deterministic lane means a
+        # replay (us, or a successor after our death) gets the original
+        # capture back from the dedup table.
+        capture = yield source, "r", "shard_retire", (lo, hi, version, target.name)
         if not isinstance(capture, dict) or "items" not in capture:
-            self._submit_self(
-                "dir_abort",
-                (intent_id, f"retire at {source.name!r} failed: {capture!r}"),
-            )
+            yield None, "abort", "dir_abort", (
+                iid, f"retire at {source.name!r} failed: {capture!r}")
             return
-        self._submit_self("dir_step", (intent_id, "retired"))
+        yield None, "retired", "dir_step", (iid, "retired")
 
-        # The crash window under test: a SIGKILL landing in this pause
+        # The crash window under test: a crash landing in this pause
         # leaves the range retired but not installed — exactly the state
         # a successor driver must roll forward from.
-        if self.hold > 0:
-            if self._stop.wait(self.hold):
-                return
+        yield self.hold
 
         # Step 2 — install at the target, same dedup discipline.
-        with LiveClient(
-            intent_client(intent_id, "i"),
-            target.addresses,
-            view=target.members,
-            request_timeout=self.request_timeout,
-        ) as install_client:
-            installed = install_client.submit(
-                "shard_install",
-                (lo, hi, version, capture["items"]),
-                deadline=15.0,
-            )
-        if not isinstance(installed.value, dict):
-            self._submit_self(
-                "dir_abort",
-                (intent_id,
-                 f"install at {target.name!r} failed: {installed.value!r}"),
-            )
+        installed = yield target, "i", "shard_install", (
+            lo, hi, version, capture["items"])
+        if not isinstance(installed, dict):
+            yield None, "abort", "dir_abort", (
+                iid, f"install at {target.name!r} failed: {installed!r}")
             return
+        # Step 3 — the completion record swaps the map and archives the
+        # intent, so nothing is pending to record a step on after it.
+        yield None, "complete", "dir_complete", (iid,)
 
-        # Step 3 — the completion record swaps the map and archives
-        # the intent, so nothing is pending to record a step on after it.
-        self._submit_self("dir_complete", (intent_id,))
+    def _advance(self, value: Any = None) -> None:
+        """Run the drive to its next request; the reply runs it again."""
+        try:
+            request = self._drive.send(value)
+        except StopIteration:
+            return  # the archiving record executes here, and steps us
+        if not isinstance(request, tuple):
+            self._hold = self.set_timer(request, self._advance, label="intent-hold")
+            return
+        group, step, op, args = request
+        if group is None:  # a retired replica redirects to the newest members
+            view, self._book = (self.replica.node,), {}
+        else:
+            view, self._book = group.members, group.addresses
+        self.core = ClientCore(view, self._rng, reachable=self._book or None)
+        self.core.use_lanes([ClientId(intent_client(self._driving, step))])
+        self._send(self.core.issue(lambda cid: Command(cid, op, args), self.now))
 
-    def _submit_self(self, op: str, args: tuple[Any, ...]) -> Any:
-        """Submit a director-log command through our own group."""
-        from repro.net.client import LiveClient
+    def _abandon(self) -> None:
+        for timer in (*self._timeouts.values(), self._hold):
+            if timer is not None:
+                timer.cancel()
+        self._timeouts.clear()
+        self.core.outstanding.clear()
+        self._driving = self._drive = self._hold = None
 
-        if self._self_client is None:
-            # The pid suffix keeps a restarted driver's sequence numbers
-            # from colliding with its previous incarnation's in the
-            # group's dedup table (semantic idempotence by intent id is
-            # what actually protects the protocol).
-            self._self_client = LiveClient(
-                f"mdrv-{self.node}-{os.getpid()}",
-                self.addresses,
-                view=list(self.addresses),
-                request_timeout=self.request_timeout,
-            )
-        return self._self_client.submit(op, args, deadline=10.0).value
+    # -- the retry chain's hooks --------------------------------------------
+
+    def completed(self, entry: Outstanding, reply: ClientReply) -> None:
+        self._advance(reply.value)
+
+    def send(self, dest: NodeId, payload: Any, size: int | None = None) -> None:
+        if not self._book:  # the director's own group: its names route
+            super().send(dest, payload, size)
+        elif dest in self._book and not self.crashed:  # else unreachable
+            self.sim.network.send_to(self._book[dest], self.node, dest, payload, size)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,11 @@ class Network:
             if self._rng.random() < self.latency.duplicate_probability:
                 self._schedule_delivery(message)
 
+    def send_to(self, address: Any, sender: NodeId, dest: NodeId, payload: Any,
+                size: int | None = None) -> None:
+        """Another group's ``dest``: names are unique in a run, so they route."""
+        self.send(sender, dest, payload, size)
+
     def _schedule_delivery(self, message: Message) -> None:
         delay = self.latency.sample_delay(self._rng, message.size) + self.policy.latency(
             message.sender, message.dest

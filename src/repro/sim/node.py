@@ -49,6 +49,8 @@ class Process:
         self._busy_until: Time = 0.0
         self.messages_processed = 0
         self._timers: list[Timer] = []
+        #: processes crashed and restarted with this one (an intent driver).
+        self.companions: list[Process] = []
         sim.register_process(self)
 
     # -- clock & messaging ----------------------------------------------------
@@ -120,6 +122,8 @@ class Process:
         self._timers.clear()
         self.sim.trace.emit(self.now, str(self.node), "crash")
         self.on_crash()
+        for companion in self.companions:
+            companion.crash()
 
     def restart(self) -> None:
         if not self.crashed:
@@ -127,6 +131,8 @@ class Process:
         self.crashed = False
         self.sim.trace.emit(self.now, str(self.node), "restart")
         self.on_restart()
+        for companion in self.companions:
+            companion.restart()
 
     # -- hooks (subclasses override) ----------------------------------------------
 

@@ -40,9 +40,6 @@ class SeededRng:
     def expovariate(self, rate: float) -> float:
         return self._rng.expovariate(rate)
 
-    def lognormal(self, mu: float, sigma: float) -> float:
-        return self._rng.lognormvariate(mu, sigma)
-
     def random(self) -> float:
         return self._rng.random()
 

@@ -114,14 +114,6 @@ class RecoveredState:
     def has_state(self) -> bool:
         return self.checkpoint is not None or bool(self.epochs)
 
-    def instance_epoch_floor(self) -> int:
-        """Lowest epoch recovery will rebuild (checkpoint's, else oldest)."""
-        if self.checkpoint is not None:
-            return self.checkpoint.exec_epoch
-        if self.epochs:
-            return self.epochs[0].config.epoch
-        return 0
-
 
 @functools.lru_cache(maxsize=64)  # asked once per appended and per loaded record
 def _instance_epoch(instance: str) -> int | None:

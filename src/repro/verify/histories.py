@@ -75,9 +75,6 @@ class History:
     def pending(self) -> list[Operation]:
         return [op for op in self.operations if op.pending]
 
-    def for_client(self, client: ClientId) -> list[Operation]:
-        return [op for op in self.operations if op.cid.client == client]
-
     def by_key(self) -> dict[str, list[Operation]]:
         """Partition KV operations per key (keys are independent objects)."""
         partitions: dict[str, list[Operation]] = {}

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.consensus.heartbeat import HeartbeatMonitor
-from repro.consensus.interface import InstanceMessage, Transport
+from repro.consensus.interface import InstanceMessage, StaticSmrHost, Transport
+from repro.consensus.multipaxos import MultiPaxosEngine
+from repro.consensus.sequencer import SequencerEngine
 from repro.core.command import ReconfigCommand
 from repro.core.epoch import EpochRuntime
 from repro.errors import (
@@ -95,6 +97,29 @@ class TestTransport:
         transport.set_timer(0.5, lambda: fired.append(transport.now))
         sim.run()
         assert fired == [0.5]
+
+
+class TestLeadership:
+    """``SmrEngine.leads`` is the one leadership question the layers above
+    ask: the elected leader (or the sequencer) says yes, a follower no,
+    and nobody once stopped."""
+
+    @pytest.mark.parametrize(
+        "factory", [MultiPaxosEngine.factory(), SequencerEngine],
+        ids=["multipaxos", "sequencer"],
+    )
+    def test_leader_leads_follower_does_not_stopped_never(self, factory):
+        sim = Simulator(seed=3)
+        members = Membership.from_iter(["n1", "n2", "n3"])
+        hosts = [StaticSmrHost(sim, node, members, factory)
+                 for node in members.sorted_nodes()]
+        sim.run(until=1.0)
+        leading = [host.engine.leads() for host in hosts]
+        assert leading.count(True) == 1, leading
+        leader = hosts[leading.index(True)]
+        leader.engine.stop()
+        assert not leader.engine.leads()
+        assert not any(host.engine.leads() for host in hosts)
 
 
 class TestHeartbeatMonitor:

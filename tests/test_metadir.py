@@ -9,19 +9,18 @@ level, with no processes and no network:
 * intents serialize and capture a plan that stays valid until archived;
 * completion swaps the map exactly once (the double-install guard);
 * the version chain stays linear and gapless through every transition;
-* snapshots round-trip the whole director state;
-* a driver spends exactly three director-log commits on a clean move.
+* snapshots round-trip the whole director state.
+
+What a driver spends on a clean move runs in the simulator
+(``tests/test_director_sim.py``).
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import pytest
 
 from repro.shard.metadir import (
     DONE_LIMIT,
-    IntentDriver,
     MetaDirStateMachine,
     intent_client,
 )
@@ -240,63 +239,6 @@ class TestIntentProtocol:
             machine._dir_complete(begun["intent"]["id"])
         assert len(machine.done) == DONE_LIMIT
         assert machine.done[-1]["id"] == DONE_LIMIT + 5
-
-
-class TestIntentDriverRounds:
-    """What one move costs the director log: every ``_submit_self`` is a
-    consensus round in the metadir group."""
-
-    def test_clean_move_is_claim_retired_complete(self, monkeypatch):
-        machine = machine_with_map("g1", "g2")
-        intent = TestIntentProtocol().begin_move(machine)
-        data_group_calls = []
-
-        class DataGroupClient:
-            """The data groups' half of a move: the retire hands back a
-            capture, the install accepts it."""
-
-            def __init__(self, name, addresses, view=None, request_timeout=1.0):
-                self.name = name
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def submit(self, op, args, deadline=15.0):
-                data_group_calls.append((self.name, op))
-                if op == "shard_retire":
-                    return SimpleNamespace(value={"items": {"k": 1}})
-                return SimpleNamespace(value={"installed": len(args[3])})
-
-        monkeypatch.setattr("repro.net.client.LiveClient", DataGroupClient)
-        driver = IntentDriver("n1", replica=None, addresses={})
-        submitted = []
-
-        def submit_self(op, args):
-            submitted.append((op, *args[1:]))
-            return machine.apply(command(op, args, len(submitted)))
-
-        driver._submit_self = submit_self
-        driver._drive(dict(intent), machine.shard_map)
-
-        assert data_group_calls == [
-            (intent_client(intent["id"], "r"), "shard_retire"),
-            (intent_client(intent["id"], "i"), "shard_install"),
-        ]
-        # Nothing after dir_complete: it archived the intent, so a step
-        # submitted behind it would commit a slot and record nothing.
-        assert submitted == [
-            ("dir_claim", "n1"),
-            ("dir_step", "retired"),
-            ("dir_complete",),
-        ]
-        assert machine.active_intent is None
-        assert machine.done[-1]["status"] == "done"
-        assert machine.done[-1]["steps"] == ["retired"]
-        assert machine.shard_map.group_for_point(intent["lo"]) == "g2"
-
 
 class TestChainLinearity:
     def test_every_transition_appends_exactly_one_version(self):

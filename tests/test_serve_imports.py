@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import repro
@@ -44,20 +45,22 @@ from repro.cli import build_parser, build_replica
 
 build_replica(build_parser().parse_args([
     "serve", "--node", "n1", "--peers", "n1=127.0.0.1:1", "--initial", "n1",
-    "--data-dir", sys.argv[1],
+    "--data-dir", sys.argv[1], "--app", sys.argv[2],
 ]))
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
 """
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
+SERVE_ARGS = ["serve", "--node", "n1", "--peers", "n1=127.0.0.1:1",
+              "--initial", "n1"]
 
-def test_a_built_replica_loads_only_the_serving_stack(tmp_path):
-    """A fresh interpreter runs ``build_replica``, as ``serve`` does. The
-    transport's constructor builds the codec tables, so every wire type's
-    module is in by the time it returns, and the admin endpoints are wired."""
+
+def loaded_by_a_built_replica(tmp_path, app: str) -> list[str]:
+    """The ``repro`` modules a fresh interpreter holds after
+    ``build_replica``, as ``serve`` runs it."""
     out = subprocess.run(
-        [sys.executable, "-c", BUILD_ONE_REPLICA, str(tmp_path / "n1")],
+        [sys.executable, "-c", BUILD_ONE_REPLICA, str(tmp_path / "n1"), app],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=60, check=True,
     )
@@ -72,6 +75,36 @@ def test_a_built_replica_loads_only_the_serving_stack(tmp_path):
         if any(name == bad or name.startswith(bad + ".") for bad in NOT_SERVING)
     ]
     assert offenders == []
+    return loaded
+
+
+def test_a_built_replica_loads_only_the_serving_stack(tmp_path):
+    """The transport's constructor builds the codec tables, so every wire
+    type's module is in by the time ``build_replica`` returns, and the
+    admin endpoints are wired."""
+    loaded_by_a_built_replica(tmp_path, "kv")
+
+
+def test_a_built_director_replica_loads_only_the_serving_stack(tmp_path):
+    """A metadir replica adds its intent driver and map endpoint, and no
+    client library: the driver sends through the replica's transport."""
+    loaded = loaded_by_a_built_replica(tmp_path, "metadir")
+    assert "repro.shard.metadir" in loaded
+
+
+def test_a_built_director_replica_starts_no_thread():
+    """The intent driver is a process on the replica's event loop."""
+    from repro.cli import build_parser, build_replica
+
+    before = threading.active_count()
+    runtime, replica, _, _ = build_replica(
+        build_parser().parse_args([*SERVE_ARGS, "--app", "metadir"])
+    )
+    try:
+        assert threading.active_count() == before
+        assert any(p is not replica for p in runtime.processes())
+    finally:
+        runtime._loop.close()
 
 
 def test_no_package_init_imports_anything():

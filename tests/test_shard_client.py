@@ -578,3 +578,28 @@ class TestLeaseSentinelReplies:
         assert [g for g, _ in world.calls] == ["g1", "g2"]
         assert client.map_version == 2
         assert client.shard_map.group_for_key(key) == "g2"
+
+
+class TestSeededJitter:
+    def test_first_draw_ignores_the_interpreters_hash_seed(self):
+        """A seeded storm's map-fetch jitter must not change run to run:
+        the RNG is seeded from the name itself, not its salted hash."""
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "from repro.shard.client import ShardClient\n"
+            "from repro.shard.shardmap import GroupInfo, ShardMap\n"
+            "m = ShardMap.initial([GroupInfo('g1', ('n1',), {})])\n"
+            "print(ShardClient('storm-w0', shard_map=m)._rng.random())\n"
+        )
+        draws = {
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(draws) == 1, draws

@@ -263,3 +263,39 @@ class TestBroadcastEncodesOnce:
         finally:
             await port.close()
             runtime._loop.close()
+
+
+class TestRepliesOnOpenedConnections:
+    """A peer answers an endpoint it does not know by name on the
+    connection the request came in on. When this transport opened that
+    connection, the reply must still reach the local endpoint."""
+
+    @pytest.mark.parametrize("how", ["peer", "send_to"])
+    def test_reply_reaches_the_local_endpoint(self, how):
+        asyncio.run(self._round_trip(how))
+
+    async def _round_trip(self, how):
+        far = TcpTransport({})
+        far.register(
+            NodeId("n1"),
+            lambda msg: far.send(NodeId("n1"), msg.sender, ("re", msg.payload)),
+        )
+        await far.start("127.0.0.1", 0)
+        address = far._server.sockets[0].getsockname()[:2]
+        # ``peer``: the far node is in the book under its name. ``send_to``:
+        # it is another group's n1, and this process has an n1 of its own.
+        book = {NodeId("n1"): address} if how == "peer" else {}
+        near = TcpTransport(book)
+        replies: list = []
+        near.register(NodeId("n1-driver"), lambda msg: replies.append(msg.payload))
+        if how == "send_to":
+            near.register(NodeId("n1"), lambda msg: None)
+        try:
+            if how == "peer":
+                near.send(NodeId("n1-driver"), NodeId("n1"), "ping")
+            else:
+                near.send_to(address, NodeId("n1-driver"), NodeId("n1"), "ping")
+            await _wait_for(lambda: replies == [("re", "ping")])
+        finally:
+            await near.close()
+            await far.close()
