@@ -122,8 +122,9 @@ def _parse_group_peers(
     return groups
 
 
-def _parse_peers(spec: str) -> dict[str, tuple[str, int]]:
-    """Parse ``n1=127.0.0.1:9101,n2=...`` into an address book."""
+def _parse_peers(spec: str, flag: str = "--peers") -> dict[str, tuple[str, int]]:
+    """Parse ``n1=127.0.0.1:9101,n2=...`` (the value of ``flag``) into an
+    address book."""
     book: dict[str, tuple[str, int]] = {}
     for entry in spec.split(","):
         entry = entry.strip()
@@ -134,9 +135,9 @@ def _parse_peers(spec: str) -> dict[str, tuple[str, int]]:
             host, port = address.rsplit(":", 1)
             book[name] = (host, int(port))
         except ValueError:
-            raise SystemExit(f"bad --peers entry {entry!r} (want name=host:port)")
+            raise SystemExit(f"bad {flag} entry {entry!r} (want name=host:port)")
     if not book:
-        raise SystemExit("--peers must name at least one replica")
+        raise SystemExit(f"{flag} must name at least one replica")
     return book
 
 
@@ -230,14 +231,13 @@ def build_replica(args: "argparse.Namespace"):
         storage=storage,
     )
     if args.app == "metadir":
-        from repro.shard.metadir import IntentDriver, install_director_endpoint
+        from repro.shard.metadir import IntentDriver
 
-        driver = IntentDriver(
+        IntentDriver(
             replica,
             hold=args.metadir_hold / 1000.0,
             takeover=args.metadir_takeover / 1000.0,
         )
-        install_director_endpoint(transport, args.node, driver.machine)
     return runtime, replica, host, port
 
 
@@ -286,18 +286,16 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
 
 
 def _cmd_shard_route(args: "argparse.Namespace") -> int:
-    """Ask a shard director where keys live (and show the map)."""
-    from repro.shard.client import ShardClientError, fetch_shard_map
-    from repro.shard.shardmap import key_point
+    """Read the shard map through the director and show where keys live."""
+    from repro.net.client import LiveClientError
+    from repro.shard.metadir import ReplicatedShardDirector
+    from repro.shard.shardmap import ShardError, key_point
 
+    book = _parse_peers(args.director, "--director")
     try:
-        host, port_text = args.director.rsplit(":", 1)
-        address = (host, int(port_text))
-    except ValueError:
-        raise SystemExit(f"bad --director {args.director!r} (want host:port)")
-    try:
-        shard_map = fetch_shard_map(address, timeout=args.timeout)
-    except ShardClientError as exc:
+        with ReplicatedShardDirector(book, name="shard-route") as director:
+            shard_map = director.shard_map(deadline=args.timeout)
+    except (LiveClientError, ShardError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     print(f"shard map v{shard_map.version} "
@@ -573,13 +571,15 @@ def build_parser() -> "argparse.ArgumentParser":
 
     shard_route = sub.add_parser(
         "shard-route",
-        help="ask a shard director for its map and where keys live",
+        help="read the shard map through the director and show where keys live",
     )
-    shard_route.add_argument("--director", required=True, metavar="HOST:PORT",
-                             help="the director's map endpoint")
+    shard_route.add_argument("--director", required=True,
+                             metavar="n1=HOST:PORT,...",
+                             help="the metadir group's address book")
     shard_route.add_argument("keys", nargs="*", default=[],
                              help="keys to resolve (may be empty)")
-    shard_route.add_argument("--timeout", type=float, default=2.0)
+    shard_route.add_argument("--timeout", type=float, default=2.0,
+                             help="deadline of the map read (seconds)")
 
     storm = sub.add_parser(
         "storm",

@@ -14,8 +14,8 @@ silence, a redirect or a connection error, and a failed connect backs off
 50 ms.
 
 Intended for tests, benches and the live scenario loop (``repro storm``).
-:func:`request_reply` is the one-shot form: what the ``#metrics``,
-``#chaos`` and shard-map admin round trips share.
+:func:`request_reply` is the one-shot form: what the ``#metrics`` and
+``#chaos`` admin round trips share.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def request_reply(
     ``dest`` at ``address`` and reads frames until a ``reply_type`` with
     the same ``cid`` arrives. Raises ``OSError`` (refused, closed, or
     ``TimeoutError`` once ``timeout`` has run out) or
-    :class:`~repro.net.codec.CodecError`; the ``#metrics``, ``#chaos``
-    and shard-map callers each report those as their own error type.
+    :class:`~repro.net.codec.CodecError`; the ``#metrics`` and ``#chaos``
+    callers each report those as their own error type.
     """
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -76,14 +76,16 @@ _CACHEABLE_TIDS: frozenset[int] = frozenset()
 _PAYLOAD_MEMO: dict[type, tuple[Any, bytes]] = {}
 
 
-def _protocol() -> tuple[type, ...]:
+def _protocol() -> tuple[type | None, ...]:
     """The wire type table: a type's id is its position here.
 
     The ids are on disk (every ``Wal*`` record and checkpoint carries its
     type id), so they never move: a new type is appended at the end, and
-    none is removed or reordered. The first 61 entries are the order the
-    table had when ids were positions in the sorted name list, so data
-    written then still decodes. Imports are lazy to avoid import cycles.
+    none is removed or reordered. A type that leaves the protocol leaves
+    a *retired* slot (None) behind, which holds the id and refuses to
+    decode. The first 61 entries are the order the table had when ids
+    were positions in the sorted name list, so data written then still
+    decodes. Imports are lazy to avoid import cycles.
     """
     from repro import faults as f
     from repro import types as t
@@ -150,8 +152,8 @@ def _protocol() -> tuple[type, ...]:
         f.RestartAt,
         smap.ShardAssignment,
         smap.ShardMap,  # 0x30
-        sm.ShardMapReply,
-        sm.ShardMapRequest,
+        None,  # retired (a map fetch reply)
+        None,  # retired (a map fetch request)
         st.SnapshotReply,
         st.SnapshotRequest,
         st.SnapshotUnavailable,
@@ -247,12 +249,22 @@ def _dataclass_builder(cls: type, names: tuple[str, ...]) -> Callable[[list], An
     return env["build"]
 
 
+def _retired(tid: int) -> Callable[[list], Any]:
+    """The builder of a retired slot: a frame carrying its id is malformed."""
+
+    def build(items: list) -> Any:
+        raise CodecError(f"type id 0x{tid:02x} is retired")
+
+    return build
+
+
 def wire_tables() -> tuple[
-    list[type], dict[type, int], list[tuple[str, ...]], list[Callable]
+    list[type | None], dict[type, int], list[tuple[str, ...]], list[Callable]
 ]:
     """The interned type/field tables the binary format encodes against.
 
-    Type ids are positions in :func:`_protocol`'s table; field tables are
+    Type ids are positions in :func:`_protocol`'s table (a retired slot
+    has no fields and a builder that refuses it); field tables are
     dataclass declaration order. Built on first use (the protocol imports
     are lazy) and thread-safe: concurrent clients (the shard client's
     parallel group submits, threaded map refreshes) may race to the first
@@ -266,11 +278,14 @@ def wire_tables() -> tuple[
             from repro.consensus.interface import Batch
 
             types = list(_protocol())
-            ids = {cls: i for i, cls in enumerate(types)}
-            field_table = [tuple(f.name for f in fields(cls)) for cls in types]
+            ids = {cls: i for i, cls in enumerate(types) if cls is not None}
+            field_table = [
+                () if cls is None else tuple(f.name for f in fields(cls))
+                for cls in types
+            ]
             builders = [
-                _dataclass_builder(cls, names)
-                for cls, names in zip(types, field_table)
+                _retired(i) if cls is None else _dataclass_builder(cls, names)
+                for i, (cls, names) in enumerate(zip(types, field_table))
             ]
             # The batch payload is the one value that crosses many
             # envelopes per commit; everything else is small or unique.

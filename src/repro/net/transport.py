@@ -231,6 +231,8 @@ class TcpTransport:
         #: node -> StreamWriter of the connection it last spoke on.
         self._reply_routes: dict[NodeId, asyncio.StreamWriter] = {}
         self._server: asyncio.base_events.Server | None = None
+        #: the tasks reading connections (see :meth:`_serve_connection`).
+        self._serving: set[asyncio.Task] = set()
         self._clock: Callable[[], float] = lambda: 0.0
         #: context-manager factories wrapped around each tick's dispatch
         #: (see :meth:`add_dispatch_group`).
@@ -325,6 +327,11 @@ class TcpTransport:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Read one connection's frames until it ends; runs as its own task
+        (one per accepted connection, one per outbound leg's replies),
+        which :meth:`close` cancels."""
+        task = asyncio.current_task()
+        self._serving.add(task)
         buffer = bytearray()
         try:
             while True:
@@ -344,6 +351,7 @@ class TcpTransport:
         ):
             pass
         finally:
+            self._serving.discard(task)
             stale = [n for n, w in self._reply_routes.items() if w is writer]
             for node in stale:
                 del self._reply_routes[node]
@@ -570,6 +578,13 @@ class TcpTransport:
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()
+        # End the connections still being read before waiting for the
+        # server: from 3.12 on, wait_closed waits for them too.
+        serving = list(self._serving)
+        for task in serving:
+            task.cancel()
+        await asyncio.gather(*serving, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
         for peer in self._peers.values():
             await peer.close()

@@ -10,11 +10,12 @@ The pieces:
 
 * :mod:`repro.shard.shardmap` — the map model: hash points, key ranges,
   assignments, and the pure map algebra (split / move / validate);
-* :mod:`repro.shard.messages` — the shard wire protocol (map fetch,
-  ``WrongShard`` redirects);
+* :mod:`repro.shard.messages` — the shard wire payload (``WrongShard``
+  redirects);
 * :mod:`repro.shard.metadir` — the map authority, the director: the map
   version chain and the admin intents as a state machine replicated on
-  a group of its own, whose replicas drive drain-and-cutover moves;
+  a group of its own, whose replicas drive drain-and-cutover moves, and
+  the handle through which everything else reads the map;
 * :mod:`repro.shard.client` — the smart client: caches the map, fans
   requests out to per-group :class:`~repro.net.client.LiveClient`\\ s,
   and follows redirects so map changes propagate without a central hop;

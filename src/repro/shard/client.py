@@ -6,56 +6,39 @@
 the owning group's ``LiveClient``, and repairs its cache from
 :class:`~repro.shard.messages.WrongShard` reply values — so a map change
 propagates to clients through the groups themselves, without a central
-hop on the data path. The director is only consulted to bootstrap the
-cache and as the fallback when a redirect carries no usable hint.
+hop on the data path. The director is only read to bootstrap the cache
+and as the fallback when a redirect's hint does not advance the cache
+(a hint-less redirect only when it names a map newer than the cache).
+It is read through a handle
+(:class:`~repro.shard.metadir.ReplicatedShardDirector`: ``dir_map`` on
+the metadir group's log), so a read is linearizable and fails over
+across the group's replicas like any other command.
 
 Retry discipline mirrors ``LiveClient``: one overall ``deadline`` per
 call, every attempt's budget clamped to the
 :data:`~repro.net.client.MIN_ATTEMPT_BUDGET` floor, and a **redirect
 budget** so a stale ping-pong (A says B, B says A) fails crisply instead
 of looping. Redirect hints are only ever adopted when their map version
-is *newer* than the cache, which is what makes concurrent refreshes and
-races against in-flight cutovers convergent: versions only move forward.
+is *newer* than the cache, and read maps when it is not older, which is
+what makes concurrent refreshes and races against in-flight cutovers
+convergent: versions only move forward.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.core.client import ClientReply
-from repro.net import codec
-from repro.net.client import (
-    MIN_ATTEMPT_BUDGET,
-    LiveClient,
-    LiveClientError,
-    request_reply,
-)
-from repro.shard.messages import (
-    DIRECTOR_ENDPOINT,
-    ShardMapReply,
-    ShardMapRequest,
-    WrongShard,
-)
+from repro.net.client import MIN_ATTEMPT_BUDGET, LiveClient, LiveClientError
+from repro.shard.messages import WrongShard
 from repro.shard.shardmap import GroupInfo, ShardError, ShardMap, key_point
-from repro.types import ClientId, CommandId, NodeId
+from repro.types import ClientId
 
 #: pause between retries while a cutover is mid-flight (source retired,
 #: target not yet installed, director not yet swapped).
 REDIRECT_BACKOFF = 0.05
-
-#: map-fetch retry backoff: base of the exponential ramp and its cap.
-#: Same discipline as LiveClient's request loop — a director that is
-#: briefly down (restarting, failing over) costs a few retries, not an
-#: immediate error bubbled into a request that the cached map could
-#: have served.
-MAP_RETRY_BASE = 0.05
-MAP_RETRY_CAP = 0.4
-#: rounds a one-endpoint fetch (:func:`fetch_shard_map`) makes at most.
-FETCH_ATTEMPTS = 3
 
 #: per-attempt request timeout of every group client (seconds).
 REQUEST_TIMEOUT = 1.0
@@ -67,94 +50,6 @@ class ShardClientError(LiveClientError):
     """A sharded request could not be completed (deadline or redirect loop)."""
 
 
-def fetch_shard_map(
-    address: tuple[str, int], *, timeout: float = 2.0
-) -> ShardMap:
-    """Fetch the authoritative map from one endpoint, retrying with
-    jittered backoff; ``timeout`` bounds the whole call."""
-    return _fetch_with_retry(
-        [address], sender="shard-cli", seq=1, timeout=timeout,
-        rng=random.Random(), rounds=FETCH_ATTEMPTS,
-    )
-
-
-def _fetch_with_retry(
-    endpoints: list[tuple[str, int]],
-    *,
-    sender: str,
-    seq: int,
-    timeout: float,
-    rng: random.Random,
-    rounds: int | None = None,
-) -> ShardMap:
-    """The one map-fetch retry loop: each round tries every endpoint in
-    order, and a round that fails backs off exponentially with jitter (so
-    a fleet of clients re-fetching after a director restart does not
-    stampede in lockstep) before the next. ``timeout`` bounds the whole
-    call, ``rounds`` (None = until the timeout) the number of rounds. An
-    attempt may take ``timeout / rounds`` (half the timeout when rounds
-    are unbounded), at least 0.1 s.
-    """
-    give_up_at = time.monotonic() + timeout
-    per_attempt = max(0.1, timeout / (rounds or 2))
-    last: Exception | None = None
-    for round_no in itertools.count() if rounds is None else range(rounds):
-        for address in endpoints:
-            remaining = give_up_at - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                return _fetch_map(
-                    address, sender=sender, seq=seq,
-                    timeout=min(per_attempt, remaining),
-                )
-            except ShardClientError as exc:
-                last = exc
-        if round_no + 1 == rounds:
-            break
-        pause = min(MAP_RETRY_CAP, MAP_RETRY_BASE * (2 ** round_no))
-        pause *= 0.5 + rng.random()  # jitter in [0.5x, 1.5x)
-        if time.monotonic() + pause >= give_up_at:
-            break
-        time.sleep(pause)
-    raise ShardClientError(
-        f"shard map fetch from {len(endpoints)} endpoint(s) failed after "
-        f"retries: {last}"
-    ) from last
-
-
-def _fetch_map(
-    address: tuple[str, int],
-    *,
-    sender: str = "shard-cli",
-    seq: int = 1,
-    timeout: float = 2.0,
-) -> ShardMap:
-    """One map fetch from one director endpoint (no retry).
-
-    Whatever is wrong with the answer — no connection, no reply, bytes
-    that do not decode, a map that is not a partition, a reply carrying
-    something other than a map — is this endpoint's failure, so callers
-    rotating over several endpoints move on to the next.
-    """
-    request = ShardMapRequest(CommandId(ClientId(sender), seq))
-    try:
-        shard_map = request_reply(
-            address, NodeId(sender), NodeId(DIRECTOR_ENDPOINT), request,
-            ShardMapReply, timeout,
-        ).shard_map
-        if not isinstance(shard_map, ShardMap):
-            raise ShardError(
-                f"reply carries a {type(shard_map).__name__}, not a map"
-            )
-        shard_map.validate()
-    except (OSError, codec.CodecError, ShardError) as exc:
-        raise ShardClientError(
-            f"shard map fetch from {address} failed: {exc}"
-        ) from exc
-    return shard_map
-
-
 class ShardClient:
     """Routes keyed commands across groups through a cached shard map."""
 
@@ -162,12 +57,12 @@ class ShardClient:
         self,
         name: str,
         *,
-        director: tuple[str, int] | list[tuple[str, int]] | None = None,
+        director: Any = None,
         shard_map: ShardMap | None = None,
         client_factory: Callable[[GroupInfo], Any] | None = None,
     ):
         if shard_map is None and director is None:
-            raise ShardError("need a director address or an initial shard map")
+            raise ShardError("need a director handle or an initial shard map")
         self.name = str(name)
         #: recording identity (unique cids for history recorders); the
         #: wire identity is per-group ("<name>@<group>", and one lane
@@ -175,28 +70,25 @@ class ShardClient:
         #: group's dedup table sees one command at a time per identity.
         self.client = ClientId(self.name)
         self.seq = 0
-        #: one or more director endpoints. Every metadir replica answers
-        #: map fetches, so a fetch fails over across them (rotated so a
-        #: dead replica costs one attempt, not the whole refresh).
-        self.directors: list[tuple[str, int]] = (
-            [] if director is None
-            else [director] if isinstance(director, tuple)
-            else list(director)
-        )
-        self._rng = random.Random(self.name)
+        #: the map reader: ``shard_map(deadline)`` and ``close()``, as
+        #: :class:`~repro.shard.metadir.ReplicatedShardDirector` has.
+        #: Closed with this client.
+        self.director = director
         self._factory = client_factory or self._default_factory
         self._lock = threading.RLock()
         self._clients: dict[str, Any] = {}
-        self._fetches = 0
         if shard_map is None:
-            shard_map = self.refresh_map()
+            self.refresh_map()
         else:
             shard_map.validate()
-        with self._lock:
-            if self._cached_map is None or shard_map.version > self._cached_map.version:
-                self._cached_map = shard_map
+            self._adopt(shard_map)
 
     _cached_map: ShardMap | None = None
+    #: the version of the last map read whole (the cache holds every move
+    #: up to it) and the slices hint patches moved since, each with its
+    #: move's version: what the cache knows past ``_read_version``.
+    _read_version = 0
+    _patched: tuple[tuple[int, int, int], ...] = ()
 
     def _default_factory(self, info: GroupInfo) -> LiveClient:
         return LiveClient(
@@ -219,36 +111,39 @@ class ShardClient:
         return self.shard_map.version
 
     def refresh_map(self, timeout: float = 2.0) -> ShardMap:
-        """Re-fetch from a director; adopt only if strictly newer.
+        """Read the map through the director; adopt it unless older.
 
-        Safe to call from several threads at once: each fetch happens
+        Safe to call from several threads at once: each read happens
         outside the lock, and adoption compares versions under it — a
-        slow fetch returning an older map can never clobber a newer one.
-        Endpoints are tried in rotation with jittered backoff between
-        full rounds, so one dead director replica degrades a refresh to
-        a failover, not a failure.
+        slow read returning an older map can never clobber a newer one.
+        ``timeout`` bounds the read; a read that fails (no majority of
+        the metadir group, no map yet, an invalid map) raises
+        :class:`ShardClientError` and leaves the cache as it was.
         """
-        if not self.directors:
+        if self.director is None:
             return self.shard_map
-        with self._lock:
-            self._fetches += 1
-            seq = self._fetches
-            # Rotate the contact order per refresh so a permanently-dead
-            # first endpoint is not re-probed first by every caller.
-            offset = seq % len(self.directors)
-            endpoints = self.directors[offset:] + self.directors[:offset]
-        return self._adopt(_fetch_with_retry(
-            endpoints, sender=f"{self.name}-map", seq=seq, timeout=timeout,
-            rng=self._rng,
-        ))
+        try:
+            new_map = self.director.shard_map(deadline=timeout)
+        except (LiveClientError, ShardError) as exc:
+            raise ShardClientError(f"shard map read failed: {exc}") from exc
+        return self._adopt(new_map)
 
     def _adopt(self, new_map: ShardMap) -> ShardMap:
+        """Cache ``new_map`` unless the cache is newer.
+
+        A read map replaces a cached one of the same version: a hint
+        patch stamps the cache with its move's version but leaves out
+        the earlier moves it was not told of, and the director's map at
+        that version has them all.
+        """
         with self._lock:
             if (
                 self._cached_map is None
-                or new_map.version > self._cached_map.version
+                or new_map.version >= self._cached_map.version
             ):
                 self._cached_map = new_map
+                self._read_version = new_map.version
+                self._patched = ()
             return self._cached_map
 
     def _apply_hint(self, hint: WrongShard) -> bool:
@@ -267,7 +162,17 @@ class ShardClient:
                 # assignment boundaries; a full refresh is required.
                 return False
             self._cached_map = patched
+            self._patched += ((hint.lo, hint.hi, hint.version),)
             return True
+
+    def _knows(self, hint: WrongShard) -> bool:
+        """True if the cache holds a move of the hint's point at or after
+        the hint's version: the hint is an old forward, not news."""
+        with self._lock:
+            return hint.version <= self._read_version or any(
+                lo <= hint.point < hi and hint.version <= version
+                for lo, hi, version in self._patched
+            )
 
     # -- routing ------------------------------------------------------------
 
@@ -296,9 +201,20 @@ class ShardClient:
         """Execute one keyed command on whichever group owns its key.
 
         Follows WrongShard redirects up to :data:`MAX_REDIRECTS` times within
-        ``deadline``; hints that do not advance the cached map fall back
-        to a director refresh, then a short backoff (an in-flight
-        cutover resolves in a couple of commits).
+        ``deadline``. A hint that does not advance the cached map falls
+        back to a director read unless the cache already holds a later
+        move of that point (the rejecting group's old forward, kept until
+        its install of the range back runs). Otherwise the hint shows a
+        gap in the cache: a hint patch stamps the cache with its own
+        move's version but brings in no earlier move, so the cache can
+        name a group for a range that group gave away before that
+        version. A redirect with no hint falls back only if it names a
+        newer map than the cache;
+        otherwise the rejecting group knows no newer map than we do (the
+        target of a move whose install is still in flight, which the
+        director's map cannot move past either), so the client just
+        backs off briefly (an in-flight cutover resolves in a couple of
+        commits).
         """
         if not args:
             raise ShardError(f"operation {op!r} has no routing key")
@@ -333,12 +249,15 @@ class ShardClient:
                 )
             if self._apply_hint(value):
                 continue
-            before = self.map_version
-            try:
-                self.refresh_map()
-            except ShardClientError:
-                pass  # director unreachable; hints must carry us
-            if self.map_version == before:
+            before = self.shard_map
+            if value.version > before.version or (
+                value.has_hint and not self._knows(value)
+            ):
+                try:
+                    self.refresh_map()
+                except ShardClientError:
+                    pass  # director unreachable; hints must carry us
+            if self.shard_map == before:
                 # Mid-cutover: neither the hint nor the director moved
                 # us forward yet. Give the install a moment to land.
                 time.sleep(REDIRECT_BACKOFF)
@@ -414,7 +333,7 @@ class ShardClient:
     def close(self) -> None:
         with self._lock:
             clients, self._clients = dict(self._clients), {}
-        for client in clients.values():
+        for client in (*clients.values(), self.director):
             close = getattr(client, "close", None)
             if close is not None:
                 close()

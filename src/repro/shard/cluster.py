@@ -164,10 +164,7 @@ class ShardedCluster:
         self.director_cluster.wait_ready(
             self.director_cluster.initial, timeout=remaining
         )
-        handle = ReplicatedShardDirector(
-            self.director_addresses(),
-            view=list(self.director_cluster.initial),
-        )
+        handle = ReplicatedShardDirector(self.director_addresses())
         handle.init_map(self.initial_map)
         self.director = handle
 
@@ -189,7 +186,7 @@ class ShardedCluster:
 
     @property
     def shard_map(self) -> ShardMap:
-        return self._director().shard_map
+        return self._director().shard_map()
 
     def _director(self) -> ReplicatedShardDirector:
         if self.director is None:
@@ -197,7 +194,7 @@ class ShardedCluster:
         return self.director
 
     def director_addresses(self) -> dict[str, tuple[str, int]]:
-        """Address book of every director endpoint clients can fetch from."""
+        """Address book of the metadir group's founding replicas."""
         return {
             name: self.director_cluster.addresses[name]
             for name in self.director_cluster.initial
@@ -207,14 +204,19 @@ class ShardedCluster:
         """SIGKILL one metadir replica (the failover tests' hammer)."""
         self.director_cluster.kill(name)
 
-    def client(self, name: str = "shard-cli", **kwargs) -> "ShardClient":
+    def client(self, name: str = "shard-cli") -> "ShardClient":
+        """A smart client that reads the map through its own director
+        handle (closed with the client)."""
         from repro.shard.client import ShardClient
 
-        return ShardClient(
-            name,
-            director=list(self.director_addresses().values()),
-            **kwargs,
+        director = ReplicatedShardDirector(
+            self.director_addresses(), name=f"{name}-map"
         )
+        try:
+            return ShardClient(name, director=director)
+        except BaseException:
+            director.close()
+            raise
 
     def group_client(self, group: str, name: str = "admin") -> LiveClient:
         """A plain LiveClient pinned to one group (admin/observe use)."""

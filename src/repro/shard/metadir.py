@@ -21,27 +21,23 @@ follower whose takeover timer fires with the intent still pending drives
 it too, which is what rolls an orphaned move forward after the leader is
 SIGKILLed between steps.
 
-Clients fetch the map with one request: every metadir replica answers
-:class:`~repro.shard.messages.ShardMapRequest` on its ordinary replica
-port (see :func:`install_director_endpoint`), serving its locally
-executed copy of the map — stale by at most the replication lag, which
-the version-gated client cache absorbs. Multi-endpoint failover lives in
-:class:`~repro.shard.client.ShardClient`.
+Everything outside the group reads the map one way:
+:class:`ReplicatedShardDirector`, the handle admin tools and every
+:class:`~repro.shard.client.ShardClient` hold, submits ``dir_map`` like
+any other command. A read is therefore linearizable, and it needs a
+majority of the group, as a map change does.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.core.client import ClientCore, ClientReply, Outstanding, Requester
 from repro.core.statemachine import StateMachine
-from repro.shard.messages import (
-    DIRECTOR_ENDPOINT,
-    ShardMapReply,
-    ShardMapRequest,
-)
 from repro.shard.shardmap import GroupInfo, ShardError, ShardMap
 from repro.sim.events import Timer
 from repro.types import ClientId, Command, NodeId
@@ -51,6 +47,11 @@ DONE_LIMIT = 64
 
 #: seconds an intent step waits for its reply before it moves on.
 REQUEST_TIMEOUT = 0.5
+
+#: numbers the admin handles of this process: each submits under an
+#: identity of its own, or a second handle's first command would be
+#: answered from the group's dedup table with the first handle's reply.
+_HANDLES = itertools.count(1)
 
 
 def intent_client(intent_id: int, step: str) -> str:
@@ -329,43 +330,6 @@ class MetaDirStateMachine(StateMachine):
 
 
 # ---------------------------------------------------------------------------
-# The per-replica lookup endpoint
-# ---------------------------------------------------------------------------
-
-
-def install_director_endpoint(
-    transport: Any,
-    node: str,
-    machine: Callable[[], MetaDirStateMachine | None],
-) -> NodeId:
-    """Answer map fetches from this replica's executed state.
-
-    Registered as ``shard-director`` on the replica's own transport, so
-    :func:`~repro.shard.client.fetch_shard_map` works against any
-    metadir replica's address. Replies come from the *locally executed*
-    map — stale by at most the replication lag; the client's
-    version-gated adoption makes that safe (freshness degrades, routing
-    correctness is guarded by the groups' own WrongShard checks). No
-    reply until ``dir_init`` has executed here.
-    """
-    endpoint = NodeId(DIRECTOR_ENDPOINT)
-
-    def handle(message: Any) -> None:
-        payload = message.payload
-        inner = machine()
-        shard_map = None if inner is None else inner.shard_map
-        if shard_map is None:
-            return  # not initialised yet: silence, the client fails over
-        if isinstance(payload, ShardMapRequest):
-            transport.send(
-                endpoint, message.sender, ShardMapReply(payload.cid, shard_map)
-            )
-
-    transport.register(endpoint, handle)
-    return endpoint
-
-
-# ---------------------------------------------------------------------------
 # The intent driver
 # ---------------------------------------------------------------------------
 
@@ -525,40 +489,46 @@ class IntentDriver(Requester):
 
 
 class ReplicatedShardDirector:
-    """Client-side handle over a metadir group (the admin surface).
+    """Client-side handle over a metadir group: the map read and the
+    admin surface.
 
-    ``shard_map`` / ``split`` / ``move`` / ``publish_group`` are what
-    :class:`~repro.shard.cluster.ShardedCluster` drives. Admin calls
-    commit the intent and then *wait* for a driver to complete it — the
-    work itself happens inside the director replicas, which is what
-    makes it survive the death of whoever asked.
+    :meth:`shard_map` is the one way anything outside the group reads the
+    map (:class:`~repro.shard.cluster.ShardedCluster`, every
+    :class:`~repro.shard.client.ShardClient`, ``repro shard-route``).
+    ``split`` / ``move`` / ``publish_group`` are what the cluster drives:
+    admin calls commit the intent and then *wait* for a driver to
+    complete it — the work itself happens inside the director replicas,
+    which is what makes it survive the death of whoever asked. Failover
+    across the group's replicas is the :class:`~repro.net.client.LiveClient`
+    route. One handle may be shared between threads: its client serves
+    one call at a time, and a call's ``deadline`` covers its wait for
+    the handle too.
     """
 
     def __init__(
-        self,
-        addresses: dict[str, tuple[str, int]],
-        *,
-        name: str = "metadir-admin",
-        view: list[str] | None = None,
-        request_timeout: float = 2.0,
+        self, addresses: dict[str, tuple[str, int]], *, name: str = "metadir-admin"
     ):
         from repro.net.client import LiveClient
 
-        self.addresses = dict(addresses)
-        self._client = LiveClient(
-            f"{name}-{os.getpid()}",
-            self.addresses,
-            view=view if view is not None else list(self.addresses),
-            request_timeout=request_timeout,
-        )
+        self._client = LiveClient(f"{name}-{os.getpid()}-{next(_HANDLES)}", addresses)
+        self._lock = threading.Lock()
 
     # -- map access ---------------------------------------------------------
 
-    @property
-    def shard_map(self) -> ShardMap:
-        value = self._submit("dir_map", ())
+    def shard_map(self, deadline: float = 10.0) -> ShardMap:
+        """The committed map, read through the group's log.
+
+        Raises :class:`~repro.net.client.LiveClientError` if no majority
+        answers within ``deadline``, and :class:`ShardError` if the group
+        has no map yet or answers with something that is not a valid one
+        (the map crossed a process boundary, so it is checked here).
+        """
+        value = self._submit("dir_map", (), deadline=deadline)
+        if value is None:
+            raise ShardError("director has no map yet (dir_init has not run)")
         if not isinstance(value, ShardMap):
-            raise ShardError(f"director has no map yet: {value!r}")
+            raise ShardError(f"director answered a {type(value).__name__}, not a map")
+        value.validate()
         return value
 
     def init_map(self, shard_map: ShardMap, deadline: float = 15.0) -> int:
@@ -603,7 +573,7 @@ class ReplicatedShardDirector:
         value = self._submit("dir_publish", (info,), deadline=deadline)
         if not isinstance(value, dict) or not value.get("ok"):
             raise ShardError(f"publish of {info.name!r} failed: {value!r}")
-        return self.shard_map
+        return self.shard_map()
 
     def begin(self, kind: str, spec: dict[str, Any]) -> dict[str, Any]:
         """Commit an intent without waiting for it (storm cells use this
@@ -639,12 +609,13 @@ class ReplicatedShardDirector:
         intent = self.begin(kind, spec)
         remaining = max(1.0, deadline - (time.monotonic() - started))
         self.wait(int(intent["id"]), deadline=remaining)
-        return self.shard_map
+        return self.shard_map()
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        self._client.close()
+        with self._lock:
+            self._client.close()
 
     def __enter__(self) -> "ReplicatedShardDirector":
         return self
@@ -655,4 +626,15 @@ class ReplicatedShardDirector:
     def _submit(
         self, op: str, args: tuple[Any, ...], deadline: float = 10.0
     ) -> Any:
-        return self._client.submit(op, args, deadline=deadline).value
+        from repro.net.client import LiveClientError
+
+        started = time.monotonic()
+        if not self._lock.acquire(timeout=deadline):
+            raise LiveClientError(
+                f"{op} not sent in {deadline}s: the handle stayed busy"
+            )
+        try:
+            remaining = deadline - (time.monotonic() - started)
+            return self._client.submit(op, args, deadline=remaining).value
+        finally:
+            self._lock.release()

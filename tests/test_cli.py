@@ -102,3 +102,14 @@ class TestCli:
             for option in (["--read-mode", "lease"], ["--batch"]):
                 assert main(["storm", cell, *option]) == 2
                 assert "cannot honour" in capsys.readouterr().err
+
+    def test_shard_route_takes_the_metadir_address_book(self, capsys):
+        from repro.net.cluster import free_port
+
+        # A bare host:port is not an address book.
+        with pytest.raises(SystemExit, match="--director"):
+            main(["shard-route", "--director", "127.0.0.1:1", "k1"])
+        # Nobody listening: the map read fails at its deadline, exit 1.
+        book = f"n1=127.0.0.1:{free_port()}"
+        assert main(["shard-route", "--director", book, "--timeout", "0.3"]) == 1
+        assert "FAIL" in capsys.readouterr().err

@@ -304,8 +304,6 @@ STRATEGIES: dict[type, st.SearchStrategy] = {
     ShardAssignment: shard_assignments,
     GroupInfo: group_infos,
     ShardMap: shard_maps,
-    shm.ShardMapRequest: st.builds(shm.ShardMapRequest, command_ids),
-    shm.ShardMapReply: st.builds(shm.ShardMapReply, command_ids, shard_maps),
     shm.WrongShard: st.builds(
         shm.WrongShard, names, hash_points,
         st.integers(min_value=1, max_value=2**20), names,
@@ -326,14 +324,18 @@ STRATEGIES: dict[type, st.SearchStrategy] = {
 
 
 def wire_names() -> list[str]:
-    """Every wire type's name, in type-id order."""
-    return [cls.__name__ for cls in codec.wire_tables()[0]]
+    """Every wire type's name, in type-id order; a retired slot reads
+    ``(retired 0x..)``."""
+    return [
+        f"(retired 0x{tid:02x})" if cls is None else cls.__name__
+        for tid, cls in enumerate(codec.wire_tables()[0])
+    ]
 
 
 class TestRegistry:
     def test_strategy_table_complete(self):
         """Every wire type has a round-trip strategy (and only those)."""
-        registered = set(wire_names())
+        registered = {name for name in wire_names() if "retired" not in name}
         covered = {cls.__name__ for cls in STRATEGIES}
         assert registered == covered
 
@@ -363,9 +365,29 @@ class TestRegistry:
         no existing id may move."""
         assert {name: i for i, name in enumerate(wire_names())} == PINNED_TYPE_IDS
 
+    @pytest.mark.parametrize("tid", [0x31, 0x32], ids=["0x31", "0x32"])
+    def test_retired_type_id_is_refused(self, tid):
+        """A retired slot keeps its id and decodes to nothing: a payload,
+        a column block or a frame that names it is malformed."""
+        assert PINNED_TYPE_IDS[f"(retired 0x{tid:02x})"] == tid
+        with pytest.raises(codec.CodecError, match="retired"):
+            codec.decode_payload(bytes([T_DATACLASS]) + _varint(tid))
+        column_kind_dataclass = 0x04
+        with pytest.raises(codec.CodecError, match="cannot head a column"):
+            codec.decode_payload(
+                bytes([T_COLUMNS, T_TUPLE]) + _varint(CROSSOVER)
+                + bytes([column_kind_dataclass]) + _varint(tid)
+            )
+        frame = codec.encode_frame(NodeId("a"), NodeId("b"), None)
+        body = frame[4:-1] + bytes([T_DATACLASS]) + _varint(tid)
+        with pytest.raises(codec.CodecError, match="retired"):
+            codec.decode_frame_body(body)
+
 
 #: every wire type's id; the first 61 are the ids of the sorted-name era,
-#: and every later type is appended at the end.
+#: and every later type is appended at the end. A type that left the
+#: protocol keeps its id as a retired slot (0x31 and 0x32: the map fetch
+#: reply and request, gone since map reads go through the director's log).
 PINNED_TYPE_IDS = {
     name: i for i, name in enumerate((
         "Accept", "AcceptNack", "Accepted", "Ballot", "Batch",
@@ -379,7 +401,7 @@ PINNED_TYPE_IDS = {
         "PartitionAt", "Prepare", "PrepareNack", "Promise", "ProposeForward",
         "ReconfigCommand", "ReconfigRequest", "Redirect", "Reply",
         "ReplyBatch", "RequestBatch", "RestartAt", "ShardAssignment",
-        "ShardMap", "ShardMapReply", "ShardMapRequest", "SnapshotReply",
+        "ShardMap", "(retired 0x31)", "(retired 0x32)", "SnapshotReply",
         "SnapshotRequest", "SnapshotUnavailable", "VirtualLogPosition",
         "WalAccept", "WalDecide", "WalDirtyOverlap", "WalEpochOpen",
         "WalPromise", "WrongShard",

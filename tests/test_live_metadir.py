@@ -10,7 +10,7 @@ The control-plane acceptance story for the replicated director:
 * director availability is not on the data path: with the entire
   metadir group dead, a client with a warm map cache keeps serving
   reads and writes, and a map refresh fails over across the surviving
-  endpoints while any remain.
+  replicas while a metadir majority lives.
 
 One subprocess per replica (three per data group plus the three-replica
 metadir group), so the file rides the ``live`` marker like the other
@@ -82,7 +82,7 @@ class TestDirectorFailover:
             assert versions == list(range(1, len(versions) + 1))
 
             # The split really happened and carried every key across.
-            final_map = director.shard_map
+            final_map = director.shard_map()
             assert final_map.ranges_of("g2")
             with cluster.client("t-fo-check") as checker:
                 assert checker.map_version == final_map.version
@@ -93,9 +93,9 @@ class TestDirectorFailover:
 
 class TestDirectorAvailability:
     def test_warm_caches_outlive_the_whole_director_group(self):
-        """Map fetches fail over while any metadir replica lives; once
-        all are dead, warm clients keep serving from their cached map —
-        the control plane is not on the data path."""
+        """Map reads fail over while a metadir majority lives; once all
+        are dead, warm clients keep serving from their cached map — the
+        control plane is not on the data path."""
         with ShardedCluster(
             2, replicas_per_group=3, director_replicas=3, seed=7
         ) as cluster:

@@ -16,15 +16,16 @@ the other subprocess suites. Coverage:
 
 import pytest
 
+from repro.cli import main
 from repro.net.storm import run_storm_scenario
 from repro.shard.cluster import ShardedCluster
-from repro.shard.client import fetch_shard_map
+from repro.shard.metadir import ReplicatedShardDirector
 
 pytestmark = [pytest.mark.live, pytest.mark.slow]
 
 
 class TestLiveRouting:
-    def test_keyspace_served_across_groups(self):
+    def test_keyspace_served_across_groups(self, capsys):
         keys = [f"key-{i:03d}" for i in range(30)]
         with ShardedCluster(3, replicas_per_group=3) as cluster:
             cluster.start()
@@ -40,11 +41,19 @@ class TestLiveRouting:
                     assert client.submit("get", (key,), size=32).value == i
                 # scan fans out across groups and merges every key.
                 assert client.scan("key-") == tuple(sorted(keys))
-            # The director serves the same map over its wire endpoint.
-            (address,) = cluster.director_addresses().values()
-            fetched = fetch_shard_map(address)
+            # A handle of its own reads the same map through the log,
+            # and so does `repro shard-route`.
+            book = cluster.director_addresses()
+            with ReplicatedShardDirector(book) as director:
+                fetched = director.shard_map()
             assert fetched.version == shard_map.version
             assert fetched.assignments == shard_map.assignments
+            spec = ",".join(f"{name}={host}:{port}" for name, (host, port) in book.items())
+            capsys.readouterr()
+            assert main(["shard-route", "--director", spec, keys[0]]) == 0
+            out = capsys.readouterr().out
+            assert f"shard map v{shard_map.version} " in out
+            assert f"{keys[0]!r} -> point" in out
 
 
 class TestLiveSplit:

@@ -9,7 +9,9 @@ level, with no processes and no network:
 * intents serialize and capture a plan that stays valid until archived;
 * completion swaps the map exactly once (the double-install guard);
 * the version chain stays linear and gapless through every transition;
-* snapshots round-trip the whole director state.
+* snapshots round-trip the whole director state;
+* the admin handle serves one call at a time on its client, so threads
+  may share it.
 
 What a driver spends on a clean move runs in the simulator
 (``tests/test_director_sim.py``).
@@ -17,11 +19,18 @@ What a driver spends on a clean move runs in the simulator
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.core.client import ClientReply
+from repro.net.client import LiveClientError
 from repro.shard.metadir import (
     DONE_LIMIT,
     MetaDirStateMachine,
+    ReplicatedShardDirector,
     intent_client,
 )
 from repro.shard.shardmap import (
@@ -299,3 +308,108 @@ class TestSnapshotRoundTrip:
             for seq, (op, args) in enumerate(ops, start=1):
                 machine.apply(command(op, args, seq))
         assert a.snapshot() == b.snapshot()
+
+
+class OverlapRecorder:
+    """Stands in for the handle's client and records whether a call ever
+    entered while another was still inside (a LiveClient's lanes and
+    socket are not safe for that)."""
+
+    def __init__(self):
+        self.inside = 0
+        self.overlapped = False
+        self.calls = 0
+        self.done_after = None  # status polls before the intent archives
+
+    def submit(self, op, args=(), size=64, deadline=15.0):
+        self.inside += 1
+        self.overlapped |= self.inside > 1
+        self.calls += 1
+        time.sleep(0.005)  # a round trip: long enough for a thread switch
+        self.inside -= 1
+        value = ()
+        if op == "dir_status":
+            done = self.done_after is not None and self.calls >= self.done_after
+            value = {"id": args[0], "status": "done" if done else "pending"}
+        return ClientReply(CommandId(client_id("stub"), self.calls), value, 0, 0)
+
+    def close(self):
+        pass
+
+
+class TestAdminHandleSharing:
+    def make_handle(self):
+        handle = ReplicatedShardDirector({"d1": ("127.0.0.1", 9)})
+        handle._client = OverlapRecorder()
+        return handle, handle._client
+
+    def test_concurrent_calls_never_overlap_on_the_client(self):
+        # The shard storm cell runs add/remove_replica on one thread and
+        # split on another, both through one handle.
+        handle, stub = self.make_handle()
+
+        def poll():
+            for _ in range(10):
+                handle.status(1)
+                handle.history()
+
+        threads = [threading.Thread(target=poll) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stub.calls == 80
+        assert not stub.overlapped
+
+    def test_wait_lets_other_calls_in_between_polls(self):
+        handle, stub = self.make_handle()
+        stub.done_after = 10**9  # pending until the other thread is done
+        waiter = threading.Thread(target=handle.wait, args=(1, 30.0))
+        waiter.start()
+        time.sleep(0.05)  # the waiter is polling now
+        started = time.monotonic()
+        assert handle.history() == ()
+        assert time.monotonic() - started < 1.0
+        stub.done_after = stub.calls + 1
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert not stub.overlapped
+
+    def test_a_call_waiting_for_a_busy_handle_keeps_its_deadline(self):
+        # A read that no majority answers holds the handle for its whole
+        # deadline; a call queued behind it gives up at its own.
+        handle, stub = self.make_handle()
+        release = threading.Event()
+        submit = stub.submit
+
+        def stuck(op, args=(), size=64, deadline=15.0):
+            release.wait(timeout=30.0)
+            return submit(op, args, size, deadline)
+
+        stub.submit = stuck
+        holder = threading.Thread(target=handle.history)
+        holder.start()
+        try:
+            time.sleep(0.05)  # the holder is inside its call now
+            started = time.monotonic()
+            with pytest.raises(LiveClientError, match="handle stayed busy"):
+                handle.shard_map(deadline=0.2)
+            assert time.monotonic() - started < 1.0
+        finally:
+            release.set()
+            holder.join(timeout=10.0)
+        assert not holder.is_alive()
+        assert stub.calls == 1
+
+    def test_handles_of_one_process_submit_as_distinct_clients(self):
+        # One client identity per handle: the group's dedup table would
+        # answer a second handle's first command with the first's reply.
+        book = {"d1": ("127.0.0.1", 9)}
+        first, second = (ReplicatedShardDirector(book) for _ in range(2))
+        assert first._client.client != second._client.client

@@ -1,4 +1,5 @@
-"""Transport-level tests: frame coalescing, loss accounting, poison frames.
+"""Transport-level tests: frame coalescing, loss accounting, poison frames,
+and what close leaves behind.
 
 All tests drive real :class:`TcpTransport` instances over loopback
 sockets inside ``asyncio.run`` (the tier-1 suite has no async plugin).
@@ -299,3 +300,28 @@ class TestRepliesOnOpenedConnections:
         finally:
             await near.close()
             await far.close()
+
+
+class TestClose:
+    def test_close_ends_the_connections_it_accepted(self):
+        asyncio.run(self._close_with_a_client_connected())
+
+    async def _close_with_a_client_connected(self):
+        def serving() -> list[asyncio.Task]:
+            return [
+                task for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__ == "TcpTransport._serve_connection"
+                and not task.done()
+            ]
+
+        receiver, address = await _start_receiver("n2", [])
+        reader, writer = await asyncio.open_connection(*address)
+        try:
+            await _wait_for(lambda: len(serving()) == 1)
+            # Bounded: from 3.12 on, a server's wait_closed also waits
+            # for the connections it accepted.
+            await asyncio.wait_for(receiver.close(), 5.0)
+            assert serving() == []
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        finally:
+            writer.close()
