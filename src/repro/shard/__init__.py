@@ -16,9 +16,10 @@ The pieces:
   version chain and the admin intents as a state machine replicated on
   a group of its own, whose replicas drive drain-and-cutover moves, and
   the handle through which everything else reads the map;
-* :mod:`repro.shard.client` — the smart client: caches the map, fans
-  requests out to per-group :class:`~repro.net.client.LiveClient`\\ s,
-  and follows redirects so map changes propagate without a central hop;
+* :mod:`repro.shard.client` — the smart client: a sans-IO router that
+  caches the map and follows redirects (so map changes propagate without
+  a central hop), driven over per-group
+  :class:`~repro.net.client.LiveClient`\\ s;
 * :mod:`repro.shard.cluster` — :class:`ShardedCluster`, composing one
   :class:`~repro.net.cluster.LocalCluster` per group plus the director's;
 * :mod:`repro.shard.storm` — the sharded cells of the one live scenario

@@ -1,27 +1,26 @@
-"""The smart client: cached shard map + per-group LiveClients.
+"""The smart client: one shard router, driven live and in the simulator.
 
-:class:`ShardClient` is the sharded counterpart of
-:class:`~repro.net.client.LiveClient`. It holds a cached
-:class:`~repro.shard.shardmap.ShardMap`, routes each keyed command to
-the owning group's ``LiveClient``, and repairs its cache from
-:class:`~repro.shard.messages.WrongShard` reply values — so a map change
-propagates to clients through the groups themselves, without a central
-hop on the data path. The director is only read to bootstrap the cache
-and as the fallback when a redirect's hint does not advance the cache
-(a hint-less redirect only when it names a map newer than the cache).
-It is read through a handle
+:class:`ShardRouter` holds the routing rules once and touches no socket,
+thread, lock or clock. It caches the :class:`~repro.shard.shardmap.ShardMap`,
+routes each key to the owning group, and, given a
+:class:`~repro.shard.messages.WrongShard` reply value, says what to do
+next: retry now, read the map, or back off. So a map change propagates
+to clients through the groups themselves, without a central hop on the
+data path; the director is read only when a redirect shows the cache is
+missing a move. Hints are adopted only when their map version is
+*newer* than the cache, and read maps when they are not older: versions
+only move forward, which makes races against in-flight cutovers
+convergent.
+
+Two drivers run it. :class:`ShardClient` drives it over one
+:class:`~repro.net.client.LiveClient` per group and reads the map
+through a director handle
 (:class:`~repro.shard.metadir.ReplicatedShardDirector`: ``dir_map`` on
-the metadir group's log), so a read is linearizable and fails over
-across the group's replicas like any other command.
-
-Retry discipline mirrors ``LiveClient``: one overall ``deadline`` per
-call, every attempt's budget clamped to the
-:data:`~repro.net.client.MIN_ATTEMPT_BUDGET` floor, and a **redirect
-budget** so a stale ping-pong (A says B, B says A) fails crisply instead
-of looping. Redirect hints are only ever adopted when their map version
-is *newer* than the cache, and read maps when it is not older, which is
-what makes concurrent refreshes and races against in-flight cutovers
-convergent: versions only move forward.
+the metadir group's log); the simulator's ``SimShardClient``
+(``benchmarks/sim_plans.py``) drives it over one
+:class:`~repro.core.client.Requester` per group. A placement ends only
+at its deadline: a ping-pong that never advances a version backs off
+until then.
 """
 
 from __future__ import annotations
@@ -36,22 +35,106 @@ from repro.shard.messages import WrongShard
 from repro.shard.shardmap import GroupInfo, ShardError, ShardMap, key_point
 from repro.types import ClientId
 
-#: pause between retries while a cutover is mid-flight (source retired,
-#: target not yet installed, director not yet swapped).
-REDIRECT_BACKOFF = 0.05
-
 #: per-attempt request timeout of every group client (seconds).
 REQUEST_TIMEOUT = 1.0
-#: WrongShard redirects one :meth:`ShardClient.submit` follows at most.
-MAX_REDIRECTS = 12
+
+#: the router's answers: send again now, read the map first, or wait
+#: :attr:`ShardRouter.backoff` and send again.
+RETRY, READ, BACKOFF = "retry", "read", "backoff"
 
 
 class ShardClientError(LiveClientError):
-    """A sharded request could not be completed (deadline or redirect loop)."""
+    """A sharded request could not be placed before its deadline."""
+
+
+class ShardRouter:
+    """The map cache and the redirect rules, with no I/O and no clock."""
+
+    #: pause before resending while a cutover is mid-flight (source
+    #: retired, target not yet installed, director not yet swapped).
+    backoff = 0.05
+
+    def __init__(self, shard_map: ShardMap):
+        self.shard_map = shard_map
+        #: the version of the last map read whole (the cache holds every
+        #: move up to it) and the slices hint patches moved since, each
+        #: with its move's version: what the cache knows past it.
+        self._read_version = shard_map.version
+        self._patched: tuple[tuple[int, int, int], ...] = ()
+
+    def route(self, key: str) -> tuple[str, int]:
+        """The (group, hash point) the cached map routes ``key`` to."""
+        point = key_point(key)
+        return self.shard_map.group_for_point(point), point
+
+    def redirected(self, hint: WrongShard) -> str:
+        """The next step after a group answered ``hint``.
+
+        A hint that advances the cache patches it: retry. Otherwise the
+        map is read if the hint names a newer map, or if it shows a gap in
+        the cache: a hint patch stamps the cache with its own move's
+        version but brings in no earlier move, so the cache can name a
+        group for a range that group gave away before that version. A
+        hint the cache already knows (the rejecting group's old forward,
+        kept until its install of the range back runs) and a hint-less
+        redirect at or below the cache (the target of a move whose
+        install is still in flight, which the director's map cannot move
+        past either) back off: a cutover resolves in a couple of commits.
+        """
+        if self._patch(hint):
+            return RETRY
+        if hint.version > self.shard_map.version or (
+            hint.has_hint and not self._knows(hint)
+        ):
+            return READ
+        return BACKOFF
+
+    def read(self, new_map: ShardMap | None) -> str:
+        """The next step after a map read (None: the read failed).
+
+        Retry if the map moved the cache, else back off. A read map
+        replaces a cached one of the same version: a hint patch stamps
+        the cache with its move's version but leaves out the earlier
+        moves it was not told of, and the director's map at that version
+        has them all.
+        """
+        if new_map is None or new_map.version < self.shard_map.version:
+            return BACKOFF
+        before, self.shard_map = self.shard_map, new_map
+        self._read_version = new_map.version
+        self._patched = ()
+        return BACKOFF if new_map == before else RETRY
+
+    def _patch(self, hint: WrongShard) -> bool:
+        """Patch the cached map from a redirect hint; True if it advanced."""
+        if not hint.has_hint or hint.version <= self.shard_map.version:
+            return False
+        try:
+            self.shard_map = self.shard_map.with_move(
+                hint.lo, hint.hi, hint.target, version=hint.version
+            )
+        except ShardError:
+            # The hinted range no longer lines up with our (older)
+            # assignment boundaries; a full read is required.
+            return False
+        self._patched += ((hint.lo, hint.hi, hint.version),)
+        return True
+
+    def _knows(self, hint: WrongShard) -> bool:
+        """True if the cache holds a move of the hint's point at or after
+        the hint's version: the hint is an old forward, not news."""
+        return hint.version <= self._read_version or any(
+            lo <= hint.point < hi and hint.version <= version
+            for lo, hi, version in self._patched
+        )
 
 
 class ShardClient:
-    """Routes keyed commands across groups through a cached shard map."""
+    """Routes keyed commands across live groups through a :class:`ShardRouter`.
+
+    Not thread-safe (nor is :class:`LiveClient`): each thread that
+    submits holds a client of its own.
+    """
 
     def __init__(
         self,
@@ -75,20 +158,13 @@ class ShardClient:
         #: Closed with this client.
         self.director = director
         self._factory = client_factory or self._default_factory
-        self._lock = threading.RLock()
         self._clients: dict[str, Any] = {}
+        #: set by :meth:`close`; a back-off waits on it.
+        self._closed = threading.Event()
         if shard_map is None:
-            self.refresh_map()
-        else:
-            shard_map.validate()
-            self._adopt(shard_map)
-
-    _cached_map: ShardMap | None = None
-    #: the version of the last map read whole (the cache holds every move
-    #: up to it) and the slices hint patches moved since, each with its
-    #: move's version: what the cache knows past ``_read_version``.
-    _read_version = 0
-    _patched: tuple[tuple[int, int, int], ...] = ()
+            shard_map = self._read(2.0)
+        shard_map.validate()
+        self.router = ShardRouter(shard_map)
 
     def _default_factory(self, info: GroupInfo) -> LiveClient:
         return LiveClient(
@@ -102,9 +178,7 @@ class ShardClient:
 
     @property
     def shard_map(self) -> ShardMap:
-        with self._lock:
-            assert self._cached_map is not None
-            return self._cached_map
+        return self.router.shard_map
 
     @property
     def map_version(self) -> int:
@@ -113,81 +187,32 @@ class ShardClient:
     def refresh_map(self, timeout: float = 2.0) -> ShardMap:
         """Read the map through the director; adopt it unless older.
 
-        Safe to call from several threads at once: each read happens
-        outside the lock, and adoption compares versions under it — a
-        slow read returning an older map can never clobber a newer one.
         ``timeout`` bounds the read; a read that fails (no majority of
         the metadir group, no map yet, an invalid map) raises
         :class:`ShardClientError` and leaves the cache as it was.
         """
-        if self.director is None:
-            return self.shard_map
+        if self.director is not None:
+            self.router.read(self._read(timeout))
+        return self.shard_map
+
+    def _read(self, timeout: float) -> ShardMap:
         try:
-            new_map = self.director.shard_map(deadline=timeout)
+            return self.director.shard_map(deadline=timeout)
         except (LiveClientError, ShardError) as exc:
             raise ShardClientError(f"shard map read failed: {exc}") from exc
-        return self._adopt(new_map)
-
-    def _adopt(self, new_map: ShardMap) -> ShardMap:
-        """Cache ``new_map`` unless the cache is newer.
-
-        A read map replaces a cached one of the same version: a hint
-        patch stamps the cache with its move's version but leaves out
-        the earlier moves it was not told of, and the director's map at
-        that version has them all.
-        """
-        with self._lock:
-            if (
-                self._cached_map is None
-                or new_map.version >= self._cached_map.version
-            ):
-                self._cached_map = new_map
-                self._read_version = new_map.version
-                self._patched = ()
-            return self._cached_map
-
-    def _apply_hint(self, hint: WrongShard) -> bool:
-        """Patch the cached map from a redirect hint; True if it advanced."""
-        with self._lock:
-            current = self._cached_map
-            assert current is not None
-            if not hint.has_hint or hint.version <= current.version:
-                return False
-            try:
-                patched = current.with_move(
-                    hint.lo, hint.hi, hint.target, version=hint.version
-                )
-            except ShardError:
-                # The hinted range no longer lines up with our (older)
-                # assignment boundaries; a full refresh is required.
-                return False
-            self._cached_map = patched
-            self._patched += ((hint.lo, hint.hi, hint.version),)
-            return True
-
-    def _knows(self, hint: WrongShard) -> bool:
-        """True if the cache holds a move of the hint's point at or after
-        the hint's version: the hint is an old forward, not news."""
-        with self._lock:
-            return hint.version <= self._read_version or any(
-                lo <= hint.point < hi and hint.version <= version
-                for lo, hi, version in self._patched
-            )
 
     # -- routing ------------------------------------------------------------
 
     def route(self, key: str) -> tuple[str, int]:
         """The (group, hash point) the cached map routes ``key`` to."""
-        point = key_point(key)
-        return self.shard_map.group_for_point(point), point
+        return self.router.route(key)
 
     def _group_client(self, group: str) -> Any:
-        with self._lock:
-            client = self._clients.get(group)
-            if client is None:
-                client = self._factory(self.shard_map.group_info(group))
-                self._clients[group] = client
-            return client
+        client = self._clients.get(group)
+        if client is None:
+            client = self._factory(self.shard_map.group_info(group))
+            self._clients[group] = client
+        return client
 
     # -- requests -----------------------------------------------------------
 
@@ -200,80 +225,52 @@ class ShardClient:
     ) -> ClientReply:
         """Execute one keyed command on whichever group owns its key.
 
-        Follows WrongShard redirects up to :data:`MAX_REDIRECTS` times within
-        ``deadline``. A hint that does not advance the cached map falls
-        back to a director read unless the cache already holds a later
-        move of that point (the rejecting group's old forward, kept until
-        its install of the range back runs). Otherwise the hint shows a
-        gap in the cache: a hint patch stamps the cache with its own
-        move's version but brings in no earlier move, so the cache can
-        name a group for a range that group gave away before that
-        version. A redirect with no hint falls back only if it names a
-        newer map than the cache;
-        otherwise the rejecting group knows no newer map than we do (the
-        target of a move whose install is still in flight, which the
-        director's map cannot move past either), so the client just
-        backs off briefly (an in-flight cutover resolves in a couple of
-        commits).
+        Routes, calls the group, and does what the router says with a
+        :class:`WrongShard` answer, until ``deadline``: a map read gets
+        the time left, and a back-off waits the router's interval.
         """
         if not args:
             raise ShardError(f"operation {op!r} has no routing key")
-        with self._lock:
-            self.seq += 1
+        self.seq += 1
         key = str(args[0])
         give_up_at = time.monotonic() + deadline
-        redirects = 0
-        last = "no attempt made"
         while True:
             group, _ = self.route(key)
-            budget = max(MIN_ATTEMPT_BUDGET, give_up_at - time.monotonic())
             reply = self._group_client(group).submit(
-                op, args, size=size, deadline=budget
+                op, args, size=size, deadline=self._left(give_up_at)
             )
             value = reply.value
             if not isinstance(value, WrongShard):
                 return reply
-            redirects += 1
             last = (
                 f"{group} does not own {key!r} "
                 f"(map v{value.version}, hint {value.target or 'none'})"
             )
-            if redirects > MAX_REDIRECTS:
-                raise ShardClientError(
-                    f"redirect budget exhausted after {redirects - 1} "
-                    f"redirects for {op} {key!r}: {last}"
+            step = self.router.redirected(value)
+            if step == READ:
+                step = self.router.read(self._try_read(give_up_at))
+            if step == BACKOFF:
+                self._closed.wait(
+                    min(self.router.backoff, give_up_at - time.monotonic())
                 )
             if time.monotonic() >= give_up_at:
                 raise ShardClientError(
                     f"{op} {key!r} not placed in {deadline}s: {last}"
                 )
-            if self._apply_hint(value):
-                continue
-            before = self.shard_map
-            if value.version > before.version or (
-                value.has_hint and not self._knows(value)
-            ):
-                try:
-                    self.refresh_map()
-                except ShardClientError:
-                    pass  # director unreachable; hints must carry us
-            if self.shard_map == before:
-                # Mid-cutover: neither the hint nor the director moved
-                # us forward yet. Give the install a moment to land.
-                time.sleep(REDIRECT_BACKOFF)
 
-    def scan(self, prefix: str, deadline: float = 15.0) -> tuple[str, ...]:
-        """Fan a ``scan`` out to every serving group and merge the keys."""
-        give_up_at = time.monotonic() + deadline
-        merged: set[str] = set()
-        for group in self.shard_map.serving_groups():
-            budget = max(MIN_ATTEMPT_BUDGET, give_up_at - time.monotonic())
-            reply = self._group_client(group).submit(
-                "scan", (prefix,), size=32, deadline=budget
-            )
-            if isinstance(reply.value, (tuple, list)):
-                merged.update(reply.value)
-        return tuple(sorted(merged))
+    def _try_read(self, give_up_at: float) -> ShardMap | None:
+        """A map read in the time left; None if there is no director or
+        it did not answer (hints must carry us)."""
+        if self.director is None:
+            return None
+        try:
+            return self._read(self._left(give_up_at))
+        except ShardClientError:
+            return None
+
+    @staticmethod
+    def _left(give_up_at: float) -> float:
+        return max(MIN_ATTEMPT_BUDGET, give_up_at - time.monotonic())
 
     def submit_pipelined(
         self,
@@ -302,8 +299,7 @@ class ShardClient:
         latencies = [0.0] * len(ops)
         failures: list[str] = []
 
-        def drive(group: str, indexes: list[int]) -> None:
-            client = self._group_client(group)
+        def drive(group: str, client: Any, indexes: list[int]) -> None:
             try:
                 result = client.submit_pipelined(
                     [ops[i] for i in indexes], window=window, deadline=deadline
@@ -314,9 +310,13 @@ class ShardClient:
             for i, latency in zip(indexes, result):
                 latencies[i] = latency
 
+        # The group clients are built here, before any thread starts.
         threads = [
-            threading.Thread(target=drive, args=item, daemon=True)
-            for item in by_group.items()
+            threading.Thread(
+                target=drive, args=(group, self._group_client(group), indexes),
+                daemon=True,
+            )
+            for group, indexes in by_group.items()
         ]
         for thread in threads:
             thread.start()
@@ -331,8 +331,8 @@ class ShardClient:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            clients, self._clients = dict(self._clients), {}
+        self._closed.set()
+        clients, self._clients = self._clients, {}
         for client in (*clients.values(), self.director):
             close = getattr(client, "close", None)
             if close is not None:

@@ -208,14 +208,6 @@ class ShardMap:
         self.group_info(group)  # raises on unknown names
         return tuple(a.range for a in self.assignments if a.group == group)
 
-    def serving_groups(self) -> tuple[str, ...]:
-        """Groups owning at least one range, in range order."""
-        seen: list[str] = []
-        for assignment in self.assignments:
-            if assignment.group not in seen:
-                seen.append(assignment.group)
-        return tuple(seen)
-
     # -- evolution ----------------------------------------------------------
 
     def with_move(

@@ -1020,8 +1020,10 @@ class TestRowEncodedDataStillReads:
         for record in records:
             fresh.append(record)
         fresh.close()
-        old = ReplicaStore(tmp_path / "old", fsync=False).recovered
-        new = ReplicaStore(tmp_path / "new", fsync=False).recovered
+        stores = [ReplicaStore(tmp_path / d, fsync=False) for d in ("old", "new")]
+        old, new = (store.recovered for store in stores)
+        for store in stores:
+            store.close()
         assert old.records == new.records == 3
         assert old.torn_bytes == 0
         assert old.instances["e0"].accepted == new.instances["e0"].accepted

@@ -30,17 +30,16 @@ class TestLiveRouting:
         with ShardedCluster(3, replicas_per_group=3) as cluster:
             cluster.start()
             shard_map = cluster.shard_map
-            assert shard_map.serving_groups() == ("g1", "g2", "g3")
+            assert [a.group for a in shard_map.assignments] == ["g1", "g2", "g3"]
             with cluster.client("t-route") as client:
                 for i, key in enumerate(keys):
                     assert client.submit("set", (key, i)).value == "ok"
                 spread = client.shard_map.spread(keys)
                 assert sum(spread.values()) == len(keys)
                 assert all(spread[g] > 0 for g in ("g1", "g2", "g3"))
+                # Every key reads back from the group that owns it.
                 for i, key in enumerate(keys):
                     assert client.submit("get", (key,), size=32).value == i
-                # scan fans out across groups and merges every key.
-                assert client.scan("key-") == tuple(sorted(keys))
             # A handle of its own reads the same map through the log,
             # and so does `repro shard-route`.
             book = cluster.director_addresses()

@@ -1,14 +1,19 @@
-"""ShardClient map-cache invalidation tests (fake groups, no subprocesses).
+"""ShardRouter rules and the live ShardClient loop (fake groups, no
+subprocesses).
 
 The smart client's correctness rests on three behaviours exercised here:
 
 * a **stale-map redirect** with a usable hint patches exactly the moved
   slice of the cached map and retries at the new owner — no director hop;
-* **concurrent refreshes** are convergent: adoption is version-gated, so
-  a slow fetch returning an older map can never clobber a newer one;
-* a **redirect loop** (groups that keep bouncing) fails crisply at the
-  redirect budget / deadline instead of spinning forever, mirroring the
-  MIN_ATTEMPT_BUDGET discipline of the flat LiveClient.
+* **adoption is version-gated**: a slow read returning an older map can
+  never clobber a newer one, and a hint is news only past the cache;
+* a placement ends **only at its deadline**: a cutover that stays
+  pending longer than any redirect count is placed once it lands, a
+  ping-pong that never advances a version backs off until the deadline,
+  and a map read gets the time left, not a fixed budget.
+
+The router cases call :class:`ShardRouter` directly: no threads, no
+sleeps. The loop cases drive :class:`ShardClient`.
 
 Groups are faked through ``client_factory``: each fake consults a shared
 "world" map (the authoritative truth) and answers WrongShard exactly the
@@ -23,14 +28,20 @@ read checks what the group answers), but its client is faked:
 swaps the way an executed command would.
 """
 
-import threading
 import time
 
 import pytest
 
 from repro.core.client import ClientReply
-from repro.net.client import LiveClientError
-from repro.shard.client import ShardClient, ShardClientError
+from repro.net.client import MIN_ATTEMPT_BUDGET, LiveClientError
+from repro.shard.client import (
+    BACKOFF,
+    READ,
+    RETRY,
+    ShardClient,
+    ShardClientError,
+    ShardRouter,
+)
 from repro.shard.messages import WrongShard
 from repro.shard.metadir import MetaDirStateMachine, ReplicatedShardDirector
 from repro.shard.shardmap import (
@@ -164,11 +175,11 @@ def fake_director(shard_map=None):
     return director, director._client
 
 
-def make_client(world, shard_map=None, **kwargs):
+def make_client(world, shard_map=None, client_factory=None, **kwargs):
     return ShardClient(
         "t",
         shard_map=shard_map if shard_map is not None else world.truth,
-        client_factory=lambda info: FakeGroupClient(world, info),
+        client_factory=client_factory or (lambda info: FakeGroupClient(world, info)),
         **kwargs,
     )
 
@@ -202,68 +213,44 @@ class TestStaleMapRedirect:
         assert [g for g, _ in world.calls] == ["g2"]  # no second bounce
 
     def test_stale_hint_not_adopted(self):
-        world = World(make_map("g1", "g2"))
-        client = make_client(world)
-        stale = WrongShard("k", 5, client.map_version, "g1", "g2", 0, 8)
-        assert client._apply_hint(stale) is False
-        assert client.map_version == 1
+        shard_map = make_map("g1", "g2")
+        router = ShardRouter(shard_map)
+        stale = WrongShard("k", 5, shard_map.version, "g1", "g2", 0, 8)
+        assert router.redirected(stale) == BACKOFF
+        assert router.shard_map is shard_map
+
+
+def block(key):
+    """The 8-point slice around ``key``'s hash point."""
+    point = key_point(key)
+    return point - point % 8, min(point - point % 8 + 8, HASH_SPACE)
 
 
 class TestConcurrentRefresh:
     def test_adoption_is_version_gated(self):
-        world = World(make_map("g1", "g2"))
-        client = make_client(world)
-        v3 = world.truth.with_move(0, 8, "g2", version=3)
-        v2 = world.truth.with_move(0, 8, "g2", version=2)
-        assert client._adopt(v3).version == 3
-        # A slower fetch delivering an older map must not clobber v3.
-        assert client._adopt(v2).version == 3
-        assert client.shard_map is not v2
-
-    def test_threads_refreshing_from_live_director_converge(self):
         shard_map = make_map("g1", "g2")
-        director, log = fake_director(shard_map)
-        world = World(shard_map)
-        client = make_client(world, director=director)
-        moved = shard_map.with_move(0, 8, "g2")
-        log.machine.shard_map = moved
-
-        versions: list[int] = []
-        errors: list[Exception] = []
-
-        def refresh():
-            try:
-                versions.append(client.refresh_map().version)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=refresh) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert not errors
-        # Every concurrent refresh lands on the same (newest) version.
-        assert versions == [moved.version] * 8
-        assert client.map_version == moved.version
-        assert log.reads == 8
+        router = ShardRouter(shard_map)
+        v3 = shard_map.with_move(0, 8, "g2", version=3)
+        v2 = shard_map.with_move(0, 8, "g2", version=2)
+        assert router.read(v3) == RETRY
+        # A slower read delivering an older map must not clobber v3.
+        assert router.read(v2) == BACKOFF
+        assert router.shard_map is v3
+        assert router.read(None) == BACKOFF  # a read that failed
 
     def test_no_hint_redirect_falls_back_to_director(self):
+        # The world moved the range but the answer carries no hint (the
+        # client hit the move's *target* before its install ran) while
+        # naming a newer map: only a read can place the op.
         shard_map = make_map("g1", "g2")
-        world = World(shard_map)
-        director, log = fake_director(shard_map)
-        client = make_client(world, director=director)
-        key = key_in(world.truth, "g1")
-        point = key_point(key)
-        # The world moves the range but erases the hint (as if the
-        # client hit the move's *target* before its install ran).
-        world.move(point - point % 8, min(point + 8, HASH_SPACE), "g2")
-        world.hints.clear()
-        log.machine.shard_map = world.truth
-        reply = client.submit("set", (key, "v"))
-        assert reply.value == "ok"
-        assert client.map_version == world.truth.version
-        assert log.reads == 1
+        router = ShardRouter(shard_map)
+        key = key_in(shard_map, "g1")
+        truth = shard_map.with_move(*block(key), "g2")
+        bounce = WrongShard(key, key_point(key), truth.version, "g1", "", 0, 0)
+        assert router.redirected(bounce) == READ
+        assert router.read(truth) == RETRY
+        assert router.route(key)[0] == "g2"
+        assert router.shard_map is truth
 
     def test_redirect_at_the_cached_version_reads_no_map(self):
         # The rejecting group knows no newer map than the client: an
@@ -298,143 +285,148 @@ class TestConcurrentRefresh:
 
 
 class TestOverstatedCache:
-    def test_stale_hint_below_a_patched_cache_reads_the_map(self, monkeypatch):
+    def test_stale_hint_below_a_patched_cache_reads_the_map(self):
         # A hint patch stamps the cache with its move's version but
         # leaves out the earlier moves: here v3 (R1 -> g2) is patched in,
         # and R2 -> g3 (v2) is not. g1 keeps answering R2 with its v2
         # hint, which the v3 cache refuses; one director read places it.
-        monkeypatch.setattr("repro.shard.client.REDIRECT_BACKOFF", 0.0)
         world = World(make_map("g1", "g2", "g3"))
-        director, log = fake_director(world.truth)
-        client = make_client(world, director=director)  # caches v1
+        router = ShardRouter(world.truth)  # caches v1
         first = key_in(world.truth, "g1")
         second = next(
             f"k{i}" for i in range(100_000)
             if world.truth.group_for_key(f"k{i}") == "g1"
             and key_point(f"k{i}") // 8 != key_point(first) // 8
         )
-
-        def block(key):
-            point = key_point(key)
-            return point - point % 8, min(point - point % 8 + 8, HASH_SPACE)
-
         world.move(*block(second), "g3")  # v2
         world.move(*block(first), "g2")  # v3
-        log.machine.shard_map = world.truth
 
-        assert client.submit("set", (first, "a")).value == "ok"
-        assert client.map_version == 3
-        assert client.shard_map.group_for_key(second) == "g1"  # the gap
-        assert log.reads == 0
+        assert router.redirected(
+            WrongShard(first, key_point(first), 3, "g1", "g2", *block(first))
+        ) == RETRY
+        assert router.route(first)[0] == "g2"
+        assert router.shard_map.version == 3
+        assert router.route(second)[0] == "g1"  # the gap
 
-        world.calls.clear()
-        assert client.submit("set", (second, "b")).value == "ok"
-        assert [g for g, _ in world.calls] == ["g1", "g3"]
-        assert log.reads == 1
-        assert client.shard_map == world.truth
+        old = WrongShard(second, key_point(second), 2, "g1", "g3", *block(second))
+        assert router.redirected(old) == READ
+        assert router.read(world.truth) == RETRY
+        assert router.route(second)[0] == "g3"
+        assert router.shard_map == world.truth
 
-
-    def test_old_forward_of_a_move_back_reads_no_map(self, monkeypatch):
+    def test_old_forward_of_a_move_back_reads_no_map(self):
         # R moves g1 -> g2 (v2) and back (v3). Until g1's install runs,
-        # g1 still answers R with its v2 forward to g2; the client holds
+        # g1 still answers R with its v2 forward to g2; the router holds
         # the v3 move of R, so the hint is old news and it backs off.
-        monkeypatch.setattr("repro.shard.client.REDIRECT_BACKOFF", 0.0)
-        world = World(make_map("g1", "g2"))
-        director, log = fake_director(world.truth)
-        key = key_in(world.truth, "g1")
-        point = key_point(key)
-        lo, hi = point - point % 8, min(point - point % 8 + 8, HASH_SPACE)
-        installing = []
+        shard_map = make_map("g1", "g2")
+        router = ShardRouter(shard_map)
+        key = key_in(shard_map, "g1")
+        point, (lo, hi) = key_point(key), block(key)
+        forward = WrongShard(key, point, 2, "g1", "g2", lo, hi)
+        back = WrongShard(key, point, 3, "g2", "g1", lo, hi)
+        assert router.redirected(forward) == RETRY
+        assert router.route(key)[0] == "g2"
+        assert router.redirected(back) == RETRY
+        assert router.route(key)[0] == "g1"
+        assert router.redirected(forward) == BACKOFF
+        assert router.route(key)[0] == "g1"
+        assert router.shard_map.version == 3
 
-        class Installing(FakeGroupClient):
-            def submit(self, op, args, size=64, deadline=15.0):
-                if self.group in installing:
-                    installing.remove(self.group)
-                    self.world.calls.append((self.group, op))
-                    old = WrongShard(key, point, 2, self.group, "g2", lo, hi)
-                    return ClientReply(CommandId(ClientId("i"), 1), old, 0, 1)
-                return super().submit(op, args, size=size, deadline=deadline)
 
-        client = ShardClient(
-            "t", shard_map=world.truth, director=director,
-            client_factory=lambda info: Installing(world, info),
+class Bouncer(FakeGroupClient):
+    """Denies every key at the map version it was built with, no hint."""
+
+    version = 1
+
+    def submit(self, op, args, size=64, deadline=15.0):
+        self.seq += 1
+        self.world.calls.append((self.group, time.monotonic()))
+        return ClientReply(
+            CommandId(ClientId("b"), self.seq),
+            WrongShard(str(args[0]), key_point(str(args[0])), self.version,
+                       self.group, "", 0, 0),
+            0, self.seq,
         )
-        world.move(lo, hi, "g2")  # v2
-        assert client.submit("set", (key, "a")).value == "ok"
-        world.move(lo, hi, "g1")  # v3, not yet published
-        installing.extend(["g1", "g1"])
-        world.calls.clear()
-        assert client.submit("set", (key, "b")).value == "ok"
-        assert [g for g, _ in world.calls] == ["g2", "g1", "g1", "g1"]
-        assert client.map_version == 3
-        assert log.reads == 0
 
 
 class TestRedirectLoopBound:
-    def test_budget_exhaustion_raises(self, monkeypatch):
-        from repro.shard import client as client_mod
-
-        monkeypatch.setattr(client_mod, "MAX_REDIRECTS", 3)
+    def test_a_ping_pong_backs_off_until_the_deadline(self):
+        # Both groups deny the key at the cached version and no director
+        # exists: no version ever advances, so the client backs off
+        # between attempts until the deadline, and says what bounced it.
         world = World(make_map("g1", "g2"))
-        client = make_client(world)
+        client = make_client(world, client_factory=lambda info: Bouncer(world, info))
         key = key_in(world.truth, "g1")
-        # Truth moves away but the hint lies: it points back at a group
-        # that will bounce again, and no director exists to break the tie.
-        point = key_point(key)
-        world.move(point - point % 8, min(point + 8, HASH_SPACE), "g2")
-        world.hints["g1"] = []  # no usable hint: pure ping-pong
-        world.truth = make_map("g1", "g2")  # ...and g2 bounces too
+        started = time.monotonic()
+        with pytest.raises(
+            ShardClientError,
+            match=r"not placed in 0.5s: g1 does not own .*\(map v1, hint none\)",
+        ):
+            client.submit("set", (key, "v"), deadline=0.5)
+        assert time.monotonic() - started < 0.5 + ShardRouter.backoff
+        sent = [at for _, at in world.calls]
+        assert 5 <= len(sent) <= 11
+        assert min(b - a for a, b in zip(sent, sent[1:])) >= ShardRouter.backoff
 
-        # Both groups now deny ownership forever.
-        world.hints["g2"] = []
-        truth = world.truth
-
-        class Bouncer(FakeGroupClient):
-            def submit(self, op, args, size=64, deadline=15.0):
-                self.seq += 1
-                self.world.calls.append((self.group, op))
-                cid = CommandId(ClientId("b"), self.seq)
-                return ClientReply(
-                    cid,
-                    WrongShard(str(args[0]), key_point(str(args[0])),
-                               truth.version, self.group, "", 0, 0),
-                    0, self.seq,
-                )
-
-        client = ShardClient(
-            "t", shard_map=truth,
-            client_factory=lambda info: Bouncer(world, info),
-        )
-        with pytest.raises(ShardClientError, match="redirect budget"):
-            client.submit("set", (key, "v"), deadline=30.0)
-        # The loop is bounded: MAX_REDIRECTS + the initial attempt.
-        assert len(world.calls) == 4
-
-    def test_deadline_bounds_the_loop_too(self, monkeypatch):
-        from repro.shard import client as client_mod
-
-        monkeypatch.setattr(client_mod, "MAX_REDIRECTS", 10_000)
+    def test_deadline_bounds_the_loop_too(self):
         world = World(make_map("g1", "g2"))
-        truth = world.truth
-
-        class Bouncer(FakeGroupClient):
-            def submit(self, op, args, size=64, deadline=15.0):
-                self.seq += 1
-                return ClientReply(
-                    CommandId(ClientId("b"), self.seq),
-                    WrongShard(str(args[0]), key_point(str(args[0])),
-                               truth.version, self.group, "", 0, 0),
-                    0, self.seq,
-                )
-
-        client = ShardClient(
-            "t", shard_map=truth,
-            client_factory=lambda info: Bouncer(world, info),
-        )
+        client = make_client(world, client_factory=lambda info: Bouncer(world, info))
         started = time.monotonic()
         with pytest.raises(ShardClientError):
             client.submit("set", ("k", "v"), deadline=0.3)
         assert time.monotonic() - started < 5.0
+
+    def test_a_pending_cutover_is_placed_before_the_deadline(self):
+        # g1 retired the range with a hint to g2, and g2's install lands
+        # 1.0 s later: until then g2 answers with no hint. A placement
+        # ends only at its deadline, so the op lands once g2 serves.
+        cached = make_map("g1", "g2")
+        world = World(cached)
+        key = key_in(cached, "g1")
+        world.move(*block(key), "g2")  # v2
+        installed_at = time.monotonic() + 1.0
+
+        class Installing(FakeGroupClient):
+            def submit(self, op, args, size=64, deadline=15.0):
+                if self.group == "g2" and time.monotonic() < installed_at:
+                    self.seq += 1
+                    self.world.calls.append((self.group, op))
+                    pending = WrongShard(key, key_point(key), 1, "g2", "", 0, 0)
+                    return ClientReply(CommandId(ClientId("i"), self.seq),
+                                       pending, 0, self.seq)
+                return super().submit(op, args, size=size, deadline=deadline)
+
+        client = make_client(world, shard_map=cached,
+                             client_factory=lambda info: Installing(world, info))
+        assert client.submit("set", (key, "v"), deadline=10.0).value == "ok"
+        assert time.monotonic() >= installed_at
+        assert world.data[key] == "v"
+        assert len(world.calls) > 13  # more than any redirect count allowed
+
+    def test_a_map_read_gets_the_time_left(self):
+        # g1 names a newer map with no hint, so the client reads the map,
+        # and the director answers only at the read's deadline: the read
+        # must end with the op's deadline, not a fixed budget of its own.
+        world = World(make_map("g1", "g2"))
+        key = key_in(world.truth, "g1")
+
+        class SlowDirector:
+            def shard_map(self, deadline):
+                time.sleep(deadline)
+                return world.truth
+
+            def close(self):
+                pass
+
+        class Newer(Bouncer):
+            version = 2
+
+        client = make_client(world, director=SlowDirector(),
+                             client_factory=lambda info: Newer(world, info))
+        started = time.monotonic()
+        with pytest.raises(ShardClientError, match="not placed in 0.3s"):
+            client.submit("set", (key, "v"), deadline=0.3)
+        assert time.monotonic() - started <= 0.3 + MIN_ATTEMPT_BUDGET
 
 
 class TestRoutingAndPipelining:

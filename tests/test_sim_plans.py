@@ -1,11 +1,14 @@
-"""One plan, two backends: every single-group storm plan runs in the sim.
+"""One plan, two backends: every storm plan runs in the sim.
 
-The plan's own initial members, steps and failure schedule go to
-``run_experiment`` with no adapter and no action filtered out - the
+A single-group plan's own initial members, steps and failure schedule go
+to ``run_experiment`` with no adapter and no action filtered out - the
 ``overlap`` cell's delayed links included - and the run is gated by
 ``verify_run``: Wing-Gong, the structural invariants, the log replay and
-the liveness check against the plan. ``benchmarks/sim_plans.py`` runs the
-same gate over a wider seed range.
+the liveness check against the plan. The sharded plans (``shard``,
+``director``) run on sim shard clients over two data groups and a
+metadir group, gated by Wing-Gong, each group's invariants and replay,
+the map chain and an empty pending set. ``benchmarks/sim_plans.py`` runs
+the same gates over a wider seed range.
 """
 
 from types import SimpleNamespace
@@ -14,6 +17,7 @@ import pytest
 
 from benchmarks.sim_plans import CELLS, REQUEST_TIMEOUT, run_plan
 from repro.errors import VerificationError
+from repro.net.storm import SHARD_STORM_SCENARIOS
 from repro.faults import FailureSchedule
 from repro.types import CommandId, client_id
 from repro.verify.histories import History, Operation
@@ -26,12 +30,17 @@ from repro.workload.schedules import ReconfigStep
 def test_storm_plan_runs_verified_in_the_sim(cell, seed):
     plan, result, report = run_plan(cell, seed)
     assert report.operations > 1000 and report.kv_keys_checked > 0
-    # On the commit before restarted replicas voted again, the chaos
-    # cell stalled 2.0-2.9 s here: no quorum once the leader was cut off.
-    assert report.stalled_s <= 2 * REQUEST_TIMEOUT
+    assert report.pending_operations == 0
+    if cell not in SHARD_STORM_SCENARIOS:
+        # On the commit before restarted replicas voted again, the chaos
+        # cell stalled 2.0-2.9 s here: no quorum once the leader was cut
+        # off. (A sharded stall is reported, not bounded: the director
+        # cell holds its move 0.9 s by design.)
+        assert report.stalled_s <= 2 * REQUEST_TIMEOUT
     # Every rule the plan installed was healed by the plan.
     assert result.sim.network.policy.active() == []
-    # rolling replaces every founding member, so nothing is replayable.
+    # rolling replaces every founding member, so nothing is replayable;
+    # every other cell, sharded ones included, replays acks.
     assert (report.replayed > 0) == (cell != "rolling")
 
 
